@@ -2,9 +2,9 @@
 
 Invariants covered: autocorrelation Hermitian symmetry, boundedness by the
 zero coefficient, triangle inequality of the pseudo-metric, nesting of the
-almost-period sets, scaling covariance, periodogram positivity, restriction
-idempotence, dual-lattice involution, model-set Delone behaviour and gap
-bookkeeping.
+almost-period sets, scaling covariance, periodogram positivity, agreement of
+the NUFFT periodogram with direct summation, restriction idempotence,
+dual-lattice involution, model-set Delone behaviour and gap bookkeeping.
 """
 
 import math
@@ -13,6 +13,7 @@ import numpy as np
 from hypothesis import given, settings, strategies as st
 
 import aperiodica as ap
+from aperiodica import spectrum
 
 
 @st.composite
@@ -102,6 +103,54 @@ def test_scaling_covariance(comb, c):
 def test_periodogram_positivity(comb, k0, count):
     ks = k0 + np.arange(count) * 0.037
     assert np.min(ap.periodogram_values(comb, ks)) >= 0.0
+
+
+@st.composite
+def fast_path_inputs(draw):
+    """A comb with complex weights (integer, golden-module or float
+    positions), a taper and a uniform or scattered k set, sized so that
+    periodogram_values takes the NUFFT path."""
+    kind = draw(st.sampled_from(["integer", "module", "float"]))
+    n = draw(st.integers(min_value=800, max_value=2000))
+    count = draw(st.integers(min_value=400, max_value=1000))
+    taper = draw(st.sampled_from(["boxcar", "hann"]))
+    uniform = draw(st.booleans())
+    k_lo = draw(st.floats(min_value=-2.0, max_value=2.0))
+    k_span = draw(st.floats(min_value=0.05, max_value=2.0))
+    rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2 ** 32 - 1)))
+
+    def weights(size):
+        return rng.normal(size=size) + 1j * rng.normal(size=size)
+
+    if kind == "integer":
+        radius = int(rng.integers(n // 2, n + 1))
+        values = rng.choice(np.arange(-radius, radius + 1), size=n, replace=False)
+        comb = ap.WeightedComb.from_integers(values, weights(n), float(radius))
+    elif kind == "module":
+        tiling = ap.sample(ap.fibonacci_spec(), n // 2, seed=int(rng.integers(2 ** 31)))
+        mn = tiling.comb.coords.mn
+        comb = ap.WeightedComb.from_module(mn, weights(len(mn)), tiling.comb.radius)
+    else:
+        positions = np.unique(rng.uniform(-n, n, size=n))
+        comb = ap.WeightedComb.from_positions(positions, weights(len(positions)), float(n))
+    if uniform:
+        ks = k_lo + np.arange(count) * (k_span / count)
+    else:
+        ks = k_lo + rng.uniform(0.0, k_span, size=count)
+    return comb, taper, ks
+
+
+@given(fast_path_inputs())
+@settings(max_examples=40, deadline=None)
+def test_periodogram_fast_path_matches_direct(case):
+    # ROADMAP item 2 gate: max |fast - direct| <= 1e-10 * max value
+    comb, taper, ks = case
+    x = comb.positions
+    assert spectrum._use_nufft(len(x), len(ks), x[-1] - x[0], np.ptp(ks))
+    w = spectrum._taper_weights(comb, taper)[0]
+    fast = spectrum._nufft_power(x, w, ks)
+    direct = spectrum._direct_power(x, w, ks)
+    assert np.max(np.abs(fast - direct)) <= 1e-10 * np.max(direct)
 
 
 @given(integer_combs(), st.floats(min_value=0.1, max_value=1.0))

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -6,6 +7,7 @@ import pytest
 
 import aperiodica as ap
 from aperiodica import paperfolding as pf
+from aperiodica import spectrum as sp
 from aperiodica.spectrum import (
     BRAGG_RATIO_THRESHOLD,
     GridMismatchError,
@@ -71,24 +73,62 @@ class TestPeriodogram:
         assert math.isclose(pgram.dk, 1.0 / 80.0)
 
     def test_fft_path_agrees_with_direct(self):
-        # the agreement floor is the double-precision phase representation,
-        # which grows linearly with the comb size: 1e-10 holds up to ~2^10
-        # sites (measured 8.1e-11), with a 2^12 regression at 5e-10
-        comb = pf.binary_comb(1 << 10)
-        direct = ap.periodogram(comb, 0.05, 1.3, 1.0 / 777)
-        fast = ap.periodogram(comb, 0.05, 1.3, 1.0 / 777, use_fft=True)
-        scale = np.max(direct.values)
-        assert np.max(np.abs(direct.values - fast.values)) <= 1e-10 * scale
-        big = pf.binary_comb(1 << 12)
-        direct = ap.periodogram(big, 0.05, 1.3, 1.0 / 777)
-        fast = ap.periodogram(big, 0.05, 1.3, 1.0 / 777, use_fft=True)
-        scale = np.max(direct.values)
-        assert np.max(np.abs(direct.values - fast.values)) <= 5e-10 * scale
+        # the fast path must meet the 1e-10 gate (5e-10 at 2^12 sites); it
+        # measures 3.2e-13 at 2^10 sites and 9.3e-13 at 2^12
+        for log2n, tol in ((10, 1e-10), (12, 5e-10)):
+            comb = pf.binary_comb(1 << log2n)
+            pgram = ap.periodogram(comb, 0.05, 1.3, 1.0 / 777)
+            assert sp._use_nufft(len(comb), len(pgram.ks), np.ptp(comb.positions),
+                                 np.ptp(pgram.ks))
+            direct = sp._direct_power(comb.positions, comb.weights, pgram.ks) / comb.volume
+            assert np.max(np.abs(direct - pgram.values)) <= tol * np.max(direct)
 
-    def test_fft_path_needs_integer_support(self):
-        comb = ap.WeightedComb.from_positions([0.0, ap.TAU], [1.0, 1.0], 2.0)
-        with pytest.raises(ap.AperiodicaError):
-            ap.periodogram(comb, 0.0, 1.0, 0.1, use_fft=True)
+    @pytest.mark.parametrize("n, count, x_span, k_span, fast", [
+        (20_001, 800, 27_640.0, 1.951, True),     # tiling-diffraction, criterion 5
+        (2_050, 16_385, 4_096.0, 1.0, True),      # paperfolding 2^11 on [0, 1]
+        (16_386, 1_025, 32_768.0, 2.0, True),     # criterion 8
+        (4_473, 3_001, 10_000.0, 3.0, True),      # CLI model set, float positions
+        (66_491, 20, 20_000.0, 4.96, False),      # criterion 7: grid over cap
+        (200_001, 126, 276_534.0, 2.5, False),    # criterion 4 scan: grid over cap
+        (1, 10_000, 0.0, 1.0, False),             # one point: direct is cheaper
+        (2_000, 3, 4_000.0, 2.0, False),          # three k: direct is cheaper
+    ])
+    def test_path_choice(self, n, count, x_span, k_span, fast):
+        assert sp._use_nufft(n, count, x_span, k_span) == fast
+
+    def test_sparse_wide_comb_bounded_memory(self):
+        # two points at +-1e9: no allocation may scale with the 2e9 span
+        a = 10 ** 9
+        comb = ap.WeightedComb.from_integers([-a, a], [1.0, 1.0], float(a))
+        dk = 2.0 ** -14  # dyadic: every k * a is exact
+        tracemalloc.start()
+        try:
+            pgram = ap.periodogram(comb, 0.0, 9_999 * dk, dk)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(pgram.ks) == 10_000
+        assert peak < 64 * 2 ** 20
+        phase = np.mod(pgram.ks * a, 1.0)
+        exact = 4.0 * np.cos(2.0 * math.pi * phase) ** 2 / comb.volume
+        # phases near 2 pi * 6e8 keep about 7 digits in double precision
+        assert np.max(np.abs(pgram.values - exact)) <= 2e-6 * np.max(exact)
+
+    def test_non_finite_k_rejected(self):
+        with pytest.raises(ap.OutOfRangeError):
+            ap.periodogram_values(integer_comb(10), [0.0, math.nan])
+
+
+def reference_bragg_extract(pgram, threshold):
+    """The scalar loop bragg_extract replaced, kept as its oracle."""
+    v = pgram.values
+    out = []
+    for i in range(len(v)):
+        left = v[i - 1] if i > 0 else -math.inf
+        right = v[i + 1] if i + 1 < len(v) else -math.inf
+        if v[i] >= left and v[i] > right and v[i] / (2.0 * pgram.radius) >= threshold:
+            out.append((float(pgram.ks[i]), float(v[i] / (2.0 * pgram.radius))))
+    return out
 
 
 class TestBraggExtract:
@@ -132,6 +172,25 @@ class TestBraggExtract:
         pgram = ap.periodogram(integer_comb(10), 0.0, 1.0, 0.05)
         with pytest.raises(ap.OutOfRangeError):
             ap.bragg_extract(pgram, threshold=0.0)
+
+    @pytest.mark.parametrize("values", [
+        [1.0, 3.0, 3.0, 3.0, 1.0],        # plateau: its last point is the peak
+        [3.0, 3.0, 1.0, 2.0, 2.0],        # plateaus at both ends
+        [5.0, 1.0, 1.0, 1.0, 4.0],        # maxima at either endpoint
+        [2.0],                            # one grid point
+        [1.0, 1.0, 1.0],                  # flat
+        [0.0, 0.5, 0.0, 0.5, 0.49],       # peaks below and at the threshold
+    ])
+    def test_vectorized_matches_loop(self, values):
+        pgram = ap.Periodogram(np.arange(len(values)) * 0.1, values, 0.1, 0.5)
+        assert ap.bragg_extract(pgram, 0.5) == reference_bragg_extract(pgram, 0.5)
+
+    def test_vectorized_matches_loop_on_paperfolding_grid(self):
+        comb = pf.binary_comb(1 << 10)
+        pgram = ap.periodogram(comb, 0.0, 1.0)
+        for threshold in (2e-3, 1e-4):
+            assert ap.bragg_extract(pgram, threshold) == \
+                reference_bragg_extract(pgram, threshold)
 
 
 class TestPaperfoldingSpectrum:
@@ -186,6 +245,18 @@ class TestPaperfoldingSpectrum:
     def test_r_max_validated(self):
         with pytest.raises(ap.OutOfRangeError):
             ap.paperfolding_spectrum(1, 1, 0, 0, r_max=2, k_range=(0, 1))
+        with pytest.raises(ap.OutOfRangeError):
+            ap.paperfolding_spectrum(1, 1, 0, 0, r_max=33, k_range=(0, 1e-6))
+
+    def test_non_dyadic_k_has_no_atom(self):
+        # a rounded 1/3 is m/2^54 as a double; it must not read as an atom
+        for k in (1.0 / 3.0, 0.1, 2.0 / 3.0 + 1.0):
+            assert ap.paperfolding_intensity(1, 1, 0, 0, k) == 0.0
+
+    def test_dyadic_cap(self):
+        # m/2^r is an atom up to r = 32 and not beyond
+        assert ap.paperfolding_intensity(1, 1, 0, 0, 3.0 / 2 ** 32) == 4.0 ** -32
+        assert ap.paperfolding_intensity(1, 1, 0, 0, 3.0 / 2 ** 33) == 0.0
 
 
 class TestEstimatorConsistency:
