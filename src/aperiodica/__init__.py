@@ -74,8 +74,10 @@ from .randomtiling import (
     endpoint_distribution,
     fibonacci_spec,
     gaussian_endpoint_density,
-    height,
     internal_distribution,
+    mean_ac_periodogram,
+    mean_bragg_amplitudes,
+    needle_free,
     pp_part,
     sample,
     scaling_profile,

@@ -2,8 +2,8 @@
 epsilon-almost periods, and translation-boundedness / uniform-discreteness
 checks.
 
-Finite-radius estimates normalize by vol(B_n) = 2n in dimension 1; the
-boundary bias of this continuum normalization is O(1/n).  Coefficients for a
+Finite-radius estimates normalize by vol(B_n) = 2n; the boundary bias of
+this continuum normalization is O(1/n).  Coefficients for a
 difference z are only stored when z actually occurs in S - S; a difference
 that was never observed counts as eta(z) = 0, which puts the pseudo-metric
 off the support at exactly 1.
@@ -61,10 +61,6 @@ class AutocorrelationEstimate:
     @property
     def zero_coefficient(self) -> float:
         return float(self.eta_at(0.0).real)
-
-    @property
-    def coefficients(self) -> dict:
-        return {float(z): complex(v) for z, v in zip(self.diffs, self.eta)}
 
     def eta_at(self, z: float, tol: float = _LOOKUP_TOL) -> complex:
         """eta(z), with eta = 0 for differences that never occurred."""
@@ -138,8 +134,6 @@ def estimate_autocorrelation(comb: WeightedComb, max_diff: float) -> Autocorrela
     """
     if len(comb) == 0:
         raise EmptyInputError("cannot estimate the autocorrelation of an empty comb")
-    if comb.dim != 1:
-        raise AperiodicaError("autocorrelation estimation is implemented for dim 1")
     if max_diff > 2 * comb.radius:
         raise OutOfRangeError("max_diff exceeds the comb diameter 2*radius")
     vol = comb.volume

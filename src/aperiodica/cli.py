@@ -12,8 +12,8 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
-from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -21,10 +21,12 @@ import numpy as np
 from . import autocorr as ac
 from . import cps, randomtiling as rt, spectrum as sp
 from .core import (
+    COMB_COLUMNS,
     TAU,
     AperiodicaError,
     ModuleElement,
     read_comb_csv,
+    write_table,
 )
 from .substitution import (
     SubstitutionRule,
@@ -50,44 +52,6 @@ EXIT_OK = 0
 EXIT_VALIDATION = 2
 EXIT_NUMERIC = 3
 EXIT_USAGE = 64
-
-
-@dataclass
-class RunConfig:
-    """Parsed invocation: subcommand, paths, numeric knobs, output format."""
-
-    subcommand: str
-    options: dict = field(default_factory=dict)
-
-    @property
-    def fmt(self) -> str:
-        return self.options.get("format", "csv")
-
-
-def _fmt(x) -> str:
-    if isinstance(x, (int, np.integer)):
-        return str(int(x))
-    return format(float(x), ".17g")
-
-
-def _write_table(path, columns, rows, fmt) -> None:
-    """CSV (or mirrored JSON) with LF endings and 17-digit floats."""
-    lines = []
-    if fmt == "csv":
-        lines.append(",".join(columns))
-        for row in rows:
-            lines.append(",".join(_fmt(v) for v in row))
-        text = "\n".join(lines) + "\n"
-    else:
-        body = ",\n".join(
-            "    [" + ", ".join(_fmt(v) for v in row) + "]" for row in rows)
-        text = ('{\n  "columns": ' + json.dumps(list(columns)) +
-                ',\n  "rows": [\n' + body + "\n  ]\n}\n")
-    if path is None:
-        sys.stdout.write(text)
-    else:
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
 
 
 def _parse_length(token: str):
@@ -116,9 +80,12 @@ def _load_scheme(path):
         raise AperiodicaError(f"scheme file is not valid JSON: {exc}")
     kind = spec.get("kind")
     if kind == "euclidean":
-        scheme = cps.fibonacci_scheme()
+        if spec.get("theta", "tau") != "tau":
+            raise AperiodicaError(f"unsupported theta {spec['theta']!r}; only \"tau\"")
+        if "window" not in spec:
+            raise AperiodicaError("euclidean scheme file needs a \"window\"")
         window = cps.EuclideanWindow(tuple((lo, hi) for lo, hi in spec["window"]))
-        return scheme, window
+        return cps.fibonacci_scheme(), window
     if kind == "qadic":
         q = int(spec.get("q", 2))
         scheme = cps.qadic_scheme(q)
@@ -147,17 +114,17 @@ def _require_file(path) -> None:
 
 # -- subcommands ---------------------------------------------------------------
 
-def _write_comb(comb, opts) -> None:
-    rows = [(x, w.real, w.imag) for x, w in zip(comb.positions, comb.weights)]
-    _write_table(opts.get("output"), ["x", "re_weight", "im_weight"], rows,
-                 opts.get("format", "csv"))
+def _write(opts, columns, rows) -> None:
+    write_table(opts.get("output"), columns, rows, opts["format"])
+
+
+def _write_comb(opts, comb) -> None:
+    _write(opts, COMB_COLUMNS, zip(comb.positions, comb.weights.real, comb.weights.imag))
 
 
 def _cmd_generate(opts) -> int:
     scheme, window = _load_scheme(opts["scheme"])
-    lo, hi = (float(t) for t in opts["region"].split(","))
-    comb = cps.generate_model_set(scheme, window, (lo, hi))
-    _write_comb(comb, opts)
+    _write_comb(opts, cps.generate_model_set(scheme, window, opts["region"]))
     return EXIT_OK
 
 
@@ -165,9 +132,7 @@ def _cmd_autocorr(opts) -> int:
     _require_file(opts["input"])
     comb = read_comb_csv(opts["input"], radius=opts.get("radius"))
     est = ac.estimate_autocorrelation(comb, opts["max_diff"])
-    rows = [(z, e.real, e.imag) for z, e in zip(est.diffs, est.eta)]
-    _write_table(opts.get("output"), ["z", "re_eta", "im_eta"], rows,
-                 opts.get("format", "csv"))
+    _write(opts, ["z", "re_eta", "im_eta"], zip(est.diffs, est.eta.real, est.eta.imag))
     return EXIT_OK
 
 
@@ -176,13 +141,9 @@ def _cmd_spectrum(opts) -> int:
     comb = read_comb_csv(opts["input"], radius=opts.get("radius"))
     pgram = sp.periodogram(comb, opts.get("kmin", 0.0), opts["kmax"], opts.get("dk"))
     if opts.get("bragg") is not None:
-        atoms = sp.bragg_extract(pgram, opts["bragg"])
-        _write_table(opts.get("output"), ["k", "intensity"], atoms,
-                     opts.get("format", "csv"))
+        _write(opts, ["k", "intensity"], sp.bragg_extract(pgram, opts["bragg"]))
     else:
-        rows = list(zip(pgram.ks, pgram.values))
-        _write_table(opts.get("output"), ["k", "value"], rows,
-                     opts.get("format", "csv"))
+        _write(opts, ["k", "value"], zip(pgram.ks, pgram.values))
     return EXIT_OK
 
 
@@ -201,27 +162,21 @@ def _cmd_coincide(opts) -> int:
 def _cmd_randomtiling(opts) -> int:
     spec = rt.RandomTilingSpec(_parse_length(opts["u"]), _parse_length(opts["v"]),
                                _parse_probability(opts["p"]))
-    fmt = opts.get("format", "csv")
     if opts.get("spectrum"):
-        k_max = opts.get("kmax", 2.0)
-        pp = rt.pp_part(spec, k_max)
-        out = opts.get("output")
-        pp_rows = [(k, i) for k, i in pp.pp_atoms]
-        _write_table(f"{out}.pp.csv" if out else None, ["k", "intensity"],
-                     pp_rows, fmt)
-        dk = opts.get("dk", 0.01)
-        ks = np.arange(0.0, k_max + dk / 2, dk)
-        rows = list(zip(ks, rt.ac_density_grid(spec, ks)))
-        _write_table(f"{out}.ac.csv" if out else None, ["k", "g"], rows, fmt)
+        out, fmt = opts.get("output"), opts["format"]
+        write_table(f"{out}.pp.csv" if out else None, ["k", "intensity"],
+                    rt.pp_part(spec, opts["kmax"]).pp_atoms, fmt)
+        ks = np.arange(0.0, opts["kmax"] + opts["dk"] / 2, opts["dk"])
+        write_table(f"{out}.ac.csv" if out else None, ["k", "g"],
+                    zip(ks, rt.ac_density_grid(spec, ks)), fmt)
         return EXIT_OK
-    samp = rt.sample(spec, opts["intervals"], opts.get("seed", 0))
+    samp = rt.sample(spec, opts["intervals"], opts["seed"])
     if opts.get("heights"):
         if samp.heights is None:
             raise AperiodicaError("heights need module interval lengths (u = tau)")
-        rows = list(zip(samp.endpoints, samp.heights))
-        _write_table(opts.get("output"), ["x", "height"], rows, fmt)
-        return EXIT_OK
-    _write_comb(samp.comb, opts)
+        _write(opts, ["x", "height"], zip(samp.endpoints, samp.heights))
+    else:
+        _write_comb(opts, samp.comb)
     return EXIT_OK
 
 
@@ -229,12 +184,9 @@ def _cmd_paperfolding_spectrum(opts) -> int:
     weights = [complex(t) for t in opts["weights"].split(",")]
     if len(weights) != 4:
         raise AperiodicaError("exactly four weights A,B,C,D are required")
-    measure = sp.paperfolding_spectrum(*weights, r_max=opts.get("rmax", 8),
-                                       k_range=(opts.get("kmin", 0.0),
-                                                opts.get("kmax", 2.0)))
-    rows = [(k, i) for k, i in measure.pp_atoms]
-    _write_table(opts.get("output"), ["k", "intensity"], rows,
-                 opts.get("format", "csv"))
+    measure = sp.paperfolding_spectrum(*weights, r_max=opts["rmax"],
+                                       k_range=(opts["kmin"], opts["kmax"]))
+    _write(opts, ["k", "intensity"], measure.pp_atoms)
     return EXIT_OK
 
 
@@ -251,54 +203,26 @@ def _compare_paperfolding(opts):
 
 
 def _compare_fibonacci(opts):
-    """Mean periodogram against the closed-form ac density; the estimator
-    averages 8 local sub-offsets per k point (Hann taper, density
-    normalization) and the gate is the mean relative deviation."""
+    """Seed-averaged periodogram against the closed-form ac density at
+    needle-free k points; the gate is the mean relative deviation."""
     spec = rt.fibonacci_spec()
-    seeds = opts.get("seeds", 20)
-    intervals = opts.get("intervals", 2000)
-    kpoints = opts.get("kpoints", 40)
-    ks = np.linspace(0.1, 2.0, kpoints)
-    g = rt.ac_density_grid(spec, ks)
-    keep = _needle_free(spec, ks)
-    offsets = (np.arange(8) - 3.5) * 2e-4
-    kk = (ks[:, None] + offsets[None, :]).ravel()
-    est = np.zeros(len(kk))
-    for i in range(seeds):
-        samp = rt.sample(spec, intervals, seed=opts.get("seed", 0) + i)
-        est += sp.periodogram_values(samp.comb, kk, taper="hann",
-                                     normalization="density")
-    est /= seeds
-    binned = est.reshape(len(ks), len(offsets)).mean(axis=1)
-    rel = np.abs(binned[keep] - g[keep]) / g[keep]
+    ks = np.linspace(0.1, 2.0, opts.get("kpoints", 40))
+    keep = rt.needle_free(spec, ks)
+    g = rt.ac_density_grid(spec, ks)[keep]
+    est = rt.mean_ac_periodogram(spec, ks, opts.get("intervals", 2000),
+                                 opts.get("seeds", 20), opts["seed"])
+    rel = np.abs(est[keep] - g) / g
     return float(np.max(rel)), float(np.mean(rel)), "relative", "mean"
-
-
-def _needle_free(spec, ks, cut: float = 1.5, margin: float = 0.02):
-    """Mask of k points away from the sharp peaks of the ac density."""
-    fine = np.arange(max(np.min(ks) - 0.1, 0.01), np.max(ks) + 0.1, 1e-3)
-    g = rt.ac_density_grid(spec, fine)
-    needles = fine[g > cut]
-    keep = np.ones(len(ks), dtype=bool)
-    for nk in needles:
-        keep &= np.abs(ks - nk) > margin
-    return keep
 
 
 def _compare_rational(opts):
     from fractions import Fraction
 
     spec = rt.RandomTilingSpec(Fraction(2), Fraction(1), 0.5)
-    seeds = opts.get("seeds", 10)
-    intervals = opts.get("intervals", 20000)
-    ks = np.array([0.0, 1.0, 2.0])
-    est = np.zeros(len(ks))
-    for i in range(seeds):
-        samp = rt.sample(spec, intervals, seed=opts.get("seed", 0) + i)
-        est += sp.bragg_amplitudes(samp.comb, ks, taper="boxcar")
-    est /= seeds
-    ref = rt.density(spec) ** 2
-    dev = np.abs(est - ref)
+    est = rt.mean_bragg_amplitudes(spec, [0.0, 1.0, 2.0],
+                                   opts.get("intervals", 20000),
+                                   opts.get("seeds", 10), opts["seed"])
+    dev = np.abs(est - rt.density(spec) ** 2)
     return float(np.max(dev)), float(np.mean(dev)), "absolute", "max"
 
 
@@ -316,8 +240,8 @@ def _cmd_compare(opts) -> int:
             f"unknown model {model!r}; choose from {sorted(_COMPARE_MODELS)}")
     max_dev, mean_dev, kind, gate = _COMPARE_MODELS[model](opts)
     tol = opts["tolerance"]
-    print(f"model {model}: max {kind} deviation {_fmt(max_dev)}, "
-          f"mean {_fmt(mean_dev)}, tolerance {_fmt(tol)} on the {gate}")
+    print(f"model {model}: max {kind} deviation {max_dev:.17g}, "
+          f"mean {mean_dev:.17g}, tolerance {tol:.17g} on the {gate}")
     gated = max_dev if gate == "max" else mean_dev
     if gated > tol:
         print("comparison FAILED")
@@ -328,12 +252,34 @@ def _cmd_compare(opts) -> int:
 
 # -- argument parsing -----------------------------------------------------------
 
+def _parse_region(text: str) -> tuple[float, float]:
+    try:
+        lo, hi = (float(t) for t in text.split(","))
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected a,b; got {text!r}") from None
+    return lo, hi
+
+
+def _bind_negative_values(args: list) -> list:
+    """Join a flag and a following value such as -5000,5000 into
+    flag=value: argparse takes a leading minus for another flag unless the
+    whole token reads as one negative number."""
+    out = []
+    for token in args:
+        if (out and out[-1].startswith("--") and "=" not in out[-1]
+                and re.match(r"-\.?\d", token)):
+            out[-1] += "=" + token
+        else:
+            out.append(token)
+    return out
+
+
 def _build_parsers():
     parsers = {}
 
     p = argparse.ArgumentParser(prog="aperiodica generate", add_help=True)
     p.add_argument("--scheme", required=True)
-    p.add_argument("--region", required=True, help="a,b")
+    p.add_argument("--region", required=True, type=_parse_region, help="a,b")
     p.add_argument("--output")
     p.add_argument("--format", choices=("csv", "json"), default="csv")
     parsers["generate"] = p
@@ -373,7 +319,6 @@ def _build_parsers():
     p.add_argument("--heights", action="store_true")
     p.add_argument("--kmax", type=float, default=2.0)
     p.add_argument("--dk", type=float, default=0.01)
-    p.add_argument("--threads", type=int, default=1)
     p.add_argument("--output")
     p.add_argument("--format", choices=("csv", "json"), default="csv")
     parsers["randomtiling"] = p
@@ -395,7 +340,6 @@ def _build_parsers():
     p.add_argument("--kpoints", type=int)
     p.add_argument("--log2n", type=int)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--threads", type=int, default=1)
     parsers["compare"] = p
     return parsers
 
@@ -411,18 +355,6 @@ _HANDLERS = {
 }
 
 
-def run(config: RunConfig) -> int:
-    """Dispatch a parsed configuration; returns the process exit status."""
-    handler = _HANDLERS.get(config.subcommand)
-    if handler is None:
-        sys.stderr.write(USAGE)
-        return EXIT_USAGE
-    threads = config.options.get("threads")
-    if threads is not None and threads < 1:
-        raise AperiodicaError("--threads must be at least 1")
-    return handler(config.options)
-
-
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     if not argv or argv[0] in ("-h", "--help"):
@@ -435,17 +367,13 @@ def main(argv=None) -> int:
         sys.stderr.write(USAGE)
         return EXIT_USAGE
     try:
-        ns = parsers[sub].parse_args(rest)
+        ns = parsers[sub].parse_args(_bind_negative_values(rest))
     except SystemExit as exc:
         return EXIT_VALIDATION if exc.code not in (0, None) else EXIT_OK
     options = {k: v for k, v in vars(ns).items() if v is not None}
-    config = RunConfig(sub, options)
     try:
-        return run(config)
-    except AperiodicaError as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return EXIT_VALIDATION
-    except FileNotFoundError as exc:
+        return _HANDLERS[sub](options)
+    except (AperiodicaError, FileNotFoundError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_VALIDATION
 

@@ -11,9 +11,10 @@ only well defined on the integer pairs.
 from __future__ import annotations
 
 import csv
+import json
 import math
+import sys
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 import numpy as np
 
@@ -95,7 +96,6 @@ class IntegerCoords:
 
     values: np.ndarray  # int64
     scale: float = 1.0
-    scale_exact: Fraction | None = None
 
     def positions(self) -> np.ndarray:
         return self.values * self.scale
@@ -123,41 +123,27 @@ def _as_readonly(a: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class WeightedComb:
-    """Finite weighted Dirac comb: scatterer positions with complex weights,
-    truncated to the ball of the stated radius around the origin.
+    """Finite weighted Dirac comb on the line: scatterer positions, sorted
+    ascending, with complex weights, truncated to the interval
+    [-radius, radius]."""
 
-    In dimension 1 the ball is the interval [-radius, radius] and positions
-    are sorted ascending; in dimension 2 it is the Euclidean disk.
-    """
-
-    positions: np.ndarray          # float64, (N,) or (N, 2)
+    positions: np.ndarray          # float64, (N,)
     weights: np.ndarray            # complex128, (N,)
     radius: float
-    dim: int = 1
     coords: IntegerCoords | ModuleCoords | None = None
 
     def __post_init__(self):
         pos = np.asarray(self.positions, dtype=float)
         w = np.asarray(self.weights, dtype=complex)
-        if self.dim not in (1, 2):
-            raise AperiodicaError("dim must be 1 or 2")
-        if self.dim == 1 and pos.ndim != 1:
-            raise AperiodicaError("dim-1 comb needs 1-d positions")
-        if self.dim == 2 and (pos.ndim != 2 or pos.shape[1] != 2):
-            raise AperiodicaError("dim-2 comb needs (N, 2) positions")
+        if pos.ndim != 1:
+            raise AperiodicaError("comb positions must be 1-d")
         if len(pos) != len(w):
             raise AperiodicaError("positions and weights differ in length")
         if len(w) and not np.all(np.isfinite(w.view(float))):
             raise AperiodicaError("weights must be finite")
-        if self.dim == 1:
-            if len(pos) > 1 and not np.all(np.diff(pos) > 0):
-                raise AperiodicaError("dim-1 positions must be strictly ascending")
-            inside = np.abs(pos) <= self.radius + _POSITION_TOL
-        else:
-            if len(pos) != len(np.unique(pos, axis=0)):
-                raise AperiodicaError("positions must be pairwise distinct")
-            inside = np.hypot(pos[:, 0], pos[:, 1]) <= self.radius + _POSITION_TOL
-        if len(pos) and not np.all(inside):
+        if len(pos) > 1 and not np.all(np.diff(pos) > 0):
+            raise AperiodicaError("positions must be strictly ascending")
+        if len(pos) and not np.all(np.abs(pos) <= self.radius + _POSITION_TOL):
             raise AperiodicaError("points outside the stated radius")
         object.__setattr__(self, "positions", _as_readonly(pos))
         object.__setattr__(self, "weights", _as_readonly(w))
@@ -167,22 +153,20 @@ class WeightedComb:
 
     @property
     def volume(self) -> float:
-        """Volume of the averaging ball B_n (length 2n in dim 1)."""
-        if self.dim == 1:
-            return 2.0 * self.radius
-        return math.pi * self.radius ** 2
+        """Length 2n of the averaging interval B_n = [-n, n]."""
+        return 2.0 * self.radius
 
     def total_weight(self) -> complex:
         return complex(np.sum(self.weights))
 
     @staticmethod
-    def from_integers(values, weights, radius, scale=1.0, scale_exact=None) -> "WeightedComb":
+    def from_integers(values, weights, radius, scale=1.0) -> "WeightedComb":
         values = np.asarray(values, dtype=np.int64)
         order = np.argsort(values, kind="stable")
         values = values[order]
         w = np.asarray(weights, dtype=complex)[order]
-        coords = IntegerCoords(_as_readonly(values), float(scale), scale_exact)
-        return WeightedComb(values * float(scale), w, float(radius), 1, coords)
+        coords = IntegerCoords(_as_readonly(values), float(scale))
+        return WeightedComb(values * float(scale), w, float(radius), coords)
 
     @staticmethod
     def from_module(mn, weights, radius, generator=GOLDEN) -> "WeightedComb":
@@ -191,16 +175,14 @@ class WeightedComb:
         order = np.argsort(pos, kind="stable")
         coords = ModuleCoords(_as_readonly(mn[order]), generator)
         return WeightedComb(pos[order], np.asarray(weights, dtype=complex)[order],
-                            float(radius), 1, coords)
+                            float(radius), coords)
 
     @staticmethod
-    def from_positions(positions, weights, radius, dim=1) -> "WeightedComb":
+    def from_positions(positions, weights, radius) -> "WeightedComb":
         pos = np.asarray(positions, dtype=float)
-        w = np.asarray(weights, dtype=complex)
-        if dim == 1:
-            order = np.argsort(pos, kind="stable")
-            pos, w = pos[order], w[order]
-        return WeightedComb(pos, w, float(radius), dim, None)
+        order = np.argsort(pos, kind="stable")
+        return WeightedComb(pos[order], np.asarray(weights, dtype=complex)[order],
+                            float(radius))
 
 
 def restrict(comb: WeightedComb, radius: float) -> WeightedComb:
@@ -211,18 +193,14 @@ def restrict(comb: WeightedComb, radius: float) -> WeightedComb:
     if radius > comb.radius:
         raise OutOfRangeError(
             f"restriction radius {radius} exceeds comb radius {comb.radius}")
-    if comb.dim == 1:
-        keep = np.abs(comb.positions) <= radius
-    else:
-        keep = np.hypot(comb.positions[:, 0], comb.positions[:, 1]) <= radius
+    keep = np.abs(comb.positions) <= radius
     coords = comb.coords
     if isinstance(coords, IntegerCoords):
-        coords = IntegerCoords(_as_readonly(coords.values[keep]), coords.scale,
-                               coords.scale_exact)
+        coords = IntegerCoords(_as_readonly(coords.values[keep]), coords.scale)
     elif isinstance(coords, ModuleCoords):
         coords = ModuleCoords(_as_readonly(coords.mn[keep]), coords.generator)
     return WeightedComb(comb.positions[keep], comb.weights[keep], float(radius),
-                        comb.dim, coords)
+                        coords)
 
 
 @dataclass(frozen=True)
@@ -259,30 +237,19 @@ def dual_lattice(basis: LatticeBasis) -> LatticeBasis:
 
 @dataclass(frozen=True)
 class SpectralMeasure:
-    """Pure-point atoms plus an absolutely continuous density on a grid.
-
-    provenance is "closed-form" or "estimated"; estimator_radius records the
-    averaging radius for estimated measures.
-    """
+    """Pure-point part of a diffraction measure: rows (k, intensity)."""
 
     pp_atoms: np.ndarray = field(default_factory=lambda: np.empty((0, 2)))
-    ac_grid: np.ndarray = field(default_factory=lambda: np.empty((0, 2)))
-    provenance: str = "closed-form"
-    estimator_radius: float | None = None
 
     def __post_init__(self):
         pp = np.asarray(self.pp_atoms, dtype=float).reshape(-1, 2)
-        ac = np.asarray(self.ac_grid, dtype=float).reshape(-1, 2)
         if len(pp):
             if np.any(pp[:, 1] < 0):
                 raise AperiodicaError("atom intensities must be non-negative")
             ks = np.sort(pp[:, 0])
             if len(ks) > 1 and np.min(np.diff(ks)) == 0:
                 raise AperiodicaError("atom positions must be pairwise distinct")
-        if len(ac) and np.any(ac[:, 1] < 0):
-            raise AperiodicaError("ac density values must be non-negative")
         object.__setattr__(self, "pp_atoms", _as_readonly(pp))
-        object.__setattr__(self, "ac_grid", _as_readonly(ac))
 
     def atom_at(self, k: float, tol: float = 1e-9) -> float:
         """Intensity of the atom at position k (0.0 if absent)."""
@@ -294,21 +261,40 @@ class SpectralMeasure:
         return 0.0
 
 
-# -- CSV serialization of combs ---------------------------------------------
-# dim 1: x,re_weight,im_weight      dim 2: x,y,re_weight,im_weight
+# -- tables and comb files ----------------------------------------------------
+
+COMB_COLUMNS = ("x", "re_weight", "im_weight")
+
+
+def _fmt(x) -> str:
+    if isinstance(x, (int, np.integer)):
+        return str(int(x))
+    return format(float(x), ".17g")
+
+
+def write_table(path, columns, rows, fmt: str) -> None:
+    """Write rows as CSV (or the mirrored JSON) with LF endings and
+    17-digit floats; to stdout when path is None."""
+    if fmt == "csv":
+        lines = [",".join(columns)]
+        lines.extend(",".join(_fmt(v) for v in row) for row in rows)
+        text = "\n".join(lines) + "\n"
+    else:
+        body = ",\n".join(
+            "    [" + ", ".join(_fmt(v) for v in row) + "]" for row in rows)
+        text = ('{\n  "columns": ' + json.dumps(list(columns)) +
+                ',\n  "rows": [\n' + body + "\n  ]\n}\n")
+    if path is None:
+        sys.stdout.write(text)
+    else:
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            fh.write(text)
+
 
 def write_comb_csv(comb: WeightedComb, path) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        if comb.dim == 1:
-            writer.writerow(["x", "re_weight", "im_weight"])
-            for x, w in zip(comb.positions, comb.weights):
-                writer.writerow([f"{x:.17g}", f"{w.real:.17g}", f"{w.imag:.17g}"])
-        else:
-            writer.writerow(["x", "y", "re_weight", "im_weight"])
-            for (x, y), w in zip(comb.positions, comb.weights):
-                writer.writerow([f"{x:.17g}", f"{y:.17g}",
-                                 f"{w.real:.17g}", f"{w.imag:.17g}"])
+    """Comb file: columns x,re_weight,im_weight, one row per point."""
+    write_table(path, COMB_COLUMNS,
+                zip(comb.positions, comb.weights.real, comb.weights.imag), "csv")
 
 
 def read_comb_csv(path, radius: float | None = None) -> WeightedComb:
@@ -320,20 +306,12 @@ def read_comb_csv(path, radius: float | None = None) -> WeightedComb:
         if header is None:
             raise EmptyInputError(f"empty comb file: {path}")
         header = [h.strip() for h in header]
-        if header == ["x", "re_weight", "im_weight"]:
-            dim = 1
-        elif header == ["x", "y", "re_weight", "im_weight"]:
-            dim = 2
-        else:
+        if tuple(header) != COMB_COLUMNS:
             raise AperiodicaError(f"unrecognized comb header {header!r} in {path}")
         rows = [[float(v) for v in row] for row in reader if row]
     if not rows:
         raise EmptyInputError(f"comb file has no points: {path}")
     data = np.asarray(rows, dtype=float)
-    if dim == 1:
-        pos, w = data[:, 0], data[:, 1] + 1j * data[:, 2]
-        rmax = np.max(np.abs(pos)) if radius is None else radius
-    else:
-        pos, w = data[:, :2], data[:, 2] + 1j * data[:, 3]
-        rmax = np.max(np.hypot(pos[:, 0], pos[:, 1])) if radius is None else radius
-    return WeightedComb.from_positions(pos, w, float(rmax), dim)
+    pos, w = data[:, 0], data[:, 1] + 1j * data[:, 2]
+    rmax = np.max(np.abs(pos)) if radius is None else radius
+    return WeightedComb.from_positions(pos, w, float(rmax))

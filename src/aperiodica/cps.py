@@ -61,7 +61,6 @@ class CutProjectScheme:
     """Cut-and-project scheme with one-dimensional physical space."""
 
     internal: EuclideanInternal | QAdicInternal
-    physical_dim: int = 1
 
     @property
     def embedding_basis(self) -> LatticeBasis:
@@ -75,9 +74,6 @@ class CutProjectScheme:
         """Covolume of the embedding lattice (Euclidean internal space)."""
         g = self.internal.generator
         return abs(g.theta - g.conj)
-
-    def star(self, x):
-        return star(self, x)
 
 
 def fibonacci_scheme() -> CutProjectScheme:
@@ -418,7 +414,7 @@ def theorem10_spectrum(scheme: CutProjectScheme, profile,
     amp0 = profile.sigma * math.sqrt(2.0 * math.pi)
     bound = prune * vol * vol
     if amp0 ** 2 <= bound:
-        return SpectralMeasure(np.empty((0, 2)), provenance="closed-form")
+        return SpectralMeasure(np.empty((0, 2)))
     y_max = math.sqrt(math.log(amp0 ** 2 / bound) /
                       (4.0 * math.pi ** 2 * profile.sigma ** 2))
     atoms = []
@@ -436,4 +432,4 @@ def theorem10_spectrum(scheme: CutProjectScheme, profile,
             if intensity >= prune:
                 atoms.append((k_phys, intensity))
     atoms.sort()
-    return SpectralMeasure(np.array(atoms).reshape(-1, 2), provenance="closed-form")
+    return SpectralMeasure(np.array(atoms).reshape(-1, 2))

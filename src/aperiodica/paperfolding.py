@@ -9,7 +9,7 @@ from __future__ import annotations
 import numpy as np
 
 from .core import AperiodicaError, WeightedComb
-from .cps import binary_reduction, generate_model_set, paperfolding_windows, qadic_scheme
+from .cps import generate_model_set, paperfolding_windows, qadic_scheme
 from .substitution import PAPERFOLDING, fixed_point
 
 _SEEDS = {"w1": ("b", "a"), "w2": ("d", "a")}
@@ -59,7 +59,3 @@ def binary_comb(radius: int, choice: str = "w1") -> WeightedComb:
     """Binary reduction comb: weight 1 on the a- and b-positions."""
     return quaternary_comb(radius, (1.0, 1.0, 0.0, 0.0), choice)
 
-
-def binary_windows(choice: str = "w1", m_max: int = 24):
-    """The two windows of the binary reduction (ones window first)."""
-    return binary_reduction(paperfolding_windows(choice, m_max))

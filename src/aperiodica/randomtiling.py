@@ -33,6 +33,7 @@ from .core import (
     SpectralMeasure,
     WeightedComb,
 )
+from .spectrum import bragg_amplitudes, periodogram_values
 
 _SINGULAR_TOL = 1e-9
 
@@ -196,7 +197,7 @@ def sample(spec: RandomTilingSpec, intervals: int, seed: int) -> TilingSample:
         ks = np.concatenate([k_left[::-1], [0], k_right])
         radius = float(max(abs(ks[0]), abs(ks[-1])) * xi)
         comb = WeightedComb.from_integers(ks, np.ones(len(ks)), radius,
-                                          scale=float(xi), scale_exact=xi)
+                                          scale=float(xi))
         heights = None
     types = np.concatenate([left[::-1], right])
     return TilingSample(spec, int(seed), types, comb, heights)
@@ -217,7 +218,7 @@ def pp_part(spec: RandomTilingSpec, k_max: float) -> SpectralMeasure:
         step = 1.0 / float(spec.xi)
         jmax = int(math.floor(float(k_max) / step + 1e-12)) if k_max > 0 else 0
         atoms = [(j * step, d2) for j in range(-jmax, jmax + 1)]
-    return SpectralMeasure(np.array(atoms).reshape(-1, 2), provenance="closed-form")
+    return SpectralMeasure(np.array(atoms).reshape(-1, 2))
 
 
 def _singular_value(spec: RandomTilingSpec) -> float:
@@ -231,44 +232,86 @@ def _singular_value(spec: RandomTilingSpec) -> float:
 
 
 def ac_density(spec: RandomTilingSpec, k: float) -> float:
-    """Absolutely continuous diffraction density g(k), total by smooth
-    continuation at the excluded points.
+    """Absolutely continuous diffraction density g(k) at one k; see
+    ac_density_grid."""
+    return float(ac_density_grid(spec, [float(k)])[0])
+
+
+def ac_density_grid(spec: RandomTilingSpec, ks) -> np.ndarray:
+    """Absolutely continuous diffraction density g(k) at every k, total by
+    smooth continuation at the excluded points.
 
     Rational ratio: k on the Bragg lattice (k*xi integral) takes the
     removable value d*pq*(a-b)^2/(pa+qb)^2, other k with k(u-v) integral
-    give 0.  Irrational ratio: g(0) is the removable value and other
-    integral k(u-v) give 0.
+    give 0.  Irrational ratio: k(u-v) within the singular tolerance of 0
+    takes the removable value and of any other integer gives 0.
     """
-    k = float(k)
+    k = np.asarray(ks, dtype=float)
     p, q = spec.p, spec.q
     u, v = spec.u_value, spec.v_value
     if spec.rational:
         kxi = k * float(spec.xi)
-        if abs(kxi - round(kxi)) <= _SINGULAR_TOL:
-            return _singular_value(spec)
+        removable = np.abs(kxi - np.round(kxi)) <= _SINGULAR_TOL
         kuv = k * float(spec.u - spec.v)
-        if abs(kuv - round(kuv)) <= _SINGULAR_TOL:
-            return 0.0
     else:
-        if k == 0.0:
-            return _singular_value(spec)
         kuv = k * (u - v)
-        if abs(kuv - round(kuv)) <= _SINGULAR_TOL:
-            return 0.0
-    num = p * q * math.sin(math.pi * k * (u - v)) ** 2
-    den = (p * math.sin(math.pi * k * u) ** 2 + q * math.sin(math.pi * k * v) ** 2
+        removable = np.abs(kuv) <= _SINGULAR_TOL
+    zero = ~removable & (np.abs(kuv - np.round(kuv)) <= _SINGULAR_TOL)
+    num = p * q * np.sin(math.pi * k * (u - v)) ** 2
+    den = (p * np.sin(math.pi * k * u) ** 2 + q * np.sin(math.pi * k * v) ** 2
            - num)
-    return density(spec) * num / den
+    with np.errstate(divide="ignore", invalid="ignore"):
+        g = density(spec) * num / den
+    g[zero] = 0.0
+    g[removable] = _singular_value(spec)
+    return g
 
 
-def ac_density_grid(spec: RandomTilingSpec, ks) -> np.ndarray:
-    return np.array([ac_density(spec, k) for k in np.asarray(ks, dtype=float)])
+# -- seed-averaged estimators ---------------------------------------------------
+# Both average over seeds first_seed, first_seed + 1, ..., summing per seed
+# and dividing once, so a caller with the same seeds gets the same bits.
+
+_AC_OFFSETS = (np.arange(8) - 3.5) * 2e-4  # sub-offsets binned into each k
+_NEEDLE_CUT = 1.5                           # g above this is a needle
+_NEEDLE_MARGIN = 0.02                       # half-width excluded per needle
 
 
-def height(x: ModuleElement) -> float:
-    """Internal-space coordinate of a golden-ratio module point,
-    (m tau + n)* = m tau' + n."""
-    return x.star()
+def mean_bragg_amplitudes(spec: RandomTilingSpec, ks, intervals: int,
+                          seeds: int, first_seed: int) -> np.ndarray:
+    """Boxcar Bragg intensity estimates at ks, averaged over sampled
+    tilings of 2*intervals intervals each."""
+    ks = np.asarray(ks, dtype=float)
+    acc = np.zeros(len(ks))
+    for i in range(seeds):
+        acc += bragg_amplitudes(sample(spec, intervals, first_seed + i).comb, ks,
+                                taper="boxcar")
+    return acc / seeds
+
+
+def mean_ac_periodogram(spec: RandomTilingSpec, ks, intervals: int,
+                        seeds: int, first_seed: int) -> np.ndarray:
+    """Estimate of the ac density g at ks: the Hann-tapered, density-
+    normalized periodogram averaged over sampled tilings, then over 8
+    sub-offsets 2e-4 apart around each k (a local Welch-style bin)."""
+    ks = np.asarray(ks, dtype=float)
+    kk = (ks[:, None] + _AC_OFFSETS[None, :]).ravel()
+    acc = np.zeros(len(kk))
+    for i in range(seeds):
+        acc += periodogram_values(sample(spec, intervals, first_seed + i).comb, kk,
+                                  taper="hann", normalization="density")
+    acc /= seeds
+    return acc.reshape(len(ks), len(_AC_OFFSETS)).mean(axis=1)
+
+
+def needle_free(spec: RandomTilingSpec, ks) -> np.ndarray:
+    """Mask of the k more than 0.02 away from every needle of g, the sharp
+    peaks where g exceeds 1.5, located on a 1e-3 grid around ks."""
+    ks = np.asarray(ks, dtype=float)
+    fine = np.arange(max(np.min(ks) - 0.1, 0.01), np.max(ks) + 0.1, 1e-3)
+    keep = np.ones(len(ks), dtype=bool)
+    for needle in fine[ac_density_grid(spec, fine) > _NEEDLE_CUT]:
+        keep &= np.abs(ks - needle) > _NEEDLE_MARGIN
+    return keep
 
 
 def endpoint_distribution(m_intervals: int, m: int, p: float = 1.0 / TAU) -> float:

@@ -103,8 +103,6 @@ def periodogram_values(comb: WeightedComb, ks, taper: str = "boxcar",
     """
     if len(comb) == 0:
         raise EmptyInputError("empty comb")
-    if comb.dim != 1:
-        raise AperiodicaError("periodogram is implemented for dim 1")
     ks = np.atleast_1d(np.asarray(ks, dtype=float))
     if not np.all(np.isfinite(ks)):
         raise OutOfRangeError("k values must be finite")
@@ -390,7 +388,7 @@ def paperfolding_spectrum(a: complex, b: complex, c: complex, d: complex,
             if intensity > 0:
                 atoms.append((k, intensity))
     atoms.sort()
-    return SpectralMeasure(np.array(atoms).reshape(-1, 2), provenance="closed-form")
+    return SpectralMeasure(np.array(atoms).reshape(-1, 2))
 
 
 def paperfolding_total_intensity(a: complex, b: complex, c: complex, d: complex,

@@ -376,17 +376,6 @@ def _check_disjoint(arrays, message):
             raise NotLatticeSubstitutionError(message)
 
 
-def fixed_multiset(rule: SubstitutionRule, seed: tuple) -> FixedPointWord:
-    """Fixed multiset of the induced MFS, realized through the two-sided
-    fixed word; component i on [lo, hi) is word.letter_positions(lo, hi)."""
-    return fixed_point(rule, seed)
-
-
-def multiset_window(word: FixedPointWord, lo: int, hi: int) -> list[np.ndarray]:
-    pos = word.letter_positions(lo, hi)
-    return [pos[a] for a in word.rule.alphabet]
-
-
 def legal_clusters(rule: SubstitutionRule, word: FixedPointWord,
                    width: int = 16, n_max: int = 12,
                    sample_radius: int = 2048) -> bool:

@@ -3,9 +3,9 @@
 Run with `pytest -s tests/test_acceptance.py` to see the lines.  Stochastic
 checks use fixed seeds so they are reproducible regressions.  Criterion 6's
 histogram sup-norm clause is implemented exactly as stated and is expected
-to fail: the tolerance sits below the estimator's intrinsic walk-level
-noise floor (see the decisions ledger); it is marked strict-xfail so a
-status change is flagged.
+to fail: at 100 patches of 10^4 intervals the pooled histogram deviates
+from the profile by 0.089 of its peak, against a stated tolerance of 0.05;
+it is marked strict-xfail so a status change is flagged.
 """
 
 import math
@@ -99,36 +99,21 @@ def test_criterion_3_coincidence():
 
 def test_criterion_4_theorem7_pp():
     """Pure-point part: rational tiling Bragg lattice, Fibonacci lone atom."""
-    ks = np.array([0.0, 1.0, 2.0])
     spec = ap.RandomTilingSpec(Fraction(2), Fraction(1), 0.5)
-    acc = np.zeros(3)
     seeds = 50
-    for i in range(seeds):
-        s = ap.sample(spec, 100000, seed=1000 + i)
-        acc += ap.bragg_amplitudes(s.comb, ks, taper="boxcar")
-    acc /= seeds
+    acc = ap.mean_bragg_amplitudes(spec, [0.0, 1.0, 2.0], 100000, seeds, 1000)
     rational_dev = float(np.max(np.abs(acc - 4.0 / 9.0)))
 
     fib = ap.fibonacci_spec()
     scan = np.arange(0.0, 2.5001, 0.02)
-    mean_i = np.zeros(len(scan))
-    scan_seeds = 25
-    for i in range(scan_seeds):
-        s = ap.sample(fib, 100000, seed=2000 + i)
-        mean_i += ap.bragg_amplitudes(s.comb, scan, taper="boxcar")
-    mean_i /= scan_seeds
+    mean_i = ap.mean_bragg_amplitudes(fib, scan, 100000, 25, 2000)
     flagged = scan[mean_i >= 0.05]
     only_origin = len(flagged) == 1 and flagged[0] == 0.0
     # volume-scaling probe confirms the flagged peak is Bragg
     probe = ap.sample(fib, 100000, seed=2000)
     ratio = ap.bragg_scaling_ratio(probe.comb, [0.0])[0]
-    origin_acc = 0.0
-    for i in range(seeds):
-        s = ap.sample(fib, 100000, seed=2000 + i)
-        origin_acc += ap.bragg_amplitudes(s.comb, np.array([0.0]),
-                                          taper="boxcar")[0]
-    origin_acc /= seeds
-    fib_dev = abs(origin_acc - FIB_D2)
+    origin = ap.mean_bragg_amplitudes(fib, [0.0], 100000, seeds, 2000)[0]
+    fib_dev = abs(origin - FIB_D2)
     ok = rational_dev <= 0.02 and only_origin and fib_dev <= 0.02 and ratio >= 1.7
     report(4, ok,
            f"rational Bragg mean dev {rational_dev:.2e} <= 0.02; Fibonacci scan "
@@ -143,24 +128,11 @@ def test_criterion_5_theorem7_ac():
     fib = ap.fibonacci_spec()
     ks = np.linspace(0.05, 2.0, 100)
     # needles: sharp local peaks of g (g > 1.5), excluded with margin 0.02
-    fine = np.arange(0.03, 2.1, 1e-3)
-    gf = ap.ac_density_grid(fib, fine)
-    keep = np.ones(len(ks), dtype=bool)
-    for k_needle in fine[gf > 1.5]:
-        keep &= np.abs(ks - k_needle) > 0.02
-    g = ap.ac_density_grid(fib, ks)
-    # Welch-style local bin: 8 sub-offsets spaced 2e-4 around each k point
-    offsets = (np.arange(8) - 3.5) * 2e-4
-    kk = (ks[:, None] + offsets[None, :]).ravel()
-    seeds = 200
-    est = np.zeros(len(kk))
-    for i in range(seeds):
-        s = ap.sample(fib, 10000, seed=3000 + i)
-        est += ap.periodogram_values(s.comb, kk, taper="hann",
-                                     normalization="density")
-    est /= seeds
-    binned = est.reshape(len(ks), len(offsets)).mean(axis=1)
-    rel = np.abs(binned[keep] - g[keep]) / g[keep]
+    keep = ap.needle_free(fib, ks)
+    g = ap.ac_density_grid(fib, ks)[keep]
+    # each k is a Welch-style local bin of 8 sub-offsets spaced 2e-4
+    est = ap.mean_ac_periodogram(fib, ks, 10000, 200, 3000)
+    rel = np.abs(est[keep] - g) / g
     elapsed = time.time() - start
     ok = rel.mean() <= 0.05 and rel.max() <= 0.15 and elapsed < 300.0
     report(5, ok,
@@ -194,9 +166,9 @@ def test_criterion_6_theorem9_profile_and_scaling():
 
 @pytest.mark.xfail(strict=True,
                    reason="5% sup-norm tolerance is below the pooled-histogram "
-                          "estimator's statistical floor at 100 patches "
-                          "(walk-level occupation noise ~9-15% of peak); "
-                          "see the decisions ledger")
+                          "estimator's statistical floor at 100 patches: "
+                          "walk-level occupation noise puts the measured "
+                          "sup-norm at 0.089 of peak")
 def test_criterion_6_theorem9_histogram_sup_norm():
     """Theorem 9 histogram clause, exactly as stated (expected to fail)."""
     spec = ap.fibonacci_spec()
@@ -209,7 +181,7 @@ def test_criterion_6_theorem9_histogram_sup_norm():
     sup = np.abs(counts - expected).max() / expected.max()
     report(6, sup <= 0.05,
            f"(histogram clause) sup-norm {sup:.3f} of peak vs stated 0.05; "
-           f"documented estimator noise floor, see ledger")
+           f"walk-level noise of 100 patches, expected to fail")
 
 
 def test_criterion_7_theorem10():

@@ -88,7 +88,7 @@ class TestPseudoMetric:
         rho = ap.pseudo_metric(est, 1.0, 0.0)
         assert math.isclose(rho, math.sqrt(1.0 / (2 * n + 1)), rel_tol=1e-9)
         # the spec's example bound of 1e-2 underestimates the intrinsic
-        # sqrt(1/(2n)) scale; see the decisions ledger
+        # sqrt(1/(2n)) scale, 0.022 at n = 1000
         assert rho <= 0.03
 
     def test_off_support_is_one(self):

@@ -1,6 +1,7 @@
 import json
 
 import numpy as np
+import pytest
 
 import aperiodica as ap
 from aperiodica.cli import main
@@ -84,11 +85,38 @@ class TestGenerate:
         code, _, _ = run_cli(capsys, "generate", "--scheme", str(path),
                              "--region", "0,30", "--output", str(out))
         assert code == 0
-        comb = ap.read_comb_csv(out)
         scheme = ap.fibonacci_scheme()
         window = ap.EuclideanWindow(((-0.3, 0.7),))
-        expected = ap.generate_model_set(scheme, window, (0, 30))
-        assert np.allclose(comb.positions, expected.positions)
+        in_memory = tmp_path / "in_memory.csv"
+        ap.write_comb_csv(ap.generate_model_set(scheme, window, (0, 30)), in_memory)
+        assert out.read_bytes() == in_memory.read_bytes()
+
+    def test_negative_region_as_separate_token(self, capsys, tmp_path):
+        path = tmp_path / "fib.json"
+        path.write_text(json.dumps({"kind": "euclidean", "theta": "tau",
+                                    "window": [[-0.3, 0.7]]}))
+        code, spaced, _ = run_cli(capsys, "generate", "--scheme", str(path),
+                                  "--region", "-50,50")
+        assert code == 0
+        code, joined, _ = run_cli(capsys, "generate", "--scheme", str(path),
+                                  "--region=-50,50")
+        assert code == 0
+        assert spaced == joined
+
+    @pytest.mark.parametrize("scheme, region", [
+        ({"kind": "euclidean", "theta": "tau", "window": [[-0.3, 0.7]]}, "5"),
+        ({"kind": "euclidean", "theta": "tau", "window": [[-0.3, 0.7]]}, "a,b"),
+        ({"kind": "euclidean", "theta": "tau"}, "0,10"),
+        ({"kind": "euclidean", "theta": "sqrt2", "window": [[-0.3, 0.7]]}, "0,10"),
+    ], ids=["one-number-region", "non-numeric-region", "no-window", "theta-sqrt2"])
+    def test_bad_input_exits_2(self, capsys, tmp_path, scheme, region):
+        path = tmp_path / "scheme.json"
+        path.write_text(json.dumps(scheme))
+        code, out, err = run_cli(capsys, "generate", "--scheme", str(path),
+                                 "--region", region)
+        assert code == 2
+        assert out == ""
+        assert err
 
 
 class TestPipelines:
@@ -162,11 +190,6 @@ class TestRandomTiling:
         intensities = {float(r.split(",")[1]) for r in pp[1:]}
         assert all(abs(v - 4.0 / 9.0) < 1e-12 for v in intensities)
 
-    def test_threads_validated(self, capsys):
-        code, _, _ = run_cli(capsys, "randomtiling", "--u", "2", "--v", "1",
-                             "--p", "0.5", "--intervals", "10", "--threads", "0")
-        assert code == 2
-
 
 class TestPaperfoldingSpectrumCommand:
     def test_binary_weights(self, capsys):
@@ -200,6 +223,19 @@ class TestCompare:
                                "--tolerance", "0.02", "--seeds", "5",
                                "--intervals", "20000")
         assert code == 0
+
+    def test_fibonacci_ac_model_matches_library(self, capsys):
+        code, out, _ = run_cli(capsys, "compare", "--model", "fibonacci-ac",
+                               "--tolerance", "0.25", "--seeds", "4",
+                               "--intervals", "2000", "--kpoints", "20")
+        spec = ap.fibonacci_spec()
+        ks = np.linspace(0.1, 2.0, 20)
+        keep = ap.needle_free(spec, ks)
+        g = ap.ac_density_grid(spec, ks)[keep]
+        rel = np.abs(ap.mean_ac_periodogram(spec, ks, 2000, 4, 0)[keep] - g) / g
+        assert code == 0
+        assert (f"max relative deviation {np.max(rel):.17g}, "
+                f"mean {np.mean(rel):.17g}, tolerance 0.25 on the mean") in out
 
     def test_unknown_model_exits_2(self, capsys):
         code, _, err = run_cli(capsys, "compare", "--model", "nope",

@@ -150,15 +150,6 @@ class TestCombCsv:
         assert np.allclose(back.positions, comb.positions)
         assert np.allclose(back.weights, comb.weights)
 
-    def test_round_trip_dim2(self, tmp_path):
-        comb = ap.WeightedComb.from_positions([[0.0, 1.0], [1.0, 0.0]],
-                                              [1.0, 2.0], 1.5, dim=2)
-        path = tmp_path / "comb2.csv"
-        ap.write_comb_csv(comb, path)
-        back = ap.read_comb_csv(path)
-        assert back.dim == 2
-        assert np.allclose(back.positions, comb.positions)
-
     def test_missing_file(self, tmp_path):
         with pytest.raises(FileNotFoundError):
             ap.read_comb_csv(tmp_path / "absent.csv")

@@ -143,6 +143,42 @@ class TestAcDensity:
         assert math.isclose(ap.ac_density(spec, 1.0), 2.0 / 27.0, rel_tol=1e-12)
         assert math.isclose(ap.ac_density(spec, 0.0), 2.0 / 27.0, rel_tol=1e-12)
 
+    @pytest.mark.parametrize("k", [1e-12, -1e-12, 1e-10, -1e-10])
+    def test_fibonacci_continuous_near_zero(self, k):
+        # k(u - v) rounds to 0 within the singular tolerance: the removable
+        # value g(0), not the zero of the excluded points k(u - v) = j != 0
+        spec = ap.fibonacci_spec()
+        assert math.isclose(ap.ac_density(spec, k), FIB_G0, rel_tol=1e-10)
+
+    def test_grid_matches_scalar_loop(self):
+        # the per-k loop that ac_density_grid replaced, with its k -> 0 fix,
+        # is the reference; numpy squares where Python's ** calls pow, so
+        # the last bits may differ: tolerance 100 ulp
+        def loop(spec, k):
+            p, q, u, v = spec.p, spec.q, spec.u_value, spec.v_value
+            if spec.rational:
+                kxi = k * float(spec.xi)
+                if abs(kxi - round(kxi)) <= 1e-9:
+                    return ap.ac_density(spec, 0.0)
+                kuv = k * float(spec.u - spec.v)
+            else:
+                kuv = k * (u - v)
+                if abs(kuv) <= 1e-9:
+                    return ap.ac_density(spec, 0.0)
+            if abs(kuv - round(kuv)) <= 1e-9:
+                return 0.0
+            num = p * q * math.sin(math.pi * k * (u - v)) ** 2
+            den = (p * math.sin(math.pi * k * u) ** 2
+                   + q * math.sin(math.pi * k * v) ** 2 - num)
+            return ap.density(spec) * num / den
+
+        ks = np.concatenate([np.arange(-3.0, 3.0, 1e-3), [ap.TAU, 2.0 * ap.TAU]])
+        for spec in (ap.fibonacci_spec(), rational_spec(),
+                     ap.RandomTilingSpec(Fraction(3), Fraction(2), 0.3)):
+            want = np.array([loop(spec, float(k)) for k in ks])
+            got = ap.ac_density_grid(spec, ks)
+            assert np.allclose(got, want, rtol=100 * np.finfo(float).eps, atol=0.0)
+
     def test_irrational_excluded_point_is_zero(self):
         spec = ap.fibonacci_spec()
         # k = tau has k(u - v) = 1: removable zero of the numerator
@@ -279,7 +315,8 @@ class TestHeightHistogram:
         centers = 0.5 * (edges[:-1] + edges[1:])
         bw = edges[1] - edges[0]
         expected = ap.internal_distribution(n, centers) * bw * 2 * n * seeds
-        # walk-level fluctuations dominate: see the decisions ledger
+        # walk-level fluctuations dominate: the same statistic at N = 10^4
+        # over 100 patches reads 0.089 of peak (criterion 6, histogram clause)
         assert np.max(np.abs(counts - expected)) <= 0.25 * expected.max()
 
     def test_width_scaling(self):

@@ -10,8 +10,6 @@ from aperiodica.substitution import (
     SubstitutionRule,
     UnknownLetterError,
     UnsupportedMfsError,
-    fixed_multiset,
-    multiset_window,
     substitution_from_mfs,
     two_sided_seeds,
 )
@@ -171,14 +169,14 @@ class TestIterate:
 
     def test_paperfolding_window_reproduction(self):
         mfs = ap.mfs_from_substitution(PAPERFOLDING)
-        word = fixed_multiset(PAPERFOLDING, ("b", "a"))
+        word = ap.fixed_point(PAPERFOLDING, ("b", "a"))
         for n in (4, 6, 8):
             w = 2 ** n
-            current = multiset_window(word, -w, w + 1)
-            image = ap.iterate_mfs(mfs, current)
-            expected = multiset_window(word, -2 * w, 2 * w + 2)
-            for got, want in zip(image, expected):
-                assert np.array_equal(got, want)
+            current = word.letter_positions(-w, w + 1)
+            image = ap.iterate_mfs(mfs, [current[a] for a in PAPERFOLDING.alphabet])
+            expected = word.letter_positions(-2 * w, 2 * w + 2)
+            for got, letter in zip(image, PAPERFOLDING.alphabet):
+                assert np.array_equal(got, expected[letter])
 
     def test_overlap_detected(self):
         # inputs with overlapping components are rejected
@@ -269,7 +267,7 @@ class TestLegalClusters:
 class TestSymmetricDifference:
     def test_alpha_zero_vanishes(self):
         mfs = ap.mfs_from_substitution(PAPERFOLDING)
-        word = fixed_multiset(PAPERFOLDING, ("b", "a"))
+        word = ap.fixed_point(PAPERFOLDING, ("b", "a"))
         dens = ap.symmetric_difference_density(mfs, word, 0, 3, 4096)
         assert np.array_equal(dens, np.zeros(4))
 
@@ -277,10 +275,9 @@ class TestSymmetricDifference:
         # Exact enumeration gives the b and d components the values
         # 1/4, 3/8, 3/16, 3/32, ... : the sequence rises once from n=1 to
         # n=2 and then halves, so the monotone decrease starts at n=2 (the
-        # limit 0 is what the coincidence criterion demands).  See the
-        # decisions ledger.
+        # limit 0 is what the coincidence criterion demands).
         mfs = ap.mfs_from_substitution(PAPERFOLDING)
-        word = fixed_multiset(PAPERFOLDING, ("b", "a"))
+        word = ap.fixed_point(PAPERFOLDING, ("b", "a"))
         window = 1 << 16
         values = [ap.symmetric_difference_density(mfs, word, 1, n, window)
                   for n in range(1, 7)]
@@ -292,7 +289,7 @@ class TestSymmetricDifference:
     def test_thue_morse_densities_bounded_away(self):
         # TM has no sigma seed; its square does
         tm2 = THUE_MORSE.power(2)
-        word = fixed_multiset(tm2, ("a", "a"))
+        word = ap.fixed_point(tm2, ("a", "a"))
         mfs = ap.mfs_from_substitution(THUE_MORSE)
         window = 1 << 16
         for n in range(1, 7):
