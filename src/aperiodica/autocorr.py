@@ -27,6 +27,13 @@ from .core import (
 )
 
 _LOOKUP_TOL = 1e-9
+# pairs the pair path reduces at a time; bounds its temporaries to a few MiB
+_PAIR_BLOCK = 1 << 15
+# integer combs use dense arrays over their span when it is at most this
+# many positions per point, or at most _DENSE_MAX_SPAN positions
+_DENSE_SPAN_FACTOR = 16
+_DENSE_MAX_SPAN = 1 << 18
+_INT64_MAX = int(np.iinfo(np.int64).max)
 
 
 class DegenerateAutocorrelationError(AperiodicaError):
@@ -64,11 +71,23 @@ class AutocorrelationEstimate:
 
     def eta_at(self, z: float, tol: float = _LOOKUP_TOL) -> complex:
         """eta(z), with eta = 0 for differences that never occurred."""
+        return complex(self.eta_lookup([z], tol)[0])
+
+    def eta_lookup(self, zs, tol: float = _LOOKUP_TOL) -> np.ndarray:
+        """eta at every z of zs: the coefficient of the stored difference
+        within tol of z, the lower neighbour first; 0 where there is none."""
+        z = np.asarray(zs, dtype=float)
+        out = np.zeros(z.shape, dtype=complex)
+        n = len(self.diffs)
+        if not n:
+            return out
         i = np.searchsorted(self.diffs, z)
-        for j in (i - 1, i):
-            if 0 <= j < len(self.diffs) and abs(self.diffs[j] - z) <= tol:
-                return complex(self.eta[j])
-        return 0.0 + 0.0j
+        # clamping only repeats the other neighbour; the lower one is
+        # written last, so it wins
+        for j in (np.minimum(i, n - 1), np.maximum(i - 1, 0)):
+            hit = np.abs(self.diffs[j] - z) <= tol
+            out[hit] = self.eta[j[hit]]
+        return out
 
     def support(self, atol: float = 1e-12) -> np.ndarray:
         """Differences with nonzero coefficient (Delta^ess at this radius)."""
@@ -76,14 +95,24 @@ class AutocorrelationEstimate:
 
 
 def _integer_autocorr(values, weights, max_lag):
-    """Coefficient sums and lag-occurrence flags for integer positions,
-    lags 0..max_lag.
+    """Lags 0..max_lag that occur between the integer positions, ascending,
+    with their coefficient sums.
 
-    Direct per-lag dot products for small lag counts, one FFT convolution
-    otherwise; both are deterministic for a fixed input.
+    Combs whose span is at most _DENSE_SPAN_FACTOR * N, or at most
+    _DENSE_MAX_SPAN, go through dense arrays over the span: direct per-lag
+    dot products for small lag counts, one FFT convolution otherwise; both
+    are deterministic for a fixed input.  Sparser and wider combs take the
+    pair path, so no array over the span is allocated.
     """
     lo, hi = int(values[0]), int(values[-1])
     size = hi - lo + 1
+    if size > max(_DENSE_SPAN_FACTOR * len(values), _DENSE_MAX_SPAN):
+        if size > _INT64_MAX:
+            raise OutOfRangeError("integer positions of this comb span more than int64")
+        lags, sums = _pairwise_sums(values, weights, max_lag,
+                                    lambda i, j: values[i] - values[j])
+        return (np.concatenate([[0], lags]),
+                np.concatenate([[np.dot(weights, np.conj(weights))], sums]))
     dense = np.zeros(size, dtype=complex)
     dense[values - lo] = weights
     occ = np.zeros(size)
@@ -106,22 +135,80 @@ def _integer_autocorr(values, weights, max_lag):
         sums[0] = np.dot(dense, np.conj(dense))  # exact zero-lag
         cfull = fftconvolve(occ, occ[::-1])
         counts = cfull[center:center + max_lag + 1]
-    return np.arange(max_lag + 1), sums, counts > 0.5
+    occurred = counts > 0.5
+    return np.arange(max_lag + 1)[occurred], sums[occurred]
 
 
-def _pairwise_sums(positions, weights, keys, max_diff):
-    """Accumulate sum of v(x) conj(v(y)) per exact difference key for ordered
-    pairs with 0 < x - y <= max_diff.  keys are integer row labels."""
-    n = len(positions)
-    acc: dict = {}
-    j_lo = 0
-    for i in range(n):
-        while positions[i] - positions[j_lo] > max_diff:
-            j_lo += 1
-        for j in range(j_lo, i):
-            key = tuple(keys[i] - keys[j])
-            acc[key] = acc.get(key, 0.0 + 0.0j) + weights[i] * np.conj(weights[j])
-    return acc
+def _group_sums(codes, values):
+    """Distinct codes, ascending, and the sum of the values under each."""
+    distinct, inverse = np.unique(codes, return_inverse=True)
+    sums = (np.bincount(inverse, values.real, len(distinct))
+            + 1j * np.bincount(inverse, values.imag, len(distinct)))
+    return distinct, sums
+
+
+def _pairwise_sums(positions, weights, max_diff, code):
+    """Sums of v(x) conj(v(y)) over the pairs x = positions[i],
+    y = positions[j] with 0 < x - y <= max_diff, grouped by code(i, j), the
+    exact int64 code of their key difference.
+
+    positions ascend strictly.  Returns the distinct codes, ascending, and
+    their sums.  Pairs are enumerated by index offset d = i - j: when
+    x[i] - x[i - d] <= max_diff, so is x[i] - x[i - d + 1], so the i kept at
+    offset d are among those kept at d - 1, and the cost is linear in N plus
+    the number of pairs.  At most _PAIR_BLOCK pairs are reduced at a time,
+    and the reduced blocks are merged into the result whenever they hold as
+    many codes as it does, so memory is O(N + _PAIR_BLOCK + distinct codes).
+    """
+    codes, sums = np.empty(0, dtype=np.int64), np.empty(0, dtype=complex)
+    parts, held = [], 0
+    i = np.arange(len(positions))
+    for d in range(1, len(positions)):
+        i = i[i >= d]
+        i = i[positions[i] - positions[i - d] <= max_diff]
+        if not len(i):
+            break
+        for lo in range(0, len(i), _PAIR_BLOCK):
+            b = i[lo:lo + _PAIR_BLOCK]
+            parts.append(_group_sums(code(b, b - d), weights[b] * np.conj(weights[b - d])))
+            held += len(parts[-1][0])
+            if held >= max(len(codes), _PAIR_BLOCK):
+                parts.append((codes, sums))
+                codes, sums = _group_sums(*map(np.concatenate, zip(*parts)))
+                parts, held = [], 0
+    parts.append((codes, sums))
+    return _group_sums(*map(np.concatenate, zip(*parts)))
+
+
+def _module_code_layout(mn):
+    """Shift s and width w of the int64 code dm * w + dn + s of a module
+    difference (dm, dn) = mn[i] - mn[j]; OutOfRangeError when the codes of
+    this comb do not fit in int64."""
+    m_spread = int(mn[:, 0].max()) - int(mn[:, 0].min())
+    shift = int(mn[:, 1].max()) - int(mn[:, 1].min())
+    width = 2 * shift + 1
+    if (m_spread + 1) * width > _INT64_MAX:
+        raise OutOfRangeError("module differences of this comb have no exact int64 code")
+    return shift, width
+
+
+def _float_keys(positions, max_diff):
+    """Positions on the _LOOKUP_TOL grid as int64; OutOfRangeError where
+    the grid index, or the key difference of a pair within max_diff, does
+    not fit."""
+    scaled = np.round(positions / _LOOKUP_TOL)
+    if not np.max(np.abs(scaled)) < 2.0 ** 63:
+        raise OutOfRangeError(
+            f"float positions beyond +-{_LOOKUP_TOL * 2.0 ** 63:.3g} cannot be "
+            f"grouped on the {_LOOKUP_TOL:g} grid; use exact coordinates")
+    # a kept key difference exceeds max_diff / _LOOKUP_TOL only by the
+    # rounding of the two keys, of the quotient and of x - y: under 2^11
+    # grid steps each
+    if not max_diff / _LOOKUP_TOL < 2.0 ** 63 - 2.0 ** 13:
+        raise OutOfRangeError(
+            f"float differences beyond {_LOOKUP_TOL * 2.0 ** 63:.3g} cannot be "
+            f"grouped on the {_LOOKUP_TOL:g} grid; use exact coordinates")
+    return scaled.astype(np.int64)
 
 
 def estimate_autocorrelation(comb: WeightedComb, max_diff: float) -> AutocorrelationEstimate:
@@ -131,34 +218,37 @@ def estimate_autocorrelation(comb: WeightedComb, max_diff: float) -> Autocorrela
         eta(z) = (1 / vol(B_n)) * sum over x - y = z of v(x) conj(v(y))
 
     with x, y running over the comb.  Requires max_diff <= 2 * radius.
+    Differences are grouped exactly: integer lags, module pairs
+    (dm, dn), or float positions on a _LOOKUP_TOL grid.
     """
     if len(comb) == 0:
         raise EmptyInputError("cannot estimate the autocorrelation of an empty comb")
-    if max_diff > 2 * comb.radius:
-        raise OutOfRangeError("max_diff exceeds the comb diameter 2*radius")
+    if not 0.0 <= max_diff <= 2 * comb.radius:
+        raise OutOfRangeError("max_diff must lie in [0, 2*radius], the comb diameter")
     vol = comb.volume
     w = comb.weights
 
     if isinstance(comb.coords, IntegerCoords):
         scale = comb.coords.scale
         max_lag = int(math.floor(max_diff / scale + 1e-12))
-        lags, sums, occurred = _integer_autocorr(comb.coords.values, w, max_lag)
-        lags, sums = lags[occurred], sums[occurred]
+        lags, sums = _integer_autocorr(comb.coords.values, w, max_lag)
         pos_diffs = lags * scale
     else:
         if isinstance(comb.coords, ModuleCoords):
-            keys = comb.coords.mn
-            gen = comb.coords.generator
-            embed = lambda key: key[0] * gen.theta + key[1]
+            mn = comb.coords.mn
+            shift, width = _module_code_layout(mn)
+            codes, sums = _pairwise_sums(
+                comb.positions, w, max_diff,
+                lambda i, j: (mn[i, 0] - mn[j, 0]) * width + (mn[i, 1] - mn[j, 1] + shift))
+            dm, dn = np.divmod(codes, width)
+            pos_diffs = dm * comb.coords.generator.theta + (dn - shift)
         else:
-            # generic float positions: group differences to _LOOKUP_TOL
-            keys = np.round(comb.positions / _LOOKUP_TOL).astype(np.int64).reshape(-1, 1)
-            embed = lambda key: key[0] * _LOOKUP_TOL
-        acc = _pairwise_sums(comb.positions, w, keys, max_diff)
-        zero = complex(np.dot(w, np.conj(w)))
-        items = sorted(acc.items(), key=lambda kv: embed(kv[0]))
-        pos_diffs = np.array([embed(k) for k, _ in items] + [0.0])
-        sums = np.array([v for _, v in items] + [zero])
+            keys = _float_keys(comb.positions, max_diff)
+            codes, sums = _pairwise_sums(comb.positions, w, max_diff,
+                                         lambda i, j: keys[i] - keys[j])
+            pos_diffs = codes * _LOOKUP_TOL
+        pos_diffs = np.append(pos_diffs, 0.0)
+        sums = np.append(sums, np.dot(w, np.conj(w)))
         order = np.argsort(pos_diffs, kind="stable")
         pos_diffs, sums = pos_diffs[order], sums[order]
         keep = pos_diffs >= 0
@@ -171,18 +261,24 @@ def estimate_autocorrelation(comb: WeightedComb, max_diff: float) -> Autocorrela
     return AutocorrelationEstimate(diffs, eta, comb.radius, vol, float(max_diff))
 
 
+def _rho_from_zero(est: AutocorrelationEstimate, zs) -> np.ndarray:
+    """rho(z, 0) for every difference z of zs, with pseudo_metric's checks."""
+    eta0 = est.eta_at(0.0).real
+    if eta0 <= 0.0:
+        raise DegenerateAutocorrelationError("eta(0) must be positive")
+    zs = np.asarray(zs, dtype=float)
+    if np.any(np.abs(zs) > est.max_diff + _LOOKUP_TOL):
+        raise OutOfRangeError("difference s - t outside the estimated range")
+    eta = est.eta_lookup(zs)
+    return np.sqrt(np.hypot(1.0 - eta.real / eta0, eta.imag / eta0))
+
+
 def pseudo_metric(est: AutocorrelationEstimate, s: float, t: float) -> float:
     """Autocorrelation pseudo-metric rho(s, t) = |1 - eta(s-t)/eta(0)|^(1/2).
 
     Differences never observed have eta = 0, hence rho = 1 off the support.
     """
-    eta0 = est.eta_at(0.0).real
-    if eta0 <= 0.0:
-        raise DegenerateAutocorrelationError("eta(0) must be positive")
-    z = s - t
-    if abs(z) > est.max_diff + _LOOKUP_TOL:
-        raise OutOfRangeError("difference s - t outside the estimated range")
-    return math.sqrt(abs(1.0 - est.eta_at(z) / eta0))
+    return float(_rho_from_zero(est, [s - t])[0])
 
 
 def epsilon_almost_periods(est: AutocorrelationEstimate, epsilon: float,
@@ -190,8 +286,8 @@ def epsilon_almost_periods(est: AutocorrelationEstimate, epsilon: float,
     """Candidates t with rho(t, 0) < epsilon, sorted ascending."""
     if not 0.0 < epsilon <= math.sqrt(2.0) + 1e-12:
         raise OutOfRangeError("epsilon must lie in (0, sqrt(2)]")
-    kept = [float(t) for t in candidates if pseudo_metric(est, t, 0.0) < epsilon]
-    return sorted(kept)
+    ts = np.fromiter(candidates, dtype=float)
+    return sorted(ts[_rho_from_zero(est, ts) < epsilon].tolist())
 
 
 def max_gap(points, window: tuple[float, float]) -> float:

@@ -60,7 +60,10 @@ def _parse_length(token: str):
 
     if token == "tau":
         return ModuleElement(1, 0)
-    return Fraction(token)
+    try:
+        return Fraction(token)
+    except (ValueError, ZeroDivisionError):
+        raise AperiodicaError(f"length must be a number or tau; got {token!r}") from None
 
 
 def _parse_probability(token: str) -> float:
@@ -68,7 +71,10 @@ def _parse_probability(token: str) -> float:
         return 1.0 / TAU
     if token == "1/tau^2":
         return 1.0 / TAU ** 2
-    return float(token)
+    try:
+        return float(token)
+    except ValueError:
+        raise AperiodicaError(f"probability must be a number; got {token!r}") from None
 
 
 def _load_scheme(path):
@@ -84,7 +90,7 @@ def _load_scheme(path):
             raise AperiodicaError(f"unsupported theta {spec['theta']!r}; only \"tau\"")
         if "window" not in spec:
             raise AperiodicaError("euclidean scheme file needs a \"window\"")
-        window = cps.EuclideanWindow(tuple((lo, hi) for lo, hi in spec["window"]))
+        window = cps.EuclideanWindow(_parse_intervals(spec["window"]))
         return cps.fibonacci_scheme(), window
     if kind == "qadic":
         q = int(spec.get("q", 2))
@@ -105,6 +111,15 @@ def _load_scheme(path):
         )
         return scheme, window
     raise AperiodicaError(f"unknown scheme kind {kind!r}")
+
+
+def _parse_intervals(entries) -> tuple:
+    """Window intervals from a scheme file: a list of [lo, hi] number pairs."""
+    try:
+        return tuple((float(lo), float(hi)) for lo, hi in entries)
+    except (TypeError, ValueError):
+        raise AperiodicaError(
+            f"\"window\" must be a list of [lo, hi] number pairs; got {entries!r}") from None
 
 
 def _require_file(path) -> None:
@@ -163,6 +178,8 @@ def _cmd_randomtiling(opts) -> int:
     spec = rt.RandomTilingSpec(_parse_length(opts["u"]), _parse_length(opts["v"]),
                                _parse_probability(opts["p"]))
     if opts.get("spectrum"):
+        if not opts["dk"] > 0:
+            raise AperiodicaError(f"--dk must be positive; got {opts['dk']!r}")
         out, fmt = opts.get("output"), opts["format"]
         write_table(f"{out}.pp.csv" if out else None, ["k", "intensity"],
                     rt.pp_part(spec, opts["kmax"]).pp_atoms, fmt)
@@ -181,7 +198,11 @@ def _cmd_randomtiling(opts) -> int:
 
 
 def _cmd_paperfolding_spectrum(opts) -> int:
-    weights = [complex(t) for t in opts["weights"].split(",")]
+    try:
+        weights = [complex(t) for t in opts["weights"].split(",")]
+    except ValueError:
+        raise AperiodicaError(
+            f"weights must be complex numbers A,B,C,D; got {opts['weights']!r}") from None
     if len(weights) != 4:
         raise AperiodicaError("exactly four weights A,B,C,D are required")
     measure = sp.paperfolding_spectrum(*weights, r_max=opts["rmax"],

@@ -230,31 +230,30 @@ def generate_model_set(scheme: CutProjectScheme, window,
 def _slab_points(gen: QuadraticGenerator, window: EuclideanWindow,
                  lo: float, hi: float) -> np.ndarray:
     """Integer pairs (m, n) with m*theta + n in [lo, hi] and the star image
-    in the window."""
+    in the window, ordered by m, then n.
+
+    For each m the physical and internal constraints bound n to one
+    interval; all intervals are expanded at once (np.repeat of m plus an
+    offset arange), then the exact membership test runs on every candidate.
+    """
     w_lo, w_hi = window.bounds()
     det = abs(gen.theta - gen.conj)
     m_min = math.floor((lo - w_hi) / det) - 1
     m_max = math.ceil((hi - w_lo) / det) + 1
-    rows = []
-    for m in range(m_min, m_max + 1):
-        # physical constraint on n and internal constraint (window bounds)
-        n_lo = max(lo - m * gen.theta, w_lo - m * gen.conj)
-        n_hi = min(hi - m * gen.theta, w_hi - m * gen.conj)
-        if n_hi < n_lo:
-            continue
-        ns = np.arange(math.ceil(n_lo - 1e-9), math.floor(n_hi + 1e-9) + 1,
-                       dtype=np.int64)
-        if not len(ns):
-            continue
-        x = m * gen.theta + ns
-        y = m * gen.conj + ns
-        keep = (x >= lo) & (x <= hi) & window.contains(y)
-        ns = ns[keep]
-        if len(ns):
-            rows.append(np.stack([np.full(len(ns), m, dtype=np.int64), ns], axis=1))
-    if not rows:
-        return np.empty((0, 2), dtype=np.int64)
-    return np.concatenate(rows)
+    ms = np.arange(m_min, m_max + 1, dtype=np.int64)
+    m_theta, m_conj = ms * gen.theta, ms * gen.conj
+    n_lo = np.maximum(lo - m_theta, w_lo - m_conj)
+    n_hi = np.minimum(hi - m_theta, w_hi - m_conj)
+    first = np.ceil(n_lo - 1e-9).astype(np.int64)
+    counts = np.floor(n_hi + 1e-9).astype(np.int64) - first + 1
+    counts[n_hi < n_lo] = 0
+    starts = np.cumsum(counts) - counts
+    ns = (np.arange(int(counts.sum()), dtype=np.int64)
+          - np.repeat(starts - first, counts))
+    x = np.repeat(m_theta, counts) + ns
+    y = np.repeat(m_conj, counts) + ns
+    keep = (x >= lo) & (x <= hi) & window.contains(y)
+    return np.stack([np.repeat(ms, counts)[keep], ns[keep]], axis=1)
 
 
 # -- paperfolding windows ---------------------------------------------------

@@ -489,8 +489,8 @@ def complement_check(s_points, lattice: LatticeBasis, radius: float,
     est_s = estimate_autocorrelation(comb_s, max_z)
     est_c = estimate_autocorrelation(comb_c, max_z)
     lags = np.arange(0, int(math.floor(max_z / a)) + 1) * a
-    dev = [abs((est_c.eta_at(z).real - dens_c) - (est_s.eta_at(z).real - dens_s))
-           for z in lags]
+    dev = np.abs((est_c.eta_lookup(lags).real - dens_c)
+                 - (est_s.eta_lookup(lags).real - dens_s))
     identity_dev = float(np.max(dev))
 
     dual = 1.0 / a

@@ -1,10 +1,12 @@
 import math
+import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
 
 import aperiodica as ap
-from aperiodica import paperfolding as pf
+from aperiodica import autocorr, paperfolding as pf
 from aperiodica.autocorr import DegenerateAutocorrelationError
 
 
@@ -39,6 +41,15 @@ class TestEstimate:
         with pytest.raises(ap.OutOfRangeError):
             ap.estimate_autocorrelation(integer_comb(10), 21.0)
 
+    @pytest.mark.parametrize("max_diff", [-1.0, math.nan])
+    def test_max_diff_negative_or_nan_rejected(self, max_diff):
+        # NaN passed the old diameter check and fed every pair to the sums
+        with pytest.raises(ap.OutOfRangeError):
+            ap.estimate_autocorrelation(integer_comb(10), max_diff)
+        with pytest.raises(ap.OutOfRangeError):
+            ap.estimate_autocorrelation(
+                ap.WeightedComb.from_positions([0.0, 0.5], [1.0, 1.0], 10.0), max_diff)
+
     def test_paperfolding_eta4_intersection_oracle(self):
         n = 1 << 14
         comb = pf.binary_comb(n)
@@ -72,6 +83,114 @@ class TestEstimate:
         est = ap.estimate_autocorrelation(comb, 50.0)
         for z, e in zip(est.diffs, est.eta):
             assert abs(est.eta_at(-z) - np.conj(e)) <= 1e-12
+
+
+class TestExactKeys:
+    def test_sparse_integer_comb_bounded_memory(self):
+        # three points spanning 1e6: dense arrays over the span would take
+        # 24 MB before any convolution; the pair path needs a few kB
+        comb = ap.WeightedComb.from_integers([-500_000, 0, 500_000], [1.0, 2j, 3.0], 5e5)
+        tracemalloc.start()
+        try:
+            est = ap.estimate_autocorrelation(comb, 1e6)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2 ** 20
+        assert est.diffs.tolist() == [-1e6, -5e5, 0.0, 5e5, 1e6]
+        sums = est.eta * est.volume
+        assert np.allclose(sums, [3, 4j, 14, -4j, 3], rtol=0, atol=1e-12)
+
+    def test_pair_path_memory_bounded_by_distinct_differences(self):
+        # 2e6 pairs share at most 2e5 differences; the reduced blocks are
+        # merged as they come, so they never hold one entry per pair
+        rng = np.random.default_rng(3)
+        positions = np.unique(rng.integers(-10 ** 7, 10 ** 7, size=20_000)).astype(float)
+        comb = ap.WeightedComb.from_positions(positions, np.ones(len(positions)), 1e7)
+        tracemalloc.start()
+        try:
+            est = ap.estimate_autocorrelation(comb, 1e5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 32 * 2 ** 20
+        lags = np.round(est.diffs)
+        assert np.all(np.abs(est.diffs - lags) < 1e-6) and np.all(np.abs(lags) <= 1e5)
+        counts = np.round(est.eta.real * est.volume)
+        assert counts[lags == 0] == len(positions)
+        assert counts.sum() == len(positions) + 2 * np.sum(
+            np.searchsorted(positions, positions + 1e5, side="right")
+            - np.arange(1, len(positions) + 1))
+
+    def test_dense_integer_combs_stay_dense(self):
+        # lattice subsets at density >= 1/16 never reach the pair path
+        letters = pf.letter_positions_substitution("w1", -4096, 4097)
+        lattice = ap.LatticeBasis(np.array([[1.0]]))
+        with mock.patch.object(autocorr, "_pairwise_sums", side_effect=AssertionError):
+            for values in (letters["a"], letters["d"], np.arange(-100, 101)):
+                comb = ap.WeightedComb.from_integers(values, np.ones(len(values)), 4096.0)
+                ap.estimate_autocorrelation(comb, 64.0)
+            # sparser than 1/16, but the span is under _DENSE_MAX_SPAN
+            values = np.arange(-99_974, 100_000, 37)
+            comb = ap.WeightedComb.from_integers(values, np.ones(len(values)), 1e5)
+            est = ap.estimate_autocorrelation(comb, 1e5)
+            assert np.array_equal(est.diffs, 37.0 * np.arange(-2702, 2703))
+            ap.estimate_autocorrelation(pf.binary_comb(1 << 12), 64.0)
+            ap.complement_check(np.arange(-200, 201, 2, dtype=float), lattice, 200)
+
+    def test_float_keys_beyond_int64_rejected(self):
+        # positions past 9.2e9 overflow the int64 1e-9 grid; they used to
+        # wrap and report two zero differences
+        comb = ap.WeightedComb.from_positions(
+            [-1.2e10, -1.2e10 + 0.5, 1.2e10 - 0.5, 1.2e10], np.ones(4), 1.2e10)
+        with pytest.raises(ap.OutOfRangeError):
+            ap.estimate_autocorrelation(comb, 1.0)
+        # in range, but a pair within max_diff could differ by more than int64
+        comb = ap.WeightedComb.from_positions([0.0, 1.0], np.ones(2), 5e9)
+        with pytest.raises(ap.OutOfRangeError):
+            ap.estimate_autocorrelation(comb, 9.3e9)
+
+    def test_float_keys_in_range_unchanged(self):
+        # the span 1e10 exceeds int64 on the 1e-9 grid; only kept pairs need fit
+        comb = ap.WeightedComb.from_positions([-5e9, -5e9 + 0.5, 5e9 - 0.5, 5e9],
+                                              [1.0, 2.0, 3.0, 4.0], 5e9)
+        est = ap.estimate_autocorrelation(comb, 1.0)
+        keys = np.round(comb.positions / 1e-9).astype(np.int64)
+        step = (keys[1] - keys[0]) * 1e-9
+        assert keys[3] - keys[2] == keys[1] - keys[0]
+        assert est.diffs.tolist() == [-step, 0.0, step]
+        assert np.allclose(est.eta * est.volume, [14, 30, 14])
+
+    def test_integer_span_beyond_int64_rejected(self):
+        # the difference of the two end points would wrap in int64
+        comb = ap.WeightedComb.from_integers([-(2 ** 62), 2 ** 62], np.ones(2), 2.0 ** 62)
+        with pytest.raises(ap.OutOfRangeError):
+            ap.estimate_autocorrelation(comb, 1.0)
+
+    def test_module_keys_without_int64_code_rejected(self):
+        # (dm, dn) spread over 2^42 each: no int64 code holds every pair
+        big = 2 ** 40
+        mn = [(m, -round(m * ap.TAU) + k) for k, m in enumerate((0, big, -big))]
+        comb = ap.WeightedComb.from_module(mn, np.ones(3), 10.0)
+        with pytest.raises(ap.OutOfRangeError):
+            ap.estimate_autocorrelation(comb, 20.0)
+
+    def test_eta_lookup_matches_scalar_rule(self):
+        # reference: the per-z neighbour search that eta_lookup replaced
+        def scalar(est, z, tol=1e-9):
+            i = np.searchsorted(est.diffs, z)
+            for j in (i - 1, i):
+                if 0 <= j < len(est.diffs) and abs(est.diffs[j] - z) <= tol:
+                    return complex(est.eta[j])
+            return 0.0 + 0.0j
+
+        est = ap.AutocorrelationEstimate(
+            np.array([-2.0, -1.0, -1.0 + 1.5e-9, 0.0, 1.0 - 1.5e-9, 1.0, 2.0]),
+            np.arange(7) + 1j, 10.0, 20.0, 2.0)
+        zs = np.concatenate([est.diffs, est.diffs + 1e-9, est.diffs - 1e-9,
+                             est.diffs + 2e-9, [-5.0, 5.0, 0.5, -1.0 + 7.5e-10]])
+        assert est.eta_lookup(zs).tolist() == [scalar(est, z) for z in zs]
+        assert [est.eta_at(z) for z in zs] == [scalar(est, z) for z in zs]
 
 
 class TestPseudoMetric:
@@ -118,6 +237,7 @@ class TestAlmostPeriods:
         est = ap.estimate_autocorrelation(integer_comb(50), 20.0)
         for eps in (0.1, 0.5, 1.0):
             assert 0.0 in ap.epsilon_almost_periods(est, eps, [0.0, 1.0, 2.0])
+            assert 0.0 in ap.epsilon_almost_periods(est, eps, (float(t) for t in range(3)))
 
     def test_nested_in_epsilon(self):
         est = ap.estimate_autocorrelation(integer_comb(200), 100.0)

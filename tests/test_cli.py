@@ -119,6 +119,29 @@ class TestGenerate:
         assert err
 
 
+class TestMalformedInput:
+    @pytest.mark.parametrize("argv", [
+        ("paperfolding-spectrum", "--weights", "1,x,0,0"),
+        ("randomtiling", "--u", "abc", "--v", "1", "--p", "0.5"),
+        ("randomtiling", "--u", "1", "--v", "tau", "--p", "0.5", "--spectrum",
+         "--dk", "0"),
+    ], ids=["weights-not-complex", "length-not-a-number", "dk-zero"])
+    def test_exits_2_with_message(self, capsys, argv):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ")
+
+    def test_window_entry_not_a_pair_exits_2(self, capsys, tmp_path):
+        path = tmp_path / "scheme.json"
+        path.write_text(json.dumps({"kind": "euclidean", "window": [[1]]}))
+        code, out, err = run_cli(capsys, "generate", "--scheme", str(path),
+                                 "--region", "0,10")
+        assert code == 2
+        assert out == ""
+        assert "[lo, hi]" in err
+
+
 class TestPipelines:
     def comb_file(self, tmp_path):
         comb = ap.WeightedComb.from_integers(np.arange(-64, 65),

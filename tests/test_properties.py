@@ -3,17 +3,21 @@
 Invariants covered: autocorrelation Hermitian symmetry, boundedness by the
 zero coefficient, triangle inequality of the pseudo-metric, nesting of the
 almost-period sets, scaling covariance, periodogram positivity, agreement of
-the NUFFT periodogram with direct summation, restriction idempotence,
-dual-lattice involution, model-set Delone behaviour and gap bookkeeping.
+the NUFFT periodogram with direct summation, agreement of the array slab
+enumeration and pair sums with the loops they replaced, restriction
+idempotence, dual-lattice involution, model-set Delone behaviour and gap
+bookkeeping.
 """
 
 import math
+from unittest import mock
 
 import numpy as np
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 import aperiodica as ap
-from aperiodica import spectrum
+from aperiodica import autocorr, cps, spectrum
+from aperiodica.core import IntegerCoords, ModuleCoords
 
 
 @st.composite
@@ -151,6 +155,165 @@ def test_periodogram_fast_path_matches_direct(case):
     fast = spectrum._nufft_power(x, w, ks)
     direct = spectrum._direct_power(x, w, ks)
     assert np.max(np.abs(fast - direct)) <= 1e-10 * np.max(direct)
+
+
+def loop_slab_points(gen, window, lo, hi):
+    """Reference: the per-m loop that cps._slab_points replaced."""
+    w_lo, w_hi = window.bounds()
+    det = abs(gen.theta - gen.conj)
+    m_min = math.floor((lo - w_hi) / det) - 1
+    m_max = math.ceil((hi - w_lo) / det) + 1
+    rows = []
+    for m in range(m_min, m_max + 1):
+        n_lo = max(lo - m * gen.theta, w_lo - m * gen.conj)
+        n_hi = min(hi - m * gen.theta, w_hi - m * gen.conj)
+        if n_hi < n_lo:
+            continue
+        ns = np.arange(math.ceil(n_lo - 1e-9), math.floor(n_hi + 1e-9) + 1,
+                       dtype=np.int64)
+        if not len(ns):
+            continue
+        x = m * gen.theta + ns
+        y = m * gen.conj + ns
+        keep = (x >= lo) & (x <= hi) & window.contains(y)
+        ns = ns[keep]
+        if len(ns):
+            rows.append(np.stack([np.full(len(ns), m, dtype=np.int64), ns], axis=1))
+    if not rows:
+        return np.empty((0, 2), dtype=np.int64)
+    return np.concatenate(rows)
+
+
+@st.composite
+def slab_inputs(draw):
+    """A window of 1-3 disjoint intervals and a region; the region's ends
+    may sit exactly on module points, and some draws leave nothing."""
+    cuts = sorted(draw(st.lists(st.floats(min_value=-3.0, max_value=3.0),
+                                min_size=2, max_size=6, unique=True)))
+    intervals = tuple(zip(cuts[0::2], cuts[1::2]))
+    window = ap.EuclideanWindow(intervals)
+    ends = []
+    for _ in range(2):
+        if draw(st.booleans()):
+            m = draw(st.integers(min_value=-300, max_value=300))
+            n = draw(st.integers(min_value=-500, max_value=500))
+            ends.append(m * ap.TAU + n)
+        else:
+            ends.append(draw(st.floats(min_value=-600.0, max_value=600.0)))
+    lo, hi = sorted(ends)
+    return window, lo, hi
+
+
+@given(slab_inputs())
+@settings(max_examples=200, deadline=None)
+def test_slab_points_match_loop(case):
+    window, lo, hi = case
+    fast = cps._slab_points(ap.GOLDEN, window, lo, hi)
+    ref = loop_slab_points(ap.GOLDEN, window, lo, hi)
+    assert fast.dtype == ref.dtype and np.array_equal(fast, ref)
+
+
+def test_slab_points_empty_and_on_point_ends():
+    window = ap.EuclideanWindow(((-0.3, 0.7),))
+    x = ap.TAU + 1  # a point of this model set: star 0.382 lies in the window
+    for lo, hi in ((x, x), (0.5, 0.5), (x + 1e-6, x + 0.1), (-x, x)):
+        fast = cps._slab_points(ap.GOLDEN, window, lo, hi)
+        assert np.array_equal(fast, loop_slab_points(ap.GOLDEN, window, lo, hi))
+    assert cps._slab_points(ap.GOLDEN, window, x, x).tolist() == [[1, 1]]
+    assert cps._slab_points(ap.GOLDEN, window, 0.5, 0.5).shape == (0, 2)
+
+
+def loop_autocorrelation(comb, max_diff):
+    """Reference: the dict-accumulating pair loop that the array pair path
+    replaced, with its ordering and mirroring (diffs, eta)."""
+    coords = comb.coords
+    if isinstance(coords, ModuleCoords):
+        keys = coords.mn
+        embed = lambda key: key[0] * coords.generator.theta + key[1]
+    elif isinstance(coords, IntegerCoords):
+        keys = coords.values.reshape(-1, 1)
+        embed = lambda key: key[0] * coords.scale
+    else:
+        keys = np.round(comb.positions / 1e-9).astype(np.int64).reshape(-1, 1)
+        embed = lambda key: key[0] * 1e-9
+    positions, w = comb.positions, comb.weights
+    acc = {}
+    j_lo = 0
+    for i in range(len(positions)):
+        while positions[i] - positions[j_lo] > max_diff:
+            j_lo += 1
+        for j in range(j_lo, i):
+            key = tuple(keys[i] - keys[j])
+            acc[key] = acc.get(key, 0.0 + 0.0j) + w[i] * np.conj(w[j])
+    items = sorted(acc.items(), key=lambda kv: embed(kv[0]))
+    pos_diffs = np.array([embed(k) for k, _ in items] + [0.0])
+    sums = np.array([v for _, v in items] + [complex(np.dot(w, np.conj(w)))])
+    order = np.argsort(pos_diffs, kind="stable")
+    pos_diffs, sums = pos_diffs[order], sums[order]
+    keep = pos_diffs >= 0
+    pos_diffs, sums = pos_diffs[keep], sums[keep]
+    mask = pos_diffs > 0
+    diffs = np.concatenate([-pos_diffs[mask][::-1], pos_diffs])
+    eta = np.concatenate([np.conj(sums[mask][::-1]), sums]) / comb.volume
+    return diffs, eta
+
+
+@st.composite
+def pair_path_inputs(draw):
+    """A module, float or sparse-integer comb with complex weights, a
+    max_diff up to the diameter and a pair block size, small enough that
+    the reference loop stays fast."""
+    kind = draw(st.sampled_from(["module", "float", "sparse-integer"]))
+    rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2 ** 32 - 1)))
+    if kind == "module":
+        lo = draw(st.floats(min_value=-2.0, max_value=1.0))
+        length = draw(st.floats(min_value=0.2, max_value=3.0))
+        radius = draw(st.floats(min_value=1.0, max_value=60.0))
+        mn = ap.generate_model_set(ap.fibonacci_scheme(),
+                                   ap.EuclideanWindow(((lo, lo + length),)),
+                                   (-radius, radius)).coords.mn
+        mn = mn[rng.random(len(mn)) < draw(st.floats(min_value=0.3, max_value=1.0))]
+        make = lambda w: ap.WeightedComb.from_module(mn, w, radius)
+        count = len(mn)
+    elif kind == "float":
+        radius = draw(st.floats(min_value=1.0, max_value=1e4))
+        grid = draw(st.sampled_from([None, 1e-3, 0.37]))
+        positions = rng.uniform(-radius, radius, size=draw(st.integers(1, 150)))
+        if grid is not None:  # repeated differences share a key
+            positions = np.round(positions / grid) * grid
+        positions = np.unique(np.clip(positions, -radius, radius))
+        make = lambda w: ap.WeightedComb.from_positions(positions, w, radius)
+        count = len(positions)
+    else:
+        radius = float(draw(st.integers(min_value=1000, max_value=10 ** 7)))
+        count = draw(st.integers(min_value=1, max_value=60))
+        values = np.unique(rng.integers(-radius, radius + 1, size=count))
+        make = lambda w: ap.WeightedComb.from_integers(values, w, radius)
+        count = len(values)
+    comb = make(rng.normal(size=count) + 1j * rng.normal(size=count))
+    max_diff = draw(st.floats(min_value=0.0, max_value=1.0)) * 2.0 * comb.radius
+    if count > 1 and draw(st.booleans()):  # a cut-off that some pair meets exactly
+        i, j = sorted(rng.choice(count, size=2, replace=False))
+        max_diff = comb.positions[j] - comb.positions[i]
+    block = draw(st.sampled_from([1, 2, 3, 7, 64, 1 << 15]))
+    return comb, max_diff, block
+
+
+@given(pair_path_inputs())
+@settings(max_examples=150, deadline=None)
+def test_pair_path_matches_loop(case):
+    # identical keys, coefficients within 1e-12 of the largest
+    comb, max_diff, block = case
+    assume(len(comb) > 0)
+    if isinstance(comb.coords, IntegerCoords) and len(comb) > 1:  # the pair path, not dense
+        values = comb.coords.values
+        assume(values[-1] - values[0] + 1 > autocorr._DENSE_SPAN_FACTOR * len(values))
+    with mock.patch.object(autocorr, "_PAIR_BLOCK", block), \
+            mock.patch.object(autocorr, "_DENSE_MAX_SPAN", 0):
+        est = ap.estimate_autocorrelation(comb, max_diff)
+    diffs, eta = loop_autocorrelation(comb, max_diff)
+    assert np.array_equal(est.diffs, diffs)
+    assert np.max(np.abs(est.eta - eta)) <= 1e-12 * np.max(np.abs(eta))
 
 
 @given(integer_combs(), st.floats(min_value=0.1, max_value=1.0))
