@@ -6,7 +6,6 @@ closed-form spectra.
 """
 
 from .core import (
-    GOLDEN,
     SQRT5,
     TAU,
     TAU_CONJ,
@@ -16,7 +15,6 @@ from .core import (
     LatticeBasis,
     ModuleElement,
     OutOfRangeError,
-    QuadraticGenerator,
     SpectralMeasure,
     WeightedComb,
     dual_lattice,

@@ -24,9 +24,11 @@ from .core import (
     ModuleCoords,
     OutOfRangeError,
     WeightedComb,
+    module_position,
 )
 
 _LOOKUP_TOL = 1e-9
+_SUPPORT_TOL = 1e-12  # coefficients at most this large count as zero
 # pairs the pair path reduces at a time; bounds its temporaries to a few MiB
 _PAIR_BLOCK = 1 << 15
 # integer combs use dense arrays over their span when it is at most this
@@ -69,13 +71,14 @@ class AutocorrelationEstimate:
     def zero_coefficient(self) -> float:
         return float(self.eta_at(0.0).real)
 
-    def eta_at(self, z: float, tol: float = _LOOKUP_TOL) -> complex:
+    def eta_at(self, z: float) -> complex:
         """eta(z), with eta = 0 for differences that never occurred."""
-        return complex(self.eta_lookup([z], tol)[0])
+        return complex(self.eta_lookup([z])[0])
 
-    def eta_lookup(self, zs, tol: float = _LOOKUP_TOL) -> np.ndarray:
+    def eta_lookup(self, zs) -> np.ndarray:
         """eta at every z of zs: the coefficient of the stored difference
-        within tol of z, the lower neighbour first; 0 where there is none."""
+        within _LOOKUP_TOL of z, the lower neighbour first; 0 where there is
+        none."""
         z = np.asarray(zs, dtype=float)
         out = np.zeros(z.shape, dtype=complex)
         n = len(self.diffs)
@@ -85,13 +88,13 @@ class AutocorrelationEstimate:
         # clamping only repeats the other neighbour; the lower one is
         # written last, so it wins
         for j in (np.minimum(i, n - 1), np.maximum(i - 1, 0)):
-            hit = np.abs(self.diffs[j] - z) <= tol
+            hit = np.abs(self.diffs[j] - z) <= _LOOKUP_TOL
             out[hit] = self.eta[j[hit]]
         return out
 
-    def support(self, atol: float = 1e-12) -> np.ndarray:
+    def support(self) -> np.ndarray:
         """Differences with nonzero coefficient (Delta^ess at this radius)."""
-        return self.diffs[np.abs(self.eta) > atol]
+        return self.diffs[np.abs(self.eta) > _SUPPORT_TOL]
 
 
 def _integer_autocorr(values, weights, max_lag):
@@ -241,7 +244,7 @@ def estimate_autocorrelation(comb: WeightedComb, max_diff: float) -> Autocorrela
                 comb.positions, w, max_diff,
                 lambda i, j: (mn[i, 0] - mn[j, 0]) * width + (mn[i, 1] - mn[j, 1] + shift))
             dm, dn = np.divmod(codes, width)
-            pos_diffs = dm * comb.coords.generator.theta + (dn - shift)
+            pos_diffs = module_position(dm, dn - shift)
         else:
             keys = _float_keys(comb.positions, max_diff)
             codes, sums = _pairwise_sums(comb.positions, w, max_diff,

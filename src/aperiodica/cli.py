@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import operator
 import re
 import sys
 from pathlib import Path
@@ -21,11 +22,11 @@ import numpy as np
 from . import autocorr as ac
 from . import cps, randomtiling as rt, spectrum as sp
 from .core import (
-    COMB_COLUMNS,
     TAU,
     AperiodicaError,
     ModuleElement,
     read_comb_csv,
+    write_comb,
     write_table,
 )
 from .substitution import (
@@ -84,42 +85,62 @@ def _load_scheme(path):
         raise AperiodicaError(f"scheme file not found: {path}")
     except json.JSONDecodeError as exc:
         raise AperiodicaError(f"scheme file is not valid JSON: {exc}")
+    if not isinstance(spec, dict):
+        raise AperiodicaError(f"scheme file must hold a JSON object; got {spec!r}")
     kind = spec.get("kind")
     if kind == "euclidean":
         if spec.get("theta", "tau") != "tau":
             raise AperiodicaError(f"unsupported theta {spec['theta']!r}; only \"tau\"")
         if "window" not in spec:
             raise AperiodicaError("euclidean scheme file needs a \"window\"")
-        window = cps.EuclideanWindow(_parse_intervals(spec["window"]))
-        return cps.fibonacci_scheme(), window
+        intervals = _parse_entry("window", spec["window"], lambda e: tuple(
+            (float(lo), float(hi)) for lo, hi in e), "a list of [lo, hi] number pairs")
+        return cps.fibonacci_scheme(), cps.EuclideanWindow(intervals)
     if kind == "qadic":
-        q = int(spec.get("q", 2))
-        scheme = cps.qadic_scheme(q)
+        if spec.get("q", 2) != 2:
+            raise AperiodicaError(f"unsupported q {spec['q']!r}; only 2")
         if "paperfolding" in spec:
-            pf = spec["paperfolding"]
-            windows = cps.paperfolding_windows(pf.get("fixed_point", "w1"))
-            letters = pf.get("letters", ["a", "b"])
-            window = windows[letters[0]]
-            for letter in letters[1:]:
-                window = window.union(windows[letter])
-            return scheme, window
+            return cps.qadic_scheme(), _paperfolding_window(spec["paperfolding"])
+        integers = lambda e: frozenset(operator.index(x) for x in e)
         window = cps.QAdicWindow(
-            tuple((r, mod) for r, mod in spec.get("classes", [])),
-            added=frozenset(spec.get("added", [])),
-            removed=frozenset(spec.get("removed", [])),
-            complete_below=spec.get("complete_below"),
+            _parse_entry("classes", spec.get("classes", []), lambda e: tuple(
+                (operator.index(r), operator.index(mod)) for r, mod in e),
+                "a list of [residue, modulus] integer pairs"),
+            added=_parse_entry("added", spec.get("added", []), integers,
+                               "a list of integers"),
+            removed=_parse_entry("removed", spec.get("removed", []), integers,
+                                 "a list of integers"),
+            complete_below=_parse_entry(
+                "complete_below", spec.get("complete_below"),
+                lambda v: None if v is None else operator.index(v), "an integer"),
         )
-        return scheme, window
+        return cps.qadic_scheme(), window
     raise AperiodicaError(f"unknown scheme kind {kind!r}")
 
 
-def _parse_intervals(entries) -> tuple:
-    """Window intervals from a scheme file: a list of [lo, hi] number pairs."""
+def _parse_entry(key: str, value, parse, expected: str):
+    """parse(value) for the scheme-file entry `key`; a value that does not
+    parse is a validation error naming the expected shape."""
     try:
-        return tuple((float(lo), float(hi)) for lo, hi in entries)
+        return parse(value)
     except (TypeError, ValueError):
+        raise AperiodicaError(f"\"{key}\" must be {expected}; got {value!r}") from None
+
+
+def _paperfolding_window(pf):
+    """Union of the 2-adic paperfolding letter windows a scheme file names."""
+    if not isinstance(pf, dict):
+        raise AperiodicaError(f"\"paperfolding\" must be an object; got {pf!r}")
+    windows = cps.paperfolding_windows(pf.get("fixed_point", "w1"))
+    letters = pf.get("letters", ["a", "b"])
+    if (not isinstance(letters, list) or not letters
+            or any(letter not in tuple(windows) for letter in letters)):
         raise AperiodicaError(
-            f"\"window\" must be a list of [lo, hi] number pairs; got {entries!r}") from None
+            f"\"letters\" must be a non-empty list of a, b, c, d; got {letters!r}")
+    window = windows[letters[0]]
+    for letter in letters[1:]:
+        window = window.union(windows[letter])
+    return window
 
 
 def _require_file(path) -> None:
@@ -134,7 +155,7 @@ def _write(opts, columns, rows) -> None:
 
 
 def _write_comb(opts, comb) -> None:
-    _write(opts, COMB_COLUMNS, zip(comb.positions, comb.weights.real, comb.weights.imag))
+    write_comb(comb, opts.get("output"), opts["format"])
 
 
 def _cmd_generate(opts) -> int:
@@ -296,32 +317,28 @@ def _bind_negative_values(args: list) -> list:
 
 
 def _build_parsers():
+    output = argparse.ArgumentParser(add_help=False)
+    output.add_argument("--output")
+    output.add_argument("--format", choices=("csv", "json"), default="csv")
+    comb_input = argparse.ArgumentParser(add_help=False)
+    comb_input.add_argument("--input", required=True)
+    comb_input.add_argument("--radius", type=float)
     parsers = {}
 
-    p = argparse.ArgumentParser(prog="aperiodica generate", add_help=True)
+    p = argparse.ArgumentParser(prog="aperiodica generate", parents=[output])
     p.add_argument("--scheme", required=True)
     p.add_argument("--region", required=True, type=_parse_region, help="a,b")
-    p.add_argument("--output")
-    p.add_argument("--format", choices=("csv", "json"), default="csv")
     parsers["generate"] = p
 
-    p = argparse.ArgumentParser(prog="aperiodica autocorr")
-    p.add_argument("--input", required=True)
-    p.add_argument("--radius", type=float)
+    p = argparse.ArgumentParser(prog="aperiodica autocorr", parents=[comb_input, output])
     p.add_argument("--max-diff", dest="max_diff", type=float, required=True)
-    p.add_argument("--output")
-    p.add_argument("--format", choices=("csv", "json"), default="csv")
     parsers["autocorr"] = p
 
-    p = argparse.ArgumentParser(prog="aperiodica spectrum")
-    p.add_argument("--input", required=True)
-    p.add_argument("--radius", type=float)
+    p = argparse.ArgumentParser(prog="aperiodica spectrum", parents=[comb_input, output])
     p.add_argument("--kmin", type=float, default=0.0)
     p.add_argument("--kmax", type=float, required=True)
     p.add_argument("--dk", type=float)
     p.add_argument("--bragg", type=float, help="threshold; emit atoms instead")
-    p.add_argument("--output")
-    p.add_argument("--format", choices=("csv", "json"), default="csv")
     parsers["spectrum"] = p
 
     p = argparse.ArgumentParser(prog="aperiodica coincide")
@@ -329,7 +346,7 @@ def _build_parsers():
     p.add_argument("--max-power", dest="max_power", type=int, default=20)
     parsers["coincide"] = p
 
-    p = argparse.ArgumentParser(prog="aperiodica randomtiling")
+    p = argparse.ArgumentParser(prog="aperiodica randomtiling", parents=[output])
     p.add_argument("--u", required=True, help="length or `tau`")
     p.add_argument("--v", required=True)
     p.add_argument("--p", required=True, help="probability, `1/tau` accepted")
@@ -340,17 +357,13 @@ def _build_parsers():
     p.add_argument("--heights", action="store_true")
     p.add_argument("--kmax", type=float, default=2.0)
     p.add_argument("--dk", type=float, default=0.01)
-    p.add_argument("--output")
-    p.add_argument("--format", choices=("csv", "json"), default="csv")
     parsers["randomtiling"] = p
 
-    p = argparse.ArgumentParser(prog="aperiodica paperfolding-spectrum")
+    p = argparse.ArgumentParser(prog="aperiodica paperfolding-spectrum", parents=[output])
     p.add_argument("--weights", required=True, help="A,B,C,D (complex accepted)")
     p.add_argument("--rmax", type=int, default=8)
     p.add_argument("--kmin", type=float, default=0.0)
     p.add_argument("--kmax", type=float, default=2.0)
-    p.add_argument("--output")
-    p.add_argument("--format", choices=("csv", "json"), default="csv")
     parsers["paperfolding-spectrum"] = p
 
     p = argparse.ArgumentParser(prog="aperiodica compare")

@@ -3,9 +3,9 @@ spectral measures and lattice bases.
 
 Positions of a comb are stored either as plain floats or with an exact
 integer payload (integer multiples of a scale, or pairs (m, n) representing
-m*theta + n in a rank-2 module with irrational generator theta).  All
-generators in this package emit the exact form; algebraic conjugation is
-only well defined on the integer pairs.
+m*tau + n in the golden module Z[tau]).  All generators in this package
+emit the exact form; algebraic conjugation is only well defined on the
+integer pairs.
 """
 
 from __future__ import annotations
@@ -23,6 +23,7 @@ TAU_CONJ = (1.0 - math.sqrt(5.0)) / 2.0
 SQRT5 = math.sqrt(5.0)
 
 _POSITION_TOL = 1e-9
+_ATOM_TOL = 1e-9
 
 
 class AperiodicaError(ValueError):
@@ -41,53 +42,37 @@ class EmptyInputError(AperiodicaError):
     """An operation received an empty comb or list where it needs data."""
 
 
-@dataclass(frozen=True)
-class QuadraticGenerator:
-    """Irrational generator theta of a rank-2 module Z*theta + Z, together
-    with its algebraic conjugate."""
-
-    theta: float
-    conj: float
-    name: str = ""
-
-    def embed(self, m, n):
-        return m * self.theta + n
-
-    def star(self, m, n):
-        return m * self.conj + n
+def module_position(m, n):
+    """Physical position m*tau + n of the module element (m, n) of Z[tau]."""
+    return m * TAU + n
 
 
-GOLDEN = QuadraticGenerator(TAU, TAU_CONJ, "tau")
+def module_star(m, n):
+    """Star image m*tau' + n of (m, n): algebraic conjugation tau -> tau'."""
+    return m * TAU_CONJ + n
 
 
 @dataclass(frozen=True)
 class ModuleElement:
-    """Element m*theta + n of a quadratic module, stored exactly."""
+    """Element m*tau + n of the golden module Z[tau], stored exactly."""
 
     m: int
     n: int
-    generator: QuadraticGenerator = GOLDEN
 
     def embed(self) -> float:
-        return self.generator.embed(self.m, self.n)
+        return module_position(self.m, self.n)
 
     def star(self) -> float:
-        return self.generator.star(self.m, self.n)
+        return module_star(self.m, self.n)
 
     def __add__(self, other: "ModuleElement") -> "ModuleElement":
-        self._check_same(other)
-        return ModuleElement(self.m + other.m, self.n + other.n, self.generator)
+        return ModuleElement(self.m + other.m, self.n + other.n)
 
     def __sub__(self, other: "ModuleElement") -> "ModuleElement":
-        self._check_same(other)
-        return ModuleElement(self.m - other.m, self.n - other.n, self.generator)
+        return ModuleElement(self.m - other.m, self.n - other.n)
 
     def __neg__(self) -> "ModuleElement":
-        return ModuleElement(-self.m, -self.n, self.generator)
-
-    def _check_same(self, other):
-        if self.generator != other.generator:
-            raise AperiodicaError("module elements have different generators")
+        return ModuleElement(-self.m, -self.n)
 
 
 @dataclass(frozen=True)
@@ -97,22 +82,15 @@ class IntegerCoords:
     values: np.ndarray  # int64
     scale: float = 1.0
 
-    def positions(self) -> np.ndarray:
-        return self.values * self.scale
-
 
 @dataclass(frozen=True)
 class ModuleCoords:
-    """Exact positions m*theta + n as integer pairs, one row per point."""
+    """Exact positions m*tau + n as integer pairs, one row per point."""
 
     mn: np.ndarray  # int64, shape (N, 2)
-    generator: QuadraticGenerator = GOLDEN
-
-    def positions(self) -> np.ndarray:
-        return self.mn[:, 0] * self.generator.theta + self.mn[:, 1]
 
     def stars(self) -> np.ndarray:
-        return self.mn[:, 0] * self.generator.conj + self.mn[:, 1]
+        return module_star(self.mn[:, 0], self.mn[:, 1])
 
 
 def _as_readonly(a: np.ndarray) -> np.ndarray:
@@ -169,11 +147,11 @@ class WeightedComb:
         return WeightedComb(values * float(scale), w, float(radius), coords)
 
     @staticmethod
-    def from_module(mn, weights, radius, generator=GOLDEN) -> "WeightedComb":
+    def from_module(mn, weights, radius) -> "WeightedComb":
         mn = np.asarray(mn, dtype=np.int64).reshape(-1, 2)
-        pos = mn[:, 0] * generator.theta + mn[:, 1]
+        pos = module_position(mn[:, 0], mn[:, 1])
         order = np.argsort(pos, kind="stable")
-        coords = ModuleCoords(_as_readonly(mn[order]), generator)
+        coords = ModuleCoords(_as_readonly(mn[order]))
         return WeightedComb(pos[order], np.asarray(weights, dtype=complex)[order],
                             float(radius), coords)
 
@@ -198,7 +176,7 @@ def restrict(comb: WeightedComb, radius: float) -> WeightedComb:
     if isinstance(coords, IntegerCoords):
         coords = IntegerCoords(_as_readonly(coords.values[keep]), coords.scale)
     elif isinstance(coords, ModuleCoords):
-        coords = ModuleCoords(_as_readonly(coords.mn[keep]), coords.generator)
+        coords = ModuleCoords(_as_readonly(coords.mn[keep]))
     return WeightedComb(comb.positions[keep], comb.weights[keep], float(radius),
                         coords)
 
@@ -251,12 +229,13 @@ class SpectralMeasure:
                 raise AperiodicaError("atom positions must be pairwise distinct")
         object.__setattr__(self, "pp_atoms", _as_readonly(pp))
 
-    def atom_at(self, k: float, tol: float = 1e-9) -> float:
-        """Intensity of the atom at position k (0.0 if absent)."""
+    def atom_at(self, k: float) -> float:
+        """Intensity of the atom within _ATOM_TOL of position k (0.0 if
+        absent)."""
         if not len(self.pp_atoms):
             return 0.0
         i = np.argmin(np.abs(self.pp_atoms[:, 0] - k))
-        if abs(self.pp_atoms[i, 0] - k) <= tol:
+        if abs(self.pp_atoms[i, 0] - k) <= _ATOM_TOL:
             return float(self.pp_atoms[i, 1])
         return 0.0
 
@@ -291,10 +270,16 @@ def write_table(path, columns, rows, fmt: str) -> None:
             fh.write(text)
 
 
-def write_comb_csv(comb: WeightedComb, path) -> None:
-    """Comb file: columns x,re_weight,im_weight, one row per point."""
+def write_comb(comb: WeightedComb, path, fmt: str) -> None:
+    """Comb file: columns x,re_weight,im_weight, one row per point, as CSV
+    or the mirrored JSON; to stdout when path is None."""
     write_table(path, COMB_COLUMNS,
-                zip(comb.positions, comb.weights.real, comb.weights.imag), "csv")
+                zip(comb.positions, comb.weights.real, comb.weights.imag), fmt)
+
+
+def write_comb_csv(comb: WeightedComb, path) -> None:
+    """The comb file of write_comb, as CSV."""
+    write_comb(comb, path, "csv")
 
 
 def read_comb_csv(path, radius: float | None = None) -> WeightedComb:

@@ -1,14 +1,14 @@
 """Cut-and-project machinery with two concrete internal spaces: the
-Euclidean line (quadratic-irrational star map, e.g. the golden-ratio module)
-and residue-class completions of Z (Q-adic windows).
+Euclidean line of the golden module Z[tau] (star map: algebraic
+conjugation) and the 2-adic integers (residue-class windows).
 
-The Euclidean scheme embeds the module Z*theta + Z as the planar lattice
-with basis columns (theta, theta') and (1, 1); physical and internal
+The Euclidean scheme embeds the module Z*tau + Z as the planar lattice
+with basis columns (tau, tau') and (1, 1); physical and internal
 coordinates are the two components, so the canonical projections are the
 orthogonal coordinate projections and the fundamental-domain volume is
-|theta - theta'| (sqrt(5) for the golden ratio).
+|tau - tau'| = sqrt(5).
 
-Q-adic windows are finite unions of residue classes r mod Q^k plus finite
+2-adic windows are finite unions of residue classes r mod 2^k plus finite
 exception sets, which is exactly enough to encode the paperfolding letter
 sets including the single extra point -1 that distinguishes the two
 bi-infinite fixed points.
@@ -22,13 +22,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (
-    GOLDEN,
+    TAU,
+    TAU_CONJ,
     AperiodicaError,
     LatticeBasis,
     ModuleElement,
     OutOfRangeError,
-    QuadraticGenerator,
+    SpectralMeasure,
     WeightedComb,
+    module_star,
 )
 
 
@@ -40,62 +42,52 @@ class ProfileError(AperiodicaError):
     """Weight profile unsuitable for the requested operation."""
 
 
-# -- internal spaces and schemes ----------------------------------------------
-
-@dataclass(frozen=True)
-class EuclideanInternal:
-    generator: QuadraticGenerator = GOLDEN
+_GAUSS_CUTOFF = 1e-12  # Gaussian weights below this are left out of a comb
+_PRUNE = 1e-14         # closed-form atoms below this intensity are left out
 
 
-@dataclass(frozen=True)
-class QAdicInternal:
-    q: int = 2
-
-    def __post_init__(self):
-        if self.q < 2:
-            raise AperiodicaError("Q must be at least 2")
-
+# -- schemes -----------------------------------------------------------------
 
 @dataclass(frozen=True)
 class CutProjectScheme:
-    """Cut-and-project scheme with one-dimensional physical space."""
+    """Cut-and-project scheme with one-dimensional physical space; its
+    internal space is the Euclidean line of Z[tau] when `euclidean` is set,
+    the 2-adic integers otherwise."""
 
-    internal: EuclideanInternal | QAdicInternal
+    euclidean: bool
 
     @property
     def embedding_basis(self) -> LatticeBasis:
-        if not isinstance(self.internal, EuclideanInternal):
+        if not self.euclidean:
             raise AperiodicaError("embedding basis exists for Euclidean internal space")
-        g = self.internal.generator
-        return LatticeBasis(np.array([[g.theta, 1.0], [g.conj, 1.0]]))
+        return LatticeBasis(np.array([[TAU, 1.0], [TAU_CONJ, 1.0]]))
 
     @property
     def fd_volume(self) -> float:
         """Covolume of the embedding lattice (Euclidean internal space)."""
-        g = self.internal.generator
-        return abs(g.theta - g.conj)
+        if not self.euclidean:
+            raise AperiodicaError("fd volume exists for Euclidean internal space")
+        return abs(TAU - TAU_CONJ)
 
 
 def fibonacci_scheme() -> CutProjectScheme:
-    return CutProjectScheme(EuclideanInternal(GOLDEN))
+    return CutProjectScheme(True)
 
 
-def qadic_scheme(q: int = 2) -> CutProjectScheme:
-    return CutProjectScheme(QAdicInternal(q))
+def qadic_scheme() -> CutProjectScheme:
+    return CutProjectScheme(False)
 
 
 def star(scheme: CutProjectScheme, x):
     """Star map into internal space.
 
-    Euclidean: m*theta + n maps to m*theta' + n (algebraic conjugation,
-    exact on the integer pair).  Q-adic: the integer itself represents its
-    image in the completion; window tests reduce mod Q^k.
+    Euclidean: m*tau + n maps to m*tau' + n (algebraic conjugation, exact
+    on the integer pair).  2-adic: the integer itself represents its image
+    in the completion; window tests reduce mod 2^k.
     """
-    if isinstance(scheme.internal, EuclideanInternal):
+    if scheme.euclidean:
         if not isinstance(x, ModuleElement):
             raise AperiodicaError("Euclidean star map needs a ModuleElement")
-        if x.generator != scheme.internal.generator:
-            raise AperiodicaError("module element has a different generator")
         return x.star()
     return int(x)
 
@@ -155,10 +147,10 @@ class QAdicWindow:
     complete_below: int | None = None
 
     def __post_init__(self):
-        cls = tuple(sorted((int(r) % int(mod), int(mod)) for r, mod in self.classes))
-        for _, mod in cls:
-            if mod < 1:
-                raise AperiodicaError("modulus must be positive")
+        cls = tuple((int(r), int(mod)) for r, mod in self.classes)
+        if any(mod < 1 for _, mod in cls):
+            raise AperiodicaError("modulus must be positive")
+        cls = tuple(sorted((r % mod, mod) for r, mod in cls))
         added = frozenset(int(x) for x in self.added)
         removed = frozenset(int(x) for x in self.removed)
         if added & removed:
@@ -198,15 +190,15 @@ def generate_model_set(scheme: CutProjectScheme, window,
     window, as a unit-weight comb; enumeration is exact.
 
     Euclidean: lattice points of the embedding are walked in the slab
-    region x window.  Q-adic: integers of the region are tested against the
+    region x window.  2-adic: integers of the region are tested against the
     residue classes.
     """
     lo, hi = float(region[0]), float(region[1])
     if hi < lo:
         raise OutOfRangeError("region is empty")
-    if isinstance(scheme.internal, QAdicInternal):
+    if not scheme.euclidean:
         if not isinstance(window, QAdicWindow):
-            raise AperiodicaError("Q-adic scheme needs a QAdicWindow")
+            raise AperiodicaError("2-adic scheme needs a QAdicWindow")
         if window.is_empty():
             raise EmptyWindowError("window accepts nothing")
         if window.complete_below is not None:
@@ -221,15 +213,13 @@ def generate_model_set(scheme: CutProjectScheme, window,
 
     if not isinstance(window, EuclideanWindow):
         raise AperiodicaError("Euclidean scheme needs a EuclideanWindow")
-    mn = _slab_points(scheme.internal.generator, window, lo, hi)
+    mn = _slab_points(window, lo, hi)
     radius = max(abs(lo), abs(hi))
-    return WeightedComb.from_module(mn, np.ones(len(mn)), radius,
-                                    scheme.internal.generator)
+    return WeightedComb.from_module(mn, np.ones(len(mn)), radius)
 
 
-def _slab_points(gen: QuadraticGenerator, window: EuclideanWindow,
-                 lo: float, hi: float) -> np.ndarray:
-    """Integer pairs (m, n) with m*theta + n in [lo, hi] and the star image
+def _slab_points(window: EuclideanWindow, lo: float, hi: float) -> np.ndarray:
+    """Integer pairs (m, n) with m*tau + n in [lo, hi] and the star image
     in the window, ordered by m, then n.
 
     For each m the physical and internal constraints bound n to one
@@ -237,11 +227,11 @@ def _slab_points(gen: QuadraticGenerator, window: EuclideanWindow,
     offset arange), then the exact membership test runs on every candidate.
     """
     w_lo, w_hi = window.bounds()
-    det = abs(gen.theta - gen.conj)
+    det = abs(TAU - TAU_CONJ)
     m_min = math.floor((lo - w_hi) / det) - 1
     m_max = math.ceil((hi - w_lo) / det) + 1
     ms = np.arange(m_min, m_max + 1, dtype=np.int64)
-    m_theta, m_conj = ms * gen.theta, ms * gen.conj
+    m_theta, m_conj = ms * TAU, ms * TAU_CONJ
     n_lo = np.maximum(lo - m_theta, w_lo - m_conj)
     n_hi = np.minimum(hi - m_theta, w_hi - m_conj)
     first = np.ceil(n_lo - 1e-9).astype(np.int64)
@@ -336,28 +326,26 @@ class IndicatorProfile:
         return self.window.contains(u).astype(float)
 
 
-def density_weighted_comb(scheme: CutProjectScheme, profile, region,
-                          cutoff: float = 1e-12) -> WeightedComb:
+def density_weighted_comb(scheme: CutProjectScheme, profile, region) -> WeightedComb:
     """Comb sum of phi(x*) delta_x over module points x in the region.
 
-    For a Gaussian profile, points with phi below the cutoff are dropped
+    For a Gaussian profile, points with phi below _GAUSS_CUTOFF are dropped
     (the enumeration slab in internal space is finite); an indicator profile
     reproduces the model set of its window with unit weights.
     """
-    if not isinstance(scheme.internal, EuclideanInternal):
+    if not scheme.euclidean:
         raise AperiodicaError("density-weighted combs need a Euclidean scheme")
     lo, hi = float(region[0]), float(region[1])
-    gen = scheme.internal.generator
     if isinstance(profile, IndicatorProfile):
         return generate_model_set(scheme, profile.window, region)
     if not isinstance(profile, GaussianProfile):
         raise ProfileError("profile must be Gaussian or an indicator")
-    y_max = profile.sigma * math.sqrt(2.0 * math.log(1.0 / cutoff))
+    y_max = profile.sigma * math.sqrt(2.0 * math.log(1.0 / _GAUSS_CUTOFF))
     window = EuclideanWindow(((-y_max, y_max + 1e-12),))
-    mn = _slab_points(gen, window, lo, hi)
-    weights = profile(mn[:, 0] * gen.conj + mn[:, 1])
+    mn = _slab_points(window, lo, hi)
+    weights = profile(module_star(mn[:, 0], mn[:, 1]))
     radius = max(abs(lo), abs(hi))
-    return WeightedComb.from_module(mn, weights, radius, gen)
+    return WeightedComb.from_module(mn, weights, radius)
 
 
 def point_density(scheme: CutProjectScheme, profile: GaussianProfile) -> float:
@@ -388,30 +376,26 @@ def theorem10_autocorrelation(scheme: CutProjectScheme, profile,
 
 
 def theorem10_spectrum(scheme: CutProjectScheme, profile,
-                       k_range: tuple[float, float],
-                       prune: float = 1e-14):
+                       k_range: tuple[float, float]) -> SpectralMeasure:
     """Closed-form pure-point diffraction of a Gaussian-weighted comb:
     atoms at the physical projections y of the dual embedding lattice with
-    intensity |phi_hat(-y*)|^2 / vol(FD)^2; atoms below `prune` are dropped.
+    intensity |phi_hat(-y*)|^2 / vol(FD)^2; atoms below _PRUNE are dropped.
 
-    Dual lattice points are (p - q theta')/det and internal parts
-    (q theta - p)/det for integer (p, q), det = theta - theta'.
+    Dual lattice points are (p - q tau')/det and internal parts
+    (q tau - p)/det for integer (p, q), det = tau - tau'.
     """
-    from .core import SpectralMeasure
-
     if not isinstance(profile, GaussianProfile):
         raise ProfileError("closed-form spectrum requires a Gaussian profile")
-    if not isinstance(scheme.internal, EuclideanInternal):
+    if not scheme.euclidean:
         raise AperiodicaError("closed-form spectrum needs a Euclidean scheme")
     k_lo, k_hi = float(k_range[0]), float(k_range[1])
     if k_hi < k_lo:
         raise OutOfRangeError("empty k range")
-    gen = scheme.internal.generator
-    det = gen.theta - gen.conj
+    det = TAU - TAU_CONJ
     vol = scheme.fd_volume
-    # |phi_hat(y*)|^2 / vol^2 >= prune bounds the internal part
+    # |phi_hat(y*)|^2 / vol^2 >= _PRUNE bounds the internal part
     amp0 = profile.sigma * math.sqrt(2.0 * math.pi)
-    bound = prune * vol * vol
+    bound = _PRUNE * vol * vol
     if amp0 ** 2 <= bound:
         return SpectralMeasure(np.empty((0, 2)))
     y_max = math.sqrt(math.log(amp0 ** 2 / bound) /
@@ -420,15 +404,15 @@ def theorem10_spectrum(scheme: CutProjectScheme, profile,
     # q = k_phys + k_int for this embedding, so q ranges over the k window
     # widened by the internal cutoff
     for q in range(math.floor(k_lo - y_max) - 1, math.ceil(k_hi + y_max) + 2):
-        p_lo = max(k_lo * det + q * gen.conj, q * gen.theta - y_max * det)
-        p_hi = min(k_hi * det + q * gen.conj, q * gen.theta + y_max * det)
+        p_lo = max(k_lo * det + q * TAU_CONJ, q * TAU - y_max * det)
+        p_hi = min(k_hi * det + q * TAU_CONJ, q * TAU + y_max * det)
         for p in range(math.ceil(p_lo - 1e-9), math.floor(p_hi + 1e-9) + 1):
-            k_phys = (p - q * gen.conj) / det
-            k_int = (q * gen.theta - p) / det
+            k_phys = (p - q * TAU_CONJ) / det
+            k_int = (q * TAU - p) / det
             if not (k_lo - 1e-12 <= k_phys <= k_hi + 1e-12):
                 continue
             intensity = float(np.abs(profile.transform(-k_int)) ** 2) / (vol * vol)
-            if intensity >= prune:
+            if intensity >= _PRUNE:
                 atoms.append((k_phys, intensity))
     atoms.sort()
     return SpectralMeasure(np.array(atoms).reshape(-1, 2))

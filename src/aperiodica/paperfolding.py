@@ -23,11 +23,11 @@ def letter_positions_substitution(choice: str, lo: int, hi: int) -> dict:
     return word.letter_positions(lo, hi)
 
 
-def letter_positions_model_set(choice: str, lo: int, hi: int,
-                               m_max: int = 24) -> dict:
-    """Letter positions on [lo, hi) generated as 2-adic model sets."""
-    scheme = qadic_scheme(2)
-    windows = paperfolding_windows(choice, m_max)
+def letter_positions_model_set(choice: str, lo: int, hi: int) -> dict:
+    """Letter positions on [lo, hi) generated as 2-adic model sets, with the
+    windows' default truncation (exact for |x| < 2^24)."""
+    scheme = qadic_scheme()
+    windows = paperfolding_windows(choice)
     out = {}
     for letter, window in windows.items():
         comb = generate_model_set(scheme, window, (lo, hi - 1))

@@ -32,6 +32,8 @@ from .core import (
     OutOfRangeError,
     SpectralMeasure,
     WeightedComb,
+    module_position,
+    module_star,
 )
 from .spectrum import bragg_amplitudes, periodogram_values
 
@@ -130,7 +132,7 @@ def _promote_pair(u, v):
     if other.denominator != 1:
         raise AperiodicaError(
             "cannot mix a module length with a non-integer rational length")
-    promoted = ModuleElement(0, int(other), module.generator)
+    promoted = ModuleElement(0, int(other))
     return (module, promoted) if isinstance(u, ModuleElement) else (promoted, module)
 
 
@@ -181,11 +183,10 @@ def sample(spec: RandomTilingSpec, intervals: int, seed: int) -> TilingSample:
         mn_right = np.cumsum(steps_r, axis=0)
         mn_left = -np.cumsum(steps_l, axis=0)
         mn = np.concatenate([mn_left[::-1], [[0, 0]], mn_right])
-        gen = spec.u.generator
-        positions = mn[:, 0] * gen.theta + mn[:, 1]
+        positions = module_position(mn[:, 0], mn[:, 1])
         radius = float(np.max(np.abs(positions)))
-        comb = WeightedComb.from_module(mn, np.ones(len(mn)), radius, gen)
-        heights = mn[:, 0] * gen.conj + mn[:, 1]
+        comb = WeightedComb.from_module(mn, np.ones(len(mn)), radius)
+        heights = module_star(mn[:, 0], mn[:, 1])
         heights = heights[np.argsort(positions, kind="stable")]
     else:
         xi = spec.xi
@@ -388,18 +389,16 @@ def patch_heights(spec: RandomTilingSpec, n_intervals: int, seed: int,
 
 def empirical_height_histogram(spec: RandomTilingSpec, n_intervals: int,
                                seeds: int, seed0: int = 0,
-                               bin_width: float | None = None,
                                both_sides: bool = False):
     """Pooled histogram of endpoint heights over independent patches.
 
-    Returns (bin_edges, counts); the default bin width is one twentieth of
-    the profile's natural scale sqrt(2N/tau).
+    Returns (bin_edges, counts); the bin width is one twentieth of the
+    profile's natural scale sqrt(2N/tau).
     """
     n = int(n_intervals)
     if n < 100:
         raise OutOfRangeError("N must be at least 100")
-    if bin_width is None:
-        bin_width = math.sqrt(2.0 * n / TAU) / 20.0
+    bin_width = math.sqrt(2.0 * n / TAU) / 20.0
     all_heights = [patch_heights(spec, n, seed0 + i, both_sides)
                    for i in range(int(seeds))]
     heights = np.concatenate(all_heights)

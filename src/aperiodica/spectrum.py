@@ -275,6 +275,8 @@ def periodogram(comb: WeightedComb, k_min: float, k_max: float,
     """
     if dk is None:
         dk = 1.0 / (8.0 * comb.radius)
+    if not all(math.isfinite(v) for v in (k_min, k_max, dk)):
+        raise OutOfRangeError("k_min, k_max and dk must be finite")
     if dk <= 0:
         raise OutOfRangeError("dk must be positive")
     if k_max < k_min:
@@ -284,17 +286,16 @@ def periodogram(comb: WeightedComb, k_min: float, k_max: float,
     return Periodogram(ks, periodogram_values(comb, ks), float(dk), comb.radius)
 
 
-def bragg_extract(pgram: Periodogram, threshold: float,
-                  radius: float | None = None) -> list[tuple[float, float]]:
+def bragg_extract(pgram: Periodogram, threshold: float) -> list[tuple[float, float]]:
     """Local maxima of the periodogram read as Bragg atoms: intensity
-    estimate I = peak value / vol(B_n); peaks with I >= threshold.  A grid
-    point is a maximum when it is >= its left and > its right neighbour,
-    with -inf beyond either end, so a plateau reports its last point."""
+    estimate I = peak value / vol(B_n), n the periodogram's radius; peaks
+    with I >= threshold.  A grid point is a maximum when it is >= its left
+    and > its right neighbour, with -inf beyond either end, so a plateau
+    reports its last point."""
     if threshold <= 0:
         raise OutOfRangeError("threshold must be positive")
-    n = pgram.radius if radius is None else radius
     v = pgram.values
-    intensity = v / (2.0 * n)
+    intensity = v / (2.0 * pgram.radius)
     left = np.concatenate(([-math.inf], v[:-1]))
     right = np.concatenate((v[1:], [-math.inf]))
     peak = (v >= left) & (v > right) & (intensity >= threshold)
@@ -439,6 +440,9 @@ def lattice_periodicity_check(pgram: Periodogram, dual_basis: LatticeBasis,
                              float(np.mean(diff)), bool(max_rel <= tolerance))
 
 
+_COMPLEMENT_KS = 512  # k points of the spectral comparison in complement_check
+
+
 @dataclass(frozen=True)
 class ComplementReport:
     dens_s: float
@@ -451,8 +455,7 @@ class ComplementReport:
     message: str = ""
 
 
-def complement_check(s_points, lattice: LatticeBasis, radius: float,
-                     k_grid=None) -> ComplementReport:
+def complement_check(s_points, lattice: LatticeBasis, radius: float) -> ComplementReport:
     """Compare a lattice subset against its complement inside B_radius.
 
     (a) the finite-volume identity eta_c(z) - dens(S^c) = eta_s(z) - dens(S)
@@ -460,7 +463,8 @@ def complement_check(s_points, lattice: LatticeBasis, radius: float,
     (b) the periodogram difference against the predicted pure Bragg shift
         (dens(S^c) - dens(S)) * dens(lattice) at dual lattice points;
     (c) when the densities agree, the maximal spectral difference on the
-        intensity scale over the k grid.
+        intensity scale over _COMPLEMENT_KS points of [0, 2/a], a the lattice
+        spacing.
     """
     if lattice.dim != 1:
         raise AperiodicaError("complement check is one-dimensional")
@@ -502,8 +506,7 @@ def complement_check(s_points, lattice: LatticeBasis, radius: float,
 
     spectral_max = spectral_mean = None
     if abs(dens_c - dens_s) <= 0.1 / a:  # near-equal densities: homometric regime
-        if k_grid is None:
-            k_grid = np.linspace(0.0, 2.0 / a, 512)
+        k_grid = np.linspace(0.0, 2.0 / a, _COMPLEMENT_KS)
         v_s = periodogram_values(comb_s, k_grid)
         v_c = periodogram_values(comb_c, k_grid)
         diff = np.abs(v_c - v_s) / vol

@@ -75,6 +75,18 @@ class TestGenerate:
         comb = ap.read_comb_csv(out)
         assert comb.positions.tolist() == [0, 1, 3, 4, 7, 8, 9]
 
+    def test_q_may_be_omitted(self, capsys, tmp_path):
+        outputs = []
+        for q in ({"q": 2}, {}):
+            path = tmp_path / "scheme.json"
+            path.write_text(json.dumps({"kind": "qadic", "classes": [[1, 4]], **q}))
+            code, out, _ = run_cli(capsys, "generate", "--scheme", str(path),
+                                   "--region", "-20,20")
+            assert code == 0
+            outputs.append(out)
+        assert outputs[0] == outputs[1]
+        assert len(outputs[0].splitlines()) == 11
+
     def test_euclidean_scheme(self, capsys, tmp_path):
         path = tmp_path / "fib.json"
         path.write_text(json.dumps({
@@ -128,6 +140,40 @@ class TestMalformedInput:
     ], ids=["weights-not-complex", "length-not-a-number", "dk-zero"])
     def test_exits_2_with_message(self, capsys, argv):
         code, out, err = run_cli(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ")
+
+    @pytest.mark.parametrize("scheme, message", [
+        ({"kind": "qadic", "classes": [[1]]}, '"classes" must be'),
+        ({"kind": "qadic", "classes": [[1, 4]], "added": 5}, '"added" must be'),
+        ({"kind": "qadic", "classes": [[1, 4]], "removed": 5}, '"removed" must be'),
+        ({"kind": "qadic", "paperfolding": {"letters": ["z"]}}, '"letters" must be'),
+        ({"kind": "qadic", "classes": [[1, 4]], "complete_below": "x"},
+         '"complete_below" must be'),
+        ([1, 2], "JSON object"),
+        ({"kind": "qadic", "q": "x", "classes": [[1, 4]]}, "unsupported q"),
+        ({"kind": "qadic", "q": 3, "classes": [[1, 4]]}, "unsupported q"),
+    ], ids=["class-not-a-pair", "added-not-a-list", "removed-not-a-list",
+            "unknown-letter", "complete-below-not-an-integer", "not-an-object",
+            "q-not-a-number", "q-3"])
+    def test_qadic_scheme_file_exits_2(self, capsys, tmp_path, scheme, message):
+        path = tmp_path / "scheme.json"
+        path.write_text(json.dumps(scheme))
+        code, out, err = run_cli(capsys, "generate", "--scheme", str(path),
+                                 "--region", "0,10")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and message in err
+
+    @pytest.mark.parametrize("flag", ["--kmax", "--dk"])
+    def test_spectrum_non_finite_k_exits_2(self, capsys, tmp_path, flag):
+        path = tmp_path / "comb.csv"
+        ap.write_comb_csv(ap.WeightedComb.from_integers(np.arange(-8, 9), np.ones(17), 8.0),
+                          path)
+        argv = {"--kmax": "1", "--dk": "0.01", flag: "nan"}
+        code, out, err = run_cli(capsys, "spectrum", "--input", str(path),
+                                 *[t for kv in argv.items() for t in kv])
         assert code == 2
         assert out == ""
         assert err.startswith("error: ")

@@ -31,7 +31,7 @@ class TestStar:
                                 abs_tol=1e-9)
 
     def test_qadic_star_is_integer(self):
-        scheme = ap.qadic_scheme(2)
+        scheme = ap.qadic_scheme()
         assert ap.star(scheme, 7) == 7
 
     def test_fd_volume_is_sqrt5(self):
@@ -43,19 +43,19 @@ class TestStar:
 
 class TestGenerateModelSet:
     def test_qadic_residue_class(self):
-        scheme = ap.qadic_scheme(2)
+        scheme = ap.qadic_scheme()
         window = ap.QAdicWindow(((0, 4),))
         comb = ap.generate_model_set(scheme, window, (0, 12))
         assert comb.coords.values.tolist() == [0, 4, 8, 12]
 
     def test_qadic_full_window(self):
-        scheme = ap.qadic_scheme(2)
+        scheme = ap.qadic_scheme()
         window = ap.QAdicWindow(((0, 1),))  # all residues
         comb = ap.generate_model_set(scheme, window, (-3, 3))
         assert comb.coords.values.tolist() == list(range(-3, 4))
 
     def test_empty_window_rejected(self):
-        scheme = ap.qadic_scheme(2)
+        scheme = ap.qadic_scheme()
         window = ap.QAdicWindow((), added=frozenset())
         with pytest.raises(EmptyWindowError):
             ap.generate_model_set(scheme, window, (0, 10))
@@ -94,13 +94,13 @@ class TestGenerateModelSet:
 class TestPaperfoldingWindows:
     def test_b_window_positions(self):
         windows = ap.paperfolding_windows("w1")
-        scheme = ap.qadic_scheme(2)
+        scheme = ap.qadic_scheme()
         comb = ap.generate_model_set(scheme, windows["b"], (0, 9))
         assert comb.coords.values.tolist() == [1, 3, 7, 9]
 
     def test_d_window_positions(self):
         windows = ap.paperfolding_windows("w1")
-        scheme = ap.qadic_scheme(2)
+        scheme = ap.qadic_scheme()
         comb = ap.generate_model_set(scheme, windows["d"], (0, 13))
         assert comb.coords.values.tolist() == [5, 11, 13]
 
@@ -120,7 +120,7 @@ class TestPaperfoldingWindows:
 
     def test_region_beyond_truncation_rejected(self):
         windows = ap.paperfolding_windows("w1", m_max=8)
-        scheme = ap.qadic_scheme(2)
+        scheme = ap.qadic_scheme()
         with pytest.raises(ap.OutOfRangeError):
             ap.generate_model_set(scheme, windows["b"], (0, 300))
 
@@ -128,13 +128,13 @@ class TestPaperfoldingWindows:
 class TestBinaryReduction:
     def test_ones_window(self):
         one, _ = ap.binary_reduction(ap.paperfolding_windows("w1"))
-        scheme = ap.qadic_scheme(2)
+        scheme = ap.qadic_scheme()
         comb = ap.generate_model_set(scheme, one, (0, 10))
         assert comb.coords.values.tolist() == [0, 1, 3, 4, 7, 8, 9]
 
     def test_zeros_window_is_complement(self):
         one, zero = ap.binary_reduction(ap.paperfolding_windows("w1"))
-        scheme = ap.qadic_scheme(2)
+        scheme = ap.qadic_scheme()
         ones = ap.generate_model_set(scheme, one, (0, 10)).coords.values
         zeros = ap.generate_model_set(scheme, zero, (0, 10)).coords.values
         assert zeros.tolist() == [2, 5, 6, 10]
@@ -269,3 +269,8 @@ class TestWindows:
     def test_added_and_removed_conflict(self):
         with pytest.raises(ap.AperiodicaError):
             ap.QAdicWindow(((0, 2),), added=frozenset({3}), removed=frozenset({3}))
+
+    @pytest.mark.parametrize("modulus", [0, -4])
+    def test_nonpositive_modulus_rejected(self, modulus):
+        with pytest.raises(ap.AperiodicaError, match="modulus must be positive"):
+            ap.QAdicWindow(((1, modulus),))

@@ -157,24 +157,24 @@ def test_periodogram_fast_path_matches_direct(case):
     assert np.max(np.abs(fast - direct)) <= 1e-10 * np.max(direct)
 
 
-def loop_slab_points(gen, window, lo, hi):
+def loop_slab_points(window, lo, hi):
     """Reference: the per-m loop that cps._slab_points replaced."""
     w_lo, w_hi = window.bounds()
-    det = abs(gen.theta - gen.conj)
+    det = abs(ap.TAU - ap.TAU_CONJ)
     m_min = math.floor((lo - w_hi) / det) - 1
     m_max = math.ceil((hi - w_lo) / det) + 1
     rows = []
     for m in range(m_min, m_max + 1):
-        n_lo = max(lo - m * gen.theta, w_lo - m * gen.conj)
-        n_hi = min(hi - m * gen.theta, w_hi - m * gen.conj)
+        n_lo = max(lo - m * ap.TAU, w_lo - m * ap.TAU_CONJ)
+        n_hi = min(hi - m * ap.TAU, w_hi - m * ap.TAU_CONJ)
         if n_hi < n_lo:
             continue
         ns = np.arange(math.ceil(n_lo - 1e-9), math.floor(n_hi + 1e-9) + 1,
                        dtype=np.int64)
         if not len(ns):
             continue
-        x = m * gen.theta + ns
-        y = m * gen.conj + ns
+        x = m * ap.TAU + ns
+        y = m * ap.TAU_CONJ + ns
         keep = (x >= lo) & (x <= hi) & window.contains(y)
         ns = ns[keep]
         if len(ns):
@@ -208,8 +208,8 @@ def slab_inputs(draw):
 @settings(max_examples=200, deadline=None)
 def test_slab_points_match_loop(case):
     window, lo, hi = case
-    fast = cps._slab_points(ap.GOLDEN, window, lo, hi)
-    ref = loop_slab_points(ap.GOLDEN, window, lo, hi)
+    fast = cps._slab_points(window, lo, hi)
+    ref = loop_slab_points(window, lo, hi)
     assert fast.dtype == ref.dtype and np.array_equal(fast, ref)
 
 
@@ -217,10 +217,10 @@ def test_slab_points_empty_and_on_point_ends():
     window = ap.EuclideanWindow(((-0.3, 0.7),))
     x = ap.TAU + 1  # a point of this model set: star 0.382 lies in the window
     for lo, hi in ((x, x), (0.5, 0.5), (x + 1e-6, x + 0.1), (-x, x)):
-        fast = cps._slab_points(ap.GOLDEN, window, lo, hi)
-        assert np.array_equal(fast, loop_slab_points(ap.GOLDEN, window, lo, hi))
-    assert cps._slab_points(ap.GOLDEN, window, x, x).tolist() == [[1, 1]]
-    assert cps._slab_points(ap.GOLDEN, window, 0.5, 0.5).shape == (0, 2)
+        fast = cps._slab_points(window, lo, hi)
+        assert np.array_equal(fast, loop_slab_points(window, lo, hi))
+    assert cps._slab_points(window, x, x).tolist() == [[1, 1]]
+    assert cps._slab_points(window, 0.5, 0.5).shape == (0, 2)
 
 
 def loop_autocorrelation(comb, max_diff):
@@ -229,7 +229,7 @@ def loop_autocorrelation(comb, max_diff):
     coords = comb.coords
     if isinstance(coords, ModuleCoords):
         keys = coords.mn
-        embed = lambda key: key[0] * coords.generator.theta + key[1]
+        embed = lambda key: key[0] * ap.TAU + key[1]
     elif isinstance(coords, IntegerCoords):
         keys = coords.values.reshape(-1, 1)
         embed = lambda key: key[0] * coords.scale

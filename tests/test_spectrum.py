@@ -118,6 +118,14 @@ class TestPeriodogram:
         with pytest.raises(ap.OutOfRangeError):
             ap.periodogram_values(integer_comb(10), [0.0, math.nan])
 
+    @pytest.mark.parametrize("k_min, k_max, dk", [
+        (0.0, math.nan, 0.01), (math.nan, 1.0, 0.01), (0.0, 1.0, math.nan),
+        (0.0, math.inf, 0.01), (-math.inf, 1.0, 0.01), (0.0, 1.0, math.inf),
+    ])
+    def test_non_finite_grid_rejected(self, k_min, k_max, dk):
+        with pytest.raises(ap.OutOfRangeError, match="finite"):
+            ap.periodogram(integer_comb(10), k_min, k_max, dk)
+
 
 def reference_bragg_extract(pgram, threshold):
     """The scalar loop bragg_extract replaced, kept as its oracle."""
