@@ -97,51 +97,6 @@ class AutocorrelationEstimate:
         return self.diffs[np.abs(self.eta) > _SUPPORT_TOL]
 
 
-def _integer_autocorr(values, weights, max_lag):
-    """Lags 0..max_lag that occur between the integer positions, ascending,
-    with their coefficient sums.
-
-    Combs whose span is at most _DENSE_SPAN_FACTOR * N, or at most
-    _DENSE_MAX_SPAN, go through dense arrays over the span: direct per-lag
-    dot products for small lag counts, one FFT convolution otherwise; both
-    are deterministic for a fixed input.  Sparser and wider combs take the
-    pair path, so no array over the span is allocated.
-    """
-    lo, hi = int(values[0]), int(values[-1])
-    size = hi - lo + 1
-    if size > max(_DENSE_SPAN_FACTOR * len(values), _DENSE_MAX_SPAN):
-        if size > _INT64_MAX:
-            raise OutOfRangeError("integer positions of this comb span more than int64")
-        lags, sums = _pairwise_sums(values, weights, max_lag,
-                                    lambda i, j: values[i] - values[j])
-        return (np.concatenate([[0], lags]),
-                np.concatenate([[np.dot(weights, np.conj(weights))], sums]))
-    dense = np.zeros(size, dtype=complex)
-    dense[values - lo] = weights
-    occ = np.zeros(size)
-    occ[values - lo] = 1.0
-    max_lag = min(max_lag, size - 1)
-    if (max_lag + 1) * size <= 5_000_000:
-        sums = np.empty(max_lag + 1, dtype=complex)
-        counts = np.empty(max_lag + 1)
-        for lag in range(max_lag + 1):
-            if lag:
-                sums[lag] = np.dot(dense[lag:], np.conj(dense[:-lag]))
-                counts[lag] = np.dot(occ[lag:], occ[:-lag])
-            else:
-                sums[lag] = np.dot(dense, np.conj(dense))
-                counts[lag] = np.dot(occ, occ)
-    else:
-        full = fftconvolve(dense, np.conj(dense[::-1]))
-        center = size - 1
-        sums = full[center:center + max_lag + 1]
-        sums[0] = np.dot(dense, np.conj(dense))  # exact zero-lag
-        cfull = fftconvolve(occ, occ[::-1])
-        counts = cfull[center:center + max_lag + 1]
-    occurred = counts > 0.5
-    return np.arange(max_lag + 1)[occurred], sums[occurred]
-
-
 def _group_sums(codes, values):
     """Distinct codes, ascending, and the sum of the values under each."""
     distinct, inverse = np.unique(codes, return_inverse=True)
@@ -150,30 +105,31 @@ def _group_sums(codes, values):
     return distinct, sums
 
 
-def _pairwise_sums(positions, weights, max_diff, code):
-    """Sums of v(x) conj(v(y)) over the pairs x = positions[i],
-    y = positions[j] with 0 < x - y <= max_diff, grouped by code(i, j), the
-    exact int64 code of their key difference.
+def _pairwise_sums(cut, bound, keys, weights):
+    """Sums of v(x) conj(v(y)) over the pairs of points i > j with
+    0 < cut[i] - cut[j] <= bound, grouped by their code keys[i] - keys[j].
 
-    positions ascend strictly.  Returns the distinct codes, ascending, and
-    their sums.  Pairs are enumerated by index offset d = i - j: when
-    x[i] - x[i - d] <= max_diff, so is x[i] - x[i - d + 1], so the i kept at
-    offset d are among those kept at d - 1, and the cost is linear in N plus
-    the number of pairs.  At most _PAIR_BLOCK pairs are reduced at a time,
-    and the reduced blocks are merged into the result whenever they hold as
-    many codes as it does, so memory is O(N + _PAIR_BLOCK + distinct codes).
+    cut ascends strictly.  Returns the distinct codes, ascending, and their
+    sums.  Pairs are enumerated by index offset d = i - j: when
+    cut[i] - cut[i - d] <= bound, so is cut[i] - cut[i - d + 1], so the i
+    kept at offset d are among those kept at d - 1, and the cost is linear
+    in N plus the number of pairs.  At most _PAIR_BLOCK pairs are reduced at
+    a time, and the reduced blocks are merged into the result whenever they
+    hold as many codes as it does, so memory is O(N + _PAIR_BLOCK + distinct
+    codes).
     """
     codes, sums = np.empty(0, dtype=np.int64), np.empty(0, dtype=complex)
     parts, held = [], 0
-    i = np.arange(len(positions))
-    for d in range(1, len(positions)):
+    i = np.arange(len(cut))
+    for d in range(1, len(cut)):
         i = i[i >= d]
-        i = i[positions[i] - positions[i - d] <= max_diff]
+        i = i[cut[i] - cut[i - d] <= bound]
         if not len(i):
             break
         for lo in range(0, len(i), _PAIR_BLOCK):
             b = i[lo:lo + _PAIR_BLOCK]
-            parts.append(_group_sums(code(b, b - d), weights[b] * np.conj(weights[b - d])))
+            parts.append(_group_sums(keys[b] - keys[b - d],
+                                     weights[b] * np.conj(weights[b - d])))
             held += len(parts[-1][0])
             if held >= max(len(codes), _PAIR_BLOCK):
                 parts.append((codes, sums))
@@ -183,16 +139,17 @@ def _pairwise_sums(positions, weights, max_diff, code):
     return _group_sums(*map(np.concatenate, zip(*parts)))
 
 
-def _module_code_layout(mn):
-    """Shift s and width w of the int64 code dm * w + dn + s of a module
-    difference (dm, dn) = mn[i] - mn[j]; OutOfRangeError when the codes of
-    this comb do not fit in int64."""
-    m_spread = int(mn[:, 0].max()) - int(mn[:, 0].min())
-    shift = int(mn[:, 1].max()) - int(mn[:, 1].min())
-    width = 2 * shift + 1
-    if (m_spread + 1) * width > _INT64_MAX:
-        raise OutOfRangeError("module differences of this comb have no exact int64 code")
-    return shift, width
+def _dense_sums(keys, weights, max_lag):
+    """Lags 1..max_lag that occur between the integer keys, ascending, and
+    their sums: FFT convolutions of the weights and the occupancy."""
+    lo, size = int(keys[0]), int(keys[-1]) - int(keys[0]) + 1
+    dense = np.zeros(size, dtype=complex)
+    dense[keys - lo] = weights
+    occ = np.bincount(keys - lo, minlength=size).astype(float)
+    lags = slice(size, size + max_lag)  # the convolution ends at lag size - 1
+    sums = fftconvolve(dense, np.conj(dense[::-1]))[lags]
+    occurred = fftconvolve(occ, occ[::-1])[lags] > 0.5
+    return np.arange(1, len(sums) + 1)[occurred], sums[occurred]
 
 
 def _float_keys(positions, max_diff):
@@ -214,6 +171,41 @@ def _float_keys(positions, max_diff):
     return scaled.astype(np.int64)
 
 
+def _exact_keys(comb, max_diff):
+    """int64 keys, one per point, whose differences keys[i] - keys[j] are
+    exact codes of the position differences; the sorted coordinates pairs
+    are cut on, the cut bound, and the decoder from codes to differences.
+
+    Integers: keys and cut are the integers, the bound max_diff / scale.
+    Module (m, n): (m - m_min) * w + (n - n_min), w = 2 * (n spread) + 1.
+    Floats: the _LOOKUP_TOL grid, which must not put two points on one key.
+    OutOfRangeError when the codes of the comb do not fit in int64."""
+    coords = comb.coords
+    if isinstance(coords, IntegerCoords):
+        values, scale = coords.values, coords.scale
+        if int(values[-1]) - int(values[0]) + 1 > _INT64_MAX:
+            raise OutOfRangeError("integer positions of this comb span more than int64")
+        max_lag = int(math.floor(max_diff / scale + 1e-12))
+        return values, values, max_lag, lambda codes: codes * scale
+    if isinstance(coords, ModuleCoords):
+        m, n = coords.mn[:, 0], coords.mn[:, 1]
+        shift = int(n.max()) - int(n.min())
+        width = 2 * shift + 1
+        if (int(m.max()) - int(m.min()) + 1) * width > _INT64_MAX:
+            raise OutOfRangeError("module differences of this comb have no exact int64 code")
+
+        def decode(codes):
+            """Positions dm * tau + dn of the codes dm * width + dn."""
+            dm, dn = np.divmod(codes + shift, width)
+            return module_position(dm, dn - shift)
+        return (m - m.min()) * width + (n - n.min()), comb.positions, max_diff, decode
+    keys = _float_keys(comb.positions, max_diff)
+    if np.any(np.diff(keys) == 0):
+        raise OutOfRangeError(f"two float positions fall on one key of the "
+                              f"{_LOOKUP_TOL:g} grid; use exact coordinates")
+    return keys, comb.positions, max_diff, lambda codes: codes * _LOOKUP_TOL
+
+
 def estimate_autocorrelation(comb: WeightedComb, max_diff: float) -> AutocorrelationEstimate:
     """Finite-volume autocorrelation coefficients of a comb for all observed
     differences z with |z| <= max_diff:
@@ -221,47 +213,33 @@ def estimate_autocorrelation(comb: WeightedComb, max_diff: float) -> Autocorrela
         eta(z) = (1 / vol(B_n)) * sum over x - y = z of v(x) conj(v(y))
 
     with x, y running over the comb.  Requires max_diff <= 2 * radius.
-    Differences are grouped exactly: integer lags, module pairs
-    (dm, dn), or float positions on a _LOOKUP_TOL grid.
-    """
+    Differences are grouped exactly by the keys of _exact_keys: integer
+    combs within the dense span take one FFT convolution, all others the
+    pair path."""
     if len(comb) == 0:
         raise EmptyInputError("cannot estimate the autocorrelation of an empty comb")
     if not 0.0 <= max_diff <= 2 * comb.radius:
         raise OutOfRangeError("max_diff must lie in [0, 2*radius], the comb diameter")
-    vol = comb.volume
     w = comb.weights
-
-    if isinstance(comb.coords, IntegerCoords):
-        scale = comb.coords.scale
-        max_lag = int(math.floor(max_diff / scale + 1e-12))
-        lags, sums = _integer_autocorr(comb.coords.values, w, max_lag)
-        pos_diffs = lags * scale
+    keys, cut, bound, decode = _exact_keys(comb, max_diff)
+    # only integer combs are cut on their keys, so only there is the bound a
+    # lag bound for a convolution over the keys
+    span = int(keys[-1]) - int(keys[0]) + 1
+    if cut is keys and span <= max(_DENSE_SPAN_FACTOR * len(keys), _DENSE_MAX_SPAN):
+        codes, sums = _dense_sums(keys, w, bound)
     else:
-        if isinstance(comb.coords, ModuleCoords):
-            mn = comb.coords.mn
-            shift, width = _module_code_layout(mn)
-            codes, sums = _pairwise_sums(
-                comb.positions, w, max_diff,
-                lambda i, j: (mn[i, 0] - mn[j, 0]) * width + (mn[i, 1] - mn[j, 1] + shift))
-            dm, dn = np.divmod(codes, width)
-            pos_diffs = module_position(dm, dn - shift)
-        else:
-            keys = _float_keys(comb.positions, max_diff)
-            codes, sums = _pairwise_sums(comb.positions, w, max_diff,
-                                         lambda i, j: keys[i] - keys[j])
-            pos_diffs = codes * _LOOKUP_TOL
-        pos_diffs = np.append(pos_diffs, 0.0)
-        sums = np.append(sums, np.dot(w, np.conj(w)))
-        order = np.argsort(pos_diffs, kind="stable")
-        pos_diffs, sums = pos_diffs[order], sums[order]
-        keep = pos_diffs >= 0
-        pos_diffs, sums = pos_diffs[keep], sums[keep]
+        codes, sums = _pairwise_sums(cut, bound, keys, w)
+    pos_diffs = decode(np.append(codes, 0))
+    sums = np.append(sums, np.dot(w, np.conj(w)))
+    order = np.argsort(pos_diffs, kind="stable")
+    keep = pos_diffs[order] >= 0
+    pos_diffs, sums = pos_diffs[order][keep], sums[order][keep]
 
     # mirror positive differences; Hermitian symmetry is exact by construction
     pos_mask = pos_diffs > 0
     diffs = np.concatenate([-pos_diffs[pos_mask][::-1], pos_diffs])
-    eta = np.concatenate([np.conj(sums[pos_mask][::-1]), sums]) / vol
-    return AutocorrelationEstimate(diffs, eta, comb.radius, vol, float(max_diff))
+    eta = np.concatenate([np.conj(sums[pos_mask][::-1]), sums]) / comb.volume
+    return AutocorrelationEstimate(diffs, eta, comb.radius, comb.volume, float(max_diff))
 
 
 def _rho_from_zero(est: AutocorrelationEstimate, zs) -> np.ndarray:

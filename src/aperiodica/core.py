@@ -24,6 +24,10 @@ SQRT5 = math.sqrt(5.0)
 
 _POSITION_TOL = 1e-9
 _ATOM_TOL = 1e-9
+# most entries an array sized from the inputs may take (512 MiB of int64):
+# over 100x the largest such array of any test, README example or benchmark
+# workload, the 524,289-integer 2-adic region of paperfolding-lattice
+SIZE_BUDGET = 1 << 26
 
 
 class AperiodicaError(ValueError):
@@ -40,6 +44,16 @@ class DegenerateLatticeError(AperiodicaError):
 
 class EmptyInputError(AperiodicaError):
     """An operation received an empty comb or list where it needs data."""
+
+
+def check_size(count, what: str) -> None:
+    """OutOfRangeError, before anything is allocated, when count, the
+    length of an array predicted from the inputs, is over SIZE_BUDGET (or
+    not a number)."""
+    if not count <= SIZE_BUDGET:
+        raise OutOfRangeError(
+            f"{what} would hold {count:.3g} entries, over the budget of "
+            f"{SIZE_BUDGET:,}; narrow the input")
 
 
 def module_position(m, n):

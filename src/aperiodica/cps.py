@@ -17,6 +17,7 @@ bi-infinite fixed points.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,6 +31,7 @@ from .core import (
     OutOfRangeError,
     SpectralMeasure,
     WeightedComb,
+    check_size,
     module_star,
 )
 
@@ -94,6 +96,15 @@ def star(scheme: CutProjectScheme, x):
 
 # -- windows -------------------------------------------------------------------
 
+def _integer(value) -> int:
+    """value as an int through operator.index; AperiodicaError for a value
+    that is not an integer, which int() would truncate."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise AperiodicaError(f"expected an integer, got {value!r}") from None
+
+
 @dataclass(frozen=True)
 class EuclideanWindow:
     """Finite union of disjoint half-open intervals [lo, hi) with nonempty
@@ -147,17 +158,19 @@ class QAdicWindow:
     complete_below: int | None = None
 
     def __post_init__(self):
-        cls = tuple((int(r), int(mod)) for r, mod in self.classes)
+        cls = tuple((_integer(r), _integer(mod)) for r, mod in self.classes)
         if any(mod < 1 for _, mod in cls):
             raise AperiodicaError("modulus must be positive")
         cls = tuple(sorted((r % mod, mod) for r, mod in cls))
-        added = frozenset(int(x) for x in self.added)
-        removed = frozenset(int(x) for x in self.removed)
+        added = frozenset(_integer(x) for x in self.added)
+        removed = frozenset(_integer(x) for x in self.removed)
         if added & removed:
             raise AperiodicaError("a point cannot be both added and removed")
         object.__setattr__(self, "classes", cls)
         object.__setattr__(self, "added", added)
         object.__setattr__(self, "removed", removed)
+        if self.complete_below is not None:
+            object.__setattr__(self, "complete_below", _integer(self.complete_below))
 
     def is_empty(self) -> bool:
         return not self.classes and not self.added
@@ -206,6 +219,7 @@ def generate_model_set(scheme: CutProjectScheme, window,
                 raise OutOfRangeError(
                     f"region exceeds the window truncation bound "
                     f"|x| < {window.complete_below}")
+        check_size(math.floor(hi) - math.ceil(lo) + 1, "the 2-adic region")
         xs = np.arange(math.ceil(lo), math.floor(hi) + 1, dtype=np.int64)
         xs = xs[window.contains(xs)]
         radius = max(abs(lo), abs(hi))
@@ -230,6 +244,7 @@ def _slab_points(window: EuclideanWindow, lo: float, hi: float) -> np.ndarray:
     det = abs(TAU - TAU_CONJ)
     m_min = math.floor((lo - w_hi) / det) - 1
     m_max = math.ceil((hi - w_lo) / det) + 1
+    check_size(m_max - m_min + 1, "the slab's m range")
     ms = np.arange(m_min, m_max + 1, dtype=np.int64)
     m_theta, m_conj = ms * TAU, ms * TAU_CONJ
     n_lo = np.maximum(lo - m_theta, w_lo - m_conj)
@@ -237,8 +252,10 @@ def _slab_points(window: EuclideanWindow, lo: float, hi: float) -> np.ndarray:
     first = np.ceil(n_lo - 1e-9).astype(np.int64)
     counts = np.floor(n_hi + 1e-9).astype(np.int64) - first + 1
     counts[n_hi < n_lo] = 0
+    total = int(counts.sum())
+    check_size(total, "the slab's candidate list")
     starts = np.cumsum(counts) - counts
-    ns = (np.arange(int(counts.sum()), dtype=np.int64)
+    ns = (np.arange(total, dtype=np.int64)
           - np.repeat(starts - first, counts))
     x = np.repeat(m_theta, counts) + ns
     y = np.repeat(m_conj, counts) + ns

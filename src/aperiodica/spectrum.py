@@ -45,6 +45,7 @@ from .core import (
     OutOfRangeError,
     SpectralMeasure,
     WeightedComb,
+    check_size,
     restrict,
 )
 
@@ -281,7 +282,9 @@ def periodogram(comb: WeightedComb, k_min: float, k_max: float,
         raise OutOfRangeError("dk must be positive")
     if k_max < k_min:
         raise OutOfRangeError("empty k range")
-    count = int(math.floor((k_max - k_min) / dk + 1e-9)) + 1
+    steps = (k_max - k_min) / dk
+    check_size(steps + 1, "the periodogram's k grid")
+    count = int(math.floor(steps + 1e-9)) + 1
     ks = k_min + dk * np.arange(count)
     return Periodogram(ks, periodogram_values(comb, ks), float(dk), comb.radius)
 

@@ -161,6 +161,17 @@ class TestExactKeys:
         assert est.diffs.tolist() == [-step, 0.0, step]
         assert np.allclose(est.eta * est.volume, [14, 30, 14])
 
+    def test_float_points_on_one_key_rejected(self):
+        # 0 and 3e-10 share the key 0 of the 1e-9 grid; their pair used to
+        # vanish and eta(0) read 2 / vol where sum |w|^2 is 14
+        comb = ap.WeightedComb.from_positions([0.0, 3e-10, 1.0], [1, 2, 3], 2.0)
+        with pytest.raises(ap.OutOfRangeError, match="1e-09 grid"):
+            ap.estimate_autocorrelation(comb, 1.5)
+        # two grid steps apart are two keys
+        comb = ap.WeightedComb.from_positions([0.0, 2e-9, 1.0], [1, 2, 3], 2.0)
+        est = ap.estimate_autocorrelation(comb, 1.5)
+        assert est.zero_coefficient * est.volume == 14.0
+
     def test_integer_span_beyond_int64_rejected(self):
         # the difference of the two end points would wrap in int64
         comb = ap.WeightedComb.from_integers([-(2 ** 62), 2 ** 62], np.ones(2), 2.0 ** 62)

@@ -178,6 +178,26 @@ class TestMalformedInput:
         assert out == ""
         assert err.startswith("error: ")
 
+    def test_spectrum_grid_over_budget_exits_2(self, capsys, tmp_path):
+        # 1e15 k values: numpy used to fail on a 7.1 PiB array with a traceback
+        path = tmp_path / "comb.csv"
+        ap.write_comb_csv(ap.WeightedComb.from_integers(np.arange(-8, 9), np.ones(17), 8.0),
+                          path)
+        code, out, err = run_cli(capsys, "spectrum", "--input", str(path),
+                                 "--kmax", "1e12", "--dk", "1e-3")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and "budget" in err
+
+    def test_autocorr_float_points_on_one_key_exits_2(self, capsys, tmp_path):
+        path = tmp_path / "comb.csv"
+        path.write_text("x,re_weight,im_weight\n0,1,0\n3e-10,2,0\n1,3,0\n")
+        code, out, err = run_cli(capsys, "autocorr", "--input", str(path),
+                                 "--radius", "2", "--max-diff", "1.5")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and "grid" in err
+
     def test_window_entry_not_a_pair_exits_2(self, capsys, tmp_path):
         path = tmp_path / "scheme.json"
         path.write_text(json.dumps({"kind": "euclidean", "window": [[1]]}))

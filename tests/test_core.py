@@ -1,9 +1,13 @@
 import math
+import time
+import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
 
 import aperiodica as ap
+from aperiodica import core
 from aperiodica.core import AperiodicaError
 
 
@@ -153,3 +157,49 @@ class TestCombCsv:
     def test_missing_file(self, tmp_path):
         with pytest.raises(FileNotFoundError):
             ap.read_comb_csv(tmp_path / "absent.csv")
+
+
+def raises_before_allocating(call, match):
+    """call() raises OutOfRangeError naming match within 1 s, with a
+    tracemalloc peak under 16 MiB."""
+    tracemalloc.start()
+    start = time.perf_counter()
+    try:
+        with pytest.raises(ap.OutOfRangeError, match=match):
+            call()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert time.perf_counter() - start < 1.0
+    assert peak < 16 * 2 ** 20
+
+
+class TestSizeBudget:
+    def test_budget_boundary(self):
+        core.check_size(core.SIZE_BUDGET, "an array")
+        for count in (core.SIZE_BUDGET + 1, math.inf, math.nan):
+            with pytest.raises(ap.OutOfRangeError, match="an array"):
+                core.check_size(count, "an array")
+
+    # without the guard each asks numpy for 8 TB or more
+    @pytest.mark.parametrize("call, match", [
+        (lambda: ap.periodogram(ap.WeightedComb.from_integers([0, 1], [1, 1], 1.0),
+                                0.0, 1e12, 1e-3), "k grid"),
+        (lambda: ap.generate_model_set(ap.fibonacci_scheme(),
+                                       ap.EuclideanWindow(((-0.3, 0.7),)), (0, 1e17)),
+         "m range"),
+        (lambda: ap.generate_model_set(ap.qadic_scheme(), ap.QAdicWindow(((0, 4),)),
+                                       (0, 1e12)), "2-adic region"),
+    ], ids=["periodogram-grid", "slab-m-range", "2-adic-region"])
+    def test_guard_raises_before_allocating(self, call, match):
+        raises_before_allocating(call, match)
+
+    def test_slab_candidates_guarded(self):
+        # 183 m values, but 17,888 points; at the real budget a square
+        # window and region of side 2.2e5 would make 1.2e10 candidates
+        window = ap.EuclideanWindow(((-100.0, 100.0),))
+        with mock.patch.object(core, "SIZE_BUDGET", 10_000):
+            raises_before_allocating(
+                lambda: ap.generate_model_set(ap.fibonacci_scheme(), window, (-100, 100)),
+                "candidate list")
+        assert len(ap.generate_model_set(ap.fibonacci_scheme(), window, (-100, 100))) == 17_888

@@ -270,6 +270,23 @@ class TestWindows:
         with pytest.raises(ap.AperiodicaError):
             ap.QAdicWindow(((0, 2),), added=frozenset({3}), removed=frozenset({3}))
 
+    @pytest.mark.parametrize("kwargs", [
+        {"classes": ((1.5, 4.7),)}, {"classes": ((1, 4.0),)},
+        {"classes": ((0, 4),), "added": frozenset({2.5})},
+        {"classes": ((0, 4),), "removed": frozenset({"8"})},
+        {"classes": ((0, 4),), "complete_below": 10.5},
+    ], ids=["residue-and-modulus", "float-modulus", "added", "removed", "complete-below"])
+    def test_non_integer_entries_rejected(self, kwargs):
+        # int() made ((1.5, 4.7),) the class 1 mod 4, generating [1, 5, 9]
+        with pytest.raises(ap.AperiodicaError, match="integer"):
+            ap.QAdicWindow(**kwargs)
+
+    def test_numpy_integer_entries_accepted(self):
+        window = ap.QAdicWindow(((np.int64(1), np.int64(4)),), complete_below=np.int64(100))
+        assert window.classes == ((1, 4),) and window.complete_below == 100
+        comb = ap.generate_model_set(ap.qadic_scheme(), window, (0, 12))
+        assert comb.coords.values.tolist() == [1, 5, 9]
+
     @pytest.mark.parametrize("modulus", [0, -4])
     def test_nonpositive_modulus_rejected(self, modulus):
         with pytest.raises(ap.AperiodicaError, match="modulus must be positive"):

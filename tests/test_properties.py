@@ -4,8 +4,8 @@ Invariants covered: autocorrelation Hermitian symmetry, boundedness by the
 zero coefficient, triangle inequality of the pseudo-metric, nesting of the
 almost-period sets, scaling covariance, periodogram positivity, agreement of
 the NUFFT periodogram with direct summation, agreement of the array slab
-enumeration and pair sums with the loops they replaced, restriction
-idempotence, dual-lattice involution, model-set Delone behaviour and gap
+enumeration and pair sums with the loops they replaced and of the dense
+integer sums with the pair loop, restriction idempotence, dual-lattice involution, model-set Delone behaviour and gap
 bookkeeping.
 """
 
@@ -310,6 +310,42 @@ def test_pair_path_matches_loop(case):
         assume(values[-1] - values[0] + 1 > autocorr._DENSE_SPAN_FACTOR * len(values))
     with mock.patch.object(autocorr, "_PAIR_BLOCK", block), \
             mock.patch.object(autocorr, "_DENSE_MAX_SPAN", 0):
+        est = ap.estimate_autocorrelation(comb, max_diff)
+    diffs, eta = loop_autocorrelation(comb, max_diff)
+    assert np.array_equal(est.diffs, diffs)
+    assert np.max(np.abs(est.eta - eta)) <= 1e-12 * np.max(np.abs(eta))
+
+
+@st.composite
+def dense_integer_inputs(draw):
+    """An integer comb whose span is at most _DENSE_SPAN_FACTOR positions per
+    point, with complex weights and an exact scale, and a max_diff up to
+    the diameter."""
+    count = draw(st.integers(min_value=1, max_value=40))
+    span = draw(st.integers(min_value=count,
+                            max_value=autocorr._DENSE_SPAN_FACTOR * count))
+    lo = draw(st.integers(min_value=-span, max_value=0))
+    values = np.array(draw(st.lists(st.integers(min_value=lo, max_value=lo + span - 1),
+                                    min_size=count, max_size=count, unique=True)))
+    rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2 ** 32 - 1)))
+    scale = draw(st.sampled_from([1.0, 0.5]))
+    radius = scale * (np.max(np.abs(values)) + 1)
+    comb = ap.WeightedComb.from_integers(
+        values, rng.normal(size=count) + 1j * rng.normal(size=count), radius, scale)
+    max_diff = draw(st.floats(min_value=0.0, max_value=1.0)) * 2.0 * comb.radius
+    if count > 1 and draw(st.booleans()):  # a cut-off that some pair meets exactly
+        i, j = sorted(rng.choice(count, size=2, replace=False))
+        max_diff = comb.positions[j] - comb.positions[i]
+    return comb, max_diff
+
+
+@given(dense_integer_inputs())
+@settings(max_examples=150, deadline=None)
+def test_dense_path_matches_loop(case):
+    # identical lags, coefficients within 1e-12 of the largest; the FFT
+    # convolution rounds where the pair loop adds exactly
+    comb, max_diff = case
+    with mock.patch.object(autocorr, "_pairwise_sums", side_effect=AssertionError):
         est = ap.estimate_autocorrelation(comb, max_diff)
     diffs, eta = loop_autocorrelation(comb, max_diff)
     assert np.array_equal(est.diffs, diffs)
