@@ -56,6 +56,17 @@ def check_size(count, what: str) -> None:
             f"{SIZE_BUDGET:,}; narrow the input")
 
 
+def finite_range(bounds, what: str) -> tuple[float, float]:
+    """(lo, hi) as floats; OutOfRangeError unless both are finite and
+    lo <= hi."""
+    lo, hi = float(bounds[0]), float(bounds[1])
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise OutOfRangeError(f"the {what} must be finite; got ({lo}, {hi})")
+    if hi < lo:
+        raise OutOfRangeError(f"the {what} is empty")
+    return lo, hi
+
+
 def module_position(m, n):
     """Physical position m*tau + n of the module element (m, n) of Z[tau]."""
     return m * TAU + n

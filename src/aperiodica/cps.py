@@ -23,6 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (
+    SQRT5,
     TAU,
     TAU_CONJ,
     AperiodicaError,
@@ -32,6 +33,7 @@ from .core import (
     SpectralMeasure,
     WeightedComb,
     check_size,
+    finite_range,
     module_star,
 )
 
@@ -69,7 +71,7 @@ class CutProjectScheme:
         """Covolume of the embedding lattice (Euclidean internal space)."""
         if not self.euclidean:
             raise AperiodicaError("fd volume exists for Euclidean internal space")
-        return abs(TAU - TAU_CONJ)
+        return SQRT5
 
 
 def fibonacci_scheme() -> CutProjectScheme:
@@ -206,9 +208,7 @@ def generate_model_set(scheme: CutProjectScheme, window,
     region x window.  2-adic: integers of the region are tested against the
     residue classes.
     """
-    lo, hi = float(region[0]), float(region[1])
-    if hi < lo:
-        raise OutOfRangeError("region is empty")
+    lo, hi = finite_range(region, "region")
     if not scheme.euclidean:
         if not isinstance(window, QAdicWindow):
             raise AperiodicaError("2-adic scheme needs a QAdicWindow")
@@ -241,9 +241,8 @@ def _slab_points(window: EuclideanWindow, lo: float, hi: float) -> np.ndarray:
     offset arange), then the exact membership test runs on every candidate.
     """
     w_lo, w_hi = window.bounds()
-    det = abs(TAU - TAU_CONJ)
-    m_min = math.floor((lo - w_hi) / det) - 1
-    m_max = math.ceil((hi - w_lo) / det) + 1
+    m_min = math.floor((lo - w_hi) / SQRT5) - 1
+    m_max = math.ceil((hi - w_lo) / SQRT5) + 1
     check_size(m_max - m_min + 1, "the slab's m range")
     ms = np.arange(m_min, m_max + 1, dtype=np.int64)
     m_theta, m_conj = ms * TAU, ms * TAU_CONJ
@@ -352,7 +351,7 @@ def density_weighted_comb(scheme: CutProjectScheme, profile, region) -> Weighted
     """
     if not scheme.euclidean:
         raise AperiodicaError("density-weighted combs need a Euclidean scheme")
-    lo, hi = float(region[0]), float(region[1])
+    lo, hi = finite_range(region, "region")
     if isinstance(profile, IndicatorProfile):
         return generate_model_set(scheme, profile.window, region)
     if not isinstance(profile, GaussianProfile):
@@ -398,17 +397,17 @@ def theorem10_spectrum(scheme: CutProjectScheme, profile,
     atoms at the physical projections y of the dual embedding lattice with
     intensity |phi_hat(-y*)|^2 / vol(FD)^2; atoms below _PRUNE are dropped.
 
-    Dual lattice points are (p - q tau')/det and internal parts
-    (q tau - p)/det for integer (p, q), det = tau - tau'.
+    The dual lattice is {(x, -x*)/sqrt5 : x in Z[tau]}: the module point
+    x = m tau + n gives the atom at y = (p - q tau')/sqrt5 with internal
+    part (q tau - p)/sqrt5, for (p, q) = (m + n, m).  Its candidates are the
+    slab points of x in sqrt5 times the k range, with |x*| within sqrt5
+    times the internal bound that _PRUNE implies.
     """
     if not isinstance(profile, GaussianProfile):
         raise ProfileError("closed-form spectrum requires a Gaussian profile")
     if not scheme.euclidean:
         raise AperiodicaError("closed-form spectrum needs a Euclidean scheme")
-    k_lo, k_hi = float(k_range[0]), float(k_range[1])
-    if k_hi < k_lo:
-        raise OutOfRangeError("empty k range")
-    det = TAU - TAU_CONJ
+    k_lo, k_hi = finite_range(k_range, "k range")
     vol = scheme.fd_volume
     # |phi_hat(y*)|^2 / vol^2 >= _PRUNE bounds the internal part
     amp0 = profile.sigma * math.sqrt(2.0 * math.pi)
@@ -417,19 +416,16 @@ def theorem10_spectrum(scheme: CutProjectScheme, profile,
         return SpectralMeasure(np.empty((0, 2)))
     y_max = math.sqrt(math.log(amp0 ** 2 / bound) /
                       (4.0 * math.pi ** 2 * profile.sigma ** 2))
-    atoms = []
-    # q = k_phys + k_int for this embedding, so q ranges over the k window
-    # widened by the internal cutoff
-    for q in range(math.floor(k_lo - y_max) - 1, math.ceil(k_hi + y_max) + 2):
-        p_lo = max(k_lo * det + q * TAU_CONJ, q * TAU - y_max * det)
-        p_hi = min(k_hi * det + q * TAU_CONJ, q * TAU + y_max * det)
-        for p in range(math.ceil(p_lo - 1e-9), math.floor(p_hi + 1e-9) + 1):
-            k_phys = (p - q * TAU_CONJ) / det
-            k_int = (q * TAU - p) / det
-            if not (k_lo - 1e-12 <= k_phys <= k_hi + 1e-12):
-                continue
-            intensity = float(np.abs(profile.transform(-k_int)) ** 2) / (vol * vol)
-            if intensity >= _PRUNE:
-                atoms.append((k_phys, intensity))
-    atoms.sort()
-    return SpectralMeasure(np.array(atoms).reshape(-1, 2))
+    # the slab is a little wider than the atoms kept, so rounding in x and
+    # x* loses none of them
+    y = (y_max + 1e-9) * SQRT5
+    mn = _slab_points(EuclideanWindow(((-y, y),)),
+                      (k_lo - 1e-9) * SQRT5, (k_hi + 1e-9) * SQRT5)
+    p, q = mn[:, 0] + mn[:, 1], mn[:, 0]
+    k_phys = (p - q * TAU_CONJ) / SQRT5
+    k_int = (q * TAU - p) / SQRT5
+    intensity = np.abs(profile.transform(-k_int)) ** 2 / (vol * vol)
+    keep = ((k_phys >= k_lo - 1e-12) & (k_phys <= k_hi + 1e-12)
+            & (intensity >= _PRUNE))
+    atoms = np.stack([k_phys, intensity], axis=1)[keep]
+    return SpectralMeasure(atoms[np.argsort(atoms[:, 0], kind="stable")])

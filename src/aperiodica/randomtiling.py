@@ -26,12 +26,14 @@ import numpy as np
 from scipy.special import erfc as _erfc_vec
 
 from .core import (
+    SQRT5,
     TAU,
     AperiodicaError,
     ModuleElement,
     OutOfRangeError,
     SpectralMeasure,
     WeightedComb,
+    check_size,
     module_position,
     module_star,
 )
@@ -214,12 +216,13 @@ def pp_part(spec: RandomTilingSpec, k_max: float) -> SpectralMeasure:
     d^2 on the whole lattice (1/xi) Z for rational ratio."""
     d2 = density(spec) ** 2
     if not spec.rational:
-        atoms = [(0.0, d2)]
-    else:
-        step = 1.0 / float(spec.xi)
-        jmax = int(math.floor(float(k_max) / step + 1e-12)) if k_max > 0 else 0
-        atoms = [(j * step, d2) for j in range(-jmax, jmax + 1)]
-    return SpectralMeasure(np.array(atoms).reshape(-1, 2))
+        return SpectralMeasure(np.array([[0.0, d2]]))
+    step = 1.0 / float(spec.xi)
+    steps = max(float(k_max), 0.0) / step
+    check_size(2.0 * steps + 1.0, "the Bragg lattice")
+    jmax = int(math.floor(steps + 1e-12))
+    ks = np.arange(-jmax, jmax + 1) * step
+    return SpectralMeasure(np.stack([ks, np.full(len(ks), d2)], axis=1))
 
 
 def _singular_value(spec: RandomTilingSpec) -> float:
@@ -281,6 +284,8 @@ def mean_bragg_amplitudes(spec: RandomTilingSpec, ks, intervals: int,
                           seeds: int, first_seed: int) -> np.ndarray:
     """Boxcar Bragg intensity estimates at ks, averaged over sampled
     tilings of 2*intervals intervals each."""
+    if seeds < 1:
+        raise OutOfRangeError(f"at least one seed is required; got {seeds}")
     ks = np.asarray(ks, dtype=float)
     acc = np.zeros(len(ks))
     for i in range(seeds):
@@ -294,6 +299,8 @@ def mean_ac_periodogram(spec: RandomTilingSpec, ks, intervals: int,
     """Estimate of the ac density g at ks: the Hann-tapered, density-
     normalized periodogram averaged over sampled tilings, then over 8
     sub-offsets 2e-4 apart around each k (a local Welch-style bin)."""
+    if seeds < 1:
+        raise OutOfRangeError(f"at least one seed is required; got {seeds}")
     ks = np.asarray(ks, dtype=float)
     kk = (ks[:, None] + _AC_OFFSETS[None, :]).ravel()
     acc = np.zeros(len(kk))
@@ -348,7 +355,7 @@ def _normalization_factor(normalization: str) -> float:
     if normalization == "unit-mass":
         return 1.0
     if normalization == "point-density":
-        return density(fibonacci_spec()) * math.sqrt(5.0)
+        return density(fibonacci_spec()) * SQRT5
     raise AperiodicaError(f"unknown normalization {normalization!r}")
 
 

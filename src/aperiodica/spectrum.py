@@ -46,6 +46,7 @@ from .core import (
     SpectralMeasure,
     WeightedComb,
     check_size,
+    finite_range,
     restrict,
 )
 
@@ -267,6 +268,20 @@ def _nufft_power(x: np.ndarray, w: np.ndarray, ks: np.ndarray) -> np.ndarray:
     return out * (4.0 / _WIDTH ** 2) ** 2
 
 
+def uniform_grid(k_min: float, k_max: float, dk: float) -> np.ndarray:
+    """The uniform grid k_min + dk*i for i = 0, 1, ... while it stays
+    <= k_max (within 1e-9 of a step); OutOfRangeError for a non-finite
+    bound or dk, dk <= 0, an empty range or a grid over the size budget."""
+    k_min, k_max = finite_range((k_min, k_max), "k range")
+    if not math.isfinite(dk):
+        raise OutOfRangeError("dk must be finite")
+    if dk <= 0:
+        raise OutOfRangeError("dk must be positive")
+    steps = (k_max - k_min) / dk
+    check_size(steps + 1, "the k grid")
+    return k_min + dk * np.arange(int(math.floor(steps + 1e-9)) + 1)
+
+
 def periodogram(comb: WeightedComb, k_min: float, k_max: float,
                 dk: float | None = None) -> Periodogram:
     """Periodogram on the uniform grid k_min, k_min + dk, ..., <= k_max.
@@ -276,16 +291,7 @@ def periodogram(comb: WeightedComb, k_min: float, k_max: float,
     """
     if dk is None:
         dk = 1.0 / (8.0 * comb.radius)
-    if not all(math.isfinite(v) for v in (k_min, k_max, dk)):
-        raise OutOfRangeError("k_min, k_max and dk must be finite")
-    if dk <= 0:
-        raise OutOfRangeError("dk must be positive")
-    if k_max < k_min:
-        raise OutOfRangeError("empty k range")
-    steps = (k_max - k_min) / dk
-    check_size(steps + 1, "the periodogram's k grid")
-    count = int(math.floor(steps + 1e-9)) + 1
-    ks = k_min + dk * np.arange(count)
+    ks = uniform_grid(k_min, k_max, dk)
     return Periodogram(ks, periodogram_values(comb, ks), float(dk), comb.radius)
 
 
@@ -333,78 +339,81 @@ BRAGG_RATIO_THRESHOLD = 1.7
 _DYADIC_R_CAP = 32
 
 
-def _dyadic_split(k: float):
-    """Write k as odd/2^r (r = 0 for integers) with r <= _DYADIC_R_CAP;
+def _dyadic_level(k: float) -> int | None:
+    """The r with k = odd/2^r (r = 0 for integers) and r <= _DYADIC_R_CAP;
     None when no such r exists."""
-    if k == 0.0:
-        return 0, 0
     for r in range(_DYADIC_R_CAP + 1):
         scaled = k * (1 << r)
         if scaled == round(scaled):
-            m = int(round(scaled))
-            return m, r
+            return r
     return None
+
+
+def _level_intensities(a: complex, b: complex, c: complex, d: complex,
+                       r_max: int) -> list[float]:
+    """Intensity I_r of the atoms at odd/2^r (r = 0: at the integers), for
+    r = 0..max(r_max, 2): |A+B+C+D|^2/16, |A-B+C-D|^2/16, |A-C|^2/16, then
+    |B-D|^2/4^r for r >= 3."""
+    return ([abs(a + b + c + d) ** 2 / 16.0, abs(a - b + c - d) ** 2 / 16.0,
+             abs(a - c) ** 2 / 16.0]
+            + [abs(b - d) ** 2 / 4.0 ** r for r in range(3, r_max + 1)])
 
 
 def paperfolding_intensity(a: complex, b: complex, c: complex, d: complex,
                            k: float) -> float:
     """Atom intensity of the quaternary paperfolding comb at position k.
 
-    Integers carry |A+B+C+D|^2/16, odd halves |A-B+C-D|^2/16, odd quarters
-    |A-C|^2/16 and odd m/2^r with 3 <= r <= 32 carry |B-D|^2/4^r; every
-    other k has no atom.  Every double is m/2^r for some r, so the cap
-    r <= 32 is what tells a dyadic k from a rounded one such as 1/3
-    (m/2^54); each atom it leaves out carries at most 4^-33 |B-D|^2.
+    k = odd/2^r carries the level intensity I_r of _level_intensities
+    (integers: r = 0) for r <= 32; every other k has no atom.  Every double
+    is m/2^r for some r, so the cap r <= 32 is what tells a dyadic k from a
+    rounded one such as 1/3 (m/2^54); each atom it leaves out carries at
+    most 4^-33 |B-D|^2.
     """
-    split = _dyadic_split(k)
-    if split is None:
+    r = _dyadic_level(k)
+    if r is None:
         return 0.0
-    m, r = split
-    if r == 0:
-        return abs(a + b + c + d) ** 2 / 16.0
-    if r == 1:
-        return abs(a - b + c - d) ** 2 / 16.0
-    if r == 2:
-        return abs(a - c) ** 2 / 16.0
-    return abs(b - d) ** 2 / 4.0 ** r
+    return _level_intensities(a, b, c, d, r)[r]
 
 
 def paperfolding_spectrum(a: complex, b: complex, c: complex, d: complex,
                           r_max: int, k_range: tuple[float, float]) -> SpectralMeasure:
     """Pure-point paperfolding diffraction with all atoms of denominator
     2^r, r <= r_max <= 32, inside the k range; zero-intensity positions are
-    omitted (use paperfolding_intensity for the pointwise formula)."""
+    omitted (use paperfolding_intensity for the pointwise formula).  Level r
+    holds the odd m/2^r (every integer at r = 0), all of intensity I_r;
+    their count, at most (k_hi - k_lo) 2^r_max + r_max + 1, is sized first.
+    """
     if not 3 <= r_max <= _DYADIC_R_CAP:
         raise OutOfRangeError(f"r_max must lie in [3, {_DYADIC_R_CAP}]")
-    k_lo, k_hi = float(k_range[0]), float(k_range[1])
-    if k_hi < k_lo:
-        raise OutOfRangeError("empty k range")
-    atoms = []
-    for r in range(0, r_max + 1):
+    k_lo, k_hi = finite_range(k_range, "k range")
+    top = 1 << r_max
+    if max(abs(k_lo), abs(k_hi)) * top >= 2.0 ** 53:
+        raise OutOfRangeError(
+            f"atoms m/2^{r_max} beyond |k| = 2^{53 - r_max} are not exact doubles")
+    check_size((k_hi - k_lo) * top + r_max + 1, "the paperfolding atom list")
+    ks, intensities = [np.empty(0)], [np.empty(0)]
+    for r, level in enumerate(_level_intensities(a, b, c, d, r_max)):
+        if not level > 0:
+            continue
         denom = 1 << r
         m_lo = math.ceil(k_lo * denom - 1e-12)
         m_hi = math.floor(k_hi * denom + 1e-12)
-        for m in range(m_lo, m_hi + 1):
-            if r > 0 and m % 2 == 0:
-                continue  # even numerators reduce to a smaller r
-            k = m / denom
-            intensity = paperfolding_intensity(a, b, c, d, k)
-            if intensity > 0:
-                atoms.append((k, intensity))
-    atoms.sort()
-    return SpectralMeasure(np.array(atoms).reshape(-1, 2))
+        if r > 0:
+            m_lo += 1 - m_lo % 2  # even numerators reduce to a smaller r
+        ks.append(np.arange(m_lo, m_hi + 1, 2 if r else 1, dtype=np.int64) / denom)
+        intensities.append(np.full(len(ks[-1]), level))
+    atoms = np.stack([np.concatenate(ks), np.concatenate(intensities)], axis=1)
+    return SpectralMeasure(atoms[np.argsort(atoms[:, 0], kind="stable")])
 
 
 def paperfolding_total_intensity(a: complex, b: complex, c: complex, d: complex,
                                  r_max: int) -> float:
     """Total atom intensity per unit k interval, summed up to denominator
-    2^r_max: |A+B+C+D|^2/16 + |A-B+C-D|^2/16 + 2|A-C|^2/16 +
-    sum_{3<=r<=r_max} 2^(r-1) |B-D|^2/4^r."""
-    total = abs(a + b + c + d) ** 2 / 16.0
-    total += abs(a - b + c - d) ** 2 / 16.0
-    total += 2.0 * abs(a - c) ** 2 / 16.0
-    for r in range(3, r_max + 1):
-        total += 2.0 ** (r - 1) * abs(b - d) ** 2 / 4.0 ** r
+    2^r_max: sum_r (atoms per unit at level r) * I_r, with one atom per
+    unit at r <= 1 and 2^(r-1) at r >= 2."""
+    total = 0.0
+    for r, level in enumerate(_level_intensities(a, b, c, d, r_max)):
+        total += max(1.0, 2.0 ** (r - 1)) * level
     return total
 
 
@@ -479,6 +488,7 @@ def complement_check(s_points, lattice: LatticeBasis, radius: float) -> Compleme
     if np.any(np.abs(s_points) > radius + 1e-9):
         raise SubsetError("S reaches outside the ball")
     s_idx = np.round(ratios).astype(np.int64)
+    check_size(2.0 * radius / a + 1.0, "the lattice points of the ball")
     all_idx = np.arange(math.ceil(-radius / a - 1e-9),
                         math.floor(radius / a + 1e-9) + 1, dtype=np.int64)
     c_idx = np.setdiff1d(all_idx, s_idx)

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import AperiodicaError
+from .core import AperiodicaError, check_size
 
 
 class UnknownLetterError(AperiodicaError):
@@ -155,6 +155,7 @@ class FixedPointWord:
         self._left = left  # natural order; the seam end is the last character
 
     def _grow(self, need_right: int, need_left: int) -> None:
+        check_size(max(need_right, need_left), "the fixed-point word")
         while len(self._right) < need_right:
             self._right = self.rule.apply(self._right)
         while len(self._left) < need_left:

@@ -1,9 +1,13 @@
 import json
+import math
+import time
+from unittest import mock
 
 import numpy as np
 import pytest
 
 import aperiodica as ap
+from aperiodica import cli
 from aperiodica.cli import main
 
 PAPERFOLDING_RULE = "a: ab\nb: cb\nc: ad\nd: cd\n"
@@ -120,7 +124,12 @@ class TestGenerate:
         ({"kind": "euclidean", "theta": "tau", "window": [[-0.3, 0.7]]}, "a,b"),
         ({"kind": "euclidean", "theta": "tau"}, "0,10"),
         ({"kind": "euclidean", "theta": "sqrt2", "window": [[-0.3, 0.7]]}, "0,10"),
-    ], ids=["one-number-region", "non-numeric-region", "no-window", "theta-sqrt2"])
+        ({"kind": "euclidean", "theta": "tau", "window": [[-0.3, 0.7]]}, "0,inf"),
+        ({"kind": "euclidean", "theta": "tau", "window": [[-0.3, 0.7]]}, "nan,5"),
+        ({"kind": "qadic", "classes": [[0, 4]]}, "0,nan"),
+        ({"kind": "qadic", "classes": [[0, 4]]}, "0,inf"),
+    ], ids=["one-number-region", "non-numeric-region", "no-window", "theta-sqrt2",
+            "infinite-region", "nan-region", "2-adic-nan-region", "2-adic-infinite-region"])
     def test_bad_input_exits_2(self, capsys, tmp_path, scheme, region):
         path = tmp_path / "scheme.json"
         path.write_text(json.dumps(scheme))
@@ -137,12 +146,47 @@ class TestMalformedInput:
         ("randomtiling", "--u", "abc", "--v", "1", "--p", "0.5"),
         ("randomtiling", "--u", "1", "--v", "tau", "--p", "0.5", "--spectrum",
          "--dk", "0"),
-    ], ids=["weights-not-complex", "length-not-a-number", "dk-zero"])
+        ("randomtiling", "--u", "2", "--v", "1", "--p", "0.5", "--spectrum",
+         "--kmax", "nan"),
+        ("paperfolding-spectrum", "--weights", "1,1,0,0", "--kmax", "inf"),
+        ("compare", "--model", "rational-pp", "--tolerance", "1", "--seeds", "0"),
+        ("compare", "--model", "fibonacci-ac", "--tolerance", "1", "--seeds", "0"),
+        ("compare", "--model", "fibonacci-ac", "--tolerance", "1", "--kpoints", "0"),
+        ("compare", "--model", "paperfolding-binary", "--tolerance", "1",
+         "--log2n", "-1"),
+    ], ids=["weights-not-complex", "length-not-a-number", "dk-zero", "tiling-kmax-nan",
+            "paperfolding-kmax-inf", "rational-no-seeds", "fibonacci-no-seeds",
+            "no-kpoints", "negative-log2n"])
     def test_exits_2_with_message(self, capsys, argv):
         code, out, err = run_cli(capsys, *argv)
         assert code == 2
         assert out == ""
         assert err.startswith("error: ")
+
+    # without their size checks these run for minutes
+    @pytest.mark.parametrize("argv", [
+        ("paperfolding-spectrum", "--weights", "1,1,0,0", "--kmax", "1e9"),
+        ("randomtiling", "--u", "2", "--v", "1", "--p", "0.5", "--spectrum",
+         "--kmax", "1e12", "--dk", "1e-3"),
+        ("compare", "--model", "paperfolding-binary", "--tolerance", "1",
+         "--log2n", "80"),
+    ], ids=["paperfolding-atoms", "tiling-k-grid", "paperfolding-comb"])
+    def test_over_budget_exits_2_at_once(self, capsys, argv):
+        start = time.perf_counter()
+        code, out, err = run_cli(capsys, *argv)
+        assert time.perf_counter() - start < 1.0
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and "budget" in err
+
+    def test_tiling_spectrum_writes_nothing_on_a_bad_grid(self, capsys, tmp_path):
+        # the grid is built before either table is written
+        base = tmp_path / "rt"
+        code, _, err = run_cli(capsys, "randomtiling", "--u", "2", "--v", "1",
+                               "--p", "0.5", "--spectrum", "--kmax", "nan",
+                               "--output", str(base))
+        assert code == 2 and err.startswith("error: ")
+        assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("scheme, message", [
         ({"kind": "qadic", "classes": [[1]]}, '"classes" must be'),
@@ -279,6 +323,17 @@ class TestRandomTiling:
         intensities = {float(r.split(",")[1]) for r in pp[1:]}
         assert all(abs(v - 4.0 / 9.0) < 1e-12 for v in intensities)
 
+    def test_closed_form_grid_stops_at_kmax(self, capsys, tmp_path):
+        base = tmp_path / "spec"
+        code, _, _ = run_cli(capsys, "randomtiling", "--u", "2", "--v", "1",
+                             "--p", "0.5", "--spectrum", "--kmax", "2.007",
+                             "--output", str(base))
+        assert code == 0
+        ks = [float(r.split(",")[0])
+              for r in (tmp_path / "spec.ac.csv").read_text().splitlines()[1:]]
+        assert ks == ap.spectrum.uniform_grid(0.0, 2.007, 0.01).tolist()
+        assert len(ks) == 201 and ks[-1] == 2.0
+
 
 class TestPaperfoldingSpectrumCommand:
     def test_binary_weights(self, capsys):
@@ -325,6 +380,14 @@ class TestCompare:
         assert code == 0
         assert (f"max relative deviation {np.max(rel):.17g}, "
                 f"mean {np.mean(rel):.17g}, tolerance 0.25 on the mean") in out
+
+    def test_nan_deviation_fails_with_3(self, capsys):
+        nan_model = lambda opts: (math.nan, math.nan, "absolute", "max")
+        with mock.patch.dict(cli._COMPARE_MODELS, {"rational-pp": nan_model}):
+            code, out, _ = run_cli(capsys, "compare", "--model", "rational-pp",
+                                   "--tolerance", "1")
+        assert code == 3
+        assert "deviation nan" in out and "FAILED" in out
 
     def test_unknown_model_exits_2(self, capsys):
         code, _, err = run_cli(capsys, "compare", "--model", "nope",

@@ -190,7 +190,15 @@ class TestSizeBudget:
          "m range"),
         (lambda: ap.generate_model_set(ap.qadic_scheme(), ap.QAdicWindow(((0, 4),)),
                                        (0, 1e12)), "2-adic region"),
-    ], ids=["periodogram-grid", "slab-m-range", "2-adic-region"])
+        # one letter, but the word must grow past 2^40 letters to reach it
+        (lambda: ap.fixed_point(ap.PAPERFOLDING, ("b", "a")).window(2 ** 40, 2 ** 40 + 1),
+         "fixed-point word"),
+        (lambda: ap.complement_check(np.array([0.0]), ap.LatticeBasis(np.array([[1e-12]])),
+                                     1.0), "lattice points"),
+        (lambda: ap.pp_part(ap.RandomTilingSpec(2, 1, 0.5), 1e12), "Bragg lattice"),
+        (lambda: ap.paperfolding_spectrum(1, 1, 0, 0, 8, (0.0, 1e9)), "atom list"),
+    ], ids=["periodogram-grid", "slab-m-range", "2-adic-region", "fixed-point-word",
+            "complement-lattice", "tiling-bragg-lattice", "paperfolding-atoms"])
     def test_guard_raises_before_allocating(self, call, match):
         raises_before_allocating(call, match)
 
@@ -203,3 +211,11 @@ class TestSizeBudget:
                 lambda: ap.generate_model_set(ap.fibonacci_scheme(), window, (-100, 100)),
                 "candidate list")
         assert len(ap.generate_model_set(ap.fibonacci_scheme(), window, (-100, 100))) == 17_888
+
+    def test_paperfolding_atoms_guarded(self):
+        # r_max 14 on [0, 1] has 16,384 atoms; the bound sized first is
+        # 1 * 2^14 + 14 + 1
+        with mock.patch.object(core, "SIZE_BUDGET", 10_000):
+            raises_before_allocating(
+                lambda: ap.paperfolding_spectrum(1, 1, 0, 0, 14, (0.0, 1.0)), "atom list")
+        assert len(ap.paperfolding_spectrum(1, 1, 0, 0, 14, (0.0, 1.0)).pp_atoms) == 16_384

@@ -91,6 +91,17 @@ class TestGenerateModelSet:
             assert math.isclose(dens, length / math.sqrt(5.0), rel_tol=1e-2)
 
 
+    @pytest.mark.parametrize("region", [(0, math.inf), (0, math.nan), (math.nan, 5),
+                                        (-math.inf, 0)])
+    @pytest.mark.parametrize("scheme, window", [
+        (ap.fibonacci_scheme(), ap.EuclideanWindow(((-0.3, 0.7),))),
+        (ap.qadic_scheme(), ap.QAdicWindow(((0, 4),))),
+    ], ids=["euclidean", "2-adic"])
+    def test_non_finite_region_rejected(self, scheme, window, region):
+        with pytest.raises(ap.OutOfRangeError, match="finite"):
+            ap.generate_model_set(scheme, window, region)
+
+
 class TestPaperfoldingWindows:
     def test_b_window_positions(self):
         windows = ap.paperfolding_windows("w1")
@@ -187,6 +198,12 @@ class TestDensityWeightedComb:
         assert math.isclose(ap.point_density(scheme, profile), rho, rel_tol=1e-9)
 
 
+    @pytest.mark.parametrize("region", [(0, math.inf), (math.nan, 5)])
+    def test_non_finite_region_rejected(self, region):
+        with pytest.raises(ap.OutOfRangeError, match="finite"):
+            ap.density_weighted_comb(ap.fibonacci_scheme(), ap.GaussianProfile(0.5), region)
+
+
 class TestTheorem10Autocorrelation:
     def test_positive_at_zero(self):
         scheme = ap.fibonacci_scheme()
@@ -255,6 +272,18 @@ class TestTheorem10Spectrum:
         window = ap.EuclideanWindow(((0.0, 1.0),))
         with pytest.raises(ProfileError):
             ap.theorem10_spectrum(scheme, ap.IndicatorProfile(window), (0.0, 1.0))
+
+    @pytest.mark.parametrize("k_range", [(0.0, math.inf), (math.nan, 1.0)])
+    def test_non_finite_k_range_rejected(self, k_range):
+        with pytest.raises(ap.OutOfRangeError, match="finite"):
+            ap.theorem10_spectrum(ap.fibonacci_scheme(), ap.GaussianProfile(0.5), k_range)
+
+    def test_atoms_at_range_ends_kept(self):
+        # k = 2 is the atom of x = 4 tau - 2 = 2 sqrt5; rounding in x must
+        # not drop it from either end of the range
+        scheme, profile = ap.fibonacci_scheme(), ap.GaussianProfile(0.2)
+        for k_range in ((2.0, 2.0), (0.0, 2.0), (2.0, 3.0)):
+            assert ap.theorem10_spectrum(scheme, profile, k_range).atom_at(2.0) > 0
 
 
 class TestWindows:

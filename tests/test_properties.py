@@ -4,8 +4,10 @@ Invariants covered: autocorrelation Hermitian symmetry, boundedness by the
 zero coefficient, triangle inequality of the pseudo-metric, nesting of the
 almost-period sets, scaling covariance, periodogram positivity, agreement of
 the NUFFT periodogram with direct summation, agreement of the array slab
-enumeration and pair sums with the loops they replaced and of the dense
-integer sums with the pair loop, restriction idempotence, dual-lattice involution, model-set Delone behaviour and gap
+enumeration, pair sums and Theorem-10 atoms with the loops they replaced
+and of the dense integer sums with the pair loop, agreement of the
+paperfolding atoms with a scan of every m/2^r_max, restriction
+idempotence, dual-lattice involution, model-set Delone behaviour and gap
 bookkeeping.
 """
 
@@ -221,6 +223,87 @@ def test_slab_points_empty_and_on_point_ends():
         assert np.array_equal(fast, loop_slab_points(window, lo, hi))
     assert cps._slab_points(window, x, x).tolist() == [[1, 1]]
     assert cps._slab_points(window, 0.5, 0.5).shape == (0, 2)
+
+
+def loop_theorem10_spectrum(profile, k_lo, k_hi):
+    """Reference: the (p, q) double loop that cps.theorem10_spectrum
+    replaced.  Dual lattice points are (p - q tau')/det with internal parts
+    (q tau - p)/det, det = tau - tau'."""
+    det = ap.TAU - ap.TAU_CONJ
+    amp0 = profile.sigma * math.sqrt(2.0 * math.pi)
+    bound = cps._PRUNE * det * det
+    if amp0 ** 2 <= bound:
+        return np.empty((0, 2))
+    y_max = math.sqrt(math.log(amp0 ** 2 / bound) /
+                      (4.0 * math.pi ** 2 * profile.sigma ** 2))
+    atoms = []
+    for q in range(math.floor(k_lo - y_max) - 1, math.ceil(k_hi + y_max) + 2):
+        p_lo = max(k_lo * det + q * ap.TAU_CONJ, q * ap.TAU - y_max * det)
+        p_hi = min(k_hi * det + q * ap.TAU_CONJ, q * ap.TAU + y_max * det)
+        for p in range(math.ceil(p_lo - 1e-9), math.floor(p_hi + 1e-9) + 1):
+            k_phys = (p - q * ap.TAU_CONJ) / det
+            k_int = (q * ap.TAU - p) / det
+            if not (k_lo - 1e-12 <= k_phys <= k_hi + 1e-12):
+                continue
+            intensity = float(np.abs(profile.transform(-k_int)) ** 2) / (det * det)
+            if intensity >= cps._PRUNE:
+                atoms.append((k_phys, intensity))
+    atoms.sort()
+    return np.array(atoms).reshape(-1, 2)
+
+
+@st.composite
+def theorem10_inputs(draw):
+    """A Gaussian width and a k range whose ends are floats or atom
+    positions (x = m tau + n over sqrt5), so that ends on atoms occur."""
+    sigma = draw(st.floats(min_value=0.1, max_value=2.0))
+    ends = []
+    for _ in range(2):
+        if draw(st.booleans()):
+            m = draw(st.integers(min_value=-10, max_value=10))
+            n = draw(st.integers(min_value=-15, max_value=15))
+            ends.append(((m + n) - m * ap.TAU_CONJ) / ap.SQRT5)
+        else:
+            ends.append(draw(st.floats(min_value=-5.0, max_value=5.0)))
+    k_lo, k_hi = sorted(ends)
+    return ap.GaussianProfile(sigma), k_lo, k_hi
+
+
+@given(theorem10_inputs())
+@settings(max_examples=100, deadline=None)
+def test_theorem10_spectrum_matches_loop(case):
+    profile, k_lo, k_hi = case
+    fast = ap.theorem10_spectrum(ap.fibonacci_scheme(), profile, (k_lo, k_hi)).pp_atoms
+    ref = loop_theorem10_spectrum(profile, k_lo, k_hi)
+    assert fast.shape == ref.shape
+    assert np.array_equal(fast[:, 0], ref[:, 0])
+    # a vectorized exp may differ from the scalar one in the last bit
+    assert np.allclose(fast[:, 1], ref[:, 1], rtol=1e-13, atol=0.0)
+
+
+@st.composite
+def paperfolding_inputs(draw):
+    """Four weights (zeros included, so some levels vanish), r_max and a k
+    range on a 1/1000 grid: its ends are dyadic or far from every atom."""
+    weight = st.sampled_from([0, 1, -1, 2, 1j, 0.5 - 0.25j])
+    weights = tuple(draw(weight) for _ in range(4))
+    r_max = draw(st.integers(min_value=3, max_value=9))
+    ends = sorted(draw(st.integers(min_value=-2000, max_value=2000)) / 1000
+                  for _ in range(2))
+    return weights, r_max, tuple(ends)
+
+
+@given(paperfolding_inputs())
+@settings(max_examples=150, deadline=None)
+def test_paperfolding_spectrum_matches_scan(case):
+    weights, r_max, (k_lo, k_hi) = case
+    denom = 2 ** r_max
+    scan = [(m / denom, ap.paperfolding_intensity(*weights, m / denom))
+            for m in range(math.ceil(k_lo * denom - 1e-12),
+                           math.floor(k_hi * denom + 1e-12) + 1)]
+    ref = np.array([row for row in scan if row[1] > 0]).reshape(-1, 2)
+    fast = ap.paperfolding_spectrum(*weights, r_max=r_max, k_range=(k_lo, k_hi)).pp_atoms
+    assert fast.shape == ref.shape and fast.tobytes() == ref.tobytes()
 
 
 def loop_autocorrelation(comb, max_diff):

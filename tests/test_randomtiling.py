@@ -125,6 +125,32 @@ class TestPurePointPart:
             assert len(measure.pp_atoms) == 1
             assert measure.pp_atoms[0, 0] == 0.0
 
+    @pytest.mark.parametrize("u, v, k_max", [(2, 1, 3.0), (3, 2, 7.25),
+                                             (Fraction(5, 2), Fraction(3, 2), 2.9),
+                                             (1000, 999, 100.0), (2, 1, -1.0)])
+    def test_lattice_matches_loop(self, u, v, k_max):
+        spec = rational_spec(u, v, 0.3)
+        step = 1.0 / float(spec.xi)
+        jmax = int(math.floor(k_max / step + 1e-12)) if k_max > 0 else 0
+        loop = np.array([(j * step, ap.density(spec) ** 2)
+                         for j in range(-jmax, jmax + 1)])
+        assert ap.pp_part(spec, k_max).pp_atoms.tobytes() == loop.tobytes()
+
+    @pytest.mark.parametrize("k_max", [math.inf, math.nan])
+    def test_non_finite_k_max_rejected(self, k_max):
+        with pytest.raises(ap.OutOfRangeError):
+            ap.pp_part(rational_spec(), k_max)
+
+
+class TestSeedAveragedEstimators:
+    # zero seeds would divide by zero and give a NaN estimate
+    @pytest.mark.parametrize("seeds", [0, -1])
+    def test_no_seeds_rejected(self, seeds):
+        with pytest.raises(ap.OutOfRangeError, match="seed"):
+            ap.mean_bragg_amplitudes(rational_spec(), [0.0], 100, seeds, 0)
+        with pytest.raises(ap.OutOfRangeError, match="seed"):
+            ap.mean_ac_periodogram(ap.fibonacci_spec(), [0.5], 100, seeds, 0)
+
 
 class TestAcDensity:
     def test_equal_lengths_vanish(self):

@@ -127,6 +127,32 @@ class TestPeriodogram:
             ap.periodogram(integer_comb(10), k_min, k_max, dk)
 
 
+class TestUniformGrid:
+    def test_values_and_count(self):
+        ks = sp.uniform_grid(-1.0, 2.0, 0.37)
+        assert ks.tolist() == [-1.0 + 0.37 * i for i in range(9)]
+        assert sp.uniform_grid(0.5, 0.5, 0.1).tolist() == [0.5]
+        # 0.3 / 0.1 rounds to 2.9999999999999996 steps: k_max is still on the grid
+        assert len(sp.uniform_grid(0.0, 0.3, 0.1)) == 4
+
+    def test_same_bits_as_arange_on_a_whole_number_of_steps(self):
+        ks = sp.uniform_grid(0.0, 2.0, 0.01)
+        assert ks.tobytes() == np.arange(0.0, 2.0 + 0.005, 0.01).tobytes()
+
+    def test_stops_at_k_max(self):
+        # 200.7 steps: the grid ends at step 200, not one step past k_max
+        ks = sp.uniform_grid(0.0, 2.007, 0.01)
+        assert len(ks) == 201 and ks[-1] == 2.0
+
+    @pytest.mark.parametrize("k_min, k_max, dk, match", [
+        (0.0, 1.0, 0.0, "positive"), (0.0, 1.0, -0.1, "positive"),
+        (1.0, 0.0, 0.1, "empty"), (0.0, math.nan, 0.1, "finite"),
+    ])
+    def test_rejected(self, k_min, k_max, dk, match):
+        with pytest.raises(ap.OutOfRangeError, match=match):
+            sp.uniform_grid(k_min, k_max, dk)
+
+
 def reference_bragg_extract(pgram, threshold):
     """The scalar loop bragg_extract replaced, kept as its oracle."""
     v = pgram.values
@@ -266,8 +292,45 @@ class TestPaperfoldingSpectrum:
         assert ap.paperfolding_intensity(1, 1, 0, 0, 3.0 / 2 ** 32) == 4.0 ** -32
         assert ap.paperfolding_intensity(1, 1, 0, 0, 3.0 / 2 ** 33) == 0.0
 
+    @pytest.mark.parametrize("k_range", [(0.0, math.inf), (math.nan, 1.0), (0.0, math.nan)])
+    def test_non_finite_k_range_rejected(self, k_range):
+        with pytest.raises(ap.OutOfRangeError, match="finite"):
+            ap.paperfolding_spectrum(1, 1, 0, 0, r_max=8, k_range=k_range)
+
+    def test_inexact_atom_positions_rejected(self):
+        # odd m/2^32 near 2^21 needs 54 bits: the rounded positions collide
+        with pytest.raises(ap.OutOfRangeError, match="exact doubles"):
+            ap.paperfolding_spectrum(1, 1, 0, 0, r_max=32,
+                                     k_range=(2.0 ** 21, 2.0 ** 21 + 1e-6))
+        top = 2.0 ** 21 - 2.0 ** -32
+        measure = ap.paperfolding_spectrum(1, 1, 0, 0, r_max=32, k_range=(top, top))
+        assert measure.pp_atoms.tolist() == [[top, 4.0 ** -32]]
+
+    def test_total_intensity_sums_the_levels(self):
+        a, b, c, d = 1, 2, 3, 4j
+        total = (abs(a + b + c + d) ** 2 + abs(a - b + c - d) ** 2
+                 + 2 * abs(a - c) ** 2) / 16.0
+        total += sum(2.0 ** (r - 1) * abs(b - d) ** 2 / 4.0 ** r for r in range(3, 11))
+        assert math.isclose(paperfolding_total_intensity(a, b, c, d, 10), total,
+                            rel_tol=1e-15)
+        measure = ap.paperfolding_spectrum(a, b, c, d, r_max=10, k_range=(0, 1))
+        in_unit = measure.pp_atoms[:, 1].sum() - measure.atom_at(1.0)
+        assert math.isclose(in_unit, total, rel_tol=1e-12)
+
 
 class TestEstimatorConsistency:
+    def test_quaternary_comb_matches_closed_form(self):
+        # all four weights distinct, one complex: every level of the table
+        # is nonzero, and the boxcar estimates meet criterion 2's 5e-3
+        # (measured at most 5.5e-4)
+        weights = (1, 2, 3, 4j)
+        comb = pf.quaternary_comb(2 ** 13, weights)
+        ks = np.array([1.0, 0.5, 0.25, 0.75, 0.125, 0.375, 0.0625, 1.0 / 3.0])
+        est = ap.bragg_amplitudes(comb, ks, taper="boxcar")
+        ref = np.array([ap.paperfolding_intensity(*weights, k) for k in ks])
+        assert ref[-1] == 0.0 and np.all(ref[:-1] > 0)
+        assert np.max(np.abs(est - ref)) <= 5e-3
+
     def test_bragg_estimates_stable_under_doubling(self):
         # regression fixture: C = max |I_2n - I_n| * sqrt(n) <= 0.02 for the
         # binary paperfolding comb (measured 0.0156 at n = 2^10, decreasing)
