@@ -15,7 +15,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.signal import fftconvolve
+from scipy import fft
 
 from .core import (
     AperiodicaError,
@@ -139,6 +139,17 @@ def _pairwise_sums(cut, bound, keys, weights):
     return _group_sums(*map(np.concatenate, zip(*parts)))
 
 
+def _convolve(a, b):
+    """Full linear convolution of two 1-d arrays, computed by the FFT calls
+    of scipy.signal.fftconvolve (that module costs ~1 s to import)."""
+    n = len(a) + len(b) - 1
+    if np.iscomplexobj(a) or np.iscomplexobj(b):
+        nf = fft.next_fast_len(n, False)
+        return fft.ifft(fft.fft(a, nf) * fft.fft(b, nf))[:n]
+    nf = fft.next_fast_len(n, True)
+    return fft.irfft(fft.rfft(a, nf) * fft.rfft(b, nf), nf)[:n]
+
+
 def _dense_sums(keys, weights, max_lag):
     """Lags 1..max_lag that occur between the integer keys, ascending, and
     their sums: FFT convolutions of the weights and the occupancy."""
@@ -147,8 +158,8 @@ def _dense_sums(keys, weights, max_lag):
     dense[keys - lo] = weights
     occ = np.bincount(keys - lo, minlength=size).astype(float)
     lags = slice(size, size + max_lag)  # the convolution ends at lag size - 1
-    sums = fftconvolve(dense, np.conj(dense[::-1]))[lags]
-    occurred = fftconvolve(occ, occ[::-1])[lags] > 0.5
+    sums = _convolve(dense, np.conj(dense[::-1]))[lags]
+    occurred = _convolve(occ, occ[::-1])[lags] > 0.5
     return np.arange(1, len(sums) + 1)[occurred], sums[occurred]
 
 

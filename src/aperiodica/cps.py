@@ -188,6 +188,29 @@ class QAdicWindow:
             inside &= x != a
         return inside
 
+    def points(self, first: int, last: int) -> np.ndarray:
+        """The integers of [first, last] in the window, ascending, as int64.
+
+        Each class contributes one arithmetic progression and the added
+        points in range join them; one sort, a pass that drops equal
+        neighbours (classes may overlap) and the removed points finish the
+        set.  The cost is that of the output, not of the region.
+        """
+        parts = [np.arange(first + (r - first) % mod, last + 1, mod, dtype=np.int64)
+                 for r, mod in self.classes]
+        parts.append(np.array([a for a in self.added if first <= a <= last],
+                              dtype=np.int64))
+        # a stable sort merges the ascending progressions as runs
+        xs = np.sort(np.concatenate(parts), kind="stable")
+        # np.unique would sort again; on sorted input one comparison does
+        keep = np.ones(len(xs), dtype=bool)
+        np.not_equal(xs[1:], xs[:-1], out=keep[1:])
+        xs = xs[keep]
+        removed = [a for a in self.removed if first <= a <= last]
+        if removed:
+            xs = xs[~np.isin(xs, np.array(removed, dtype=np.int64))]
+        return xs
+
     def union(self, other: "QAdicWindow") -> "QAdicWindow":
         cb = self.complete_below
         if other.complete_below is not None:
@@ -205,8 +228,8 @@ def generate_model_set(scheme: CutProjectScheme, window,
     window, as a unit-weight comb; enumeration is exact.
 
     Euclidean: lattice points of the embedding are walked in the slab
-    region x window.  2-adic: integers of the region are tested against the
-    residue classes.
+    region x window.  2-adic: each residue class of the window is listed as
+    an arithmetic progression over the region (QAdicWindow.points).
     """
     lo, hi = finite_range(region, "region")
     if not scheme.euclidean:
@@ -220,8 +243,7 @@ def generate_model_set(scheme: CutProjectScheme, window,
                     f"region exceeds the window truncation bound "
                     f"|x| < {window.complete_below}")
         check_size(math.floor(hi) - math.ceil(lo) + 1, "the 2-adic region")
-        xs = np.arange(math.ceil(lo), math.floor(hi) + 1, dtype=np.int64)
-        xs = xs[window.contains(xs)]
+        xs = window.points(math.ceil(lo), math.floor(hi))
         radius = max(abs(lo), abs(hi))
         return WeightedComb.from_integers(xs, np.ones(len(xs)), radius)
 

@@ -480,7 +480,7 @@ def complement_check(s_points, lattice: LatticeBasis, radius: float) -> Compleme
     """
     if lattice.dim != 1:
         raise AperiodicaError("complement check is one-dimensional")
-    a = float(lattice.matrix[0, 0])
+    a = abs(float(lattice.matrix[0, 0]))  # the basis -a spans the same lattice
     s_points = np.asarray(s_points, dtype=float)
     ratios = s_points / a
     if np.any(np.abs(ratios - np.round(ratios)) > 1e-9):

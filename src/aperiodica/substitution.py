@@ -143,6 +143,9 @@ class FixedPointWord:
     (letter left of the origin | letter right of the origin).
 
     Index 0 is the letter right of the seam; negative indices walk left.
+    Each half is held as an array of letter indices and grows by one table
+    lookup per level: row j of the table lists the indices of the image of
+    letter j, so table[codes].ravel() is the rule applied to the word.
     """
 
     def __init__(self, rule: SubstitutionRule, seed: tuple):
@@ -151,40 +154,47 @@ class FixedPointWord:
             raise SeedError(f"seed {seed!r} is not fixed at the seam")
         self.rule = rule
         self.seed = (left, right)
-        self._right = right
-        self._left = left  # natural order; the seam end is the last character
+        index = {a: i for i, a in enumerate(rule.alphabet)}
+        dtype = np.min_scalar_type(len(rule.alphabet) - 1)
+        self._table = np.array([[index[c] for c in rule.images[a]]
+                                for a in rule.alphabet], dtype=dtype)
+        # code points for window(); only single characters occur in a word
+        self._chars = np.array([ord(a) if len(a) == 1 else 0
+                                for a in rule.alphabet], dtype="<u4")
+        self._right = np.array([index[right]], dtype=dtype)
+        self._left = np.array([index[left]], dtype=dtype)  # seam end last
 
     def _grow(self, need_right: int, need_left: int) -> None:
         check_size(max(need_right, need_left), "the fixed-point word")
         while len(self._right) < need_right:
-            self._right = self.rule.apply(self._right)
+            self._right = self._table[self._right].ravel()
         while len(self._left) < need_left:
-            self._left = self.rule.apply(self._left)
+            self._left = self._table[self._left].ravel()
+
+    def _codes(self, lo: int, hi: int) -> np.ndarray:
+        """Letter indices at positions lo..hi-1 (hi > lo)."""
+        self._grow(max(hi, 0), max(-lo, 0))
+        if hi <= 0:
+            return self._left[len(self._left) + lo:len(self._left) + hi]
+        if lo >= 0:
+            return self._right[lo:hi]
+        return np.concatenate([self._left[len(self._left) + lo:], self._right[:hi]])
 
     def __getitem__(self, i: int) -> str:
-        if i >= 0:
-            self._grow(i + 1, 0)
-            return self._right[i]
-        self._grow(0, -i)
-        return self._left[i]
+        return self.rule.alphabet[self._codes(i, i + 1)[0]]
 
     def window(self, lo: int, hi: int) -> str:
         """Letters at positions lo..hi-1 as a string."""
         if hi <= lo:
             return ""
-        self._grow(max(hi, 0), max(-lo, 0))
-        left = self._left[lo:(hi if hi < 0 else None)] if lo < 0 else ""
-        right = self._right[max(lo, 0):hi] if hi > 0 else ""
-        return left + right
+        return self._chars[self._codes(lo, hi)].tobytes().decode(
+            "utf-32-le", "surrogatepass")
 
     def letter_positions(self, lo: int, hi: int) -> dict:
         """Positions of each alphabet letter within [lo, hi)."""
-        text = self.window(lo, hi)
-        arr = np.frombuffer(text.encode("ascii"), dtype=np.uint8)
-        out = {}
-        for a in self.rule.alphabet:
-            out[a] = np.nonzero(arr == ord(a))[0].astype(np.int64) + lo
-        return out
+        codes = self._codes(lo, hi) if hi > lo else self._right[:0]
+        return {a: np.nonzero(codes == j)[0].astype(np.int64) + lo
+                for j, a in enumerate(self.rule.alphabet)}
 
 
 def two_sided_seeds(rule: SubstitutionRule) -> list[tuple]:

@@ -1,5 +1,8 @@
 import json
 import math
+import os
+import subprocess
+import sys
 import time
 from unittest import mock
 
@@ -43,6 +46,17 @@ class TestDispatch:
                                str(tmp_path / "none.csv"), "--max-diff", "2")
         assert code == 2
         assert "not found" in err
+
+
+def test_import_leaves_out_scipy_signal():
+    # scipy.signal takes ~1 s to import, which every CLI process would pay
+    code = "import sys, aperiodica.cli; print('scipy.signal' in sys.modules)"
+    src = os.path.dirname(os.path.dirname(ap.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                            text=True, env={**os.environ, "PYTHONPATH": path})
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "False"
 
 
 class TestCoincide:

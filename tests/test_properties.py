@@ -6,7 +6,9 @@ almost-period sets, scaling covariance, periodogram positivity, agreement of
 the NUFFT periodogram with direct summation, agreement of the array slab
 enumeration, pair sums and Theorem-10 atoms with the loops they replaced
 and of the dense integer sums with the pair loop, agreement of the
-paperfolding atoms with a scan of every m/2^r_max, restriction
+paperfolding atoms with a scan of every m/2^r_max, agreement of the 2-adic
+class progressions with the membership test and of the array-grown
+fixed-point words with words grown by SubstitutionRule.apply, restriction
 idempotence, dual-lattice involution, model-set Delone behaviour and gap
 bookkeeping.
 """
@@ -223,6 +225,100 @@ def test_slab_points_empty_and_on_point_ends():
         assert np.array_equal(fast, loop_slab_points(window, lo, hi))
     assert cps._slab_points(window, x, x).tolist() == [[1, 1]]
     assert cps._slab_points(window, 0.5, 0.5).shape == (0, 2)
+
+
+@st.composite
+def qadic_inputs(draw):
+    """A 2-adic window of 0-5 classes, which may overlap or have a modulus
+    wider than the region, with added and removed points near the region;
+    the region may be negative, one point long or empty."""
+    classes = draw(st.lists(st.tuples(st.integers(min_value=-100, max_value=100),
+                                      st.integers(min_value=1, max_value=200)),
+                            max_size=5))
+    first = draw(st.integers(min_value=-150, max_value=100))
+    last = first + draw(st.integers(min_value=-1, max_value=120))
+    near = st.integers(min_value=first - 10, max_value=last + 10)
+    added = draw(st.sets(near, max_size=4))
+    removed = draw(st.sets(near, max_size=4)) - added
+    return ap.QAdicWindow(tuple(classes), frozenset(added), frozenset(removed)), first, last
+
+
+@given(qadic_inputs())
+@settings(max_examples=200, deadline=None)
+def test_qadic_points_match_membership(case):
+    window, first, last = case
+    xs = np.arange(first, last + 1, dtype=np.int64)
+    ref = xs[window.contains(xs)]
+    fast = window.points(first, last)
+    assert fast.dtype == ref.dtype and np.array_equal(fast, ref)
+
+
+def test_qadic_points_empty_result():
+    window = ap.QAdicWindow(((0, 64),), removed=frozenset({3}))
+    assert window.points(1, 63).tolist() == []
+    assert window.points(64, 64).tolist() == [64]
+    assert window.points(5, 4).tolist() == []
+
+
+def apply_grown_window(rule, seed, lo, hi):
+    """Reference: letters lo..hi-1 of the fixed point, each half grown by
+    SubstitutionRule.apply until it covers the window."""
+    if hi <= lo:
+        return ""
+    left, right = seed
+    while len(right) < hi:
+        right = rule.apply(right)
+    while len(left) < -lo:
+        left = rule.apply(left)
+    return (left + right)[len(left) + lo:len(left) + hi]
+
+
+# letters of the random rules: ASCII, Latin-1, Greek, a Euro sign and a
+# letter outside the Basic Multilingual Plane
+_LETTERS = "abxßαβ€\U0001d51e"
+
+
+@st.composite
+def fixed_point_inputs(draw):
+    """A rule (paperfolding, Thue-Morse squared or a random constant-length
+    rule whose images are made to fix a drawn seam seed), a seed and a
+    window that often straddles the seam."""
+    kind = draw(st.sampled_from(["paperfolding", "thue-morse", "random"]))
+    if kind == "random":
+        alphabet = draw(st.lists(st.sampled_from(_LETTERS), min_size=1,
+                                 max_size=5, unique=True))
+        length = draw(st.integers(min_value=2, max_value=4))
+        images = {a: draw(st.lists(st.sampled_from(alphabet), min_size=length,
+                                   max_size=length)) for a in alphabet}
+        seed = (draw(st.sampled_from(alphabet)), draw(st.sampled_from(alphabet)))
+        images[seed[1]][0] = seed[1]
+        images[seed[0]][-1] = seed[0]
+        rule = ap.SubstitutionRule(tuple(alphabet),
+                                   {a: "".join(w) for a, w in images.items()})
+    else:
+        # Thue-Morse fixes no seam seed; its square fixes four
+        rule = ap.PAPERFOLDING if kind == "paperfolding" else ap.THUE_MORSE.power(2)
+        seed = draw(st.sampled_from(ap.two_sided_seeds(rule)))
+    lo = draw(st.integers(min_value=-300, max_value=100))
+    hi = lo + draw(st.integers(min_value=-2, max_value=400))
+    return rule, seed, lo, hi
+
+
+@given(fixed_point_inputs())
+@settings(max_examples=200, deadline=None)
+def test_fixed_point_word_matches_apply(case):
+    rule, seed, lo, hi = case
+    word = ap.fixed_point(rule, seed)
+    ref = apply_grown_window(rule, seed, lo, hi)
+    assert word.window(lo, hi) == ref
+    positions = word.letter_positions(lo, hi)
+    assert list(positions) == list(rule.alphabet)
+    for a in rule.alphabet:
+        expected = np.array([i for i, c in enumerate(ref) if c == a], dtype=np.int64) + lo
+        assert positions[a].dtype == np.int64
+        assert np.array_equal(positions[a], expected)
+    if hi > lo:
+        assert word[lo] == ref[0] and word[hi - 1] == ref[-1]
 
 
 def loop_theorem10_spectrum(profile, k_lo, k_hi):

@@ -405,6 +405,13 @@ class TestComplementCheck:
         with pytest.raises(SubsetError):
             ap.complement_check(np.array([0.5]), Z_BASIS, 10.0)
 
+    def test_negative_spacing_is_the_same_lattice(self):
+        # the basis -1 spans Z too: its report is the spacing +1 report
+        evens = np.arange(-100, 101, 2.0)
+        flipped = ap.complement_check(evens, ap.LatticeBasis(np.array([[-1.0]])), 100)
+        assert not flipped.degenerate
+        assert flipped == ap.complement_check(evens, Z_BASIS, 100)
+
 
 class TestTaperNormalizations:
     def test_hann_line_calibration_on_delta_z(self):
