@@ -15,7 +15,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import fft
 
 from .core import (
     AperiodicaError,
@@ -25,6 +24,7 @@ from .core import (
     OutOfRangeError,
     WeightedComb,
     module_position,
+    next_fast_len,
 )
 
 _LOOKUP_TOL = 1e-9
@@ -140,14 +140,12 @@ def _pairwise_sums(cut, bound, keys, weights):
 
 
 def _convolve(a, b):
-    """Full linear convolution of two 1-d arrays, computed by the FFT calls
-    of scipy.signal.fftconvolve (that module costs ~1 s to import)."""
+    """Full linear convolution of two 1-d arrays by FFTs at a fast length."""
     n = len(a) + len(b) - 1
+    nf = next_fast_len(n)
     if np.iscomplexobj(a) or np.iscomplexobj(b):
-        nf = fft.next_fast_len(n, False)
-        return fft.ifft(fft.fft(a, nf) * fft.fft(b, nf))[:n]
-    nf = fft.next_fast_len(n, True)
-    return fft.irfft(fft.rfft(a, nf) * fft.rfft(b, nf), nf)[:n]
+        return np.fft.ifft(np.fft.fft(a, nf) * np.fft.fft(b, nf))[:n]
+    return np.fft.irfft(np.fft.rfft(a, nf) * np.fft.rfft(b, nf), nf)[:n]
 
 
 def _dense_sums(keys, weights, max_lag):

@@ -175,7 +175,7 @@ def _cmd_autocorr(opts) -> int:
 def _cmd_spectrum(opts) -> int:
     _require_file(opts["input"])
     comb = read_comb_csv(opts["input"], radius=opts.get("radius"))
-    pgram = sp.periodogram(comb, opts.get("kmin", 0.0), opts["kmax"], opts.get("dk"))
+    pgram = sp.periodogram(comb, opts["kmin"], opts["kmax"], opts.get("dk"))
     if opts.get("bragg") is not None:
         _write(opts, ["k", "intensity"], sp.bragg_extract(pgram, opts["bragg"]))
     else:
@@ -187,7 +187,7 @@ def _cmd_coincide(opts) -> int:
     _require_file(opts["rule"])
     rule = SubstitutionRule.from_text(Path(opts["rule"]).read_text(encoding="utf-8"))
     verdict = modular_coincidence(mfs_from_substitution(rule),
-                                  max_power=opts.get("max_power", 20))
+                                  max_power=opts["max_power"])
     dk = dekking_coincidence(rule)
     print(str(verdict))
     if verdict.status == "coincident" and dk != verdict.power:

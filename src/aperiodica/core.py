@@ -56,6 +56,31 @@ def check_size(count, what: str) -> None:
             f"{SIZE_BUDGET:,}; narrow the input")
 
 
+def _smooth_lengths(limit: int) -> np.ndarray:
+    """The integers 1..limit with no prime factor above 11, ascending."""
+    n = np.ones(1, dtype=np.int64)
+    for p in (2, 3, 5, 7, 11):
+        parts, x = [n], n
+        while len(x := x[x <= limit // p] * p):
+            parts.append(x)
+        n = np.concatenate(parts)
+    return np.sort(n)
+
+
+# 17,195 entries, built once at import: every periodogram call rounds a
+# grid length, and enumerating the candidates per call costs ~50x a lookup
+_FAST_LENGTHS = _smooth_lengths(1 << 32)
+
+
+def next_fast_len(n: int) -> int:
+    """Smallest integer >= n with no prime factor above 11, a length at
+    which an FFT is fast; OutOfRangeError for n beyond 2^32."""
+    i = int(np.searchsorted(_FAST_LENGTHS, n))
+    if i == len(_FAST_LENGTHS):
+        raise OutOfRangeError(f"no FFT length is tabulated for {n} > 2^32")
+    return int(_FAST_LENGTHS[i])
+
+
 def finite_range(bounds, what: str) -> tuple[float, float]:
     """(lo, hi) as floats; OutOfRangeError unless both are finite and
     lo <= hi."""
@@ -138,6 +163,9 @@ class WeightedComb:
     def __post_init__(self):
         pos = np.asarray(self.positions, dtype=float)
         w = np.asarray(self.weights, dtype=complex)
+        if not 0 < self.radius < math.inf:
+            raise OutOfRangeError(
+                f"comb radius must be finite and positive; got {self.radius}")
         if pos.ndim != 1:
             raise AperiodicaError("comb positions must be 1-d")
         if len(pos) != len(w):

@@ -229,29 +229,40 @@ def generate_model_set(scheme: CutProjectScheme, window,
 
     Euclidean: lattice points of the embedding are walked in the slab
     region x window.  2-adic: each residue class of the window is listed as
-    an arithmetic progression over the region (QAdicWindow.points).
+    an arithmetic progression over the region (qadic_points).
     """
     lo, hi = finite_range(region, "region")
+    radius = max(abs(lo), abs(hi))
     if not scheme.euclidean:
-        if not isinstance(window, QAdicWindow):
-            raise AperiodicaError("2-adic scheme needs a QAdicWindow")
-        if window.is_empty():
-            raise EmptyWindowError("window accepts nothing")
-        if window.complete_below is not None:
-            if max(abs(lo), abs(hi)) >= window.complete_below:
-                raise OutOfRangeError(
-                    f"region exceeds the window truncation bound "
-                    f"|x| < {window.complete_below}")
-        check_size(math.floor(hi) - math.ceil(lo) + 1, "the 2-adic region")
-        xs = window.points(math.ceil(lo), math.floor(hi))
-        radius = max(abs(lo), abs(hi))
+        xs = qadic_points(window, (lo, hi))
         return WeightedComb.from_integers(xs, np.ones(len(xs)), radius)
 
     if not isinstance(window, EuclideanWindow):
         raise AperiodicaError("Euclidean scheme needs a EuclideanWindow")
     mn = _slab_points(window, lo, hi)
-    radius = max(abs(lo), abs(hi))
     return WeightedComb.from_module(mn, np.ones(len(mn)), radius)
+
+
+def qadic_points(window, region: tuple[float, float]) -> np.ndarray:
+    """The integers of the region in the 2-adic window, ascending, as int64
+    (QAdicWindow.points).  EmptyWindowError for an empty window;
+    OutOfRangeError for a region past the window's truncation bound,
+    beyond int64 or over the size budget."""
+    lo, hi = finite_range(region, "region")
+    if not isinstance(window, QAdicWindow):
+        raise AperiodicaError("2-adic scheme needs a QAdicWindow")
+    if window.is_empty():
+        raise EmptyWindowError("window accepts nothing")
+    if window.complete_below is not None:
+        if max(abs(lo), abs(hi)) >= window.complete_below:
+            raise OutOfRangeError(
+                f"region exceeds the window truncation bound "
+                f"|x| < {window.complete_below}")
+    if not max(abs(lo), abs(hi)) < 2.0 ** 63:
+        raise OutOfRangeError(
+            f"the 2-adic region ({lo}, {hi}) leaves int64: |x| < 2^63")
+    check_size(math.floor(hi) - math.ceil(lo) + 1, "the 2-adic region")
+    return window.points(math.ceil(lo), math.floor(hi))
 
 
 def _slab_points(window: EuclideanWindow, lo: float, hi: float) -> np.ndarray:

@@ -9,7 +9,7 @@ from __future__ import annotations
 import numpy as np
 
 from .core import AperiodicaError, WeightedComb
-from .cps import generate_model_set, paperfolding_windows, qadic_scheme
+from .cps import paperfolding_windows, qadic_points
 from .substitution import PAPERFOLDING, fixed_point
 
 _SEEDS = {"w1": ("b", "a"), "w2": ("d", "a")}
@@ -26,13 +26,8 @@ def letter_positions_substitution(choice: str, lo: int, hi: int) -> dict:
 def letter_positions_model_set(choice: str, lo: int, hi: int) -> dict:
     """Letter positions on [lo, hi) generated as 2-adic model sets, with the
     windows' default truncation (exact for |x| < 2^24)."""
-    scheme = qadic_scheme()
-    windows = paperfolding_windows(choice)
-    out = {}
-    for letter, window in windows.items():
-        comb = generate_model_set(scheme, window, (lo, hi - 1))
-        out[letter] = comb.coords.values
-    return out
+    return {letter: qadic_points(window, (lo, hi - 1))
+            for letter, window in paperfolding_windows(choice).items()}
 
 
 def quaternary_comb(radius: int, weights=(1.0, 1.0, 1.0, 1.0),
@@ -49,9 +44,7 @@ def quaternary_comb(radius: int, weights=(1.0, 1.0, 1.0, 1.0),
         ws.append(np.full(len(pts), w, dtype=complex))
     if not xs:
         raise AperiodicaError("all four weights vanish")
-    values = np.concatenate(xs)
-    order = np.argsort(values)
-    return WeightedComb.from_integers(values[order], np.concatenate(ws)[order],
+    return WeightedComb.from_integers(np.concatenate(xs), np.concatenate(ws),
                                       float(radius))
 
 

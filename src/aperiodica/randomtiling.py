@@ -23,7 +23,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
-from scipy.special import erfc as _erfc_vec
 
 from .core import (
     SQRT5,
@@ -38,6 +37,8 @@ from .core import (
     module_star,
 )
 from .spectrum import bragg_amplitudes, periodogram_values
+
+_erfc = np.frompyfunc(math.erfc, 1, 1)  # elementwise, as Python floats
 
 _SINGULAR_TOL = 1e-9
 
@@ -188,8 +189,8 @@ def sample(spec: RandomTilingSpec, intervals: int, seed: int) -> TilingSample:
         positions = module_position(mn[:, 0], mn[:, 1])
         radius = float(np.max(np.abs(positions)))
         comb = WeightedComb.from_module(mn, np.ones(len(mn)), radius)
+        # the positions ascend already, so the comb keeps the order of mn
         heights = module_star(mn[:, 0], mn[:, 1])
-        heights = heights[np.argsort(positions, kind="stable")]
     else:
         xi = spec.xi
         a, b = spec.ab
@@ -363,7 +364,8 @@ def scaling_profile(z) -> np.ndarray | float:
     """Universal height profile f(z) = 2 (exp(-z^2)/sqrt(pi) - |z| erfc|z|);
     unit mass, peak 2/sqrt(pi) at 0."""
     z = np.abs(np.asarray(z, dtype=float))
-    value = 2.0 * (np.exp(-z * z) / math.sqrt(math.pi) - z * _erfc_vec(z))
+    erfc = np.asarray(_erfc(z), dtype=float)
+    value = 2.0 * (np.exp(-z * z) / math.sqrt(math.pi) - z * erfc)
     return float(value) if value.ndim == 0 else value
 
 

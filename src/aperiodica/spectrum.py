@@ -35,7 +35,6 @@ from dataclasses import dataclass
 
 import numpy as np
 from numpy.polynomial.chebyshev import chebinterpolate, chebval
-from scipy.fft import next_fast_len
 
 from .autocorr import estimate_autocorrelation
 from .core import (
@@ -47,6 +46,7 @@ from .core import (
     WeightedComb,
     check_size,
     finite_range,
+    next_fast_len,
     restrict,
 )
 
@@ -244,7 +244,6 @@ def _nufft_power(x: np.ndarray, w: np.ndarray, ks: np.ndarray) -> np.ndarray:
         grid.imag[lo:lo + size] += np.bincount(idx, (phi * cb.imag[:, None]).ravel(), size)
 
     # 2. FFT; deconvolve only the modes under the interpolation stencils
-    # numpy's FFT keeps no plan cache; scipy's holds up to 16 plans of nf modes
     np.fft.fft(grid, out=grid)
     kappa = ks - k_center
     left = np.ceil(kappa / dk - 0.5 * _WIDTH).astype(np.int64)

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import AperiodicaError, check_size
+from .core import AperiodicaError, OutOfRangeError, check_size
 
 
 class UnknownLetterError(AperiodicaError):
@@ -346,6 +346,8 @@ def modular_coincidence(mfs: MfsRule, max_power: int = 20) -> CoincidenceVerdict
     coincidence of the M-th rule power; a repeat of the refinement state
     upgrades "not found" to "proven never".
     """
+    if max_power < 1:
+        raise OutOfRangeError(f"max_power must be at least 1; got {max_power}")
     rule = substitution_from_mfs(mfs)
     if not primitive(rule.substitution_matrix()):
         raise AperiodicaError("modular coincidence requires a primitive MFS")

@@ -49,8 +49,10 @@ class TestDispatch:
 
 
 def test_import_leaves_out_scipy_signal():
-    # scipy.signal takes ~1 s to import, which every CLI process would pay
-    code = "import sys, aperiodica.cli; print('scipy.signal' in sys.modules)"
+    # numpy is the one runtime dependency: scipy would add ~0.4 s and ~25 MB
+    # to every CLI process
+    code = ("import sys, aperiodica.cli, aperiodica.paperfolding; "
+            "print(any(m.partition('.')[0] == 'scipy' for m in sys.modules))")
     src = os.path.dirname(os.path.dirname(ap.__file__))
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     result = subprocess.run([sys.executable, "-c", code], capture_output=True,
@@ -73,6 +75,17 @@ class TestCoincide:
         code, out, _ = run_cli(capsys, "coincide", "--rule", str(rule))
         assert code == 0
         assert "proven never" in out
+
+
+    @pytest.mark.parametrize("power", ["0", "-1"])
+    def test_max_power_below_one_exits_2(self, capsys, tmp_path, power):
+        rule = tmp_path / "paperfolding.rule"
+        rule.write_text(PAPERFOLDING_RULE)
+        code, out, err = run_cli(capsys, "coincide", "--rule", str(rule),
+                                 "--max-power", power)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and "max_power" in err
 
 
 class TestGenerate:
@@ -246,6 +259,32 @@ class TestMalformedInput:
         assert code == 2
         assert out == ""
         assert err.startswith("error: ") and "budget" in err
+
+    @pytest.mark.parametrize("region", [("--region", "1e19,1e19"),
+                                        ("--region=-1e19,-1e19",),
+                                        ("--region", "0,1e19")])
+    def test_2adic_region_beyond_int64_exits_2(self, capsys, tmp_path, region):
+        path = tmp_path / "q.json"
+        path.write_text(json.dumps({"kind": "qadic", "classes": [[0, 4]]}))
+        code, out, err = run_cli(capsys, "generate", "--scheme", str(path), *region)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and "int64" in err
+
+    @pytest.mark.parametrize("argv", [
+        ("autocorr", "--radius", "inf", "--max-diff", "3"),
+        ("autocorr", "--radius", "0", "--max-diff", "3"),
+        ("spectrum", "--radius", "inf", "--kmax", "0.01", "--dk", "0.005"),
+        ("spectrum", "--radius", "0", "--kmax", "0.01", "--dk", "0.005"),
+    ], ids=["autocorr-inf", "autocorr-zero", "spectrum-inf", "spectrum-zero"])
+    def test_comb_radius_not_finite_positive_exits_2(self, capsys, tmp_path, argv):
+        # unchecked, radius inf makes every eta and periodogram value 0
+        path = tmp_path / "c.csv"
+        path.write_text("x,re_weight,im_weight\n0,1,0\n")
+        code, out, err = run_cli(capsys, argv[0], "--input", str(path), *argv[1:])
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and "finite and positive" in err
 
     def test_autocorr_float_points_on_one_key_exits_2(self, capsys, tmp_path):
         path = tmp_path / "comb.csv"

@@ -26,6 +26,13 @@ class TestWeightedComb:
         with pytest.raises(AperiodicaError):
             ap.WeightedComb(np.array([0.0]), np.array([np.inf]), 1.0)
 
+    @pytest.mark.parametrize("radius", [0.0, -1.0, np.inf, np.nan])
+    def test_radius_finite_and_positive(self, radius):
+        # unchecked, radius 0 divides by a zero volume and radius inf makes
+        # every estimate 0
+        with pytest.raises(ap.OutOfRangeError, match="finite and positive"):
+            ap.WeightedComb(np.array([0.0]), np.array([1.0]), radius)
+
     def test_volume_dim1(self):
         comb = ap.WeightedComb.from_integers([0, 1], [1.0, 1.0], 3.0)
         assert comb.volume == 6.0
@@ -157,6 +164,22 @@ class TestCombCsv:
     def test_missing_file(self, tmp_path):
         with pytest.raises(FileNotFoundError):
             ap.read_comb_csv(tmp_path / "absent.csv")
+
+
+class TestNextFastLen:
+    def test_matches_scipy(self):
+        from scipy.fft import next_fast_len
+
+        ns = np.concatenate([np.arange(1, 2 ** 15 + 1),
+                             np.random.default_rng(9).integers(1, 2 ** 32, 10_000,
+                                                                endpoint=True)])
+        assert [core.next_fast_len(int(n)) for n in ns] == [
+            next_fast_len(int(n)) for n in ns]
+
+    def test_past_the_table_rejected(self):
+        assert core.next_fast_len(2 ** 32) == 2 ** 32
+        with pytest.raises(ap.OutOfRangeError, match="FFT length"):
+            core.next_fast_len(2 ** 32 + 1)
 
 
 def raises_before_allocating(call, match):

@@ -82,6 +82,12 @@ class TestGenerateModelSet:
         assert np.min(gaps) > 0.9      # uniformly discrete
         assert np.max(gaps) < 10.0     # relatively dense
 
+    @pytest.mark.parametrize("region", [(1e19, 1e19), (-1e19, -1e19), (0, 2.0 ** 63)])
+    def test_2adic_region_beyond_int64_rejected(self, region):
+        # unchecked, QAdicWindow.points ends in an OverflowError
+        with pytest.raises(ap.OutOfRangeError, match="int64"):
+            ap.generate_model_set(ap.qadic_scheme(), ap.QAdicWindow(((0, 4),)), region)
+
     def test_density_matches_window_length_over_covolume(self):
         scheme = ap.fibonacci_scheme()
         for length in (0.5, 1.0, 1.7):
@@ -169,6 +175,16 @@ class TestCrossRepresentation:
         mod = pf.letter_positions_model_set(choice, lo, hi)
         for letter in "abcd":
             assert np.array_equal(sub[letter], mod[letter])
+
+
+    @pytest.mark.parametrize("choice", ["w1", "w2"])
+    def test_one_site_windows(self, choice):
+        # [0, 1) is a region of radius 0, which no comb may have
+        for lo in (-2, -1, 0, 1, 2):
+            sub = pf.letter_positions_substitution(choice, lo, lo + 1)
+            mod = pf.letter_positions_model_set(choice, lo, lo + 1)
+            for letter in "abcd":
+                assert np.array_equal(sub[letter], mod[letter])
 
 
 class TestDensityWeightedComb:

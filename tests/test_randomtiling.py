@@ -313,6 +313,17 @@ class TestScalingProfile:
         assert np.all(np.diff(vals) <= 1e-15)
         assert ap.scaling_profile(3.0) <= 1e-4
 
+    def test_matches_scipy_erfc_formula(self):
+        from scipy.special import erfc
+
+        zs = np.linspace(-8.0, 8.0, 4001)
+        a = np.abs(zs)
+        ref = 2.0 * (np.exp(-a * a) / math.sqrt(math.pi) - a * erfc(a))
+        assert np.max(np.abs(ap.scaling_profile(zs) - ref)) <= 1e-15
+        for z, r in zip(zs[::97], ref[::97]):
+            value = ap.scaling_profile(float(z))
+            assert isinstance(value, float) and abs(value - r) <= 1e-15
+
     def test_internal_distribution_scaling(self):
         n = 400
         s = math.sqrt(ap.TAU / (2 * n))

@@ -203,6 +203,11 @@ class TestModularCoincidence:
         verdict = ap.modular_coincidence(ap.mfs_from_substitution(DOUBLING))
         assert verdict.status == "coincident" and verdict.power == 1
 
+    @pytest.mark.parametrize("max_power", [0, -1])
+    def test_max_power_below_one_rejected(self, max_power):
+        with pytest.raises(ap.OutOfRangeError, match="max_power"):
+            ap.modular_coincidence(ap.mfs_from_substitution(PAPERFOLDING), max_power)
+
     def test_agreement_with_dekking_on_suite(self):
         rules = [
             PAPERFOLDING,
