@@ -31,7 +31,6 @@ from .core import (
 )
 from .substitution import (
     SubstitutionRule,
-    dekking_coincidence,
     mfs_from_substitution,
     modular_coincidence,
 )
@@ -188,10 +187,7 @@ def _cmd_coincide(opts) -> int:
     rule = SubstitutionRule.from_text(Path(opts["rule"]).read_text(encoding="utf-8"))
     verdict = modular_coincidence(mfs_from_substitution(rule),
                                   max_power=opts["max_power"])
-    dk = dekking_coincidence(rule)
     print(str(verdict))
-    if verdict.status == "coincident" and dk != verdict.power:
-        print(f"warning: Dekking power {dk} disagrees with modular power")
     return EXIT_OK
 
 

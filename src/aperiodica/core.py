@@ -346,7 +346,14 @@ def read_comb_csv(path, radius: float | None = None) -> WeightedComb:
         header = [h.strip() for h in header]
         if tuple(header) != COMB_COLUMNS:
             raise AperiodicaError(f"unrecognized comb header {header!r} in {path}")
-        rows = [[float(v) for v in row] for row in reader if row]
+        rows = []
+        for row in filter(None, reader):
+            try:  # a count other than three raises ValueError too
+                x, w_re, w_im = map(float, row)
+            except ValueError:
+                raise AperiodicaError(f"malformed comb row on line {reader.line_num} "
+                                      f"of {path}: {','.join(row)!r}") from None
+            rows.append((x, w_re, w_im))
     if not rows:
         raise EmptyInputError(f"comb file has no points: {path}")
     data = np.asarray(rows, dtype=float)

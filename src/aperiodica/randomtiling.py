@@ -48,8 +48,10 @@ class RandomTilingSpec:
     """Two interval lengths u, v > 0 with occupation probabilities p, q=1-p.
 
     Lengths may be exact rationals (Fraction or int) or golden-ratio module
-    elements; the rational flag, the reduced ratio a/b and the period unit
-    xi = u/a = v/b are derived exactly when both lengths are rational.
+    elements.  Construction decides the case from u/v: a rational ratio
+    leaves two Fractions, with a/b and the period unit xi = u/a = v/b exact,
+    an irrational one two module elements.  Module lengths with a rational
+    ratio must be integers (xi rational); tau and tau are rejected.
     """
 
     u: Fraction | ModuleElement
@@ -57,15 +59,20 @@ class RandomTilingSpec:
     p: float
 
     def __post_init__(self):
-        u = _canonical_length(self.u)
-        v = _canonical_length(self.v)
-        # a module length promotes an integral partner into the same module
-        if isinstance(u, ModuleElement) != isinstance(v, ModuleElement):
-            u, v = _promote_pair(u, v)
+        u, v = _canonical_length(self.u), _canonical_length(self.v)
+        # a module length promotes its partner into the same module
+        if isinstance(u, ModuleElement) or isinstance(v, ModuleElement):
+            u, v = _as_module(u), _as_module(v)
         if not 0.0 < self.p < 1.0:
             raise OutOfRangeError("p must lie strictly between 0 and 1")
         if _length_value(u) <= 0 or _length_value(v) <= 0:
             raise OutOfRangeError("interval lengths must be positive")
+        if isinstance(u, ModuleElement) and u.m * v.n == v.m * u.n:
+            if u.m or v.m:
+                raise AperiodicaError(
+                    f"lengths {u.m}*tau + {u.n} and {v.m}*tau + {v.n} have a rational "
+                    "ratio but an irrational period unit")
+            u, v = Fraction(u.n), Fraction(v.n)
         object.__setattr__(self, "u", u)
         object.__setattr__(self, "v", v)
 
@@ -83,20 +90,15 @@ class RandomTilingSpec:
 
     @property
     def rational(self) -> bool:
-        return isinstance(self.u, Fraction) and isinstance(self.v, Fraction)
-
-    @property
-    def ratio(self) -> Fraction | None:
-        """alpha = u/v as a reduced fraction, None when irrational."""
-        if not self.rational:
-            return None
-        return self.u / self.v
+        """Whether u/v is rational; the lengths are then Fractions."""
+        return isinstance(self.u, Fraction)
 
     @property
     def ab(self) -> tuple[int, int] | None:
-        r = self.ratio
-        if r is None:
+        """u/v = a/b in lowest terms, None when irrational."""
+        if not self.rational:
             return None
+        r = self.u / self.v
         return r.numerator, r.denominator
 
     @property
@@ -106,10 +108,6 @@ class RandomTilingSpec:
             return None
         a, _ = self.ab
         return self.u / a
-
-    @property
-    def module(self) -> bool:
-        return isinstance(self.u, ModuleElement) and isinstance(self.v, ModuleElement)
 
 
 def _canonical_length(x):
@@ -130,13 +128,14 @@ def _length_value(x) -> float:
     return x.embed() if isinstance(x, ModuleElement) else float(x)
 
 
-def _promote_pair(u, v):
-    module, other = (u, v) if isinstance(u, ModuleElement) else (v, u)
-    if other.denominator != 1:
+def _as_module(x) -> ModuleElement:
+    """A canonical length as a module element; only integers qualify."""
+    if isinstance(x, ModuleElement):
+        return x
+    if x.denominator != 1:
         raise AperiodicaError(
             "cannot mix a module length with a non-integer rational length")
-    promoted = ModuleElement(0, int(other))
-    return (module, promoted) if isinstance(u, ModuleElement) else (promoted, module)
+    return ModuleElement(0, int(x))
 
 
 def fibonacci_spec() -> RandomTilingSpec:
@@ -174,36 +173,31 @@ def sample(spec: RandomTilingSpec, intervals: int, seed: int) -> TilingSample:
     m_side = int(intervals)
     if m_side < 1:
         raise OutOfRangeError("at least one interval per side is required")
+    check_size(2 * m_side + 1, "the tiling sample")
     rng = np.random.default_rng(seed)
     draws = rng.random(2 * m_side) < spec.p
-    right, left = draws[:m_side], draws[m_side:]
-
-    if spec.module:
-        u_mn = np.array([spec.u.m, spec.u.n], dtype=np.int64)
-        v_mn = np.array([spec.v.m, spec.v.n], dtype=np.int64)
-        steps_r = np.where(right[:, None], u_mn[None, :], v_mn[None, :])
-        steps_l = np.where(left[:, None], u_mn[None, :], v_mn[None, :])
-        mn_right = np.cumsum(steps_r, axis=0)
-        mn_left = -np.cumsum(steps_l, axis=0)
-        mn = np.concatenate([mn_left[::-1], [[0, 0]], mn_right])
-        positions = module_position(mn[:, 0], mn[:, 1])
-        radius = float(np.max(np.abs(positions)))
-        comb = WeightedComb.from_module(mn, np.ones(len(mn)), radius)
-        # the positions ascend already, so the comb keeps the order of mn
-        heights = module_star(mn[:, 0], mn[:, 1])
-    else:
-        xi = spec.xi
+    # the steps v (row 0) and u (row 1), in units of xi or as module pairs
+    if spec.rational:
         a, b = spec.ab
-        steps_r = np.where(right, a, b).astype(np.int64)
-        steps_l = np.where(left, a, b).astype(np.int64)
-        k_right = np.cumsum(steps_r)
-        k_left = -np.cumsum(steps_l)
-        ks = np.concatenate([k_left[::-1], [0], k_right])
+        table = [[b], [a]]
+    else:
+        table = [[spec.v.m, spec.v.n], [spec.u.m, spec.u.n]]
+    steps = np.array(table, dtype=np.int64)[draws.view(np.uint8)]
+    keys = np.concatenate([-np.cumsum(steps[m_side:], axis=0)[::-1],
+                           np.zeros_like(steps[:1]), np.cumsum(steps[:m_side], axis=0)])
+    if spec.rational:
+        ks, xi = keys[:, 0], spec.xi
         radius = float(max(abs(ks[0]), abs(ks[-1])) * xi)
         comb = WeightedComb.from_integers(ks, np.ones(len(ks)), radius,
                                           scale=float(xi))
         heights = None
-    types = np.concatenate([left[::-1], right])
+    else:
+        positions = module_position(keys[:, 0], keys[:, 1])
+        radius = float(np.max(np.abs(positions)))
+        comb = WeightedComb.from_module(keys, np.ones(len(keys)), radius)
+        # the positions ascend already, so the comb keeps the order of keys
+        heights = module_star(keys[:, 0], keys[:, 1])
+    types = np.concatenate([draws[m_side:][::-1], draws[:m_side]])
     return TilingSample(spec, int(seed), types, comb, heights)
 
 
@@ -273,26 +267,32 @@ def ac_density_grid(spec: RandomTilingSpec, ks) -> np.ndarray:
 
 
 # -- seed-averaged estimators ---------------------------------------------------
-# Both average over seeds first_seed, first_seed + 1, ..., summing per seed
-# and dividing once, so a caller with the same seeds gets the same bits.
 
 _AC_OFFSETS = (np.arange(8) - 3.5) * 2e-4  # sub-offsets binned into each k
 _NEEDLE_CUT = 1.5                           # g above this is a needle
 _NEEDLE_MARGIN = 0.02                       # half-width excluded per needle
 
 
+def _seed_mean(estimate, spec: RandomTilingSpec, intervals: int, seeds: int,
+               first_seed: int) -> np.ndarray:
+    """Mean of the array estimate(comb) over the tilings sampled at seeds
+    first_seed, ..., first_seed + seeds - 1: summed in seed order and divided
+    once, so a caller with the same seeds gets the same bits."""
+    if seeds < 1:
+        raise OutOfRangeError(f"at least one seed is required; got {seeds}")
+    total = 0.0
+    for seed in range(first_seed, first_seed + seeds):
+        total += estimate(sample(spec, intervals, seed).comb)
+    return total / seeds
+
+
 def mean_bragg_amplitudes(spec: RandomTilingSpec, ks, intervals: int,
                           seeds: int, first_seed: int) -> np.ndarray:
     """Boxcar Bragg intensity estimates at ks, averaged over sampled
     tilings of 2*intervals intervals each."""
-    if seeds < 1:
-        raise OutOfRangeError(f"at least one seed is required; got {seeds}")
     ks = np.asarray(ks, dtype=float)
-    acc = np.zeros(len(ks))
-    for i in range(seeds):
-        acc += bragg_amplitudes(sample(spec, intervals, first_seed + i).comb, ks,
-                                taper="boxcar")
-    return acc / seeds
+    return _seed_mean(lambda comb: bragg_amplitudes(comb, ks, taper="boxcar"),
+                      spec, intervals, seeds, first_seed)
 
 
 def mean_ac_periodogram(spec: RandomTilingSpec, ks, intervals: int,
@@ -300,15 +300,11 @@ def mean_ac_periodogram(spec: RandomTilingSpec, ks, intervals: int,
     """Estimate of the ac density g at ks: the Hann-tapered, density-
     normalized periodogram averaged over sampled tilings, then over 8
     sub-offsets 2e-4 apart around each k (a local Welch-style bin)."""
-    if seeds < 1:
-        raise OutOfRangeError(f"at least one seed is required; got {seeds}")
     ks = np.asarray(ks, dtype=float)
     kk = (ks[:, None] + _AC_OFFSETS[None, :]).ravel()
-    acc = np.zeros(len(kk))
-    for i in range(seeds):
-        acc += periodogram_values(sample(spec, intervals, first_seed + i).comb, kk,
-                                  taper="hann", normalization="density")
-    acc /= seeds
+    acc = _seed_mean(lambda comb: periodogram_values(comb, kk, taper="hann",
+                                                     normalization="density"),
+                     spec, intervals, seeds, first_seed)
     return acc.reshape(len(ks), len(_AC_OFFSETS)).mean(axis=1)
 
 
@@ -385,7 +381,7 @@ def patch_heights(spec: RandomTilingSpec, n_intervals: int, seed: int,
                   both_sides: bool = False) -> np.ndarray:
     """Heights of the endpoints after 1..N intervals of a sampled patch
     (positive side; optionally pooled with the negative side)."""
-    if not spec.module:
+    if spec.rational:
         raise AperiodicaError("heights need a module spec")
     s = sample(spec, n_intervals, seed)
     n = len(s.heights)

@@ -300,8 +300,8 @@ def bragg_extract(pgram: Periodogram, threshold: float) -> list[tuple[float, flo
     with I >= threshold.  A grid point is a maximum when it is >= its left
     and > its right neighbour, with -inf beyond either end, so a plateau
     reports its last point."""
-    if threshold <= 0:
-        raise OutOfRangeError("threshold must be positive")
+    if not 0 < threshold < math.inf:
+        raise OutOfRangeError(f"threshold must be finite and positive; got {threshold}")
     v = pgram.values
     intensity = v / (2.0 * pgram.radius)
     left = np.concatenate(([-math.inf], v[:-1]))

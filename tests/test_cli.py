@@ -181,9 +181,11 @@ class TestMalformedInput:
         ("compare", "--model", "fibonacci-ac", "--tolerance", "1", "--kpoints", "0"),
         ("compare", "--model", "paperfolding-binary", "--tolerance", "1",
          "--log2n", "-1"),
+        # tau and tau used to print the irrational closed form's single atom
+        ("randomtiling", "--u", "tau", "--v", "tau", "--p", "0.5", "--spectrum"),
     ], ids=["weights-not-complex", "length-not-a-number", "dk-zero", "tiling-kmax-nan",
             "paperfolding-kmax-inf", "rational-no-seeds", "fibonacci-no-seeds",
-            "no-kpoints", "negative-log2n"])
+            "no-kpoints", "negative-log2n", "module-lengths-rational-ratio"])
     def test_exits_2_with_message(self, capsys, argv):
         code, out, err = run_cli(capsys, *argv)
         assert code == 2
@@ -197,7 +199,13 @@ class TestMalformedInput:
          "--kmax", "1e12", "--dk", "1e-3"),
         ("compare", "--model", "paperfolding-binary", "--tolerance", "1",
          "--log2n", "80"),
-    ], ids=["paperfolding-atoms", "tiling-k-grid", "paperfolding-comb"])
+        # these two used to fail in numpy on a 14.6 TiB array, with a traceback
+        ("randomtiling", "--u", "2", "--v", "1", "--p", "0.5",
+         "--intervals", "1000000000000"),
+        ("compare", "--model", "rational-pp", "--tolerance", "1",
+         "--intervals", "1000000000000"),
+    ], ids=["paperfolding-atoms", "tiling-k-grid", "paperfolding-comb", "tiling-sample",
+            "rational-pp-sample"])
     def test_over_budget_exits_2_at_once(self, capsys, argv):
         start = time.perf_counter()
         code, out, err = run_cli(capsys, *argv)
@@ -294,6 +302,31 @@ class TestMalformedInput:
         assert code == 2
         assert out == ""
         assert err.startswith("error: ") and "grid" in err
+
+    @pytest.mark.parametrize("command", [
+        ("autocorr", "--max-diff", "3"),
+        ("spectrum", "--kmax", "1", "--dk", "0.25"),
+    ], ids=["autocorr", "spectrum"])
+    @pytest.mark.parametrize("row", ["1,abc,0", "1,1", "1,1,0,0"],
+                             ids=["not-a-number", "two-values", "four-values"])
+    def test_malformed_comb_row_exits_2(self, capsys, tmp_path, command, row):
+        path = tmp_path / "c.csv"
+        path.write_text(f"x,re_weight,im_weight\n0,1,0\n{row}\n")
+        code, out, err = run_cli(capsys, command[0], "--input", str(path), *command[1:])
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and "line 3" in err and str(path) in err
+
+    @pytest.mark.parametrize("threshold", ["nan", "inf"])
+    def test_spectrum_bragg_not_finite_exits_2(self, capsys, tmp_path, threshold):
+        # --bragg nan used to print an empty atom table with exit 0
+        path = tmp_path / "c.csv"
+        path.write_text("x,re_weight,im_weight\n-1,1,0\n0,1,0\n1,1,0\n")
+        code, out, err = run_cli(capsys, "spectrum", "--input", str(path), "--kmax", "1",
+                                 "--dk", "0.25", "--bragg", threshold)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and "finite" in err
 
     def test_window_entry_not_a_pair_exits_2(self, capsys, tmp_path):
         path = tmp_path / "scheme.json"

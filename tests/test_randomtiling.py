@@ -1,5 +1,6 @@
 import math
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -19,7 +20,7 @@ def rational_spec(u=2, v=1, p=0.5):
 class TestSpec:
     def test_fibonacci_fields(self):
         spec = ap.fibonacci_spec()
-        assert spec.module and not spec.rational
+        assert not spec.rational
         assert math.isclose(spec.u_value, ap.TAU)
         assert math.isclose(spec.p + spec.q, 1.0)
 
@@ -41,6 +42,40 @@ class TestSpec:
     def test_ambiguous_float_rejected(self):
         with pytest.raises(ap.AperiodicaError):
             ap.RandomTilingSpec(1.5, 1, 0.5)
+
+    @pytest.mark.parametrize("u, v", [
+        (ap.ModuleElement(0, 2), ap.ModuleElement(0, 1)),
+        (ap.ModuleElement(0, 2), Fraction(1)),
+        (Fraction(2), ap.ModuleElement(0, 1)),
+    ], ids=["module-integers", "module-and-one", "two-and-module"])
+    def test_integer_module_lengths_are_rational(self, u, v):
+        # a rational ratio is the rational case, whatever the lengths' type
+        spec = ap.RandomTilingSpec(u, v, 0.5)
+        assert spec == rational_spec() and spec.rational
+
+    def test_integer_module_lengths_closed_forms(self):
+        spec = ap.RandomTilingSpec(ap.ModuleElement(0, 2), ap.ModuleElement(0, 1), 0.5)
+        ref = rational_spec()
+        assert ap.pp_part(spec, 3.0).pp_atoms.tobytes() == \
+            ap.pp_part(ref, 3.0).pp_atoms.tobytes()
+        ks = np.linspace(0.0, 2.5, 11)     # through k = 1 and 2
+        assert ap.ac_density_grid(spec, ks).tobytes() == \
+            ap.ac_density_grid(ref, ks).tobytes()
+        assert ap.ac_density_grid(spec, [1.0])[0] > 0.07
+
+    @pytest.mark.parametrize("u, v", [
+        (ap.ModuleElement(1, 0), ap.ModuleElement(1, 0)),
+        (ap.ModuleElement(2, 0), ap.ModuleElement(1, 0)),
+        (ap.ModuleElement(2, 2), ap.ModuleElement(1, 1)),
+    ], ids=["tau-tau", "2tau-tau", "2tau+2-tau+1"])
+    def test_rational_ratio_irrational_unit_rejected(self, u, v):
+        # their atoms sit on (1/xi) Z with xi irrational, outside both closed forms
+        with pytest.raises(ap.AperiodicaError, match="rational ratio"):
+            ap.RandomTilingSpec(u, v, 0.5)
+
+    def test_module_with_non_integer_rational_rejected(self):
+        with pytest.raises(ap.AperiodicaError, match="non-integer"):
+            ap.RandomTilingSpec(ap.ModuleElement(1, 0), Fraction(3, 2), 0.5)
 
 
 class TestSample:
@@ -81,6 +116,15 @@ class TestSample:
     def test_rational_endpoints_integer(self):
         s = ap.sample(rational_spec(), 100, seed=7)
         assert np.allclose(s.endpoints, np.round(s.endpoints))
+
+    @pytest.mark.parametrize("spec", [rational_spec(), ap.fibonacci_spec()],
+                             ids=["rational", "module"])
+    def test_over_budget_rejected_before_drawing(self, spec):
+        # 10^12 intervals per side: numpy used to fail on a 14.6 TiB array
+        with mock.patch.object(np.random, "default_rng") as rng:
+            with pytest.raises(ap.OutOfRangeError, match="the tiling sample"):
+                ap.sample(spec, 10 ** 12, seed=0)
+        rng.assert_not_called()
 
 
 class TestDensity:

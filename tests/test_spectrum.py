@@ -207,6 +207,13 @@ class TestBraggExtract:
         with pytest.raises(ap.OutOfRangeError):
             ap.bragg_extract(pgram, threshold=0.0)
 
+    @pytest.mark.parametrize("threshold", [math.nan, math.inf])
+    def test_non_finite_threshold_rejected(self, threshold):
+        # a NaN threshold used to pass the check and select no atom
+        pgram = ap.periodogram(integer_comb(10), 0.0, 1.0, 0.05)
+        with pytest.raises(ap.OutOfRangeError, match="finite"):
+            ap.bragg_extract(pgram, threshold=threshold)
+
     @pytest.mark.parametrize("values", [
         [1.0, 3.0, 3.0, 3.0, 1.0],        # plateau: its last point is the peak
         [3.0, 3.0, 1.0, 2.0, 2.0],        # plateaus at both ends
