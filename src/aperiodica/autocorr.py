@@ -23,6 +23,7 @@ from .core import (
     ModuleCoords,
     OutOfRangeError,
     WeightedComb,
+    _as_readonly,
     module_position,
     next_fast_len,
 )
@@ -62,10 +63,8 @@ class AutocorrelationEstimate:
         e = np.asarray(self.eta, dtype=complex)
         if len(d) != len(e):
             raise AperiodicaError("diffs and eta differ in length")
-        d.setflags(write=False)
-        e.setflags(write=False)
-        object.__setattr__(self, "diffs", d)
-        object.__setattr__(self, "eta", e)
+        object.__setattr__(self, "diffs", _as_readonly(d))
+        object.__setattr__(self, "eta", _as_readonly(e))
 
     @property
     def zero_coefficient(self) -> float:

@@ -144,7 +144,9 @@ class ModuleCoords:
 
 
 def _as_readonly(a: np.ndarray) -> np.ndarray:
-    a = np.asarray(a)
+    """A read-only view of a.  The caller's array stays writeable and
+    shares its memory with the view."""
+    a = np.asarray(a).view()
     a.setflags(write=False)
     return a
 

@@ -98,37 +98,47 @@ def star(scheme: CutProjectScheme, x):
 
 # -- windows -------------------------------------------------------------------
 
-def _integer(value) -> int:
-    """value as an int through operator.index; AperiodicaError for a value
-    that is not an integer, which int() would truncate."""
+def _entry(key: str, value, parse, expected: str):
+    """parse(value) for the window entry `key`.  A value of the wrong shape
+    or type, or a bound that is not finite, raises AperiodicaError naming
+    the entry and the shape it needs."""
     try:
-        return operator.index(value)
-    except TypeError:
-        raise AperiodicaError(f"expected an integer, got {value!r}") from None
+        return parse(value)
+    except (TypeError, ValueError):
+        raise AperiodicaError(f"\"{key}\" must be {expected}; got {value!r}") from None
+
+
+def _finite(x) -> float:
+    x = float(x)
+    if not math.isfinite(x):
+        raise ValueError(x)
+    return x
+
+
+def _integers(values) -> frozenset:
+    # operator.index, not int(): int() would truncate 2.5 to 2
+    return frozenset(operator.index(x) for x in values)
 
 
 @dataclass(frozen=True)
 class EuclideanWindow:
-    """Finite union of disjoint half-open intervals [lo, hi) with nonempty
-    interior."""
+    """Finite union of disjoint half-open intervals [lo, hi) with finite
+    bounds and nonempty interior."""
 
     intervals: tuple
 
     def __post_init__(self):
-        ivs = tuple((float(lo), float(hi)) for lo, hi in self.intervals)
+        ivs = _entry("window", self.intervals, lambda e: sorted(
+            (_finite(lo), _finite(hi)) for lo, hi in e),
+            "a list of finite [lo, hi] number pairs")
         if not ivs:
             raise EmptyWindowError("window has no intervals")
-        ivs = tuple(sorted(ivs))
-        total = 0.0
         for i, (lo, hi) in enumerate(ivs):
             if hi <= lo:
                 raise AperiodicaError(f"interval ({lo}, {hi}) is empty or reversed")
             if i and lo < ivs[i - 1][1]:
                 raise AperiodicaError("window intervals overlap")
-            total += hi - lo
-        if total <= 0:
-            raise EmptyWindowError("window has empty interior")
-        object.__setattr__(self, "intervals", ivs)
+        object.__setattr__(self, "intervals", tuple(ivs))
 
     @property
     def total_length(self) -> float:
@@ -160,19 +170,21 @@ class QAdicWindow:
     complete_below: int | None = None
 
     def __post_init__(self):
-        cls = tuple((_integer(r), _integer(mod)) for r, mod in self.classes)
+        cls = _entry("classes", self.classes, lambda e: tuple(
+            (operator.index(r), operator.index(mod)) for r, mod in e),
+            "a list of [residue, modulus] integer pairs")
         if any(mod < 1 for _, mod in cls):
             raise AperiodicaError("modulus must be positive")
-        cls = tuple(sorted((r % mod, mod) for r, mod in cls))
-        added = frozenset(_integer(x) for x in self.added)
-        removed = frozenset(_integer(x) for x in self.removed)
+        added = _entry("added", self.added, _integers, "a list of integers")
+        removed = _entry("removed", self.removed, _integers, "a list of integers")
         if added & removed:
             raise AperiodicaError("a point cannot be both added and removed")
-        object.__setattr__(self, "classes", cls)
+        complete_below = _entry("complete_below", self.complete_below, lambda v: (
+            None if v is None else operator.index(v)), "an integer")
+        object.__setattr__(self, "classes", tuple(sorted((r % mod, mod) for r, mod in cls)))
         object.__setattr__(self, "added", added)
         object.__setattr__(self, "removed", removed)
-        if self.complete_below is not None:
-            object.__setattr__(self, "complete_below", _integer(self.complete_below))
+        object.__setattr__(self, "complete_below", complete_below)
 
     def is_empty(self) -> bool:
         return not self.classes and not self.added
@@ -348,8 +360,8 @@ class GaussianProfile:
     sigma: float
 
     def __post_init__(self):
-        if self.sigma <= 0:
-            raise ProfileError("sigma must be positive")
+        if not 0 < self.sigma < math.inf:
+            raise ProfileError(f"sigma must be finite and positive; got {self.sigma}")
 
     def __call__(self, u):
         return np.exp(-np.square(u) / (2.0 * self.sigma ** 2))

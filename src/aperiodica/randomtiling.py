@@ -50,8 +50,9 @@ class RandomTilingSpec:
     Lengths may be exact rationals (Fraction or int) or golden-ratio module
     elements.  Construction decides the case from u/v: a rational ratio
     leaves two Fractions, with a/b and the period unit xi = u/a = v/b exact,
-    an irrational one two module elements.  Module lengths with a rational
-    ratio must be integers (xi rational); tau and tau are rejected.
+    an irrational one two module elements.  A length 0*tau + n is the
+    integer n; other module lengths with a rational ratio, such as tau and
+    tau, are rejected, as their xi is irrational.
     """
 
     u: Fraction | ModuleElement
@@ -68,11 +69,9 @@ class RandomTilingSpec:
         if _length_value(u) <= 0 or _length_value(v) <= 0:
             raise OutOfRangeError("interval lengths must be positive")
         if isinstance(u, ModuleElement) and u.m * v.n == v.m * u.n:
-            if u.m or v.m:
-                raise AperiodicaError(
-                    f"lengths {u.m}*tau + {u.n} and {v.m}*tau + {v.n} have a rational "
-                    "ratio but an irrational period unit")
-            u, v = Fraction(u.n), Fraction(v.n)
+            raise AperiodicaError(
+                f"lengths {u.m}*tau + {u.n} and {v.m}*tau + {v.n} have a rational "
+                "ratio but an irrational period unit")
         object.__setattr__(self, "u", u)
         object.__setattr__(self, "v", v)
 
@@ -111,8 +110,10 @@ class RandomTilingSpec:
 
 
 def _canonical_length(x):
+    """x as a Fraction, or as a ModuleElement with m != 0 (0*tau + n is the
+    integer n)."""
     if isinstance(x, ModuleElement):
-        return x
+        return Fraction(x.n) if x.m == 0 else x
     if isinstance(x, (int, Fraction)):
         return Fraction(x)
     if isinstance(x, float):

@@ -44,6 +44,7 @@ from .core import (
     OutOfRangeError,
     SpectralMeasure,
     WeightedComb,
+    _as_readonly,
     check_size,
     finite_range,
     next_fast_len,
@@ -77,10 +78,8 @@ class Periodogram:
             raise AperiodicaError("grid and values differ in length")
         if np.any(vals < 0):
             raise AperiodicaError("periodogram values must be non-negative")
-        ks.setflags(write=False)
-        vals.setflags(write=False)
-        object.__setattr__(self, "ks", ks)
-        object.__setattr__(self, "values", vals)
+        object.__setattr__(self, "ks", _as_readonly(ks))
+        object.__setattr__(self, "values", _as_readonly(vals))
 
 
 def _taper_weights(comb: WeightedComb, taper: str):

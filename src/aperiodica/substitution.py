@@ -246,7 +246,8 @@ def dekking_coincidence(rule: SubstitutionRule):
     """Smallest k such that some column of the k-th rule power carries a
     single letter across all images; None if no power ever coincides.
 
-    Requires a primitive constant-length rule.
+    Requires a primitive constant-length rule.  `modular_coincidence` runs
+    the same column refinement on the rule its MFS encodes.
     """
     if not primitive(rule.substitution_matrix()):
         raise AperiodicaError("coincidence search requires a primitive rule")

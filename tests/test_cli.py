@@ -338,6 +338,60 @@ class TestMalformedInput:
         assert "[lo, hi]" in err
 
 
+class TestErrorBoundary:
+    """cli.main turns every file, decoding and validation error into one
+    `error: ` line and exit 2."""
+
+    @pytest.fixture
+    def paths(self, tmp_path):
+        (tmp_path / "fib.json").write_text(json.dumps(
+            {"kind": "euclidean", "theta": "tau", "window": [[-0.3, 0.7]]}))
+        (tmp_path / "latin1.txt").write_bytes(b"x,re_weight,im_weight\n\xe9\n")
+        (tmp_path / "dir").mkdir()
+        return {name: str(tmp_path / name) for name in ("fib.json", "latin1.txt", "dir")}
+
+    @pytest.mark.parametrize("argv", [
+        ("generate", "--scheme", "dir", "--region", "0,10"),
+        ("generate", "--scheme", "fib.json", "--region", "0,10", "--output", "dir"),
+        ("paperfolding-spectrum", "--weights", "1,1,0,0", "--output", "dir"),
+        ("autocorr", "--input", "latin1.txt", "--max-diff", "2"),
+        ("coincide", "--rule", "latin1.txt"),
+        ("generate", "--scheme", "latin1.txt", "--region", "0,10"),
+    ], ids=["scheme-is-a-directory", "generate-output-is-a-directory",
+            "table-output-is-a-directory", "input-not-utf8", "rule-not-utf8",
+            "scheme-not-utf8"])
+    def test_file_error_exits_2(self, capsys, paths, argv):
+        # each of these used to end in a traceback with exit 1
+        code, out, err = run_cli(capsys, *[paths.get(a, a) for a in argv])
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("bound", ["NaN", "-Infinity"])
+    def test_window_bound_not_finite_exits_2(self, capsys, tmp_path, bound):
+        # Python's json reads both; they used to end in a traceback
+        path = tmp_path / "scheme.json"
+        path.write_text('{"kind": "euclidean", "window": [[%s, 0.7]]}' % bound)
+        code, out, err = run_cli(capsys, "generate", "--scheme", str(path),
+                                 "--region", "0,10")
+        assert code == 2
+        assert out == ""
+        assert err.startswith('error: "window" must be') and err.count("\n") == 1
+
+    @pytest.mark.parametrize("argv", [
+        ("autocorr", "--input", "{}", "--max-diff", "2"),
+        ("spectrum", "--input", "{}", "--kmax", "1"),
+        ("coincide", "--rule", "{}"),
+        ("generate", "--scheme", "{}", "--region", "0,10"),
+    ], ids=["autocorr", "spectrum", "coincide", "generate"])
+    def test_missing_file_named(self, capsys, tmp_path, argv):
+        missing = str(tmp_path / "none")
+        code, out, err = run_cli(capsys, *[a.format(missing) for a in argv])
+        assert code == 2
+        assert out == ""
+        assert err == f"error: file not found: {missing}\n"
+
+
 class TestPipelines:
     def comb_file(self, tmp_path):
         comb = ap.WeightedComb.from_integers(np.arange(-64, 65),

@@ -11,6 +11,23 @@ from aperiodica import core
 from aperiodica.core import AperiodicaError
 
 
+@pytest.mark.parametrize("make, args", [
+    (lambda p, w: ap.WeightedComb(p, w, 3.0), ([0.0, 1.0], [1.0 + 0j, 2.0])),
+    (ap.LatticeBasis, ([[1.0, 0.0], [0.0, 2.0]],)),
+    (lambda ks, v: ap.Periodogram(ks, v, 0.1, 1.0), ([0.0, 0.1], [1.0, 2.0])),
+    (lambda d, e: ap.AutocorrelationEstimate(d, e, 1.0, 2.0, 1.0),
+     ([-1.0, 0.0, 1.0], [1.0 + 0j, 2.0, 1.0])),
+], ids=["comb", "lattice", "periodogram", "autocorrelation"])
+def test_constructors_leave_caller_arrays_writeable(make, args):
+    # the object's arrays are read-only views; the caller's own arrays used
+    # to be frozen with them
+    arrays = [np.array(a) for a in args]
+    obj = make(*arrays)
+    assert all(a.flags.writeable for a in arrays)
+    own = [v for v in vars(obj).values() if isinstance(v, np.ndarray)]
+    assert own and not any(v.flags.writeable for v in own)
+
+
 class TestWeightedComb:
     def test_sorted_and_distinct_enforced(self):
         with pytest.raises(AperiodicaError):

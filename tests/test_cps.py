@@ -332,7 +332,33 @@ class TestWindows:
         comb = ap.generate_model_set(ap.qadic_scheme(), window, (0, 12))
         assert comb.coords.values.tolist() == [1, 5, 9]
 
+    @pytest.mark.parametrize("intervals", [
+        ((1,),), (("a", 2),), 5, ((math.nan, 0.7),), ((-math.inf, 0.7),),
+    ], ids=["not-a-pair", "not-a-number", "not-a-list", "nan-bound", "infinite-bound"])
+    def test_malformed_euclidean_window_rejected(self, intervals):
+        # these used to raise a bare ValueError or TypeError, or to be accepted
+        with pytest.raises(ap.AperiodicaError, match=r'"window" must be .*\[lo, hi\]'):
+            ap.EuclideanWindow(intervals)
+
+    @pytest.mark.parametrize("args, kwargs, key", [
+        ((((1,),),), {}, "classes"),
+        ((((1, 4),),), {"added": 5}, "added"),
+        ((((1, 4),),), {"removed": 5}, "removed"),
+        ((((1, 4),),), {"complete_below": "x"}, "complete_below"),
+    ], ids=["class-not-a-pair", "added-not-a-list", "removed-not-a-list",
+            "complete-below-not-an-integer"])
+    def test_malformed_qadic_window_rejected(self, args, kwargs, key):
+        with pytest.raises(ap.AperiodicaError, match=f'"{key}" must be'):
+            ap.QAdicWindow(*args, **kwargs)
+
     @pytest.mark.parametrize("modulus", [0, -4])
     def test_nonpositive_modulus_rejected(self, modulus):
         with pytest.raises(ap.AperiodicaError, match="modulus must be positive"):
             ap.QAdicWindow(((1, modulus),))
+
+
+@pytest.mark.parametrize("sigma", [math.nan, math.inf, 0.0, -1.0])
+def test_gaussian_sigma_finite_and_positive(sigma):
+    # nan and inf used to pass the sigma <= 0 check
+    with pytest.raises(ProfileError, match="finite and positive"):
+        ap.GaussianProfile(sigma)

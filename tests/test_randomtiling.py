@@ -63,6 +63,13 @@ class TestSpec:
             ap.ac_density_grid(ref, ks).tobytes()
         assert ap.ac_density_grid(spec, [1.0])[0] > 0.07
 
+    def test_integer_module_length_with_non_integer_rational(self):
+        # 0*tau + 2 is the integer 2, so the ratio 4/3 is the rational case
+        spec = ap.RandomTilingSpec(ap.ModuleElement(0, 2), Fraction(3, 2), 0.5)
+        assert spec.ab == (4, 3) and spec.xi == Fraction(1, 2)
+        assert spec == ap.RandomTilingSpec(2, Fraction(3, 2), 0.5)
+        assert type(spec.u) is Fraction and type(spec.v) is Fraction
+
     @pytest.mark.parametrize("u, v", [
         (ap.ModuleElement(1, 0), ap.ModuleElement(1, 0)),
         (ap.ModuleElement(2, 0), ap.ModuleElement(1, 0)),

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings, strategies as st
 
 import aperiodica as ap
 from aperiodica.substitution import (
@@ -13,6 +14,8 @@ from aperiodica.substitution import (
     substitution_from_mfs,
     two_sided_seeds,
 )
+
+from dekking_oracle import agrees_with_definition
 
 PERIOD_DOUBLING = SubstitutionRule(("a", "b"), {"a": "ab", "b": "aa"})
 RUDIN_SHAPIRO = SubstitutionRule(("a", "b", "c", "d"),
@@ -229,6 +232,29 @@ class TestModularCoincidence:
                 assert verdict.status == "never", rule.images
             else:
                 assert verdict.status == "coincident" and verdict.power == dk, rule.images
+
+
+@st.composite
+def primitive_rules(draw):
+    """Primitive constant-length rules on 2-4 letters, of length 2-4."""
+    alphabet = "abcd"[:draw(st.integers(min_value=2, max_value=4))]
+    length = draw(st.integers(min_value=2, max_value=4))
+    word = st.text(alphabet=alphabet, min_size=length, max_size=length)
+    rule = SubstitutionRule(tuple(alphabet), {a: draw(word) for a in alphabet})
+    assume(ap.primitive(rule.substitution_matrix()))
+    return rule
+
+
+# a -> ab, b -> bc, c -> aa first coincides at power 4; the named rules above
+# all coincide by power 2 or never
+@example(SubstitutionRule(("a", "b", "c"), {"a": "ab", "b": "bc", "c": "aa"}))
+@settings(deadline=None)
+@given(primitive_rules())
+def test_coincidence_searches_match_the_definition(rule):
+    verdict = ap.modular_coincidence(ap.mfs_from_substitution(rule), max_power=30)
+    modular = verdict.power if verdict.status == "coincident" else None
+    assert agrees_with_definition(rule, ap.dekking_coincidence(rule))
+    assert agrees_with_definition(rule, modular)
 
 
 class TestAbelianization:
