@@ -23,7 +23,7 @@ from .core import (
     ModuleCoords,
     OutOfRangeError,
     WeightedComb,
-    _as_readonly,
+    _own_copy,
     module_position,
     next_fast_len,
 )
@@ -59,12 +59,12 @@ class AutocorrelationEstimate:
     max_diff: float
 
     def __post_init__(self):
-        d = np.asarray(self.diffs, dtype=float)
-        e = np.asarray(self.eta, dtype=complex)
+        d = _own_copy(self.diffs, float)
+        e = _own_copy(self.eta, complex)
         if len(d) != len(e):
             raise AperiodicaError("diffs and eta differ in length")
-        object.__setattr__(self, "diffs", _as_readonly(d))
-        object.__setattr__(self, "eta", _as_readonly(e))
+        object.__setattr__(self, "diffs", d)
+        object.__setattr__(self, "eta", e)
 
     @property
     def zero_coefficient(self) -> float:
@@ -320,8 +320,5 @@ def check_A1_A3(comb: WeightedComb, est: AutocorrelationEstimate,
         sums = cums[hi] - cums[np.arange(len(pos))]
         sup = float(np.max(sums))
     ess = np.sort(est.support())
-    if len(ess) > 1:
-        min_gap = float(np.min(np.diff(ess)))
-    else:
-        min_gap = math.inf
+    min_gap = float(np.min(np.diff(ess))) if len(ess) > 1 else math.inf
     return A1A3Report(sup, bool(min_gap >= 2 * r), min_gap, float(r))

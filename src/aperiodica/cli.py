@@ -14,7 +14,7 @@ import argparse
 import json
 import re
 import sys
-from pathlib import Path
+from fractions import Fraction
 
 import numpy as np
 
@@ -25,9 +25,11 @@ from .core import (
     AperiodicaError,
     ModuleElement,
     read_comb_csv,
+    read_text,
     write_comb,
     write_table,
 )
+from .paperfolding import binary_comb
 from .substitution import (
     SubstitutionRule,
     mfs_from_substitution,
@@ -55,8 +57,6 @@ EXIT_USAGE = 64
 
 def _parse_length(token: str):
     """Interval length: a number, or the golden-ratio token `tau`."""
-    from fractions import Fraction
-
     if token == "tau":
         return ModuleElement(1, 0)
     try:
@@ -78,7 +78,7 @@ def _parse_probability(token: str) -> float:
 
 def _load_scheme(path):
     try:
-        spec = json.loads(Path(path).read_text(encoding="utf-8"))
+        spec = json.loads(read_text(path))
     except json.JSONDecodeError as exc:
         raise AperiodicaError(f"scheme file is not valid JSON: {exc}")
     if not isinstance(spec, dict):
@@ -119,8 +119,8 @@ def _paperfolding_window(pf):
 
 # -- subcommands ---------------------------------------------------------------
 
-def _write(opts, columns, rows) -> None:
-    write_table(opts.get("output"), columns, rows, opts["format"])
+def _write(opts, header, columns) -> None:
+    write_table(opts.get("output"), header, columns, opts["format"])
 
 
 def _write_comb(opts, comb) -> None:
@@ -136,7 +136,7 @@ def _cmd_generate(opts) -> int:
 def _cmd_autocorr(opts) -> int:
     comb = read_comb_csv(opts["input"], radius=opts.get("radius"))
     est = ac.estimate_autocorrelation(comb, opts["max_diff"])
-    _write(opts, ["z", "re_eta", "im_eta"], zip(est.diffs, est.eta.real, est.eta.imag))
+    _write(opts, ["z", "re_eta", "im_eta"], (est.diffs, est.eta.real, est.eta.imag))
     return EXIT_OK
 
 
@@ -144,14 +144,15 @@ def _cmd_spectrum(opts) -> int:
     comb = read_comb_csv(opts["input"], radius=opts.get("radius"))
     pgram = sp.periodogram(comb, opts["kmin"], opts["kmax"], opts.get("dk"))
     if opts.get("bragg") is not None:
-        _write(opts, ["k", "intensity"], sp.bragg_extract(pgram, opts["bragg"]))
+        atoms = sp.bragg_extract(pgram, opts["bragg"])
+        _write(opts, ["k", "intensity"], np.reshape(atoms, (-1, 2)).T)
     else:
-        _write(opts, ["k", "value"], zip(pgram.ks, pgram.values))
+        _write(opts, ["k", "value"], (pgram.ks, pgram.values))
     return EXIT_OK
 
 
 def _cmd_coincide(opts) -> int:
-    rule = SubstitutionRule.from_text(Path(opts["rule"]).read_text(encoding="utf-8"))
+    rule = SubstitutionRule.from_text(read_text(opts["rule"]))
     verdict = modular_coincidence(mfs_from_substitution(rule),
                                   max_power=opts["max_power"])
     print(str(verdict))
@@ -165,15 +166,15 @@ def _cmd_randomtiling(opts) -> int:
         ks = sp.uniform_grid(0.0, opts["kmax"], opts["dk"])
         out, fmt = opts.get("output"), opts["format"]
         write_table(f"{out}.pp.csv" if out else None, ["k", "intensity"],
-                    rt.pp_part(spec, opts["kmax"]).pp_atoms, fmt)
+                    rt.pp_part(spec, opts["kmax"]).pp_atoms.T, fmt)
         write_table(f"{out}.ac.csv" if out else None, ["k", "g"],
-                    zip(ks, rt.ac_density_grid(spec, ks)), fmt)
+                    (ks, rt.ac_density_grid(spec, ks)), fmt)
         return EXIT_OK
     samp = rt.sample(spec, opts["intervals"], opts["seed"])
     if opts.get("heights"):
         if samp.heights is None:
             raise AperiodicaError("heights need module interval lengths (u = tau)")
-        _write(opts, ["x", "height"], zip(samp.endpoints, samp.heights))
+        _write(opts, ["x", "height"], (samp.endpoints, samp.heights))
     else:
         _write_comb(opts, samp.comb)
     return EXIT_OK
@@ -189,13 +190,11 @@ def _cmd_paperfolding_spectrum(opts) -> int:
         raise AperiodicaError("exactly four weights A,B,C,D are required")
     measure = sp.paperfolding_spectrum(*weights, r_max=opts["rmax"],
                                        k_range=(opts["kmin"], opts["kmax"]))
-    _write(opts, ["k", "intensity"], measure.pp_atoms)
+    _write(opts, ["k", "intensity"], measure.pp_atoms.T)
     return EXIT_OK
 
 
 def _compare_paperfolding(opts):
-    from .paperfolding import binary_comb
-
     log2n = opts.get("log2n", 12)
     if log2n < 0:
         raise AperiodicaError(f"--log2n must be non-negative; got {log2n}")
@@ -224,8 +223,6 @@ def _compare_fibonacci(opts):
 
 
 def _compare_rational(opts):
-    from fractions import Fraction
-
     spec = rt.RandomTilingSpec(Fraction(2), Fraction(1), 0.5)
     est = rt.mean_bragg_amplitudes(spec, [0.0, 1.0, 2.0],
                                    opts.get("intervals", 20000),
@@ -375,7 +372,7 @@ def main(argv=None) -> int:
         return _HANDLERS[sub](options)
     except FileNotFoundError as exc:
         sys.stderr.write(f"error: file not found: {exc.filename}\n")
-    except (AperiodicaError, OSError, UnicodeDecodeError) as exc:
+    except (AperiodicaError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")
     return EXIT_VALIDATION
 

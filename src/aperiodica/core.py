@@ -15,6 +15,7 @@ import json
 import math
 import sys
 from dataclasses import dataclass, field
+from pathlib import Path
 
 import numpy as np
 
@@ -125,6 +126,21 @@ class ModuleElement:
         return ModuleElement(-self.m, -self.n)
 
 
+def _own_copy(a, dtype) -> np.ndarray:
+    """A read-only copy of a as dtype, made in one step: writes to a never reach it."""
+    a = np.array(a, dtype=dtype)
+    a.setflags(write=False)
+    return a
+
+
+def _ascending(keys: np.ndarray, *arrays) -> list:
+    """keys and arrays in the stable ascending order of keys; no argsort if none descends."""
+    if not np.any(keys[1:] < keys[:-1]):
+        return [keys, *arrays]
+    order = np.argsort(keys, kind="stable")
+    return [np.asarray(a)[order] for a in (keys, *arrays)]
+
+
 @dataclass(frozen=True)
 class IntegerCoords:
     """Exact positions k*scale for integer k (scale 1: the lattice Z)."""
@@ -143,14 +159,6 @@ class ModuleCoords:
         return module_star(self.mn[:, 0], self.mn[:, 1])
 
 
-def _as_readonly(a: np.ndarray) -> np.ndarray:
-    """A read-only view of a.  The caller's array stays writeable and
-    shares its memory with the view."""
-    a = np.asarray(a).view()
-    a.setflags(write=False)
-    return a
-
-
 @dataclass(frozen=True)
 class WeightedComb:
     """Finite weighted Dirac comb on the line: scatterer positions, sorted
@@ -163,8 +171,8 @@ class WeightedComb:
     coords: IntegerCoords | ModuleCoords | None = None
 
     def __post_init__(self):
-        pos = np.asarray(self.positions, dtype=float)
-        w = np.asarray(self.weights, dtype=complex)
+        pos = _own_copy(self.positions, float)
+        w = _own_copy(self.weights, complex)
         if not 0 < self.radius < math.inf:
             raise OutOfRangeError(
                 f"comb radius must be finite and positive; got {self.radius}")
@@ -178,8 +186,8 @@ class WeightedComb:
             raise AperiodicaError("positions must be strictly ascending")
         if len(pos) and not np.all(np.abs(pos) <= self.radius + _POSITION_TOL):
             raise AperiodicaError("points outside the stated radius")
-        object.__setattr__(self, "positions", _as_readonly(pos))
-        object.__setattr__(self, "weights", _as_readonly(w))
+        object.__setattr__(self, "positions", pos)
+        object.__setattr__(self, "weights", w)
 
     def __len__(self) -> int:
         return len(self.positions)
@@ -194,28 +202,21 @@ class WeightedComb:
 
     @staticmethod
     def from_integers(values, weights, radius, scale=1.0) -> "WeightedComb":
-        values = np.asarray(values, dtype=np.int64)
-        order = np.argsort(values, kind="stable")
-        values = values[order]
-        w = np.asarray(weights, dtype=complex)[order]
-        coords = IntegerCoords(_as_readonly(values), float(scale))
-        return WeightedComb(values * float(scale), w, float(radius), coords)
+        values, weights = _ascending(np.asarray(values, dtype=np.int64), weights)
+        coords = IntegerCoords(_own_copy(values, np.int64), float(scale))
+        return WeightedComb(coords.values * float(scale), weights, float(radius), coords)
 
     @staticmethod
     def from_module(mn, weights, radius) -> "WeightedComb":
         mn = np.asarray(mn, dtype=np.int64).reshape(-1, 2)
-        pos = module_position(mn[:, 0], mn[:, 1])
-        order = np.argsort(pos, kind="stable")
-        coords = ModuleCoords(_as_readonly(mn[order]))
-        return WeightedComb(pos[order], np.asarray(weights, dtype=complex)[order],
-                            float(radius), coords)
+        pos, mn, weights = _ascending(module_position(mn[:, 0], mn[:, 1]), mn, weights)
+        coords = ModuleCoords(_own_copy(mn, np.int64))
+        return WeightedComb(pos, weights, float(radius), coords)
 
     @staticmethod
     def from_positions(positions, weights, radius) -> "WeightedComb":
-        pos = np.asarray(positions, dtype=float)
-        order = np.argsort(pos, kind="stable")
-        return WeightedComb(pos[order], np.asarray(weights, dtype=complex)[order],
-                            float(radius))
+        pos, weights = _ascending(np.asarray(positions, dtype=float), weights)
+        return WeightedComb(pos, weights, float(radius))
 
 
 def restrict(comb: WeightedComb, radius: float) -> WeightedComb:
@@ -229,9 +230,9 @@ def restrict(comb: WeightedComb, radius: float) -> WeightedComb:
     keep = np.abs(comb.positions) <= radius
     coords = comb.coords
     if isinstance(coords, IntegerCoords):
-        coords = IntegerCoords(_as_readonly(coords.values[keep]), coords.scale)
+        coords = IntegerCoords(_own_copy(coords.values[keep], np.int64), coords.scale)
     elif isinstance(coords, ModuleCoords):
-        coords = ModuleCoords(_as_readonly(coords.mn[keep]))
+        coords = ModuleCoords(_own_copy(coords.mn[keep], np.int64))
     return WeightedComb(comb.positions[keep], comb.weights[keep], float(radius),
                         coords)
 
@@ -243,12 +244,12 @@ class LatticeBasis:
     matrix: np.ndarray
 
     def __post_init__(self):
-        m = np.asarray(self.matrix, dtype=float)
+        m = _own_copy(self.matrix, float)
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise AperiodicaError("basis matrix must be square")
         if abs(np.linalg.det(m)) < 1e-300:
             raise DegenerateLatticeError("basis matrix is singular")
-        object.__setattr__(self, "matrix", _as_readonly(m))
+        object.__setattr__(self, "matrix", m)
 
     @property
     def dim(self) -> int:
@@ -259,13 +260,8 @@ class LatticeBasis:
 
 
 def dual_lattice(basis: LatticeBasis) -> LatticeBasis:
-    """Dual (reciprocal) lattice basis: the inverse transpose of the input."""
-    m = basis.matrix
-    try:
-        inv = np.linalg.inv(m)
-    except np.linalg.LinAlgError as exc:
-        raise DegenerateLatticeError("basis matrix is singular") from exc
-    return LatticeBasis(inv.T)
+    """Dual (reciprocal) lattice basis: the inverse transpose of a regular one."""
+    return LatticeBasis(np.linalg.inv(basis.matrix).T)
 
 
 @dataclass(frozen=True)
@@ -275,14 +271,12 @@ class SpectralMeasure:
     pp_atoms: np.ndarray = field(default_factory=lambda: np.empty((0, 2)))
 
     def __post_init__(self):
-        pp = np.asarray(self.pp_atoms, dtype=float).reshape(-1, 2)
-        if len(pp):
-            if np.any(pp[:, 1] < 0):
-                raise AperiodicaError("atom intensities must be non-negative")
-            ks = np.sort(pp[:, 0])
-            if len(ks) > 1 and np.min(np.diff(ks)) == 0:
-                raise AperiodicaError("atom positions must be pairwise distinct")
-        object.__setattr__(self, "pp_atoms", _as_readonly(pp))
+        pp = _own_copy(self.pp_atoms, float).reshape(-1, 2)
+        if np.any(pp[:, 1] < 0):
+            raise AperiodicaError("atom intensities must be non-negative")
+        if np.any(np.diff(np.sort(pp[:, 0])) == 0):
+            raise AperiodicaError("atom positions must be pairwise distinct")
+        object.__setattr__(self, "pp_atoms", pp)
 
     def atom_at(self, k: float) -> float:
         """Intensity of the atom within _ATOM_TOL of position k (0.0 if
@@ -300,36 +294,30 @@ class SpectralMeasure:
 COMB_COLUMNS = ("x", "re_weight", "im_weight")
 
 
-def _fmt(x) -> str:
-    if isinstance(x, (int, np.integer)):
-        return str(int(x))
-    return format(float(x), ".17g")
-
-
-def write_table(path, columns, rows, fmt: str) -> None:
-    """Write rows as CSV (or the mirrored JSON) with LF endings and
-    17-digit floats; to stdout when path is None."""
+def write_table(path, header, columns, fmt: str) -> None:
+    """Write equal-length columns, one row per index, as CSV (or the
+    mirrored JSON) with LF endings and 17-digit floats; to stdout when path
+    is None.  '%.17g' is the routine of format(x, '.17g')."""
+    cols = [np.asarray(c, dtype=float).tolist() for c in columns]
+    fields = ["%.17g"] * len(cols)
+    row = ",".join(fields) if fmt == "csv" else "    [" + ", ".join(fields) + "]"
+    rows = [row % r for r in zip(*cols)]
     if fmt == "csv":
-        lines = [",".join(columns)]
-        lines.extend(",".join(_fmt(v) for v in row) for row in rows)
-        text = "\n".join(lines) + "\n"
+        text = "\n".join([",".join(header)] + rows) + "\n"
     else:
-        body = ",\n".join(
-            "    [" + ", ".join(_fmt(v) for v in row) + "]" for row in rows)
-        text = ('{\n  "columns": ' + json.dumps(list(columns)) +
-                ',\n  "rows": [\n' + body + "\n  ]\n}\n")
+        text = ('{\n  "columns": ' + json.dumps(list(header)) +
+                ',\n  "rows": [\n' + ",\n".join(rows) + "\n  ]\n}\n")
     if path is None:
         sys.stdout.write(text)
     else:
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
+        Path(path).write_text(text, encoding="utf-8", newline="")
 
 
 def write_comb(comb: WeightedComb, path, fmt: str) -> None:
     """Comb file: columns x,re_weight,im_weight, one row per point, as CSV
     or the mirrored JSON; to stdout when path is None."""
     write_table(path, COMB_COLUMNS,
-                zip(comb.positions, comb.weights.real, comb.weights.imag), fmt)
+                (comb.positions, comb.weights.real, comb.weights.imag), fmt)
 
 
 def write_comb_csv(comb: WeightedComb, path) -> None:
@@ -337,28 +325,46 @@ def write_comb_csv(comb: WeightedComb, path) -> None:
     write_comb(comb, path, "csv")
 
 
+def _comb_rows(lines) -> np.ndarray:
+    """Rows of three numbers, blank lines skipped, as np.loadtxt parses them
+    (rounding as float() does) into an (N, 3) array; ValueError otherwise."""
+    data = np.loadtxt(lines, delimiter=",", comments=None, ndmin=2)
+    if data.shape[1] != 3:
+        raise ValueError("not three values per row")
+    return data
+
+
+def read_text(path) -> str:
+    """The text of a UTF-8 file; AperiodicaError naming it if not UTF-8."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise AperiodicaError(f"{path} is not UTF-8 text: {exc}") from None
+
+
 def read_comb_csv(path, radius: float | None = None) -> WeightedComb:
     """Read a comb written by write_comb_csv.  If radius is omitted, the
     smallest ball containing all points is used."""
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None:
-            raise EmptyInputError(f"empty comb file: {path}")
-        header = [h.strip() for h in header]
-        if tuple(header) != COMB_COLUMNS:
-            raise AperiodicaError(f"unrecognized comb header {header!r} in {path}")
-        rows = []
-        for row in filter(None, reader):
-            try:  # a count other than three raises ValueError too
-                x, w_re, w_im = map(float, row)
-            except ValueError:
-                raise AperiodicaError(f"malformed comb row on line {reader.line_num} "
-                                      f"of {path}: {','.join(row)!r}") from None
-            rows.append((x, w_re, w_im))
-    if not rows:
+    lines = read_text(path).split("\n")
+    if lines == [""]:
+        raise EmptyInputError(f"empty comb file: {path}")
+    header = [h.strip() for h in next(csv.reader(lines[:1]), [])]
+    if tuple(header) != COMB_COLUMNS:
+        raise AperiodicaError(f"unrecognized comb header {header!r} in {path}")
+    if not any(lines[1:]):
         raise EmptyInputError(f"comb file has no points: {path}")
-    data = np.asarray(rows, dtype=float)
-    pos, w = data[:, 0], data[:, 1] + 1j * data[:, 2]
+    try:
+        data = _comb_rows(lines[1:])
+    except ValueError:  # the same parser, line by line, names the first bad line
+        for line_num, line in enumerate(lines[1:], start=2):
+            try:
+                if line:
+                    _comb_rows([line])
+            except ValueError:
+                raise AperiodicaError(f"malformed comb row on line {line_num} "
+                                      f"of {path}: {line!r}") from None
+        raise
+    # a view, not re + 1j*im, which turns a -0.0 part into +0.0
+    pos, w = data[:, 0], np.ascontiguousarray(data[:, 1:]).view(complex)[:, 0]
     rmax = np.max(np.abs(pos)) if radius is None else radius
     return WeightedComb.from_positions(pos, w, float(rmax))

@@ -44,7 +44,7 @@ from .core import (
     OutOfRangeError,
     SpectralMeasure,
     WeightedComb,
-    _as_readonly,
+    _own_copy,
     check_size,
     finite_range,
     next_fast_len,
@@ -72,14 +72,14 @@ class Periodogram:
     radius: float
 
     def __post_init__(self):
-        ks = np.asarray(self.ks, dtype=float)
-        vals = np.asarray(self.values, dtype=float)
+        ks = _own_copy(self.ks, float)
+        vals = _own_copy(self.values, float)
         if len(ks) != len(vals):
             raise AperiodicaError("grid and values differ in length")
         if np.any(vals < 0):
             raise AperiodicaError("periodogram values must be non-negative")
-        object.__setattr__(self, "ks", _as_readonly(ks))
-        object.__setattr__(self, "values", _as_readonly(vals))
+        object.__setattr__(self, "ks", ks)
+        object.__setattr__(self, "values", vals)
 
 
 def _taper_weights(comb: WeightedComb, taper: str):

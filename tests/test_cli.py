@@ -317,6 +317,16 @@ class TestMalformedInput:
         assert out == ""
         assert err.startswith("error: ") and "line 3" in err and str(path) in err
 
+    @pytest.mark.parametrize("row", ["1_0,1,0", '"1.5",1,0'], ids=["underscore", "quoted"])
+    def test_rows_float_took_but_loadtxt_does_not_exit_2(self, capsys, tmp_path, row):
+        # csv and float() read 1_0 as 10 and "1.5" as 1.5; the comb file
+        # format has neither, so they are malformed rows
+        path = tmp_path / "c.csv"
+        path.write_text(f"x,re_weight,im_weight\n0,1,0\n{row}\n")
+        code, out, err = run_cli(capsys, "autocorr", "--input", str(path), "--max-diff", "3")
+        assert (code, out) == (2, "")
+        assert err == f"error: malformed comb row on line 3 of {path}: {row!r}\n"
+
     @pytest.mark.parametrize("threshold", ["nan", "inf"])
     def test_spectrum_bragg_not_finite_exits_2(self, capsys, tmp_path, threshold):
         # --bragg nan used to print an empty atom table with exit 0
@@ -390,6 +400,24 @@ class TestErrorBoundary:
         assert code == 2
         assert out == ""
         assert err == f"error: file not found: {missing}\n"
+
+    @pytest.mark.parametrize("argv", [
+        ("autocorr", "--input", "{}", "--max-diff", "2"),
+        ("coincide", "--rule", "{}"),
+        ("generate", "--scheme", "{}", "--region", "0,10"),
+    ], ids=["input", "rule", "scheme"])
+    @pytest.mark.parametrize("rows", [0, 20_000], ids=["second-line", "deep-in-the-file"])
+    def test_decode_error_names_the_file(self, capsys, tmp_path, argv, rows):
+        # the message used to be the codec's alone, naming neither the file
+        # nor the option
+        path = tmp_path / "latin1.txt"
+        body = "".join(f"{i},1,0\n" for i in range(rows))
+        path.write_bytes(b"x,re_weight,im_weight\n" + body.encode() + b"\xe9,1,0\n")
+        code, out, err = run_cli(capsys, *[a.format(path) for a in argv])
+        assert code == 2
+        assert out == ""
+        assert err.startswith(f"error: {path} is not UTF-8 text: 'utf-8' codec can't "
+                              "decode byte 0xe9") and err.count("\n") == 1
 
 
 class TestPipelines:

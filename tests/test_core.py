@@ -1,31 +1,62 @@
+import contextlib
+import io
+import json
 import math
+import re
+import tempfile
 import time
 import tracemalloc
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import aperiodica as ap
 from aperiodica import core
 from aperiodica.core import AperiodicaError
 
 
-@pytest.mark.parametrize("make, args", [
+CONSTRUCTORS = pytest.mark.parametrize("make, args", [
     (lambda p, w: ap.WeightedComb(p, w, 3.0), ([0.0, 1.0], [1.0 + 0j, 2.0])),
     (ap.LatticeBasis, ([[1.0, 0.0], [0.0, 2.0]],)),
     (lambda ks, v: ap.Periodogram(ks, v, 0.1, 1.0), ([0.0, 0.1], [1.0, 2.0])),
     (lambda d, e: ap.AutocorrelationEstimate(d, e, 1.0, 2.0, 1.0),
      ([-1.0, 0.0, 1.0], [1.0 + 0j, 2.0, 1.0])),
-], ids=["comb", "lattice", "periodogram", "autocorrelation"])
+    (ap.SpectralMeasure, ([[0.0, 1.0], [0.5, 2.0]],)),
+    (lambda k: ap.WeightedComb.from_integers(k, np.ones(3), 3.0).coords, ([0, 1, 2],)),
+    (lambda mn: ap.WeightedComb.from_module(mn, np.ones(2), 3.0).coords,
+     ([[0, 1], [1, 0]],)),
+], ids=["comb", "lattice", "periodogram", "autocorrelation", "measure",
+        "integer-coords", "module-coords"])
+
+
+def _own_arrays(obj) -> list:
+    return [v for v in vars(obj).values() if isinstance(v, np.ndarray)]
+
+
+@CONSTRUCTORS
 def test_constructors_leave_caller_arrays_writeable(make, args):
-    # the object's arrays are read-only views; the caller's own arrays used
-    # to be frozen with them
+    # the object's arrays are read-only; the caller's own arrays used to be
+    # frozen with them
     arrays = [np.array(a) for a in args]
     obj = make(*arrays)
     assert all(a.flags.writeable for a in arrays)
-    own = [v for v in vars(obj).values() if isinstance(v, np.ndarray)]
+    own = _own_arrays(obj)
     assert own and not any(v.flags.writeable for v in own)
+
+
+@CONSTRUCTORS
+def test_caller_writes_do_not_reach_the_object(make, args):
+    # the object's arrays used to be views of the caller's, so that
+    # p[0] = 5.0 after WeightedComb(p, ...) left positions [5, 1] unchecked
+    arrays = [np.array(a) for a in args]
+    obj = make(*arrays)
+    before = [v.copy() for v in _own_arrays(obj)]
+    for a in arrays:
+        a[...] = 5
+    assert all(np.array_equal(v, b) for v, b in zip(_own_arrays(obj), before))
 
 
 class TestWeightedComb:
@@ -53,6 +84,23 @@ class TestWeightedComb:
     def test_volume_dim1(self):
         comb = ap.WeightedComb.from_integers([0, 1], [1.0, 1.0], 3.0)
         assert comb.volume == 6.0
+
+    @pytest.mark.parametrize("make, keys", [
+        (lambda k: ap.WeightedComb.from_integers(k, np.arange(len(k)), 9.0), [-3, 0, 2, 7]),
+        (lambda k: ap.WeightedComb.from_positions(k, np.arange(len(k)), 9.0), [-3.5, 0.0, 7.0]),
+        (lambda mn: ap.WeightedComb.from_module(mn, np.arange(len(mn)), 9.0),
+         [[-1, -1], [0, 0], [0, 1], [1, 0], [2, 1]]),
+    ], ids=["integers", "positions", "module"])
+    def test_ascending_input_is_not_argsorted(self, make, keys):
+        # sample, the 2-adic generator and comb files give ascending input;
+        # a descent anywhere still sorts, stably
+        with mock.patch("numpy.argsort", wraps=np.argsort) as argsort:
+            comb = make(keys)
+            assert argsort.call_count == 0
+            shuffled = make(keys[::-1])
+            assert argsort.call_count == 1
+        assert np.array_equal(shuffled.positions, comb.positions)
+        assert np.array_equal(shuffled.weights, comb.weights[::-1])
 
     def test_module_comb_positions(self):
         comb = ap.WeightedComb.from_module([[1, 0], [0, 1]], [1.0, 1.0], 2.0)
@@ -166,7 +214,108 @@ class TestSpectralMeasure:
         assert ms.atom_at(0.3) == 0.0
 
 
+# every kind of double the writer may meet, edge values drawn often
+TABLE_FLOATS = st.one_of(
+    st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True),
+    st.sampled_from([-0.0, 0.0, math.nan, math.inf, -math.inf, 5e-324, -5e-324,
+                     2.2250738585072014e-308, 1e308, -1e308, 1.7976931348623157e308]))
+
+
+def _reference_table(header, rows, fmt) -> str:
+    """The writer as it was: format(x, '.17g') for each value, row by row."""
+    cells = [[format(float(v), ".17g") for v in row] for row in rows]
+    if fmt == "csv":
+        return "\n".join([",".join(header)] + [",".join(c) for c in cells]) + "\n"
+    body = ",\n".join("    [" + ", ".join(c) + "]" for c in cells)
+    return ('{\n  "columns": ' + json.dumps(list(header)) +
+            ',\n  "rows": [\n' + body + "\n  ]\n}\n")
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 4).flatmap(
+           lambda n: st.lists(st.lists(TABLE_FLOATS, min_size=n, max_size=n), max_size=12)
+           .map(lambda rows: (n, rows))),
+       st.sampled_from(["csv", "json"]))
+def test_write_table_matches_format_reference(table, fmt):
+    ncols, rows = table
+    header = [f"c{i}" for i in range(ncols)]
+    columns = [np.array([row[i] for row in rows], dtype=float) for i in range(ncols)]
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        core.write_table(None, header, columns, fmt)
+    assert out.getvalue() == _reference_table(header, rows, fmt)
+
+
+def _bits(a) -> np.ndarray:
+    return np.ascontiguousarray(a).view(np.uint64)
+
+
+FINITE = st.one_of(st.floats(allow_nan=False, allow_infinity=False, allow_subnormal=True),
+                   st.sampled_from([-0.0, 0.0, 5e-324, -1e308]))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(st.floats(-1e300, 1e300, allow_subnormal=True), min_size=1,
+                max_size=30, unique=True),
+       st.data())
+def test_comb_csv_round_trip_is_bit_identical(positions, data):
+    pos = np.sort(np.array(positions))
+    w = np.array([complex(data.draw(FINITE), data.draw(FINITE)) for _ in pos])
+    radius = max(float(np.max(np.abs(pos))), 1.0)
+    comb = ap.WeightedComb.from_positions(pos, w, radius)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "comb.csv"
+        ap.write_comb_csv(comb, path)
+        back = ap.read_comb_csv(path, radius=radius)
+    assert np.array_equal(_bits(back.positions), _bits(comb.positions))
+    assert np.array_equal(_bits(back.weights.view(float)), _bits(comb.weights.view(float)))
+
+
 class TestCombCsv:
+    @pytest.mark.parametrize("body", [
+        "-1,1,0\n\n0,2,0.5\n\n",
+        "-1,1,0\r\n0,2,0.5\r\n",
+        "-1,1,0\r0,2,0.5",
+        " -1 , 1 ,0\n0,2,0.5\n",
+    ], ids=["blank-lines", "crlf", "cr-no-final-newline", "spaces-around-numbers"])
+    def test_reads_what_csv_and_float_read(self, tmp_path, body):
+        path = tmp_path / "comb.csv"
+        path.write_bytes(b"x,re_weight,im_weight\n" + body.encode())
+        comb = ap.read_comb_csv(path, radius=2.0)
+        assert comb.positions.tolist() == [-1.0, 0.0]
+        assert comb.weights.tolist() == [1.0, 2 + 0.5j]
+
+    @pytest.mark.parametrize("row", ["   ", "1", "1_0,1,0", '"1.5",1,0'],
+                             ids=["whitespace-only", "one-column", "underscore",
+                                  "quoted"])
+    def test_malformed_row_named(self, tmp_path, row):
+        # csv and float() took 1_0 as 10 and "1.5" as 1.5; loadtxt does not
+        path = tmp_path / "comb.csv"
+        path.write_text(f"x,re_weight,im_weight\n0,1,0\n{row}\n1,1,0\n")
+        with pytest.raises(AperiodicaError,
+                           match=f"malformed comb row on line 3 of .*: {re.escape(repr(row))}"):
+            ap.read_comb_csv(path)
+
+    @pytest.mark.parametrize("text, error", [
+        ("", ap.EmptyInputError),
+        ("x,re_weight,im_weight\n", ap.EmptyInputError),
+        ("x,re_weight,im_weight\n\n\n", ap.EmptyInputError),
+        ("x,weight\n1,1\n", AperiodicaError),
+    ], ids=["empty", "header-only", "blank-body", "other-header"])
+    def test_no_points_or_wrong_header(self, tmp_path, text, error):
+        path = tmp_path / "comb.csv"
+        path.write_text(text)
+        with pytest.raises(error, match=re.escape(str(path))):
+            ap.read_comb_csv(path)
+
+    def test_signed_zero_weights_survive(self, tmp_path):
+        # re + 1j*im turned -0.0 parts into +0.0
+        w = np.array([complex(-0.0, -0.0), complex(-0.0, 1.0), complex(1.0, -0.0)])
+        path = tmp_path / "comb.csv"
+        ap.write_comb_csv(ap.WeightedComb.from_positions([-1.0, 0.0, 1.0], w, 1.0), path)
+        back = ap.read_comb_csv(path)
+        assert np.array_equal(_bits(back.weights.view(float)), _bits(w.view(float)))
+
     def test_round_trip_dim1(self, tmp_path):
         comb = ap.WeightedComb.from_positions([-1.5, 0.25], [1 + 2j, 0.5 - 1j], 2.0)
         path = tmp_path / "comb.csv"
