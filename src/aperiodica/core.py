@@ -25,9 +25,11 @@ SQRT5 = math.sqrt(5.0)
 
 _POSITION_TOL = 1e-9
 _ATOM_TOL = 1e-9
-# most entries an array sized from the inputs may take (512 MiB of int64):
-# over 100x the largest such array of any test, README example or benchmark
-# workload, the 524,289-integer 2-adic region of paperfolding-lattice
+# most entries that arrays sized from the inputs may take (512 MiB of int64):
+# over 100x the most that any test, README example or benchmark workload
+# holds in one guarded step, the ~546,000 entries of criterion 7's slab
+# (sigma 0.5 at +-1e4) and the 524,289-integer 2-adic region of
+# paperfolding-lattice
 SIZE_BUDGET = 1 << 26
 
 
@@ -49,8 +51,8 @@ class EmptyInputError(AperiodicaError):
 
 def check_size(count, what: str) -> None:
     """OutOfRangeError, before anything is allocated, when count, the
-    length of an array predicted from the inputs, is over SIZE_BUDGET (or
-    not a number)."""
+    entries predicted from the inputs (of one array, or of all the arrays
+    a step holds at once), is over SIZE_BUDGET (or not a number)."""
     if not count <= SIZE_BUDGET:
         raise OutOfRangeError(
             f"{what} would hold {count:.3g} entries, over the budget of "

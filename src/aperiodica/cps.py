@@ -48,6 +48,11 @@ class ProfileError(AperiodicaError):
 
 _GAUSS_CUTOFF = 1e-12  # Gaussian weights below this are left out of a comb
 _PRUNE = 1e-14         # closed-form atoms below this intensity are left out
+# 8-byte entries that _slab_points holds at once (tracemalloc peaks at
+# +-1e6 and in square slabs): up to 9 per m value, plus 7 per candidate once
+# the candidates exist
+_SLAB_PER_M = 9
+_SLAB_PER_CANDIDATE = 7
 
 
 # -- schemes -----------------------------------------------------------------
@@ -288,7 +293,7 @@ def _slab_points(window: EuclideanWindow, lo: float, hi: float) -> np.ndarray:
     w_lo, w_hi = window.bounds()
     m_min = math.floor((lo - w_hi) / SQRT5) - 1
     m_max = math.ceil((hi - w_lo) / SQRT5) + 1
-    check_size(m_max - m_min + 1, "the slab's m range")
+    check_size(_SLAB_PER_M * (m_max - m_min + 1), "the arrays of the slab's m range")
     ms = np.arange(m_min, m_max + 1, dtype=np.int64)
     m_theta, m_conj = ms * TAU, ms * TAU_CONJ
     n_lo = np.maximum(lo - m_theta, w_lo - m_conj)
@@ -297,7 +302,8 @@ def _slab_points(window: EuclideanWindow, lo: float, hi: float) -> np.ndarray:
     counts = np.floor(n_hi + 1e-9).astype(np.int64) - first + 1
     counts[n_hi < n_lo] = 0
     total = int(counts.sum())
-    check_size(total, "the slab's candidate list")
+    check_size(_SLAB_PER_M * len(ms) + _SLAB_PER_CANDIDATE * total,
+               "the arrays of the slab's candidate list")
     starts = np.cumsum(counts) - counts
     ns = (np.arange(total, dtype=np.int64)
           - np.repeat(starts - first, counts))

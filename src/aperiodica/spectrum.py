@@ -11,21 +11,30 @@ integer k is 1.  The optional Hann taper trades a slightly wider main lobe
 for fast side-lobe decay, which matters when small atoms are read off next
 to large ones.
 
-The sums are evaluated on one of two paths, chosen from the input's shape
-alone (point count N, k count K, and the fine-grid length that the position
-span times the k span implies):
+The sums are evaluated on one of three paths, chosen from the input's shape
+alone (point count N, k count K, the fine-grid length that the position
+span times the k span implies, and the spans of exact coordinates):
 
-* direct summation, in blocks of _CHUNK complex exponentials; it serves
-  small N*K and wide spans, and is the oracle for the other path;
 * a type-3 non-uniform FFT (Lee & Greengard, J. Comput. Phys. 206 (2005) 1)
   with the exponential-of-semicircle kernel of Barnett, Magland &
   af Klinteberg (SIAM J. Sci. Comput. 41 (2019) C479), at a fixed
   tolerance of 1e-13, below the phase rounding of direct summation.  It
   serves integer, module and float positions at uniform or scattered k.
+  It is taken when its cost estimate is below direct summation's and its
+  fine grid fits the memory of one direct block.
+* otherwise, for exact coordinates (integers k*scale, or m*tau + n in the
+  golden module), the direct sum from twiddle tables: each integer column
+  is split into two base-Q digits (Q = isqrt(span) + 1, baby-step/giant-
+  step), so every phase factors over per-k tables e^(-2 pi i frac(k b a))
+  for the digit bases b, whose phases are reduced mod 1 in extended
+  precision.  A point*k costs one gather per digit and a multiply, and the
+  phases keep the exact coordinates.  It is taken when the tables hold no
+  more entries per k than the comb has points.
+* otherwise direct summation, one complex exponential per point*k in
+  blocks of _CHUNK: float positions (comb files) and sparse combs of wide
+  span.  It is the oracle for the other two paths.
 
-The fast path is taken when its cost estimate is below the direct one and
-its fine grid fits the memory of one direct block.  Tests hold the two paths
-within 1e-10 of the largest value of each other.
+Tests hold each path within 1e-10 of the largest value of direct summation.
 """
 
 from __future__ import annotations
@@ -40,7 +49,9 @@ from .autocorr import estimate_autocorrelation
 from .core import (
     AperiodicaError,
     EmptyInputError,
+    IntegerCoords,
     LatticeBasis,
+    ModuleCoords,
     OutOfRangeError,
     SpectralMeasure,
     WeightedComb,
@@ -52,6 +63,11 @@ from .core import (
 )
 
 _CHUNK = 1 << 18  # complex exponentials per direct evaluation block
+# point*k per table-path tile: its two complex buffers (512 KiB each) stay in
+# cache; 2^14 to 2^16 time alike on a 2-core Xeon VM, and tiles of _CHUNK
+# were up to 3x slower
+_TILE = 1 << 15
+_TAU_EXT = (1 + np.sqrt(np.longdouble(5))) / 2  # tau in extended precision
 
 
 class GridMismatchError(AperiodicaError):
@@ -115,8 +131,11 @@ def periodogram_values(comb: WeightedComb, ks, taper: str = "boxcar",
     else:
         raise AperiodicaError(f"unknown normalization {normalization!r}")
     x = comb.positions
+    columns = _exact_columns(comb.coords)
     if len(ks) and _use_nufft(len(x), len(ks), x[-1] - x[0], np.ptp(ks)):
         power = _nufft_power(x, w, ks)
+    elif _use_tables(len(x), columns):
+        power = _table_power(columns, w, ks)
     else:
         power = _direct_power(x, w, ks)
     return power / norm
@@ -130,6 +149,64 @@ def _direct_power(x: np.ndarray, w: np.ndarray, ks: np.ndarray) -> np.ndarray:
         kc = ks[start:start + block]
         phases = np.exp(-2j * math.pi * np.outer(kc, x))
         out[start:start + block] = np.abs(phases @ w) ** 2
+    return out
+
+
+def _exact_columns(coords) -> list:
+    """The integer columns c_i of exact coordinates with their units u_i,
+    x_j = sum_i u_i c_i[j] (u_i in extended precision): k with the scale,
+    or m with tau and n with 1; none for float positions."""
+    if isinstance(coords, IntegerCoords):
+        return [(coords.values, np.longdouble(coords.scale))]
+    if isinstance(coords, ModuleCoords):
+        return [(coords.mn[:, 0], _TAU_EXT), (coords.mn[:, 1], np.longdouble(1))]
+    return []
+
+
+def _table_power(columns: list, w: np.ndarray, ks: np.ndarray) -> np.ndarray:
+    """|sum_j w_j e^(-2 pi i k x_j)|^2 at every k, for x_j given exactly by
+    the integer columns of _exact_columns.
+
+    Each column less its minimum splits into two base-Q digits,
+    Q = isqrt(span) + 1, so that x_j - x_ref = sum_d b_d a_d[j] with bases
+    u*Q and u.  Per k, digit d has the table e^(-2 pi i frac(k b_d a)) over
+    its range (a = 0..span // Q, or 0..Q - 1), its phases reduced mod 1 in
+    extended precision, so _use_tables counts span // Q + 1 + Q entries per
+    column; the sum
+    is the tables gathered at the digits, multiplied and dotted with w, in
+    tiles of _TILE point*k.  The result drops the unit-modulus factor
+    e^(-2 pi i k x_ref) of each k."""
+    bases, digits, ranges = [], [], []
+    for c, unit in columns:
+        d = c - c.min()
+        span = int(d.max())
+        q = math.isqrt(span) + 1
+        bases += [unit * q, unit]
+        digits += [d // q, d % q]
+        ranges += [np.arange(span // q + 1), np.arange(q)]
+    n = len(w)
+    block = max(1, _TILE // n)  # k per tile
+    step = _TILE // block       # points per tile: all of them when block > 1
+    out = np.empty(len(ks))
+    # take(mode="clip") fills a buffer in place, where mode="raise" would
+    # buffer; the digits are in range by construction
+    bufs = np.empty((2, min(step, n) * min(block, len(ks))), dtype=complex)
+    for start in range(0, len(ks), block):
+        kc = ks[start:start + block].astype(np.longdouble)
+        tables = []
+        for b, r in zip(bases, ranges):
+            phase = np.multiply.outer(r, kc * b)  # (table entries, k)
+            tables.append(np.exp(-2j * math.pi * (phase - np.floor(phase)).astype(float)))
+        total = np.zeros(len(kc), dtype=complex)
+        for p in range(0, n, step):
+            m = min(step, n - p)
+            acc, rows = bufs[:, :m * len(kc)].reshape(2, m, len(kc))
+            for i, (table, a) in enumerate(zip(tables, digits)):
+                np.take(table, a[p:p + m], axis=0, out=rows if i else acc, mode="clip")
+                if i:
+                    acc *= rows
+            total += w[p:p + m] @ acc
+        out[start:start + block] = np.abs(total) ** 2
     return out
 
 
@@ -214,6 +291,19 @@ def _use_nufft(n: int, count: int, x_span: float, k_span: float) -> bool:
     fast = (_NS_FIXED + _NS_SPREAD * n + _NS_FFT * nf * math.log2(nf)
             + _NS_INTERP * count)
     return fast < _NS_DIRECT * n * count
+
+
+def _use_tables(n: int, columns: list) -> bool:
+    """Path rule for exact coordinates (the columns of _exact_columns), taken
+    when the fast path is not: the twiddle tables of _table_power hold no
+    more entries per k than the comb has points.  A sparse comb of wide span
+    keeps direct summation: two points at +-1e9 would need ~89,000 entries."""
+    entries = 0
+    for c, _ in columns:
+        span = int(c.max()) - int(c.min())
+        q = math.isqrt(span) + 1
+        entries += span // q + 1 + q
+    return bool(columns) and entries <= n
 
 
 def _nufft_power(x: np.ndarray, w: np.ndarray, ks: np.ndarray) -> np.ndarray:

@@ -15,6 +15,9 @@ Rewrite the table after an intended output change, and list every changed
 digest in CHANGES.md:
 
     PYTHONPATH=src python tests/readme_digests.py
+
+The script prints the argv of each example and the name of each array whose
+digest differs from the table it replaces.
 """
 
 from __future__ import annotations
@@ -171,13 +174,29 @@ def array_digests() -> dict[str, str]:
             for name, a in library_arrays().items()}
 
 
+def changes(old: dict, new: dict) -> list[str]:
+    """One line per example (by argv) and per array (by name) whose record
+    in the table `new` is not the one in `old`, or that `old` lacks."""
+    old_examples = {r["argv"]: r for r in old.get("examples", [])}
+    old_arrays = old.get("arrays", {})
+    return ([f"example: {r['argv']}" for r in new["examples"]
+             if old_examples.get(r["argv"]) != r]
+            + [f"array: {name}" for name, d in new["arrays"].items()
+               if old_arrays.get(name) != d])
+
+
 def main() -> int:
+    old = json.loads(TABLE.read_text(encoding="utf-8")) if TABLE.exists() else {}
     with tempfile.TemporaryDirectory() as tmp:
         records = run_examples(Path(tmp))
     arrays = array_digests()
     table = {"numpy": np.__version__, "examples": records, "arrays": arrays}
     TABLE.write_text(json.dumps(table, indent=1) + "\n", encoding="utf-8")
     print(f"wrote {len(records)} example and {len(arrays)} array digests to {TABLE}")
+    changed = changes(old, table)
+    print(f"{len(changed)} changed from the table it replaces" + (":" if changed else ""))
+    for line in changed:
+        print("  " + line)
     return 0
 
 

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import aperiodica as ap
-from aperiodica import core
+from aperiodica import core, cps
 from aperiodica.core import AperiodicaError
 
 
@@ -400,6 +400,25 @@ class TestSizeBudget:
                 lambda: ap.generate_model_set(ap.fibonacci_scheme(), window, (-100, 100)),
                 "candidate list")
         assert len(ap.generate_model_set(ap.fibonacci_scheme(), window, (-100, 100))) == 17_888
+
+    def test_slab_guard_counts_every_array_held(self):
+        # at +-1e4 the slab has ~8,950 m values and as many candidates, each
+        # under a budget of 1e5 entries, but it holds ~9 arrays of the first
+        # and ~7 of the second at once: 1.09 MB, over the 0.8 MB of the budget
+        window = ap.EuclideanWindow(((-0.3, 0.7),))
+        with mock.patch.object(core, "SIZE_BUDGET", 100_000):
+            raises_before_allocating(
+                lambda: ap.generate_model_set(ap.fibonacci_scheme(), window,
+                                              (-10_000, 10_000)), "candidate list")
+            # at +-5e3 the guards pass, and the peak stays within the budget
+            tracemalloc.start()
+            try:
+                mn = cps._slab_points(window, -5_000.0, 5_000.0)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert len(mn) == 4_473
+        assert peak <= 8 * 100_000
 
     def test_paperfolding_atoms_guarded(self):
         # r_max 14 on [0, 1] has 16,384 atoms; the bound sized first is

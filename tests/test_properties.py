@@ -3,7 +3,8 @@
 Invariants covered: autocorrelation Hermitian symmetry, boundedness by the
 zero coefficient, triangle inequality of the pseudo-metric, nesting of the
 almost-period sets, scaling covariance, periodogram positivity, agreement of
-the NUFFT periodogram with direct summation, agreement of the array slab
+the NUFFT and the twiddle-table periodograms with direct summation,
+agreement of the array slab
 enumeration, pair sums and Theorem-10 atoms with the loops they replaced
 and of the dense integer sums with the pair loop, agreement of the
 paperfolding atoms with a scan of every m/2^r_max, agreement of the 2-adic
@@ -159,6 +160,57 @@ def test_periodogram_fast_path_matches_direct(case):
     fast = spectrum._nufft_power(x, w, ks)
     direct = spectrum._direct_power(x, w, ks)
     assert np.max(np.abs(fast - direct)) <= 1e-10 * np.max(direct)
+
+
+@st.composite
+def table_path_inputs(draw):
+    """A comb with complex weights on integer positions k*scale (sparse or
+    dense) or golden-module positions m*tau + n (a tiling or scattered
+    pairs), a taper and a uniform or scattered k set."""
+    kind = draw(st.sampled_from(["integer", "tiling", "module"]))
+    n = draw(st.integers(min_value=1, max_value=1500))
+    count = draw(st.integers(min_value=1, max_value=200))
+    taper = draw(st.sampled_from(["boxcar", "hann"]))
+    uniform = draw(st.booleans())
+    k_lo = draw(st.floats(min_value=-20.0, max_value=20.0))
+    k_span = draw(st.floats(min_value=0.0, max_value=5.0))
+    rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2 ** 32 - 1)))
+
+    def weights(size):
+        return rng.normal(size=size) + 1j * rng.normal(size=size)
+
+    if kind == "integer":
+        scale = draw(st.sampled_from([1.0, 0.5, 0.37, 3.0]))
+        span = draw(st.integers(min_value=n, max_value=100 * n))
+        values = rng.choice(span + 1, size=n, replace=False) - span // 2
+        radius = scale * max(abs(int(values.min())), abs(int(values.max())), 1)
+        comb = ap.WeightedComb.from_integers(values, weights(n), radius, scale)
+    elif kind == "tiling":
+        tiling = ap.sample(ap.fibonacci_spec(), n, seed=int(rng.integers(2 ** 31)))
+        comb = ap.WeightedComb.from_module(tiling.comb.coords.mn,
+                                           weights(len(tiling.comb)), tiling.comb.radius)
+    else:
+        side = int(math.isqrt(n)) + 2
+        mn = rng.integers(-side, side + 1, size=(n, 2))
+        mn = np.unique(mn, axis=0)
+        x = mn[:, 0] * ap.TAU + mn[:, 1]
+        comb = ap.WeightedComb.from_module(mn, weights(len(mn)), float(np.max(np.abs(x))) + 1.0)
+    if uniform:
+        ks = k_lo + np.arange(count) * (k_span / count)
+    else:
+        ks = k_lo + rng.uniform(0.0, k_span, size=count)
+    return comb, taper, ks
+
+
+@given(table_path_inputs())
+@settings(max_examples=60, deadline=None)
+def test_periodogram_table_path_matches_direct(case):
+    # the NUFFT gate: max |table - direct| <= 1e-10 * max value
+    comb, taper, ks = case
+    w = spectrum._taper_weights(comb, taper)[0]
+    table = spectrum._table_power(spectrum._exact_columns(comb.coords), w, ks)
+    direct = spectrum._direct_power(comb.positions, w, ks)
+    assert np.max(np.abs(table - direct)) <= 1e-10 * np.max(direct)
 
 
 def loop_slab_points(window, lo, hi):

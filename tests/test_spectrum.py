@@ -114,6 +114,45 @@ class TestPeriodogram:
         # phases near 2 pi * 6e8 keep about 7 digits in double precision
         assert np.max(np.abs(pgram.values - exact)) <= 2e-6 * np.max(exact)
 
+    def test_table_path_choice(self):
+        # the two points at +-1e9 would need 89,444 table entries per k
+        a = 10 ** 9
+        sparse = ap.WeightedComb.from_integers([-a, a], [1.0, 1.0], float(a))
+        assert not sp._use_tables(len(sparse), sp._exact_columns(sparse.coords))
+        # criterion 7's comb: 340 entries per k against 66,491 points
+        crit7 = ap.density_weighted_comb(ap.fibonacci_scheme(), ap.GaussianProfile(0.5),
+                                         (-10000, 10000))
+        assert len(crit7) == 66_491
+        assert sp._use_tables(len(crit7), sp._exact_columns(crit7.coords))
+        # float positions have no exact columns
+        floats = ap.WeightedComb.from_positions(crit7.positions, crit7.weights, crit7.radius)
+        assert not sp._use_tables(len(floats), sp._exact_columns(floats.coords))
+
+    def test_table_path_beats_direct_at_criterion_4_shape(self):
+        # against phases from the exact coordinates in extended precision,
+        # each reduced mod 1 before the exponential
+        comb = ap.sample(ap.fibonacci_spec(), 100_000, seed=2000).comb
+        ks = 0.3 + 0.02 * np.arange(8)
+        x = comb.positions
+        columns = sp._exact_columns(comb.coords)
+        assert not sp._use_nufft(len(x), len(ks), x[-1] - x[0], np.ptp(ks))
+        assert sp._use_tables(len(x), columns)
+        table = sp._table_power(columns, comb.weights, ks)
+        assert np.array_equal(ap.periodogram_values(comb, ks), table / comb.volume)
+        direct = sp._direct_power(x, comb.weights, ks)
+        mn = comb.coords.mn
+        exact_x = mn[:, 0] * ((1 + np.sqrt(np.longdouble(5))) / 2) + mn[:, 1]
+        exact = np.empty(len(ks))
+        for i, k in enumerate(ks):
+            phase = np.longdouble(k) * exact_x
+            phase -= np.floor(phase)
+            exact[i] = abs(np.exp(-2j * math.pi * phase.astype(float)) @ comb.weights) ** 2
+        table_err = np.max(np.abs(table - exact)) / np.max(exact)
+        direct_err = np.max(np.abs(direct - exact)) / np.max(exact)
+        # measured 4.4e-14 and 4.9e-11
+        assert table_err <= 1e-12
+        assert table_err <= direct_err
+
     def test_non_finite_k_rejected(self):
         with pytest.raises(ap.OutOfRangeError):
             ap.periodogram_values(integer_comb(10), [0.0, math.nan])
