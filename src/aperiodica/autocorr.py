@@ -33,9 +33,14 @@ _SUPPORT_TOL = 1e-12  # coefficients at most this large count as zero
 # pairs the pair path reduces at a time; bounds its temporaries to a few MiB
 _PAIR_BLOCK = 1 << 15
 # integer combs use dense arrays over their span when it is at most this
-# many positions per point, or at most _DENSE_MAX_SPAN positions
+# many positions per point; sparser ones when the span is at most
+# _DENSE_MAX_SPAN positions (the dense path peaks at ~130 B a position) and
+# their pairs would cost more on the pair path.  Rates in ns, measured on a
+# 2-core Xeon VM: 300-820 per span position dense, 90-360 per pair
 _DENSE_SPAN_FACTOR = 16
-_DENSE_MAX_SPAN = 1 << 18
+_DENSE_MAX_SPAN = 1 << 20
+_NS_DENSE = 500.0
+_NS_PAIR = 150.0
 _INT64_MAX = int(np.iinfo(np.int64).max)
 
 
@@ -138,6 +143,13 @@ def _pairwise_sums(cut, bound, keys, weights):
     return _group_sums(*map(np.concatenate, zip(*parts)))
 
 
+def _pair_count(cut, bound) -> int:
+    """Pairs i > j with cut[i] - cut[j] <= bound, for ascending cut: the
+    pairs _pairwise_sums visits."""
+    first = np.searchsorted(cut, cut - bound, side="left")
+    return int(np.sum(np.arange(len(cut)) - first))
+
+
 def _convolve(a, b):
     """Full linear convolution of two 1-d arrays by FFTs at a fast length."""
     n = len(a) + len(b) - 1
@@ -222,8 +234,9 @@ def estimate_autocorrelation(comb: WeightedComb, max_diff: float) -> Autocorrela
 
     with x, y running over the comb.  Requires max_diff <= 2 * radius.
     Differences are grouped exactly by the keys of _exact_keys: integer
-    combs within the dense span take one FFT convolution, all others the
-    pair path."""
+    combs take one FFT convolution when dense, or when their span fits the
+    dense cap and their exact pair count makes the pair path the costlier;
+    all others take the pair path."""
     if len(comb) == 0:
         raise EmptyInputError("cannot estimate the autocorrelation of an empty comb")
     if not 0.0 <= max_diff <= 2 * comb.radius:
@@ -233,7 +246,9 @@ def estimate_autocorrelation(comb: WeightedComb, max_diff: float) -> Autocorrela
     # only integer combs are cut on their keys, so only there is the bound a
     # lag bound for a convolution over the keys
     span = int(keys[-1]) - int(keys[0]) + 1
-    if cut is keys and span <= max(_DENSE_SPAN_FACTOR * len(keys), _DENSE_MAX_SPAN):
+    if cut is keys and (span <= _DENSE_SPAN_FACTOR * len(keys) or (
+            span <= _DENSE_MAX_SPAN
+            and _NS_PAIR * _pair_count(keys, min(bound, span)) > _NS_DENSE * span)):
         codes, sums = _dense_sums(keys, w, bound)
     else:
         codes, sums = _pairwise_sums(cut, bound, keys, w)

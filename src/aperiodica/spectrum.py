@@ -20,8 +20,18 @@ span times the k span implies, and the spans of exact coordinates):
   af Klinteberg (SIAM J. Sci. Comput. 41 (2019) C479), at a fixed
   tolerance of 1e-13, below the phase rounding of direct summation.  It
   serves integer, module and float positions at uniform or scattered k.
-  It is taken when its cost estimate is below direct summation's and its
-  fine grid fits the memory of one direct block.
+  It is taken when its cost estimate is below that of the path taken
+  otherwise (the tables below when they serve the comb, else direct
+  summation) and its fine grid fits the memory of one direct block.
+  On a uniform grid k0 + l*dk the sums have period 1/dk in x, so a comb
+  that spans more than one period is first wrapped into it: positions
+  y = x mod 1/dk, centred on 0, with weights w e^(-2 pi i k0 x), and the
+  NUFFT sums at l*dk.  Its fine grid then follows the k grid alone, not
+  the comb's span.  For exact coordinates dk*x and k0*x are reduced mod 1
+  from the digit tables of the table path.  ks counts as uniform when it
+  lies within 2^-52 max|k| of a progression, checked in extended
+  precision; the wrapped sums are exact at that progression.  Scattered
+  k, and combs that span at most 1/dk, are not wrapped.
 * otherwise, for exact coordinates (integers k*scale, or m*tau + n in the
   golden module), the direct sum from twiddle tables: each integer column
   is split into two base-Q digits (Q = isqrt(span) + 1, baby-step/giant-
@@ -132,9 +142,20 @@ def periodogram_values(comb: WeightedComb, ks, taper: str = "boxcar",
         raise AperiodicaError(f"unknown normalization {normalization!r}")
     x = comb.positions
     columns = _exact_columns(comb.coords)
-    if len(ks) and _use_nufft(len(x), len(ks), x[-1] - x[0], np.ptp(ks)):
-        power = _nufft_power(x, w, ks)
-    elif _use_tables(len(x), columns):
+    tables = _use_tables(len(x), columns)
+    # on a uniform grid k0 + l*dk the sums have period 1/dk in x: a comb
+    # spanning more than one period is wrapped into it before the NUFFT
+    grid = _progression(ks)
+    wrap = grid is not None and (x[-1] - x[0]) * grid[1] > 1
+    x_span = 1.0 / float(grid[1]) if wrap else x[-1] - x[0]
+    if len(ks) and _use_nufft(len(x), len(ks), x_span, np.ptp(ks),
+                              _NS_TABLE if tables else _NS_DIRECT):
+        if wrap:
+            y, w = _wrap(x, columns, w, *grid)
+            power = _nufft_power(y, w, np.arange(len(ks)) * float(grid[1]))
+        else:
+            power = _nufft_power(x, w, ks)
+    elif tables:
         power = _table_power(columns, w, ks)
     else:
         power = _direct_power(x, w, ks)
@@ -163,27 +184,43 @@ def _exact_columns(coords) -> list:
     return []
 
 
-def _table_power(columns: list, w: np.ndarray, ks: np.ndarray) -> np.ndarray:
-    """|sum_j w_j e^(-2 pi i k x_j)|^2 at every k, for x_j given exactly by
-    the integer columns of _exact_columns.
-
-    Each column less its minimum splits into two base-Q digits,
-    Q = isqrt(span) + 1, so that x_j - x_ref = sum_d b_d a_d[j] with bases
-    u*Q and u.  Per k, digit d has the table e^(-2 pi i frac(k b_d a)) over
-    its range (a = 0..span // Q, or 0..Q - 1), its phases reduced mod 1 in
-    extended precision, so _use_tables counts span // Q + 1 + Q entries per
-    column; the sum
-    is the tables gathered at the digits, multiplied and dotted with w, in
-    tiles of _TILE point*k.  The result drops the unit-modulus factor
-    e^(-2 pi i k x_ref) of each k."""
+def _digit_split(columns: list) -> tuple[list, list, list]:
+    """The integer columns of _exact_columns, each less its minimum, as two
+    base-Q digits, Q = isqrt(span) + 1: x_j - x_ref = sum_d b_d a_d[j] with
+    bases u*Q and u.  Returns the bases b_d (extended precision), the digit
+    arrays a_d and each digit's range (a = 0..span // Q, or 0..Q - 1)."""
     bases, digits, ranges = [], [], []
     for c, unit in columns:
         d = c - c.min()
         span = int(d.max())
         q = math.isqrt(span) + 1
         bases += [unit * q, unit]
-        digits += [d // q, d % q]
+        digits += list(np.divmod(d, q))
         ranges += [np.arange(span // q + 1), np.arange(q)]
+    return bases, digits, ranges
+
+
+def _turn_tables(bases: list, ranges: list, ks: np.ndarray) -> list:
+    """Per digit, frac(k b a) over its range a (rows) for each k of ks
+    (columns; a scalar k gives one row each), with ks in extended precision,
+    reduced mod 1 in extended precision and returned as doubles."""
+    tables = []
+    for b, r in zip(bases, ranges):
+        phase = np.multiply.outer(r, ks * b)  # (table entries, k)
+        tables.append((phase - np.floor(phase)).astype(float))
+    return tables
+
+
+def _table_power(columns: list, w: np.ndarray, ks: np.ndarray) -> np.ndarray:
+    """|sum_j w_j e^(-2 pi i k x_j)|^2 at every k, for x_j given exactly by
+    the integer columns of _exact_columns.
+
+    With the digits of _digit_split, digit d has per k the table
+    e^(-2 pi i frac(k b_d a)) over its range, so _use_tables counts
+    span // Q + 1 + Q entries per column; the sum is the tables gathered at
+    the digits, multiplied and dotted with w, in tiles of _TILE point*k.
+    The result drops the unit-modulus factor e^(-2 pi i k x_ref) of each k."""
+    bases, digits, ranges = _digit_split(columns)
     n = len(w)
     block = max(1, _TILE // n)  # k per tile
     step = _TILE // block       # points per tile: all of them when block > 1
@@ -193,10 +230,7 @@ def _table_power(columns: list, w: np.ndarray, ks: np.ndarray) -> np.ndarray:
     bufs = np.empty((2, min(step, n) * min(block, len(ks))), dtype=complex)
     for start in range(0, len(ks), block):
         kc = ks[start:start + block].astype(np.longdouble)
-        tables = []
-        for b, r in zip(bases, ranges):
-            phase = np.multiply.outer(r, kc * b)  # (table entries, k)
-            tables.append(np.exp(-2j * math.pi * (phase - np.floor(phase)).astype(float)))
+        tables = [np.exp(-2j * math.pi * t) for t in _turn_tables(bases, ranges, kc)]
         total = np.zeros(len(kc), dtype=complex)
         for p in range(0, n, step):
             m = min(step, n - p)
@@ -208,6 +242,44 @@ def _table_power(columns: list, w: np.ndarray, ks: np.ndarray) -> np.ndarray:
             total += w[p:p + m] @ acc
         out[start:start + block] = np.abs(total) ** 2
     return out
+
+
+def _progression(ks: np.ndarray):
+    """(k0, dk) in extended precision, dk > 0, when ks is the progression
+    k0 + l*dk through its end points to within 2^-52 max|k| at every l;
+    None otherwise.  Within that bound each k moves by about one rounding
+    of a double k, so a phase k*x moves by about direct summation's own
+    rounding of k*x.  (A check in doubles would always pass: k0 + l*dk
+    rounds to ks[l].)"""
+    if len(ks) < 2:
+        return None
+    kl = ks.astype(np.longdouble)
+    dk = (kl[-1] - kl[0]) / (len(ks) - 1)
+    if not dk > 0:
+        return None
+    delta = kl - (kl[0] + dk * np.arange(len(ks)))
+    if np.max(np.abs(delta)) > 2.0 ** -52 * np.max(np.abs(ks)):
+        return None
+    return kl[0], dk
+
+
+def _wrap(x: np.ndarray, columns: list, w: np.ndarray, k0, dk):
+    """The comb wrapped to one period 1/dk of the grid k0 + l*dk: positions
+    y_j = (f_j - round(f_j))/dk, f_j = frac(dk x_j), so |y_j| <= 1/(2 dk),
+    in ascending order, with the weights w_j e^(-2 pi i k0 x_j) in the same
+    order.  sum_j w_j e^(-2 pi i (k0 + l dk) x_j) is then
+    sum_j w'_j e^(-2 pi i l dk y_j).  For exact coordinates dk x_j and
+    k0 x_j are read mod 1 from the digit tables of _digit_split, relative to
+    x_ref, which drops a unit-modulus factor per k."""
+    if columns:
+        bases, digits, ranges = _digit_split(columns)
+        f, g = (sum(np.take(t, a) for t, a in zip(_turn_tables(bases, ranges, k), digits))
+                for k in (dk, k0))
+    else:
+        f, g = float(dk) * x, float(k0) * x
+    y = (f - np.round(f)) / float(dk)
+    order = np.argsort(y)
+    return y[order], (w * np.exp(-2j * math.pi * g))[order]
 
 
 # -- type-3 NUFFT ---------------------------------------------------------------
@@ -234,10 +306,12 @@ _BLOCK = 2048                     # points spread, or k interpolated, per block
 # twiddle factors), 48 bytes a mode; the fast path may use no more
 _GRID_CAP = 52 * _CHUNK // 48
 
-# cost model, in ns as measured on a 2-core Xeon VM: direct summation per
-# point*k; the fast path per point spread, per nf*log2(nf) of the FFT, per k
+# cost model, in ns as measured on a 2-core Xeon VM: direct summation and
+# the table path (15-21 ns from 200,001 down to 20,001 points) per point*k;
+# the fast path per point spread, per nf*log2(nf) of the FFT, per k
 # interpolated, plus a fixed set-up
 _NS_DIRECT = 55.0
+_NS_TABLE = 20.0
 _NS_SPREAD = 450.0
 _NS_FFT = 3.0
 _NS_INTERP = 350.0
@@ -282,15 +356,17 @@ def _fine_grid(x_span: float, k_span: float) -> tuple[int, float]:
     return (next_fast_len(nf) if nf <= _GRID_CAP else nf), dk
 
 
-def _use_nufft(n: int, count: int, x_span: float, k_span: float) -> bool:
+def _use_nufft(n: int, count: int, x_span: float, k_span: float,
+               ns_other: float = _NS_DIRECT) -> bool:
     """Path choice from the input's shape: the fast path when its fine grid
-    fits the cap and its estimated cost is below direct summation's."""
+    fits the cap and its estimated cost is below that of the other path,
+    ns_other per point*k (_NS_TABLE when the tables serve the comb)."""
     nf, _ = _fine_grid(x_span, k_span)
     if nf > _GRID_CAP:
         return False
     fast = (_NS_FIXED + _NS_SPREAD * n + _NS_FFT * nf * math.log2(nf)
             + _NS_INTERP * count)
-    return fast < _NS_DIRECT * n * count
+    return fast < ns_other * n * count
 
 
 def _use_tables(n: int, columns: list) -> bool:

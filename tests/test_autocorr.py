@@ -130,13 +130,30 @@ class TestExactKeys:
             for values in (letters["a"], letters["d"], np.arange(-100, 101)):
                 comb = ap.WeightedComb.from_integers(values, np.ones(len(values)), 4096.0)
                 ap.estimate_autocorrelation(comb, 64.0)
-            # sparser than 1/16, but the span is under _DENSE_MAX_SPAN
+            # sparser than 1/16, but its 1.1e7 pairs would cost more than
+            # the dense sums over its span
             values = np.arange(-99_974, 100_000, 37)
             comb = ap.WeightedComb.from_integers(values, np.ones(len(values)), 1e5)
             est = ap.estimate_autocorrelation(comb, 1e5)
             assert np.array_equal(est.diffs, 37.0 * np.arange(-2702, 2703))
             ap.estimate_autocorrelation(pf.binary_comb(1 << 12), 64.0)
             ap.complement_check(np.arange(-200, 201, 2, dtype=float), lattice, 200)
+
+    def test_sparse_comb_with_many_pairs_takes_dense_path(self):
+        # 9,952 integers over a span of 1e6 have 4.9e7 pairs within 1e6: the
+        # pair path took 9.4 s, the dense sums 0.6 s
+        rng = np.random.default_rng(5)
+        values = np.unique(rng.integers(-500_000, 500_000, size=10_000))
+        w = rng.normal(size=len(values)) + 1j * rng.normal(size=len(values))
+        comb = ap.WeightedComb.from_integers(values, w, 5e5)
+        with mock.patch.object(autocorr, "_pairwise_sums", side_effect=AssertionError):
+            dense = ap.estimate_autocorrelation(comb, 1e6)
+        # the pair path on the lags up to 2e4 (2e6 pairs) agrees
+        with mock.patch.object(autocorr, "_dense_sums", side_effect=AssertionError):
+            pairs = ap.estimate_autocorrelation(comb, 2e4)
+        near = np.abs(dense.diffs) <= 2e4
+        assert np.array_equal(dense.diffs[near], pairs.diffs)
+        assert np.max(np.abs(dense.eta[near] - pairs.eta)) <= 1e-10 * pairs.zero_coefficient
 
     def test_float_keys_beyond_int64_rejected(self):
         # positions past 9.2e9 overflow the int64 1e-9 grid; they used to

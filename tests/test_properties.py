@@ -3,7 +3,8 @@
 Invariants covered: autocorrelation Hermitian symmetry, boundedness by the
 zero coefficient, triangle inequality of the pseudo-metric, nesting of the
 almost-period sets, scaling covariance, periodogram positivity, agreement of
-the NUFFT and the twiddle-table periodograms with direct summation,
+the NUFFT, the twiddle-table and the wrapped periodograms with direct
+summation,
 agreement of the array slab
 enumeration, pair sums and Theorem-10 atoms with the loops they replaced
 and of the dense integer sums with the pair loop, agreement of the
@@ -211,6 +212,55 @@ def test_periodogram_table_path_matches_direct(case):
     table = spectrum._table_power(spectrum._exact_columns(comb.coords), w, ks)
     direct = spectrum._direct_power(comb.positions, w, ks)
     assert np.max(np.abs(table - direct)) <= 1e-10 * np.max(direct)
+
+
+@st.composite
+def wrap_inputs(draw):
+    """A comb with complex weights on integer positions k*scale, golden-
+    module positions (a tiling) or float positions, a taper and a uniform k
+    grid k0 + l*dk whose period 1/dk is shorter than the comb's span, sized
+    so that periodogram_values wraps the comb and takes the NUFFT."""
+    kind = draw(st.sampled_from(["integer", "module", "float"]))
+    n = draw(st.integers(min_value=800, max_value=2000))
+    count = draw(st.integers(min_value=400, max_value=1000))
+    taper = draw(st.sampled_from(["boxcar", "hann"]))
+    k0 = draw(st.floats(min_value=-20.0, max_value=20.0))
+    periods = draw(st.floats(min_value=1.01, max_value=20.0))  # span * dk
+    rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2 ** 32 - 1)))
+
+    def weights(size):
+        return rng.normal(size=size) + 1j * rng.normal(size=size)
+
+    if kind == "integer":
+        scale = draw(st.sampled_from([1.0, 0.5, 0.37, 3.0]))
+        radius = int(rng.integers(n // 2, n + 1))
+        values = rng.choice(np.arange(-radius, radius + 1), size=n, replace=False)
+        comb = ap.WeightedComb.from_integers(values, weights(n), scale * radius, scale)
+    elif kind == "module":
+        tiling = ap.sample(ap.fibonacci_spec(), n // 2, seed=int(rng.integers(2 ** 31)))
+        mn = tiling.comb.coords.mn
+        comb = ap.WeightedComb.from_module(mn, weights(len(mn)), tiling.comb.radius)
+    else:
+        positions = np.unique(rng.uniform(-n, n, size=n))
+        comb = ap.WeightedComb.from_positions(positions, weights(len(positions)), float(n))
+    dk = periods / np.ptp(comb.positions)
+    return comb, taper, k0 + dk * np.arange(count)
+
+
+@given(wrap_inputs())
+@settings(max_examples=40, deadline=None)
+def test_periodogram_wrap_matches_direct(case):
+    # the NUFFT gate, max |wrapped - direct| <= 1e-10 * max value, on combs
+    # wrapped to one period 1/dk; a few double grids stray from every
+    # progression by more than 2^-52 max|k| and are not wrapped
+    comb, taper, ks = case
+    assume(spectrum._progression(ks) is not None)
+    with mock.patch.object(spectrum, "_wrap", wraps=spectrum._wrap) as wrap:
+        values = ap.periodogram_values(comb, ks, taper)
+    assert wrap.called
+    w, t_mean, _ = spectrum._taper_weights(comb, taper)
+    direct = spectrum._direct_power(comb.positions, w, ks) / (comb.volume * t_mean ** 2)
+    assert np.max(np.abs(values - direct)) <= 1e-10 * np.max(direct)
 
 
 def loop_slab_points(window, lo, hi):

@@ -1,6 +1,7 @@
 import math
 import tracemalloc
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -83,18 +84,94 @@ class TestPeriodogram:
             direct = sp._direct_power(comb.positions, comb.weights, pgram.ks) / comb.volume
             assert np.max(np.abs(direct - pgram.values)) <= tol * np.max(direct)
 
-    @pytest.mark.parametrize("n, count, x_span, k_span, fast", [
-        (20_001, 800, 27_640.0, 1.951, True),     # tiling-diffraction, criterion 5
-        (2_050, 16_385, 4_096.0, 1.0, True),      # paperfolding 2^11 on [0, 1]
-        (16_386, 1_025, 32_768.0, 2.0, True),     # criterion 8
-        (4_473, 3_001, 10_000.0, 3.0, True),      # CLI model set, float positions
-        (66_491, 20, 20_000.0, 4.96, False),      # criterion 7: grid over cap
-        (200_001, 126, 276_534.0, 2.5, False),    # criterion 4 scan: grid over cap
-        (1, 10_000, 0.0, 1.0, False),             # one point: direct is cheaper
-        (2_000, 3, 4_000.0, 2.0, False),          # three k: direct is cheaper
+    # tables: the other path is the twiddle tables (exact coordinates), not
+    # direct summation
+    @pytest.mark.parametrize("n, count, x_span, k_span, tables, fast", [
+        (20_001, 800, 27_640.0, 1.951, False, True),     # tiling-diffraction, criterion 5
+        (2_050, 16_385, 4_096.0, 1.0, False, True),      # paperfolding 2^11 on [0, 1]
+        (16_386, 1_025, 32_768.0, 2.0, False, True),     # criterion 8
+        (4_473, 3_001, 10_000.0, 3.0, False, True),      # CLI model set, float positions
+        (66_491, 20, 20_000.0, 4.96, False, False),      # criterion 7: grid over cap
+        (200_001, 126, 276_534.0, 2.5, False, False),    # criterion 4 scan: grid over cap
+        (1, 10_000, 0.0, 1.0, False, False),             # one point: direct is cheaper
+        (2_000, 3, 4_000.0, 2.0, False, False),          # three k: direct is cheaper
+        # a Fibonacci sample at 20 scattered k: the tables take 8.3 ms, the
+        # NUFFT 21 ms
+        (20_001, 20, 27_663.0, 1.95, True, False),
+        # uniform grids wrapped to one period 1/dk
+        (200_001, 126, 50.0, 2.5, True, True),           # criterion 4 scan
+        (16_386, 1_025, 512.0, 2.0, True, True),         # criterion 8
+        (200_001, 3, 1.0, 2.0, True, False),             # rational Bragg sums at 0, 1, 2
     ])
-    def test_path_choice(self, n, count, x_span, k_span, fast):
-        assert sp._use_nufft(n, count, x_span, k_span) == fast
+    def test_path_choice(self, n, count, x_span, k_span, tables, fast):
+        other = sp._NS_TABLE if tables else sp._NS_DIRECT
+        assert sp._use_nufft(n, count, x_span, k_span, other) == fast
+
+    @pytest.mark.parametrize("ks", [
+        sp.uniform_grid(0.0, 2.0, 1.0 / 512),
+        sp.uniform_grid(-1.0, 2.0, 0.37),
+        sp.uniform_grid(0.0, 3.0, 0.001),
+        np.arange(0.0, 2.5001, 0.02),       # criterion 4's scan
+        0.3 + 0.02 * np.arange(126),
+        np.linspace(0.0, 2.0, 512),
+        np.linspace(-20.0, 3.0, 1000),
+    ])
+    def test_uniform_grids_are_progressions(self, ks):
+        k0, dk = sp._progression(ks)
+        assert k0 == ks[0] and math.isclose(dk, (ks[-1] - ks[0]) / (len(ks) - 1))
+
+    def test_other_k_sets_are_not_progressions(self):
+        # tiling-diffraction's 800 k: 100 clusters of 8 offsets 2e-4 apart
+        kk = (np.linspace(0.05, 2.0, 100)[:, None] + (np.arange(8) - 3.5) * 2e-4).ravel()
+        assert sp._progression(kk) is None
+        moved = sp.uniform_grid(0.0, 2.0, 1.0 / 512)
+        moved[300] += 1e-12
+        assert sp._progression(moved) is None
+        assert sp._progression(np.array([1.0])) is None
+        assert sp._progression(np.linspace(2.0, 0.0, 64)) is None  # descending
+
+    def test_narrow_comb_is_not_wrapped(self):
+        # span 4,096 < 1/dk = 16,384: the NUFFT gets the comb as it is
+        comb = pf.binary_comb(1 << 11)
+        ks = sp.uniform_grid(0.0, 1.0, 1.0 / (8.0 * comb.radius))
+        assert np.ptp(comb.positions) * sp._progression(ks)[1] <= 1
+        with mock.patch.object(sp, "_wrap", side_effect=AssertionError):
+            values = ap.periodogram_values(comb, ks)
+        parent = sp._nufft_power(comb.positions, comb.weights, ks) / comb.volume
+        assert np.array_equal(values, parent)
+
+    def test_wrap_at_criterion_4_shape(self):
+        # The wrap sums at the progression k0 + l*dk that _progression fits
+        # to the double k grid, within 2^-52 max|k| of each k.  Against
+        # phases from the exact coordinates in extended precision it is
+        # exact at that progression; its distance from the sums at the
+        # double k is the exact sums' own change over that shift (measured
+        # 2.1e-10 of max, where direct summation is 5.9e-11 off).
+        comb = ap.sample(ap.fibonacci_spec(), 100_000, seed=2000).comb
+        ks = 0.3 + 0.02 * np.arange(126)
+        with mock.patch.object(sp, "_wrap", wraps=sp._wrap) as wrap:
+            values = ap.periodogram_values(comb, ks) * comb.volume
+        assert wrap.called
+        k0, dk = sp._progression(ks)
+        mn = comb.coords.mn
+        exact_x = mn[:, 0] * ((1 + np.sqrt(np.longdouble(5))) / 2) + mn[:, 1]
+        assert np.all(comb.weights == 1.0)
+
+        def exact(k_ext):
+            out = np.empty(len(k_ext))
+            for i, k in enumerate(k_ext):
+                phase = k * exact_x
+                turns = (phase - np.round(phase.astype(float))).astype(float)
+                out[i] = np.sum(np.cos(2 * math.pi * turns)) ** 2 + np.sum(
+                    np.sin(2 * math.pi * turns)) ** 2
+            return out
+        at_grid = exact(ks.astype(np.longdouble))
+        at_progression = exact(k0 + dk * np.arange(len(ks)))
+        scale = np.max(at_grid)
+        # measured 3.2e-13
+        assert np.max(np.abs(values - at_progression)) <= 1e-12 * scale
+        assert np.all(np.abs(values - at_grid)
+                      <= np.abs(at_progression - at_grid) + 1e-12 * scale)
 
     def test_sparse_wide_comb_bounded_memory(self):
         # two points at +-1e9: no allocation may scale with the 2e9 span
