@@ -137,8 +137,8 @@ class TestPeriodogram:
         assert np.ptp(comb.positions) * sp._progression(ks)[1] <= 1
         with mock.patch.object(sp, "_wrap", side_effect=AssertionError):
             values = ap.periodogram_values(comb, ks)
-        parent = sp._nufft_power(comb.positions, comb.weights, ks) / comb.volume
-        assert np.array_equal(values, parent)
+        unwrapped = sp._nufft_power(comb.positions, comb.weights, ks) / comb.volume
+        assert np.array_equal(values, unwrapped)
 
     def test_wrap_at_criterion_4_shape(self):
         # The wrap sums at the progression k0 + l*dk that _progression fits
