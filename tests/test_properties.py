@@ -203,6 +203,18 @@ def table_path_inputs(draw):
     return comb, taper, ks
 
 
+def exact_direct_power(comb, w, ks):
+    """Reference: direct summation with each phase k*x_j reduced mod 1 in
+    extended precision from the exact coordinates.  _direct_power rounds
+    k*x_j in doubles, an error of about |k x| 2^-53 per term: on these
+    inputs (|k x| up to ~1e6) it strays by up to 8.8e-10 of the maximum,
+    where the tables stay within 3.5e-13 (spot-checked with 40-digit sums)."""
+    x = sum(u * c.astype(np.longdouble) for c, u in spectrum._exact_columns(comb.coords))
+    phase = np.multiply.outer(ks.astype(np.longdouble), x)
+    turns = (phase - np.floor(phase)).astype(float)
+    return np.abs(np.exp(-2j * math.pi * turns) @ w) ** 2
+
+
 @given(table_path_inputs())
 @settings(max_examples=60, deadline=None)
 def test_periodogram_table_path_matches_direct(case):
@@ -210,7 +222,7 @@ def test_periodogram_table_path_matches_direct(case):
     comb, taper, ks = case
     w = spectrum._taper_weights(comb, taper)[0]
     table = spectrum._table_power(spectrum._exact_columns(comb.coords), w, ks)
-    direct = spectrum._direct_power(comb.positions, w, ks)
+    direct = exact_direct_power(comb, w, ks)
     assert np.max(np.abs(table - direct)) <= 1e-10 * np.max(direct)
 
 

@@ -84,28 +84,32 @@ class TestPeriodogram:
             direct = sp._direct_power(comb.positions, comb.weights, pgram.ks) / comb.volume
             assert np.max(np.abs(direct - pgram.values)) <= tol * np.max(direct)
 
-    # tables: the other path is the twiddle tables (exact coordinates), not
-    # direct summation
-    @pytest.mark.parametrize("n, count, x_span, k_span, tables, fast", [
-        (20_001, 800, 27_640.0, 1.951, False, True),     # tiling-diffraction, criterion 5
-        (2_050, 16_385, 4_096.0, 1.0, False, True),      # paperfolding 2^11 on [0, 1]
-        (16_386, 1_025, 32_768.0, 2.0, False, True),     # criterion 8
-        (4_473, 3_001, 10_000.0, 3.0, False, True),      # CLI model set, float positions
-        (66_491, 20, 20_000.0, 4.96, False, False),      # criterion 7: grid over cap
-        (200_001, 126, 276_534.0, 2.5, False, False),    # criterion 4 scan: grid over cap
-        (1, 10_000, 0.0, 1.0, False, False),             # one point: direct is cheaper
-        (2_000, 3, 4_000.0, 2.0, False, False),          # three k: direct is cheaper
+    @pytest.mark.parametrize("n, count, x_span, k_span, fast", [
+        (20_001, 800, 27_640.0, 1.951, True),     # tiling-diffraction, criterion 5
+        (2_050, 16_385, 4_096.0, 1.0, True),      # paperfolding 2^11 on [0, 1]
+        (16_386, 1_025, 32_768.0, 2.0, True),     # criterion 8
+        (4_473, 3_001, 10_000.0, 3.0, True),      # CLI model set, float positions
+        (66_491, 20, 20_000.0, 4.96, False),      # criterion 7: grid over cap
+        (200_001, 126, 276_534.0, 2.5, False),    # criterion 4 scan: grid over cap
+        (1, 10_000, 0.0, 1.0, False),             # one point: direct is cheaper
+        (2_000, 3, 4_000.0, 2.0, False),          # three k: direct is cheaper
+    ])
+    def test_path_choice(self, n, count, x_span, k_span, fast):
+        assert sp._use_nufft(n, count, x_span, k_span) == fast
+
+    # the other path is the twiddle tables (exact coordinates), not direct
+    # summation
+    @pytest.mark.parametrize("n, count, x_span, k_span, fast", [
         # a Fibonacci sample at 20 scattered k: the tables take 8.3 ms, the
         # NUFFT 21 ms
-        (20_001, 20, 27_663.0, 1.95, True, False),
+        (20_001, 20, 27_663.0, 1.95, False),
         # uniform grids wrapped to one period 1/dk
-        (200_001, 126, 50.0, 2.5, True, True),           # criterion 4 scan
-        (16_386, 1_025, 512.0, 2.0, True, True),         # criterion 8
-        (200_001, 3, 1.0, 2.0, True, False),             # rational Bragg sums at 0, 1, 2
+        (200_001, 126, 50.0, 2.5, True),           # criterion 4 scan
+        (16_386, 1_025, 512.0, 2.0, True),         # criterion 8
+        (200_001, 3, 1.0, 2.0, False),             # rational Bragg sums at 0, 1, 2
     ])
-    def test_path_choice(self, n, count, x_span, k_span, tables, fast):
-        other = sp._NS_TABLE if tables else sp._NS_DIRECT
-        assert sp._use_nufft(n, count, x_span, k_span, other) == fast
+    def test_path_choice_against_tables(self, n, count, x_span, k_span, fast):
+        assert sp._use_nufft(n, count, x_span, k_span, sp._NS_TABLE) == fast
 
     @pytest.mark.parametrize("ks", [
         sp.uniform_grid(0.0, 2.0, 1.0 / 512),
