@@ -34,11 +34,13 @@ _SUPPORT_TOL = 1e-12  # coefficients at most this large count as zero
 _PAIR_BLOCK = 1 << 15
 # integer combs use dense arrays over their span when it is at most this
 # many positions per point; sparser ones when the span is at most
-# _DENSE_MAX_SPAN positions (the dense path peaks at ~130 B a position) and
-# their pairs would cost more on the pair path.  Rates in ns, measured on a
-# 2-core Xeon VM: 300-820 per span position dense, 90-360 per pair
+# _DENSE_MAX_SPAN positions (the dense path peaks at ~130 B a position, so
+# ~34 MiB) and their pairs would cost more on the pair path.  Rates in ns,
+# measured on a 2-core Xeon VM on random integer combs built for the
+# purpose (no benchmark workload has a sparse integer comb): 300-820 per
+# span position dense, 90-360 per pair
 _DENSE_SPAN_FACTOR = 16
-_DENSE_MAX_SPAN = 1 << 20
+_DENSE_MAX_SPAN = 1 << 18
 _NS_DENSE = 500.0
 _NS_PAIR = 150.0
 _INT64_MAX = int(np.iinfo(np.int64).max)

@@ -28,10 +28,13 @@ span times the k span implies, and the spans of exact coordinates):
   y = x mod 1/dk, centred on 0, with weights w e^(-2 pi i k0 x), and the
   NUFFT sums at l*dk.  Its fine grid then follows the k grid alone, not
   the comb's span.  For exact coordinates dk*x and k0*x are reduced mod 1
-  from the digit tables of the table path.  ks counts as uniform when it
-  lies within 2^-52 max|k| of a progression, checked in extended
-  precision; the wrapped sums are exact at that progression.  Scattered
-  k, and combs that span at most 1/dk, are not wrapped.
+  from the digit tables of the table path.  The wrapped sums are exact at
+  the progression k0 + l*dk through the end points of ks, so a double k
+  grid that strays from it (0.02*l strays by up to 2.2e-16) is wrapped
+  only when that shift, times the comb's span, stays a phase error under
+  1e-11 (_wrap_grid).  Dyadic grids are exact progressions.  Scattered k,
+  combs that span at most 1/dk, and wide combs on grids that stray too
+  far are not wrapped.
 * otherwise, for exact coordinates (integers k*scale, or m*tau + n in the
   golden module), the direct sum from twiddle tables: each integer column
   is split into two base-Q digits (Q = isqrt(span) + 1, baby-step/giant-
@@ -44,8 +47,7 @@ span times the k span implies, and the spans of exact coordinates):
   blocks of _CHUNK: float positions (comb files) and sparse combs of wide
   span.  It is the oracle for the other two paths.
 
-Tests hold each path within 1e-10 of the largest value of direct summation,
-the wrapped NUFFT on combs up to 12,000 wide (see _progression for wider).
+Tests hold each path within 1e-10 of the largest value of direct summation.
 """
 
 from __future__ import annotations
@@ -79,6 +81,11 @@ _CHUNK = 1 << 18  # complex exponentials per direct evaluation block
 # were up to 3x slower
 _TILE = 1 << 15
 _TAU_EXT = (1 + np.sqrt(np.longdouble(5))) / 2  # tau in extended precision
+# largest spread, in radians, of the coherent phase error that wrapping a
+# comb to one period of a k grid may add (see _wrap_grid); on criterion 4's
+# comb the values moved by a third of the spread, relative to the largest,
+# so this keeps the wrap a tenth inside the 1e-10 gate the tests set
+_WRAP_TOL = 1e-11
 
 
 class GridMismatchError(AperiodicaError):
@@ -146,14 +153,13 @@ def periodogram_values(comb: WeightedComb, ks, taper: str = "boxcar",
     tables = _use_tables(len(x), columns)
     # on a uniform grid k0 + l*dk the sums have period 1/dk in x: a comb
     # spanning more than one period is wrapped into it before the NUFFT
-    grid = _progression(ks)
-    wrap = grid is not None and (x[-1] - x[0]) * grid[1] > 1
-    x_span = 1.0 / float(grid[1]) if wrap else x[-1] - x[0]
+    grid = _wrap_grid(ks, x[-1] - x[0])
+    x_span = 1.0 / grid[1] if grid else x[-1] - x[0]
     if len(ks) and _use_nufft(len(x), len(ks), x_span, np.ptp(ks),
                               _NS_TABLE if tables else _NS_DIRECT):
-        if wrap:
+        if grid:
             y, w = _wrap(x, columns, w, *grid)
-            power = _nufft_power(y, w, np.arange(len(ks)) * float(grid[1]))
+            power = _nufft_power(y, w, np.arange(len(ks)) * grid[1])
         else:
             power = _nufft_power(x, w, ks)
     elif tables:
@@ -245,29 +251,34 @@ def _table_power(columns: list, w: np.ndarray, ks: np.ndarray) -> np.ndarray:
     return out
 
 
-def _progression(ks: np.ndarray):
-    """(k0, dk) in extended precision, dk > 0, when ks is the progression
-    k0 + l*dk through its end points to within 2^-52 max|k| at every l;
-    None otherwise.  Within that bound each k moves by about one rounding
-    of a double k.  The wrapped sums are exact at the progression, so they
-    differ from the sums at ks by the sums' own change over that shift: a
-    coherent error that can exceed direct summation's rounding on wide
-    combs (2.1e-10 against 5.9e-11 of max at criterion 4's 200,001 points
-    for k in [0.3, 2.8]).  (A check in doubles would always pass:
-    k0 + l*dk rounds to ks[l].)"""
+def _wrap_grid(ks: np.ndarray, span: float):
+    """(k0, dk), doubles with dk > 0, when a comb of this position span can
+    be wrapped to one period 1/dk of ks: ks has two k or more, the comb
+    spans more than 1/dk, and the progression k0 + l*dk through the end
+    points of ks stays close enough to every ks[l]; None otherwise.
+
+    The wrapped sums are exact at the progression.  ks[l] strays from it by
+    delta_l (checked in extended precision: in doubles k0 + l*dk rounds to
+    ks[l]), which shifts the phase of point j by 2 pi delta_l x_j: the same
+    shift for every k of the sum, so the error adds up coherently over the
+    comb.  The grid is wrapped only when 2 pi max|delta| span, the largest
+    difference of that shift between two points, is at most _WRAP_TOL.
+    A dyadic grid such as criterion 8's multiples of 2^-9 has delta = 0;
+    criterion 4's scan 0.02*l strays by up to 2.2e-16, 3.8e-10 rad over
+    its comb's span of 2.8e5, and keeps the table path."""
     if len(ks) < 2:
         return None
-    kl = ks.astype(np.longdouble)
-    dk = (kl[-1] - kl[0]) / (len(ks) - 1)
-    if not dk > 0:
+    k0, dk = float(ks[0]), float((ks[-1] - ks[0]) / (len(ks) - 1))
+    if not span * dk > 1:
         return None
-    delta = kl - (kl[0] + dk * np.arange(len(ks)))
-    if np.max(np.abs(delta)) > 2.0 ** -52 * np.max(np.abs(ks)):
+    delta = ks.astype(np.longdouble) - (
+        np.longdouble(k0) + np.longdouble(dk) * np.arange(len(ks)))
+    if not 2 * math.pi * float(np.max(np.abs(delta))) * span <= _WRAP_TOL:
         return None
-    return kl[0], dk
+    return k0, dk
 
 
-def _wrap(x: np.ndarray, columns: list, w: np.ndarray, k0, dk):
+def _wrap(x: np.ndarray, columns: list, w: np.ndarray, k0: float, dk: float):
     """The comb wrapped to one period 1/dk of the grid k0 + l*dk: positions
     y_j = (f_j - round(f_j))/dk, f_j = frac(dk x_j), so |y_j| <= 1/(2 dk),
     in ascending order, with the weights w_j e^(-2 pi i k0 x_j) in the same
@@ -277,13 +288,19 @@ def _wrap(x: np.ndarray, columns: list, w: np.ndarray, k0, dk):
     x_ref, which drops a unit-modulus factor per k."""
     if columns:
         bases, digits, ranges = _digit_split(columns)
-        f, g = (sum(np.take(t, a) for t, a in zip(_turn_tables(bases, ranges, k), digits))
-                for k in (dk, k0))
+
+        def turns(k):
+            return sum(np.take(t, a) for t, a in
+                       zip(_turn_tables(bases, ranges, np.longdouble(k)), digits))
     else:
-        f, g = float(dk) * x, float(k0) * x
-    y = (f - np.round(f)) / float(dk)
+        def turns(k):
+            return k * x
+    f = turns(dk)
+    y = (f - np.round(f)) / dk
+    if k0:
+        w = w * np.exp(-2j * math.pi * turns(k0))
     order = np.argsort(y)
-    return y[order], (w * np.exp(-2j * math.pi * g))[order]
+    return y[order], w[order]
 
 
 # -- type-3 NUFFT ---------------------------------------------------------------
@@ -364,7 +381,8 @@ def _use_nufft(n: int, count: int, x_span: float, k_span: float,
                ns_other: float = _NS_DIRECT) -> bool:
     """Path choice from the input's shape: the fast path when its fine grid
     fits the cap and its estimated cost is below that of the other path,
-    ns_other per point*k (_NS_TABLE when the tables serve the comb)."""
+    ns_other per point*k: direct summation's rate unless the caller knows
+    the tables serve the comb (_NS_TABLE)."""
     nf, _ = _fine_grid(x_span, k_span)
     if nf > _GRID_CAP:
         return False

@@ -139,19 +139,19 @@ class TestExactKeys:
             ap.estimate_autocorrelation(pf.binary_comb(1 << 12), 64.0)
             ap.complement_check(np.arange(-200, 201, 2, dtype=float), lattice, 200)
 
-    def test_sparse_comb_with_many_pairs_takes_dense_path(self):
-        # 9,952 integers over a span of 1e6 have 4.9e7 pairs within 1e6: the
-        # pair path took 9.4 s, the dense sums 0.6 s
+    def test_sparse_comb_path_follows_pair_count(self):
+        # 2,489 integers over a span of 2.5e5, sparser than 1/16: within
+        # 2.5e5 they have 3.1e6 pairs (pair path 0.60 s, dense sums 0.08 s),
+        # within 2e3 only 49,320 (pair path 5 ms, dense sums 0.08 s)
         rng = np.random.default_rng(5)
-        values = np.unique(rng.integers(-500_000, 500_000, size=10_000))
+        values = np.unique(rng.integers(-125_000, 125_000, size=2_500))
         w = rng.normal(size=len(values)) + 1j * rng.normal(size=len(values))
-        comb = ap.WeightedComb.from_integers(values, w, 5e5)
+        comb = ap.WeightedComb.from_integers(values, w, 125_000.0)
         with mock.patch.object(autocorr, "_pairwise_sums", side_effect=AssertionError):
-            dense = ap.estimate_autocorrelation(comb, 1e6)
-        # the pair path on the lags up to 2e4 (2e6 pairs) agrees
+            dense = ap.estimate_autocorrelation(comb, 2.5e5)
         with mock.patch.object(autocorr, "_dense_sums", side_effect=AssertionError):
-            pairs = ap.estimate_autocorrelation(comb, 2e4)
-        near = np.abs(dense.diffs) <= 2e4
+            pairs = ap.estimate_autocorrelation(comb, 2e3)
+        near = np.abs(dense.diffs) <= 2e3
         assert np.array_equal(dense.diffs[near], pairs.diffs)
         assert np.max(np.abs(dense.eta[near] - pairs.eta)) <= 1e-10 * pairs.zero_coefficient
 

@@ -231,13 +231,17 @@ def wrap_inputs(draw):
     """A comb with complex weights on integer positions k*scale, golden-
     module positions (a tiling) or float positions, a taper and a uniform k
     grid k0 + l*dk whose period 1/dk is shorter than the comb's span, sized
-    so that periodogram_values wraps the comb and takes the NUFFT."""
+    so that periodogram_values takes the NUFFT.  A dyadic grid (k0 a
+    multiple of 2^-10, dk of 2^-30) is exact in doubles and always wrapped;
+    another is wrapped when it stays close enough to its progression for
+    the comb's span (_wrap_grid)."""
     kind = draw(st.sampled_from(["integer", "module", "float"]))
     n = draw(st.integers(min_value=800, max_value=2000))
     count = draw(st.integers(min_value=400, max_value=1000))
     taper = draw(st.sampled_from(["boxcar", "hann"]))
     k0 = draw(st.floats(min_value=-20.0, max_value=20.0))
     periods = draw(st.floats(min_value=1.01, max_value=20.0))  # span * dk
+    dyadic = draw(st.booleans())
     rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2 ** 32 - 1)))
 
     def weights(size):
@@ -256,20 +260,22 @@ def wrap_inputs(draw):
         positions = np.unique(rng.uniform(-n, n, size=n))
         comb = ap.WeightedComb.from_positions(positions, weights(len(positions)), float(n))
     dk = periods / np.ptp(comb.positions)
-    return comb, taper, k0 + dk * np.arange(count)
+    if dyadic:
+        k0, dk = round(k0 * 2 ** 10) / 2 ** 10, round(dk * 2 ** 30) / 2 ** 30
+    return comb, taper, k0 + dk * np.arange(count), dyadic
 
 
 @given(wrap_inputs())
 @settings(max_examples=40, deadline=None)
 def test_periodogram_wrap_matches_direct(case):
     # the NUFFT gate, max |wrapped - direct| <= 1e-10 * max value, on combs
-    # wrapped to one period 1/dk; a few double grids stray from every
-    # progression by more than 2^-52 max|k| and are not wrapped
-    comb, taper, ks = case
-    assume(spectrum._progression(ks) is not None)
+    # wrapped to one period 1/dk (|k x| stays under ~3e5 here, where direct
+    # summation's phase rounding measured under 1e-11 of max)
+    comb, taper, ks, dyadic = case
     with mock.patch.object(spectrum, "_wrap", wraps=spectrum._wrap) as wrap:
         values = ap.periodogram_values(comb, ks, taper)
-    assert wrap.called
+    assert wrap.called == (spectrum._wrap_grid(ks, np.ptp(comb.positions)) is not None)
+    assert wrap.called or not dyadic
     w, t_mean, _ = spectrum._taper_weights(comb, taper)
     direct = spectrum._direct_power(comb.positions, w, ks) / (comb.volume * t_mean ** 2)
     assert np.max(np.abs(values - direct)) <= 1e-10 * np.max(direct)

@@ -95,7 +95,8 @@ class TestPeriodogram:
         (2_000, 3, 4_000.0, 2.0, False),          # three k: direct is cheaper
     ])
     def test_path_choice(self, n, count, x_span, k_span, fast):
-        assert sp._use_nufft(n, count, x_span, k_span) == fast
+        # priced against direct summation, the default other path
+        assert sp._use_nufft(n, count, x_span, k_span, sp._NS_DIRECT) == fast
 
     # the other path is the twiddle tables (exact coordinates), not direct
     # summation
@@ -104,7 +105,7 @@ class TestPeriodogram:
         # NUFFT 21 ms
         (20_001, 20, 27_663.0, 1.95, False),
         # uniform grids wrapped to one period 1/dk
-        (200_001, 126, 50.0, 2.5, True),           # criterion 4 scan
+        (200_001, 126, 50.0, 2.5, True),           # criterion 4's comb, dk = 1/50
         (16_386, 1_025, 512.0, 2.0, True),         # criterion 8
         (200_001, 3, 1.0, 2.0, False),             # rational Bragg sums at 0, 1, 2
     ])
@@ -120,62 +121,73 @@ class TestPeriodogram:
         np.linspace(0.0, 2.0, 512),
         np.linspace(-20.0, 3.0, 1000),
     ])
-    def test_uniform_grids_are_progressions(self, ks):
-        k0, dk = sp._progression(ks)
-        assert k0 == ks[0] and math.isclose(dk, (ks[-1] - ks[0]) / (len(ks) - 1))
+    def test_uniform_grids_are_wrapped(self, ks):
+        # a comb two periods 1/dk wide
+        dk = (ks[-1] - ks[0]) / (len(ks) - 1)
+        k0, wrap_dk = sp._wrap_grid(ks, 2.0 / dk)
+        assert k0 == ks[0] and wrap_dk == dk
 
-    def test_other_k_sets_are_not_progressions(self):
+    def test_other_k_sets_are_not_wrapped(self):
         # tiling-diffraction's 800 k: 100 clusters of 8 offsets 2e-4 apart
         kk = (np.linspace(0.05, 2.0, 100)[:, None] + (np.arange(8) - 3.5) * 2e-4).ravel()
-        assert sp._progression(kk) is None
+        assert sp._wrap_grid(kk, 1e4) is None
         moved = sp.uniform_grid(0.0, 2.0, 1.0 / 512)
         moved[300] += 1e-12
-        assert sp._progression(moved) is None
-        assert sp._progression(np.array([1.0])) is None
-        assert sp._progression(np.linspace(2.0, 0.0, 64)) is None  # descending
+        assert sp._wrap_grid(moved, 1e4) is None
+        assert sp._wrap_grid(np.array([1.0]), 1e4) is None
+        assert sp._wrap_grid(np.linspace(2.0, 0.0, 64), 1e4) is None  # descending
+        # one period or less
+        assert sp._wrap_grid(sp.uniform_grid(0.0, 2.0, 1.0 / 512), 512.0) is None
+
+    def test_wrap_bounded_by_comb_span(self):
+        # criterion 4's scan strays from the progression 0.02*l by up to
+        # 2.2e-16: a coherent phase error of 3.8e-10 rad over its comb's
+        # span, 2.8e5, but 1.4e-13 rad over two periods, a span of 100
+        ks = np.arange(0.0, 2.5001, 0.02)
+        assert sp._wrap_grid(ks, 276_534.0) is None
+        assert sp._wrap_grid(ks, 100.0) is not None
+        # a dyadic grid is an exact progression: any span wraps
+        dyadic = sp.uniform_grid(0.0, 2.0, 1.0 / 512)
+        assert sp._wrap_grid(dyadic, 1e9) == (0.0, 1.0 / 512)
 
     def test_narrow_comb_is_not_wrapped(self):
         # span 4,096 < 1/dk = 16,384: the NUFFT gets the comb as it is
         comb = pf.binary_comb(1 << 11)
         ks = sp.uniform_grid(0.0, 1.0, 1.0 / (8.0 * comb.radius))
-        assert np.ptp(comb.positions) * sp._progression(ks)[1] <= 1
+        assert np.ptp(comb.positions) * (ks[1] - ks[0]) <= 1
         with mock.patch.object(sp, "_wrap", side_effect=AssertionError):
             values = ap.periodogram_values(comb, ks)
         unwrapped = sp._nufft_power(comb.positions, comb.weights, ks) / comb.volume
         assert np.array_equal(values, unwrapped)
 
-    def test_wrap_at_criterion_4_shape(self):
-        # The wrap sums at the progression k0 + l*dk that _progression fits
-        # to the double k grid, within 2^-52 max|k| of each k.  Against
-        # phases from the exact coordinates in extended precision it is
-        # exact at that progression; its distance from the sums at the
-        # double k is the exact sums' own change over that shift (measured
-        # 2.1e-10 of max, where direct summation is 5.9e-11 off).
+    @pytest.mark.parametrize("ks, wrapped", [
+        (0.3 + 0.02 * np.arange(126), False),   # criterion 4's step from 0.3
+        (0.3125 + np.arange(126) / 64, True),   # a dyadic grid, exact in doubles
+    ])
+    def test_criterion_4_shape_against_exact_phases(self, ks, wrapped):
+        # Against the sums at the double k with phases from the exact
+        # coordinates in extended precision, each reduced mod 1, the
+        # periodogram is no farther off than direct summation: the scan
+        # from 0.3 strays from its progression too far for this 2.8e5-wide
+        # comb and takes the tables (measured 1.2e-14 of max), the dyadic
+        # grid wraps (4.0e-13); direct summation is 5.9e-11 and 4.7e-11 off.
         comb = ap.sample(ap.fibonacci_spec(), 100_000, seed=2000).comb
-        ks = 0.3 + 0.02 * np.arange(126)
         with mock.patch.object(sp, "_wrap", wraps=sp._wrap) as wrap:
             values = ap.periodogram_values(comb, ks) * comb.volume
-        assert wrap.called
-        k0, dk = sp._progression(ks)
+        assert wrap.called == wrapped
         mn = comb.coords.mn
         exact_x = mn[:, 0] * ((1 + np.sqrt(np.longdouble(5))) / 2) + mn[:, 1]
         assert np.all(comb.weights == 1.0)
-
-        def exact(k_ext):
-            out = np.empty(len(k_ext))
-            for i, k in enumerate(k_ext):
-                phase = k * exact_x
-                turns = (phase - np.round(phase.astype(float))).astype(float)
-                out[i] = np.sum(np.cos(2 * math.pi * turns)) ** 2 + np.sum(
-                    np.sin(2 * math.pi * turns)) ** 2
-            return out
-        at_grid = exact(ks.astype(np.longdouble))
-        at_progression = exact(k0 + dk * np.arange(len(ks)))
-        scale = np.max(at_grid)
-        # measured 3.2e-13
-        assert np.max(np.abs(values - at_progression)) <= 1e-12 * scale
-        assert np.all(np.abs(values - at_grid)
-                      <= np.abs(at_progression - at_grid) + 1e-12 * scale)
+        exact = np.empty(len(ks))
+        for i, k in enumerate(ks):
+            phase = np.longdouble(k) * exact_x
+            turns = (phase - np.round(phase.astype(float))).astype(float)
+            exact[i] = np.sum(np.cos(2 * math.pi * turns)) ** 2 + np.sum(
+                np.sin(2 * math.pi * turns)) ** 2
+        direct = sp._direct_power(comb.positions, comb.weights, ks)
+        err = np.max(np.abs(values - exact))
+        assert err <= 1e-12 * np.max(exact)
+        assert err <= np.max(np.abs(direct - exact))
 
     def test_sparse_wide_comb_bounded_memory(self):
         # two points at +-1e9: no allocation may scale with the 2e9 span
