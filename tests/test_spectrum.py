@@ -162,7 +162,7 @@ class TestPeriodogram:
 
     @pytest.mark.parametrize("ks, wrapped", [
         (0.3 + 0.02 * np.arange(126), False),   # criterion 4's step from 0.3
-        (0.3125 + np.arange(126) / 64, True),   # a dyadic grid, exact in doubles
+        (0.3125 + np.arange(64) / 64, True),    # a dyadic grid, exact in doubles
     ])
     def test_criterion_4_shape_against_exact_phases(self, ks, wrapped):
         # Against the sums at the double k with phases from the exact
@@ -170,7 +170,7 @@ class TestPeriodogram:
         # periodogram is no farther off than direct summation: the scan
         # from 0.3 strays from its progression too far for this 2.8e5-wide
         # comb and takes the tables (measured 1.2e-14 of max), the dyadic
-        # grid wraps (4.0e-13); direct summation is 5.9e-11 and 4.7e-11 off.
+        # grid wraps (4.4e-13); direct summation is 5.9e-11 and 3.8e-11 off.
         comb = ap.sample(ap.fibonacci_spec(), 100_000, seed=2000).comb
         with mock.patch.object(sp, "_wrap", wraps=sp._wrap) as wrap:
             values = ap.periodogram_values(comb, ks) * comb.volume
