@@ -11,43 +11,40 @@ integer k is 1.  The optional Hann taper trades a slightly wider main lobe
 for fast side-lobe decay, which matters when small atoms are read off next
 to large ones.
 
-The sums are evaluated on one of three paths, chosen from the input's shape
-alone (point count N, k count K, the fine-grid length that the position
-span times the k span implies, and the spans of exact coordinates):
+The sums are evaluated on one of two paths, chosen from the input's shape
+alone (point count N, k count K and the fine-grid length that the position
+span times the k span implies):
 
 * a type-3 non-uniform FFT (Lee & Greengard, J. Comput. Phys. 206 (2005) 1)
   with the exponential-of-semicircle kernel of Barnett, Magland &
   af Klinteberg (SIAM J. Sci. Comput. 41 (2019) C479), at a fixed
   tolerance of 1e-13, below the phase rounding of direct summation.  It
   serves integer, module and float positions at uniform or scattered k.
-  It is taken when its cost estimate is below that of the path taken
-  otherwise (the tables below when they serve the comb, else direct
-  summation) and its fine grid fits the memory of one direct block.
+  It is taken when its cost estimate is below that of the other path and
+  its fine grid fits the memory of one direct block.
   On a uniform grid k0 + l*dk the sums have period 1/dk in x, so a comb
   that spans more than one period is first wrapped into it: positions
   y = x mod 1/dk, centred on 0, with weights w e^(-2 pi i k0 x), and the
   NUFFT sums at l*dk.  Its fine grid then follows the k grid alone, not
   the comb's span.  For exact coordinates dk*x and k0*x are reduced mod 1
-  from the digit tables of the table path.  The wrapped sums are exact at
+  from the digit tables of the other path.  The wrapped sums are exact at
   the progression k0 + l*dk through the end points of ks, so a double k
   grid that strays from it (0.02*l strays by up to 2.2e-16) is wrapped
   only when that shift, times the comb's span, stays a phase error under
   1e-11 (_wrap_grid).  Dyadic grids are exact progressions.  Scattered k,
   combs that span at most 1/dk, and wide combs on grids that stray too
   far are not wrapped.
-* otherwise, for exact coordinates (integers k*scale, or m*tau + n in the
-  golden module), the direct sum from twiddle tables: each integer column
-  is split into two base-Q digits (Q = isqrt(span) + 1, baby-step/giant-
-  step), so every phase factors over per-k tables e^(-2 pi i frac(k b a))
-  for the digit bases b, whose phases are reduced mod 1 in extended
-  precision.  A point*k costs one gather per digit and a multiply, and the
-  phases keep the exact coordinates.  It is taken when the tables hold no
-  more entries per k than the comb has points.
-* otherwise direct summation, one complex exponential per point*k in
-  blocks of _CHUNK: float positions (comb files) and sparse combs of wide
-  span.  It is the oracle for the other two paths.
+* otherwise direct summation.  For exact coordinates (integers k*scale,
+  or m*tau + n in the golden module) every phase factors over per-k
+  twiddle tables e^(-2 pi i frac(k b a)), reduced mod 1 in extended
+  precision: each integer column splits into two base-Q digits
+  (Q = isqrt(span) + 1, baby-step/giant-step) or, when a digit would need
+  more than N entries, stays whole with its N values as the table.  A
+  point*k costs one gather per digit and a multiply at any span.  Float
+  positions (comb files) take one complex exponential per point*k.
 
-Tests hold each path within 1e-10 of the largest value of direct summation.
+Tests hold each path within 1e-10 of the largest value of direct sums,
+with phases reduced mod 1 in extended precision for exact coordinates.
 """
 
 from __future__ import annotations
@@ -139,6 +136,8 @@ def periodogram_values(comb: WeightedComb, ks, taper: str = "boxcar",
     if len(comb) == 0:
         raise EmptyInputError("empty comb")
     ks = np.atleast_1d(np.asarray(ks, dtype=float))
+    if ks.ndim != 1:
+        raise OutOfRangeError(f"k values must form a 1-d array; got shape {ks.shape}")
     if not np.all(np.isfinite(ks)):
         raise OutOfRangeError("k values must be finite")
     w, t_mean, t_mean_sq = _taper_weights(comb, taper)
@@ -150,19 +149,18 @@ def periodogram_values(comb: WeightedComb, ks, taper: str = "boxcar",
         raise AperiodicaError(f"unknown normalization {normalization!r}")
     x = comb.positions
     columns = _exact_columns(comb.coords)
-    tables = _use_tables(len(x), columns)
     # on a uniform grid k0 + l*dk the sums have period 1/dk in x: a comb
     # spanning more than one period is wrapped into it before the NUFFT
     grid = _wrap_grid(ks, x[-1] - x[0])
     x_span = 1.0 / grid[1] if grid else x[-1] - x[0]
     if len(ks) and _use_nufft(len(x), len(ks), x_span, np.ptp(ks),
-                              _NS_TABLE if tables else _NS_DIRECT):
+                              _NS_TABLE if columns else _NS_DIRECT):
         if grid:
             y, w = _wrap(x, columns, w, *grid)
             power = _nufft_power(y, w, np.arange(len(ks)) * grid[1])
         else:
             power = _nufft_power(x, w, ks)
-    elif tables:
+    elif columns:
         power = _table_power(columns, w, ks)
     else:
         power = _direct_power(x, w, ks)
@@ -191,30 +189,42 @@ def _exact_columns(coords) -> list:
     return []
 
 
-def _digit_split(columns: list) -> tuple[list, list, list]:
-    """The integer columns of _exact_columns, each less its minimum, as two
-    base-Q digits, Q = isqrt(span) + 1: x_j - x_ref = sum_d b_d a_d[j] with
-    bases u*Q and u.  Returns the bases b_d (extended precision), the digit
-    arrays a_d and each digit's range (a = 0..span // Q, or 0..Q - 1)."""
+def _digit_split(columns: list, n: int) -> tuple[list, list, list]:
+    """The integer columns of _exact_columns, each less its minimum, as
+    digits of at most n values each: x_j - x_ref = sum_d b_d r_d[a_d[j]],
+    bases b_d in extended precision, ranges r_d, indices a_d.  A column of
+    span s splits into two base-Q digits, Q = isqrt(s) + 1, bases u*Q and u,
+    ranges 0..s // Q and 0..Q - 1, when both fit; otherwise (two points at
+    +-1e9 would need 44,722) it stays whole, its distinct values the range."""
     bases, digits, ranges = [], [], []
     for c, unit in columns:
         d = c - c.min()
         span = int(d.max())
         q = math.isqrt(span) + 1
-        bases += [unit * q, unit]
-        digits += list(np.divmod(d, q))
-        ranges += [np.arange(span // q + 1), np.arange(q)]
+        if span // q < n and q <= n:
+            bases += [unit * q, unit]
+            digits += list(np.divmod(d, q))
+            ranges += [np.arange(span // q + 1), np.arange(q)]
+        else:
+            values, index = np.unique(d, return_inverse=True)
+            bases.append(unit)
+            digits.append(index)
+            ranges.append(values)
     return bases, digits, ranges
 
 
 def _turn_tables(bases: list, ranges: list, ks: np.ndarray) -> list:
-    """Per digit, frac(k b a) over its range a (rows) for each k of ks
+    """Per digit, frac(k b r) over its range r (rows) for each k of ks
     (columns; a scalar k gives one row each), with ks in extended precision,
     reduced mod 1 in extended precision and returned as doubles."""
     tables = []
     for b, r in zip(bases, ranges):
         phase = np.multiply.outer(r, ks * b)  # (table entries, k)
-        tables.append((phase - np.floor(phase)).astype(float))
+        # phase - floor(phase), bit for bit: both differences are exact, and
+        # np.floor on extended precision took 5x as long as np.rint
+        turns = phase - np.rint(phase)
+        turns += turns < 0
+        tables.append(turns.astype(float))
     return tables
 
 
@@ -223,12 +233,12 @@ def _table_power(columns: list, w: np.ndarray, ks: np.ndarray) -> np.ndarray:
     the integer columns of _exact_columns.
 
     With the digits of _digit_split, digit d has per k the table
-    e^(-2 pi i frac(k b_d a)) over its range, so _use_tables counts
-    span // Q + 1 + Q entries per column; the sum is the tables gathered at
-    the digits, multiplied and dotted with w, in tiles of _TILE point*k.
-    The result drops the unit-modulus factor e^(-2 pi i k x_ref) of each k."""
-    bases, digits, ranges = _digit_split(columns)
+    e^(-2 pi i frac(k b_d r)) over its range r, at most n entries; the sum
+    is the tables gathered at the digits, multiplied and dotted with w, in
+    tiles of _TILE point*k.  The result drops the unit-modulus factor
+    e^(-2 pi i k x_ref) of each k."""
     n = len(w)
+    bases, digits, ranges = _digit_split(columns, n)
     block = max(1, _TILE // n)  # k per tile
     step = _TILE // block       # points per tile: all of them when block > 1
     out = np.empty(len(ks))
@@ -287,7 +297,7 @@ def _wrap(x: np.ndarray, columns: list, w: np.ndarray, k0: float, dk: float):
     k0 x_j are read mod 1 from the digit tables of _digit_split, relative to
     x_ref, which drops a unit-modulus factor per k."""
     if columns:
-        bases, digits, ranges = _digit_split(columns)
+        bases, digits, ranges = _digit_split(columns, len(x))
 
         def turns(k):
             return sum(np.take(t, a) for t, a in
@@ -327,8 +337,8 @@ _BLOCK = 2048                     # points spread, or k interpolated, per block
 # twiddle factors), 48 bytes a mode; the fast path may use no more
 _GRID_CAP = 52 * _CHUNK // 48
 
-# cost model, in ns as measured on a 2-core Xeon VM: direct summation and
-# the table path (15-21 ns from 200,001 down to 20,001 points) per point*k;
+# cost model, in ns as measured on a 2-core Xeon VM: direct summation by
+# exp and by tables (15-21 ns from 200,001 down to 20,001 points) per point*k;
 # the fast path per point spread, per nf*log2(nf) of the FFT, per k
 # interpolated, plus a fixed set-up
 _NS_DIRECT = 55.0
@@ -378,30 +388,17 @@ def _fine_grid(x_span: float, k_span: float) -> tuple[int, float]:
 
 
 def _use_nufft(n: int, count: int, x_span: float, k_span: float,
-               ns_other: float = _NS_DIRECT) -> bool:
+               ns_other: float) -> bool:
     """Path choice from the input's shape: the fast path when its fine grid
     fits the cap and its estimated cost is below that of the other path,
-    ns_other per point*k: direct summation's rate unless the caller knows
-    the tables serve the comb (_NS_TABLE)."""
+    ns_other per point*k (_NS_TABLE for exact coordinates, _NS_DIRECT for
+    float positions)."""
     nf, _ = _fine_grid(x_span, k_span)
     if nf > _GRID_CAP:
         return False
     fast = (_NS_FIXED + _NS_SPREAD * n + _NS_FFT * nf * math.log2(nf)
             + _NS_INTERP * count)
     return fast < ns_other * n * count
-
-
-def _use_tables(n: int, columns: list) -> bool:
-    """Path rule for exact coordinates (the columns of _exact_columns), taken
-    when the fast path is not: the twiddle tables of _table_power hold no
-    more entries per k than the comb has points.  A sparse comb of wide span
-    keeps direct summation: two points at +-1e9 would need ~89,000 entries."""
-    entries = 0
-    for c, _ in columns:
-        span = int(c.max()) - int(c.min())
-        q = math.isqrt(span) + 1
-        entries += span // q + 1 + q
-    return bool(columns) and entries <= n
 
 
 def _nufft_power(x: np.ndarray, w: np.ndarray, ks: np.ndarray) -> np.ndarray:

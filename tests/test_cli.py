@@ -76,6 +76,13 @@ class TestCoincide:
         assert code == 0
         assert "proven never" in out
 
+    def test_search_cut_below_the_coincidence(self, capsys, tmp_path):
+        # the paperfolding rule coincides at power 2
+        rule = tmp_path / "paperfolding.rule"
+        rule.write_text(PAPERFOLDING_RULE)
+        code, out, _ = run_cli(capsys, "coincide", "--rule", str(rule), "--max-power", "1")
+        assert code == 0
+        assert out == "no coincidence found up to power 1\n"
 
     @pytest.mark.parametrize("power", ["0", "-1"])
     def test_max_power_below_one_exits_2(self, capsys, tmp_path, power):
@@ -466,6 +473,16 @@ class TestRandomTiling:
         for path in (a, b):
             code, _, _ = run_cli(capsys, "randomtiling", "--u", "tau", "--v", "1",
                                  "--p", "1/tau", "--intervals", "200",
+                                 "--seed", "7", "--output", str(path))
+            assert code == 0
+        assert a.read_bytes() == b.read_bytes()
+
+    def test_probability_token_tau_squared(self, capsys, tmp_path):
+        assert cli._parse_probability("1/tau^2") == 1.0 / ap.TAU ** 2
+        a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+        for path, p in ((a, "1/tau^2"), (b, repr(1.0 / ap.TAU ** 2))):
+            code, _, _ = run_cli(capsys, "randomtiling", "--u", "tau", "--v", "1",
+                                 "--p", p, "--intervals", "200",
                                  "--seed", "7", "--output", str(path))
             assert code == 0
         assert a.read_bytes() == b.read_bytes()

@@ -80,7 +80,7 @@ class TestPeriodogram:
             comb = pf.binary_comb(1 << log2n)
             pgram = ap.periodogram(comb, 0.05, 1.3, 1.0 / 777)
             assert sp._use_nufft(len(comb), len(pgram.ks), np.ptp(comb.positions),
-                                 np.ptp(pgram.ks))
+                                 np.ptp(pgram.ks), sp._NS_TABLE)
             direct = sp._direct_power(comb.positions, comb.weights, pgram.ks) / comb.volume
             assert np.max(np.abs(direct - pgram.values)) <= tol * np.max(direct)
 
@@ -95,7 +95,7 @@ class TestPeriodogram:
         (2_000, 3, 4_000.0, 2.0, False),          # three k: direct is cheaper
     ])
     def test_path_choice(self, n, count, x_span, k_span, fast):
-        # priced against direct summation, the default other path
+        # priced against direct summation, the other path of float positions
         assert sp._use_nufft(n, count, x_span, k_span, sp._NS_DIRECT) == fast
 
     # the other path is the twiddle tables (exact coordinates), not direct
@@ -204,22 +204,56 @@ class TestPeriodogram:
         assert peak < 64 * 2 ** 20
         phase = np.mod(pgram.ks * a, 1.0)
         exact = 4.0 * np.cos(2.0 * math.pi * phase) ** 2 / comb.volume
-        # phases near 2 pi * 6e8 keep about 7 digits in double precision
-        assert np.max(np.abs(pgram.values - exact)) <= 2e-6 * np.max(exact)
+        # the tables reduce each phase, up to 2 pi * 2e9 * k, mod 1 from the
+        # exact coordinates (measured 4e-16 of max; doubles were 3.7e-7 off)
+        assert np.max(np.abs(pgram.values - exact)) <= 1e-12 * np.max(exact)
+
+    def test_wrap_of_sparse_wide_comb_bounded_memory(self):
+        # ~5,000 random integers over a span of 1e12 at 2,048 dyadic k: the
+        # wrap's tables hold the points' own values, not two digits of 1e6
+        # entries each (those peaked at 68.7 MiB)
+        rng = np.random.default_rng(15)
+        values = np.unique(rng.integers(-5 * 10 ** 11, 5 * 10 ** 11, size=5_000))
+        comb = ap.WeightedComb.from_integers(values, rng.normal(size=len(values)), 5e11)
+        ks = np.arange(2_048) * 2.0 ** -10
+        with mock.patch.object(sp, "_wrap", wraps=sp._wrap) as wrap:
+            tracemalloc.start()
+            try:
+                values_wrapped = ap.periodogram_values(comb, ks) * comb.volume
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert wrap.called
+        assert peak < 16 * 2 ** 20
+        # exact phases: (l/1024) x mod 1 is (l (x mod 1024) mod 1024)/1024
+        residues = values % 1024
+        exact = np.empty(len(ks))
+        for start in range(0, len(ks), 64):
+            turns = np.outer(np.arange(start, start + 64), residues) % 1024 / 1024
+            exact[start:start + 64] = np.abs(np.exp(-2j * math.pi * turns) @ comb.weights) ** 2
+        assert np.max(np.abs(values_wrapped - exact)) <= 1e-10 * np.max(exact)
 
     def test_table_path_choice(self):
-        # the two points at +-1e9 would need 89,444 table entries per k
+        # the two points at +-1e9 would need two digits of up to 44,722
+        # entries: the column stays whole, its two values the table
         a = 10 ** 9
         sparse = ap.WeightedComb.from_integers([-a, a], [1.0, 1.0], float(a))
-        assert not sp._use_tables(len(sparse), sp._exact_columns(sparse.coords))
-        # criterion 7's comb: 340 entries per k against 66,491 points
+        _, digits, ranges = sp._digit_split(sp._exact_columns(sparse.coords), 2)
+        assert [r.tolist() for r in ranges] == [[0, 2 * a]]
+        assert [d.tolist() for d in digits] == [[0, 1]]
+        with mock.patch.object(sp, "_direct_power", side_effect=AssertionError):
+            ap.periodogram_values(sparse, [0.3, 0.7, 1 / 3])
+        # criterion 7's comb: two digits per column, 339 entries per k
+        # against 66,491 points
         crit7 = ap.density_weighted_comb(ap.fibonacci_scheme(), ap.GaussianProfile(0.5),
                                          (-10000, 10000))
         assert len(crit7) == 66_491
-        assert sp._use_tables(len(crit7), sp._exact_columns(crit7.coords))
+        ranges = sp._digit_split(sp._exact_columns(crit7.coords), len(crit7))[2]
+        assert len(ranges) == 4
+        assert sum(len(r) for r in ranges) == 339
         # float positions have no exact columns
         floats = ap.WeightedComb.from_positions(crit7.positions, crit7.weights, crit7.radius)
-        assert not sp._use_tables(len(floats), sp._exact_columns(floats.coords))
+        assert sp._exact_columns(floats.coords) == []
 
     def test_table_path_beats_direct_at_criterion_4_shape(self):
         # against phases from the exact coordinates in extended precision,
@@ -228,8 +262,7 @@ class TestPeriodogram:
         ks = 0.3 + 0.02 * np.arange(8)
         x = comb.positions
         columns = sp._exact_columns(comb.coords)
-        assert not sp._use_nufft(len(x), len(ks), x[-1] - x[0], np.ptp(ks))
-        assert sp._use_tables(len(x), columns)
+        assert not sp._use_nufft(len(x), len(ks), x[-1] - x[0], np.ptp(ks), sp._NS_TABLE)
         table = sp._table_power(columns, comb.weights, ks)
         assert np.array_equal(ap.periodogram_values(comb, ks), table / comb.volume)
         direct = sp._direct_power(x, comb.weights, ks)
@@ -249,6 +282,11 @@ class TestPeriodogram:
     def test_non_finite_k_rejected(self):
         with pytest.raises(ap.OutOfRangeError):
             ap.periodogram_values(integer_comb(10), [0.0, math.nan])
+
+    @pytest.mark.parametrize("ks", [[[0.1], [0.2]], [[0.1, 0.2]], np.zeros((2, 2, 1))])
+    def test_k_not_one_dimensional_rejected(self, ks):
+        with pytest.raises(ap.OutOfRangeError, match="k values"):
+            ap.periodogram_values(integer_comb(10), ks)
 
     @pytest.mark.parametrize("k_min, k_max, dk", [
         (0.0, math.nan, 0.01), (math.nan, 1.0, 0.01), (0.0, 1.0, math.nan),

@@ -44,6 +44,12 @@ class TestApply:
         back = SubstitutionRule.from_text(text)
         assert back.images == PAPERFOLDING.images
 
+    def test_rule_file_comments_and_blank_lines(self):
+        text = "# paperfolding\n\na: ab\n  # c and d follow\nb: cb\n\nc: ad\nd: cd\n"
+        rule = SubstitutionRule.from_text(text)
+        assert rule.alphabet == PAPERFOLDING.alphabet
+        assert rule.images == PAPERFOLDING.images
+
     def test_non_constant_length_rejected(self):
         with pytest.raises(ap.AperiodicaError):
             SubstitutionRule(("a", "b"), {"a": "ab", "b": "a"})
