@@ -22,6 +22,7 @@ from .core import (
     IntegerCoords,
     ModuleCoords,
     OutOfRangeError,
+    TAU,
     WeightedComb,
     _own_copy,
     module_position,
@@ -30,19 +31,22 @@ from .core import (
 
 _LOOKUP_TOL = 1e-9
 _SUPPORT_TOL = 1e-12  # coefficients at most this large count as zero
-# pairs the pair path reduces at a time; bounds its temporaries to a few MiB
-_PAIR_BLOCK = 1 << 15
+# pairs the pair path reduces at a time: a block's temporaries, under 1 MiB,
+# stay in cache (2^14 ran ~15% faster than 2^15 on Theorem 10's comb)
+_PAIR_BLOCK = 1 << 14
 # integer combs use dense arrays over their span when it is at most this
 # many positions per point; sparser ones when the span is at most
 # _DENSE_MAX_SPAN positions (the dense path peaks at ~130 B a position, so
 # ~34 MiB) and their pairs would cost more on the pair path.  Rates in ns,
 # measured on a 2-core Xeon VM on random integer combs built for the
 # purpose (no benchmark workload has a sparse integer comb): 300-820 per
-# span position dense, 90-360 per pair
+# span position dense; 44-145 per pair, median 80, over 11 combs of 500 to
+# 10,000 points and 1,200 to 2.3e6 pairs (the per-offset pair loop this
+# path replaced took 85-400, median 147, on the same combs)
 _DENSE_SPAN_FACTOR = 16
 _DENSE_MAX_SPAN = 1 << 18
 _NS_DENSE = 500.0
-_NS_PAIR = 150.0
+_NS_PAIR = 80.0
 _INT64_MAX = int(np.iinfo(np.int64).max)
 
 
@@ -104,43 +108,88 @@ class AutocorrelationEstimate:
 
 
 def _group_sums(codes, values):
-    """Distinct codes, ascending, and the sum of the values under each."""
-    distinct, inverse = np.unique(codes, return_inverse=True)
-    sums = (np.bincount(inverse, values.real, len(distinct))
-            + 1j * np.bincount(inverse, values.imag, len(distinct)))
-    return distinct, sums
+    """Distinct codes, ascending, and the sum of the values under each.
+
+    One sort puts equal codes together in their given order, and
+    np.add.reduceat sums each run in that order, so the sums do not depend
+    on the sort algorithm.  The sort is np.sort of the codes packed with
+    their index, (code - min) * 2^bits + index, when that fits in int64,
+    and a stable argsort of the codes otherwise."""
+    if not len(codes):
+        return codes, values
+    lo = int(codes.min())
+    bits = (len(codes) - 1).bit_length()
+    if int(codes.max()) - lo < 1 << (62 - bits):
+        packed = codes - lo
+        packed <<= bits
+        packed |= np.arange(len(codes))
+        packed.sort()
+        order = packed & ((1 << bits) - 1)
+        packed >>= bits
+        codes = packed + lo
+    else:
+        order = np.argsort(codes, kind="stable")
+        codes = codes[order]
+    starts = np.concatenate([[0], np.flatnonzero(codes[1:] != codes[:-1]) + 1])
+    return codes[starts], np.add.reduceat(values[order], starts)
+
+
+def _first_partners(cut, bound):
+    """first[i], the least j with cut[i] - cut[j] <= bound, for ascending
+    cut; point i pairs with first[i] .. i - 1.
+
+    searchsorted rounds cut[i] - bound where the rule rounds cut[i] - cut[j],
+    so its answer is corrected in both directions until the rule holds at
+    first[i] and fails at first[i] - 1 (the rounded difference is monotone in
+    j, so the pairs kept form a run).  Integer cuts are exact and need none."""
+    first = np.searchsorted(cut, cut - bound, side="left")
+    while True:
+        # first[i] <= i always holds, and first[i] - 1 wraps only where
+        # first[i] is 0
+        grow = (first > 0) & (cut - cut[first - 1] <= bound)
+        shrink = cut - cut[first] > bound
+        if not (grow.any() or shrink.any()):
+            return first
+        first = first - grow + shrink
 
 
 def _pairwise_sums(cut, bound, keys, weights):
     """Sums of v(x) conj(v(y)) over the pairs of points i > j with
-    0 < cut[i] - cut[j] <= bound, grouped by their code keys[i] - keys[j].
+    cut[i] - cut[j] <= bound, grouped by their code keys[i] - keys[j].
 
     cut ascends strictly.  Returns the distinct codes, ascending, and their
-    sums.  Pairs are enumerated by index offset d = i - j: when
-    cut[i] - cut[i - d] <= bound, so is cut[i] - cut[i - d + 1], so the i
-    kept at offset d are among those kept at d - 1, and the cost is linear
-    in N plus the number of pairs.  At most _PAIR_BLOCK pairs are reduced at
-    a time, and the reduced blocks are merged into the result whenever they
-    hold as many codes as it does, so memory is O(N + _PAIR_BLOCK + distinct
-    codes).
+    sums.  The pairs are listed by point: point i pairs with
+    first[i] .. i - 1 (_first_partners), so pair number p of the running
+    count belongs to the point whose count passes p.  The list is cut into
+    blocks of _PAIR_BLOCK pairs, one point's pairs possibly spanning
+    several; each block's pairs are built with np.repeat and reduced by
+    _group_sums, and the reduced blocks are merged into the result whenever
+    they hold as many codes as it does.  The cost is linear in N plus the
+    number of pairs, and memory is O(N + _PAIR_BLOCK + distinct codes).
     """
     codes, sums = np.empty(0, dtype=np.int64), np.empty(0, dtype=complex)
+    first = _first_partners(cut, bound)
+    conj = np.conj(weights)
+    count = np.arange(len(cut)) - first
+    ends = np.cumsum(count)  # point i's pairs are numbers starts[i] .. ends[i] - 1
+    starts = ends - count
+    shift = starts - first  # pair number p of point i has j = p - shift[i]
+    total = int(ends[-1]) if len(ends) else 0
     parts, held = [], 0
-    i = np.arange(len(cut))
-    for d in range(1, len(cut)):
-        i = i[i >= d]
-        i = i[cut[i] - cut[i - d] <= bound]
-        if not len(i):
-            break
-        for lo in range(0, len(i), _PAIR_BLOCK):
-            b = i[lo:lo + _PAIR_BLOCK]
-            parts.append(_group_sums(keys[b] - keys[b - d],
-                                     weights[b] * np.conj(weights[b - d])))
-            held += len(parts[-1][0])
-            if held >= max(len(codes), _PAIR_BLOCK):
-                parts.append((codes, sums))
-                codes, sums = _group_sums(*map(np.concatenate, zip(*parts)))
-                parts, held = [], 0
+    for lo in range(0, total, _PAIR_BLOCK):
+        hi = min(lo + _PAIR_BLOCK, total)
+        # the points whose pairs meet numbers lo .. hi - 1
+        a = int(np.searchsorted(ends, lo, side="right"))
+        b = int(np.searchsorted(ends, hi, side="left")) + 1
+        counts = np.minimum(ends[a:b], hi) - np.maximum(starts[a:b], lo)
+        j = np.arange(lo, hi) - np.repeat(shift[a:b], counts)
+        parts.append(_group_sums(np.repeat(keys[a:b], counts) - keys[j],
+                                 np.repeat(weights[a:b], counts) * conj[j]))
+        held += len(parts[-1][0])
+        if held >= max(len(codes), _PAIR_BLOCK):
+            parts.append((codes, sums))
+            codes, sums = _group_sums(*map(np.concatenate, zip(*parts)))
+            parts, held = [], 0
     parts.append((codes, sums))
     return _group_sums(*map(np.concatenate, zip(*parts)))
 
@@ -148,8 +197,7 @@ def _pairwise_sums(cut, bound, keys, weights):
 def _pair_count(cut, bound) -> int:
     """Pairs i > j with cut[i] - cut[j] <= bound, for ascending cut: the
     pairs _pairwise_sums visits."""
-    first = np.searchsorted(cut, cut - bound, side="left")
-    return int(np.sum(np.arange(len(cut)) - first))
+    return int(np.sum(np.arange(len(cut)) - _first_partners(cut, bound)))
 
 
 def _convolve(a, b):
@@ -196,10 +244,13 @@ def _float_keys(positions, max_diff):
 def _exact_keys(comb, max_diff):
     """int64 keys, one per point, whose differences keys[i] - keys[j] are
     exact codes of the position differences; the sorted coordinates pairs
-    are cut on, the cut bound, and the decoder from codes to differences.
+    are cut on, the cut bound, the decoder from codes to differences, and
+    the largest decoded difference kept.
 
     Integers: keys and cut are the integers, the bound max_diff / scale.
-    Module (m, n): (m - m_min) * w + (n - n_min), w = 2 * (n spread) + 1.
+    Module (m, n): (m - m_min) * w + (n - n_min), w = 2 * (n spread) + 1;
+    the float cut is widened past the rounding of positions and decoded
+    differences, and a code is kept when it decodes to at most max_diff.
     Floats: the _LOOKUP_TOL grid, which must not put two points on one key.
     OutOfRangeError when the codes of the comb do not fit in int64."""
     coords = comb.coords
@@ -208,7 +259,7 @@ def _exact_keys(comb, max_diff):
         if int(values[-1]) - int(values[0]) + 1 > _INT64_MAX:
             raise OutOfRangeError("integer positions of this comb span more than int64")
         max_lag = int(math.floor(max_diff / scale + 1e-12))
-        return values, values, max_lag, lambda codes: codes * scale
+        return values, values, max_lag, lambda codes: codes * scale, math.inf
     if isinstance(coords, ModuleCoords):
         m, n = coords.mn[:, 0], coords.mn[:, 1]
         shift = int(n.max()) - int(n.min())
@@ -220,12 +271,16 @@ def _exact_keys(comb, max_diff):
             """Positions dm * tau + dn of the codes dm * width + dn."""
             dm, dn = np.divmod(codes + shift, width)
             return module_position(dm, dn - shift)
-        return (m - m.min()) * width + (n - n.min()), comb.positions, max_diff, decode
+        # each position and each decoded difference is a few roundings of
+        # numbers at most |m| tau + |n| in size away from the exact value
+        slack = 16 * np.spacing(float(np.max(np.abs(m))) * TAU + float(np.max(np.abs(n))))
+        return ((m - m.min()) * width + (n - n.min()), comb.positions, max_diff + slack,
+                decode, max_diff)
     keys = _float_keys(comb.positions, max_diff)
     if np.any(np.diff(keys) == 0):
         raise OutOfRangeError(f"two float positions fall on one key of the "
                               f"{_LOOKUP_TOL:g} grid; use exact coordinates")
-    return keys, comb.positions, max_diff, lambda codes: codes * _LOOKUP_TOL
+    return keys, comb.positions, max_diff, lambda codes: codes * _LOOKUP_TOL, math.inf
 
 
 def estimate_autocorrelation(comb: WeightedComb, max_diff: float) -> AutocorrelationEstimate:
@@ -244,7 +299,7 @@ def estimate_autocorrelation(comb: WeightedComb, max_diff: float) -> Autocorrela
     if not 0.0 <= max_diff <= 2 * comb.radius:
         raise OutOfRangeError("max_diff must lie in [0, 2*radius], the comb diameter")
     w = comb.weights
-    keys, cut, bound, decode = _exact_keys(comb, max_diff)
+    keys, cut, bound, decode, limit = _exact_keys(comb, max_diff)
     # only integer combs are cut on their keys, so only there is the bound a
     # lag bound for a convolution over the keys
     span = int(keys[-1]) - int(keys[0]) + 1
@@ -257,8 +312,9 @@ def estimate_autocorrelation(comb: WeightedComb, max_diff: float) -> Autocorrela
     pos_diffs = decode(np.append(codes, 0))
     sums = np.append(sums, np.dot(w, np.conj(w)))
     order = np.argsort(pos_diffs, kind="stable")
-    keep = pos_diffs[order] >= 0
-    pos_diffs, sums = pos_diffs[order][keep], sums[order][keep]
+    pos_diffs, sums = pos_diffs[order], sums[order]
+    keep = (pos_diffs >= 0) & (pos_diffs <= limit)
+    pos_diffs, sums = pos_diffs[keep], sums[keep]
 
     # mirror positive differences; Hermitian symmetry is exact by construction
     pos_mask = pos_diffs > 0

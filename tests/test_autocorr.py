@@ -8,6 +8,7 @@ import pytest
 import aperiodica as ap
 from aperiodica import autocorr, paperfolding as pf
 from aperiodica.autocorr import DegenerateAutocorrelationError
+from aperiodica.core import module_position
 
 
 def integer_comb(n, weights=None):
@@ -141,8 +142,8 @@ class TestExactKeys:
 
     def test_sparse_comb_path_follows_pair_count(self):
         # 2,489 integers over a span of 2.5e5, sparser than 1/16: within
-        # 2.5e5 they have 3.1e6 pairs (pair path 0.60 s, dense sums 0.08 s),
-        # within 2e3 only 49,320 (pair path 5 ms, dense sums 0.08 s)
+        # 2.5e5 they have 3.1e6 pairs (pair path 0.48 s, dense sums 0.1 s),
+        # within 2e3 only 49,320 (pair path 2 ms, dense sums 0.1 s)
         rng = np.random.default_rng(5)
         values = np.unique(rng.integers(-125_000, 125_000, size=2_500))
         w = rng.normal(size=len(values)) + 1j * rng.normal(size=len(values))
@@ -219,6 +220,84 @@ class TestExactKeys:
                              est.diffs + 2e-9, [-5.0, 5.0, 0.5, -1.0 + 7.5e-10]])
         assert est.eta_lookup(zs).tolist() == [scalar(est, z) for z in zs]
         assert [est.eta_at(z) for z in zs] == [scalar(est, z) for z in zs]
+
+
+def module_pair_sum(comb, dm, dn):
+    """Sum of v(x) conj(v(y)) over the pairs of a module comb with
+    x - y = dm * tau + dn exactly, found by matching (m, n) rows, and the
+    float differences x - y of those pairs."""
+    mn = comb.coords.mn
+    code = mn[:, 0] * 2 ** 32 + mn[:, 1]
+    order = np.argsort(code)
+    target = code + dm * 2 ** 32 + dn
+    k = np.minimum(np.searchsorted(code[order], target), len(code) - 1)
+    hit = code[order][k] == target
+    x = order[k][hit]
+    return (np.sum(comb.weights[x] * np.conj(comb.weights[hit])),
+            comb.positions[x] - comb.positions[hit])
+
+
+def brute_module_estimate(comb, max_diff):
+    """diffs and eta of a module comb over all N^2 pairs: a pair counts when
+    its exact difference (dm, dn) embeds to at most max_diff."""
+    i, j = np.tril_indices(len(comb), -1)
+    mn, w = comb.coords.mn, comb.weights
+    dmn = mn[i] - mn[j]
+    z = module_position(dmn[:, 0], dmn[:, 1])
+    keep = (z > 0) & (z <= max_diff)
+    distinct, inverse = np.unique(dmn[keep], axis=0, return_inverse=True)
+    products = w[i[keep]] * np.conj(w[j[keep]])
+    sums = (np.bincount(inverse, products.real, len(distinct))
+            + 1j * np.bincount(inverse, products.imag, len(distinct)))
+    pos = module_position(distinct[:, 0], distinct[:, 1])
+    order = np.argsort(pos)
+    diffs = np.concatenate([-pos[order][::-1], [0.0], pos[order]])
+    eta = np.concatenate([np.conj(sums[order][::-1]), [np.dot(w, np.conj(w))],
+                          sums[order]]) / comb.volume
+    return diffs, eta
+
+
+class TestPairPath:
+    def test_module_cut_keeps_every_pair_at_max_diff(self):
+        # Theorem 10's comb at +-1e4: 16 of its 57,544 pairs at z = 1 have a
+        # float position difference above 1, and a cut on that difference
+        # dropped them (eta(1) read 0.1457705 against 0.1458053)
+        comb = ap.density_weighted_comb(ap.fibonacci_scheme(), ap.GaussianProfile(0.5),
+                                        (-1e4, 1e4))
+        total, float_diffs = module_pair_sum(comb, 0, 1)
+        assert len(float_diffs) == 57_544 and np.sum(float_diffs > 1.0) == 16
+        est = ap.estimate_autocorrelation(comb, 1.0)
+        assert est.diffs[-1] == 1.0
+        assert abs(est.eta_at(1.0) * comb.volume - total) <= 1e-12 * abs(total)
+        # no code beyond max_diff comes in through the widened cut
+        est = ap.estimate_autocorrelation(comb, np.nextafter(1.0, 0.0))
+        assert est.diffs[-1] < 1.0 and est.eta_at(1.0) == 0.0
+
+    def test_group_sums_order_does_not_depend_on_code_range(self):
+        # narrow codes take the packed sort, codes over 2^60 apart the
+        # stable argsort; both sum each code's values in their given order
+        rng = np.random.default_rng(7)
+        values = rng.normal(size=200) + 1j * rng.normal(size=200)
+        narrow = rng.integers(-3, 4, size=200)
+        got = [autocorr._group_sums(codes, values) for codes in (narrow, narrow * 2 ** 58)]
+        assert got[0][0].tolist() == sorted(set(narrow.tolist()))
+        assert np.array_equal(got[1][0], got[0][0] * 2 ** 58)
+        assert np.array_equal(got[0][1], got[1][1])
+        for code, total in zip(*got[0]):
+            assert np.isclose(total, np.sum(values[narrow == code]), rtol=1e-14)
+
+    @pytest.mark.parametrize("block, max_diff", [(1, 50.0), (7, 500.0), (1 << 15, 500.0)])
+    def test_pair_lists_spanning_blocks(self, block, max_diff):
+        # criterion 10's comb: at max_diff 500 a point pairs with up to ~400
+        # others, so at small blocks one point's pairs span many blocks (at
+        # block 1 the cut is 50, ~40 pairs a point, to keep the test short)
+        comb = ap.generate_model_set(ap.fibonacci_scheme(),
+                                     ap.EuclideanWindow(((-0.3, 0.7),)), (-1000, 1000))
+        with mock.patch.object(autocorr, "_PAIR_BLOCK", block):
+            est = ap.estimate_autocorrelation(comb, max_diff)
+        diffs, eta = brute_module_estimate(comb, max_diff)
+        assert np.array_equal(est.diffs, diffs)
+        assert np.max(np.abs(est.eta - eta)) <= 1e-12 * np.max(np.abs(eta))
 
 
 class TestPseudoMetric:

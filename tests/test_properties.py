@@ -532,11 +532,15 @@ def test_paperfolding_spectrum_matches_scan(case):
 
 def loop_autocorrelation(comb, max_diff):
     """Reference: the dict-accumulating pair loop that the array pair path
-    replaced, with its ordering and mirroring (diffs, eta)."""
+    replaced, with its ordering and mirroring (diffs, eta).  Integer and
+    float pairs are cut on their float position difference; module pairs
+    are kept when their exact difference embeds to at most max_diff."""
     coords = comb.coords
+    slack = 0.0
     if isinstance(coords, ModuleCoords):
         keys = coords.mn
         embed = lambda key: key[0] * ap.TAU + key[1]
+        slack = 1e-6  # far past the rounding of any position difference here
     elif isinstance(coords, IntegerCoords):
         keys = coords.values.reshape(-1, 1)
         embed = lambda key: key[0] * coords.scale
@@ -547,10 +551,12 @@ def loop_autocorrelation(comb, max_diff):
     acc = {}
     j_lo = 0
     for i in range(len(positions)):
-        while positions[i] - positions[j_lo] > max_diff:
+        while positions[i] - positions[j_lo] > max_diff + slack:
             j_lo += 1
         for j in range(j_lo, i):
             key = tuple(keys[i] - keys[j])
+            if slack and embed(key) > max_diff:
+                continue
             acc[key] = acc.get(key, 0.0 + 0.0j) + w[i] * np.conj(w[j])
     items = sorted(acc.items(), key=lambda kv: embed(kv[0]))
     pos_diffs = np.array([embed(k) for k, _ in items] + [0.0])
