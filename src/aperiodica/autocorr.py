@@ -157,15 +157,16 @@ def _pairwise_sums(cut, bound, keys, weights):
     """Sums of v(x) conj(v(y)) over the pairs of points i > j with
     cut[i] - cut[j] <= bound, grouped by their code keys[i] - keys[j].
 
-    cut ascends strictly.  Returns the distinct codes, ascending, and their
-    sums.  The pairs are listed by point: point i pairs with
-    first[i] .. i - 1 (_first_partners), so pair number p of the running
-    count belongs to the point whose count passes p.  The list is cut into
-    blocks of _PAIR_BLOCK pairs, one point's pairs possibly spanning
-    several; each block's pairs are built with np.repeat and reduced by
-    _group_sums, and the reduced blocks are merged into the result whenever
-    they hold as many codes as it does.  The cost is linear in N plus the
-    number of pairs, and memory is O(N + _PAIR_BLOCK + distinct codes).
+    cut ascends strictly and is not empty.  Returns the distinct codes,
+    ascending, and their sums.  The pairs are listed by point: point i
+    pairs with first[i] .. i - 1 (_first_partners), so pair number p of the
+    running count belongs to the point whose count passes p.  The list is
+    cut into blocks of _PAIR_BLOCK pairs, one point's pairs possibly
+    spanning several; each block's pairs are built with np.repeat and
+    reduced by _group_sums, and the reduced blocks are merged into the
+    result whenever they hold as many codes as it does.  The cost is linear
+    in N plus the number of pairs, and memory is O(N + _PAIR_BLOCK +
+    distinct codes).
     """
     codes, sums = np.empty(0, dtype=np.int64), np.empty(0, dtype=complex)
     first = _first_partners(cut, bound)
@@ -174,7 +175,7 @@ def _pairwise_sums(cut, bound, keys, weights):
     ends = np.cumsum(count)  # point i's pairs are numbers starts[i] .. ends[i] - 1
     starts = ends - count
     shift = starts - first  # pair number p of point i has j = p - shift[i]
-    total = int(ends[-1]) if len(ends) else 0
+    total = int(ends[-1])
     parts, held = [], 0
     for lo in range(0, total, _PAIR_BLOCK):
         hi = min(lo + _PAIR_BLOCK, total)

@@ -273,6 +273,24 @@ class TestPairPath:
         est = ap.estimate_autocorrelation(comb, np.nextafter(1.0, 0.0))
         assert est.diffs[-1] < 1.0 and est.eta_at(1.0) == 0.0
 
+    @pytest.mark.parametrize("seed", [2, 1527])
+    def test_first_partners_follow_the_rounded_cut(self, seed):
+        # float combs on a 1e-3 grid cut at one pair's difference, where
+        # searchsorted's rounding of cut[i] - bound misses the rule on
+        # cut[i] - cut[j]: at seed 2 first[i] lies below its answer, at
+        # seed 1527 above
+        rng = np.random.default_rng(seed)
+        radius = rng.uniform(1, 1e4)
+        cut = np.unique(np.clip(np.round(rng.uniform(-radius, radius, size=150) / 1e-3)
+                                * 1e-3, -radius, radius))
+        lo, hi = sorted(rng.choice(len(cut), 2, replace=False))
+        bound = cut[hi] - cut[lo]
+        rule = [next(j for j in range(i + 1) if cut[i] - cut[j] <= bound)
+                for i in range(len(cut))]
+        assert np.searchsorted(cut, cut - bound).tolist() != rule
+        assert autocorr._first_partners(cut, bound).tolist() == rule
+        assert autocorr._pair_count(cut, bound) == sum(i - j for i, j in enumerate(rule))
+
     def test_group_sums_order_does_not_depend_on_code_range(self):
         # narrow codes take the packed sort, codes over 2^60 apart the
         # stable argsort; both sum each code's values in their given order
