@@ -11,23 +11,29 @@ integer k is 1.  The optional Hann taper trades a slightly wider main lobe
 for fast side-lobe decay, which matters when small atoms are read off next
 to large ones.
 
-The sums are evaluated on one of two paths, chosen from the input's shape
-alone (point count N, k count K and the fine-grid length that the position
-span times the k span implies):
+The sums are evaluated on one of three paths, the one of lowest estimated
+cost for the input's shape (point count N, k count K, the fine-grid length
+that the position span times the k span implies, and the lattice length L):
 
+* a DFT of length L (Cooley & Tukey, Math. Comp. 19 (1965) 297) for integer
+  positions c*scale, scale a power of two, when a power of two L <= 2^18
+  makes every k*scale*L an integer: at those k the sums are periodic mod L
+  in c, so they are one bincount of the weights by c mod L and one FFT,
+  read at (k*scale mod 1)*L.  Every phase is exact at any span and any k,
+  2^60 and 1e300 included.
 * a type-3 non-uniform FFT (Lee & Greengard, J. Comput. Phys. 206 (2005) 1)
   with the exponential-of-semicircle kernel of Barnett, Magland &
   af Klinteberg (SIAM J. Sci. Comput. 41 (2019) C479), at a fixed
   tolerance of 1e-13, below the phase rounding of direct summation.  It
   serves integer, module and float positions at uniform or scattered k.
-  It is taken when its cost estimate is below that of the other path and
-  its fine grid fits the memory of one direct block.
+  It is taken when its cost estimate is the lowest and its fine grid fits
+  the memory of one direct block.
   On a uniform grid k0 + l*dk the sums have period 1/dk in x, so a comb
   that spans more than one period is first wrapped into it: positions
   y = x mod 1/dk, centred on 0, with weights w e^(-2 pi i k0 x), and the
   NUFFT sums at l*dk.  Its fine grid then follows the k grid alone, not
   the comb's span.  For exact coordinates dk*x and k0*x are reduced mod 1
-  from the digit tables of the other path.  The wrapped sums are exact at
+  from the digit tables of direct summation.  The wrapped sums are exact at
   the progression k0 + l*dk through the end points of ks, so a double k
   grid that strays from it (0.02*l strays by up to 2.2e-16) is wrapped
   only when that shift, times the comb's span, stays a phase error under
@@ -44,7 +50,8 @@ span times the k span implies):
   positions (comb files) take one complex exponential per point*k.
 
 Tests hold each path within 1e-10 of the largest value of direct sums,
-with phases reduced mod 1 in extended precision for exact coordinates.
+with phases reduced mod 1 in extended precision for exact coordinates, and
+the lattice path within 1e-12 of sums with phases from integer arithmetic.
 """
 
 from __future__ import annotations
@@ -149,12 +156,16 @@ def periodogram_values(comb: WeightedComb, ks, taper: str = "boxcar",
         raise AperiodicaError(f"unknown normalization {normalization!r}")
     x = comb.positions
     columns = _exact_columns(comb.coords)
+    lattice = _lattice_length(comb.coords, ks)
     # on a uniform grid k0 + l*dk the sums have period 1/dk in x: a comb
     # spanning more than one period is wrapped into it before the NUFFT
     grid = _wrap_grid(ks, x[-1] - x[0])
     x_span = 1.0 / grid[1] if grid else x[-1] - x[0]
-    if len(ks) and _use_nufft(len(x), len(ks), x_span, np.ptp(ks),
-                              _NS_TABLE if columns else _NS_DIRECT):
+    path = _choose_path(len(x), len(ks), x_span, np.ptp(ks) if len(ks) else 0.0,
+                        _NS_TABLE if columns else _NS_DIRECT, lattice)
+    if path == "lattice":
+        power = _lattice_power(comb.coords.values, w, ks * comb.coords.scale, lattice)
+    elif path == "nufft":
         if grid:
             y, w = _wrap(x, columns, w, *grid)
             power = _nufft_power(y, w, np.arange(len(ks)) * grid[1])
@@ -340,9 +351,11 @@ _GRID_CAP = 52 * _CHUNK // 48
 # cost model, in ns as measured on a 2-core Xeon VM: direct summation by
 # exp and by tables (15-21 ns from 200,001 down to 20,001 points) per point*k;
 # the fast path per point spread, per nf*log2(nf) of the FFT, per k
-# interpolated, plus a fixed set-up
+# interpolated, plus a fixed set-up; the lattice path per point binned
+# (10-18 ns from 200,000 down to 2,000 points) and per L*log2(L) of its FFT
 _NS_DIRECT = 55.0
 _NS_TABLE = 20.0
+_NS_BIN = 15.0
 _NS_SPREAD = 450.0
 _NS_FFT = 3.0
 _NS_INTERP = 350.0
@@ -387,18 +400,21 @@ def _fine_grid(x_span: float, k_span: float) -> tuple[int, float]:
     return (next_fast_len(nf) if nf <= _GRID_CAP else nf), dk
 
 
-def _use_nufft(n: int, count: int, x_span: float, k_span: float,
-               ns_other: float) -> bool:
-    """Path choice from the input's shape: the fast path when its fine grid
-    fits the cap and its estimated cost is below that of the other path,
-    ns_other per point*k (_NS_TABLE for exact coordinates, _NS_DIRECT for
-    float positions)."""
+def _choose_path(n: int, count: int, x_span: float, k_span: float,
+                 ns_other: float, lattice: int = 0) -> str:
+    """Path choice from the input's shape, the one with the lowest estimated
+    cost: "sum" at ns_other per point*k (_NS_TABLE for exact coordinates,
+    _NS_DIRECT for float positions), "nufft" when its fine grid fits the cap,
+    and "lattice" when _lattice_length gave a DFT length.  On a tie the
+    earlier path of that list is taken."""
+    costs = {"sum": ns_other * n * count}
     nf, _ = _fine_grid(x_span, k_span)
-    if nf > _GRID_CAP:
-        return False
-    fast = (_NS_FIXED + _NS_SPREAD * n + _NS_FFT * nf * math.log2(nf)
-            + _NS_INTERP * count)
-    return fast < ns_other * n * count
+    if nf <= _GRID_CAP:
+        costs["nufft"] = (_NS_FIXED + _NS_SPREAD * n + _NS_FFT * nf * math.log2(nf)
+                          + _NS_INTERP * count)
+    if lattice:
+        costs["lattice"] = _NS_BIN * n + _NS_FFT * lattice * math.log2(lattice)
+    return min(costs, key=costs.get)
 
 
 def _nufft_power(x: np.ndarray, w: np.ndarray, ks: np.ndarray) -> np.ndarray:
@@ -449,6 +465,57 @@ def _nufft_power(x: np.ndarray, w: np.ndarray, ks: np.ndarray) -> np.ndarray:
         out[start:start + _BLOCK] = np.abs(
             np.einsum("ij,ij->i", psi, modes[cells - j_lo])) ** 2
     return out * (4.0 / _WIDTH ** 2) ** 2
+
+
+# -- lattice DFT ----------------------------------------------------------------
+
+# largest r of a DFT length 2^r, the largest power of two within _GRID_CAP
+_LATTICE_R_CAP = _GRID_CAP.bit_length() - 1
+
+
+def _dyadic_levels(u, cap: int) -> np.ndarray:
+    """Per entry of the finite u, the r with u = odd/2^r (r = 0 for integers
+    and 0) when r <= cap; cap + 1 when there is none.  It is read off the
+    double: u = M 2^(e - 53) with M an integer, |M| < 2^53, so r is
+    53 - e - (trailing zero bits of M), or 0 when that is negative."""
+    fraction, e = np.frexp(u)
+    # bit 62 lies above every bit of M: it leaves M's lowest set bit as it
+    # is and gives u = 0 level 0
+    m = (fraction * 2.0 ** 53).astype(np.int64) | (1 << 62)
+    zeros = np.frexp((m & -m).astype(float))[1] - 1
+    return np.clip(53 - e - zeros, 0, cap + 1)
+
+
+def _lattice_length(coords, ks: np.ndarray) -> int:
+    """The DFT length L of the lattice path: for integer coordinates whose
+    scale is a power of two, so that k*scale is exact, the smallest power of
+    two L <= _GRID_CAP with k*scale*L an integer for every k of ks; 0 when
+    there is none, when some k*scale overflows, or when the coordinates are
+    not such integers."""
+    if not isinstance(coords, IntegerCoords) or math.frexp(coords.scale)[0] != 0.5:
+        return 0
+    with np.errstate(over="ignore"):
+        u = ks * coords.scale
+    if not np.all(np.isfinite(u)):
+        return 0
+    level = int(_dyadic_levels(u, _LATTICE_R_CAP).max(initial=0))
+    return 1 << level if level <= _LATTICE_R_CAP else 0
+
+
+def _lattice_power(c: np.ndarray, w: np.ndarray, u: np.ndarray, size: int) -> np.ndarray:
+    """|sum_j w_j e^(-2 pi i u c_j)|^2 at every u, for integers c_j and a
+    power of two size with u*size an integer for every u.
+
+    Each term depends on c_j mod size alone, so the sums are the DFT of
+    length size of the weights binned by c mod size, read at u*size mod
+    size.  That index is formed as (u mod 1)*size, exact in doubles and
+    finite for any u."""
+    residues = c & (size - 1)
+    bins = np.bincount(residues, w.real, size)
+    if np.any(w.imag):
+        bins = bins + 1j * np.bincount(residues, w.imag, size)
+    power = np.abs(np.fft.fft(bins)) ** 2
+    return power[(np.mod(u, 1.0) * size).astype(np.int64)]
 
 
 def uniform_grid(k_min: float, k_max: float, dk: float) -> np.ndarray:
@@ -522,16 +589,6 @@ BRAGG_RATIO_THRESHOLD = 1.7
 _DYADIC_R_CAP = 32
 
 
-def _dyadic_level(k: float) -> int | None:
-    """The r with k = odd/2^r (r = 0 for integers) and r <= _DYADIC_R_CAP;
-    None when no such r exists."""
-    for r in range(_DYADIC_R_CAP + 1):
-        scaled = k * (1 << r)
-        if scaled == round(scaled):
-            return r
-    return None
-
-
 def _level_intensities(a: complex, b: complex, c: complex, d: complex,
                        r_max: int) -> list[float]:
     """Intensity I_r of the atoms at odd/2^r (r = 0: at the integers), for
@@ -550,10 +607,12 @@ def paperfolding_intensity(a: complex, b: complex, c: complex, d: complex,
     (integers: r = 0) for r <= 32; every other k has no atom.  Every double
     is m/2^r for some r, so the cap r <= 32 is what tells a dyadic k from a
     rounded one such as 1/3 (m/2^54); each atom it leaves out carries at
-    most 4^-33 |B-D|^2.
+    most 4^-33 |B-D|^2.  A non-finite k raises OutOfRangeError.
     """
-    r = _dyadic_level(k)
-    if r is None:
+    if not math.isfinite(k):
+        raise OutOfRangeError(f"k must be finite; got {k}")
+    r = int(_dyadic_levels(k, _DYADIC_R_CAP))
+    if r > _DYADIC_R_CAP:
         return 0.0
     return _level_intensities(a, b, c, d, r)[r]
 

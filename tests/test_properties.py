@@ -4,8 +4,8 @@ Invariants covered: autocorrelation Hermitian symmetry, boundedness by the
 zero coefficient, triangle inequality of the pseudo-metric, nesting of the
 almost-period sets, scaling covariance, periodogram positivity, agreement of
 the NUFFT, the twiddle-table and the wrapped periodograms with direct
-summation,
-agreement of the array slab
+summation and of the lattice-DFT periodogram with sums whose phases come
+from integer arithmetic, agreement of the array slab
 enumeration, pair sums and Theorem-10 atoms with the loops they replaced
 and of the dense integer sums with the pair loop, agreement of the
 paperfolding atoms with a scan of every m/2^r_max, agreement of the 2-adic
@@ -157,7 +157,7 @@ def test_periodogram_fast_path_matches_direct(case):
     comb, taper, ks = case
     x = comb.positions
     ns_other = spectrum._NS_TABLE if spectrum._exact_columns(comb.coords) else spectrum._NS_DIRECT
-    assert spectrum._use_nufft(len(x), len(ks), x[-1] - x[0], np.ptp(ks), ns_other)
+    assert spectrum._choose_path(len(x), len(ks), x[-1] - x[0], np.ptp(ks), ns_other) == "nufft"
     w = spectrum._taper_weights(comb, taper)[0]
     fast = spectrum._nufft_power(x, w, ks)
     direct = spectrum._direct_power(x, w, ks)
@@ -287,6 +287,75 @@ def test_periodogram_wrap_matches_direct(case):
     w, t_mean, _ = spectrum._taper_weights(comb, taper)
     direct = spectrum._direct_power(comb.positions, w, ks) / (comb.volume * t_mean ** 2)
     assert np.max(np.abs(values - direct)) <= 1e-10 * np.max(direct)
+
+
+@st.composite
+def lattice_inputs(draw):
+    """An integer comb (up to 1,500 points spanning up to 1e12, real or
+    complex weights) at scale 1, 1/2 or 4, a taper, and a set of k, each a
+    multiple of 2^-level (level up to 16), in random order, negative ones,
+    repeats and integers beyond 2^53 included.
+
+    The weights have mean 1 and every k set holds k = 0, so the largest
+    value, at k = 0, is of order N^2: a 1e-12 gate relative to it then
+    measures the path, not how far sum(w) cancels (with all k integers,
+    every value is |sum(w)|^2)."""
+    n = draw(st.integers(min_value=1, max_value=1500))
+    span = draw(st.sampled_from([10, 10 ** 4, 10 ** 8, 10 ** 12]))
+    scale = draw(st.sampled_from([1.0, 0.5, 4.0]))
+    taper = draw(st.sampled_from(["boxcar", "hann"]))
+    complex_weights = draw(st.booleans())
+    level = draw(st.integers(min_value=0, max_value=16))
+    count = draw(st.integers(min_value=1, max_value=200))
+    rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2 ** 32 - 1)))
+    values = np.unique(rng.integers(-(span // 2), span // 2 + 1, size=n))
+    weights = 1.0 + rng.normal(size=len(values))
+    if complex_weights:
+        weights = weights + 1j * rng.normal(size=len(values))
+    radius = scale * max(abs(int(values[0])), abs(int(values[-1])), 1)
+    comb = ap.WeightedComb.from_integers(values, weights, radius, scale)
+    ks = rng.integers(-2 ** 20, 2 ** 20, size=count) / 2.0 ** level
+    big = rng.random(count) < 0.1
+    ks[big] = rng.choice([-1.0, 1.0], size=big.sum()) * (
+        2.0 ** 53 + 2.0 * rng.integers(0, 2 ** 40, size=big.sum()))
+    ks = np.concatenate([[0.0], ks, rng.choice(ks, size=count // 4)])  # repeated k
+    return comb, taper, rng.permutation(ks)
+
+
+def integer_phase_power(comb, w, ks):
+    """Reference: |sum_j w_j e^(-2 pi i k x_j)|^2 with each phase formed in
+    integer arithmetic.  With u = k*scale = num/2^20 (exact for the inputs
+    here), k x_j mod 1 is (num c_j mod 2^20)/2^20, num and c_j reduced mod
+    2^20 first so that no product overflows."""
+    den = 1 << 20
+    num = np.mod(ks * comb.coords.scale * den, den).astype(np.int64)
+    assert np.all(num == np.mod(ks * comb.coords.scale * den, den))
+    turns = np.outer(num, comb.coords.values % den) % den / den
+    return np.abs(np.exp(-2j * math.pi * turns) @ w) ** 2
+
+
+@given(lattice_inputs())
+@settings(max_examples=100, deadline=None)
+def test_lattice_path_matches_integer_phases(case):
+    comb, taper, ks = case
+    u = ks * comb.coords.scale
+    # the DFT length: the smallest 2^r with every u 2^r an integer
+    size = next(1 << r for r in range(30) if np.all(np.mod(u * 2.0 ** r, 1.0) == 0))
+    expected = size if size <= spectrum._GRID_CAP else 0
+    assert spectrum._lattice_length(comb.coords, ks) == expected
+    assume(expected)
+    w = spectrum._taper_weights(comb, taper)[0]
+    lattice = spectrum._lattice_power(comb.coords.values, w, u, size)
+    exact = integer_phase_power(comb, w, ks)
+    assert np.max(np.abs(lattice - exact)) <= 1e-12 * np.max(exact)
+    # a k set that is not dyadic, or a scale that is not a power of two,
+    # never takes the lattice path
+    scale_3 = ap.WeightedComb.from_integers(comb.coords.values, comb.weights,
+                                            3.0 / comb.coords.scale * comb.radius, 3.0)
+    with mock.patch.object(spectrum, "_lattice_power", side_effect=AssertionError):
+        ap.periodogram_values(comb, 0.02 * np.arange(1, 64), taper)
+        ap.periodogram_values(scale_3, ks[np.abs(ks) < 2.0 ** 30], taper)
+    assert spectrum._lattice_length(scale_3.coords, ks) == 0
 
 
 def loop_slab_points(window, lo, hi):

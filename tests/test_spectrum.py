@@ -79,8 +79,8 @@ class TestPeriodogram:
         for log2n, tol in ((10, 1e-10), (12, 5e-10)):
             comb = pf.binary_comb(1 << log2n)
             pgram = ap.periodogram(comb, 0.05, 1.3, 1.0 / 777)
-            assert sp._use_nufft(len(comb), len(pgram.ks), np.ptp(comb.positions),
-                                 np.ptp(pgram.ks), sp._NS_TABLE)
+            assert sp._choose_path(len(comb), len(pgram.ks), np.ptp(comb.positions),
+                                   np.ptp(pgram.ks), sp._NS_TABLE) == "nufft"
             direct = sp._direct_power(comb.positions, comb.weights, pgram.ks) / comb.volume
             assert np.max(np.abs(direct - pgram.values)) <= tol * np.max(direct)
 
@@ -96,7 +96,7 @@ class TestPeriodogram:
     ])
     def test_path_choice(self, n, count, x_span, k_span, fast):
         # priced against direct summation, the other path of float positions
-        assert sp._use_nufft(n, count, x_span, k_span, sp._NS_DIRECT) == fast
+        assert (sp._choose_path(n, count, x_span, k_span, sp._NS_DIRECT) == "nufft") == fast
 
     # the other path is the twiddle tables (exact coordinates), not direct
     # summation
@@ -110,7 +110,7 @@ class TestPeriodogram:
         (200_001, 3, 1.0, 2.0, False),             # rational Bragg sums at 0, 1, 2
     ])
     def test_path_choice_against_tables(self, n, count, x_span, k_span, fast):
-        assert sp._use_nufft(n, count, x_span, k_span, sp._NS_TABLE) == fast
+        assert (sp._choose_path(n, count, x_span, k_span, sp._NS_TABLE) == "nufft") == fast
 
     @pytest.mark.parametrize("ks", [
         sp.uniform_grid(0.0, 2.0, 1.0 / 512),
@@ -151,11 +151,28 @@ class TestPeriodogram:
         assert sp._wrap_grid(dyadic, 1e9) == (0.0, 1.0 / 512)
 
     def test_narrow_comb_is_not_wrapped(self):
-        # span 4,096 < 1/dk = 16,384: the NUFFT gets the comb as it is
+        # span 4,096 < 1/dk = 16,384, and every k is a multiple of 2^-14: the
+        # lattice path sums the comb as it is, by one FFT of length 2^14
         comb = pf.binary_comb(1 << 11)
         ks = sp.uniform_grid(0.0, 1.0, 1.0 / (8.0 * comb.radius))
         assert np.ptp(comb.positions) * (ks[1] - ks[0]) <= 1
-        with mock.patch.object(sp, "_wrap", side_effect=AssertionError):
+        with mock.patch.object(sp, "_wrap", side_effect=AssertionError), \
+                mock.patch.object(sp, "_lattice_power", wraps=sp._lattice_power) as lattice:
+            values = ap.periodogram_values(comb, ks)
+        assert lattice.call_args.args[3] == 1 << 14
+        summed = sp._lattice_power(comb.coords.values, comb.weights, ks, 1 << 14)
+        assert np.array_equal(values, summed / comb.volume)
+
+    def test_narrow_comb_at_scale_3_is_not_wrapped(self):
+        # the same comb at scale 3, no power of two, spans 12,288 < 16,384:
+        # the NUFFT gets the comb as it is
+        base = pf.binary_comb(1 << 11)
+        comb = ap.WeightedComb.from_integers(base.coords.values, base.weights,
+                                             3.0 * base.radius, 3.0)
+        ks = sp.uniform_grid(0.0, 1.0, 1.0 / (8.0 * base.radius))
+        assert np.ptp(comb.positions) * (ks[1] - ks[0]) <= 1
+        with mock.patch.object(sp, "_wrap", side_effect=AssertionError), \
+                mock.patch.object(sp, "_lattice_power", side_effect=AssertionError):
             values = ap.periodogram_values(comb, ks)
         unwrapped = sp._nufft_power(comb.positions, comb.weights, ks) / comb.volume
         assert np.array_equal(values, unwrapped)
@@ -208,30 +225,46 @@ class TestPeriodogram:
         # exact coordinates (measured 4e-16 of max; doubles were 3.7e-7 off)
         assert np.max(np.abs(pgram.values - exact)) <= 1e-12 * np.max(exact)
 
-    def test_wrap_of_sparse_wide_comb_bounded_memory(self):
-        # ~5,000 random integers over a span of 1e12 at 2,048 dyadic k: the
-        # wrap's tables hold the points' own values, not two digits of 1e6
-        # entries each (those peaked at 68.7 MiB)
+    @staticmethod
+    def sparse_wide_comb_at_dyadic_k(scale, path):
+        """~5,000 random integers over a span of 1e12 at the given scale, at
+        2,048 k = l/1024: the values at those k, summed on the given path
+        under tracemalloc, its peak, and the sums with exact phases."""
         rng = np.random.default_rng(15)
         values = np.unique(rng.integers(-5 * 10 ** 11, 5 * 10 ** 11, size=5_000))
-        comb = ap.WeightedComb.from_integers(values, rng.normal(size=len(values)), 5e11)
+        comb = ap.WeightedComb.from_integers(values, rng.normal(size=len(values)),
+                                             5e11 * scale, scale)
         ks = np.arange(2_048) * 2.0 ** -10
-        with mock.patch.object(sp, "_wrap", wraps=sp._wrap) as wrap:
+        with mock.patch.object(sp, path, wraps=getattr(sp, path)) as taken:
             tracemalloc.start()
             try:
-                values_wrapped = ap.periodogram_values(comb, ks) * comb.volume
+                summed = ap.periodogram_values(comb, ks) * comb.volume
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
-        assert wrap.called
-        assert peak < 16 * 2 ** 20
+        assert taken.called
         # exact phases: (l/1024) x mod 1 is (l (x mod 1024) mod 1024)/1024
-        residues = values % 1024
+        residues = values * scale % 1024
         exact = np.empty(len(ks))
         for start in range(0, len(ks), 64):
             turns = np.outer(np.arange(start, start + 64), residues) % 1024 / 1024
             exact[start:start + 64] = np.abs(np.exp(-2j * math.pi * turns) @ comb.weights) ** 2
-        assert np.max(np.abs(values_wrapped - exact)) <= 1e-10 * np.max(exact)
+        return summed, peak, exact
+
+    def test_wrap_of_sparse_wide_comb_bounded_memory(self):
+        # at scale 1 every k x is a multiple of 1/1024: the lattice path bins
+        # the weights mod 1024 and takes one FFT of length 1024
+        summed, peak, exact = self.sparse_wide_comb_at_dyadic_k(1, "_lattice_power")
+        assert peak < 16 * 2 ** 20
+        assert np.max(np.abs(summed - exact)) <= 1e-10 * np.max(exact)
+
+    def test_wrap_of_sparse_wide_comb_at_scale_3_bounded_memory(self):
+        # at scale 3, no power of two, the comb is wrapped to one period 1024
+        # before the NUFFT: the wrap's tables hold the points' own values,
+        # not two digits of 1e6 entries each (those peaked at 68.7 MiB)
+        summed, peak, exact = self.sparse_wide_comb_at_dyadic_k(3, "_wrap")
+        assert peak < 16 * 2 ** 20
+        assert np.max(np.abs(summed - exact)) <= 1e-10 * np.max(exact)
 
     def test_table_path_choice(self):
         # the two points at +-1e9 would need two digits of up to 44,722
@@ -262,7 +295,7 @@ class TestPeriodogram:
         ks = 0.3 + 0.02 * np.arange(8)
         x = comb.positions
         columns = sp._exact_columns(comb.coords)
-        assert not sp._use_nufft(len(x), len(ks), x[-1] - x[0], np.ptp(ks), sp._NS_TABLE)
+        assert sp._choose_path(len(x), len(ks), x[-1] - x[0], np.ptp(ks), sp._NS_TABLE) == "sum"
         table = sp._table_power(columns, comb.weights, ks)
         assert np.array_equal(ap.periodogram_values(comb, ks), table / comb.volume)
         direct = sp._direct_power(x, comb.weights, ks)
@@ -295,6 +328,78 @@ class TestPeriodogram:
     def test_non_finite_grid_rejected(self, k_min, k_max, dk):
         with pytest.raises(ap.OutOfRangeError, match="finite"):
             ap.periodogram(integer_comb(10), k_min, k_max, dk)
+
+
+class TestLatticePath:
+    @pytest.mark.parametrize("n, count, x_span, k_span, lattice, path", [
+        (2_050, 16_385, 4_096.0, 1.0, 1 << 14, "lattice"),  # paperfolding 2^11 on [0, 1]
+        (16_386, 1_025, 512.0, 2.0, 512, "lattice"),        # criterion 8, wrapped span
+        (200_001, 3, 1.0, 2.0, 1, "lattice"),               # rational Bragg at 0, 1, 2
+        (2, 1, 2e9, 0.0, 1 << 18, "sum"),                   # +-1e9 at k = 2^-18
+        (2_050, 16_385, 4_096.0, 1.0, 0, "nufft"),          # no lattice length
+    ])
+    def test_path_choice(self, n, count, x_span, k_span, lattice, path):
+        assert sp._choose_path(n, count, x_span, k_span, sp._NS_TABLE, lattice) == path
+
+    @pytest.mark.parametrize("scale", [1.0, 0.5, 4.0])
+    def test_huge_k_give_the_weight_sum(self, scale):
+        # every k is an integer multiple of 4, so k x is an integer at each
+        # scale: each value is |sum w|^2 / vol, with integer weights exactly
+        rng = np.random.default_rng(17)
+        values = np.unique(rng.integers(-10 ** 6, 10 ** 6, size=500))
+        weights = rng.integers(-3, 4, size=len(values)).astype(float)
+        comb = ap.WeightedComb.from_integers(values, weights, 1e6 * scale, scale)
+        ks = np.array([2.0 ** 60, 1e300, -2.0 ** 60, -1e300, 0.0])
+        with mock.patch.object(sp, "_lattice_power", wraps=sp._lattice_power) as lattice:
+            vals = ap.periodogram_values(comb, ks)
+        assert lattice.call_args.args[3] == 1
+        assert np.array_equal(vals, np.full(len(ks), weights.sum() ** 2 / comb.volume))
+
+    def test_two_point_comb_at_dyadic_grid(self):
+        # +-1e9 at 10,000 multiples of 2^-14: one FFT of length 2^14, exact,
+        # with no allocation that scales with the 2e9 span
+        a = 10 ** 9
+        comb = ap.WeightedComb.from_integers([-a, a], [1.0, 1.0], float(a))
+        ks = np.arange(10_000) * 2.0 ** -14
+        assert sp._lattice_length(comb.coords, ks) == 1 << 14
+        tracemalloc.start()
+        try:
+            power = sp._lattice_power(comb.coords.values, comb.weights, ks, 1 << 14)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 2 ** 20
+        exact = 4.0 * np.cos(2.0 * math.pi * np.mod(ks * a, 1.0)) ** 2
+        assert np.max(np.abs(power - exact)) <= 1e-12 * np.max(exact)
+
+    def test_one_fine_k_keeps_the_tables(self):
+        # k = 2^-18 needs a DFT of length 2^18 for two points: the tables
+        # cost less, and the cost rule takes them
+        a = 10 ** 9
+        comb = ap.WeightedComb.from_integers([-a, a], [1.0, 1.0], float(a))
+        ks = np.array([2.0 ** -18])
+        assert sp._lattice_length(comb.coords, ks) == 1 << 18
+        with mock.patch.object(sp, "_lattice_power", side_effect=AssertionError):
+            vals = ap.periodogram_values(comb, ks)
+        exact = 4.0 * math.cos(2.0 * math.pi * ((a % 2 ** 18) / 2 ** 18)) ** 2
+        assert abs(vals[0] * comb.volume - exact) <= 1e-12 * max(exact, 1.0)
+
+    @pytest.mark.parametrize("scale, ks", [
+        (1.0, 0.02 * np.arange(64)),          # k not dyadic
+        (3.0, np.arange(64) / 64),            # a scale no power of two
+        (1.0, np.array([2.0 ** -19])),        # a DFT longer than the grid cap
+        (None, np.arange(64) / 64),           # float positions
+        (4.0, np.array([1e308])),             # k*scale overflows
+    ])
+    def test_outside_the_rule(self, scale, ks):
+        values = np.arange(-50, 51)
+        if scale is None:
+            comb = ap.WeightedComb.from_positions(values.astype(float), np.ones(101), 50.0)
+        else:
+            comb = ap.WeightedComb.from_integers(values, np.ones(101), 50.0 * scale, scale)
+        assert sp._lattice_length(comb.coords, ks) == 0
+        with mock.patch.object(sp, "_lattice_power", side_effect=AssertionError):
+            assert np.all(np.isfinite(ap.periodogram_values(comb, ks)))
 
 
 class TestUniformGrid:
@@ -463,6 +568,23 @@ class TestPaperfoldingSpectrum:
         # a rounded 1/3 is m/2^54 as a double; it must not read as an atom
         for k in (1.0 / 3.0, 0.1, 2.0 / 3.0 + 1.0):
             assert ap.paperfolding_intensity(1, 1, 0, 0, k) == 0.0
+
+    def test_dyadic_levels_match_loop(self):
+        # the level read off the double is the scalar loop it replaced
+        def loop(k, cap):
+            return next((r for r in range(cap + 1) if k * 2 ** r == round(k * 2 ** r)), cap + 1)
+        rng = np.random.default_rng(18)
+        ks = np.concatenate([
+            rng.integers(-2 ** 40, 2 ** 40, size=2_000) / 2.0 ** rng.integers(0, 45, size=2_000),
+            rng.normal(size=200) * 10.0 ** rng.integers(-300, 300, size=200),
+            [0.0, -0.0, 1.0, 2.0 ** 60, 1e300, 1 / 3, 3 / 2 ** 32, 3 / 2 ** 33, 5e-324, -2.5]])
+        for cap in (18, 32):
+            assert sp._dyadic_levels(ks, cap).tolist() == [loop(k, cap) for k in ks.tolist()]
+
+    @pytest.mark.parametrize("k", [math.inf, -math.inf, math.nan])
+    def test_non_finite_k_rejected(self, k):
+        with pytest.raises(ap.OutOfRangeError, match="finite"):
+            ap.paperfolding_intensity(1, 1, 0, 0, k)
 
     def test_dyadic_cap(self):
         # m/2^r is an atom up to r = 32 and not beyond
