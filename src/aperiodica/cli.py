@@ -11,6 +11,7 @@ written with 17 significant digits.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import re
 import sys
@@ -279,7 +280,10 @@ def _bind_negative_values(args: list) -> list:
     return out
 
 
+@functools.cache
 def _build_parsers():
+    """The parser of each subcommand, built once per process: parse_args
+    leaves a parser as it found it, so later calls reuse them."""
     output = argparse.ArgumentParser(add_help=False)
     output.add_argument("--output")
     output.add_argument("--format", choices=("csv", "json"), default="csv")

@@ -10,6 +10,7 @@ integer pairs.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import json
 import math
@@ -297,23 +298,42 @@ class SpectralMeasure:
 COMB_COLUMNS = ("x", "re_weight", "im_weight")
 
 
+_TABLE_BLOCK = 1024  # rows formatted and written at a time
+
+
+def _distinct_texts(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """'%.17g' of each distinct double of values, told apart by their bits
+    so that -0.0 and 0.0 keep their own text, as an object array, and the
+    index of each value's text in it."""
+    bits, index = np.unique(values.view(np.int64), return_inverse=True)
+    texts = np.array(["%.17g" % v for v in bits.view(float).tolist()], dtype=object)
+    return texts, index
+
+
 def write_table(path, header, columns, fmt: str) -> None:
     """Write equal-length columns, one row per index, as CSV (or the
     mirrored JSON) with LF endings and 17-digit floats; to stdout when path
-    is None.  '%.17g' is the routine of format(x, '.17g')."""
-    cols = [np.asarray(c, dtype=float).tolist() for c in columns]
-    fields = ["%.17g"] * len(cols)
-    row = ",".join(fields) if fmt == "csv" else "    [" + ", ".join(fields) + "]"
-    rows = [row % r for r in zip(*cols)]
+    is None.  '%.17g' is the routine of format(x, '.17g'); each distinct
+    double is formatted once, and the rows are built and written in blocks
+    of _TABLE_BLOCK."""
+    cols = [_distinct_texts(np.asarray(c, dtype=float)) for c in columns]
+    n = min((len(index) for _, index in cols), default=0)
     if fmt == "csv":
-        text = "\n".join([",".join(header)] + rows) + "\n"
+        head, cell, sep, tail = ",".join(header), ",", "\n", "\n"
     else:
-        text = ('{\n  "columns": ' + json.dumps(list(header)) +
-                ',\n  "rows": [\n' + ",\n".join(rows) + "\n  ]\n}\n")
-    if path is None:
-        sys.stdout.write(text)
-    else:
-        Path(path).write_text(text, encoding="utf-8", newline="")
+        head = '{\n  "columns": ' + json.dumps(list(header)) + ',\n  "rows": [\n'
+        cell, sep, tail = ", ", ",\n", "\n  ]\n}\n"
+    with (open(path, "w", encoding="utf-8", newline="") if path is not None
+          else contextlib.nullcontext(sys.stdout)) as out:
+        out.write(head)
+        for start in range(0, n, _TABLE_BLOCK):
+            cells = [texts[index[start:start + _TABLE_BLOCK]].tolist() for texts, index in cols]
+            rows = list(map(cell.join, zip(*cells)))
+            if fmt != "csv":
+                rows = ["    [" + r + "]" for r in rows]
+            # CSV starts every row on a new line, JSON separates rows
+            out.write((sep if start or fmt == "csv" else "") + sep.join(rows))
+        out.write(tail)
 
 
 def write_comb(comb: WeightedComb, path, fmt: str) -> None:

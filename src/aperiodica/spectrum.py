@@ -34,12 +34,16 @@ that the position span times the k span implies, and the lattice length L):
   NUFFT sums at l*dk.  Its fine grid then follows the k grid alone, not
   the comb's span.  For exact coordinates dk*x and k0*x are reduced mod 1
   from the digit tables of direct summation.  The wrapped sums are exact at
-  the progression k0 + l*dk through the end points of ks, so a double k
-  grid that strays from it (0.02*l strays by up to 2.2e-16) is wrapped
-  only when that shift, times the comb's span, stays a phase error under
-  1e-11 (_wrap_grid).  Dyadic grids are exact progressions.  Scattered k,
-  combs that span at most 1/dk, and wide combs on grids that stray too
-  far are not wrapped.
+  the progression k0 + l*dk through the end points of ks.  A double grid
+  strays from it by delta_l, an ulp or so (0.02*l by up to 2.2e-16;
+  dyadic grids not at all), and the sums are corrected to first order in
+  delta, the Taylor idea of Anderson & Dahleh (SIAM J. Sci. Comput. 17
+  (1996)) applied to that stray alone: on the same kernel values the NUFFT
+  also sums the weights times x - x_c, and F(k0 + l*dk + delta_l) =
+  F(l) - 2 pi i delta_l G(l) up to a factor of modulus one.  A grid within
+  a few ulps of its progression is wrapped while the second-order
+  remainder stays within the NUFFT's tolerance (_wrap_grid).  Scattered k
+  and combs that span at most 1/dk are not wrapped.
 * otherwise direct summation.  For exact coordinates (integers k*scale,
   or m*tau + n in the golden module) every phase factors over per-k
   twiddle tables e^(-2 pi i frac(k b a)), reduced mod 1 in extended
@@ -85,11 +89,6 @@ _CHUNK = 1 << 18  # complex exponentials per direct evaluation block
 # were up to 3x slower
 _TILE = 1 << 15
 _TAU_EXT = (1 + np.sqrt(np.longdouble(5))) / 2  # tau in extended precision
-# largest spread, in radians, of the coherent phase error that wrapping a
-# comb to one period of a k grid may add (see _wrap_grid); on criterion 4's
-# comb the values moved by a third of the spread, relative to the largest,
-# so this keeps the wrap a tenth inside the 1e-10 gate the tests set
-_WRAP_TOL = 1e-11
 
 
 class GridMismatchError(AperiodicaError):
@@ -167,10 +166,20 @@ def periodogram_values(comb: WeightedComb, ks, taper: str = "boxcar",
         power = _lattice_power(comb.coords.values, w, ks * comb.coords.scale, lattice)
     elif path == "nufft":
         if grid:
-            y, w = _wrap(x, columns, w, *grid)
-            power = _nufft_power(y, w, np.arange(len(ks)) * grid[1])
+            # the sums F at the progression k0 + l*dk, corrected to first
+            # order in the stray delta_l of ks[l] from it: with
+            # e^(-2 pi i delta x) = e^(-2 pi i delta x_c) (1 - 2 pi i delta (x - x_c) + ...)
+            # the sum at ks[l] is F(l) - 2 pi i delta_l G(l) up to a factor
+            # of modulus one, G the sums of the weights w (x - x_c)
+            k0, dk, delta = grid
+            strays = np.any(delta)
+            ws = [w, w * (x - 0.5 * (x[0] + x[-1]))] if strays else [w]
+            y, ws = _wrap(x, columns, np.array(ws), k0, dk)
+            f = _nufft(y, ws, np.arange(len(ks)) * dk)
+            sums = f[0] - 2j * math.pi * delta * f[1] if strays else f[0]
         else:
-            power = _nufft_power(x, w, ks)
+            sums = _nufft(x, w[None], ks)[0]
+        power = np.abs(sums) ** 2 * _NUFFT_SCALE ** 2
     elif columns:
         power = _table_power(columns, w, ks)
     else:
@@ -273,37 +282,39 @@ def _table_power(columns: list, w: np.ndarray, ks: np.ndarray) -> np.ndarray:
 
 
 def _wrap_grid(ks: np.ndarray, span: float):
-    """(k0, dk), doubles with dk > 0, when a comb of this position span can
-    be wrapped to one period 1/dk of ks: ks has two k or more, the comb
-    spans more than 1/dk, and the progression k0 + l*dk through the end
-    points of ks stays close enough to every ks[l]; None otherwise.
+    """(k0, dk, delta) when a comb of this position span can be wrapped to
+    one period 1/dk of ks: ks has two k or more, the comb spans more than
+    1/dk, and ks is the progression k0 + l*dk through its end points to
+    within 4 ulps of its largest |k|; None otherwise.  k0 and dk are
+    doubles, dk > 0, and delta_l = ks[l] - (k0 + l*dk) is formed in
+    extended precision (in doubles k0 + l*dk rounds to ks[l]).
 
-    The wrapped sums are exact at the progression.  ks[l] strays from it by
-    delta_l (checked in extended precision: in doubles k0 + l*dk rounds to
-    ks[l]), which shifts the phase of point j by 2 pi delta_l x_j: the same
-    shift for every k of the sum, so the error adds up coherently over the
-    comb.  The grid is wrapped only when 2 pi max|delta| span, the largest
-    difference of that shift between two points, is at most _WRAP_TOL.
-    A dyadic grid such as criterion 8's multiples of 2^-9 has delta = 0;
-    criterion 4's scan 0.02*l strays by up to 2.2e-16, 3.8e-10 rad over
-    its comb's span of 2.8e5, and keeps the table path."""
+    The wrapped sums are exact at the progression, and periodogram_values
+    corrects them to first order in delta.  A dyadic grid such as criterion
+    8's multiples of 2^-9 has delta = 0; 0.02*l strays by up to 2.2e-16.
+    The grid is wrapped only while the second-order remainder,
+    (pi max|delta| span)^2 / 2 relative to sum |w|, stays within the
+    NUFFT's own tolerance: it is 1.8e-20 for 0.02*l over criterion 4's
+    span of 2.8e5."""
     if len(ks) < 2:
         return None
     k0, dk = float(ks[0]), float((ks[-1] - ks[0]) / (len(ks) - 1))
     if not span * dk > 1:
         return None
-    delta = ks.astype(np.longdouble) - (
-        np.longdouble(k0) + np.longdouble(dk) * np.arange(len(ks)))
-    if not 2 * math.pi * float(np.max(np.abs(delta))) * span <= _WRAP_TOL:
+    delta = (ks.astype(np.longdouble) - (
+        np.longdouble(k0) + np.longdouble(dk) * np.arange(len(ks)))).astype(float)
+    stray = float(np.max(np.abs(delta)))
+    if not (stray <= 4 * np.spacing(np.max(np.abs(ks)))
+            and (math.pi * stray * span) ** 2 / 2 <= _NUFFT_TOL):
         return None
-    return k0, dk
+    return k0, dk, delta
 
 
-def _wrap(x: np.ndarray, columns: list, w: np.ndarray, k0: float, dk: float):
+def _wrap(x: np.ndarray, columns: list, ws: np.ndarray, k0: float, dk: float):
     """The comb wrapped to one period 1/dk of the grid k0 + l*dk: positions
     y_j = (f_j - round(f_j))/dk, f_j = frac(dk x_j), so |y_j| <= 1/(2 dk),
-    in ascending order, with the weights w_j e^(-2 pi i k0 x_j) in the same
-    order.  sum_j w_j e^(-2 pi i (k0 + l dk) x_j) is then
+    in ascending order, with each row of weights ws[v, j] e^(-2 pi i k0 x_j)
+    in the same order.  sum_j w_j e^(-2 pi i (k0 + l dk) x_j) is then
     sum_j w'_j e^(-2 pi i l dk y_j).  For exact coordinates dk x_j and
     k0 x_j are read mod 1 from the digit tables of _digit_split, relative to
     x_ref, which drops a unit-modulus factor per k."""
@@ -319,9 +330,9 @@ def _wrap(x: np.ndarray, columns: list, w: np.ndarray, k0: float, dk: float):
     f = turns(dk)
     y = (f - np.round(f)) / dk
     if k0:
-        w = w * np.exp(-2j * math.pi * turns(k0))
+        ws = ws * np.exp(-2j * math.pi * turns(k0))
     order = np.argsort(y)
-    return y[order], w[order]
+    return y[order], np.take(ws, order, axis=1)
 
 
 # -- type-3 NUFFT ---------------------------------------------------------------
@@ -347,11 +358,16 @@ _BLOCK = 2048                     # points spread, or k interpolated, per block
 # complex arrays of nf modes (the grid, the FFT's scratch copy and its
 # twiddle factors), 48 bytes a mode; the fast path may use no more
 _GRID_CAP = 52 * _CHUNK // 48
+# _nufft's sums are the kernel sums of step 3: the true sums divided by this
+_NUFFT_SCALE = 4.0 / _WIDTH ** 2
 
 # cost model, in ns as measured on a 2-core Xeon VM: direct summation by
 # exp and by tables (15-21 ns from 200,001 down to 20,001 points) per point*k;
 # the fast path per point spread, per nf*log2(nf) of the FFT, per k
-# interpolated, plus a fixed set-up; the lattice path per point binned
+# interpolated, plus a fixed set-up, priced at a corrected wrap's two weight
+# vectors on one set of kernel values (430 ns per point and 310-400 ns per
+# k from 4,473 to 200,000 points; one vector takes 330 and 230-390); the
+# lattice path per point binned
 # (10-18 ns from 200,000 down to 2,000 points) and per L*log2(L) of its FFT
 _NS_DIRECT = 55.0
 _NS_TABLE = 20.0
@@ -363,8 +379,15 @@ _NS_FIXED = 5.0e5
 
 
 def _es(z: np.ndarray) -> np.ndarray:
-    """ES kernel exp(beta (sqrt(1 - z^2) - 1)), for z in [-1, 1]."""
-    return np.exp(_BETA * (np.sqrt(np.maximum(1.0 - z * z, 0.0)) - 1.0))
+    """ES kernel exp(beta (sqrt(1 - z^2) - 1)), for z in [-1, 1], in place
+    in one buffer."""
+    t = z * z
+    np.subtract(1.0, t, out=t)
+    np.maximum(t, 0.0, out=t)
+    np.sqrt(t, out=t)
+    t -= 1.0
+    t *= _BETA
+    return np.exp(t, out=t)
 
 
 def _es_transform_series() -> np.ndarray:
@@ -417,9 +440,11 @@ def _choose_path(n: int, count: int, x_span: float, k_span: float,
     return min(costs, key=costs.get)
 
 
-def _nufft_power(x: np.ndarray, w: np.ndarray, ks: np.ndarray) -> np.ndarray:
-    """|sum_j w_j e^(-2 pi i k x_j)|^2 at every k, by the type-3 NUFFT.
-    x must be ascending; the result drops a unit-modulus factor per k."""
+def _nufft(x: np.ndarray, ws: np.ndarray, ks: np.ndarray) -> np.ndarray:
+    """sum_j ws[v, j] e^(-2 pi i k x_j) / _NUFFT_SCALE at every k, for each
+    row v of ws, by the type-3 NUFFT; one row per weight vector in the
+    result.  x must be ascending; the sums drop a unit-modulus factor per k.
+    The rows share the kernel values, the deconvolution and one FFT call."""
     x_center = 0.5 * (x[0] + x[-1])
     k_center = 0.5 * (ks.max() + ks.min())
     nf, dk = _fine_grid(x[-1] - x[0], np.ptp(ks))
@@ -428,10 +453,10 @@ def _nufft_power(x: np.ndarray, w: np.ndarray, ks: np.ndarray) -> np.ndarray:
     first = math.floor((x[0] - x_center) / h - 0.5 * _WIDTH)  # cell at index 0
 
     # 1. spread, pre-weighted by the k centre and the k kernel's transform
-    grid = np.zeros(nf, dtype=complex)
+    grid = np.zeros((len(ws), nf), dtype=complex)
     for start in range(0, len(x), _BLOCK):
         xb = x[start:start + _BLOCK] - x_center
-        cb = (w[start:start + _BLOCK] * np.exp(-2j * math.pi * k_center * xb)
+        cb = (ws[:, start:start + _BLOCK] * np.exp(-2j * math.pi * k_center * xb)
               / _es_transform(0.5 * _WIDTH * dk * xb))
         ub = xb / h
         left = np.ceil(ub - 0.5 * _WIDTH).astype(np.int64)
@@ -440,11 +465,12 @@ def _nufft_power(x: np.ndarray, w: np.ndarray, ks: np.ndarray) -> np.ndarray:
         idx = (cells - left[0]).ravel()
         lo = int(left[0]) - first
         size = int(left[-1]) - int(left[0]) + _WIDTH
-        grid.real[lo:lo + size] += np.bincount(idx, (phi * cb.real[:, None]).ravel(), size)
-        grid.imag[lo:lo + size] += np.bincount(idx, (phi * cb.imag[:, None]).ravel(), size)
+        for row, c in zip(grid, cb):
+            row.real[lo:lo + size] += np.bincount(idx, (phi * c.real[:, None]).ravel(), size)
+            row.imag[lo:lo + size] += np.bincount(idx, (phi * c.imag[:, None]).ravel(), size)
 
     # 2. FFT; deconvolve only the modes under the interpolation stencils
-    np.fft.fft(grid, out=grid)
+    np.fft.fft(grid, axis=1, out=grid)
     kappa = ks - k_center
     left = np.ceil(kappa / dk - 0.5 * _WIDTH).astype(np.int64)
     j_lo = int(left.min())
@@ -452,19 +478,19 @@ def _nufft_power(x: np.ndarray, w: np.ndarray, ks: np.ndarray) -> np.ndarray:
     for i in range(_WIDTH):
         touched[left - j_lo + i] = True
     j = np.flatnonzero(touched) + j_lo
-    modes = np.zeros(len(touched), dtype=complex)
+    modes = np.zeros((len(ws), len(touched)), dtype=complex)
     # the grid starts at cell `first`: shift each mode's phase back
     shift = np.exp(-2j * math.pi * ((j * first) % nf) / nf)
-    modes[j - j_lo] = grid[j % nf] * shift / _es_transform(0.5 * _WIDTH * h * dk * j)
+    modes[:, j - j_lo] = grid[:, j % nf] * shift / _es_transform(0.5 * _WIDTH * h * dk * j)
 
     # 3. interpolate to each k
-    out = np.empty(len(ks))
+    out = np.empty((len(ws), len(ks)), dtype=complex)
     for start in range(0, len(ks), _BLOCK):
         cells = left[start:start + _BLOCK, None] + offsets
         psi = _es((cells * dk - kappa[start:start + _BLOCK, None]) * (2.0 / (_WIDTH * dk)))
-        out[start:start + _BLOCK] = np.abs(
-            np.einsum("ij,ij->i", psi, modes[cells - j_lo])) ** 2
-    return out * (4.0 / _WIDTH ** 2) ** 2
+        for row, m in zip(out, modes):
+            row[start:start + _BLOCK] = np.einsum("ij,ij->i", psi, m[cells - j_lo])
+    return out
 
 
 # -- lattice DFT ----------------------------------------------------------------

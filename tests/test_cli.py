@@ -61,6 +61,39 @@ def test_import_leaves_out_scipy_signal():
     assert result.stdout.strip() == "False"
 
 
+class TestParsersOncePerProcess:
+    """The subcommand parsers are built once per process and reused: each
+    call prints what the same call prints in a fresh process."""
+
+    @staticmethod
+    def fresh(*argv):
+        src = os.path.dirname(os.path.dirname(ap.__file__))
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        result = subprocess.run([sys.executable, "-m", "aperiodica.cli", *argv],
+                                capture_output=True, text=True,
+                                env={**os.environ, "PYTHONPATH": path})
+        return result.returncode, result.stdout, result.stderr
+
+    def test_calls_after_a_failed_parse_match_fresh_processes(self, capsys, tmp_path,
+                                                              monkeypatch):
+        # help and usage text wrap at COLUMNS, here and in the fresh process
+        monkeypatch.setenv("COLUMNS", "80")
+        rule = tmp_path / "paperfolding.rule"
+        rule.write_text(PAPERFOLDING_RULE)
+        calls = [("coincide", "--rule", str(rule), "--max-power", "x"),  # exit 2
+                 ("coincide", "--rule", str(rule)),
+                 ("coincide", "--rule", str(rule), "--max-power", "x"),
+                 ("spectrum", "--help"),                                 # exit 0
+                 ("frobnicate",)]                                        # exit 64
+        codes = []
+        for argv in calls:
+            here = run_cli(capsys, *argv)
+            assert here == self.fresh(*argv)
+            codes.append(here[0])
+        assert codes == [2, 0, 2, 0, 64]
+        assert cli._build_parsers() is cli._build_parsers()
+
+
 class TestCoincide:
     def test_paperfolding_output(self, capsys, tmp_path):
         rule = tmp_path / "paperfolding.rule"

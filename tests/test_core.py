@@ -231,10 +231,27 @@ def _reference_table(header, rows, fmt) -> str:
             ',\n  "rows": [\n' + body + "\n  ]\n}\n")
 
 
+@st.composite
+def pooled_tables(draw):
+    """1 to 4 columns whose rows draw from a pool of 1 to 5 doubles, so
+    that values repeat within and across columns, over up to 2.5 blocks of
+    the writer's rows, the block edges included."""
+    ncols = draw(st.integers(1, 4))
+    pool = draw(st.lists(TABLE_FLOATS, min_size=1, max_size=5))
+    block = core._TABLE_BLOCK
+    nrows = draw(st.one_of(st.integers(0, 5 * block // 2),
+                           st.sampled_from([block - 1, block, block + 1, 2 * block])))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    picks = rng.integers(0, len(pool), size=(nrows, ncols)).tolist()
+    return ncols, [[pool[i] for i in row] for row in picks]
+
+
 @settings(max_examples=200, deadline=None)
-@given(st.integers(1, 4).flatmap(
-           lambda n: st.lists(st.lists(TABLE_FLOATS, min_size=n, max_size=n), max_size=12)
-           .map(lambda rows: (n, rows))),
+@given(st.one_of(
+           st.integers(1, 4).flatmap(
+               lambda n: st.lists(st.lists(TABLE_FLOATS, min_size=n, max_size=n), max_size=12)
+               .map(lambda rows: (n, rows))),
+           pooled_tables()),
        st.sampled_from(["csv", "json"]))
 def test_write_table_matches_format_reference(table, fmt):
     ncols, rows = table

@@ -4,7 +4,8 @@ Invariants covered: autocorrelation Hermitian symmetry, boundedness by the
 zero coefficient, triangle inequality of the pseudo-metric, nesting of the
 almost-period sets, scaling covariance, periodogram positivity, agreement of
 the NUFFT, the twiddle-table and the wrapped periodograms with direct
-summation and of the lattice-DFT periodogram with sums whose phases come
+summation (on stray grids, with sums whose phases are reduced in extended
+precision) and of the lattice-DFT periodogram with sums whose phases come
 from integer arithmetic, agreement of the array slab
 enumeration, pair sums and Theorem-10 atoms with the loops they replaced
 and of the dense integer sums with the pair loop, agreement of the
@@ -159,7 +160,7 @@ def test_periodogram_fast_path_matches_direct(case):
     ns_other = spectrum._NS_TABLE if spectrum._exact_columns(comb.coords) else spectrum._NS_DIRECT
     assert spectrum._choose_path(len(x), len(ks), x[-1] - x[0], np.ptp(ks), ns_other) == "nufft"
     w = spectrum._taper_weights(comb, taper)[0]
-    fast = spectrum._nufft_power(x, w, ks)
+    fast = np.abs(spectrum._nufft(x, w[None], ks)[0]) ** 2 * spectrum._NUFFT_SCALE ** 2
     direct = spectrum._direct_power(x, w, ks)
     assert np.max(np.abs(fast - direct)) <= 1e-10 * np.max(direct)
 
@@ -210,17 +211,23 @@ def table_path_inputs(draw):
 
 def exact_direct_power(comb, w, ks):
     """Reference: direct summation with each phase k*x_j reduced mod 1 in
-    extended precision from the exact coordinates.  _direct_power rounds
+    extended precision from the exact coordinates (for float positions,
+    from the doubles x_j), in blocks of 64 k.  _direct_power rounds
     k*x_j in doubles, an error of about |k x| 2^-53 per term: on dense
     inputs (|k x| up to ~1e6) it strays by up to 8.8e-10 of the maximum,
     where the tables stay within 3.5e-13 (spot-checked with 40-digit sums).
     Extended precision rounds at |k x| 2^-64: on sparse inputs (|k x| up to
     1.5e8) the tables and this sum each stayed within 2.2e-11 of sums with
     exact rational phases."""
-    x = sum(u * c.astype(np.longdouble) for c, u in spectrum._exact_columns(comb.coords))
-    phase = np.multiply.outer(ks.astype(np.longdouble), x)
-    turns = (phase - np.floor(phase)).astype(float)
-    return np.abs(np.exp(-2j * math.pi * turns) @ w) ** 2
+    columns = spectrum._exact_columns(comb.coords)
+    x = (sum(u * c.astype(np.longdouble) for c, u in columns) if columns
+         else comb.positions.astype(np.longdouble))
+    out = np.empty(len(ks))
+    for start in range(0, len(ks), 64):
+        phase = np.multiply.outer(ks[start:start + 64].astype(np.longdouble), x)
+        turns = (phase - np.floor(phase)).astype(float)
+        out[start:start + 64] = np.abs(np.exp(-2j * math.pi * turns) @ w) ** 2
+    return out
 
 
 @given(table_path_inputs())
@@ -241,8 +248,8 @@ def wrap_inputs(draw):
     grid k0 + l*dk whose period 1/dk is shorter than the comb's span, sized
     so that periodogram_values takes the NUFFT.  A dyadic grid (k0 a
     multiple of 2^-10, dk of 2^-30) is exact in doubles and always wrapped;
-    another is wrapped when it stays close enough to its progression for
-    the comb's span (_wrap_grid)."""
+    another is wrapped, with the first-order correction for its stray from
+    the progression, when that stray stays within a few ulps (_wrap_grid)."""
     kind = draw(st.sampled_from(["integer", "module", "float"]))
     n = draw(st.integers(min_value=800, max_value=2000))
     count = draw(st.integers(min_value=400, max_value=1000))
@@ -287,6 +294,73 @@ def test_periodogram_wrap_matches_direct(case):
     w, t_mean, _ = spectrum._taper_weights(comb, taper)
     direct = spectrum._direct_power(comb.positions, w, ks) / (comb.volume * t_mean ** 2)
     assert np.max(np.abs(values - direct)) <= 1e-10 * np.max(direct)
+
+
+@st.composite
+def stray_grid_inputs(draw):
+    """A wide comb with complex weights on integer positions k*scale or
+    golden-module positions m*tau + n (scattered pairs), each spanning
+    3e3 to 3e6, or float positions spanning 3e3 to 1e5 (so that |k x| stays
+    under ~3e5, where the doubles' own phase rounding stays under 1e-11 of
+    max), a taper, and a k grid that is not dyadic: np.linspace, np.arange
+    with a decimal step, or uniform_grid(0, 3, 0.001).  Every such comb
+    spans more than one period 1/dk, so its sums are wrapped and corrected
+    for the grid's stray from its progression.  The sizes (850 to 1,000
+    points at 400 to 600 k, or 100 to 200 points at the 3,001 k of
+    uniform_grid) make the NUFFT the cheapest path."""
+    kind = draw(st.sampled_from(["integer", "module", "float"]))
+    grid = draw(st.sampled_from(["linspace", "arange", "uniform_grid"]))
+    if grid == "uniform_grid":
+        n = draw(st.integers(min_value=100, max_value=200))
+    else:
+        n = draw(st.integers(min_value=850, max_value=1000))
+        count = draw(st.integers(min_value=400, max_value=600))
+    taper = draw(st.sampled_from(["boxcar", "hann"]))
+    rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2 ** 32 - 1)))
+
+    def weights(size):
+        return rng.normal(size=size) + 1j * rng.normal(size=size)
+
+    if kind == "float":
+        span = draw(st.floats(min_value=3e3, max_value=1e5))
+        positions = np.unique(rng.uniform(-span / 2, span / 2, size=n))
+        comb = ap.WeightedComb.from_positions(positions, weights(len(positions)), span / 2)
+    elif kind == "integer":
+        scale = draw(st.sampled_from([1.0, 0.37, 3.0]))
+        span = int(draw(st.floats(min_value=3e3, max_value=3e6)) / scale)
+        values = np.unique(rng.integers(-(span // 2), span // 2 + 1, size=n))
+        radius = scale * max(abs(int(values[0])), abs(int(values[-1])), 1)
+        comb = ap.WeightedComb.from_integers(values, weights(len(values)), radius, scale)
+    else:
+        side = int(draw(st.floats(min_value=3e3, max_value=3e6)) / 5)
+        mn = np.unique(rng.integers(-side, side + 1, size=(n, 2)), axis=0)
+        x = mn[:, 0] * ap.TAU + mn[:, 1]
+        comb = ap.WeightedComb.from_module(mn, weights(len(mn)), float(np.max(np.abs(x))) + 1.0)
+    if grid == "linspace":
+        k0 = draw(st.floats(min_value=-3.0, max_value=3.0))
+        k_span = draw(st.floats(min_value=0.5, max_value=3.0))
+        ks = np.linspace(k0, k0 + k_span, count)
+    elif grid == "arange":
+        step = draw(st.sampled_from([0.001, 0.002, 0.005, 0.01, 0.02]))
+        k0 = draw(st.sampled_from([0.0, 0.05, 0.3, -1.1]))
+        ks = np.arange(k0, k0 + count * step, step)
+    else:
+        ks = spectrum.uniform_grid(0.0, 3.0, 0.001)
+    return comb, taper, ks
+
+
+@given(stray_grid_inputs())
+@settings(max_examples=25, deadline=None)
+def test_stray_grid_wrap_matches_exact_phases(case):
+    # the 1e-10 gate against sums with phases reduced mod 1 in extended
+    # precision, on grids that stray from their progressions by an ulp or so
+    comb, taper, ks = case
+    with mock.patch.object(spectrum, "_wrap", wraps=spectrum._wrap) as wrap:
+        values = ap.periodogram_values(comb, ks, taper)
+    assert wrap.called
+    w, t_mean, _ = spectrum._taper_weights(comb, taper)
+    exact = exact_direct_power(comb, w, ks) / (comb.volume * t_mean ** 2)
+    assert np.max(np.abs(values - exact)) <= 1e-10 * np.max(exact)
 
 
 @st.composite

@@ -1,3 +1,4 @@
+import functools
 import math
 import tracemalloc
 from fractions import Fraction
@@ -17,6 +18,25 @@ from aperiodica.spectrum import (
 )
 
 Z_BASIS = ap.LatticeBasis(np.array([[1.0]]))
+
+
+@functools.cache
+def criterion_4_exact(ks):
+    """Criterion 4's comb (a Fibonacci tiling of 100,000 intervals, seed
+    2000) and |sum_j e^(-2 pi i k x_j)|^2 at each k of the tuple ks, with
+    phases from the exact coordinates in extended precision, each reduced
+    mod 1."""
+    comb = ap.sample(ap.fibonacci_spec(), 100_000, seed=2000).comb
+    mn = comb.coords.mn
+    exact_x = mn[:, 0] * ((1 + np.sqrt(np.longdouble(5))) / 2) + mn[:, 1]
+    assert np.all(comb.weights == 1.0)
+    exact = np.empty(len(ks))
+    for i, k in enumerate(ks):
+        phase = np.longdouble(k) * exact_x
+        turns = (phase - np.round(phase.astype(float))).astype(float)
+        exact[i] = np.sum(np.cos(2 * math.pi * turns)) ** 2 + np.sum(
+            np.sin(2 * math.pi * turns)) ** 2
+    return comb, exact
 
 
 def integer_comb(n, weights=None):
@@ -89,8 +109,9 @@ class TestPeriodogram:
         (2_050, 16_385, 4_096.0, 1.0, True),      # paperfolding 2^11 on [0, 1]
         (16_386, 1_025, 32_768.0, 2.0, True),     # criterion 8
         (4_473, 3_001, 10_000.0, 3.0, True),      # CLI model set, float positions
+        (4_473, 3_001, 1_000.0, 3.0, True),       # the same wrapped, dk = 0.001
         (66_491, 20, 20_000.0, 4.96, False),      # criterion 7: grid over cap
-        (200_001, 126, 276_534.0, 2.5, False),    # criterion 4 scan: grid over cap
+        (200_001, 126, 276_534.0, 2.5, False),    # criterion 4 scan unwrapped: grid over cap
         (1, 10_000, 0.0, 1.0, False),             # one point: direct is cheaper
         (2_000, 3, 4_000.0, 2.0, False),          # three k: direct is cheaper
     ])
@@ -124,8 +145,10 @@ class TestPeriodogram:
     def test_uniform_grids_are_wrapped(self, ks):
         # a comb two periods 1/dk wide
         dk = (ks[-1] - ks[0]) / (len(ks) - 1)
-        k0, wrap_dk = sp._wrap_grid(ks, 2.0 / dk)
+        k0, wrap_dk, delta = sp._wrap_grid(ks, 2.0 / dk)
         assert k0 == ks[0] and wrap_dk == dk
+        exact = ks.astype(np.longdouble) - (np.longdouble(k0) + np.longdouble(dk) * np.arange(len(ks)))
+        assert np.array_equal(delta, exact.astype(float))
 
     def test_other_k_sets_are_not_wrapped(self):
         # tiling-diffraction's 800 k: 100 clusters of 8 offsets 2e-4 apart
@@ -141,14 +164,19 @@ class TestPeriodogram:
 
     def test_wrap_bounded_by_comb_span(self):
         # criterion 4's scan strays from the progression 0.02*l by up to
-        # 2.2e-16: a coherent phase error of 3.8e-10 rad over its comb's
-        # span, 2.8e5, but 1.4e-13 rad over two periods, a span of 100
+        # 2.2e-16, which the wrap corrects to first order; the second-order
+        # remainder (pi max|delta| span)^2 / 2 is 1.8e-20 at its comb's
+        # span, 276,534, and 2.4e-15 at 1e8, within the NUFFT's tolerance
+        # of 1e-13, but 2.4e-13 at 1e9
         ks = np.arange(0.0, 2.5001, 0.02)
-        assert sp._wrap_grid(ks, 276_534.0) is None
-        assert sp._wrap_grid(ks, 100.0) is not None
-        # a dyadic grid is an exact progression: any span wraps
+        for span in (100.0, 276_534.0, 1e8):
+            k0, dk, delta = sp._wrap_grid(ks, span)
+            assert (k0, dk) == (0.0, 0.02) and 0 < np.max(np.abs(delta)) < 2.2e-16
+        assert sp._wrap_grid(ks, 1e9) is None
+        # a dyadic grid is an exact progression: any span wraps, delta = 0
         dyadic = sp.uniform_grid(0.0, 2.0, 1.0 / 512)
-        assert sp._wrap_grid(dyadic, 1e9) == (0.0, 1.0 / 512)
+        k0, dk, delta = sp._wrap_grid(dyadic, 1e12)
+        assert (k0, dk) == (0.0, 1.0 / 512) and not np.any(delta)
 
     def test_narrow_comb_is_not_wrapped(self):
         # span 4,096 < 1/dk = 16,384, and every k is a multiple of 2^-14: the
@@ -174,37 +202,46 @@ class TestPeriodogram:
         with mock.patch.object(sp, "_wrap", side_effect=AssertionError), \
                 mock.patch.object(sp, "_lattice_power", side_effect=AssertionError):
             values = ap.periodogram_values(comb, ks)
-        unwrapped = sp._nufft_power(comb.positions, comb.weights, ks) / comb.volume
+        sums = sp._nufft(comb.positions, comb.weights[None], ks)[0]
+        unwrapped = np.abs(sums) ** 2 * sp._NUFFT_SCALE ** 2 / comb.volume
         assert np.array_equal(values, unwrapped)
 
-    @pytest.mark.parametrize("ks, wrapped", [
+    @pytest.mark.parametrize("ks, exact_progression", [
         (0.3 + 0.02 * np.arange(126), False),   # criterion 4's step from 0.3
         (0.3125 + np.arange(64) / 64, True),    # a dyadic grid, exact in doubles
     ])
-    def test_criterion_4_shape_against_exact_phases(self, ks, wrapped):
+    def test_criterion_4_shape_against_exact_phases(self, ks, exact_progression):
         # Against the sums at the double k with phases from the exact
         # coordinates in extended precision, each reduced mod 1, the
-        # periodogram is no farther off than direct summation: the scan
-        # from 0.3 strays from its progression too far for this 2.8e5-wide
-        # comb and takes the tables (measured 1.2e-14 of max), the dyadic
-        # grid wraps (4.4e-13); direct summation is 5.9e-11 and 3.8e-11 off.
-        comb = ap.sample(ap.fibonacci_spec(), 100_000, seed=2000).comb
+        # periodogram is no farther off than direct summation.  Both grids
+        # wrap this 2.8e5-wide comb to one period 1/dk: the scan from 0.3
+        # strays from its progression and takes the first-order correction
+        # (measured 3.1e-13 of max), the dyadic grid does not stray
+        # (4.4e-13); direct summation is 5.9e-11 and 3.8e-11 off.
+        comb, exact = criterion_4_exact(tuple(ks))
+        assert np.any(sp._wrap_grid(ks, np.ptp(comb.positions))[2]) != exact_progression
         with mock.patch.object(sp, "_wrap", wraps=sp._wrap) as wrap:
             values = ap.periodogram_values(comb, ks) * comb.volume
-        assert wrap.called == wrapped
-        mn = comb.coords.mn
-        exact_x = mn[:, 0] * ((1 + np.sqrt(np.longdouble(5))) / 2) + mn[:, 1]
-        assert np.all(comb.weights == 1.0)
-        exact = np.empty(len(ks))
-        for i, k in enumerate(ks):
-            phase = np.longdouble(k) * exact_x
-            turns = (phase - np.round(phase.astype(float))).astype(float)
-            exact[i] = np.sum(np.cos(2 * math.pi * turns)) ** 2 + np.sum(
-                np.sin(2 * math.pi * turns)) ** 2
+        assert wrap.called
         direct = sp._direct_power(comb.positions, comb.weights, ks)
         err = np.max(np.abs(values - exact))
         assert err <= 1e-12 * np.max(exact)
         assert err <= np.max(np.abs(direct - exact))
+
+    def test_criterion_4_shape_needs_the_correction(self):
+        # the same comb and grid, wrapped without the first-order term: the
+        # sums at the progression 0.3 + l*0.02 miss the sums at the double
+        # k by more than 1e-12 of max (measured 8.3e-11)
+        ks = 0.3 + 0.02 * np.arange(126)
+        comb, exact = criterion_4_exact(tuple(ks))
+        k0, dk, _ = sp._wrap_grid(ks, np.ptp(comb.positions))
+        y, ws = sp._wrap(comb.positions, sp._exact_columns(comb.coords),
+                         comb.weights[None], k0, dk)
+        sums = sp._nufft(y, ws, np.arange(len(ks)) * dk)[0]
+        uncorrected = np.abs(sums) ** 2 * sp._NUFFT_SCALE ** 2
+        assert np.max(np.abs(uncorrected - exact)) > 1e-12 * np.max(exact)
+        corrected = ap.periodogram_values(comb, ks) * comb.volume
+        assert np.max(np.abs(corrected - exact)) <= 1e-12 * np.max(exact)
 
     def test_sparse_wide_comb_bounded_memory(self):
         # two points at +-1e9: no allocation may scale with the 2e9 span
