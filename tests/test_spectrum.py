@@ -147,8 +147,8 @@ class TestPeriodogram:
         dk = (ks[-1] - ks[0]) / (len(ks) - 1)
         k0, wrap_dk, delta = sp._wrap_grid(ks, 2.0 / dk)
         assert k0 == ks[0] and wrap_dk == dk
-        exact = ks.astype(np.longdouble) - (np.longdouble(k0) + np.longdouble(dk) * np.arange(len(ks)))
-        assert np.array_equal(delta, exact.astype(float))
+        progression = np.longdouble(k0) + np.longdouble(dk) * np.arange(len(ks))
+        assert np.array_equal(delta, (ks.astype(np.longdouble) - progression).astype(float))
 
     def test_other_k_sets_are_not_wrapped(self):
         # tiling-diffraction's 800 k: 100 clusters of 8 offsets 2e-4 apart
