@@ -305,7 +305,7 @@ def _wrap_grid(ks: np.ndarray, span: float):
         np.longdouble(k0) + np.longdouble(dk) * np.arange(len(ks)))).astype(float)
     stray = float(np.max(np.abs(delta)))
     if not (stray <= 4 * np.spacing(np.max(np.abs(ks)))
-            and (math.pi * stray * span) ** 2 / 2 <= _NUFFT_TOL):
+            and math.pi * stray * span <= math.sqrt(2 * _NUFFT_TOL)):
         return None
     return k0, dk, delta
 

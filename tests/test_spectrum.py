@@ -173,6 +173,8 @@ class TestPeriodogram:
             k0, dk, delta = sp._wrap_grid(ks, span)
             assert (k0, dk) == (0.0, 0.02) and 0 < np.max(np.abs(delta)) < 2.2e-16
         assert sp._wrap_grid(ks, 1e9) is None
+        with np.errstate(over="raise"):  # a remainder past the doubles
+            assert sp._wrap_grid(ks, 1e171) is None
         # a dyadic grid is an exact progression: any span wraps, delta = 0
         dyadic = sp.uniform_grid(0.0, 2.0, 1.0 / 512)
         k0, dk, delta = sp._wrap_grid(dyadic, 1e12)
