@@ -80,9 +80,10 @@ class TestParsersOncePerProcess:
         monkeypatch.setenv("COLUMNS", "80")
         rule = tmp_path / "paperfolding.rule"
         rule.write_text(PAPERFOLDING_RULE)
-        calls = [("coincide", "--rule", str(rule), "--max-power", "x"),  # exit 2
+        # the failed parse reads --max-power 1 before it meets the unknown
+        # flag: a parser that kept it would cut the next search short
+        calls = [("coincide", "--rule", str(rule), "--max-power", "1", "--bogus"),  # exit 2
                  ("coincide", "--rule", str(rule)),
-                 ("coincide", "--rule", str(rule), "--max-power", "x"),
                  ("spectrum", "--help"),                                 # exit 0
                  ("frobnicate",)]                                        # exit 64
         codes = []
@@ -90,7 +91,7 @@ class TestParsersOncePerProcess:
             here = run_cli(capsys, *argv)
             assert here == self.fresh(*argv)
             codes.append(here[0])
-        assert codes == [2, 0, 2, 0, 64]
+        assert codes == [2, 0, 0, 64]
         assert cli._build_parsers() is cli._build_parsers()
 
 
