@@ -34,16 +34,14 @@ _SUPPORT_TOL = 1e-12  # coefficients at most this large count as zero
 # pairs the pair path reduces at a time: a block's temporaries, under 1 MiB,
 # stay in cache (2^14 ran ~15% faster than 2^15 on Theorem 10's comb)
 _PAIR_BLOCK = 1 << 14
-# integer combs use dense arrays over their span when it is at most this
-# many positions per point; sparser ones when the span is at most
-# _DENSE_MAX_SPAN positions (the dense path peaks at ~130 B a position, so
-# ~34 MiB) and their pairs would cost more on the pair path.  Rates in ns,
-# measured on a 2-core Xeon VM on random integer combs built for the
+# integer combs use dense arrays over their span when it is at most
+# _DENSE_MAX_SPAN positions and their pairs would cost more on the pair
+# path; the dense path peaks at ~105 B a span position and ~15 B a point
+# (tracemalloc, spans 2^18 to 2^21), under 30 MiB at the cap.  Rates in
+# ns, measured on a 2-core Xeon VM on random integer combs built for the
 # purpose (no benchmark workload has a sparse integer comb): 300-820 per
-# span position dense; 44-145 per pair, median 80, over 11 combs of 500 to
-# 10,000 points and 1,200 to 2.3e6 pairs (the per-offset pair loop this
-# path replaced took 85-400, median 147, on the same combs)
-_DENSE_SPAN_FACTOR = 16
+# span position dense; 44-145 per pair, median 80, over 11 combs of 500
+# to 10,000 points and 1,200 to 2.3e6 pairs
 _DENSE_MAX_SPAN = 1 << 18
 _NS_DENSE = 500.0
 _NS_PAIR = 80.0
@@ -153,25 +151,23 @@ def _first_partners(cut, bound):
         first = first - grow + shrink
 
 
-def _pairwise_sums(cut, bound, keys, weights):
-    """Sums of v(x) conj(v(y)) over the pairs of points i > j with
-    cut[i] - cut[j] <= bound, grouped by their code keys[i] - keys[j].
+def _pairwise_sums(first, keys, weights):
+    """Sums of v(x) conj(v(y)) over the pairs of points i > j >= first[i],
+    grouped by their code keys[i] - keys[j].
 
-    cut ascends strictly and is not empty.  Returns the distinct codes,
-    ascending, and their sums.  The pairs are listed by point: point i
-    pairs with first[i] .. i - 1 (_first_partners), so pair number p of the
-    running count belongs to the point whose count passes p.  The list is
-    cut into blocks of _PAIR_BLOCK pairs, one point's pairs possibly
-    spanning several; each block's pairs are built with np.repeat and
-    reduced by _group_sums, and the reduced blocks are merged into the
-    result whenever they hold as many codes as it does.  The cost is linear
-    in N plus the number of pairs, and memory is O(N + _PAIR_BLOCK +
-    distinct codes).
+    first comes from _first_partners and is not empty.  Returns the
+    distinct codes, ascending, and their sums.  The pairs are listed by
+    point, so pair number p of the running count belongs to the point
+    whose count passes p.  The list is cut into blocks of _PAIR_BLOCK
+    pairs, one point's pairs possibly spanning several; each block's pairs
+    are built with np.repeat and reduced by _group_sums, and the reduced
+    blocks are merged into the result whenever they hold as many codes as
+    it does.  The cost is linear in N plus the number of pairs, and memory
+    is O(N + _PAIR_BLOCK + distinct codes).
     """
     codes, sums = np.empty(0, dtype=np.int64), np.empty(0, dtype=complex)
-    first = _first_partners(cut, bound)
     conj = np.conj(weights)
-    count = np.arange(len(cut)) - first
+    count = np.arange(len(first)) - first
     ends = np.cumsum(count)  # point i's pairs are numbers starts[i] .. ends[i] - 1
     starts = ends - count
     shift = starts - first  # pair number p of point i has j = p - shift[i]
@@ -195,12 +191,6 @@ def _pairwise_sums(cut, bound, keys, weights):
     return _group_sums(*map(np.concatenate, zip(*parts)))
 
 
-def _pair_count(cut, bound) -> int:
-    """Pairs i > j with cut[i] - cut[j] <= bound, for ascending cut: the
-    pairs _pairwise_sums visits."""
-    return int(np.sum(np.arange(len(cut)) - _first_partners(cut, bound)))
-
-
 def _convolve(a, b):
     """Full linear convolution of two 1-d arrays by FFTs at a fast length."""
     n = len(a) + len(b) - 1
@@ -211,12 +201,12 @@ def _convolve(a, b):
 
 
 def _dense_sums(keys, weights, max_lag):
-    """Lags 1..max_lag that occur between the integer keys, ascending, and
-    their sums: FFT convolutions of the weights and the occupancy."""
-    lo, size = int(keys[0]), int(keys[-1]) - int(keys[0]) + 1
+    """Lags 1..max_lag that occur between the integer keys, ascending from
+    0, and their sums: FFT convolutions of the weights and the occupancy."""
+    size = int(keys[-1]) + 1
     dense = np.zeros(size, dtype=complex)
-    dense[keys - lo] = weights
-    occ = np.bincount(keys - lo, minlength=size).astype(float)
+    dense[keys] = weights
+    occ = np.bincount(keys).astype(float)
     lags = slice(size, size + max_lag)  # the convolution ends at lag size - 1
     sums = _convolve(dense, np.conj(dense[::-1]))[lags]
     occurred = _convolve(occ, occ[::-1])[lags] > 0.5
@@ -248,7 +238,8 @@ def _exact_keys(comb, max_diff):
     are cut on, the cut bound, the decoder from codes to differences, and
     the largest decoded difference kept.
 
-    Integers: keys and cut are the integers, the bound max_diff / scale.
+    Integers: keys and cut are the integers less the least, the bound
+    max_diff / scale clipped to the span.
     Module (m, n): (m - m_min) * w + (n - n_min), w = 2 * (n spread) + 1;
     the float cut is widened past the rounding of positions and decoded
     differences, and a code is kept when it decodes to at most max_diff.
@@ -257,10 +248,14 @@ def _exact_keys(comb, max_diff):
     coords = comb.coords
     if isinstance(coords, IntegerCoords):
         values, scale = coords.values, coords.scale
-        if int(values[-1]) - int(values[0]) + 1 > _INT64_MAX:
+        span = int(values[-1]) - int(values[0]) + 1
+        if span > _INT64_MAX:
             raise OutOfRangeError("integer positions of this comb span more than int64")
-        max_lag = int(math.floor(max_diff / scale + 1e-12))
-        return values, values, max_lag, lambda codes: codes * scale, math.inf
+        # no two integers differ by the span, so clipping the lag bound to it
+        # keeps every pair; with keys from 0, keys - bound cannot wrap
+        keys = values - values[0]
+        max_lag = min(int(math.floor(max_diff / scale + 1e-12)), span)
+        return keys, keys, max_lag, lambda codes: codes * scale, math.inf
     if isinstance(coords, ModuleCoords):
         m, n = coords.mn[:, 0], coords.mn[:, 1]
         shift = int(n.max()) - int(n.min())
@@ -291,10 +286,12 @@ def estimate_autocorrelation(comb: WeightedComb, max_diff: float) -> Autocorrela
         eta(z) = (1 / vol(B_n)) * sum over x - y = z of v(x) conj(v(y))
 
     with x, y running over the comb.  Requires max_diff <= 2 * radius.
-    Differences are grouped exactly by the keys of _exact_keys: integer
-    combs take one FFT convolution when dense, or when their span fits the
-    dense cap and their exact pair count makes the pair path the costlier;
-    all others take the pair path."""
+    Differences are grouped exactly by the keys of _exact_keys, and one
+    _first_partners search finds the pairs within max_diff.  An integer comb
+    takes one FFT convolution over its span when the span is at most
+    _DENSE_MAX_SPAN positions and its pairs, at _NS_PAIR each, would cost
+    more than the span at _NS_DENSE a position; every other comb takes the
+    pair path."""
     if len(comb) == 0:
         raise EmptyInputError("cannot estimate the autocorrelation of an empty comb")
     if not 0.0 <= max_diff <= 2 * comb.radius:
@@ -304,12 +301,12 @@ def estimate_autocorrelation(comb: WeightedComb, max_diff: float) -> Autocorrela
     # only integer combs are cut on their keys, so only there is the bound a
     # lag bound for a convolution over the keys
     span = int(keys[-1]) - int(keys[0]) + 1
-    if cut is keys and (span <= _DENSE_SPAN_FACTOR * len(keys) or (
-            span <= _DENSE_MAX_SPAN
-            and _NS_PAIR * _pair_count(keys, min(bound, span)) > _NS_DENSE * span)):
+    first = _first_partners(cut, bound)
+    if cut is keys and span <= _DENSE_MAX_SPAN and (
+            _NS_PAIR * int(np.sum(np.arange(len(first)) - first)) > _NS_DENSE * span):
         codes, sums = _dense_sums(keys, w, bound)
     else:
-        codes, sums = _pairwise_sums(cut, bound, keys, w)
+        codes, sums = _pairwise_sums(first, keys, w)
     pos_diffs = decode(np.append(codes, 0))
     sums = np.append(sums, np.dot(w, np.conj(w)))
     order = np.argsort(pos_diffs, kind="stable")
@@ -327,11 +324,11 @@ def estimate_autocorrelation(comb: WeightedComb, max_diff: float) -> Autocorrela
 def _rho_from_zero(est: AutocorrelationEstimate, zs) -> np.ndarray:
     """rho(z, 0) for every difference z of zs, with pseudo_metric's checks."""
     eta0 = est.eta_at(0.0).real
-    if eta0 <= 0.0:
+    if not eta0 > 0.0:
         raise DegenerateAutocorrelationError("eta(0) must be positive")
     zs = np.asarray(zs, dtype=float)
-    if np.any(np.abs(zs) > est.max_diff + _LOOKUP_TOL):
-        raise OutOfRangeError("difference s - t outside the estimated range")
+    if not np.all(np.abs(zs) <= est.max_diff + _LOOKUP_TOL):
+        raise OutOfRangeError("difference s - t outside the estimated range or NaN")
     eta = est.eta_lookup(zs)
     return np.sqrt(np.hypot(1.0 - eta.real / eta0, eta.imag / eta0))
 
@@ -357,8 +354,8 @@ def max_gap(points, window: tuple[float, float]) -> float:
     """Largest gap between consecutive points inside the window, counting the
     gaps to the window edges; +inf when no point falls in the window."""
     lo, hi = window
-    if hi < lo:
-        raise OutOfRangeError("window is empty")
+    if not lo <= hi:
+        raise OutOfRangeError("window is empty or has a NaN bound")
     pts = np.asarray(points, dtype=float)
     pts = np.sort(pts[(pts >= lo) & (pts <= hi)])
     if len(pts) == 0:
@@ -383,8 +380,10 @@ def check_A1_A3(comb: WeightedComb, est: AutocorrelationEstimate,
     (a) sup over sliding half-open unit windows [t, t+1) of sum |v|; the sup
         is attained with the window's left edge on a point.
     (b) whether all pairs of distinct nonzero-coefficient differences are at
-        least 2r apart.
+        least 2r apart; r must be finite and non-negative.
     """
+    if not 0.0 <= r < math.inf:
+        raise OutOfRangeError("r must be finite and non-negative")
     pos = comb.positions
     absw = np.abs(comb.weights)
     sup = 0.0

@@ -748,6 +748,8 @@ def complement_check(s_points, lattice: LatticeBasis, radius: float) -> Compleme
     """
     if lattice.dim != 1:
         raise AperiodicaError("complement check is one-dimensional")
+    if not 0.0 < radius < math.inf:
+        raise OutOfRangeError("radius must be finite and positive")
     a = abs(float(lattice.matrix[0, 0]))  # the basis -a spans the same lattice
     s_points = np.asarray(s_points, dtype=float)
     ratios = s_points / a

@@ -124,15 +124,23 @@ class TestExactKeys:
             - np.arange(1, len(positions) + 1))
 
     def test_dense_integer_combs_stay_dense(self):
-        # lattice subsets at density >= 1/16 never reach the pair path
+        # an integer comb goes dense only when its pairs, at _NS_PAIR each,
+        # cost more than its span at _NS_DENSE a position: the a- and
+        # d-letters have 32,648 and 32,577 pairs within 64 over spans near
+        # 8,190 (a-letters: 0.8 ms on the pair path, 1.7 ms dense, the
+        # fastest of 31 calls)
         letters = pf.letter_positions_substitution("w1", -4096, 4097)
         lattice = ap.LatticeBasis(np.array([[1.0]]))
-        with mock.patch.object(autocorr, "_pairwise_sums", side_effect=AssertionError):
-            for values in (letters["a"], letters["d"], np.arange(-100, 101)):
+        with mock.patch.object(autocorr, "_dense_sums", side_effect=AssertionError):
+            for values, pairs in ((letters["a"], 32_648), (letters["d"], 32_577)):
                 comb = ap.WeightedComb.from_integers(values, np.ones(len(values)), 4096.0)
-                ap.estimate_autocorrelation(comb, 64.0)
-            # sparser than 1/16, but its 1.1e7 pairs would cost more than
-            # the dense sums over its span
+                est = ap.estimate_autocorrelation(comb, 64.0)
+                assert np.sum(np.round(est.eta.real * est.volume)[est.diffs > 0]) == pairs
+        with mock.patch.object(autocorr, "_pairwise_sums", side_effect=AssertionError):
+            comb = ap.WeightedComb.from_integers(np.arange(-100, 101), np.ones(201), 4096.0)
+            ap.estimate_autocorrelation(comb, 64.0)
+            # one point in 37, but its 1.1e7 pairs would cost more than the
+            # dense sums over its span
             values = np.arange(-99_974, 100_000, 37)
             comb = ap.WeightedComb.from_integers(values, np.ones(len(values)), 1e5)
             est = ap.estimate_autocorrelation(comb, 1e5)
@@ -155,6 +163,62 @@ class TestExactKeys:
         near = np.abs(dense.diffs) <= 2e3
         assert np.array_equal(dense.diffs[near], pairs.diffs)
         assert np.max(np.abs(dense.eta[near] - pairs.eta)) <= 1e-10 * pairs.zero_coefficient
+
+    def test_pairless_comb_over_a_wide_span_bounded_memory(self):
+        # 2^16 integers spaced 16 have no pair within 1; dense arrays over
+        # their span of 2^20 peaked at 104 MiB
+        values = 16 * np.arange(-(1 << 15), 1 << 15)
+        comb = ap.WeightedComb.from_integers(values, np.ones(len(values)), 2.0 ** 19)
+        tracemalloc.start()
+        try:
+            est = ap.estimate_autocorrelation(comb, 1.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2 ** 20
+        assert est.diffs.tolist() == [0.0] and est.eta[0] * est.volume == len(values)
+
+    def test_few_pairs_take_the_pair_path(self):
+        # binary_comb(2^14) has 30,722 pairs within 4 over a span of 32,769
+        # (pair path 2.0 ms, dense 11.8 ms, the fastest of 7 calls); a
+        # negative dense rate forces the dense sums for the reference
+        comb = pf.binary_comb(1 << 14)
+        with mock.patch.object(autocorr, "_dense_sums", side_effect=AssertionError):
+            pairs = ap.estimate_autocorrelation(comb, 4.0)
+        with mock.patch.object(autocorr, "_NS_DENSE", -1.0), \
+                mock.patch.object(autocorr, "_pairwise_sums", side_effect=AssertionError):
+            dense = ap.estimate_autocorrelation(comb, 4.0)
+        assert np.array_equal(pairs.diffs, dense.diffs)
+        assert np.max(np.abs(pairs.eta - dense.eta)) <= 1e-12 * dense.zero_coefficient
+
+    def test_lag_bound_clipped_to_the_span(self):
+        # max_diff 1.5e19 is a lag beyond int64; it raised OverflowError
+        comb = ap.WeightedComb.from_integers([0, 10 ** 6], [1, 1], 1e19)
+        est = ap.estimate_autocorrelation(comb, 1.5e19)
+        assert est.diffs.tolist() == [-1e6, 0.0, 1e6]
+        assert (est.eta * est.volume).tolist() == [1, 2, 1]
+        # a span near 2^63: keys from the least integer keep keys - bound
+        # within int64
+        top = 2 ** 63 - 10
+        comb = ap.WeightedComb.from_integers([-(2 ** 62), 2 ** 62 - 10], [1, 1], 2.0 ** 62)
+        assert ap.estimate_autocorrelation(comb, 2.0 ** 63).diffs.tolist() == \
+            [-float(top), 0.0, float(top)]
+        assert ap.estimate_autocorrelation(comb, 2.0 ** 62).diffs.tolist() == [0.0]
+
+    def test_first_partners_run_once(self):
+        # the pair count that picks the path and the pair path share one
+        # first-partner search
+        fib = ap.generate_model_set(ap.fibonacci_scheme(), ap.EuclideanWindow(((-0.3, 0.7),)),
+                                    (-100, 100))
+        sparse = ap.WeightedComb.from_integers(np.arange(-5000, 5001, 50), np.ones(201), 5e3)
+        cases = [(pf.binary_comb(1 << 10), 64.0), (pf.binary_comb(1 << 10), 2.0),
+                 (sparse, 100.0), (fib, 20.0),
+                 (ap.WeightedComb.from_positions(fib.positions, fib.weights, 100.0), 20.0)]
+        for comb, max_diff in cases:
+            with mock.patch.object(autocorr, "_first_partners",
+                                   wraps=autocorr._first_partners) as search:
+                ap.estimate_autocorrelation(comb, max_diff)
+            assert search.call_count == 1
 
     def test_float_keys_beyond_int64_rejected(self):
         # positions past 9.2e9 overflow the int64 1e-9 grid; they used to
@@ -289,7 +353,6 @@ class TestPairPath:
                 for i in range(len(cut))]
         assert np.searchsorted(cut, cut - bound).tolist() != rule
         assert autocorr._first_partners(cut, bound).tolist() == rule
-        assert autocorr._pair_count(cut, bound) == sum(i - j for i, j in enumerate(rule))
 
     def test_group_sums_order_does_not_depend_on_code_range(self):
         # narrow codes take the packed sort, codes over 2^60 apart the
@@ -347,6 +410,20 @@ class TestPseudoMetric:
         for z in est.diffs[::7]:
             assert ap.pseudo_metric(est, float(z), 0.0) <= 1.0 + 1e-12
 
+    def test_nan_difference_rejected(self):
+        # NaN passed the range check: rho read 1.0, and a NaN candidate
+        # dropped out of the almost periods without a word
+        est = ap.estimate_autocorrelation(integer_comb(10), 5.0)
+        with pytest.raises(ap.OutOfRangeError):
+            ap.pseudo_metric(est, math.nan, 0.0)
+        with pytest.raises(ap.OutOfRangeError):
+            ap.epsilon_almost_periods(est, 0.5, [0.0, math.nan])
+        # a NaN eta(0) passed the degeneracy check and rho read NaN
+        bad = ap.AutocorrelationEstimate(np.array([0.0]), np.array([complex(math.nan)]),
+                                         1.0, 2.0, 1.0)
+        with pytest.raises(DegenerateAutocorrelationError):
+            ap.pseudo_metric(bad, 0.0, 0.0)
+
     def test_degenerate_rejected(self):
         comb = ap.WeightedComb.from_integers([0, 1], [1.0, -1.0], 1.0)
         est = ap.estimate_autocorrelation(comb, 1.0)
@@ -403,6 +480,14 @@ class TestMaxGap:
     def test_edge_gaps_count(self):
         assert ap.max_gap([4.0, 5.0], (0.0, 10.0)) == 5.0
 
+    def test_nan_window_rejected(self):
+        # a NaN bound passed the emptiness check and the gap read inf
+        for window in ((math.nan, 2.0), (0.0, math.nan), (1.0, 0.0)):
+            with pytest.raises(ap.OutOfRangeError):
+                ap.max_gap([0.0, 1.0], window)
+        assert ap.max_gap([0.0, 1.0], (-math.inf, math.inf)) == math.inf
+        assert ap.max_gap([0.0, 1.0], (0.0, math.inf)) == math.inf
+
     def test_fibonacci_p_half_gap_fixture(self):
         # regression fixture from running the pipeline at n = 1000;
         # the gap is finite, evidence for relative denseness
@@ -429,6 +514,15 @@ class TestA1A3:
         est = ap.estimate_autocorrelation(comb, 1.0)
         report = ap.check_A1_A3(comb, est, 10.0)
         assert report.uniformly_discrete
+
+    def test_r_must_be_finite_and_non_negative(self):
+        # r = NaN reported "not uniformly discrete", r = -1 "uniformly discrete"
+        comb = integer_comb(10)
+        est = ap.estimate_autocorrelation(comb, 5.0)
+        for r in (math.nan, -1.0, math.inf):
+            with pytest.raises(ap.OutOfRangeError):
+                ap.check_A1_A3(comb, est, r)
+        assert ap.check_A1_A3(comb, est, 0.0).uniformly_discrete
 
     def test_paperfolding_discrete_at_r04(self):
         comb = pf.binary_comb(1 << 10)

@@ -761,9 +761,6 @@ def test_pair_path_matches_loop(case):
     # identical keys, coefficients within 1e-12 of the largest
     comb, max_diff, block = case
     assume(len(comb) > 0)
-    if isinstance(comb.coords, IntegerCoords) and len(comb) > 1:  # the pair path, not dense
-        values = comb.coords.values
-        assume(values[-1] - values[0] + 1 > autocorr._DENSE_SPAN_FACTOR * len(values))
     with mock.patch.object(autocorr, "_PAIR_BLOCK", block), \
             mock.patch.object(autocorr, "_DENSE_MAX_SPAN", 0):
         est = ap.estimate_autocorrelation(comb, max_diff)
@@ -774,12 +771,11 @@ def test_pair_path_matches_loop(case):
 
 @st.composite
 def dense_integer_inputs(draw):
-    """An integer comb whose span is at most _DENSE_SPAN_FACTOR positions per
-    point, with complex weights and an exact scale, and a max_diff up to
-    the diameter."""
+    """An integer comb whose span is at most 16 positions per point, with
+    complex weights and an exact scale, and a max_diff up to the
+    diameter."""
     count = draw(st.integers(min_value=1, max_value=40))
-    span = draw(st.integers(min_value=count,
-                            max_value=autocorr._DENSE_SPAN_FACTOR * count))
+    span = draw(st.integers(min_value=count, max_value=16 * count))
     lo = draw(st.integers(min_value=-span, max_value=0))
     values = np.array(draw(st.lists(st.integers(min_value=lo, max_value=lo + span - 1),
                                     min_size=count, max_size=count, unique=True)))
@@ -799,9 +795,12 @@ def dense_integer_inputs(draw):
 @settings(max_examples=150, deadline=None)
 def test_dense_path_matches_loop(case):
     # identical lags, coefficients within 1e-12 of the largest; the FFT
-    # convolution rounds where the pair loop adds exactly
+    # convolution rounds where the pair loop adds exactly.  A negative
+    # dense rate sends every comb under the cap to the dense sums, those
+    # with no pair (one point, max_diff below the least gap) too
     comb, max_diff = case
-    with mock.patch.object(autocorr, "_pairwise_sums", side_effect=AssertionError):
+    with mock.patch.object(autocorr, "_NS_DENSE", -1.0), \
+            mock.patch.object(autocorr, "_pairwise_sums", side_effect=AssertionError):
         est = ap.estimate_autocorrelation(comb, max_diff)
     diffs, eta = loop_autocorrelation(comb, max_diff)
     assert np.array_equal(est.diffs, diffs)

@@ -743,6 +743,14 @@ class TestComplementCheck:
         with pytest.raises(SubsetError):
             ap.complement_check(np.array([0.5]), Z_BASIS, 10.0)
 
+    def test_radius_must_be_finite_and_positive(self):
+        # radius 0 raised a bare ZeroDivisionError; -1 with an empty S
+        # reported a degenerate check with density -0.0
+        for s_points, radius in (([0.0], 0.0), ([], -1.0), ([0.0], math.nan),
+                                 ([0.0], math.inf)):
+            with pytest.raises(ap.OutOfRangeError):
+                ap.complement_check(np.array(s_points), Z_BASIS, radius)
+
     def test_negative_spacing_is_the_same_lattice(self):
         # the basis -1 spans Z too: its report is the spacing +1 report
         evens = np.arange(-100, 101, 2.0)
