@@ -22,6 +22,7 @@ from .core import (
     IntegerCoords,
     ModuleCoords,
     OutOfRangeError,
+    SIZE_BUDGET,
     TAU,
     WeightedComb,
     _own_copy,
@@ -34,15 +35,14 @@ _SUPPORT_TOL = 1e-12  # coefficients at most this large count as zero
 # pairs the pair path reduces at a time: a block's temporaries, under 1 MiB,
 # stay in cache (2^14 ran ~15% faster than 2^15 on Theorem 10's comb)
 _PAIR_BLOCK = 1 << 14
-# integer combs use dense arrays over their span when it is at most
-# _DENSE_MAX_SPAN positions and their pairs would cost more on the pair
-# path; the dense path peaks at ~105 B a span position and ~15 B a point
-# (tracemalloc, spans 2^18 to 2^21), under 30 MiB at the cap.  Rates in
-# ns, measured on a 2-core Xeon VM on random integer combs built for the
-# purpose (no benchmark workload has a sparse integer comb): 300-820 per
-# span position dense; 44-145 per pair, median 80, over 11 combs of 500
-# to 10,000 points and 1,200 to 2.3e6 pairs
-_DENSE_MAX_SPAN = 1 << 18
+# integer combs use dense arrays over their span when their pairs would
+# cost more on the pair path and the span is at most _DENSE_MAX_SPAN
+# positions, where the dense path's ~120 B (7.5 complex entries) a position
+# fit what check_size allows a step (tracemalloc: ~105 B a position and
+# ~15 B a point, 960 MiB at 2^23).  Rates in ns on a 2-core Xeon VM, random
+# integer combs: 300-820 a position dense; 44-145 a pair, median 80, over
+# 11 combs of 500 to 10,000 points and 1,200 to 2.3e6 pairs
+_DENSE_MAX_SPAN = SIZE_BUDGET // 8
 _NS_DENSE = 500.0
 _NS_PAIR = 80.0
 _INT64_MAX = int(np.iinfo(np.int64).max)

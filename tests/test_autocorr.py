@@ -8,7 +8,7 @@ import pytest
 import aperiodica as ap
 from aperiodica import autocorr, paperfolding as pf
 from aperiodica.autocorr import DegenerateAutocorrelationError
-from aperiodica.core import module_position
+from aperiodica.core import SIZE_BUDGET, module_position
 
 
 def integer_comb(n, weights=None):
@@ -123,19 +123,22 @@ class TestExactKeys:
             np.searchsorted(positions, positions + 1e5, side="right")
             - np.arange(1, len(positions) + 1))
 
-    def test_dense_integer_combs_stay_dense(self):
+    def test_cost_rule_sends_few_pairs_to_the_pair_path(self):
         # an integer comb goes dense only when its pairs, at _NS_PAIR each,
         # cost more than its span at _NS_DENSE a position: the a- and
         # d-letters have 32,648 and 32,577 pairs within 64 over spans near
         # 8,190 (a-letters: 0.8 ms on the pair path, 1.7 ms dense, the
         # fastest of 31 calls)
         letters = pf.letter_positions_substitution("w1", -4096, 4097)
-        lattice = ap.LatticeBasis(np.array([[1.0]]))
         with mock.patch.object(autocorr, "_dense_sums", side_effect=AssertionError):
             for values, pairs in ((letters["a"], 32_648), (letters["d"], 32_577)):
                 comb = ap.WeightedComb.from_integers(values, np.ones(len(values)), 4096.0)
                 est = ap.estimate_autocorrelation(comb, 64.0)
                 assert np.sum(np.round(est.eta.real * est.volume)[est.diffs > 0]) == pairs
+
+    def test_dense_integer_combs_stay_dense(self):
+        # combs whose pairs cost more than their span never reach the pair path
+        lattice = ap.LatticeBasis(np.array([[1.0]]))
         with mock.patch.object(autocorr, "_pairwise_sums", side_effect=AssertionError):
             comb = ap.WeightedComb.from_integers(np.arange(-100, 101), np.ones(201), 4096.0)
             ap.estimate_autocorrelation(comb, 64.0)
@@ -147,6 +150,31 @@ class TestExactKeys:
             assert np.array_equal(est.diffs, 37.0 * np.arange(-2702, 2703))
             ap.estimate_autocorrelation(pf.binary_comb(1 << 12), 64.0)
             ap.complement_check(np.arange(-200, 201, 2, dtype=float), lattice, 200)
+            # spans of 2^18 + 3 positions: each autocorrelation has 4.3e9
+            # pairs within R / 2, ~6 min at _NS_PAIR, ~0.2 s dense
+            r = (1 << 17) + 1
+            report = ap.complement_check(np.arange(-r, r + 1, 2, dtype=float), lattice, r)
+            assert report.identity_max_deviation < 1.0 / r  # boundary bias
+
+    def test_dense_cap_keeps_the_peak_within_the_size_budget(self):
+        # the dense path holds at most 8 complex entries (128 B) a span
+        # position, so at the cap it stays within what check_size allows a
+        # step; over the cap a comb takes the pair path however many pairs
+        values = np.arange((1 << 18) + 3)
+        comb = ap.WeightedComb.from_integers(values, np.ones(len(values)), 2.0 ** 19)
+        with mock.patch.object(autocorr, "_pairwise_sums", side_effect=AssertionError):
+            tracemalloc.start()
+            try:
+                dense = ap.estimate_autocorrelation(comb, 16.0)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert peak <= 128 * len(values) and 8 * autocorr._DENSE_MAX_SPAN <= SIZE_BUDGET
+        with mock.patch.object(autocorr, "_DENSE_MAX_SPAN", len(values) - 1), \
+                mock.patch.object(autocorr, "_dense_sums", side_effect=AssertionError):
+            pairs = ap.estimate_autocorrelation(comb, 16.0)
+        assert np.array_equal(dense.diffs, pairs.diffs)
+        assert np.max(np.abs(dense.eta - pairs.eta)) <= 1e-12 * pairs.zero_coefficient
 
     def test_sparse_comb_path_follows_pair_count(self):
         # 2,489 integers over a span of 2.5e5, sparser than 1/16: within
