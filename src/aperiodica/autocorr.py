@@ -352,11 +352,14 @@ def epsilon_almost_periods(est: AutocorrelationEstimate, epsilon: float,
 
 def max_gap(points, window: tuple[float, float]) -> float:
     """Largest gap between consecutive points inside the window, counting the
-    gaps to the window edges; +inf when no point falls in the window."""
+    gaps to the window edges; +inf when no point falls in the window.  A NaN
+    point or window bound raises OutOfRangeError."""
     lo, hi = window
     if not lo <= hi:
         raise OutOfRangeError("window is empty or has a NaN bound")
     pts = np.asarray(points, dtype=float)
+    if np.any(np.isnan(pts)):
+        raise OutOfRangeError("points must not be NaN")
     pts = np.sort(pts[(pts >= lo) & (pts <= hi)])
     if len(pts) == 0:
         return math.inf

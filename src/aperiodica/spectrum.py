@@ -50,8 +50,16 @@ that the position span times the k span implies, and the lattice length L):
   precision: each integer column splits into two base-Q digits
   (Q = isqrt(span) + 1, baby-step/giant-step) or, when a digit would need
   more than N entries, stays whole with its N values as the table.  A
-  point*k costs one gather per digit and a multiply at any span.  Float
-  positions (comb files) take one complex exponential per point*k.
+  point*k costs one gather per digit and a multiply at any span.  A module
+  comb whose points fill a band (a model set's: its star images n - m/tau
+  lie in the window, so each m has n in a run about the window's length)
+  is summed by rows: with one row per m anchored at (m, n0(m)) and
+  columns r = n - n0(m) < U,
+  F(k) = sum_m e^(-2 pi i k (m tau + n0(m))) sum_r W[m, r] e^(-2 pi i k r),
+  the row phases from the digit tables of the anchors and the column sums
+  one small matrix product per block of k.  Criterion 7's 66,491 points
+  become 8,947 rows of 9 cells.  Float positions (comb files) take one
+  complex exponential per point*k.
 
 Tests hold each path within 1e-10 of the largest value of direct sums,
 with phases reduced mod 1 in extended precision for exact coordinates, and
@@ -248,27 +256,78 @@ def _turn_tables(bases: list, ranges: list, ks: np.ndarray) -> list:
     return tables
 
 
+def _band(columns: list, w: np.ndarray) -> tuple[list, np.ndarray]:
+    """The rows of the table path: the integer columns of the row anchors
+    a_i and the weights W (rows, U), so that the points are a_i + r,
+    r = 0..U-1, up to one common translation, and sum_j w_j e^(-2 pi i k x_j)
+    is sum_i e^(-2 pi i k a_i) sum_r W[i, r] e^(-2 pi i k r) up to a factor
+    of modulus one.
+
+    A module comb takes one row per m over its range, anchored at
+    (m, floor((m - m_min)/tau)), when its rows * (U + 1) entries (a row
+    phase and U weights a row) number at most 2N.  Any integer anchor keeps
+    the phases exact; this one follows the star image n - m/tau, so a model
+    set's rows span its window's length plus 1 or 2 cells (criterion 7's
+    66,491 points: 8,947 rows of U = 9).  Forced onto rows, Fibonacci model
+    sets of 35,777 points at 20 k took 0.3x the time of one row a point at
+    1.33N entries, 0.73-0.91x at 1.87-2.31N, 0.98x at 2.61N and 1.07-1.16x
+    at 3N (the chain, one point per m; medians of 31 alternating calls on a
+    2-core Xeon VM).  Every other comb (integers, the chain, a random
+    tiling, whose star images wander) has one row per point and U = 1, its
+    columns and weights as given."""
+    if len(columns) == 2:
+        (m, tau), (n, one) = columns
+        # spans in Python integers, which do not overflow; rows * (U + 1) is
+        # at least 2 rows, so past N rows there is no band
+        m0 = int(m.min())
+        rows = int(m.max()) - m0 + 1
+        if rows <= len(w):
+            m = m - m0
+            anchors = np.arange(rows)
+            n0 = np.floor(anchors / float(tau)).astype(np.int64)
+            r = n - n0[m]
+            r0 = int(r.min())
+            u = int(r.max()) - r0 + 1
+            if rows * (u + 1) <= 2 * len(w):
+                weights = np.zeros((rows, u), dtype=w.dtype)
+                weights[m, r - r0] = w
+                return [(anchors, tau), (n0, one)], weights
+    return columns, w[:, None]
+
+
 def _table_power(columns: list, w: np.ndarray, ks: np.ndarray) -> np.ndarray:
     """|sum_j w_j e^(-2 pi i k x_j)|^2 at every k, for x_j given exactly by
     the integer columns of _exact_columns.
 
-    With the digits of _digit_split, digit d has per k the table
-    e^(-2 pi i frac(k b_d r)) over its range r, at most n entries; the sum
-    is the tables gathered at the digits, multiplied and dotted with w, in
-    tiles of _TILE point*k.  The result drops the unit-modulus factor
-    e^(-2 pi i k x_ref) of each k."""
-    n = len(w)
+    The points are summed by the rows of _band: anchors a_i with weights
+    W[i, r] at a_i + r, r = 0..U-1.  With the digits of _digit_split over
+    the anchors, digit d has per k the table e^(-2 pi i frac(k b_d r)) over
+    its range r, at most one entry per row.  In tiles of _TILE rows*k the
+    row phases are the tables gathered at the digits and multiplied, and
+    the sum per k is sum_r e^(-2 pi i k r) sum_i W[i, r] e^(-2 pi i k a_i),
+    the inner sums one (U x rows) by (rows x k) product per _TILE cells*k
+    at most, so few multiply-adds that OpenBLAS runs them on one thread
+    (on two threads an (8,947 x 10) by (10 x 20) product took over 2 ms in
+    up to 122 of 300 calls, against a median of 0.4 ms).  With one point a
+    row (U = 1) the products are w . (row phases) tile by tile, and the
+    sums are those of one product per point, bit for bit.  The result drops
+    the unit-modulus factor e^(-2 pi i k x_ref) of each k."""
+    columns, weights = _band(columns, w)
+    n, u = weights.shape
     bases, digits, ranges = _digit_split(columns, n)
-    block = max(1, _TILE // n)  # k per tile
-    step = _TILE // block       # points per tile: all of them when block > 1
+    block = max(1, _TILE // n)             # k per tile
+    step = _TILE // block                  # rows per tile: all of them when block > 1
+    chunk = max(1, _TILE // (block * u))   # rows per product
     out = np.empty(len(ks))
     # take(mode="clip") fills a buffer in place, where mode="raise" would
     # buffer; the digits are in range by construction
     bufs = np.empty((2, min(step, n) * min(block, len(ks))), dtype=complex)
     for start in range(0, len(ks), block):
         kc = ks[start:start + block].astype(np.longdouble)
-        tables = [np.exp(-2j * math.pi * t) for t in _turn_tables(bases, ranges, kc)]
-        total = np.zeros(len(kc), dtype=complex)
+        # the digits' tables, then e^(-2 pi i k r) over the columns r
+        *tables, spread = [np.exp(-2j * math.pi * t) for t in _turn_tables(
+            bases + [np.longdouble(1)], ranges + [np.arange(u)], kc)]
+        total = np.zeros((u, len(kc)), dtype=complex)
         for p in range(0, n, step):
             m = min(step, n - p)
             acc, rows = bufs[:, :m * len(kc)].reshape(2, m, len(kc))
@@ -276,7 +335,10 @@ def _table_power(columns: list, w: np.ndarray, ks: np.ndarray) -> np.ndarray:
                 np.take(table, a[p:p + m], axis=0, out=rows if i else acc, mode="clip")
                 if i:
                     acc *= rows
-            total += w[p:p + m] @ acc
+            for q in range(0, m, chunk):
+                total += weights[p:p + m][q:q + chunk].T @ acc[q:q + chunk]
+        # with U = 1: the one row of total times e^0 = 1, exact
+        total = np.sum(total * spread, axis=0)
         out[start:start + block] = np.abs(total) ** 2
     return out
 
@@ -523,6 +585,10 @@ def _lattice_length(coords, ks: np.ndarray) -> int:
     with np.errstate(over="ignore"):
         u = ks * coords.scale
     if not np.all(np.isfinite(u)):
+        return 0
+    # one k first, in one exact fmod: a scattered or linspace k set fails at
+    # its middle k, which is no multiple of 2^-cap (0 passes it)
+    if len(u) and math.fmod(u[len(u) // 2], 2.0 ** -_LATTICE_R_CAP):
         return 0
     level = int(_dyadic_levels(u, _LATTICE_R_CAP).max(initial=0))
     return 1 << level if level <= _LATTICE_R_CAP else 0

@@ -516,6 +516,15 @@ class TestMaxGap:
         assert ap.max_gap([0.0, 1.0], (-math.inf, math.inf)) == math.inf
         assert ap.max_gap([0.0, 1.0], (0.0, math.inf)) == math.inf
 
+    def test_nan_point_rejected(self):
+        # a NaN point fell out of the window test: [nan] read inf and
+        # [0, nan, 1] read 1.0
+        for points in ([math.nan], [0.0, math.nan, 1.0]):
+            with pytest.raises(ap.OutOfRangeError, match="NaN"):
+                ap.max_gap(points, (0.0, 1.0))
+        # infinite points lie outside every finite window
+        assert ap.max_gap([-math.inf, 0.5, math.inf], (0.0, 1.0)) == 0.5
+
     def test_fibonacci_p_half_gap_fixture(self):
         # regression fixture from running the pipeline at n = 1000;
         # the gap is finite, evidence for relative denseness

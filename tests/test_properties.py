@@ -20,6 +20,7 @@ import math
 from unittest import mock
 
 import numpy as np
+import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 import aperiodica as ap
@@ -237,6 +238,77 @@ def test_periodogram_table_path_matches_direct(case):
     comb, taper, ks = case
     w = spectrum._taper_weights(comb, taper)[0]
     table = spectrum._table_power(spectrum._exact_columns(comb.coords), w, ks)
+    direct = exact_direct_power(comb, w, ks)
+    assert np.max(np.abs(table - direct)) <= 1e-10 * np.max(direct)
+
+
+def seed_191_case():
+    """The draw of table_path_inputs that fails the gate above under
+    --hypothesis-seed=191 (Hypothesis 6.155.2), rebuilt from its drawn values:
+    835 integers at scale 3 over a span of 3,395,612, the Hann taper, and
+    the one k = 8.29647326047077."""
+    rng = np.random.default_rng(170305)
+    span, n = 3_395_612, 835
+    values = rng.choice(span + 1, size=n, replace=False) - span // 2
+    weights = rng.normal(size=n) + 1j * rng.normal(size=n)
+    radius = 3.0 * max(abs(int(values.min())), abs(int(values.max())), 1)
+    comb = ap.WeightedComb.from_integers(values, weights, radius, 3.0)
+    return comb, "hann", np.array([8.29647326047077])
+
+
+@pytest.mark.xfail(strict=True, reason=(
+    "phases rounded at |k x| 2^-64 in extended precision (ROADMAP item 2): "
+    "1.31e-10 of the one value off the extended-precision sum, 1.37e-10 off "
+    "exact rational phases"))
+def test_seed_191_draw_table_path():
+    comb, taper, ks = seed_191_case()
+    w = spectrum._taper_weights(comb, taper)[0]
+    columns = spectrum._exact_columns(comb.coords)
+    # a sparse comb keeps one row per point
+    rows, weights = spectrum._band(columns, w)
+    assert rows is columns and weights.shape == (len(comb), 1)
+    table = spectrum._table_power(columns, w, ks)
+    direct = exact_direct_power(comb, w, ks)
+    assert np.max(np.abs(table - direct)) <= 1e-10 * np.max(direct)
+
+
+@st.composite
+def band_inputs(draw):
+    """A strip of the golden module: the Fibonacci model set of a window of
+    width 1 to 8 (one point per m at width 1, several from width 2 on) on
+    +-5 to +-150, with real or complex weights, 1 to 40 k, and a tile size
+    for the table path from 1 cell*k up, so that blocks of k and of rows
+    end anywhere."""
+    width = draw(st.floats(min_value=1.0, max_value=8.0))
+    lo = draw(st.floats(min_value=-2.0, max_value=2.0))
+    radius = draw(st.floats(min_value=5.0, max_value=150.0))
+    count = draw(st.integers(min_value=1, max_value=40))
+    tile = draw(st.integers(min_value=1, max_value=4096))
+    complex_weights = draw(st.booleans())
+    k_lo = draw(st.floats(min_value=-20.0, max_value=20.0))
+    rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2 ** 32 - 1)))
+    comb = ap.generate_model_set(ap.fibonacci_scheme(),
+                                 ap.EuclideanWindow(((lo, lo + width),)), (-radius, radius))
+    weights = rng.normal(size=len(comb))
+    if complex_weights:
+        weights = weights + 1j * rng.normal(size=len(comb))
+    ks = k_lo + rng.uniform(0.0, 5.0, size=count)
+    return comb, weights, ks, tile, width, radius
+
+
+@given(band_inputs())
+@settings(max_examples=60, deadline=None)
+def test_band_matches_direct(case):
+    # the table path's gate, on combs whose points fill a band of rows
+    comb, w, ks, tile, width, radius = case
+    columns = spectrum._exact_columns(comb.coords)
+    weights = spectrum._band(columns, w)[1]
+    # a row holds width - 1 points or more in U < width + 2 cells; on 3,000
+    # random strips of these sizes rows * (U + 1) reached 1.76N, under 2N
+    if width >= 4.0 and radius >= 100.0:
+        assert weights.shape[1] > 1
+    with mock.patch.object(spectrum, "_TILE", tile):
+        table = spectrum._table_power(columns, w, ks)
     direct = exact_direct_power(comb, w, ks)
     assert np.max(np.abs(table - direct)) <= 1e-10 * np.max(direct)
 
