@@ -57,9 +57,8 @@ that the position span times the k span implies, and the lattice length L):
   columns r = n - n0(m) < U,
   F(k) = sum_m e^(-2 pi i k (m tau + n0(m))) sum_r W[m, r] e^(-2 pi i k r),
   the row phases from the digit tables of the anchors and the column sums
-  one small matrix product per block of k.  Criterion 7's 66,491 points
-  become 8,947 rows of 9 cells.  Float positions (comb files) take one
-  complex exponential per point*k.
+  one small matrix product per block of k.  Float positions (comb files)
+  take one complex exponential per point*k.
 
 Tests hold each path within 1e-10 of the largest value of direct sums,
 with phases reduced mod 1 in extended precision for exact coordinates, and
@@ -265,16 +264,14 @@ def _band(columns: list, w: np.ndarray) -> tuple[list, np.ndarray]:
 
     A module comb takes one row per m over its range, anchored at
     (m, floor((m - m_min)/tau)), when its rows * (U + 1) entries (a row
-    phase and U weights a row) number at most 2N.  Any integer anchor keeps
-    the phases exact; this one follows the star image n - m/tau, so a model
-    set's rows span its window's length plus 1 or 2 cells (criterion 7's
-    66,491 points: 8,947 rows of U = 9).  Forced onto rows, Fibonacci model
-    sets of 35,777 points at 20 k took 0.3x the time of one row a point at
-    1.33N entries, 0.73-0.91x at 1.87-2.31N, 0.98x at 2.61N and 1.07-1.16x
-    at 3N (the chain, one point per m; medians of 31 alternating calls on a
-    2-core Xeon VM).  Every other comb (integers, the chain, a random
-    tiling, whose star images wander) has one row per point and U = 1, its
-    columns and weights as given."""
+    phase and U weights a row) number at most 2N (rows broke even with one
+    row a point at about 2.6N) and U is at most the rows, so that the U
+    column phases a k cost no more than the row phases and fit in their
+    tiles.  Any integer anchor keeps the phases exact; this one follows the
+    star image n - m/tau, so a model set's rows span its window's length
+    plus 1 or 2 cells.  Every other comb (integers, the
+    chain, a random tiling, whose star images wander) has one row per point
+    and U = 1, its columns and weights as given."""
     if len(columns) == 2:
         (m, tau), (n, one) = columns
         # spans in Python integers, which do not overflow; rows * (U + 1) is
@@ -288,7 +285,7 @@ def _band(columns: list, w: np.ndarray) -> tuple[list, np.ndarray]:
             r = n - n0[m]
             r0 = int(r.min())
             u = int(r.max()) - r0 + 1
-            if rows * (u + 1) <= 2 * len(w):
+            if u <= rows and rows * (u + 1) <= 2 * len(w):
                 weights = np.zeros((rows, u), dtype=w.dtype)
                 weights[m, r - r0] = w
                 return [(anchors, tau), (n0, one)], weights
@@ -302,13 +299,13 @@ def _table_power(columns: list, w: np.ndarray, ks: np.ndarray) -> np.ndarray:
     The points are summed by the rows of _band: anchors a_i with weights
     W[i, r] at a_i + r, r = 0..U-1.  With the digits of _digit_split over
     the anchors, digit d has per k the table e^(-2 pi i frac(k b_d r)) over
-    its range r, at most one entry per row.  In tiles of _TILE rows*k the
-    row phases are the tables gathered at the digits and multiplied, and
-    the sum per k is sum_r e^(-2 pi i k r) sum_i W[i, r] e^(-2 pi i k a_i),
-    the inner sums one (U x rows) by (rows x k) product per _TILE cells*k
-    at most, so few multiply-adds that OpenBLAS runs them on one thread
-    (on two threads an (8,947 x 10) by (10 x 20) product took over 2 ms in
-    up to 122 of 300 calls, against a median of 0.4 ms).  With one point a
+    its range r, at most one entry per row.  Per block of k, sized so that
+    the row phases (rows x k) and, as U <= rows, the column tables and sums
+    (U x k) each hold at most _TILE entries, the row phases are the tables
+    gathered at the digits and multiplied, and the sum per k is
+    sum_r e^(-2 pi i k r) sum_i W[i, r] e^(-2 pi i k a_i), the inner sums
+    (U x rows) by (rows x k) products of at most _TILE cells*k each, which
+    OpenBLAS runs on one thread (threaded ones stalled).  With one point a
     row (U = 1) the products are w . (row phases) tile by tile, and the
     sums are those of one product per point, bit for bit.  The result drops
     the unit-modulus factor e^(-2 pi i k x_ref) of each k."""

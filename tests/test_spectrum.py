@@ -400,6 +400,12 @@ def criterion_7_case():
     return comb, ks, sp._taper_weights(comb, "hann")[0]
 
 
+def wide_band_comb():
+    """20,000 unit points (m, n), m in {0, 1} and n in [-5000, 4999]."""
+    mn = np.stack([np.repeat([0, 1], 10_000), np.tile(np.arange(-5000, 5000), 2)], axis=1)
+    return ap.WeightedComb.from_module(mn, np.ones(len(mn)), 1e4)
+
+
 class TestTableRows:
     def test_criterion_7_comb_takes_the_band(self):
         comb, ks, w = criterion_7_case()
@@ -437,12 +443,31 @@ class TestTableRows:
             tracemalloc.stop()
         assert peak < 5 * 2 ** 20
 
-    @pytest.mark.parametrize("kind", ["chain", "tiling", "square", "integer"])
+    def test_wide_band_call_memory(self):
+        # two rows of 10,000 cells: rows * (U + 1) is about N, but U > rows,
+        # and a band's (U x k) column arrays would outgrow the rows' tiles
+        # (a 30 MiB peak); one row per point keeps the call at 1.6 MiB
+        comb = wide_band_comb()
+        ks = np.random.default_rng(5).uniform(0.0, 100.0, size=64)
+        ap.bragg_amplitudes(comb, ks[:1])
+        with mock.patch.object(sp, "_table_power", wraps=sp._table_power) as spy:
+            tracemalloc.start()
+            try:
+                ap.bragg_amplitudes(comb, ks)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert spy.call_count == 1
+        assert peak < 5 * 2 ** 20
+
+    @pytest.mark.parametrize("kind", ["chain", "tiling", "square", "integer", "wide"])
     def test_rows_of_one_point_keep_their_bits(self, kind):
         rng = np.random.default_rng(23)
         if kind == "chain":  # one point per m: rows * (U + 1) = 3N
             comb = ap.generate_model_set(ap.fibonacci_scheme(),
                                          ap.EuclideanWindow(((-0.3, 0.7),)), (-5000, 5000))
+        elif kind == "wide":  # U = 10,000 cells in 2 rows
+            comb = wide_band_comb()
         elif kind == "tiling":  # 40,001 points: more than one tile per k
             comb = ap.sample(ap.fibonacci_spec(), 20_000, seed=4).comb
         elif kind == "square":  # table_path_inputs' scattered module pairs
