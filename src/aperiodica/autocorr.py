@@ -35,14 +35,11 @@ _SUPPORT_TOL = 1e-12  # coefficients at most this large count as zero
 # pairs the pair path reduces at a time: a block's temporaries, under 1 MiB,
 # stay in cache (2^14 ran ~15% faster than 2^15 on Theorem 10's comb)
 _PAIR_BLOCK = 1 << 14
-# integer combs use dense arrays over their span when their pairs would
-# cost more on the pair path and the span is at most _DENSE_MAX_SPAN
-# positions, where the dense path's ~120 B (7.5 complex entries) a position
-# fit what check_size allows a step (tracemalloc: ~105 B a position and
-# ~15 B a point, 960 MiB at 2^23).  Rates in ns on a 2-core Xeon VM, random
-# integer combs: 300-820 a position dense; 44-145 a pair, median 80, over
-# 11 combs of 500 to 10,000 points and 1,200 to 2.3e6 pairs
-_DENSE_MAX_SPAN = SIZE_BUDGET // 8
+_DENSE_TILE = 1 << 16  # positions _dense_sums transforms at a time
+# rates in ns of the path rule, on a 2-core Xeon VM, random integer combs:
+# 300-820 a position dense (before blocking); 44-145 a pair, median 80, over
+# 11 combs of 500-10,000 points and 1,200-2.3e6 pairs.  Dense sums hold ~112 B
+# (7 complex entries) a block position: a check_size step up to lag 2^23
 _NS_DENSE = 500.0
 _NS_PAIR = 80.0
 _INT64_MAX = int(np.iinfo(np.int64).max)
@@ -191,26 +188,32 @@ def _pairwise_sums(first, keys, weights):
     return _group_sums(*map(np.concatenate, zip(*parts)))
 
 
-def _convolve(a, b):
-    """Full linear convolution of two 1-d arrays by FFTs at a fast length."""
-    n = len(a) + len(b) - 1
-    nf = next_fast_len(n)
-    if np.iscomplexobj(a) or np.iscomplexobj(b):
-        return np.fft.ifft(np.fft.fft(a, nf) * np.fft.fft(b, nf))[:n]
-    return np.fft.irfft(np.fft.rfft(a, nf) * np.fft.rfft(b, nf), nf)[:n]
-
-
 def _dense_sums(keys, weights, max_lag):
-    """Lags 1..max_lag that occur between the integer keys, ascending from
-    0, and their sums: FFT convolutions of the weights and the occupancy."""
-    size = int(keys[-1]) + 1
-    dense = np.zeros(size, dtype=complex)
-    dense[keys] = weights
-    occ = np.bincount(keys).astype(float)
-    lags = slice(size, size + max_lag)  # the convolution ends at lag size - 1
-    sums = _convolve(dense, np.conj(dense[::-1]))[lags]
-    occurred = _convolve(occ, occ[::-1])[lags] > 0.5
-    return np.arange(1, len(sums) + 1)[occurred], sums[occurred]
+    """Lags 1..max_lag that occur between the ascending integer keys, from
+    0, and their sums, by overlap-save over blocks of b = next_fast_len(max_lag)
+    positions, _DENSE_TILE at a time: with X_t block t's spectrum at length
+    2b, the sums and the pair counts (of the occupancy) invert the sum over
+    t of |X_t|^2 + (-1)^f conj(X_t) X_(t+1).  Memory is O(N + _DENSE_TILE + b)."""
+    b = next_fast_len(max(max_lag, 1))
+    step = max(_DENSE_TILE // b, 1) * b
+    end = (int(keys[-1]) // b + 1) * b  # the blocks that cover the keys
+    out = []
+    for fft, ifft, values in ((np.fft.fft, np.fft.ifft, weights),
+                              (np.fft.rfft, np.fft.irfft, np.ones(len(keys)))):
+        same = after = last = 0.0
+        for lo in range(0, end, step):
+            i, j = np.searchsorted(keys, [lo, lo + step])
+            x = np.zeros(min(step, end - lo), dtype=values.dtype)
+            x[keys[i:j] - lo] = values[i:j]
+            x = fft(x.reshape(-1, b), 2 * b)
+            same += np.sum(x.real ** 2 + x.imag ** 2, axis=0)
+            after += np.conj(last) * x[0] + np.einsum("ij,ij->j", np.conj(x[:-1]), x[1:])
+            last = x[-1]
+        after[1::2] *= -1
+        after += same
+        del same, last, x  # the inverse FFT and its kept lags need only after
+        out.append(ifft(after, 2 * b)[1:max_lag + 1].copy())
+    return (lags := np.flatnonzero(out[1] > 0.5)) + 1, out[0][lags]
 
 
 def _float_keys(positions, max_diff):
@@ -288,22 +291,19 @@ def estimate_autocorrelation(comb: WeightedComb, max_diff: float) -> Autocorrela
     with x, y running over the comb.  Requires max_diff <= 2 * radius.
     Differences are grouped exactly by the keys of _exact_keys, and one
     _first_partners search finds the pairs within max_diff.  An integer comb
-    takes one FFT convolution over its span when the span is at most
-    _DENSE_MAX_SPAN positions and its pairs, at _NS_PAIR each, would cost
-    more than the span at _NS_DENSE a position; every other comb takes the
-    pair path."""
+    whose lag bound keeps _dense_sums within the size budget takes them when
+    its pairs, at _NS_PAIR each, would cost more than its span at _NS_DENSE
+    a position; every other comb takes the pair path."""
     if len(comb) == 0:
         raise EmptyInputError("cannot estimate the autocorrelation of an empty comb")
     if not 0.0 <= max_diff <= 2 * comb.radius:
         raise OutOfRangeError("max_diff must lie in [0, 2*radius], the comb diameter")
     w = comb.weights
     keys, cut, bound, decode, limit = _exact_keys(comb, max_diff)
-    # only integer combs are cut on their keys, so only there is the bound a
-    # lag bound for a convolution over the keys
-    span = int(keys[-1]) - int(keys[0]) + 1
     first = _first_partners(cut, bound)
-    if cut is keys and span <= _DENSE_MAX_SPAN and (
-            _NS_PAIR * int(np.sum(np.arange(len(first)) - first)) > _NS_DENSE * span):
+    # only integer combs are cut on their keys, from 0, with a lag bound
+    if cut is keys and 8 * bound <= SIZE_BUDGET and (
+            _NS_PAIR * np.sum(np.arange(len(first)) - first) > _NS_DENSE * (keys[-1] + 1)):
         codes, sums = _dense_sums(keys, w, bound)
     else:
         codes, sums = _pairwise_sums(first, keys, w)

@@ -222,11 +222,15 @@ def _digit_split(columns: list, n: int) -> tuple[list, list, list]:
     bases b_d in extended precision, ranges r_d, indices a_d.  A column of
     span s splits into two base-Q digits, Q = isqrt(s) + 1, bases u*Q and u,
     ranges 0..s // Q and 0..Q - 1, when both fit; otherwise (two points at
-    +-1e9 would need 44,722) it stays whole, its distinct values the range."""
+    +-1e9 would need 44,722) it stays whole, its distinct values the range.
+    OutOfRangeError when a column spans 2^63 or more, past int64."""
     bases, digits, ranges = [], [], []
     for c, unit in columns:
-        d = c - c.min()
-        span = int(d.max())
+        lo = int(c.min())
+        span = int(c.max()) - lo  # in Python integers, which do not wrap
+        if span >= 2 ** 63:
+            raise OutOfRangeError("exact coordinates of this comb span 2^63 or more")
+        d = c - lo
         q = math.isqrt(span) + 1
         if span // q < n and q <= n:
             bases += [unit * q, unit]
@@ -815,6 +819,8 @@ def complement_check(s_points, lattice: LatticeBasis, radius: float) -> Compleme
         raise OutOfRangeError("radius must be finite and positive")
     a = abs(float(lattice.matrix[0, 0]))  # the basis -a spans the same lattice
     s_points = np.asarray(s_points, dtype=float)
+    if not np.all(np.isfinite(s_points)):
+        raise SubsetError("S has a NaN or infinite point")
     ratios = s_points / a
     if np.any(np.abs(ratios - np.round(ratios)) > 1e-9):
         raise SubsetError("S is not a subset of the lattice")

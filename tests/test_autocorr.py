@@ -8,7 +8,7 @@ import pytest
 import aperiodica as ap
 from aperiodica import autocorr, paperfolding as pf
 from aperiodica.autocorr import DegenerateAutocorrelationError
-from aperiodica.core import SIZE_BUDGET, module_position
+from aperiodica.core import module_position
 
 
 def integer_comb(n, weights=None):
@@ -156,25 +156,49 @@ class TestExactKeys:
             report = ap.complement_check(np.arange(-r, r + 1, 2, dtype=float), lattice, r)
             assert report.identity_max_deviation < 1.0 / r  # boundary bias
 
-    def test_dense_cap_keeps_the_peak_within_the_size_budget(self):
-        # the dense path holds at most 8 complex entries (128 B) a span
-        # position, so at the cap it stays within what check_size allows a
-        # step; over the cap a comb takes the pair path however many pairs
-        values = np.arange((1 << 18) + 3)
-        comb = ap.WeightedComb.from_integers(values, np.ones(len(values)), 2.0 ** 19)
+    def test_dense_peak_follows_the_points_not_the_span(self):
+        # the dense sums hold one tile of blocks at a time, so the peak is
+        # the call's arrays of N keys and first partners (~33 B a point)
+        # and a tile; one convolution over the span peaked at 480 MiB here
+        values = np.arange(1 << 22)
+        comb = ap.WeightedComb.from_integers(values, np.ones(len(values)), 2.0 ** 22)
         with mock.patch.object(autocorr, "_pairwise_sums", side_effect=AssertionError):
             tracemalloc.start()
             try:
-                dense = ap.estimate_autocorrelation(comb, 16.0)
+                ap.estimate_autocorrelation(comb, 64.0)
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
-        assert peak <= 128 * len(values) and 8 * autocorr._DENSE_MAX_SPAN <= SIZE_BUDGET
-        with mock.patch.object(autocorr, "_DENSE_MAX_SPAN", len(values) - 1), \
+        assert peak <= 40 * len(values) + 16 * 2 ** 20
+        values = np.arange((1 << 18) + 3)
+        comb = ap.WeightedComb.from_integers(values, np.ones(len(values)), 2.0 ** 19)
+        with mock.patch.object(autocorr, "_pairwise_sums", side_effect=AssertionError):
+            dense = ap.estimate_autocorrelation(comb, 16.0)
+        with mock.patch.object(autocorr, "_NS_DENSE", math.inf), \
                 mock.patch.object(autocorr, "_dense_sums", side_effect=AssertionError):
             pairs = ap.estimate_autocorrelation(comb, 16.0)
         assert np.array_equal(dense.diffs, pairs.diffs)
         assert np.max(np.abs(dense.eta - pairs.eta)) <= 1e-12 * pairs.zero_coefficient
+
+    def test_lag_bound_past_the_budget_takes_the_pair_path(self):
+        # the dense sums hold ~7 complex entries a position of a block as
+        # long as the lag bound, so a step-1000 lattice of 1e5 points within
+        # 1e8 (5e9 pairs) would peak near 11 GB dense.  With the budget at
+        # 8 * 1024 entries, a lattice of step 10 goes dense up to a lag
+        # bound of 1024 and takes the pair path past it, whatever its pairs
+        values = 10 * np.arange(-500, 501)
+        comb = ap.WeightedComb.from_integers(values, np.ones(len(values)), 5000.0)
+        with mock.patch.object(autocorr, "SIZE_BUDGET", 8 * 1024):
+            with mock.patch.object(autocorr, "_pairwise_sums", side_effect=AssertionError):
+                dense = ap.estimate_autocorrelation(comb, 1024.0)
+            with mock.patch.object(autocorr, "_dense_sums", side_effect=AssertionError):
+                pairs = ap.estimate_autocorrelation(comb, 1025.0)
+                wide = ap.estimate_autocorrelation(comb, 1e4)
+        assert np.array_equal(dense.diffs, 10.0 * np.arange(-102, 103))
+        assert np.array_equal(pairs.diffs, dense.diffs)
+        assert np.array_equal(wide.diffs, 10.0 * np.arange(-1000, 1001))
+        near = np.abs(wide.diffs) <= 1024
+        assert np.max(np.abs(dense.eta - wide.eta[near])) <= 1e-12 * wide.zero_coefficient
 
     def test_sparse_comb_path_follows_pair_count(self):
         # 2,489 integers over a span of 2.5e5, sparser than 1/16: within

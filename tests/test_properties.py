@@ -834,7 +834,7 @@ def test_pair_path_matches_loop(case):
     comb, max_diff, block = case
     assume(len(comb) > 0)
     with mock.patch.object(autocorr, "_PAIR_BLOCK", block), \
-            mock.patch.object(autocorr, "_DENSE_MAX_SPAN", 0):
+            mock.patch.object(autocorr, "_NS_DENSE", math.inf):
         est = ap.estimate_autocorrelation(comb, max_diff)
     diffs, eta = loop_autocorrelation(comb, max_diff)
     assert np.array_equal(est.diffs, diffs)
@@ -844,8 +844,8 @@ def test_pair_path_matches_loop(case):
 @st.composite
 def dense_integer_inputs(draw):
     """An integer comb whose span is at most 16 positions per point, with
-    complex weights and an exact scale, and a max_diff up to the
-    diameter."""
+    complex weights and an exact scale, a max_diff up to the diameter, and
+    a tile of the dense sums."""
     count = draw(st.integers(min_value=1, max_value=40))
     span = draw(st.integers(min_value=count, max_value=16 * count))
     lo = draw(st.integers(min_value=-span, max_value=0))
@@ -860,18 +860,21 @@ def dense_integer_inputs(draw):
     if count > 1 and draw(st.booleans()):  # a cut-off that some pair meets exactly
         i, j = sorted(rng.choice(count, size=2, replace=False))
         max_diff = comb.positions[j] - comb.positions[i]
-    return comb, max_diff
+    tile = draw(st.sampled_from([1, 2, 3, 7, 64, autocorr._DENSE_TILE]))
+    return comb, max_diff, tile
 
 
 @given(dense_integer_inputs())
 @settings(max_examples=150, deadline=None)
 def test_dense_path_matches_loop(case):
-    # identical lags, coefficients within 1e-12 of the largest; the FFT
-    # convolution rounds where the pair loop adds exactly.  A negative
-    # dense rate sends every comb under the cap to the dense sums, those
-    # with no pair (one point, max_diff below the least gap) too
-    comb, max_diff = case
-    with mock.patch.object(autocorr, "_NS_DENSE", -1.0), \
+    # identical lags, coefficients within 1e-12 of the largest; the FFTs
+    # round where the pair loop adds exactly.  A negative dense rate sends
+    # every comb to the dense sums, those with no pair (one point, max_diff
+    # below the least gap) too; small tiles put block and tile edges among
+    # the points
+    comb, max_diff, tile = case
+    with mock.patch.object(autocorr, "_DENSE_TILE", tile), \
+            mock.patch.object(autocorr, "_NS_DENSE", -1.0), \
             mock.patch.object(autocorr, "_pairwise_sums", side_effect=AssertionError):
         est = ap.estimate_autocorrelation(comb, max_diff)
     diffs, eta = loop_autocorrelation(comb, max_diff)

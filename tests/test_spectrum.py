@@ -327,6 +327,27 @@ class TestPeriodogram:
         floats = ap.WeightedComb.from_positions(crit7.positions, crit7.weights, crit7.radius)
         assert sp._exact_columns(floats.coords) == []
 
+    def test_columns_past_int64_raise(self):
+        # two unit points at +-(2^62 + 12345) span more than int64: their
+        # column less its minimum wrapped, and every k read |F|^2 = 4
+        # (phases in Fraction give 3.369 at k = 0.123 and 3.618 at 0.71)
+        x = 2 ** 62 + 12345
+        for scale in (1.0, 3.0):
+            comb = ap.WeightedComb.from_integers([-x, x], [1.0, 1.0], scale * x, scale)
+            with mock.patch.object(sp, "_table_power", wraps=sp._table_power) as tables, \
+                    pytest.raises(ap.OutOfRangeError):
+                ap.periodogram_values(comb, [0.123, 0.71, 0.9])
+            assert tables.call_count == 1
+            # a 2-k grid over a span past 1/dk wraps when the NUFFT is taken
+            with mock.patch.object(sp, "_choose_path", return_value="nufft"), \
+                    mock.patch.object(sp, "_wrap", wraps=sp._wrap) as wrap, \
+                    pytest.raises(ap.OutOfRangeError):
+                ap.periodogram_values(comb, [0.123, 0.71])
+            assert wrap.call_count == 1
+        # a span of 2^63 - 1 still fits
+        edge = sp._digit_split([(np.array([-2 ** 62, 2 ** 62 - 1]), np.longdouble(1))], 2)
+        assert [r.tolist() for r in edge[2]] == [[0, 2 ** 63 - 1]]
+
     def test_table_path_beats_direct_at_criterion_4_shape(self):
         # against phases from the exact coordinates in extended precision,
         # each reduced mod 1 before the exponential
@@ -870,8 +891,11 @@ class TestComplementCheck:
         assert report.spectral_mean_difference <= 5e-2
 
     def test_non_subset_rejected(self):
-        with pytest.raises(SubsetError):
-            ap.complement_check(np.array([0.5]), Z_BASIS, 10.0)
+        # a NaN point passed the subset test, and its cast to int64 surfaced
+        # as "points outside the stated radius"
+        for s_points in ([0.5], [0.0, math.nan], [0.0, math.inf], [-math.inf]):
+            with pytest.raises(SubsetError):
+                ap.complement_check(np.array(s_points), Z_BASIS, 10.0)
 
     def test_radius_must_be_finite_and_positive(self):
         # radius 0 raised a bare ZeroDivisionError; -1 with an empty S
