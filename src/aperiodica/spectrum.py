@@ -32,24 +32,23 @@ that the position span times the k span implies, and the lattice length L):
   that spans more than one period is first wrapped into it: positions
   y = x mod 1/dk, centred on 0, with weights w e^(-2 pi i k0 x), and the
   NUFFT sums at l*dk.  Its fine grid then follows the k grid alone, not
-  the comb's span.  For exact coordinates dk*x and k0*x are reduced mod 1
-  from the digit tables of direct summation.  The wrapped sums are exact at
-  the progression k0 + l*dk through the end points of ks.  A double grid
-  strays from it by delta_l, an ulp or so (0.02*l by up to 2.2e-16;
-  dyadic grids not at all), and the sums are corrected to first order in
-  delta, the Taylor idea of Anderson & Dahleh (SIAM J. Sci. Comput. 17
-  (1996)) applied to that stray alone: on the same kernel values the NUFFT
-  also sums the weights times x - x_c, and F(k0 + l*dk + delta_l) =
+  the comb's span.  dk*x and k0*x are reduced mod 1 from the digit tables
+  of the sums below.  The wrapped sums are exact at the progression
+  k0 + l*dk through the end points of ks.  A double grid strays from it by
+  delta_l, an ulp or so (0.02*l by up to 2.2e-16; dyadic grids not at
+  all), and the sums are corrected to first order in delta, the Taylor
+  idea of Anderson & Dahleh (SIAM J. Sci. Comput. 17 (1996)) applied to
+  that stray alone: on the same kernel values the NUFFT also sums the
+  weights times x - x_c, and F(k0 + l*dk + delta_l) =
   F(l) - 2 pi i delta_l G(l) up to a factor of modulus one.  A grid within
   a few ulps of its progression is wrapped while the second-order
   remainder stays within the NUFFT's tolerance (_wrap_grid).  Scattered k
   and combs that span at most 1/dk are not wrapped.
-* otherwise direct summation.  For exact coordinates (integers k*scale,
-  or m*tau + n in the golden module) every phase factors over per-k
-  twiddle tables e^(-2 pi i frac(k b a)), reduced mod 1 in extended
-  precision: each integer column splits into two base-Q digits
-  (Q = isqrt(span) + 1, baby-step/giant-step) or, when a digit would need
-  more than N entries, stays whole with its N values as the table.  A
+* otherwise summation over per-k twiddle tables e^(-2 pi i frac(k b a)),
+  reduced mod 1 in extended precision.  Each integer column (k of k*scale,
+  m and n of m*tau + n) splits into two base-Q digits (Q = isqrt(span) + 1,
+  baby-step/giant-step) or, when a digit would need more than N entries,
+  stays whole with its N values as the table, as float positions do.  A
   point*k costs one gather per digit and a multiply at any span.  A module
   comb whose points fill a band (a model set's: its star images n - m/tau
   lie in the window, so each m has n in a run about the window's length)
@@ -57,11 +56,10 @@ that the position span times the k span implies, and the lattice length L):
   columns r = n - n0(m) < U,
   F(k) = sum_m e^(-2 pi i k (m tau + n0(m))) sum_r W[m, r] e^(-2 pi i k r),
   the row phases from the digit tables of the anchors and the column sums
-  one small matrix product per block of k.  Float positions (comb files)
-  take one complex exponential per point*k.
+  one small matrix product per block of k.
 
-Tests hold each path within 1e-10 of the largest value of direct sums,
-with phases reduced mod 1 in extended precision for exact coordinates, and
+Tests hold each path within 1e-10 of the largest value of direct sums with
+phases reduced mod 1 in extended precision or in rational arithmetic, and
 the lattice path within 1e-12 of sums with phases from integer arithmetic.
 """
 
@@ -79,7 +77,6 @@ from .core import (
     EmptyInputError,
     IntegerCoords,
     LatticeBasis,
-    ModuleCoords,
     OutOfRangeError,
     SpectralMeasure,
     WeightedComb,
@@ -161,14 +158,14 @@ def periodogram_values(comb: WeightedComb, ks, taper: str = "boxcar",
     else:
         raise AperiodicaError(f"unknown normalization {normalization!r}")
     x = comb.positions
-    columns = _exact_columns(comb.coords)
+    columns = _columns(comb)
     lattice = _lattice_length(comb.coords, ks)
     # on a uniform grid k0 + l*dk the sums have period 1/dk in x: a comb
     # spanning more than one period is wrapped into it before the NUFFT
     grid = _wrap_grid(ks, x[-1] - x[0])
     x_span = 1.0 / grid[1] if grid else x[-1] - x[0]
     path = _choose_path(len(x), len(ks), x_span, np.ptp(ks) if len(ks) else 0.0,
-                        _NS_TABLE if columns else _NS_DIRECT, lattice)
+                        _NS_FLOAT if comb.coords is None else _NS_TABLE, lattice)
     if path == "lattice":
         power = _lattice_power(comb.coords.values, w, ks * comb.coords.scale, lattice)
     elif path == "nufft":
@@ -181,21 +178,20 @@ def periodogram_values(comb: WeightedComb, ks, taper: str = "boxcar",
             k0, dk, delta = grid
             strays = np.any(delta)
             ws = [w, w * (x - 0.5 * (x[0] + x[-1]))] if strays else [w]
-            y, ws = _wrap(x, columns, np.array(ws), k0, dk)
+            y, ws = _wrap(columns, np.array(ws), k0, dk)
             f = _nufft(y, ws, np.arange(len(ks)) * dk)
             sums = f[0] - 2j * math.pi * delta * f[1] if strays else f[0]
         else:
             sums = _nufft(x, w[None], ks)[0]
         power = np.abs(sums) ** 2 * _NUFFT_SCALE ** 2
-    elif columns:
-        power = _table_power(columns, w, ks)
     else:
-        power = _direct_power(x, w, ks)
+        power = _table_power(columns, w, ks)
     return power / norm
 
 
 def _direct_power(x: np.ndarray, w: np.ndarray, ks: np.ndarray) -> np.ndarray:
-    """|sum_j w_j e^(-2 pi i k x_j)|^2 at every k, by direct summation."""
+    """|sum_j w_j e^(-2 pi i k x_j)|^2 at every k, by direct summation with
+    phases in doubles: the reference of the tests, no path."""
     out = np.empty(len(ks))
     block = max(1, _CHUNK // max(len(x), 1))
     for start in range(0, len(ks), block):
@@ -205,49 +201,53 @@ def _direct_power(x: np.ndarray, w: np.ndarray, ks: np.ndarray) -> np.ndarray:
     return out
 
 
-def _exact_columns(coords) -> list:
-    """The integer columns c_i of exact coordinates with their units u_i,
-    x_j = sum_i u_i c_i[j] (u_i in extended precision): k with the scale,
-    or m with tau and n with 1; none for float positions."""
+def _columns(comb: WeightedComb) -> list:
+    """The columns c_i of the comb's coordinates with their units u_i,
+    x_j = sum_i u_i c_i[j]: the integers k with the scale, m with tau and n
+    with 1 (in extended precision), or the float positions with 1."""
+    if (coords := comb.coords) is None:
+        return [(comb.positions, 1)]
     if isinstance(coords, IntegerCoords):
         return [(coords.values, np.longdouble(coords.scale))]
-    if isinstance(coords, ModuleCoords):
-        return [(coords.mn[:, 0], _TAU_EXT), (coords.mn[:, 1], np.longdouble(1))]
-    return []
+    return [(coords.mn[:, 0], _TAU_EXT), (coords.mn[:, 1], np.longdouble(1))]
 
 
 def _digit_split(columns: list, n: int) -> tuple[list, list, list]:
-    """The integer columns of _exact_columns, each less its minimum, as
-    digits of at most n values each: x_j - x_ref = sum_d b_d r_d[a_d[j]],
-    bases b_d in extended precision, ranges r_d, indices a_d.  A column of
-    span s splits into two base-Q digits, Q = isqrt(s) + 1, bases u*Q and u,
-    ranges 0..s // Q and 0..Q - 1, when both fit; otherwise (two points at
-    +-1e9 would need 44,722) it stays whole, its distinct values the range.
-    OutOfRangeError when a column spans 2^63 or more, past int64."""
+    """The columns of _columns as digits of at most n values each:
+    x_j - x_ref = sum_d b_d r_d[a_d[j]], bases b_d, ranges r_d, indices a_d.
+    An integer column less its minimum, of span s, splits into two base-Q
+    digits, Q = isqrt(s) + 1, bases u*Q and u, ranges 0..s // Q and 0..Q - 1,
+    when both fit; otherwise (two points at +-1e9 would need 44,722) it stays
+    whole, its distinct values the range, as a float column, ascending, is.
+    OutOfRangeError when an integer column spans 2^63 or more."""
     bases, digits, ranges = [], [], []
     for c, unit in columns:
-        lo = int(c.min())
-        span = int(c.max()) - lo  # in Python integers, which do not wrap
-        if span >= 2 ** 63:
-            raise OutOfRangeError("exact coordinates of this comb span 2^63 or more")
-        d = c - lo
-        q = math.isqrt(span) + 1
-        if span // q < n and q <= n:
-            bases += [unit * q, unit]
-            digits += list(np.divmod(d, q))
-            ranges += [np.arange(span // q + 1), np.arange(q)]
+        if c.dtype == float:
+            values, index = c, np.arange(len(c))
         else:
+            lo = int(c.min())
+            span = int(c.max()) - lo  # in Python integers, which do not wrap
+            if span >= 2 ** 63:
+                raise OutOfRangeError("exact coordinates of this comb span 2^63 or more")
+            d = c - lo
+            q = math.isqrt(span) + 1
+            if span // q < n and q <= n:
+                bases += [unit * q, unit]
+                digits += list(np.divmod(d, q))
+                ranges += [np.arange(span // q + 1), np.arange(q)]
+                continue
             values, index = np.unique(d, return_inverse=True)
-            bases.append(unit)
-            digits.append(index)
-            ranges.append(values)
+        bases.append(unit)
+        digits.append(index)
+        ranges.append(values)
     return bases, digits, ranges
 
 
-def _turn_tables(bases: list, ranges: list, ks: np.ndarray) -> list:
-    """Per digit, frac(k b r) over its range r (rows) for each k of ks
-    (columns; a scalar k gives one row each), with ks in extended precision,
-    reduced mod 1 in extended precision and returned as doubles."""
+def _turn_tables(bases: list, ranges: list, ks) -> list:
+    """Per digit, frac(k b r) over its range r (rows) for each k of the
+    doubles ks (columns; a scalar k gives one row each), formed and reduced
+    mod 1 in extended precision, as doubles: every phase the paths form."""
+    ks = np.asarray(ks, dtype=np.longdouble)
     tables = []
     for b, r in zip(bases, ranges):
         phase = np.multiply.outer(r, ks * b)  # (table entries, k)
@@ -273,7 +273,7 @@ def _band(columns: list, w: np.ndarray) -> tuple[list, np.ndarray]:
     column phases a k cost no more than the row phases and fit in their
     tiles.  Any integer anchor keeps the phases exact; this one follows the
     star image n - m/tau, so a model set's rows span its window's length
-    plus 1 or 2 cells.  Every other comb (integers, the
+    plus 1 or 2 cells.  Every other comb (integers, float positions, the
     chain, a random tiling, whose star images wander) has one row per point
     and U = 1, its columns and weights as given."""
     if len(columns) == 2:
@@ -297,8 +297,8 @@ def _band(columns: list, w: np.ndarray) -> tuple[list, np.ndarray]:
 
 
 def _table_power(columns: list, w: np.ndarray, ks: np.ndarray) -> np.ndarray:
-    """|sum_j w_j e^(-2 pi i k x_j)|^2 at every k, for x_j given exactly by
-    the integer columns of _exact_columns.
+    """|sum_j w_j e^(-2 pi i k x_j)|^2 at every k, for x_j given by the
+    columns of _columns.
 
     The points are summed by the rows of _band: anchors a_i with weights
     W[i, r] at a_i + r, r = 0..U-1.  With the digits of _digit_split over
@@ -324,10 +324,10 @@ def _table_power(columns: list, w: np.ndarray, ks: np.ndarray) -> np.ndarray:
     # buffer; the digits are in range by construction
     bufs = np.empty((2, min(step, n) * min(block, len(ks))), dtype=complex)
     for start in range(0, len(ks), block):
-        kc = ks[start:start + block].astype(np.longdouble)
+        kc = ks[start:start + block]
         # the digits' tables, then e^(-2 pi i k r) over the columns r
         *tables, spread = [np.exp(-2j * math.pi * t) for t in _turn_tables(
-            bases + [np.longdouble(1)], ranges + [np.arange(u)], kc)]
+            bases + [1], ranges + [np.arange(u)], kc)]
         total = np.zeros((u, len(kc)), dtype=complex)
         for p in range(0, n, step):
             m = min(step, n - p)
@@ -373,23 +373,18 @@ def _wrap_grid(ks: np.ndarray, span: float):
     return k0, dk, delta
 
 
-def _wrap(x: np.ndarray, columns: list, ws: np.ndarray, k0: float, dk: float):
-    """The comb wrapped to one period 1/dk of the grid k0 + l*dk: positions
-    y_j = (f_j - round(f_j))/dk, f_j = frac(dk x_j), so |y_j| <= 1/(2 dk),
-    in ascending order, with each row of weights ws[v, j] e^(-2 pi i k0 x_j)
-    in the same order.  sum_j w_j e^(-2 pi i (k0 + l dk) x_j) is then
-    sum_j w'_j e^(-2 pi i l dk y_j).  For exact coordinates dk x_j and
-    k0 x_j are read mod 1 from the digit tables of _digit_split, relative to
-    x_ref, which drops a unit-modulus factor per k."""
-    if columns:
-        bases, digits, ranges = _digit_split(columns, len(x))
+def _wrap(columns: list, ws: np.ndarray, k0: float, dk: float):
+    """The comb of _columns wrapped to one period 1/dk of the grid k0 + l*dk:
+    positions y_j = (f_j - round(f_j))/dk, f_j = frac(dk x_j), so
+    |y_j| <= 1/(2 dk), in ascending order, with each row of weights
+    ws[v, j] e^(-2 pi i k0 x_j) in the same order.  sum_j w_j
+    e^(-2 pi i (k0 + l dk) x_j) is then sum_j w'_j e^(-2 pi i l dk y_j).
+    dk x_j and k0 x_j are read mod 1 from the digit tables of _digit_split,
+    relative to x_ref, which drops a unit-modulus factor per k."""
+    bases, digits, ranges = _digit_split(columns, ws.shape[1])
 
-        def turns(k):
-            return sum(np.take(t, a) for t, a in
-                       zip(_turn_tables(bases, ranges, np.longdouble(k)), digits))
-    else:
-        def turns(k):
-            return k * x
+    def turns(k):
+        return sum(np.take(t, a) for t, a in zip(_turn_tables(bases, ranges, k), digits))
     f = turns(dk)
     y = (f - np.round(f)) / dk
     if k0:
@@ -424,15 +419,17 @@ _GRID_CAP = 52 * _CHUNK // 48
 # _nufft's sums are the kernel sums of step 3: the true sums divided by this
 _NUFFT_SCALE = 4.0 / _WIDTH ** 2
 
-# cost model, in ns as measured on a 2-core Xeon VM: direct summation by
-# exp and by tables (15-21 ns from 200,001 down to 20,001 points) per point*k;
+# cost model, in ns as measured on a 2-core Xeon VM: the table sums per
+# point*k of a float column (72-78 ns from 1,000 to 20,000 points, priced at
+# the 55 of the double-phase sums it replaced, which keeps every path
+# choice) and of exact coordinates (15-21 ns from 200,001 to 20,001 points);
 # the fast path per point spread, per nf*log2(nf) of the FFT, per k
 # interpolated, plus a fixed set-up, priced at a corrected wrap's two weight
 # vectors on one set of kernel values (430 ns per point and 310-400 ns per
 # k from 4,473 to 200,000 points; one vector takes 330 and 230-390); the
 # lattice path per point binned
 # (10-18 ns from 200,000 down to 2,000 points) and per L*log2(L) of its FFT
-_NS_DIRECT = 55.0
+_NS_FLOAT = 55.0
 _NS_TABLE = 20.0
 _NS_BIN = 15.0
 _NS_SPREAD = 450.0
@@ -490,7 +487,7 @@ def _choose_path(n: int, count: int, x_span: float, k_span: float,
                  ns_other: float, lattice: int = 0) -> str:
     """Path choice from the input's shape, the one with the lowest estimated
     cost: "sum" at ns_other per point*k (_NS_TABLE for exact coordinates,
-    _NS_DIRECT for float positions), "nufft" when its fine grid fits the cap,
+    _NS_FLOAT for float positions), "nufft" when its fine grid fits the cap,
     and "lattice" when _lattice_length gave a DFT length.  On a tie the
     earlier path of that list is taken."""
     costs = {"sum": ns_other * n * count}

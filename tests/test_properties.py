@@ -158,7 +158,7 @@ def test_periodogram_fast_path_matches_direct(case):
     # ROADMAP item 2 gate: max |fast - direct| <= 1e-10 * max value
     comb, taper, ks = case
     x = comb.positions
-    ns_other = spectrum._NS_TABLE if spectrum._exact_columns(comb.coords) else spectrum._NS_DIRECT
+    ns_other = spectrum._NS_FLOAT if comb.coords is None else spectrum._NS_TABLE
     assert spectrum._choose_path(len(x), len(ks), x[-1] - x[0], np.ptp(ks), ns_other) == "nufft"
     w = spectrum._taper_weights(comb, taper)[0]
     fast = np.abs(spectrum._nufft(x, w[None], ks)[0]) ** 2 * spectrum._NUFFT_SCALE ** 2
@@ -220,9 +220,7 @@ def exact_direct_power(comb, w, ks):
     Extended precision rounds at |k x| 2^-64: on sparse inputs (|k x| up to
     1.5e8) the tables and this sum each stayed within 2.2e-11 of sums with
     exact rational phases."""
-    columns = spectrum._exact_columns(comb.coords)
-    x = (sum(u * c.astype(np.longdouble) for c, u in columns) if columns
-         else comb.positions.astype(np.longdouble))
+    x = sum(u * c.astype(np.longdouble) for c, u in spectrum._columns(comb))
     out = np.empty(len(ks))
     for start in range(0, len(ks), 64):
         phase = np.multiply.outer(ks[start:start + 64].astype(np.longdouble), x)
@@ -237,7 +235,7 @@ def test_periodogram_table_path_matches_direct(case):
     # the NUFFT gate: max |table - direct| <= 1e-10 * max value
     comb, taper, ks = case
     w = spectrum._taper_weights(comb, taper)[0]
-    table = spectrum._table_power(spectrum._exact_columns(comb.coords), w, ks)
+    table = spectrum._table_power(spectrum._columns(comb), w, ks)
     direct = exact_direct_power(comb, w, ks)
     assert np.max(np.abs(table - direct)) <= 1e-10 * np.max(direct)
 
@@ -263,7 +261,7 @@ def seed_191_case():
 def test_seed_191_draw_table_path():
     comb, taper, ks = seed_191_case()
     w = spectrum._taper_weights(comb, taper)[0]
-    columns = spectrum._exact_columns(comb.coords)
+    columns = spectrum._columns(comb)
     # a sparse comb keeps one row per point
     rows, weights = spectrum._band(columns, w)
     assert rows is columns and weights.shape == (len(comb), 1)
@@ -301,7 +299,7 @@ def band_inputs(draw):
 def test_band_matches_direct(case):
     # the table path's gate, on combs whose points fill a band of rows
     comb, w, ks, tile, width, radius = case
-    columns = spectrum._exact_columns(comb.coords)
+    columns = spectrum._columns(comb)
     weights = spectrum._band(columns, w)[1]
     # a row holds width - 1 points or more in U < width + 2 cells; on 3,000
     # random strips of these sizes rows * (U + 1) reached 1.76N, under 2N

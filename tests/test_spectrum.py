@@ -116,8 +116,9 @@ class TestPeriodogram:
         (2_000, 3, 4_000.0, 2.0, False),          # three k: direct is cheaper
     ])
     def test_path_choice(self, n, count, x_span, k_span, fast):
-        # priced against direct summation, the other path of float positions
-        assert (sp._choose_path(n, count, x_span, k_span, sp._NS_DIRECT) == "nufft") == fast
+        # priced against the sums of a float column, the other path of float
+        # positions
+        assert (sp._choose_path(n, count, x_span, k_span, sp._NS_FLOAT) == "nufft") == fast
 
     # the other path is the twiddle tables (exact coordinates), not direct
     # summation
@@ -237,8 +238,7 @@ class TestPeriodogram:
         ks = 0.3 + 0.02 * np.arange(126)
         comb, exact = criterion_4_exact(tuple(ks))
         k0, dk, _ = sp._wrap_grid(ks, np.ptp(comb.positions))
-        y, ws = sp._wrap(comb.positions, sp._exact_columns(comb.coords),
-                         comb.weights[None], k0, dk)
+        y, ws = sp._wrap(sp._columns(comb), comb.weights[None], k0, dk)
         sums = sp._nufft(y, ws, np.arange(len(ks)) * dk)[0]
         uncorrected = np.abs(sums) ** 2 * sp._NUFFT_SCALE ** 2
         assert np.max(np.abs(uncorrected - exact)) > 1e-12 * np.max(exact)
@@ -310,7 +310,7 @@ class TestPeriodogram:
         # entries: the column stays whole, its two values the table
         a = 10 ** 9
         sparse = ap.WeightedComb.from_integers([-a, a], [1.0, 1.0], float(a))
-        _, digits, ranges = sp._digit_split(sp._exact_columns(sparse.coords), 2)
+        _, digits, ranges = sp._digit_split(sp._columns(sparse), 2)
         assert [r.tolist() for r in ranges] == [[0, 2 * a]]
         assert [d.tolist() for d in digits] == [[0, 1]]
         with mock.patch.object(sp, "_direct_power", side_effect=AssertionError):
@@ -320,12 +320,17 @@ class TestPeriodogram:
         crit7 = ap.density_weighted_comb(ap.fibonacci_scheme(), ap.GaussianProfile(0.5),
                                          (-10000, 10000))
         assert len(crit7) == 66_491
-        ranges = sp._digit_split(sp._exact_columns(crit7.coords), len(crit7))[2]
+        ranges = sp._digit_split(sp._columns(crit7), len(crit7))[2]
         assert len(ranges) == 4
         assert sum(len(r) for r in ranges) == 339
-        # float positions have no exact columns
+        # float positions are one column, kept whole as it is: the table
+        # holds the positions themselves, one entry a point
         floats = ap.WeightedComb.from_positions(crit7.positions, crit7.weights, crit7.radius)
-        assert sp._exact_columns(floats.coords) == []
+        [(column, unit)] = sp._columns(floats)
+        assert column is floats.positions and unit == 1
+        bases, digits, ranges = sp._digit_split(sp._columns(floats), len(floats))
+        assert bases == [1] and ranges[0] is floats.positions
+        assert np.array_equal(digits[0], np.arange(len(floats)))
 
     def test_columns_past_int64_raise(self):
         # two unit points at +-(2^62 + 12345) span more than int64: their
@@ -354,7 +359,7 @@ class TestPeriodogram:
         comb = ap.sample(ap.fibonacci_spec(), 100_000, seed=2000).comb
         ks = 0.3 + 0.02 * np.arange(8)
         x = comb.positions
-        columns = sp._exact_columns(comb.coords)
+        columns = sp._columns(comb)
         assert sp._choose_path(len(x), len(ks), x[-1] - x[0], np.ptp(ks), sp._NS_TABLE) == "sum"
         table = sp._table_power(columns, comb.weights, ks)
         assert np.array_equal(ap.periodogram_values(comb, ks), table / comb.volume)
@@ -371,6 +376,51 @@ class TestPeriodogram:
         # measured 4.4e-14 and 4.9e-11
         assert table_err <= 1e-12
         assert table_err <= direct_err
+
+    @staticmethod
+    def wide_float_comb(n, seed):
+        """n random float points over +-1e7 with random real weights."""
+        rng = np.random.default_rng(seed)
+        x = np.sort(rng.uniform(-1e7, 1e7, size=n))
+        return ap.WeightedComb.from_positions(x, rng.normal(size=n), 1e7)
+
+    @staticmethod
+    def fraction_power(comb, ks):
+        """|sum_j w_j e^(-2 pi i k x_j)|^2 at each k, each phase k x_j of
+        the doubles k and x_j reduced mod 1 exactly, in Fraction."""
+        xs = [Fraction(x) for x in comb.positions.tolist()]
+        out = np.empty(len(ks))
+        for i, k in enumerate(ks.tolist()):
+            turns = np.array([float(Fraction(k) * x % 1) for x in xs])
+            out[i] = abs(np.exp(-2j * math.pi * turns) @ comb.weights) ** 2
+        return out
+
+    @pytest.mark.parametrize("n, ks, path", [
+        (60, np.array([0.37, 3.3, 9.71]), "_table_power"),
+        (200, sp.uniform_grid(0.5, 3.05, 0.01), "_wrap"),
+    ])
+    def test_float_comb_against_exact_phases(self, n, ks, path):
+        # float positions are a column of the tables, their phases k x formed
+        # and reduced mod 1 in extended precision: measured 9.7e-12 (sums)
+        # and 1.0e-12 (wrap) of max, where phases k x in doubles were
+        # 6.8e-8 and 3.0e-9 off; direct summation is 6.8e-8 and 5.3e-9 off
+        comb = self.wide_float_comb(n, 0)
+        with mock.patch.object(sp, path, wraps=getattr(sp, path)) as taken:
+            values = ap.periodogram_values(comb, ks) * comb.volume
+        exact = self.fraction_power(comb, ks)
+        err = np.max(np.abs(values - exact))
+        assert err <= 1e-10 * np.max(exact)
+        assert err <= np.max(np.abs(sp._direct_power(comb.positions, comb.weights, ks) - exact))
+        assert taken.called
+
+    def test_float_comb_takes_the_tables(self):
+        # direct summation is a test reference, no path
+        comb = self.wide_float_comb(60, 1)
+        ks = np.array([0.37, 3.3, 9.71])
+        with mock.patch.object(sp, "_direct_power", side_effect=AssertionError):
+            values = ap.periodogram_values(comb, ks)
+        table = sp._table_power(sp._columns(comb), comb.weights, ks)
+        assert np.array_equal(values, table / comb.volume)
 
     def test_non_finite_k_rejected(self):
         with pytest.raises(ap.OutOfRangeError):
@@ -400,7 +450,7 @@ def per_point_power(columns, w, ks):
     step = sp._TILE // block
     out = np.empty(len(ks))
     for start in range(0, len(ks), block):
-        kc = ks[start:start + block].astype(np.longdouble)
+        kc = ks[start:start + block]
         tables = [np.exp(-2j * math.pi * t) for t in sp._turn_tables(bases, ranges, kc)]
         total = np.zeros(len(kc), dtype=complex)
         for p in range(0, n, step):
@@ -430,7 +480,7 @@ def wide_band_comb():
 class TestTableRows:
     def test_criterion_7_comb_takes_the_band(self):
         comb, ks, w = criterion_7_case()
-        columns = sp._exact_columns(comb.coords)
+        columns = sp._columns(comb)
         anchors, weights = sp._band(columns, w)
         # one row per m, 8,947 rows of 9 cells for 66,491 points
         assert weights.shape == (8947, 9)
@@ -498,7 +548,7 @@ class TestTableRows:
             comb = ap.WeightedComb.from_integers(
                 rng.choice(10 ** 5, size=3000, replace=False), np.ones(3000), 1e5)
         w = rng.normal(size=len(comb)) + 1j * rng.normal(size=len(comb))
-        columns = sp._exact_columns(comb.coords)
+        columns = sp._columns(comb)
         rows, weights = sp._band(columns, w)
         assert rows is columns and weights.shape == (len(comb), 1)
         for count in (1, 7, 130):
