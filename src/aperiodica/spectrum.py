@@ -795,7 +795,7 @@ class ComplementReport:
     bragg_shift_max_deviation: float  # (b) spectral difference at dual points
     spectral_max_difference: float | None  # (c) near-equal densities, intensity scale
     spectral_mean_difference: float | None
-    degenerate: bool                 # S^c empty: identity holds trivially
+    degenerate: bool                 # S or S^c empty: identity holds trivially
     message: str = ""
 
 
@@ -807,8 +807,10 @@ def complement_check(s_points, lattice: LatticeBasis, radius: float) -> Compleme
     (b) the periodogram difference against the predicted pure Bragg shift
         (dens(S^c) - dens(S)) * dens(lattice) at dual lattice points;
     (c) when the densities agree, the maximal spectral difference on the
-        intensity scale over _COMPLEMENT_KS points of [0, 2/a], a the lattice
-        spacing.
+        intensity scale over _COMPLEMENT_KS points of [0, 2/a), a the lattice
+        spacing: the spectra have period 1/a, so k = 2/a would repeat k = 0.
+    A point of S listed twice raises SubsetError; an empty S or S^c gives
+    the degenerate report.
     """
     if lattice.dim != 1:
         raise AperiodicaError("complement check is one-dimensional")
@@ -824,6 +826,9 @@ def complement_check(s_points, lattice: LatticeBasis, radius: float) -> Compleme
     if np.any(np.abs(s_points) > radius + 1e-9):
         raise SubsetError("S reaches outside the ball")
     s_idx = np.round(ratios).astype(np.int64)
+    values, counts = np.unique(s_idx, return_counts=True)
+    if np.any(counts > 1):
+        raise SubsetError(f"S lists the point {values[counts > 1][0] * a} more than once")
     check_size(2.0 * radius / a + 1.0, "the lattice points of the ball")
     all_idx = np.arange(math.ceil(-radius / a - 1e-9),
                         math.floor(radius / a + 1e-9) + 1, dtype=np.int64)
@@ -832,9 +837,10 @@ def complement_check(s_points, lattice: LatticeBasis, radius: float) -> Compleme
     dens_s = len(s_idx) / vol
     dens_c = len(c_idx) / vol
 
-    if len(c_idx) == 0:
+    if len(s_idx) == 0 or len(c_idx) == 0:
+        empty = "complement" if len(s_idx) else "S"
         return ComplementReport(dens_s, dens_c, 0.0, 0.0, None, None, True,
-                                "complement is empty; identity holds trivially")
+                                f"{empty} is empty; identity holds trivially")
     comb_s = WeightedComb.from_integers(s_idx, np.ones(len(s_idx)), radius, a)
     comb_c = WeightedComb.from_integers(c_idx, np.ones(len(c_idx)), radius, a)
 
@@ -855,7 +861,8 @@ def complement_check(s_points, lattice: LatticeBasis, radius: float) -> Compleme
 
     spectral_max = spectral_mean = None
     if abs(dens_c - dens_s) <= 0.1 / a:  # near-equal densities: homometric regime
-        k_grid = np.linspace(0.0, 2.0 / a, _COMPLEMENT_KS)
+        dk = 2.0 / (_COMPLEMENT_KS * a)
+        k_grid = uniform_grid(0.0, 2.0 / a - dk, dk)
         v_s = periodogram_values(comb_s, k_grid)
         v_c = periodogram_values(comb_c, k_grid)
         diff = np.abs(v_c - v_s) / vol

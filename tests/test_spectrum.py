@@ -600,8 +600,8 @@ class TestLatticePath:
         assert np.max(np.abs(power - exact)) <= 1e-12 * np.max(exact)
 
     def test_one_k_turns_down_a_k_set_that_is_not_dyadic(self):
-        # complement_check's 512-k linspace fails at its middle k, and the
-        # levels of its k are never read; a dyadic set is read in full
+        # a 512-k linspace fails at its middle k, and the levels of its k
+        # are never read; a dyadic set is read in full
         comb = integer_comb(100)
         levels = mock.patch.object(sp, "_dyadic_levels", wraps=sp._dyadic_levels)
         for ks, length, reads in [(np.linspace(0.0, 2.0, 512), 0, []),
@@ -954,6 +954,35 @@ class TestComplementCheck:
                                  ([0.0], math.inf)):
             with pytest.raises(ap.OutOfRangeError):
                 ap.complement_check(np.array(s_points), Z_BASIS, radius)
+
+    def test_empty_s_is_degenerate(self):
+        # an empty S raised EmptyInputError from the autocorrelation, at any
+        # radius, where an empty complement gave the degenerate report
+        for radius in (10.0, 0.5):
+            report = ap.complement_check(np.array([]), Z_BASIS, radius)
+            assert report.degenerate and "trivially" in report.message
+            assert report.dens_s == 0.0 and report.dens_c > 0.0
+
+    @pytest.mark.parametrize("s_points", [[0.0, 0.0, 2.0], [0.0, -0.0, 2.0], [4.0, 2.0, 4.0]])
+    def test_repeated_point_rejected(self, s_points):
+        # a point listed twice raised "positions must be strictly ascending"
+        # from the comb it was put in
+        point = max(s_points, key=s_points.count)
+        with pytest.raises(SubsetError, match=f"point {abs(point)}"):
+            ap.complement_check(np.array(s_points), Z_BASIS, 10.0)
+
+    def test_grid_on_aZ_takes_the_lattice_path(self):
+        # the spectra of a comb on aZ have period 1/a: 512 points of
+        # [0, 2/a) lose nothing, and at a = 1 they are multiples of 2^-8,
+        # which the lattice path sums by one FFT of length 256 (a 512-point
+        # linspace of [0, 2] took the wrapped NUFFT)
+        evens = np.arange(-100, 101, 2.0)
+        with mock.patch.object(sp, "_nufft", side_effect=AssertionError), \
+                mock.patch.object(sp, "_lattice_power", wraps=sp._lattice_power) as lattice:
+            report = ap.complement_check(evens, Z_BASIS, 100)
+        assert report.spectral_max_difference is not None
+        sizes = [c.args[3] for c in lattice.call_args_list if len(c.args[2]) == 512]
+        assert sizes == [256, 256]
 
     def test_negative_spacing_is_the_same_lattice(self):
         # the basis -1 spans Z too: its report is the spacing +1 report
