@@ -25,6 +25,7 @@ from .core import (
     TAU,
     AperiodicaError,
     ModuleElement,
+    check_size,
     read_comb_csv,
     read_text,
     write_comb,
@@ -214,6 +215,7 @@ def _compare_fibonacci(opts):
     kpoints = opts.get("kpoints", 40)
     if kpoints < 1:
         raise AperiodicaError(f"--kpoints must be at least 1; got {kpoints}")
+    check_size(kpoints, "the --kpoints grid")
     ks = np.linspace(0.1, 2.0, kpoints)
     keep = rt.needle_free(spec, ks)
     g = rt.ac_density_grid(spec, ks)[keep]

@@ -36,7 +36,7 @@ from .core import (
     module_position,
     module_star,
 )
-from .spectrum import bragg_amplitudes, periodogram_values
+from .spectrum import bragg_amplitudes, periodogram_values, uniform_grid
 
 _erfc = np.frompyfunc(math.erfc, 1, 1)  # elementwise, as Python floats
 
@@ -302,6 +302,7 @@ def mean_ac_periodogram(spec: RandomTilingSpec, ks, intervals: int,
     normalized periodogram averaged over sampled tilings, then over 8
     sub-offsets 2e-4 apart around each k (a local Welch-style bin)."""
     ks = np.asarray(ks, dtype=float)
+    check_size(len(ks) * len(_AC_OFFSETS), "the k points and their sub-offsets")
     kk = (ks[:, None] + _AC_OFFSETS[None, :]).ravel()
     acc = _seed_mean(lambda comb: periodogram_values(comb, kk, taper="hann",
                                                      normalization="density"),
@@ -313,7 +314,7 @@ def needle_free(spec: RandomTilingSpec, ks) -> np.ndarray:
     """Mask of the k more than 0.02 away from every needle of g, the sharp
     peaks where g exceeds 1.5, located on a 1e-3 grid around ks."""
     ks = np.asarray(ks, dtype=float)
-    fine = np.arange(max(np.min(ks) - 0.1, 0.01), np.max(ks) + 0.1, 1e-3)
+    fine = uniform_grid(max(np.min(ks) - 0.1, 0.01), np.max(ks) + 0.1, 1e-3)
     keep = np.ones(len(ks), dtype=bool)
     for needle in fine[ac_density_grid(spec, fine) > _NEEDLE_CUT]:
         keep &= np.abs(ks - needle) > _NEEDLE_MARGIN
@@ -404,6 +405,7 @@ def empirical_height_histogram(spec: RandomTilingSpec, n_intervals: int,
     n = int(n_intervals)
     if n < 100:
         raise OutOfRangeError("N must be at least 100")
+    check_size(int(seeds) * (2 * n + 1), "the pooled heights")
     bin_width = math.sqrt(2.0 * n / TAU) / 20.0
     all_heights = [patch_heights(spec, n, seed0 + i, both_sides)
                    for i in range(int(seeds))]

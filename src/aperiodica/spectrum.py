@@ -25,25 +25,26 @@ that the position span times the k span implies, and the lattice length L):
   with the exponential-of-semicircle kernel of Barnett, Magland &
   af Klinteberg (SIAM J. Sci. Comput. 41 (2019) C479), at a fixed
   tolerance of 1e-13, below the phase rounding of direct summation.  It
-  serves integer, module and float positions at uniform or scattered k.
-  It is taken when its cost estimate is the lowest and its fine grid fits
-  the memory of one direct block.
+  serves integer, module and float positions at uniform or scattered k,
+  when its cost estimate is the lowest and its fine grid fits _GRID_CAP.
+  It forms no phase of k: the weights are multiplied by e^(-2 pi i kc x),
+  kc x reduced mod 1 from the digit tables of the sums below, and it sums
+  at the offsets k - kc, kc the middle of ks.
   On a uniform grid k0 + l*dk the sums have period 1/dk in x, so a comb
   that spans more than one period is first wrapped into it: positions
-  y = x mod 1/dk, centred on 0, with weights w e^(-2 pi i k0 x), and the
-  NUFFT sums at l*dk.  Its fine grid then follows the k grid alone, not
-  the comb's span.  dk*x and k0*x are reduced mod 1 from the digit tables
-  of the sums below.  The wrapped sums are exact at the progression
-  k0 + l*dk through the end points of ks.  A double grid strays from it by
-  delta_l, an ulp or so (0.02*l by up to 2.2e-16; dyadic grids not at
-  all), and the sums are corrected to first order in delta, the Taylor
-  idea of Anderson & Dahleh (SIAM J. Sci. Comput. 17 (1996)) applied to
-  that stray alone: on the same kernel values the NUFFT also sums the
-  weights times x - x_c, and F(k0 + l*dk + delta_l) =
-  F(l) - 2 pi i delta_l G(l) up to a factor of modulus one.  A grid within
-  a few ulps of its progression is wrapped while the second-order
-  remainder stays within the NUFFT's tolerance (_wrap_grid).  Scattered k
-  and combs that span at most 1/dk are not wrapped.
+  y = x mod 1/dk, centred on 0, and kc the grid point k0 + m*dk,
+  m = (len(ks) - 1) // 2, with kc x = k0 x + m dk y mod 1 from the same
+  tables.  Its fine grid then follows the k grid alone, not the comb's
+  span.  The wrapped sums are exact at the progression k0 + l*dk through
+  the end points of ks.  A double grid strays from it by delta_l, an ulp
+  or so (0.02*l by up to 2.2e-16; dyadic grids not at all), and the sums
+  are corrected to first order in delta, the Taylor idea of Anderson &
+  Dahleh (SIAM J. Sci. Comput. 17 (1996)) applied to that stray alone: on
+  the same kernel values the NUFFT also sums the weights times x - x_c,
+  and F(k0 + l*dk + delta_l) = F(l) - 2 pi i delta_l G(l) up to a factor
+  of modulus one.  A grid within a few ulps of its progression is wrapped
+  while the second-order remainder stays within the NUFFT's tolerance
+  (_wrap_grid); scattered k and combs within 1/dk are not wrapped.
 * otherwise summation over per-k twiddle tables e^(-2 pi i frac(k b a)),
   reduced mod 1 in extended precision.  Each integer column (k of k*scale,
   m and n of m*tau + n) splits into two base-Q digits (Q = isqrt(span) + 1,
@@ -89,7 +90,7 @@ from .core import (
 
 _CHUNK = 1 << 18  # complex exponentials per direct evaluation block
 # point*k per table-path tile: its two complex buffers (512 KiB each) stay in
-# cache; 2^14 to 2^16 time alike on a 2-core Xeon VM, and tiles of _CHUNK
+# cache; 2^14 to 2^16 time alike on a 2-core Xeon VM, and tiles of 2^18
 # were up to 3x slower
 _TILE = 1 << 15
 _TAU_EXT = (1 + np.sqrt(np.longdouble(5))) / 2  # tau in extended precision
@@ -169,6 +170,8 @@ def periodogram_values(comb: WeightedComb, ks, taper: str = "boxcar",
     if path == "lattice":
         power = _lattice_power(comb.coords.values, w, ks * comb.coords.scale, lattice)
     elif path == "nufft":
+        # the NUFFT sums the weights times e^(-2 pi i kc x) at k - kc
+        turns = _turns(columns, len(x))
         if grid:
             # the sums F at the progression k0 + l*dk, corrected to first
             # order in the stray delta_l of ks[l] from it: with
@@ -176,13 +179,15 @@ def periodogram_values(comb: WeightedComb, ks, taper: str = "boxcar",
             # the sum at ks[l] is F(l) - 2 pi i delta_l G(l) up to a factor
             # of modulus one, G the sums of the weights w (x - x_c)
             k0, dk, delta = grid
-            strays = np.any(delta)
-            ws = [w, w * (x - 0.5 * (x[0] + x[-1]))] if strays else [w]
-            y, ws = _wrap(columns, np.array(ws), k0, dk)
-            f = _nufft(y, ws, np.arange(len(ks)) * dk)
-            sums = f[0] - 2j * math.pi * delta * f[1] if strays else f[0]
+            ws = [w, w * (x - 0.5 * (x[0] + x[-1]))] if np.any(delta) else [w]
+            m = (len(ks) - 1) // 2
+            y, ws = _wrap(turns, np.array(ws), k0, dk, m)
+            offsets = (np.arange(len(ks)) - m) * dk
         else:
-            sums = _nufft(x, w[None], ks)[0]
+            kc = 0.5 * (ks.max() + ks.min())
+            y, ws, offsets = x, w[None] * np.exp(-2j * math.pi * turns(kc)), ks - kc
+        f = _nufft(y, ws, offsets)
+        sums = f[0] - 2j * math.pi * delta * f[1] if len(f) > 1 else f[0]
         power = np.abs(sums) ** 2 * _NUFFT_SCALE ** 2
     else:
         power = _table_power(columns, w, ks)
@@ -373,24 +378,28 @@ def _wrap_grid(ks: np.ndarray, span: float):
     return k0, dk, delta
 
 
-def _wrap(columns: list, ws: np.ndarray, k0: float, dk: float):
-    """The comb of _columns wrapped to one period 1/dk of the grid k0 + l*dk:
-    positions y_j = (f_j - round(f_j))/dk, f_j = frac(dk x_j), so
-    |y_j| <= 1/(2 dk), in ascending order, with each row of weights
-    ws[v, j] e^(-2 pi i k0 x_j) in the same order.  sum_j w_j
-    e^(-2 pi i (k0 + l dk) x_j) is then sum_j w'_j e^(-2 pi i l dk y_j).
-    dk x_j and k0 x_j are read mod 1 from the digit tables of _digit_split,
-    relative to x_ref, which drops a unit-modulus factor per k."""
-    bases, digits, ranges = _digit_split(columns, ws.shape[1])
+def _turns(columns: list, n: int):
+    """turns(k): frac(k x_j) per point of the columns at the double k, less
+    x_ref (a unit-modulus factor per k), summed from the digit tables."""
+    bases, digits, ranges = _digit_split(columns, n)
 
     def turns(k):
         return sum(np.take(t, a) for t, a in zip(_turn_tables(bases, ranges, k), digits))
+    return turns
+
+
+def _wrap(turns, ws: np.ndarray, k0: float, dk: float, m: int):
+    """The comb of turns (_turns) wrapped to one period 1/dk of the grid
+    k0 + l*dk: positions y_j = (f_j - round(f_j))/dk, f_j = turns(dk)[j],
+    so |y_j| <= 1/(2 dk), ascending, with each row of weights ws[v, j]
+    e^(-2 pi i kc x_j) in the same order, kc = k0 + m dk and kc x_j mod 1
+    read as turns(k0)[j] + m dk y_j.  sum_j w_j e^(-2 pi i (k0 + l dk) x_j)
+    is then sum_j w'_j e^(-2 pi i (l - m) dk y_j)."""
     f = turns(dk)
-    y = (f - np.round(f)) / dk
-    if k0:
-        ws = ws * np.exp(-2j * math.pi * turns(k0))
-    order = np.argsort(y)
-    return y[order], np.take(ws, order, axis=1)
+    f -= np.round(f)
+    ws = ws * np.exp(-2j * math.pi * (turns(k0) + m * f if k0 else m * f))
+    order = np.argsort(f)
+    return f[order] / dk, np.take(ws, order, axis=1)
 
 
 # -- type-3 NUFFT ---------------------------------------------------------------
@@ -411,11 +420,10 @@ _WIDTH = int(math.ceil(-math.log10(_NUFFT_TOL / 10.0)))  # kernel cells: 14
 _BETA = 2.30 * _WIDTH                                     # ES shape at sigma 2
 _T_MAX = _WIDTH / (4.0 * _SIGMA)  # largest argument of the kernel transform
 _BLOCK = 2048                     # points spread, or k interpolated, per block
-# fine-grid cap, from peak RSS measured around each path: a direct block of
-# _CHUNK exponentials peaks at ~52 bytes each, and the fast path holds three
-# complex arrays of nf modes (the grid, the FFT's scratch copy and its
-# twiddle factors), 48 bytes a mode; the fast path may use no more
-_GRID_CAP = 52 * _CHUNK // 48
+# fine-grid cap: the NUFFT holds three complex arrays of nf modes (the grid,
+# the FFT's scratch copy and its twiddle factors), 48 bytes a mode, so
+# ~13 MiB at the cap
+_GRID_CAP = 283_989
 # _nufft's sums are the kernel sums of step 3: the true sums divided by this
 _NUFFT_SCALE = 4.0 / _WIDTH ** 2
 
@@ -504,20 +512,20 @@ def _nufft(x: np.ndarray, ws: np.ndarray, ks: np.ndarray) -> np.ndarray:
     """sum_j ws[v, j] e^(-2 pi i k x_j) / _NUFFT_SCALE at every k, for each
     row v of ws, by the type-3 NUFFT; one row per weight vector in the
     result.  x must be ascending; the sums drop a unit-modulus factor per k.
-    The rows share the kernel values, the deconvolution and one FFT call."""
+    The rows share the kernel values, the deconvolution and one FFT call.
+    It forms no phase of k: the caller centres ks, and the fine grid spans
+    2 max|k|, so k that are not centred cost grid length, not accuracy."""
     x_center = 0.5 * (x[0] + x[-1])
-    k_center = 0.5 * (ks.max() + ks.min())
-    nf, dk = _fine_grid(x[-1] - x[0], np.ptp(ks))
+    nf, dk = _fine_grid(x[-1] - x[0], 2.0 * np.max(np.abs(ks)))
     h = 1.0 / (nf * dk)
     offsets = np.arange(_WIDTH)
     first = math.floor((x[0] - x_center) / h - 0.5 * _WIDTH)  # cell at index 0
 
-    # 1. spread, pre-weighted by the k centre and the k kernel's transform
+    # 1. spread, pre-weighted by the k kernel's transform
     grid = np.zeros((len(ws), nf), dtype=complex)
     for start in range(0, len(x), _BLOCK):
         xb = x[start:start + _BLOCK] - x_center
-        cb = (ws[:, start:start + _BLOCK] * np.exp(-2j * math.pi * k_center * xb)
-              / _es_transform(0.5 * _WIDTH * dk * xb))
+        cb = ws[:, start:start + _BLOCK] / _es_transform(0.5 * _WIDTH * dk * xb)
         ub = xb / h
         left = np.ceil(ub - 0.5 * _WIDTH).astype(np.int64)
         cells = left[:, None] + offsets
@@ -531,8 +539,7 @@ def _nufft(x: np.ndarray, ws: np.ndarray, ks: np.ndarray) -> np.ndarray:
 
     # 2. FFT; deconvolve only the modes under the interpolation stencils
     np.fft.fft(grid, axis=1, out=grid)
-    kappa = ks - k_center
-    left = np.ceil(kappa / dk - 0.5 * _WIDTH).astype(np.int64)
+    left = np.ceil(ks / dk - 0.5 * _WIDTH).astype(np.int64)
     j_lo = int(left.min())
     touched = np.zeros(int(left.max()) - j_lo + _WIDTH, dtype=bool)
     for i in range(_WIDTH):
@@ -547,7 +554,7 @@ def _nufft(x: np.ndarray, ws: np.ndarray, ks: np.ndarray) -> np.ndarray:
     out = np.empty((len(ws), len(ks)), dtype=complex)
     for start in range(0, len(ks), _BLOCK):
         cells = left[start:start + _BLOCK, None] + offsets
-        psi = _es((cells * dk - kappa[start:start + _BLOCK, None]) * (2.0 / (_WIDTH * dk)))
+        psi = _es((cells * dk - ks[start:start + _BLOCK, None]) * (2.0 / (_WIDTH * dk)))
         for row, m in zip(out, modes):
             row[start:start + _BLOCK] = np.einsum("ij,ij->i", psi, m[cells - j_lo])
     return out
@@ -742,7 +749,9 @@ def paperfolding_total_intensity(a: complex, b: complex, c: complex, d: complex,
                                  r_max: int) -> float:
     """Total atom intensity per unit k interval, summed up to denominator
     2^r_max: sum_r (atoms per unit at level r) * I_r, with one atom per
-    unit at r <= 1 and 2^(r-1) at r >= 2."""
+    unit at r <= 1 and 2^(r-1) at r >= 2, for 3 <= r_max <= 32."""
+    if not 3 <= r_max <= _DYADIC_R_CAP:
+        raise OutOfRangeError(f"r_max must lie in [3, {_DYADIC_R_CAP}]")
     total = 0.0
     for r, level in enumerate(_level_intensities(a, b, c, d, r_max)):
         total += max(1.0, 2.0 ** (r - 1)) * level

@@ -83,7 +83,9 @@ class SubstitutionRule:
         if k < 1:
             raise AperiodicaError("power must be >= 1")
         images = {a: a for a in self.alphabet}
-        for _ in range(k):
+        for i in range(k):
+            # the images of power i + 1: L^(i+1) letters each
+            check_size(len(images) * self.length ** (i + 1), "the images of the rule power")
             images = {a: self.apply(w) for a, w in images.items()}
         return SubstitutionRule(self.alphabet, images)
 
@@ -369,7 +371,9 @@ def iterate_mfs(mfs: MfsRule, multiset, steps: int = 1) -> list[np.ndarray]:
         raise AperiodicaError("multiset has the wrong number of components")
     _check_disjoint(current, "input components overlap")
     q = mfs.inflation
+    counts = mfs.substitution_matrix()
     for _ in range(steps):
+        check_size(int(np.sum(counts @ [len(u) for u in current])), "the multiset after a step")
         new = []
         for i in range(mfs.size):
             parts = [q * current[j] + a
@@ -407,10 +411,12 @@ def legal_clusters(rule: SubstitutionRule, word: FixedPointWord,
         raise AperiodicaError("width and n_max must be positive")
     text = word.window(-sample_radius, sample_radius)
     windows = {text[i:i + width] for i in range(len(text) - width + 1)}
-    haystacks = []
+    haystacks, held = [], 0
     for letter in rule.alphabet:
         image = letter
         for _ in range(n_max):
+            held += len(image) * rule.length
+            check_size(held, "the iterates of the rule")
             image = rule.apply(image)
             haystacks.append(image)
     return all(any(w in h for h in haystacks) for w in windows)

@@ -621,3 +621,13 @@ class TestConvergenceProbe:
         # boundary bias is O(z / n): max over z <= 50 at n = 500 is 49/2000
         assert max(devs) <= 50.0 / 2000.0
         assert devs[1] < 1e-3
+
+
+def test_estimate_fields_differ_in_length_rejected():
+    with pytest.raises(ap.AperiodicaError, match="diffs and eta differ in length"):
+        ap.AutocorrelationEstimate([0.0], [], 1.0, 2.0, 1.0)
+
+
+def test_estimate_without_differences_reads_zero():
+    est = ap.AutocorrelationEstimate([], [], 1.0, 2.0, 1.0)
+    assert np.array_equal(est.eta_lookup([0.0, 1.5]), np.zeros(2))

@@ -233,6 +233,19 @@ class TestMalformedInput:
         assert out == ""
         assert err.startswith("error: ")
 
+    @pytest.mark.parametrize("argv, message", [
+        (("randomtiling", "--u", "2", "--v", "1", "--p", "half"),
+         "probability must be a number; got 'half'"),
+        (("randomtiling", "--u", "2", "--v", "1", "--p", "0.5", "--heights"),
+         "heights need module interval lengths"),
+        (("paperfolding-spectrum", "--weights", "1,1,0"), "exactly four weights"),
+    ], ids=["probability-not-a-number", "heights-rational", "three-weights"])
+    def test_exits_2_naming_the_fault(self, capsys, argv, message):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and message in err
+
     # without their size checks these run for minutes
     @pytest.mark.parametrize("argv", [
         ("paperfolding-spectrum", "--weights", "1,1,0,0", "--kmax", "1e9"),
@@ -245,8 +258,11 @@ class TestMalformedInput:
          "--intervals", "1000000000000"),
         ("compare", "--model", "rational-pp", "--tolerance", "1",
          "--intervals", "1000000000000"),
+        # a numpy MemoryError traceback on a linspace of 1e15 k
+        ("compare", "--model", "fibonacci-ac", "--tolerance", "1",
+         "--kpoints", "1000000000000000"),
     ], ids=["paperfolding-atoms", "tiling-k-grid", "paperfolding-comb", "tiling-sample",
-            "rational-pp-sample"])
+            "rational-pp-sample", "fibonacci-kpoints"])
     def test_over_budget_exits_2_at_once(self, capsys, argv):
         start = time.perf_counter()
         code, out, err = run_cli(capsys, *argv)
@@ -274,12 +290,16 @@ class TestMalformedInput:
         ([1, 2], "JSON object"),
         ({"kind": "qadic", "q": "x", "classes": [[1, 4]]}, "unsupported q"),
         ({"kind": "qadic", "q": 3, "classes": [[1, 4]]}, "unsupported q"),
+        ({"kind": "qadic", "paperfolding": 3}, '"paperfolding" must be an object; got 3'),
+        ({"kind": "hyperbolic"}, "unknown scheme kind 'hyperbolic'"),
+        ('{"kind": "qadic",', "scheme file is not valid JSON"),  # written as it is
     ], ids=["class-not-a-pair", "added-not-a-list", "removed-not-a-list",
             "unknown-letter", "complete-below-not-an-integer", "not-an-object",
-            "q-not-a-number", "q-3"])
+            "q-not-a-number", "q-3", "paperfolding-not-an-object", "unknown-kind",
+            "not-json"])
     def test_qadic_scheme_file_exits_2(self, capsys, tmp_path, scheme, message):
         path = tmp_path / "scheme.json"
-        path.write_text(json.dumps(scheme))
+        path.write_text(scheme if isinstance(scheme, str) else json.dumps(scheme))
         code, out, err = run_cli(capsys, "generate", "--scheme", str(path),
                                  "--region", "0,10")
         assert code == 2

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import aperiodica as ap
-from aperiodica import core, cps
+from aperiodica import cli, core, cps, spectrum, substitution
 from aperiodica.core import AperiodicaError
 
 
@@ -387,26 +387,55 @@ class TestSizeBudget:
             with pytest.raises(ap.OutOfRangeError, match="an array"):
                 core.check_size(count, "an array")
 
-    # without the guard each asks numpy for 8 TB or more
-    @pytest.mark.parametrize("call, match", [
+    # without the guard each asks numpy for 8 TB or more, or, within the
+    # small budget given, builds its arrays past it
+    @pytest.mark.parametrize("call, match, budget", [
         (lambda: ap.periodogram(ap.WeightedComb.from_integers([0, 1], [1, 1], 1.0),
-                                0.0, 1e12, 1e-3), "k grid"),
+                                0.0, 1e12, 1e-3), "k grid", core.SIZE_BUDGET),
         (lambda: ap.generate_model_set(ap.fibonacci_scheme(),
                                        ap.EuclideanWindow(((-0.3, 0.7),)), (0, 1e17)),
-         "m range"),
+         "m range", core.SIZE_BUDGET),
         (lambda: ap.generate_model_set(ap.qadic_scheme(), ap.QAdicWindow(((0, 4),)),
-                                       (0, 1e12)), "2-adic region"),
+                                       (0, 1e12)), "2-adic region", core.SIZE_BUDGET),
         # one letter, but the word must grow past 2^40 letters to reach it
         (lambda: ap.fixed_point(ap.PAPERFOLDING, ("b", "a")).window(2 ** 40, 2 ** 40 + 1),
-         "fixed-point word"),
+         "fixed-point word", core.SIZE_BUDGET),
         (lambda: ap.complement_check(np.array([0.0]), ap.LatticeBasis(np.array([[1e-12]])),
-                                     1.0), "lattice points"),
-        (lambda: ap.pp_part(ap.RandomTilingSpec(2, 1, 0.5), 1e12), "Bragg lattice"),
-        (lambda: ap.paperfolding_spectrum(1, 1, 0, 0, 8, (0.0, 1e9)), "atom list"),
+                                     1.0), "lattice points", core.SIZE_BUDGET),
+        (lambda: ap.pp_part(ap.RandomTilingSpec(2, 1, 0.5), 1e12), "Bragg lattice",
+         core.SIZE_BUDGET),
+        (lambda: ap.paperfolding_spectrum(1, 1, 0, 0, 8, (0.0, 1e9)), "atom list",
+         core.SIZE_BUDGET),
+        # numpy's MemoryError from a fine grid of 1e18 k
+        (lambda: ap.needle_free(ap.fibonacci_spec(), [0.0, 1e15]), "k grid", core.SIZE_BUDGET),
+        # compare --kpoints 1000000000000000: a linspace of 1e15 k
+        (lambda: cli._compare_fibonacci({"kpoints": 10 ** 15, "seed": 0}), "--kpoints",
+         core.SIZE_BUDGET),
+        # 2^(r_max - 1) atoms a unit overflowed a double at r_max = 600
+        (lambda: spectrum.paperfolding_total_intensity(1, 1, 0, 0, 600), "r_max",
+         core.SIZE_BUDGET),
+        # 2,000 k with 8 sub-offsets each
+        (lambda: ap.mean_ac_periodogram(ap.fibonacci_spec(), np.linspace(0.1, 2.0, 2_000),
+                                        100, 1, 0), "sub-offsets", 10_000),
+        # 4 images of 2^16 letters
+        (lambda: ap.PAPERFOLDING.power(16), "rule power", 10_000),
+        # 4 letters' iterates of up to 2^16 letters
+        (lambda: substitution.legal_clusters(
+            ap.PAPERFOLDING, ap.fixed_point(ap.PAPERFOLDING, ("b", "a")), n_max=16),
+         "iterates of the rule", 10_000),
+        # one point doubles at each of 16 steps
+        (lambda: ap.iterate_mfs(ap.mfs_from_substitution(ap.PAPERFOLDING),
+                                [[0], [], [], []], steps=16), "multiset", 10_000),
+        # 10 patches of 2,001 heights
+        (lambda: ap.empirical_height_histogram(ap.fibonacci_spec(), 1_000, 10), "pooled heights",
+         10_000),
     ], ids=["periodogram-grid", "slab-m-range", "2-adic-region", "fixed-point-word",
-            "complement-lattice", "tiling-bragg-lattice", "paperfolding-atoms"])
-    def test_guard_raises_before_allocating(self, call, match):
-        raises_before_allocating(call, match)
+            "complement-lattice", "tiling-bragg-lattice", "paperfolding-atoms",
+            "needle-grid", "compare-kpoints", "paperfolding-total", "ac-sub-offsets",
+            "rule-power", "legal-clusters", "mfs-steps", "height-pool"])
+    def test_guard_raises_before_allocating(self, call, match, budget):
+        with mock.patch.object(core, "SIZE_BUDGET", budget):
+            raises_before_allocating(call, match)
 
     def test_slab_candidates_guarded(self):
         # 183 m values, but 17,888 points; at the real budget a square
@@ -444,3 +473,21 @@ class TestSizeBudget:
             raises_before_allocating(
                 lambda: ap.paperfolding_spectrum(1, 1, 0, 0, 14, (0.0, 1.0)), "atom list")
         assert len(ap.paperfolding_spectrum(1, 1, 0, 0, 14, (0.0, 1.0)).pp_atoms) == 16_384
+
+
+@pytest.mark.parametrize("call, match", [
+    (lambda: ap.WeightedComb(np.zeros((1, 1)), [1.0], 1.0), "positions must be 1-d"),
+    (lambda: ap.WeightedComb([0.0, 0.5], [1.0], 1.0), "positions and weights differ in length"),
+    (lambda: ap.LatticeBasis([[1.0, 0.0]]), "basis matrix must be square"),
+], ids=["positions-2d", "weights-short", "basis-not-square"])
+def test_invalid_shapes_rejected(call, match):
+    with pytest.raises(AperiodicaError, match=match):
+        call()
+
+
+def test_module_element_difference():
+    assert ap.ModuleElement(3, 2) - ap.ModuleElement(1, 5) == ap.ModuleElement(2, -3)
+
+
+def test_empty_measure_has_no_atom():
+    assert ap.SpectralMeasure().atom_at(0.0) == 0.0

@@ -362,3 +362,63 @@ def test_gaussian_sigma_finite_and_positive(sigma):
     # nan and inf used to pass the sigma <= 0 check
     with pytest.raises(ProfileError, match="finite and positive"):
         ap.GaussianProfile(sigma)
+
+
+def _tampered_windows(swap):
+    """Paperfolding windows with letters reassigned: a binary reduction whose
+    letter-1 union (swap "one") or letter-0 union (swap "zero") is not the
+    closed form."""
+    w = ap.paperfolding_windows()
+    if swap == "one":
+        return {"a": w["c"], "b": w["d"], "c": w["a"], "d": w["b"]}
+    return {"a": w["a"], "b": w["b"], "c": w["c"], "d": w["c"]}
+
+
+@pytest.mark.parametrize("call, error, match", [
+    (lambda: ap.qadic_scheme().embedding_basis, ap.AperiodicaError,
+     "embedding basis exists for Euclidean"),
+    (lambda: ap.qadic_scheme().fd_volume, ap.AperiodicaError, "fd volume exists for Euclidean"),
+    (lambda: ap.star(ap.fibonacci_scheme(), 1.0), ap.AperiodicaError, "needs a ModuleElement"),
+    (lambda: ap.EuclideanWindow(()), EmptyWindowError, "window has no intervals"),
+    (lambda: ap.generate_model_set(ap.fibonacci_scheme(), ap.QAdicWindow(((0, 4),)), (0, 10)),
+     ap.AperiodicaError, "needs a EuclideanWindow"),
+    (lambda: ap.generate_model_set(ap.qadic_scheme(), ap.EuclideanWindow(((0, 1),)), (0, 10)),
+     ap.AperiodicaError, "needs a QAdicWindow"),
+    (lambda: ap.paperfolding_windows("w3"), ap.AperiodicaError, "must be 'w1' or 'w2'"),
+    (lambda: ap.binary_reduction(_tampered_windows("one")), ap.AperiodicaError,
+     "does not match its closed form"),
+    (lambda: ap.binary_reduction(_tampered_windows("zero")), ap.AperiodicaError,
+     "does not match its closed form"),
+    (lambda: ap.density_weighted_comb(ap.qadic_scheme(), ap.GaussianProfile(0.5), (0, 10)),
+     ap.AperiodicaError, "need a Euclidean scheme"),
+    (lambda: ap.density_weighted_comb(ap.fibonacci_scheme(), 0.5, (0, 10)), ProfileError,
+     "must be Gaussian or an indicator"),
+    (lambda: ap.theorem10_spectrum(ap.qadic_scheme(), ap.GaussianProfile(0.5), (0, 1)),
+     ap.AperiodicaError, "needs a Euclidean scheme"),
+    (lambda: pf.letter_positions_substitution("w3", 0, 4), ap.AperiodicaError,
+     "must be 'w1' or 'w2'"),
+    (lambda: pf.quaternary_comb(4, (0, 0, 0, 0)), ap.AperiodicaError, "all four weights vanish"),
+], ids=["qadic-embedding-basis", "qadic-fd-volume", "star-of-a-float", "window-empty",
+        "euclidean-scheme-qadic-window", "qadic-scheme-euclidean-window",
+        "paperfolding-windows-choice", "binary-reduction-one", "binary-reduction-zero",
+        "weighted-comb-qadic", "weighted-comb-profile", "theorem10-qadic",
+        "substitution-choice", "quaternary-weights-vanish"])
+def test_invalid_input_rejected(call, error, match):
+    with pytest.raises(error, match=match):
+        call()
+
+
+def test_window_total_length():
+    assert ap.EuclideanWindow(((0.0, 1.0), (2.0, 2.5))).total_length == 1.5
+
+
+def test_indicator_profile_is_the_window():
+    profile = ap.IndicatorProfile(ap.EuclideanWindow(((0.0, 1.0),)))
+    assert profile(np.array([-0.5, 0.0, 0.5, 1.0])).tolist() == [0.0, 1.0, 1.0, 0.0]
+
+
+def test_theorem10_spectrum_empty_at_tiny_sigma():
+    # the strongest atom, (sigma sqrt(2 pi))^2 / 5, falls under the pruning
+    # intensity 1e-14 for sigma below ~8.9e-8
+    measure = ap.theorem10_spectrum(ap.fibonacci_scheme(), ap.GaussianProfile(1e-8), (0.0, 1.0))
+    assert measure.pp_atoms.shape == (0, 2)

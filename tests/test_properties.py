@@ -433,6 +433,37 @@ def test_stray_grid_wrap_matches_exact_phases(case):
     assert np.max(np.abs(values - exact)) <= 1e-10 * np.max(exact)
 
 
+def scattered_k_comb(kind):
+    """2,000 random integers in +-1e4 with complex weights, a Fibonacci
+    random tiling of 5,000 intervals a side, or that tiling as float
+    positions."""
+    if kind == "integers":
+        rng = np.random.default_rng(7)
+        values = np.unique(rng.integers(-10 ** 4, 10 ** 4 + 1, size=2_000))
+        weights = rng.normal(size=len(values)) + 1j * rng.normal(size=len(values))
+        return ap.WeightedComb.from_integers(values, weights, 1e4)
+    tiling = ap.sample(ap.fibonacci_spec(), 5_000, seed=3).comb
+    if kind == "tiling":
+        return tiling
+    return ap.WeightedComb.from_positions(tiling.positions, tiling.weights, tiling.radius)
+
+
+@pytest.mark.parametrize("kind", ["integers", "tiling", "floats"])
+@pytest.mark.parametrize("k_mid", [100.0, 1000.0])
+def test_scattered_k_far_from_0_match_exact_phases(kind, k_mid):
+    # 400 scattered k within 1 of k_mid take the NUFFT unwrapped; its
+    # centring phase kc x comes from the digit tables (measured 7.6e-13 to
+    # 2.5e-12 of max), where kc x formed in doubles was 4.2e-10 to 1.6e-9 off
+    comb = scattered_k_comb(kind)
+    ks = k_mid + np.random.default_rng(1).uniform(-1.0, 1.0, size=400)
+    with mock.patch.object(spectrum, "_wrap", side_effect=AssertionError), \
+            mock.patch.object(spectrum, "_nufft", wraps=spectrum._nufft) as nufft:
+        values = ap.periodogram_values(comb, ks) * comb.volume
+    assert nufft.call_count == 1
+    exact = exact_direct_power(comb, comb.weights, ks)
+    assert np.max(np.abs(values - exact)) <= 1e-10 * np.max(exact)
+
+
 @st.composite
 def lattice_inputs(draw):
     """An integer comb (up to 1,500 points spanning up to 1e12, real or

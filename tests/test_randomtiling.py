@@ -417,3 +417,35 @@ class TestHeightHistogram:
             [patch_heights(spec, 4 * n, seed=700 + i, both_sides=True)
              for i in range(200)]).std()
         assert abs(std_4n / std_n - 2.0) <= 0.2
+
+
+@pytest.mark.parametrize("call, error, match", [
+    (lambda: ap.RandomTilingSpec(0, 1, 0.5), ap.OutOfRangeError,
+     "interval lengths must be positive"),
+    (lambda: ap.RandomTilingSpec("2", 1, 0.5), ap.AperiodicaError,
+     "unsupported interval length '2'"),
+    (lambda: ap.sample(ap.fibonacci_spec(), 0, 0), ap.OutOfRangeError,
+     "at least one interval per side"),
+    (lambda: ap.gaussian_endpoint_density(0, 0.0), ap.OutOfRangeError, "M must be at least 1"),
+    (lambda: ap.gaussian_endpoint_density(10, 0.0, "other"), ap.AperiodicaError,
+     "unknown normalization 'other'"),
+    (lambda: ap.internal_distribution(0, 0.0), ap.OutOfRangeError, "N must be at least 1"),
+    (lambda: patch_heights(ap.RandomTilingSpec(2, 1, 0.5), 10, 0), ap.AperiodicaError,
+     "heights need a module spec"),
+    (lambda: ap.empirical_height_histogram(ap.fibonacci_spec(), 99, 1), ap.OutOfRangeError,
+     "N must be at least 100"),
+], ids=["length-zero", "length-a-string", "no-intervals", "endpoint-m-0",
+        "unknown-normalization", "internal-n-0", "heights-rational", "histogram-n-99"])
+def test_invalid_input_rejected(call, error, match):
+    with pytest.raises(error, match=match):
+        call()
+
+
+def test_irrational_spec_has_no_common_unit():
+    spec = ap.fibonacci_spec()
+    assert spec.ab is None and spec.xi is None
+
+
+def test_integral_float_length_is_exact():
+    spec = ap.RandomTilingSpec(2.0, 1, 0.5)
+    assert spec.u == Fraction(2) and spec.ab == (2, 1)

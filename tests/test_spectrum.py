@@ -196,18 +196,23 @@ class TestPeriodogram:
 
     def test_narrow_comb_at_scale_3_is_not_wrapped(self):
         # the same comb at scale 3, no power of two, spans 12,288 < 16,384:
-        # the NUFFT gets the comb as it is
+        # the NUFFT gets the comb as it is, centred at the middle of ks
         base = pf.binary_comb(1 << 11)
         comb = ap.WeightedComb.from_integers(base.coords.values, base.weights,
                                              3.0 * base.radius, 3.0)
         ks = sp.uniform_grid(0.0, 1.0, 1.0 / (8.0 * base.radius))
         assert np.ptp(comb.positions) * (ks[1] - ks[0]) <= 1
         with mock.patch.object(sp, "_wrap", side_effect=AssertionError), \
-                mock.patch.object(sp, "_lattice_power", side_effect=AssertionError):
-            values = ap.periodogram_values(comb, ks)
-        sums = sp._nufft(comb.positions, comb.weights[None], ks)[0]
-        unwrapped = np.abs(sums) ** 2 * sp._NUFFT_SCALE ** 2 / comb.volume
-        assert np.array_equal(values, unwrapped)
+                mock.patch.object(sp, "_lattice_power", side_effect=AssertionError), \
+                mock.patch.object(sp, "_nufft", wraps=sp._nufft) as nufft:
+            values = ap.periodogram_values(comb, ks) * comb.volume
+        assert nufft.call_count == 1
+        # every 64th k against phases k * 3c of the integers 3c, reduced mod
+        # 1 in extended precision
+        phase = np.multiply.outer(ks[::64].astype(np.longdouble), 3 * comb.coords.values)
+        turns = (phase - np.floor(phase)).astype(float)
+        exact = np.abs(np.exp(-2j * math.pi * turns) @ comb.weights) ** 2
+        assert np.max(np.abs(values[::64] - exact)) <= 1e-10 * np.max(exact)
 
     @pytest.mark.parametrize("ks, exact_progression", [
         (0.3 + 0.02 * np.arange(126), False),   # criterion 4's step from 0.3
@@ -232,16 +237,20 @@ class TestPeriodogram:
         assert err <= np.max(np.abs(direct - exact))
 
     def test_criterion_4_shape_needs_the_correction(self):
-        # the same comb and grid, wrapped without the first-order term: the
-        # sums at the progression 0.3 + l*0.02 miss the sums at the double
-        # k by more than 1e-12 of max (measured 8.3e-11)
+        # the same comb and grid, wrapped without the first-order term and
+        # summed at the offsets l*0.02 from k0, not centred: the sums at the
+        # progression 0.3 + l*0.02 miss the sums at the double k by more
+        # than 1e-12 of max, but only by that stray (measured 8.3e-11), so
+        # an uncentred NUFFT call keeps its accuracy
         ks = 0.3 + 0.02 * np.arange(126)
         comb, exact = criterion_4_exact(tuple(ks))
         k0, dk, _ = sp._wrap_grid(ks, np.ptp(comb.positions))
-        y, ws = sp._wrap(sp._columns(comb), comb.weights[None], k0, dk)
+        turns = sp._turns(sp._columns(comb), len(comb))
+        y, ws = sp._wrap(turns, comb.weights[None], k0, dk, 0)
         sums = sp._nufft(y, ws, np.arange(len(ks)) * dk)[0]
         uncorrected = np.abs(sums) ** 2 * sp._NUFFT_SCALE ** 2
-        assert np.max(np.abs(uncorrected - exact)) > 1e-12 * np.max(exact)
+        err = np.max(np.abs(uncorrected - exact))
+        assert 1e-12 * np.max(exact) < err < 1e-9 * np.max(exact)
         corrected = ap.periodogram_values(comb, ks) * comb.volume
         assert np.max(np.abs(corrected - exact)) <= 1e-12 * np.max(exact)
 
@@ -340,15 +349,22 @@ class TestPeriodogram:
         for scale in (1.0, 3.0):
             comb = ap.WeightedComb.from_integers([-x, x], [1.0, 1.0], scale * x, scale)
             with mock.patch.object(sp, "_table_power", wraps=sp._table_power) as tables, \
-                    pytest.raises(ap.OutOfRangeError):
+                    pytest.raises(ap.OutOfRangeError) as raised:
                 ap.periodogram_values(comb, [0.123, 0.71, 0.9])
             assert tables.call_count == 1
-            # a 2-k grid over a span past 1/dk wraps when the NUFFT is taken
-            with mock.patch.object(sp, "_choose_path", return_value="nufft"), \
-                    mock.patch.object(sp, "_wrap", wraps=sp._wrap) as wrap, \
-                    pytest.raises(ap.OutOfRangeError):
-                ap.periodogram_values(comb, [0.123, 0.71])
-            assert wrap.call_count == 1
+            assert raised.traceback[-1].name == "_digit_split"
+            # a 2-k grid over a span past 1/dk wraps when the NUFFT is
+            # taken, and at 3 k it is not wrapped: both centre through the
+            # digit tables, whose split raises before any phase is formed
+            for ks in ([0.123, 0.71], [0.123, 0.71, 0.9]):
+                wraps = len(ks) == 2
+                assert (sp._wrap_grid(np.array(ks), np.ptp(comb.positions)) is None) != wraps
+                with mock.patch.object(sp, "_choose_path", return_value="nufft"), \
+                        mock.patch.object(sp, "_turns", wraps=sp._turns) as turns, \
+                        pytest.raises(ap.OutOfRangeError) as raised:
+                    ap.periodogram_values(comb, ks)
+                assert turns.call_count == 1
+                assert raised.traceback[-1].name == "_digit_split"
         # a span of 2^63 - 1 still fits
         edge = sp._digit_split([(np.array([-2 ** 62, 2 ** 62 - 1]), np.longdouble(1))], 2)
         assert [r.tolist() for r in edge[2]] == [[0, 2 ** 63 - 1]]
@@ -1008,3 +1024,35 @@ class TestTaperNormalizations:
         hann = ap.periodogram_values(comb, ks, taper="hann",
                                      normalization="density").mean()
         assert math.isclose(box, hann, rel_tol=0.1)
+
+
+UNIT_COMB = ap.WeightedComb.from_integers([-1, 0, 1], [1.0, 1.0, 1.0], 1.0)
+PLANE = ap.LatticeBasis(np.eye(2))
+
+
+@pytest.mark.parametrize("call, error, match", [
+    (lambda: ap.Periodogram([0.0, 0.1], [1.0], 0.1, 1.0), ap.AperiodicaError,
+     "grid and values differ in length"),
+    (lambda: ap.Periodogram([0.0], [-1.0], 0.1, 1.0), ap.AperiodicaError,
+     "values must be non-negative"),
+    (lambda: ap.periodogram_values(UNIT_COMB, [0.1], taper="gauss"), ap.AperiodicaError,
+     "unknown taper 'gauss'"),
+    (lambda: ap.periodogram_values(ap.WeightedComb.from_positions([], [], 1.0), [0.1]),
+     ap.EmptyInputError, "empty comb"),
+    (lambda: ap.periodogram_values(UNIT_COMB, [0.1], normalization="peak"), ap.AperiodicaError,
+     "unknown normalization 'peak'"),
+    (lambda: ap.lattice_periodicity_check(ap.periodogram(UNIT_COMB, 0.0, 1.0, 0.25), PLANE, 0.1),
+     ap.AperiodicaError, "periodicity check is one-dimensional"),
+    # a period of 4 steps on a grid of 3 points
+    (lambda: ap.lattice_periodicity_check(ap.periodogram(UNIT_COMB, 0.0, 0.5, 0.25), Z_BASIS,
+                                          0.1), GridMismatchError, "grid shorter than one period"),
+    (lambda: ap.complement_check([0.0], PLANE, 5.0), ap.AperiodicaError,
+     "complement check is one-dimensional"),
+    (lambda: ap.complement_check([0.0, 10.0], Z_BASIS, 5.0), SubsetError,
+     "S reaches outside the ball"),
+], ids=["periodogram-lengths", "periodogram-negative", "unknown-taper", "empty-comb",
+        "unknown-normalization", "periodicity-2d", "periodicity-short-grid", "complement-2d",
+        "complement-outside-ball"])
+def test_invalid_input_rejected(call, error, match):
+    with pytest.raises(error, match=match):
+        call()

@@ -11,6 +11,7 @@ from aperiodica.substitution import (
     SubstitutionRule,
     UnknownLetterError,
     UnsupportedMfsError,
+    legal_clusters,
     substitution_from_mfs,
     two_sided_seeds,
 )
@@ -332,3 +333,52 @@ class TestSymmetricDifference:
         for n in range(1, 7):
             dens = ap.symmetric_difference_density(mfs, word, 1, n, window)
             assert np.all(dens >= 0.1)
+
+
+# a rule whose matrix diag(2, 2) is not primitive
+SPLIT = SubstitutionRule(("a", "b"), {"a": "aa", "b": "bb"})
+
+
+@pytest.mark.parametrize("call, error, match", [
+    (lambda: SubstitutionRule((), {}), ap.AperiodicaError, "alphabet is empty"),
+    (lambda: SubstitutionRule(("a",), {"a": "a"}), ap.AperiodicaError, "at least 2"),
+    (lambda: SubstitutionRule(("a",), {"a": "ab"}), UnknownLetterError,
+     "image letter 'b' not in alphabet"),
+    (lambda: PAPERFOLDING.power(0), ap.AperiodicaError, "power must be >= 1"),
+    (lambda: SubstitutionRule.from_text("a ab\n"), ap.AperiodicaError,
+     "malformed rule line: 'a ab'"),
+    (lambda: SubstitutionRule.from_text("ab: ab\n"), ap.AperiodicaError,
+     "single characters: 'ab'"),
+    (lambda: SubstitutionRule.from_text("a: ab\nb: ba\na: ba\n"), ap.AperiodicaError,
+     "duplicate rule line for 'a'"),
+    (lambda: SubstitutionRule.from_text("# comments only\n\n"), ap.AperiodicaError,
+     "contains no rules"),
+    (lambda: ap.primitive([[1, 1]]), ap.AperiodicaError, "must be square"),
+    (lambda: ap.primitive([[1, -1], [1, 1]]), ap.AperiodicaError, "must be nonnegative"),
+    (lambda: ap.dekking_coincidence(SPLIT), ap.AperiodicaError, "requires a primitive rule"),
+    (lambda: ap.MfsRule(1, 1, (((0,),),)), ap.AperiodicaError, r"\|Q\| must be at least 2"),
+    (lambda: ap.MfsRule(2, 2, (((0,),),)), ap.AperiodicaError, "size x size"),
+    (lambda: ap.MfsRule(1, 2, (((0, 0),),)), ap.AperiodicaError, "must be distinct"),
+    (lambda: substitution_from_mfs(ap.MfsRule(1, -2, (((0, 1),),))), UnsupportedMfsError,
+     "only positive inflation"),
+    (lambda: substitution_from_mfs(ap.MfsRule(1, 2, (((0,),),))), UnsupportedMfsError,
+     "column 0 does not cover every residue"),
+    (lambda: ap.modular_coincidence(ap.mfs_from_substitution(SPLIT)), ap.AperiodicaError,
+     "requires a primitive MFS"),
+    (lambda: ap.iterate_mfs(ap.mfs_from_substitution(PAPERFOLDING), [[0]]),
+     ap.AperiodicaError, "wrong number of components"),
+    (lambda: legal_clusters(PAPERFOLDING, ap.fixed_point(PAPERFOLDING, ("b", "a")), width=0),
+     ap.AperiodicaError, "width and n_max must be positive"),
+    (lambda: ap.symmetric_difference_density(ap.mfs_from_substitution(PAPERFOLDING),
+                                             ap.fixed_point(PAPERFOLDING, ("b", "a")),
+                                             1, 1, 0),
+     ap.AperiodicaError, "window must be positive"),
+], ids=["empty-alphabet", "image-length-1", "image-letter-unknown", "power-0",
+        "line-without-colon", "letter-of-two-characters", "duplicate-line", "no-rules",
+        "matrix-not-square", "matrix-negative", "dekking-not-primitive", "inflation-1",
+        "maps-not-square", "offsets-repeated", "negative-inflation", "residue-uncovered",
+        "mfs-not-primitive", "multiset-components", "legal-clusters-width",
+        "symmetric-difference-window"])
+def test_invalid_input_rejected(call, error, match):
+    with pytest.raises(error, match=match):
+        call()
