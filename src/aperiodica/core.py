@@ -12,8 +12,11 @@ from __future__ import annotations
 
 import contextlib
 import csv
+import functools
+import itertools
 import json
 import math
+import operator
 import sys
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -298,41 +301,248 @@ class SpectralMeasure:
 COMB_COLUMNS = ("x", "re_weight", "im_weight")
 
 
-_TABLE_BLOCK = 1024  # rows formatted and written at a time
+_TABLE_BLOCK = 4096  # rows formatted and written at a time
+
+# -- '%.17g' text of doubles, in numpy ------------------------------------------
+#
+# A value x's text is gathered, through a template, from a 32-byte source
+# row: the digits d1..d16 of D = round(|x| * 10^(16 - X)), X its decimal
+# exponent, at bytes 0..15 (4-byte groups), d0 at 16, then NUL, the sign
+# ('-' or NUL), '.', '0', 'e', the exponent's sign, NUL, and |X| as 4
+# digits at 24..27.  The template is picked by the layout (fixed point at
+# X = -4..16, exponent notation with 2 or 3 exponent digits, or zero) and
+# by the count of significant digits left once trailing zeros go; the NUL
+# bytes of a cell are dropped when rows are written.
+
+_CELL = 24  # widest text: -2.2250738585072014e-308
+_SOURCE = 32
+_NUL, _SIGN, _POINT, _ZERO, _E, _EXP_SIGN = 17, 18, 19, 20, 21, 22
+_SOURCE_OF = {"-": _SIGN, "0": _ZERO, ".": _POINT, "e": _E, "+": _EXP_SIGN,
+              "h": 25, "t": 26, "o": 27, "\0": _NUL}
+_DIGIT_AT = np.array([16] + list(range(16)))  # source byte of digit d_j
+# |x| in [1e-290, 1e290), X in [-290, 289], is scaled here; other values,
+# zeros apart, are formatted by '%.17g' itself
+_FAST = (1e-290, 1e290)
+# 10^(16 - X) for X in [-292, 292]: log10 may miss X by one either way
+_SCALE_MIN, _SCALE_MAX = 16 - 292, 16 + 292
+_X_OFF = 400  # every value off the fast range takes X = _X_OFF, the zero layout
 
 
-def _distinct_texts(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """'%.17g' of each distinct double of values, told apart by their bits
-    so that -0.0 and 0.0 keep their own text, as an object array, and the
-    index of each value's text in it."""
-    bits, index = np.unique(values.view(np.int64), return_inverse=True)
-    texts = np.array(["%.17g" % v for v in bits.view(float).tolist()], dtype=object)
-    return texts, index
+def _split(a):
+    """Dekker's split of doubles into halves of 26 bits whose products are exact."""
+    c = 134217729.0 * a  # 2^27 + 1
+    hi = c - (c - a)
+    return hi, a - hi
+
+
+def _product(a, b, bh, bl):
+    """a * b as p + err exactly, p the rounded product (Dekker's TwoProduct;
+    bh, bl = _split(b), and no product may overflow)."""
+    p = a * b
+    ah, al = _split(a)
+    return p, ((ah * bh - p) + ah * bl + al * bh) + al * bl
+
+
+def _powers_of_ten() -> tuple:
+    """10^s for s in [_SCALE_MIN, _SCALE_MAX] as hi + lo, within 2^-104 of
+    it relatively, and hi split by _split.  For s >= 0, hi is the nearest
+    double to the integer 10^s and lo the nearest to the rest.  10^-k is
+    1 / (hi + lo) of 10^k, taken as q + q*r with q = 1 / hi and
+    r = 1 - q * (hi + lo), in which q * hi is exact by TwoProduct."""
+    ints = list(itertools.accumulate([10] * _SCALE_MAX, operator.mul, initial=1))
+    hi = np.array([float(p) for p in ints])
+    lo = np.array([float(p - int(h)) for p, h in zip(ints, hi.tolist())])
+    h, l = hi[-_SCALE_MIN:0:-1], lo[-_SCALE_MIN:0:-1]  # 10^k, k = -_SCALE_MIN..1
+    q = 1.0 / h
+    p, err = _product(q, h, *_split(h))
+    r = ((1.0 - p) - err) - q * l
+    hi, lo = np.concatenate([q, hi]), np.concatenate([q * r, lo])
+    # split at 2^-64 scale, where 134217729 * hi cannot overflow
+    hh, hl = (part * 2.0 ** 64 for part in _split(hi * 2.0 ** -64))
+    return hi, lo, hh, hl
+
+
+def _digit_groups() -> np.ndarray:
+    """The 4 ASCII digits of each integer 0..9999, as one '<u4' word each."""
+    g = np.empty((10, 10, 10, 10, 4), np.uint8)
+    for i in range(4):
+        g[..., i] = np.arange(48, 58, dtype=np.uint8).reshape(
+            [10 if j == i else 1 for j in range(4)])
+    return g.reshape(-1).view("<u4")
+
+
+def _trailing_zeros() -> np.ndarray:
+    """The count of trailing zeros of each integer 0..9999, 4 for 0."""
+    zeros = np.zeros(10000, np.uint8)
+    for step in (10, 100, 1000, 10000):
+        zeros[::step] += 1
+    return zeros
+
+
+def _templates() -> tuple:
+    """(templates, layout): templates[17*l + k - 1] holds the _CELL source
+    bytes of layout l with k significant digits, and layout[X + _X_OFF] is
+    17*l for the layout of exponent X (zero's at X = _X_OFF).
+
+    Each layout is written as a pattern with all 17 digits: '-' the sign,
+    'd' the next digit, 'h', 't', 'o' the digits of |X|, other characters
+    themselves.  For k, the digits past both the k-th and the integer part,
+    and a point with no digit after it, become NUL."""
+    patterns = (["-0." + "0" * (-x - 1) + "d" * 17 for x in range(-4, 0)]
+                + ["-" + "d" * (x + 1) + "." + "d" * (16 - x) for x in range(17)]
+                + ["-d." + "d" * 16 + "e+" + exp for exp in ("to", "hto")] + ["-0"])
+    int_digits = np.array([0] * 4 + list(range(1, 18)) + [1, 1, 0])[:, None, None]
+    sym = np.frombuffer("".join(p.ljust(_CELL, "\0") for p in patterns).encode(),
+                        np.uint8).reshape(-1, 1, _CELL)
+    lookup = np.zeros(128, np.intp)
+    for c, at in _SOURCE_OF.items():
+        lookup[ord(c)] = at
+    digit = sym == ord("d")
+    nth = np.cumsum(digit, axis=2) - 1
+    k = np.arange(1, 18)[:, None]
+    drop = ((digit & (nth >= np.maximum(k, int_digits)))
+            | ((sym == ord(".")) & (k <= int_digits)))
+    source = np.where(digit, _DIGIT_AT[np.maximum(nth, 0)], lookup[sym])
+    templates = np.where(drop, _NUL, source).reshape(-1, _CELL)
+    x = np.arange(-_X_OFF, _X_OFF + 1)
+    layout = np.where((x >= -4) & (x <= 16), x + 4, np.where(np.abs(x) < 100, 21, 22))
+    layout[-1] = 23
+    return templates, layout * 17
+
+
+@functools.cache
+def _tables() -> tuple:
+    """(_powers_of_ten(), _digit_groups(), _trailing_zeros(), *_templates()),
+    built on the first write (~0.3 ms), so that importing the library
+    builds none of them."""
+    return _powers_of_ten(), _digit_groups(), _trailing_zeros(), *_templates()
+
+
+def _scaled(a, e, powers):
+    """Integer part and remainder of a * 10^(16 - e), the product taken in
+    double-double from powers = _powers_of_ten(), so that the remainder is
+    off the true one by < 1e-12."""
+    hi, lo, hh, hl = powers
+    i = 16 - _SCALE_MIN - e
+    p, err = _product(a, hi[i], hh[i], hl[i])
+    whole = np.floor(p)
+    return whole.astype(np.int64), (p - whole) + err + a * lo[i]
+
+
+def _g17_cells(v: np.ndarray) -> np.ndarray:
+    """(len(v), _CELL) uint8: the '%.17g' text of each double of v,
+    NUL-padded; see write_table for why it is exact."""
+    powers, group_text, trailing_zeros, templates, layout = _tables()
+    n = len(v)
+    a = np.abs(v)
+    fast = (a >= _FAST[0]) & (a < _FAST[1])
+    np.copyto(a, 1.0, where=~fast)
+    e = np.floor(np.log10(a)).astype(np.int64)  # X, or one off near a power of ten
+    whole, rest = _scaled(a, e, powers)
+    # +1 where whole + rest >= 10^17, -1 where it is below 10^16
+    step = (((whole - 10 ** 17).astype(float) + rest >= 0).astype(np.int64)
+            - ((whole - 10 ** 16).astype(float) + rest < 0))
+    redo = np.flatnonzero(step)
+    if len(redo):
+        e[redo] += step[redo]
+        whole[redo], rest[redo] = _scaled(a[redo], e[redo], powers)
+    r = np.rint(rest)
+    d = whole + r.astype(np.int64)  # D = a * 10^(16 - X), rounded
+    top = d == 10 ** 17
+    d[top] = 10 ** 16
+    e += top
+    slow = ~fast | (np.abs(rest - r) > 0.5 - 1e-6) | (d < 10 ** 16) | (d >= 10 ** 17)
+    e[~fast] = _X_OFF
+    slow &= v != 0
+    d[slow] = 10 ** 16
+    head = d // 10 ** 8
+    tail = d - head * 10 ** 8
+    d0 = head // 10 ** 8
+    head -= d0 * 10 ** 8
+    g1 = head // 10000
+    g3 = tail // 10000
+    groups = (g1, head - g1 * 10000, g3, tail - g3 * 10000)
+    src = np.empty((n, _SOURCE // 4), "<u4")
+    for j, g in enumerate(groups):
+        src[:, j] = group_text[g]
+    src[:, 4] = (d0 + (48 | 46 << 24)) | np.signbit(v) * np.uint32(45 << 16)
+    src[:, 5] = (e < 0) * np.uint32(2 << 16) + (48 | 101 << 8 | 43 << 16)
+    src[:, 6] = group_text[np.abs(e)]
+    src[:, 7] = 0
+    zeros = trailing_zeros[groups[3]]
+    below = groups[3] == 0  # every group after this one is 0000
+    for g in groups[2::-1]:
+        zeros += below * trailing_zeros[g]
+        below &= g == 0
+    idx = templates[layout[e + _X_OFF] + (16 - zeros)]
+    idx += (np.arange(n) * _SOURCE)[:, None]
+    cells = src.view(np.uint8).ravel()[idx]
+    rows = np.flatnonzero(slow)
+    if len(rows):
+        texts = ["%.17g" % x for x in v[rows].tolist()]
+        cells[rows] = np.array(texts, dtype=f"S{_CELL}").view(np.uint8).reshape(-1, _CELL)
+    return cells
+
+
+def _column_cells(block: np.ndarray) -> np.ndarray:
+    """_g17_cells of a (columns, rows) block, each run of equal doubles of a
+    column (told apart by their bits) formatted once."""
+    flat = block.ravel()
+    new = np.empty(len(flat), bool)
+    new[:1] = True
+    np.not_equal(flat.view(np.int64)[1:], flat.view(np.int64)[:-1], out=new[1:])
+    cells = _g17_cells(flat[new])
+    if len(cells) < len(flat):
+        cells = cells.view("<u8")[np.cumsum(new) - 1].view(np.uint8)
+    return cells.reshape(*block.shape, _CELL)
 
 
 def write_table(path, header, columns, fmt: str) -> None:
     """Write equal-length columns, one row per index, as CSV (or the
     mirrored JSON) with LF endings and 17-digit floats; to stdout when path
-    is None.  '%.17g' is the routine of format(x, '.17g'); each distinct
-    double is formatted once, and the rows are built and written in blocks
-    of _TABLE_BLOCK."""
-    cols = [_distinct_texts(np.asarray(c, dtype=float)) for c in columns]
-    n = min((len(index) for _, index in cols), default=0)
+    is None.
+
+    Each double's text is byte for byte that of '%.17g' (the routine of
+    format(x, '.17g')), made in numpy, _TABLE_BLOCK rows at a time, so that
+    memory follows the block and not the table.  For 1e-290 <= |x| < 1e290
+    the exponent X comes from log10 and is moved by one wherever
+    |x| * 10^(16 - X) falls outside [1e16, 1e17).  That product, in
+    double-double from a table of 10^s, is within 1e-12 of the exact one,
+    so it rounds to the same 17-digit integer D unless its fraction is
+    within 1e-6 of one half; at a boundary of the range a misplaced X gives
+    the same D, and a D of 10^17 becomes 10^16 at X + 1.  The digits of D
+    are laid out by C's rules for %g: fixed point for -4 <= X < 17,
+    otherwise exponent notation with at least two exponent digits, trailing
+    zeros of the fraction and a bare point removed.  Zeros are written
+    directly; subnormal and out-of-range magnitudes, infinities, NaN and the
+    values near a tie are formatted by '%.17g' itself.  A run of equal
+    values down a column, such as a column of unit weights, is formatted
+    once."""
+    cols = [np.asarray(c, dtype=float) for c in columns]
+    n = min((len(c) for c in cols), default=0)
     if fmt == "csv":
-        head, cell, sep, tail = ",".join(header), ",", "\n", "\n"
+        head, lead, sep, end, tail = ",".join(header), "\n", ",", "", "\n"
     else:
         head = '{\n  "columns": ' + json.dumps(list(header)) + ',\n  "rows": [\n'
-        cell, sep, tail = ", ", ",\n", "\n  ]\n}\n"
+        lead, sep, end, tail = ",\n    [", ", ", "]", "\n  ]\n}\n"
+    # one row: lead, then each cell and sep (end after the last), NULs dropped;
+    # the first JSON row has no ",\n" before it
+    skip = 0 if fmt == "csv" else 2
+    slot = _CELL + len(sep)
+    rows = np.zeros((min(n, _TABLE_BLOCK), len(lead) + len(cols) * slot), np.uint8)
+    rows[:, :len(lead)] = np.frombuffer(lead.encode(), np.uint8)
+    cells = rows[:, len(lead):].reshape(len(rows), len(cols), slot)
+    cells[:, :, _CELL:] = np.frombuffer(sep.encode(), np.uint8)
+    cells[:, -1:, _CELL:] = np.frombuffer(end.encode().ljust(len(sep), b"\0"), np.uint8)
     with (open(path, "w", encoding="utf-8", newline="") if path is not None
           else contextlib.nullcontext(sys.stdout)) as out:
         out.write(head)
         for start in range(0, n, _TABLE_BLOCK):
-            cells = [texts[index[start:start + _TABLE_BLOCK]].tolist() for texts, index in cols]
-            rows = list(map(cell.join, zip(*cells)))
-            if fmt != "csv":
-                rows = ["    [" + r + "]" for r in rows]
-            # CSV starts every row on a new line, JSON separates rows
-            out.write((sep if start or fmt == "csv" else "") + sep.join(rows))
+            stop = min(start + _TABLE_BLOCK, n)
+            block = np.stack([c[start:stop] for c in cols])
+            cells[:stop - start, :, :_CELL] = _column_cells(block).transpose(1, 0, 2)
+            used = rows[:stop - start]
+            out.write(used[used != 0].tobytes().decode("ascii")[skip if start == 0 else 0:])
         out.write(tail)
 
 

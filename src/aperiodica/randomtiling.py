@@ -314,6 +314,8 @@ def needle_free(spec: RandomTilingSpec, ks) -> np.ndarray:
     """Mask of the k more than 0.02 away from every needle of g, the sharp
     peaks where g exceeds 1.5, located on a 1e-3 grid around ks."""
     ks = np.asarray(ks, dtype=float)
+    if not ks.size:
+        raise OutOfRangeError("needle_free needs at least one k in ks; got none")
     fine = uniform_grid(max(np.min(ks) - 0.1, 0.01), np.max(ks) + 0.1, 1e-3)
     keep = np.ones(len(ks), dtype=bool)
     for needle in fine[ac_density_grid(spec, fine) > _NEEDLE_CUT]:
@@ -405,6 +407,8 @@ def empirical_height_histogram(spec: RandomTilingSpec, n_intervals: int,
     n = int(n_intervals)
     if n < 100:
         raise OutOfRangeError("N must be at least 100")
+    if seeds < 1:
+        raise OutOfRangeError(f"at least one seed is required; got {seeds}")
     check_size(int(seeds) * (2 * n + 1), "the pooled heights")
     bin_width = math.sqrt(2.0 * n / TAU) / 20.0
     all_heights = [patch_heights(spec, n, seed0 + i, both_sides)

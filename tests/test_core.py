@@ -263,6 +263,55 @@ def test_write_table_matches_format_reference(table, fmt):
     assert out.getvalue() == _reference_table(header, rows, fmt)
 
 
+def _hard_doubles() -> np.ndarray:
+    """Doubles where a '%.17g' kernel can go wrong: every power of ten in
+    [1e-300, 1e300] and its neighbours, k/4 for odd k in [2^52, 2^54)
+    (exact ties at the 17th digit below 2^53), the ends of the 17-digit
+    range, subnormals, signed zeros, infinities, NaN and 10^5 random bit
+    patterns."""
+    rng = np.random.default_rng(26)
+    tens = np.array([float(f"1e{s}") for s in range(-300, 301)])
+    odd = rng.integers(2 ** 51, 2 ** 53, size=5000) * 2 + 1
+    subnormal = rng.integers(1, 2 ** 52, size=200).view(float)
+    return np.concatenate([
+        tens, np.nextafter(tens, 0), np.nextafter(tens, np.inf),
+        [k / 4 for k in odd.tolist()],
+        [1e16, 1e17, 9.999999999999999e16, 1234567890123456.25, 0.0, -0.0,
+         math.inf, -math.inf, math.nan, 5e-324, 2.2250738585072009e-308],
+        subnormal, rng.integers(-2 ** 63, 2 ** 63, size=10 ** 5, dtype=np.int64).view(float)])
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_write_table_hard_doubles_match_format(fmt):
+    values = _hard_doubles()
+    columns = [values, -values[::-1]]
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        core.write_table(None, ["a", "b"], columns, fmt)
+    got, want = out.getvalue(), _reference_table(["a", "b"], zip(*columns), fmt)
+    # the first line that differs, not a diff of 10^5 lines
+    assert next(((g, w) for g, w in zip(got.split("\n"), want.split("\n")) if g != w),
+                None) is None
+    assert got == want
+
+
+def test_write_table_memory_follows_the_block(tmp_path):
+    """The writer's peak memory is set by _TABLE_BLOCK: 4x the rows may
+    raise it by no more than half."""
+    rng = np.random.default_rng(3)
+    peaks = []
+    for rows in (2 ** 15, 2 ** 17):
+        columns = [rng.standard_normal(rows) * 10.0 ** rng.integers(-20, 20, rows)
+                   for _ in range(3)]
+        tracemalloc.start()
+        try:
+            core.write_table(tmp_path / "table.csv", ["a", "b", "c"], columns, "csv")
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] <= 1.5 * peaks[0]
+
+
 def _bits(a) -> np.ndarray:
     return np.ascontiguousarray(a).view(np.uint64)
 

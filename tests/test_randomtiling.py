@@ -434,8 +434,13 @@ class TestHeightHistogram:
      "heights need a module spec"),
     (lambda: ap.empirical_height_histogram(ap.fibonacci_spec(), 99, 1), ap.OutOfRangeError,
      "N must be at least 100"),
+    (lambda: ap.empirical_height_histogram(ap.fibonacci_spec(), 100, 0), ap.OutOfRangeError,
+     "at least one seed is required; got 0"),
+    (lambda: ap.needle_free(ap.fibonacci_spec(), []), ap.OutOfRangeError,
+     "needle_free needs at least one k in ks"),
 ], ids=["length-zero", "length-a-string", "no-intervals", "endpoint-m-0",
-        "unknown-normalization", "internal-n-0", "heights-rational", "histogram-n-99"])
+        "unknown-normalization", "internal-n-0", "heights-rational", "histogram-n-99",
+        "histogram-no-seeds", "needle-free-no-k"])
 def test_invalid_input_rejected(call, error, match):
     with pytest.raises(error, match=match):
         call()
