@@ -38,9 +38,11 @@ _PAIR_BLOCK = 1 << 14
 _DENSE_TILE = 1 << 16  # positions _dense_sums transforms at a time
 # rates in ns of the path rule, on a 2-core Xeon VM, random integer combs:
 # 300-820 a position dense on the full-span convolution that the blocked sums
-# replaced, not re-measured since (ROADMAP item 7); 44-145 a pair, median 80,
-# over 11 combs of 500-10,000 points and 1,200-2.3e6 pairs.  Dense sums hold
-# ~112 B (7 complex entries) a block position: a check_size step up to lag 2^23
+# replaced; the blocked sums measured ~55-130 a position at lags up to 5,000
+# and ~250-400 near the span, so this rate is stale (ROADMAP item 3), kept
+# so that no path choice moves; 44-145 a pair, median 80, over 11 combs of
+# 500-10,000 points and 1,200-2.3e6 pairs.  Dense sums hold ~112 B (7
+# complex entries) a block position: a check_size step up to lag 2^23
 _NS_DENSE = 500.0
 _NS_PAIR = 80.0
 _INT64_MAX = int(np.iinfo(np.int64).max)

@@ -144,7 +144,15 @@ def _own_copy(a, dtype) -> np.ndarray:
 
 
 def _ascending(keys: np.ndarray, *arrays) -> list:
-    """keys and arrays in the stable ascending order of keys; no argsort if none descends."""
+    """keys and arrays, each with a row per key, in the stable ascending
+    order of keys; no argsort if none descends."""
+    if keys.ndim != 1:
+        raise AperiodicaError("comb positions must be 1-d")
+    # the module pairs come reshaped to 2-d, so only weights can be 0-d
+    if any(a.ndim == 0 for a in arrays):
+        raise AperiodicaError("comb weights must be 1-d")
+    if any(len(a) != len(keys) for a in arrays):
+        raise AperiodicaError("positions and weights differ in length")
     if not np.any(keys[1:] < keys[:-1]):
         return [keys, *arrays]
     order = np.argsort(keys, kind="stable")
@@ -202,6 +210,8 @@ class WeightedComb:
                 f"comb radius must be finite and positive; got {self.radius}")
         if pos.ndim != 1:
             raise AperiodicaError("comb positions must be 1-d")
+        if w.ndim != 1:
+            raise AperiodicaError("comb weights must be 1-d")
         if len(pos) != len(w):
             raise AperiodicaError("positions and weights differ in length")
         if len(w) and not np.all(np.isfinite(w.view(float))):

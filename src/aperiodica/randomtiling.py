@@ -175,16 +175,22 @@ def sample(spec: RandomTilingSpec, intervals: int, seed: int) -> TilingSample:
     if m_side < 1:
         raise OutOfRangeError("at least one interval per side is required")
     check_size(2 * m_side + 1, "the tiling sample")
-    rng = np.random.default_rng(seed)
-    draws = rng.random(2 * m_side) < spec.p
-    # interval types from left to right: the negative side's draws run outwards
-    types = np.concatenate([draws[m_side:][::-1], draws[:m_side]])
     # the steps v (row 0) and u (row 1), in units of xi or as module pairs
     if spec.rational:
         a, b = spec.ab
         table = [b, a]
     else:
         table = [[spec.v.m, spec.v.n], [spec.u.m, spec.u.n]]
+    # each side's keys sum up to m_side steps: they must fit in int64
+    entries = table if spec.rational else table[0] + table[1]
+    if m_side * max(map(abs, entries)) >= 2 ** 63:
+        raise OutOfRangeError(
+            f"the endpoint keys of {m_side} intervals a side reach 2^63 or more, "
+            "past int64")
+    rng = np.random.default_rng(seed)
+    draws = rng.random(2 * m_side) < spec.p
+    # interval types from left to right: the negative side's draws run outwards
+    types = np.concatenate([draws[m_side:][::-1], draws[:m_side]])
     keys = _endpoint_keys(np.array(table, dtype=np.int64), types, m_side)
     weights = np.ones(len(keys), dtype=complex)
     if spec.rational:

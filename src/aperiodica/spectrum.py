@@ -59,9 +59,10 @@ that the position span times the k span implies, and the lattice length L):
   the row phases from the digit tables of the anchors and the column sums
   one small matrix product per block of k.
 
-Tests hold each path within 1e-10 of the largest value of direct sums with
-phases reduced mod 1 in extended precision or in rational arithmetic, and
-the lattice path within 1e-12 of sums with phases from integer arithmetic.
+Tests hold each path within 1e-10 of the largest value of direct sums
+whose phases frac(k x) come from the exact coordinates in integer
+arithmetic, exact to about 2e-16 turns (tests/oracles.py, which shares no
+arithmetic with this module), the lattice path within 1e-12.
 """
 
 from __future__ import annotations
@@ -88,7 +89,6 @@ from .core import (
     restrict,
 )
 
-_CHUNK = 1 << 18  # complex exponentials per direct evaluation block
 # point*k per table-path tile: its two complex buffers (512 KiB each) stay in
 # cache; 2^14 to 2^16 time alike on a 2-core Xeon VM, and tiles of 2^18
 # were up to 3x slower
@@ -192,18 +192,6 @@ def periodogram_values(comb: WeightedComb, ks, taper: str = "boxcar",
     else:
         power = _table_power(columns, w, ks)
     return power / norm
-
-
-def _direct_power(x: np.ndarray, w: np.ndarray, ks: np.ndarray) -> np.ndarray:
-    """|sum_j w_j e^(-2 pi i k x_j)|^2 at every k, by direct summation with
-    phases in doubles: the reference of the tests, no path."""
-    out = np.empty(len(ks))
-    block = max(1, _CHUNK // max(len(x), 1))
-    for start in range(0, len(ks), block):
-        kc = ks[start:start + block]
-        phases = np.exp(-2j * math.pi * np.outer(kc, x))
-        out[start:start + block] = np.abs(phases @ w) ** 2
-    return out
 
 
 def _columns(comb: WeightedComb) -> list:
@@ -671,7 +659,14 @@ def bragg_scaling_ratio(comb: WeightedComb, ks, taper: str = "boxcar") -> np.nda
     """Two-point volume-scaling probe: periodogram value at full radius over
     the value at half radius.  Bragg peaks grow linearly with volume (ratio
     near 2); an absolutely continuous background stays put (ratio near 1).
-    A ratio of at least 1.7 classifies a peak as Bragg."""
+    A ratio of at least 1.7 classifies a peak as Bragg.
+
+    Two radii cannot tell an atom from a peak that grows with another power
+    of the volume, or one that swings with the patch: on the Thue-Morse
+    fixed point of THUE_MORSE.power(2) (weights +-1) at k = 1/3 and
+    R = 2^14, seeds a|b and b|a read 4.49 and seeds a|a and b|b read 0.50,
+    although that singular continuous spectrum has no atom there (ROADMAP
+    item 11)."""
     half = restrict(comb, comb.radius / 2.0)
     full_v = periodogram_values(comb, ks, taper)
     half_v = periodogram_values(half, ks, taper)

@@ -98,9 +98,11 @@ def _comb_arrays(comb) -> list:
     ([0.0, 1.0], [1.0], 2.0, AperiodicaError, "differ in length"),
     ([0.0], [1.0], 0.0, ap.OutOfRangeError, "finite and positive"),
     ([0.0], [1.0], math.nan, ap.OutOfRangeError, "finite and positive"),
+    ([0.0, 1.0], 1.0, 2.0, AperiodicaError, "weights must be 1-d"),
+    ([0.0, 1.0], [[1.0], [1.0]], 2.0, AperiodicaError, "weights must be 1-d"),
 ], ids=["descending", "repeated", "nan-position", "nan-weight", "inf-weight",
         "outside-right", "outside-left", "nan-single", "2-d", "lengths", "zero-radius",
-        "nan-radius"])
+        "nan-radius", "weights-0-d", "weights-2-d"])
 def test_owning_constructor_rejects_what_the_dataclass_rejects(positions, weights, radius,
                                                                  error, match):
     # library generators hand their fresh arrays to _owning, which must run
@@ -596,7 +598,29 @@ class TestSizeBudget:
     (lambda: ap.WeightedComb(np.zeros((1, 1)), [1.0], 1.0), "positions must be 1-d"),
     (lambda: ap.WeightedComb([0.0, 0.5], [1.0], 1.0), "positions and weights differ in length"),
     (lambda: ap.LatticeBasis([[1.0, 0.0]]), "basis matrix must be square"),
-], ids=["positions-2d", "weights-short", "basis-not-square"])
+    # a scalar weight is named as such, whatever the order of the positions
+    (lambda: ap.WeightedComb.from_integers([0, 1, 2], 1, 2.0), "weights must be 1-d"),
+    (lambda: ap.WeightedComb.from_integers([2, 1, 0], 1, 2.0), "weights must be 1-d"),
+    (lambda: ap.WeightedComb.from_positions([0.0, 1.0], 1.0, 2.0), "weights must be 1-d"),
+    (lambda: ap.WeightedComb.from_positions([1.0, 0.0], 1.0, 2.0), "weights must be 1-d"),
+    (lambda: ap.WeightedComb.from_module([[0, 1], [1, 0]], 1.0, 3.0), "weights must be 1-d"),
+    (lambda: ap.WeightedComb.from_module([[1, 0], [0, 1]], 1.0, 3.0), "weights must be 1-d"),
+    (lambda: ap.WeightedComb.from_integers(1, [1.0], 2.0), "positions must be 1-d"),
+    (lambda: ap.WeightedComb.from_positions(1.0, [1.0], 2.0), "positions must be 1-d"),
+    # weights of the wrong length are named before any sort, not cut to fit
+    (lambda: ap.WeightedComb.from_integers([2, 1, 0], [1, 2, 3, 4], 2.0), "differ in length"),
+    (lambda: ap.WeightedComb.from_integers([2, 1, 0], [1, 2], 2.0), "differ in length"),
+    (lambda: ap.WeightedComb.from_positions([1.0, 0.0], [1, 2, 3], 2.0), "differ in length"),
+    (lambda: ap.WeightedComb.from_positions([1.0, 0.0], [1], 2.0), "differ in length"),
+    (lambda: ap.WeightedComb.from_module([[1, 0], [0, 1]], [1, 2, 3], 3.0), "differ in length"),
+    (lambda: ap.WeightedComb.from_module([[1, 0], [0, 1]], [1], 3.0), "differ in length"),
+], ids=["positions-2d", "weights-short", "basis-not-square", "integers-weight-0-d",
+        "integers-descending-weight-0-d", "positions-weight-0-d",
+        "positions-descending-weight-0-d", "module-weight-0-d",
+        "module-descending-weight-0-d", "integers-0-d", "positions-0-d",
+        "integers-descending-weights-long", "integers-descending-weights-short",
+        "positions-descending-weights-long", "positions-descending-weights-short",
+        "module-descending-weights-long", "module-descending-weights-short"])
 def test_invalid_shapes_rejected(call, match):
     with pytest.raises(AperiodicaError, match=match):
         call()

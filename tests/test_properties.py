@@ -3,12 +3,11 @@
 Invariants covered: autocorrelation Hermitian symmetry, boundedness by the
 zero coefficient, triangle inequality of the pseudo-metric, nesting of the
 almost-period sets, scaling covariance, periodogram positivity, agreement of
-the NUFFT, the twiddle-table and the wrapped periodograms with direct
-summation (on stray grids, with sums whose phases are reduced in extended
-precision) and of the lattice-DFT periodogram with sums whose phases come
-from integer arithmetic, agreement of the array slab
-enumeration, pair sums and Theorem-10 atoms with the loops they replaced
-and of the dense integer sums with the pair loop, agreement of the
+the NUFFT, the twiddle-table, the wrapped and the lattice-DFT periodograms
+with direct summation (the sums of tests/oracles.py, with phases in doubles
+or from integer arithmetic), agreement of the
+array slab enumeration, pair sums and Theorem-10 atoms with the loops they
+replaced and of the dense integer sums with the pair loop, agreement of the
 paperfolding atoms with a scan of every m/2^r_max, agreement of the 2-adic
 class progressions with the membership test and of the array-grown
 fixed-point words with words grown by SubstitutionRule.apply, restriction
@@ -26,6 +25,7 @@ from hypothesis import assume, given, settings, strategies as st
 import aperiodica as ap
 from aperiodica import autocorr, cps, spectrum
 from aperiodica.core import IntegerCoords, ModuleCoords
+from oracles import direct_power, exact_power
 
 
 @st.composite
@@ -162,7 +162,7 @@ def test_periodogram_fast_path_matches_direct(case):
     assert spectrum._choose_path(len(x), len(ks), x[-1] - x[0], np.ptp(ks), ns_other) == "nufft"
     w = spectrum._taper_weights(comb, taper)[0]
     fast = np.abs(spectrum._nufft(x, w[None], ks)[0]) ** 2 * spectrum._NUFFT_SCALE ** 2
-    direct = spectrum._direct_power(x, w, ks)
+    direct = direct_power(x, w, ks)
     assert np.max(np.abs(fast - direct)) <= 1e-10 * np.max(direct)
 
 
@@ -210,25 +210,6 @@ def table_path_inputs(draw):
     return comb, taper, ks
 
 
-def exact_direct_power(comb, w, ks):
-    """Reference: direct summation with each phase k*x_j reduced mod 1 in
-    extended precision from the exact coordinates (for float positions,
-    from the doubles x_j), in blocks of 64 k.  _direct_power rounds
-    k*x_j in doubles, an error of about |k x| 2^-53 per term: on dense
-    inputs (|k x| up to ~1e6) it strays by up to 8.8e-10 of the maximum,
-    where the tables stay within 3.5e-13 (spot-checked with 40-digit sums).
-    Extended precision rounds at |k x| 2^-64: on sparse inputs (|k x| up to
-    1.5e8) the tables and this sum each stayed within 2.2e-11 of sums with
-    exact rational phases."""
-    x = sum(u * c.astype(np.longdouble) for c, u in spectrum._columns(comb))
-    out = np.empty(len(ks))
-    for start in range(0, len(ks), 64):
-        phase = np.multiply.outer(ks[start:start + 64].astype(np.longdouble), x)
-        turns = (phase - np.floor(phase)).astype(float)
-        out[start:start + 64] = np.abs(np.exp(-2j * math.pi * turns) @ w) ** 2
-    return out
-
-
 @given(table_path_inputs())
 @settings(max_examples=60, deadline=None)
 def test_periodogram_table_path_matches_direct(case):
@@ -236,7 +217,7 @@ def test_periodogram_table_path_matches_direct(case):
     comb, taper, ks = case
     w = spectrum._taper_weights(comb, taper)[0]
     table = spectrum._table_power(spectrum._columns(comb), w, ks)
-    direct = exact_direct_power(comb, w, ks)
+    direct = exact_power(comb, w, ks)
     assert np.max(np.abs(table - direct)) <= 1e-10 * np.max(direct)
 
 
@@ -256,8 +237,7 @@ def seed_191_case():
 
 @pytest.mark.xfail(strict=True, reason=(
     "phases rounded at |k x| 2^-64 in extended precision (ROADMAP item 2): "
-    "1.31e-10 of the one value off the extended-precision sum, 1.37e-10 off "
-    "exact rational phases"))
+    "1.37e-10 of the one value off exact_power"))
 def test_seed_191_draw_table_path():
     comb, taper, ks = seed_191_case()
     w = spectrum._taper_weights(comb, taper)[0]
@@ -266,7 +246,7 @@ def test_seed_191_draw_table_path():
     rows, weights = spectrum._band(columns, w)
     assert rows is columns and weights.shape == (len(comb), 1)
     table = spectrum._table_power(columns, w, ks)
-    direct = exact_direct_power(comb, w, ks)
+    direct = exact_power(comb, w, ks)
     assert np.max(np.abs(table - direct)) <= 1e-10 * np.max(direct)
 
 
@@ -307,7 +287,7 @@ def test_band_matches_direct(case):
         assert weights.shape[1] > 1
     with mock.patch.object(spectrum, "_TILE", tile):
         table = spectrum._table_power(columns, w, ks)
-    direct = exact_direct_power(comb, w, ks)
+    direct = exact_power(comb, w, ks)
     assert np.max(np.abs(table - direct)) <= 1e-10 * np.max(direct)
 
 
@@ -362,7 +342,7 @@ def test_periodogram_wrap_matches_direct(case):
     assert wrap.called == (spectrum._wrap_grid(ks, np.ptp(comb.positions)) is not None)
     assert wrap.called or not dyadic
     w, t_mean, _ = spectrum._taper_weights(comb, taper)
-    direct = spectrum._direct_power(comb.positions, w, ks) / (comb.volume * t_mean ** 2)
+    direct = direct_power(comb.positions, w, ks) / (comb.volume * t_mean ** 2)
     assert np.max(np.abs(values - direct)) <= 1e-10 * np.max(direct)
 
 
@@ -422,14 +402,14 @@ def stray_grid_inputs(draw):
 @given(stray_grid_inputs())
 @settings(max_examples=25, deadline=None)
 def test_stray_grid_wrap_matches_exact_phases(case):
-    # the 1e-10 gate against sums with phases reduced mod 1 in extended
-    # precision, on grids that stray from their progressions by an ulp or so
+    # the 1e-10 gate against sums with phases from integer arithmetic, on
+    # grids that stray from their progressions by an ulp or so
     comb, taper, ks = case
     with mock.patch.object(spectrum, "_wrap", wraps=spectrum._wrap) as wrap:
         values = ap.periodogram_values(comb, ks, taper)
     assert wrap.called
     w, t_mean, _ = spectrum._taper_weights(comb, taper)
-    exact = exact_direct_power(comb, w, ks) / (comb.volume * t_mean ** 2)
+    exact = exact_power(comb, w, ks) / (comb.volume * t_mean ** 2)
     assert np.max(np.abs(values - exact)) <= 1e-10 * np.max(exact)
 
 
@@ -460,7 +440,7 @@ def test_scattered_k_far_from_0_match_exact_phases(kind, k_mid):
             mock.patch.object(spectrum, "_nufft", wraps=spectrum._nufft) as nufft:
         values = ap.periodogram_values(comb, ks) * comb.volume
     assert nufft.call_count == 1
-    exact = exact_direct_power(comb, comb.weights, ks)
+    exact = exact_power(comb, comb.weights, ks)
     assert np.max(np.abs(values - exact)) <= 1e-10 * np.max(exact)
 
 
@@ -497,18 +477,6 @@ def lattice_inputs(draw):
     return comb, taper, rng.permutation(ks)
 
 
-def integer_phase_power(comb, w, ks):
-    """Reference: |sum_j w_j e^(-2 pi i k x_j)|^2 with each phase formed in
-    integer arithmetic.  With u = k*scale = num/2^20 (exact for the inputs
-    here), k x_j mod 1 is (num c_j mod 2^20)/2^20, num and c_j reduced mod
-    2^20 first so that no product overflows."""
-    den = 1 << 20
-    num = np.mod(ks * comb.coords.scale * den, den).astype(np.int64)
-    assert np.all(num == np.mod(ks * comb.coords.scale * den, den))
-    turns = np.outer(num, comb.coords.values % den) % den / den
-    return np.abs(np.exp(-2j * math.pi * turns) @ w) ** 2
-
-
 @given(lattice_inputs())
 @settings(max_examples=100, deadline=None)
 def test_lattice_path_matches_integer_phases(case):
@@ -521,7 +489,7 @@ def test_lattice_path_matches_integer_phases(case):
     assume(expected)
     w = spectrum._taper_weights(comb, taper)[0]
     lattice = spectrum._lattice_power(comb.coords.values, w, u, size)
-    exact = integer_phase_power(comb, w, ks)
+    exact = exact_power(comb, w, ks)
     assert np.max(np.abs(lattice - exact)) <= 1e-12 * np.max(exact)
     # a k set that is not dyadic, or a scale that is not a power of two,
     # never takes the lattice path

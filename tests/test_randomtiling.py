@@ -471,9 +471,14 @@ class TestHeightHistogram:
      "at least one seed is required; got 0"),
     (lambda: ap.needle_free(ap.fibonacci_spec(), []), ap.OutOfRangeError,
      "needle_free needs at least one k in ks"),
+    # keys that would not fit in int64 are refused before any draw
+    (lambda: ap.sample(ap.RandomTilingSpec(Fraction(2 ** 62), 1, 0.5), 4, 0),
+     ap.OutOfRangeError, "endpoint keys of 4 intervals a side reach 2\\^63"),
+    (lambda: ap.sample(ap.RandomTilingSpec(Fraction(10 ** 20), 1, 0.5), 4, 0),
+     ap.OutOfRangeError, "endpoint keys of 4 intervals a side reach 2\\^63"),
 ], ids=["length-zero", "length-a-string", "no-intervals", "endpoint-m-0",
         "unknown-normalization", "internal-n-0", "heights-rational", "histogram-n-99",
-        "histogram-no-seeds", "needle-free-no-k"])
+        "histogram-no-seeds", "needle-free-no-k", "keys-past-int64", "length-past-int64"])
 def test_invalid_input_rejected(call, error, match):
     with pytest.raises(error, match=match):
         call()

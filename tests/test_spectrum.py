@@ -16,6 +16,7 @@ from aperiodica.spectrum import (
     SubsetError,
     paperfolding_total_intensity,
 )
+from oracles import direct_power, exact_power
 
 Z_BASIS = ap.LatticeBasis(np.array([[1.0]]))
 
@@ -23,20 +24,10 @@ Z_BASIS = ap.LatticeBasis(np.array([[1.0]]))
 @functools.cache
 def criterion_4_exact(ks):
     """Criterion 4's comb (a Fibonacci tiling of 100,000 intervals, seed
-    2000) and |sum_j e^(-2 pi i k x_j)|^2 at each k of the tuple ks, with
-    phases from the exact coordinates in extended precision, each reduced
-    mod 1."""
+    2000) and its sums at each k of the tuple ks, with phases from the exact
+    coordinates in integer arithmetic (exact_power)."""
     comb = ap.sample(ap.fibonacci_spec(), 100_000, seed=2000).comb
-    mn = comb.coords.mn
-    exact_x = mn[:, 0] * ((1 + np.sqrt(np.longdouble(5))) / 2) + mn[:, 1]
-    assert np.all(comb.weights == 1.0)
-    exact = np.empty(len(ks))
-    for i, k in enumerate(ks):
-        phase = np.longdouble(k) * exact_x
-        turns = (phase - np.round(phase.astype(float))).astype(float)
-        exact[i] = np.sum(np.cos(2 * math.pi * turns)) ** 2 + np.sum(
-            np.sin(2 * math.pi * turns)) ** 2
-    return comb, exact
+    return comb, exact_power(comb, comb.weights, np.array(ks))
 
 
 def integer_comb(n, weights=None):
@@ -101,7 +92,7 @@ class TestPeriodogram:
             pgram = ap.periodogram(comb, 0.05, 1.3, 1.0 / 777)
             assert sp._choose_path(len(comb), len(pgram.ks), np.ptp(comb.positions),
                                    np.ptp(pgram.ks), sp._NS_TABLE) == "nufft"
-            direct = sp._direct_power(comb.positions, comb.weights, pgram.ks) / comb.volume
+            direct = direct_power(comb.positions, comb.weights, pgram.ks) / comb.volume
             assert np.max(np.abs(direct - pgram.values)) <= tol * np.max(direct)
 
     @pytest.mark.parametrize("n, count, x_span, k_span, fast", [
@@ -207,11 +198,8 @@ class TestPeriodogram:
                 mock.patch.object(sp, "_nufft", wraps=sp._nufft) as nufft:
             values = ap.periodogram_values(comb, ks) * comb.volume
         assert nufft.call_count == 1
-        # every 64th k against phases k * 3c of the integers 3c, reduced mod
-        # 1 in extended precision
-        phase = np.multiply.outer(ks[::64].astype(np.longdouble), 3 * comb.coords.values)
-        turns = (phase - np.floor(phase)).astype(float)
-        exact = np.abs(np.exp(-2j * math.pi * turns) @ comb.weights) ** 2
+        # every 64th k against phases k * 3c from integer arithmetic
+        exact = exact_power(comb, comb.weights, ks[::64])
         assert np.max(np.abs(values[::64] - exact)) <= 1e-10 * np.max(exact)
 
     @pytest.mark.parametrize("ks, exact_progression", [
@@ -220,8 +208,8 @@ class TestPeriodogram:
     ])
     def test_criterion_4_shape_against_exact_phases(self, ks, exact_progression):
         # Against the sums at the double k with phases from the exact
-        # coordinates in extended precision, each reduced mod 1, the
-        # periodogram is no farther off than direct summation.  Both grids
+        # coordinates in integer arithmetic (exact_power), the periodogram
+        # is no farther off than direct summation.  Both grids
         # wrap this 2.8e5-wide comb to one period 1/dk: the scan from 0.3
         # strays from its progression and takes the first-order correction
         # (measured 3.1e-13 of max), the dyadic grid does not stray
@@ -231,7 +219,7 @@ class TestPeriodogram:
         with mock.patch.object(sp, "_wrap", wraps=sp._wrap) as wrap:
             values = ap.periodogram_values(comb, ks) * comb.volume
         assert wrap.called
-        direct = sp._direct_power(comb.positions, comb.weights, ks)
+        direct = direct_power(comb.positions, comb.weights, ks)
         err = np.max(np.abs(values - exact))
         assert err <= 1e-12 * np.max(exact)
         assert err <= np.max(np.abs(direct - exact))
@@ -291,13 +279,7 @@ class TestPeriodogram:
             finally:
                 tracemalloc.stop()
         assert taken.called
-        # exact phases: (l/1024) x mod 1 is (l (x mod 1024) mod 1024)/1024
-        residues = values * scale % 1024
-        exact = np.empty(len(ks))
-        for start in range(0, len(ks), 64):
-            turns = np.outer(np.arange(start, start + 64), residues) % 1024 / 1024
-            exact[start:start + 64] = np.abs(np.exp(-2j * math.pi * turns) @ comb.weights) ** 2
-        return summed, peak, exact
+        return summed, peak, exact_power(comb, comb.weights, ks)
 
     def test_wrap_of_sparse_wide_comb_bounded_memory(self):
         # at scale 1 every k x is a multiple of 1/1024: the lattice path bins
@@ -322,8 +304,9 @@ class TestPeriodogram:
         _, digits, ranges = sp._digit_split(sp._columns(sparse), 2)
         assert [r.tolist() for r in ranges] == [[0, 2 * a]]
         assert [d.tolist() for d in digits] == [[0, 1]]
-        with mock.patch.object(sp, "_direct_power", side_effect=AssertionError):
+        with mock.patch.object(sp, "_table_power", wraps=sp._table_power) as tables:
             ap.periodogram_values(sparse, [0.3, 0.7, 1 / 3])
+        assert tables.call_count == 1
         # criterion 7's comb: two digits per column, 339 entries per k
         # against 66,491 points
         crit7 = ap.density_weighted_comb(ap.fibonacci_scheme(), ap.GaussianProfile(0.5),
@@ -370,8 +353,7 @@ class TestPeriodogram:
         assert [r.tolist() for r in edge[2]] == [[0, 2 ** 63 - 1]]
 
     def test_table_path_beats_direct_at_criterion_4_shape(self):
-        # against phases from the exact coordinates in extended precision,
-        # each reduced mod 1 before the exponential
+        # against phases from the exact coordinates in integer arithmetic
         comb = ap.sample(ap.fibonacci_spec(), 100_000, seed=2000).comb
         ks = 0.3 + 0.02 * np.arange(8)
         x = comb.positions
@@ -379,17 +361,11 @@ class TestPeriodogram:
         assert sp._choose_path(len(x), len(ks), x[-1] - x[0], np.ptp(ks), sp._NS_TABLE) == "sum"
         table = sp._table_power(columns, comb.weights, ks)
         assert np.array_equal(ap.periodogram_values(comb, ks), table / comb.volume)
-        direct = sp._direct_power(x, comb.weights, ks)
-        mn = comb.coords.mn
-        exact_x = mn[:, 0] * ((1 + np.sqrt(np.longdouble(5))) / 2) + mn[:, 1]
-        exact = np.empty(len(ks))
-        for i, k in enumerate(ks):
-            phase = np.longdouble(k) * exact_x
-            phase -= np.floor(phase)
-            exact[i] = abs(np.exp(-2j * math.pi * phase.astype(float)) @ comb.weights) ** 2
+        direct = direct_power(x, comb.weights, ks)
+        exact = exact_power(comb, comb.weights, ks)
         table_err = np.max(np.abs(table - exact)) / np.max(exact)
         direct_err = np.max(np.abs(direct - exact)) / np.max(exact)
-        # measured 4.4e-14 and 4.9e-11
+        # measured 4.9e-14 and 4.9e-11
         assert table_err <= 1e-12
         assert table_err <= direct_err
 
@@ -400,33 +376,23 @@ class TestPeriodogram:
         x = np.sort(rng.uniform(-1e7, 1e7, size=n))
         return ap.WeightedComb.from_positions(x, rng.normal(size=n), 1e7)
 
-    @staticmethod
-    def fraction_power(comb, ks):
-        """|sum_j w_j e^(-2 pi i k x_j)|^2 at each k, each phase k x_j of
-        the doubles k and x_j reduced mod 1 exactly, in Fraction."""
-        xs = [Fraction(x) for x in comb.positions.tolist()]
-        out = np.empty(len(ks))
-        for i, k in enumerate(ks.tolist()):
-            turns = np.array([float(Fraction(k) * x % 1) for x in xs])
-            out[i] = abs(np.exp(-2j * math.pi * turns) @ comb.weights) ** 2
-        return out
-
     @pytest.mark.parametrize("n, ks, path", [
         (60, np.array([0.37, 3.3, 9.71]), "_table_power"),
         (200, sp.uniform_grid(0.5, 3.05, 0.01), "_wrap"),
     ])
     def test_float_comb_against_exact_phases(self, n, ks, path):
         # float positions are a column of the tables, their phases k x formed
-        # and reduced mod 1 in extended precision: measured 9.7e-12 (sums)
-        # and 1.0e-12 (wrap) of max, where phases k x in doubles were
-        # 6.8e-8 and 3.0e-9 off; direct summation is 6.8e-8 and 5.3e-9 off
+        # and reduced mod 1 in extended precision: against exact_power they
+        # measured 9.7e-12 (sums) and 1.0e-12 (wrap) of max, where phases
+        # k x in doubles were 6.8e-8 and 3.0e-9 off; direct summation is
+        # 6.8e-8 and 5.3e-9 off
         comb = self.wide_float_comb(n, 0)
         with mock.patch.object(sp, path, wraps=getattr(sp, path)) as taken:
             values = ap.periodogram_values(comb, ks) * comb.volume
-        exact = self.fraction_power(comb, ks)
+        exact = exact_power(comb, comb.weights, ks)
         err = np.max(np.abs(values - exact))
         assert err <= 1e-10 * np.max(exact)
-        assert err <= np.max(np.abs(sp._direct_power(comb.positions, comb.weights, ks) - exact))
+        assert err <= np.max(np.abs(direct_power(comb.positions, comb.weights, ks) - exact))
         assert taken.called
 
     @staticmethod
@@ -447,22 +413,19 @@ class TestPeriodogram:
 
     @pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
         "phases k x rounded at |k x| 2^-64 in extended precision (ROADMAP item 2): "
-        "measured 1.6e-9 (scale 1) and 3.3e-9 (scale 3) of max"))
+        "1.6e-9 (scale 1) and 3.3e-9 (scale 3) of max off exact_power"))
     @pytest.mark.parametrize("scale", [1.0, 3.0])
     def test_wide_integer_comb_against_exact_phases(self, scale):
-        # the positions n * scale are exact doubles, so fraction_power's
-        # phases are those of the exact coordinates
         comb, ks = self.wide_integer_comb(scale)
         values = ap.periodogram_values(comb, ks) * comb.volume
-        exact = self.fraction_power(comb, ks)
+        exact = exact_power(comb, comb.weights, ks)
         assert np.max(np.abs(values - exact)) <= 1e-10 * np.max(exact)
 
     def test_float_comb_takes_the_tables(self):
-        # direct summation is a test reference, no path
+        # the values are the table sums', bit for bit
         comb = self.wide_float_comb(60, 1)
         ks = np.array([0.37, 3.3, 9.71])
-        with mock.patch.object(sp, "_direct_power", side_effect=AssertionError):
-            values = ap.periodogram_values(comb, ks)
+        values = ap.periodogram_values(comb, ks)
         table = sp._table_power(sp._columns(comb), comb.weights, ks)
         assert np.array_equal(values, table / comb.volume)
 
@@ -539,10 +502,8 @@ class TestTableRows:
         assert (dict(zip(map(tuple, cells.tolist()), weights[row, col]))
                 == dict(zip(map(tuple, mn.tolist()), w)))
         table = sp._table_power(columns, w, ks)
-        x = mn[:, 0] * ((1 + np.sqrt(np.longdouble(5))) / 2) + mn[:, 1]
-        phase = np.multiply.outer(ks.astype(np.longdouble), x)
-        exact = np.abs(np.exp(-2j * math.pi * (phase - np.floor(phase)).astype(float)) @ w) ** 2
-        # measured 7.1e-16 of max, per point 9.5e-16
+        exact = exact_power(comb, w, ks)
+        # measured 8.3e-16 of max, per point 1.1e-15
         assert np.max(np.abs(table - exact)) <= 1e-10 * np.max(exact)
 
     def test_criterion_7_call_memory(self):
