@@ -12,6 +12,7 @@ off the support at exactly 1.
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -285,6 +286,36 @@ def _exact_keys(comb, max_diff):
     return keys, comb.positions, max_diff, lambda codes: codes * _LOOKUP_TOL, math.inf
 
 
+@dataclass(frozen=True)
+class _Plan:
+    """What estimate_autocorrelation does for one comb and max_diff, as
+    _plan decides it."""
+
+    path: str          # "pairs" or "dense"
+    keys: np.ndarray   # the keys, cut bound (an integer comb's lag bound),
+    bound: float       # decoder and largest kept difference of _exact_keys
+    decode: Callable
+    limit: float
+    first: np.ndarray  # each point's first partner (_first_partners)
+    costs: dict        # estimated ns of each candidate path, if priced
+
+
+def _plan(comb: WeightedComb, max_diff: float) -> _Plan:
+    """The one place a path is chosen.  Only an integer comb whose lag
+    bound keeps _dense_sums within the size budget is priced, its pairs at
+    _NS_PAIR each against its span at _NS_DENSE a position, and takes the
+    cheaper, the pairs on a tie; every other comb takes the pairs."""
+    keys, cut, bound, decode, limit = _exact_keys(comb, max_diff)
+    first = _first_partners(cut, bound)
+    costs = {}
+    # only integer combs are cut on their keys, from 0, with a lag bound
+    if cut is keys and 8 * bound <= SIZE_BUDGET:
+        costs = {"pairs": float(_NS_PAIR * np.sum(np.arange(len(first)) - first)),
+                 "dense": float(_NS_DENSE * (keys[-1] + 1))}
+    return _Plan(min(costs, key=costs.get, default="pairs"), keys, bound, decode, limit,
+                 first, costs)
+
+
 def estimate_autocorrelation(comb: WeightedComb, max_diff: float) -> AutocorrelationEstimate:
     """Finite-volume autocorrelation coefficients of a comb for all observed
     differences z with |z| <= max_diff:
@@ -293,28 +324,25 @@ def estimate_autocorrelation(comb: WeightedComb, max_diff: float) -> Autocorrela
 
     with x, y running over the comb.  Requires max_diff <= 2 * radius.
     Differences are grouped exactly by the keys of _exact_keys, and one
-    _first_partners search finds the pairs within max_diff.  An integer comb
-    whose lag bound keeps _dense_sums within the size budget takes them when
-    its pairs, at _NS_PAIR each, would cost more than its span at _NS_DENSE
-    a position; every other comb takes the pair path."""
+    _first_partners search finds the pairs within max_diff.  _plan is the
+    one place the path is chosen, pair lists (_pairwise_sums) or the dense
+    sums of an integer comb (_dense_sums), and the record it returns is
+    what this call executes."""
     if len(comb) == 0:
         raise EmptyInputError("cannot estimate the autocorrelation of an empty comb")
     if not 0.0 <= max_diff <= 2 * comb.radius:
         raise OutOfRangeError("max_diff must lie in [0, 2*radius], the comb diameter")
     w = comb.weights
-    keys, cut, bound, decode, limit = _exact_keys(comb, max_diff)
-    first = _first_partners(cut, bound)
-    # only integer combs are cut on their keys, from 0, with a lag bound
-    if cut is keys and 8 * bound <= SIZE_BUDGET and (
-            _NS_PAIR * np.sum(np.arange(len(first)) - first) > _NS_DENSE * (keys[-1] + 1)):
-        codes, sums = _dense_sums(keys, w, bound)
+    plan = _plan(comb, max_diff)
+    if plan.path == "dense":
+        codes, sums = _dense_sums(plan.keys, w, plan.bound)
     else:
-        codes, sums = _pairwise_sums(first, keys, w)
-    pos_diffs = decode(np.append(codes, 0))
+        codes, sums = _pairwise_sums(plan.first, plan.keys, w)
+    pos_diffs = plan.decode(np.append(codes, 0))
     sums = np.append(sums, np.dot(w, np.conj(w)))
     order = np.argsort(pos_diffs, kind="stable")
     pos_diffs, sums = pos_diffs[order], sums[order]
-    keep = (pos_diffs >= 0) & (pos_diffs <= limit)
+    keep = (pos_diffs >= 0) & (pos_diffs <= plan.limit)
     pos_diffs, sums = pos_diffs[keep], sums[keep]
 
     # mirror positive differences; Hermitian symmetry is exact by construction

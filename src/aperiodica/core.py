@@ -143,6 +143,24 @@ def _own_copy(a, dtype) -> np.ndarray:
     return _read_only(np.array(a, dtype=dtype))
 
 
+def _int64_copy(values, what: str) -> np.ndarray:
+    """A new int64 array of values; AperiodicaError names the first entry
+    that is not an integer within int64 (an integral float such as 2.0
+    passes; 0.5, NaN and 2^63 do not)."""
+    a = np.asarray(values)
+    ok = True
+    if a.dtype.kind == "f":
+        ok = (a == np.round(a)) & (a >= -2.0 ** 63) & (a < 2.0 ** 63)
+    elif a.dtype.kind == "u":
+        ok = a <= np.iinfo(np.int64).max
+    if not np.all(ok):
+        raise AperiodicaError(f"{what} must be integers within int64; got {a[~ok][0]}")
+    try:
+        return np.array(a, dtype=np.int64)
+    except OverflowError:
+        raise AperiodicaError(f"{what} must be integers within int64") from None
+
+
 def _ascending(keys: np.ndarray, *arrays) -> list:
     """keys and arrays, each with a row per key, in the stable ascending
     order of keys; no argsort if none descends."""
@@ -237,13 +255,20 @@ class WeightedComb:
 
     @staticmethod
     def from_integers(values, weights, radius, scale=1.0) -> "WeightedComb":
-        return WeightedComb._integers(np.array(values, dtype=np.int64),
+        return WeightedComb._integers(_int64_copy(values, "integer coordinates"),
                                       np.array(weights, dtype=complex), radius, scale)
 
     @staticmethod
     def from_module(mn, weights, radius) -> "WeightedComb":
-        return WeightedComb._module(np.array(mn, dtype=np.int64).reshape(-1, 2),
-                                    np.array(weights, dtype=complex), radius)
+        """mn: an (N, 2) array of the coordinates (m, n) of m*tau + n, or
+        one pair."""
+        mn = _int64_copy(mn, "module coordinates")
+        if mn.shape == (2,):
+            mn = mn[None]
+        if mn.ndim != 2 or mn.shape[1] != 2:
+            raise AperiodicaError(
+                f"module coordinates must be an (N, 2) array or one pair; got shape {mn.shape}")
+        return WeightedComb._module(mn, np.array(weights, dtype=complex), radius)
 
     @staticmethod
     def from_positions(positions, weights, radius) -> "WeightedComb":

@@ -13,7 +13,9 @@ to large ones.
 
 The sums are evaluated on one of three paths, the one of lowest estimated
 cost for the input's shape (point count N, k count K, the fine-grid length
-that the position span times the k span implies, and the lattice length L):
+that the position span times the k span implies, and the lattice length L).
+_plan is the one place a path is chosen: it returns a frozen record of
+every decision and its inputs, which periodogram_values executes.
 
 * a DFT of length L (Cooley & Tukey, Math. Comp. 19 (1965) 297) for integer
   positions c*scale, scale a power of two, when a power of two L <= 2^18
@@ -158,40 +160,65 @@ def periodogram_values(comb: WeightedComb, ks, taper: str = "boxcar",
         norm = comb.volume * t_mean_sq
     else:
         raise AperiodicaError(f"unknown normalization {normalization!r}")
-    x = comb.positions
+    plan = _plan(comb, ks)
+    if plan.path == "lattice":
+        return _lattice_power(comb.coords.values, w, ks * comb.coords.scale, plan.lattice) / norm
     columns = _columns(comb)
+    if plan.path == "tables":
+        return _table_power(columns, w, ks) / norm
+    # the NUFFT sums the weights times e^(-2 pi i kc x) at k - kc
+    x = comb.positions
+    turns = _turns(columns, len(x))
+    if plan.wrap:
+        # the sums F at the progression k0 + l*dk, corrected to first
+        # order in the stray delta_l of ks[l] from it: with
+        # e^(-2 pi i delta x) = e^(-2 pi i delta x_c) (1 - 2 pi i delta (x - x_c) + ...)
+        # the sum at ks[l] is F(l) - 2 pi i delta_l G(l) up to a factor
+        # of modulus one, G the sums of the weights w (x - x_c)
+        k0, dk, delta = plan.wrap
+        ws = [w, w * (x - 0.5 * (x[0] + x[-1]))] if np.any(delta) else [w]
+        m = (len(ks) - 1) // 2
+        y, ws = _wrap(turns, np.array(ws), k0, dk, m)
+        offsets = (np.arange(len(ks)) - m) * dk
+    else:
+        kc = 0.5 * (ks.max() + ks.min())
+        y, ws, offsets = x, w[None] * np.exp(-2j * math.pi * turns(kc)), ks - kc
+    f = _nufft(y, ws, offsets)
+    sums = f[0] - 2j * math.pi * delta * f[1] if len(f) > 1 else f[0]
+    return np.abs(sums) ** 2 * _NUFFT_SCALE ** 2 / norm
+
+
+@dataclass(frozen=True)
+class _Plan:
+    """What periodogram_values does for one comb and k set, as _plan
+    decides it from the coordinates and k alone (the taper moves nothing)."""
+
+    path: str           # "lattice", "nufft" or "tables"
+    n: int              # points
+    count: int          # k
+    x_span: float       # the spans the NUFFT is priced at, x_span 1/dk when wrapped
+    k_span: float
+    lattice: int        # the DFT length of _lattice_length, 0 for none
+    wrap: tuple | None  # (k0, dk, delta) of _wrap_grid
+    nf: int             # the NUFFT's fine-grid length at those spans
+    costs: dict         # estimated ns of each candidate path (_costs)
+
+
+def _plan(comb: WeightedComb, ks: np.ndarray) -> _Plan:
+    """The one place a path is chosen: the cheapest of _costs, the first of
+    its order on a tie."""
+    x = comb.positions
     lattice = _lattice_length(comb.coords, ks)
     # on a uniform grid k0 + l*dk the sums have period 1/dk in x: a comb
     # spanning more than one period is wrapped into it before the NUFFT
-    grid = _wrap_grid(ks, x[-1] - x[0])
-    x_span = 1.0 / grid[1] if grid else x[-1] - x[0]
-    path = _choose_path(len(x), len(ks), x_span, np.ptp(ks) if len(ks) else 0.0,
-                        _NS_FLOAT if comb.coords is None else _NS_TABLE, lattice)
-    if path == "lattice":
-        power = _lattice_power(comb.coords.values, w, ks * comb.coords.scale, lattice)
-    elif path == "nufft":
-        # the NUFFT sums the weights times e^(-2 pi i kc x) at k - kc
-        turns = _turns(columns, len(x))
-        if grid:
-            # the sums F at the progression k0 + l*dk, corrected to first
-            # order in the stray delta_l of ks[l] from it: with
-            # e^(-2 pi i delta x) = e^(-2 pi i delta x_c) (1 - 2 pi i delta (x - x_c) + ...)
-            # the sum at ks[l] is F(l) - 2 pi i delta_l G(l) up to a factor
-            # of modulus one, G the sums of the weights w (x - x_c)
-            k0, dk, delta = grid
-            ws = [w, w * (x - 0.5 * (x[0] + x[-1]))] if np.any(delta) else [w]
-            m = (len(ks) - 1) // 2
-            y, ws = _wrap(turns, np.array(ws), k0, dk, m)
-            offsets = (np.arange(len(ks)) - m) * dk
-        else:
-            kc = 0.5 * (ks.max() + ks.min())
-            y, ws, offsets = x, w[None] * np.exp(-2j * math.pi * turns(kc)), ks - kc
-        f = _nufft(y, ws, offsets)
-        sums = f[0] - 2j * math.pi * delta * f[1] if len(f) > 1 else f[0]
-        power = np.abs(sums) ** 2 * _NUFFT_SCALE ** 2
-    else:
-        power = _table_power(columns, w, ks)
-    return power / norm
+    wrap = _wrap_grid(ks, x[-1] - x[0])
+    x_span = float(1.0 / wrap[1] if wrap else x[-1] - x[0])
+    k_span = float(np.ptp(ks)) if len(ks) else 0.0
+    nf = _fine_grid(x_span, k_span)[0]
+    costs = _costs(len(x), len(ks), nf, _NS_FLOAT if comb.coords is None else _NS_TABLE,
+                   lattice)
+    return _Plan(min(costs, key=costs.get), len(x), len(ks), x_span, k_span, lattice,
+                 wrap, nf, costs)
 
 
 def _columns(comb: WeightedComb) -> list:
@@ -479,21 +506,19 @@ def _fine_grid(x_span: float, k_span: float) -> tuple[int, float]:
     return (next_fast_len(nf) if nf <= _GRID_CAP else nf), dk
 
 
-def _choose_path(n: int, count: int, x_span: float, k_span: float,
-                 ns_other: float, lattice: int = 0) -> str:
-    """Path choice from the input's shape, the one with the lowest estimated
-    cost: "sum" at ns_other per point*k (_NS_TABLE for exact coordinates,
-    _NS_FLOAT for float positions), "nufft" when its fine grid fits the cap,
-    and "lattice" when _lattice_length gave a DFT length.  On a tie the
-    earlier path of that list is taken."""
-    costs = {"sum": ns_other * n * count}
-    nf, _ = _fine_grid(x_span, k_span)
+def _costs(n: int, count: int, nf: int, ns_other: float, lattice: int = 0) -> dict:
+    """Estimated ns of each path for n points at count k: "tables" at
+    ns_other per point*k (_NS_TABLE for exact coordinates, _NS_FLOAT for
+    float positions), "nufft" on a fine grid of nf modes when it fits the
+    cap, and "lattice" when _lattice_length gave a DFT length, in that
+    order."""
+    costs = {"tables": ns_other * n * count}
     if nf <= _GRID_CAP:
         costs["nufft"] = (_NS_FIXED + _NS_SPREAD * n + _NS_FFT * nf * math.log2(nf)
                           + _NS_INTERP * count)
     if lattice:
         costs["lattice"] = _NS_BIN * n + _NS_FFT * lattice * math.log2(lattice)
-    return min(costs, key=costs.get)
+    return costs
 
 
 def _nufft(x: np.ndarray, ws: np.ndarray, ks: np.ndarray) -> np.ndarray:
@@ -742,19 +767,6 @@ def paperfolding_spectrum(a: complex, b: complex, c: complex, d: complex,
     return SpectralMeasure(atoms[np.argsort(atoms[:, 0], kind="stable")])
 
 
-def paperfolding_total_intensity(a: complex, b: complex, c: complex, d: complex,
-                                 r_max: int) -> float:
-    """Total atom intensity per unit k interval, summed up to denominator
-    2^r_max: sum_r (atoms per unit at level r) * I_r, with one atom per
-    unit at r <= 1 and 2^(r-1) at r >= 2, for 3 <= r_max <= 32."""
-    if not 3 <= r_max <= _DYADIC_R_CAP:
-        raise OutOfRangeError(f"r_max must lie in [3, {_DYADIC_R_CAP}]")
-    total = 0.0
-    for r, level in enumerate(_level_intensities(a, b, c, d, r_max)):
-        total += max(1.0, 2.0 ** (r - 1)) * level
-    return total
-
-
 # -- lattice periodicity and complement homometry -----------------------------
 
 @dataclass(frozen=True)
@@ -836,9 +848,14 @@ def complement_check(s_points, lattice: LatticeBasis, radius: float) -> Compleme
     if np.any(counts > 1):
         raise SubsetError(f"S lists the point {values[counts > 1][0] * a} more than once")
     check_size(2.0 * radius / a + 1.0, "the lattice points of the ball")
-    all_idx = np.arange(math.ceil(-radius / a - 1e-9),
-                        math.floor(radius / a + 1e-9) + 1, dtype=np.int64)
-    c_idx = np.setdiff1d(all_idx, s_idx)
+    lo = math.ceil(-radius / a - 1e-9)
+    all_idx = np.arange(lo, math.floor(radius / a + 1e-9) + 1, dtype=np.int64)
+    # the ball's indices that S leaves free, by a mask where np.setdiff1d
+    # would import numpy.ma (~11 ms on first use)
+    free = np.ones(len(all_idx), dtype=bool)
+    at = s_idx - lo
+    free[at[(at >= 0) & (at < len(free))]] = False
+    c_idx = all_idx[free]
     vol = 2.0 * radius
     dens_s = len(s_idx) / vol
     dens_c = len(c_idx) / vol

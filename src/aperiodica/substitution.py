@@ -399,32 +399,6 @@ def _check_disjoint(arrays, message):
             raise NotLatticeSubstitutionError(message)
 
 
-def legal_clusters(rule: SubstitutionRule, word: FixedPointWord,
-                   width: int = 16, n_max: int = 12,
-                   sample_radius: int = 2048) -> bool:
-    """Bounded legality check for the fixed multiset: every width-`width`
-    window of the word within the sample radius must occur inside some
-    iterate sigma^n(letter), n <= n_max.
-
-    Full legality is not decidable by bounded search; this is the documented
-    finite proxy for the hypothesis that every cluster of the fixed point is
-    generated from a single point.
-    """
-    if width < 1 or n_max < 1:
-        raise AperiodicaError("width and n_max must be positive")
-    text = word.window(-sample_radius, sample_radius)
-    windows = {text[i:i + width] for i in range(len(text) - width + 1)}
-    haystacks, held = [], 0
-    for letter in rule.alphabet:
-        image = letter
-        for _ in range(n_max):
-            held += len(image) * rule.length
-            check_size(held, "the iterates of the rule")
-            image = rule.apply(image)
-            haystacks.append(image)
-    return all(any(w in h for h in haystacks) for w in windows)
-
-
 def symmetric_difference_density(mfs: MfsRule, word: FixedPointWord,
                                  alpha: int, n: int, window: int) -> np.ndarray:
     """Per-component density within [-window, window] of U_i symmetric-

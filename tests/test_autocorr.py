@@ -1,5 +1,4 @@
 import math
-import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -9,6 +8,7 @@ import aperiodica as ap
 from aperiodica import autocorr, paperfolding as pf
 from aperiodica.autocorr import DegenerateAutocorrelationError
 from aperiodica.core import module_position
+from plans import recorded, traced
 
 
 def integer_comb(n, weights=None):
@@ -91,12 +91,7 @@ class TestExactKeys:
         # three points spanning 1e6: dense arrays over the span would take
         # 24 MB before any convolution; the pair path needs a few kB
         comb = ap.WeightedComb.from_integers([-500_000, 0, 500_000], [1.0, 2j, 3.0], 5e5)
-        tracemalloc.start()
-        try:
-            est = ap.estimate_autocorrelation(comb, 1e6)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        est, peak = traced(lambda: ap.estimate_autocorrelation(comb, 1e6))
         assert peak < 16 * 2 ** 20
         assert est.diffs.tolist() == [-1e6, -5e5, 0.0, 5e5, 1e6]
         sums = est.eta * est.volume
@@ -108,12 +103,7 @@ class TestExactKeys:
         rng = np.random.default_rng(3)
         positions = np.unique(rng.integers(-10 ** 7, 10 ** 7, size=20_000)).astype(float)
         comb = ap.WeightedComb.from_positions(positions, np.ones(len(positions)), 1e7)
-        tracemalloc.start()
-        try:
-            est = ap.estimate_autocorrelation(comb, 1e5)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        est, peak = traced(lambda: ap.estimate_autocorrelation(comb, 1e5))
         assert peak < 32 * 2 ** 20
         lags = np.round(est.diffs)
         assert np.all(np.abs(est.diffs - lags) < 1e-6) and np.all(np.abs(lags) <= 1e5)
@@ -130,16 +120,18 @@ class TestExactKeys:
         # 8,190 (a-letters: 0.8 ms on the pair path, 1.7 ms dense, the
         # fastest of 31 calls)
         letters = pf.letter_positions_substitution("w1", -4096, 4097)
-        with mock.patch.object(autocorr, "_dense_sums", side_effect=AssertionError):
-            for values, pairs in ((letters["a"], 32_648), (letters["d"], 32_577)):
-                comb = ap.WeightedComb.from_integers(values, np.ones(len(values)), 4096.0)
+        for values, pairs in ((letters["a"], 32_648), (letters["d"], 32_577)):
+            comb = ap.WeightedComb.from_integers(values, np.ones(len(values)), 4096.0)
+            with recorded(autocorr) as plans:
                 est = ap.estimate_autocorrelation(comb, 64.0)
-                assert np.sum(np.round(est.eta.real * est.volume)[est.diffs > 0]) == pairs
+            assert np.sum(np.round(est.eta.real * est.volume)[est.diffs > 0]) == pairs
+            [plan] = plans
+            assert plan.path == "pairs" and plan.costs["pairs"] == autocorr._NS_PAIR * pairs
 
     def test_dense_integer_combs_stay_dense(self):
         # combs whose pairs cost more than their span never reach the pair path
         lattice = ap.LatticeBasis(np.array([[1.0]]))
-        with mock.patch.object(autocorr, "_pairwise_sums", side_effect=AssertionError):
+        with recorded(autocorr) as plans:
             comb = ap.WeightedComb.from_integers(np.arange(-100, 101), np.ones(201), 4096.0)
             ap.estimate_autocorrelation(comb, 64.0)
             # one point in 37, but its 1.1e7 pairs would cost more than the
@@ -155,6 +147,7 @@ class TestExactKeys:
             r = (1 << 17) + 1
             report = ap.complement_check(np.arange(-r, r + 1, 2, dtype=float), lattice, r)
             assert report.identity_max_deviation < 1.0 / r  # boundary bias
+        assert [p.path for p in plans] == ["dense"] * 7
 
     def test_dense_peak_follows_the_points_not_the_span(self):
         # the dense sums hold one tile of blocks at a time, so the peak is
@@ -162,20 +155,15 @@ class TestExactKeys:
         # and a tile; one convolution over the span peaked at 480 MiB here
         values = np.arange(1 << 22)
         comb = ap.WeightedComb.from_integers(values, np.ones(len(values)), 2.0 ** 22)
-        with mock.patch.object(autocorr, "_pairwise_sums", side_effect=AssertionError):
-            tracemalloc.start()
-            try:
-                ap.estimate_autocorrelation(comb, 64.0)
-                peak = tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
+        with recorded(autocorr) as plans:
+            _, peak = traced(lambda: ap.estimate_autocorrelation(comb, 64.0))
         assert peak <= 40 * len(values) + 16 * 2 ** 20
         values = np.arange((1 << 18) + 3)
         comb = ap.WeightedComb.from_integers(values, np.ones(len(values)), 2.0 ** 19)
-        with mock.patch.object(autocorr, "_pairwise_sums", side_effect=AssertionError):
+        with recorded(autocorr) as more:
             dense = ap.estimate_autocorrelation(comb, 16.0)
-        with mock.patch.object(autocorr, "_NS_DENSE", math.inf), \
-                mock.patch.object(autocorr, "_dense_sums", side_effect=AssertionError):
+        assert [p.path for p in plans + more] == ["dense", "dense"]
+        with recorded(autocorr, path="pairs"):
             pairs = ap.estimate_autocorrelation(comb, 16.0)
         assert np.array_equal(dense.diffs, pairs.diffs)
         assert np.max(np.abs(dense.eta - pairs.eta)) <= 1e-12 * pairs.zero_coefficient
@@ -188,12 +176,12 @@ class TestExactKeys:
         # bound of 1024 and takes the pair path past it, whatever its pairs
         values = 10 * np.arange(-500, 501)
         comb = ap.WeightedComb.from_integers(values, np.ones(len(values)), 5000.0)
-        with mock.patch.object(autocorr, "SIZE_BUDGET", 8 * 1024):
-            with mock.patch.object(autocorr, "_pairwise_sums", side_effect=AssertionError):
-                dense = ap.estimate_autocorrelation(comb, 1024.0)
-            with mock.patch.object(autocorr, "_dense_sums", side_effect=AssertionError):
-                pairs = ap.estimate_autocorrelation(comb, 1025.0)
-                wide = ap.estimate_autocorrelation(comb, 1e4)
+        with mock.patch.object(autocorr, "SIZE_BUDGET", 8 * 1024), recorded(autocorr) as plans:
+            dense = ap.estimate_autocorrelation(comb, 1024.0)
+            pairs = ap.estimate_autocorrelation(comb, 1025.0)
+            wide = ap.estimate_autocorrelation(comb, 1e4)
+        assert [(p.path, p.bound, bool(p.costs)) for p in plans] == [
+            ("dense", 1024, True), ("pairs", 1025, False), ("pairs", 10_000, False)]
         assert np.array_equal(dense.diffs, 10.0 * np.arange(-102, 103))
         assert np.array_equal(pairs.diffs, dense.diffs)
         assert np.array_equal(wide.diffs, 10.0 * np.arange(-1000, 1001))
@@ -208,10 +196,10 @@ class TestExactKeys:
         values = np.unique(rng.integers(-125_000, 125_000, size=2_500))
         w = rng.normal(size=len(values)) + 1j * rng.normal(size=len(values))
         comb = ap.WeightedComb.from_integers(values, w, 125_000.0)
-        with mock.patch.object(autocorr, "_pairwise_sums", side_effect=AssertionError):
+        with recorded(autocorr) as plans:
             dense = ap.estimate_autocorrelation(comb, 2.5e5)
-        with mock.patch.object(autocorr, "_dense_sums", side_effect=AssertionError):
             pairs = ap.estimate_autocorrelation(comb, 2e3)
+        assert [p.path for p in plans] == ["dense", "pairs"]
         near = np.abs(dense.diffs) <= 2e3
         assert np.array_equal(dense.diffs[near], pairs.diffs)
         assert np.max(np.abs(dense.eta[near] - pairs.eta)) <= 1e-10 * pairs.zero_coefficient
@@ -221,24 +209,19 @@ class TestExactKeys:
         # their span of 2^20 peaked at 104 MiB
         values = 16 * np.arange(-(1 << 15), 1 << 15)
         comb = ap.WeightedComb.from_integers(values, np.ones(len(values)), 2.0 ** 19)
-        tracemalloc.start()
-        try:
-            est = ap.estimate_autocorrelation(comb, 1.0)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        est, peak = traced(lambda: ap.estimate_autocorrelation(comb, 1.0))
         assert peak < 16 * 2 ** 20
         assert est.diffs.tolist() == [0.0] and est.eta[0] * est.volume == len(values)
 
     def test_few_pairs_take_the_pair_path(self):
         # binary_comb(2^14) has 30,722 pairs within 4 over a span of 32,769
-        # (pair path 2.0 ms, dense 11.8 ms, the fastest of 7 calls); a
-        # negative dense rate forces the dense sums for the reference
+        # (pair path 2.0 ms, dense 11.8 ms, the fastest of 7 calls); the
+        # reference is the same call on the dense sums
         comb = pf.binary_comb(1 << 14)
-        with mock.patch.object(autocorr, "_dense_sums", side_effect=AssertionError):
+        with recorded(autocorr) as plans:
             pairs = ap.estimate_autocorrelation(comb, 4.0)
-        with mock.patch.object(autocorr, "_NS_DENSE", -1.0), \
-                mock.patch.object(autocorr, "_pairwise_sums", side_effect=AssertionError):
+        assert [p.path for p in plans] == ["pairs"]
+        with recorded(autocorr, path="dense"):
             dense = ap.estimate_autocorrelation(comb, 4.0)
         assert np.array_equal(pairs.diffs, dense.diffs)
         assert np.max(np.abs(pairs.eta - dense.eta)) <= 1e-12 * dense.zero_coefficient

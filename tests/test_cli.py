@@ -22,6 +22,13 @@ def run_cli(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def validation_error(capsys, *argv) -> str:
+    """stderr of a call that exits 2 with an "error: " line and no stdout."""
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (2, "") and err.startswith("error: ")
+    return err
+
+
 class TestDispatch:
     def test_unknown_subcommand_exits_64(self, capsys):
         code, _, err = run_cli(capsys, "frobnicate")
@@ -48,15 +55,30 @@ class TestDispatch:
         assert "not found" in err
 
 
+def fresh_python(*args):
+    """A new interpreter run on args, this aperiodica first on its path."""
+    src = os.path.dirname(os.path.dirname(ap.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": path})
+
+
 def test_import_leaves_out_scipy_signal():
     # numpy is the one runtime dependency: scipy would add ~0.4 s and ~25 MB
     # to every CLI process
     code = ("import sys, aperiodica.cli, aperiodica.paperfolding; "
             "print(any(m.partition('.')[0] == 'scipy' for m in sys.modules))")
-    src = os.path.dirname(os.path.dirname(ap.__file__))
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    result = subprocess.run([sys.executable, "-c", code], capture_output=True,
-                            text=True, env={**os.environ, "PYTHONPATH": path})
+    result = fresh_python("-c", code)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "False"
+
+
+def test_complement_check_leaves_out_numpy_ma():
+    # np.setdiff1d's np.unique imported numpy.ma, 11.5 ms on first use
+    code = ("import sys, numpy as np, aperiodica as ap; "
+            "ap.complement_check(np.arange(-100, 101, 2.0), ap.LatticeBasis(np.eye(1)), 100); "
+            "print('numpy.ma' in sys.modules)")
+    result = fresh_python("-c", code)
     assert result.returncode == 0, result.stderr
     assert result.stdout.strip() == "False"
 
@@ -67,11 +89,7 @@ class TestParsersOncePerProcess:
 
     @staticmethod
     def fresh(*argv):
-        src = os.path.dirname(os.path.dirname(ap.__file__))
-        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-        result = subprocess.run([sys.executable, "-m", "aperiodica.cli", *argv],
-                                capture_output=True, text=True,
-                                env={**os.environ, "PYTHONPATH": path})
+        result = fresh_python("-m", "aperiodica.cli", *argv)
         return result.returncode, result.stdout, result.stderr
 
     def test_calls_after_a_failed_parse_match_fresh_processes(self, capsys, tmp_path,
@@ -122,11 +140,9 @@ class TestCoincide:
     def test_max_power_below_one_exits_2(self, capsys, tmp_path, power):
         rule = tmp_path / "paperfolding.rule"
         rule.write_text(PAPERFOLDING_RULE)
-        code, out, err = run_cli(capsys, "coincide", "--rule", str(rule),
-                                 "--max-power", power)
-        assert code == 2
-        assert out == ""
-        assert err.startswith("error: ") and "max_power" in err
+        err = validation_error(capsys, "coincide", "--rule", str(rule),
+                               "--max-power", power)
+        assert "max_power" in err
 
 
 class TestGenerate:
@@ -203,9 +219,7 @@ class TestGenerate:
         path.write_text(json.dumps(scheme))
         code, out, err = run_cli(capsys, "generate", "--scheme", str(path),
                                  "--region", region)
-        assert code == 2
-        assert out == ""
-        assert err
+        assert (code, out) == (2, "") and err
 
 
 class TestMalformedInput:
@@ -228,10 +242,7 @@ class TestMalformedInput:
             "paperfolding-kmax-inf", "rational-no-seeds", "fibonacci-no-seeds",
             "no-kpoints", "negative-log2n", "module-lengths-rational-ratio"])
     def test_exits_2_with_message(self, capsys, argv):
-        code, out, err = run_cli(capsys, *argv)
-        assert code == 2
-        assert out == ""
-        assert err.startswith("error: ")
+        validation_error(capsys, *argv)
 
     @pytest.mark.parametrize("argv, message", [
         (("randomtiling", "--u", "2", "--v", "1", "--p", "half"),
@@ -241,10 +252,8 @@ class TestMalformedInput:
         (("paperfolding-spectrum", "--weights", "1,1,0"), "exactly four weights"),
     ], ids=["probability-not-a-number", "heights-rational", "three-weights"])
     def test_exits_2_naming_the_fault(self, capsys, argv, message):
-        code, out, err = run_cli(capsys, *argv)
-        assert code == 2
-        assert out == ""
-        assert err.startswith("error: ") and message in err
+        err = validation_error(capsys, *argv)
+        assert message in err
 
     # without their size checks these run for minutes
     @pytest.mark.parametrize("argv", [
@@ -300,11 +309,9 @@ class TestMalformedInput:
     def test_qadic_scheme_file_exits_2(self, capsys, tmp_path, scheme, message):
         path = tmp_path / "scheme.json"
         path.write_text(scheme if isinstance(scheme, str) else json.dumps(scheme))
-        code, out, err = run_cli(capsys, "generate", "--scheme", str(path),
-                                 "--region", "0,10")
-        assert code == 2
-        assert out == ""
-        assert err.startswith("error: ") and message in err
+        err = validation_error(capsys, "generate", "--scheme", str(path),
+                               "--region", "0,10")
+        assert message in err
 
     @pytest.mark.parametrize("flag", ["--kmax", "--dk"])
     def test_spectrum_non_finite_k_exits_2(self, capsys, tmp_path, flag):
@@ -312,22 +319,17 @@ class TestMalformedInput:
         ap.write_comb_csv(ap.WeightedComb.from_integers(np.arange(-8, 9), np.ones(17), 8.0),
                           path)
         argv = {"--kmax": "1", "--dk": "0.01", flag: "nan"}
-        code, out, err = run_cli(capsys, "spectrum", "--input", str(path),
-                                 *[t for kv in argv.items() for t in kv])
-        assert code == 2
-        assert out == ""
-        assert err.startswith("error: ")
+        validation_error(capsys, "spectrum", "--input", str(path),
+                         *[t for kv in argv.items() for t in kv])
 
     def test_spectrum_grid_over_budget_exits_2(self, capsys, tmp_path):
         # 1e15 k values: numpy used to fail on a 7.1 PiB array with a traceback
         path = tmp_path / "comb.csv"
         ap.write_comb_csv(ap.WeightedComb.from_integers(np.arange(-8, 9), np.ones(17), 8.0),
                           path)
-        code, out, err = run_cli(capsys, "spectrum", "--input", str(path),
-                                 "--kmax", "1e12", "--dk", "1e-3")
-        assert code == 2
-        assert out == ""
-        assert err.startswith("error: ") and "budget" in err
+        err = validation_error(capsys, "spectrum", "--input", str(path),
+                               "--kmax", "1e12", "--dk", "1e-3")
+        assert "budget" in err
 
     @pytest.mark.parametrize("region", [("--region", "1e19,1e19"),
                                         ("--region=-1e19,-1e19",),
@@ -335,10 +337,8 @@ class TestMalformedInput:
     def test_2adic_region_beyond_int64_exits_2(self, capsys, tmp_path, region):
         path = tmp_path / "q.json"
         path.write_text(json.dumps({"kind": "qadic", "classes": [[0, 4]]}))
-        code, out, err = run_cli(capsys, "generate", "--scheme", str(path), *region)
-        assert code == 2
-        assert out == ""
-        assert err.startswith("error: ") and "int64" in err
+        err = validation_error(capsys, "generate", "--scheme", str(path), *region)
+        assert "int64" in err
 
     @pytest.mark.parametrize("argv", [
         ("autocorr", "--radius", "inf", "--max-diff", "3"),
@@ -350,19 +350,15 @@ class TestMalformedInput:
         # unchecked, radius inf makes every eta and periodogram value 0
         path = tmp_path / "c.csv"
         path.write_text("x,re_weight,im_weight\n0,1,0\n")
-        code, out, err = run_cli(capsys, argv[0], "--input", str(path), *argv[1:])
-        assert code == 2
-        assert out == ""
-        assert err.startswith("error: ") and "finite and positive" in err
+        err = validation_error(capsys, argv[0], "--input", str(path), *argv[1:])
+        assert "finite and positive" in err
 
     def test_autocorr_float_points_on_one_key_exits_2(self, capsys, tmp_path):
         path = tmp_path / "comb.csv"
         path.write_text("x,re_weight,im_weight\n0,1,0\n3e-10,2,0\n1,3,0\n")
-        code, out, err = run_cli(capsys, "autocorr", "--input", str(path),
-                                 "--radius", "2", "--max-diff", "1.5")
-        assert code == 2
-        assert out == ""
-        assert err.startswith("error: ") and "grid" in err
+        err = validation_error(capsys, "autocorr", "--input", str(path),
+                               "--radius", "2", "--max-diff", "1.5")
+        assert "grid" in err
 
     @pytest.mark.parametrize("command", [
         ("autocorr", "--max-diff", "3"),
@@ -373,10 +369,8 @@ class TestMalformedInput:
     def test_malformed_comb_row_exits_2(self, capsys, tmp_path, command, row):
         path = tmp_path / "c.csv"
         path.write_text(f"x,re_weight,im_weight\n0,1,0\n{row}\n")
-        code, out, err = run_cli(capsys, command[0], "--input", str(path), *command[1:])
-        assert code == 2
-        assert out == ""
-        assert err.startswith("error: ") and "line 3" in err and str(path) in err
+        err = validation_error(capsys, command[0], "--input", str(path), *command[1:])
+        assert "line 3" in err and str(path) in err
 
     @pytest.mark.parametrize("row", ["1_0,1,0", '"1.5",1,0'], ids=["underscore", "quoted"])
     def test_rows_float_took_but_loadtxt_does_not_exit_2(self, capsys, tmp_path, row):
@@ -393,11 +387,9 @@ class TestMalformedInput:
         # --bragg nan used to print an empty atom table with exit 0
         path = tmp_path / "c.csv"
         path.write_text("x,re_weight,im_weight\n-1,1,0\n0,1,0\n1,1,0\n")
-        code, out, err = run_cli(capsys, "spectrum", "--input", str(path), "--kmax", "1",
-                                 "--dk", "0.25", "--bragg", threshold)
-        assert code == 2
-        assert out == ""
-        assert err.startswith("error: ") and "finite" in err
+        err = validation_error(capsys, "spectrum", "--input", str(path), "--kmax", "1",
+                               "--dk", "0.25", "--bragg", threshold)
+        assert "finite" in err
 
     def test_window_entry_not_a_pair_exits_2(self, capsys, tmp_path):
         path = tmp_path / "scheme.json"
@@ -433,20 +425,16 @@ class TestErrorBoundary:
             "scheme-not-utf8"])
     def test_file_error_exits_2(self, capsys, paths, argv):
         # each of these used to end in a traceback with exit 1
-        code, out, err = run_cli(capsys, *[paths.get(a, a) for a in argv])
-        assert code == 2
-        assert out == ""
-        assert err.startswith("error: ") and err.count("\n") == 1
+        err = validation_error(capsys, *[paths.get(a, a) for a in argv])
+        assert err.count("\n") == 1
 
     @pytest.mark.parametrize("bound", ["NaN", "-Infinity"])
     def test_window_bound_not_finite_exits_2(self, capsys, tmp_path, bound):
         # Python's json reads both; they used to end in a traceback
         path = tmp_path / "scheme.json"
         path.write_text('{"kind": "euclidean", "window": [[%s, 0.7]]}' % bound)
-        code, out, err = run_cli(capsys, "generate", "--scheme", str(path),
-                                 "--region", "0,10")
-        assert code == 2
-        assert out == ""
+        err = validation_error(capsys, "generate", "--scheme", str(path),
+                               "--region", "0,10")
         assert err.startswith('error: "window" must be') and err.count("\n") == 1
 
     @pytest.mark.parametrize("argv", [
@@ -457,9 +445,7 @@ class TestErrorBoundary:
     ], ids=["autocorr", "spectrum", "coincide", "generate"])
     def test_missing_file_named(self, capsys, tmp_path, argv):
         missing = str(tmp_path / "none")
-        code, out, err = run_cli(capsys, *[a.format(missing) for a in argv])
-        assert code == 2
-        assert out == ""
+        err = validation_error(capsys, *[a.format(missing) for a in argv])
         assert err == f"error: file not found: {missing}\n"
 
     @pytest.mark.parametrize("argv", [

@@ -15,8 +15,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import aperiodica as ap
-from aperiodica import cli, core, cps, spectrum, substitution
+from aperiodica import cli, core, cps
 from aperiodica.core import AperiodicaError
+from plans import traced
+from references import legal_clusters, paperfolding_total_intensity
 
 
 CONSTRUCTORS = pytest.mark.parametrize("make, args", [
@@ -373,12 +375,8 @@ def test_write_table_memory_follows_the_block(tmp_path):
     for rows in (2 ** 15, 2 ** 17):
         columns = [rng.standard_normal(rows) * 10.0 ** rng.integers(-20, 20, rows)
                    for _ in range(3)]
-        tracemalloc.start()
-        try:
-            core.write_table(tmp_path / "table.csv", ["a", "b", "c"], columns, "csv")
-            peaks.append(tracemalloc.get_traced_memory()[1])
-        finally:
-            tracemalloc.stop()
+        peaks.append(traced(lambda: core.write_table(tmp_path / "table.csv", ["a", "b", "c"],
+                                                     columns, "csv"))[1])
     assert peaks[1] <= 1.5 * peaks[0]
 
 
@@ -531,7 +529,7 @@ class TestSizeBudget:
         (lambda: cli._compare_fibonacci({"kpoints": 10 ** 15, "seed": 0}), "--kpoints",
          core.SIZE_BUDGET),
         # 2^(r_max - 1) atoms a unit overflowed a double at r_max = 600
-        (lambda: spectrum.paperfolding_total_intensity(1, 1, 0, 0, 600), "r_max",
+        (lambda: paperfolding_total_intensity(1, 1, 0, 0, 600), "r_max",
          core.SIZE_BUDGET),
         # 2,000 k with 8 sub-offsets each
         (lambda: ap.mean_ac_periodogram(ap.fibonacci_spec(), np.linspace(0.1, 2.0, 2_000),
@@ -539,7 +537,7 @@ class TestSizeBudget:
         # 4 images of 2^16 letters
         (lambda: ap.PAPERFOLDING.power(16), "rule power", 10_000),
         # 4 letters' iterates of up to 2^16 letters
-        (lambda: substitution.legal_clusters(
+        (lambda: legal_clusters(
             ap.PAPERFOLDING, ap.fixed_point(ap.PAPERFOLDING, ("b", "a")), n_max=16),
          "iterates of the rule", 10_000),
         # one point doubles at each of 16 steps
@@ -576,12 +574,7 @@ class TestSizeBudget:
                 lambda: ap.generate_model_set(ap.fibonacci_scheme(), window,
                                               (-10_000, 10_000)), "candidate list")
             # at +-5e3 the guards pass, and the peak stays within the budget
-            tracemalloc.start()
-            try:
-                mn = cps._slab_points(window, -5_000.0, 5_000.0)
-                peak = tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
+            mn, peak = traced(lambda: cps._slab_points(window, -5_000.0, 5_000.0))
         assert len(mn) == 4_473
         assert peak <= 8 * 100_000
 
@@ -614,16 +607,36 @@ class TestSizeBudget:
     (lambda: ap.WeightedComb.from_positions([1.0, 0.0], [1], 2.0), "differ in length"),
     (lambda: ap.WeightedComb.from_module([[1, 0], [0, 1]], [1, 2, 3], 3.0), "differ in length"),
     (lambda: ap.WeightedComb.from_module([[1, 0], [0, 1]], [1], 3.0), "differ in length"),
+    # a (2, 3) array read as three pairs; a 3-vector raised numpy's ValueError
+    (lambda: ap.WeightedComb.from_module([[0, 1, 2], [3, 4, 5]], [1, 1, 1], 20.0),
+     r"\(N, 2\) array or one pair; got shape \(2, 3\)"),
+    (lambda: ap.WeightedComb.from_module([1, 0, 1], [1, 1, 1], 20.0), r"got shape \(3,\)"),
+    # non-integers were truncated to exact coordinates: 0.5 became 0
+    (lambda: ap.WeightedComb.from_module([[0.5, 1]], [1], 20.0), "within int64; got 0.5"),
+    (lambda: ap.WeightedComb.from_integers([0.5, 1], [1, 1], 2.0), "within int64; got 0.5"),
+    (lambda: ap.WeightedComb.from_integers([1, math.nan], [1, 1], 2.0), "got nan"),
+    (lambda: ap.WeightedComb.from_integers([-math.inf], [1], 2.0), "got -inf"),
+    (lambda: ap.WeightedComb.from_integers([2.0 ** 63], [1], 1e19), "within int64"),
+    (lambda: ap.WeightedComb.from_integers([2 ** 70], [1], 2e21), "within int64"),
 ], ids=["positions-2d", "weights-short", "basis-not-square", "integers-weight-0-d",
         "integers-descending-weight-0-d", "positions-weight-0-d",
         "positions-descending-weight-0-d", "module-weight-0-d",
         "module-descending-weight-0-d", "integers-0-d", "positions-0-d",
         "integers-descending-weights-long", "integers-descending-weights-short",
         "positions-descending-weights-long", "positions-descending-weights-short",
-        "module-descending-weights-long", "module-descending-weights-short"])
+        "module-descending-weights-long", "module-descending-weights-short",
+        "module-2-by-3", "module-3-vector", "module-half", "integers-half", "integers-nan",
+        "integers-inf", "integers-2-63", "integers-past-int64"])
 def test_invalid_shapes_rejected(call, match):
     with pytest.raises(AperiodicaError, match=match):
         call()
+
+
+def test_factories_take_integral_floats_and_one_pair():
+    comb = ap.WeightedComb.from_integers([2.0, -1.0, -2.0 ** 62], [1, 2, 3], 2.0 ** 62)
+    assert comb.coords.values.tolist() == [-2 ** 62, -1, 2]
+    assert ap.WeightedComb.from_module([1, 0], [1], 2.0).coords.mn.tolist() == [[1, 0]]
+    assert ap.WeightedComb.from_module(np.empty((0, 2)), [], 2.0).coords.mn.shape == (0, 2)
 
 
 def test_module_element_difference():

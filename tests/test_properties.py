@@ -26,6 +26,7 @@ import aperiodica as ap
 from aperiodica import autocorr, cps, spectrum
 from aperiodica.core import IntegerCoords, ModuleCoords
 from oracles import direct_power, exact_power
+from plans import cheapest, recorded
 
 
 @st.composite
@@ -159,7 +160,7 @@ def test_periodogram_fast_path_matches_direct(case):
     comb, taper, ks = case
     x = comb.positions
     ns_other = spectrum._NS_FLOAT if comb.coords is None else spectrum._NS_TABLE
-    assert spectrum._choose_path(len(x), len(ks), x[-1] - x[0], np.ptp(ks), ns_other) == "nufft"
+    assert cheapest(len(x), len(ks), x[-1] - x[0], np.ptp(ks), ns_other) == "nufft"
     w = spectrum._taper_weights(comb, taper)[0]
     fast = np.abs(spectrum._nufft(x, w[None], ks)[0]) ** 2 * spectrum._NUFFT_SCALE ** 2
     direct = direct_power(x, w, ks)
@@ -337,10 +338,13 @@ def test_periodogram_wrap_matches_direct(case):
     # wrapped to one period 1/dk (|k x| stays under ~3e5 here, where direct
     # summation's phase rounding measured under 1e-11 of max)
     comb, taper, ks, dyadic = case
-    with mock.patch.object(spectrum, "_wrap", wraps=spectrum._wrap) as wrap:
+    with recorded(spectrum) as plans:
         values = ap.periodogram_values(comb, ks, taper)
-    assert wrap.called == (spectrum._wrap_grid(ks, np.ptp(comb.positions)) is not None)
-    assert wrap.called or not dyadic
+    [plan] = plans
+    # a grid wrapped is summed by the NUFFT, and a dyadic grid is wrapped
+    wrapped = plan.path == "nufft" and plan.wrap is not None
+    assert wrapped == (plan.wrap is not None)
+    assert wrapped or not dyadic
     w, t_mean, _ = spectrum._taper_weights(comb, taper)
     direct = direct_power(comb.positions, w, ks) / (comb.volume * t_mean ** 2)
     assert np.max(np.abs(values - direct)) <= 1e-10 * np.max(direct)
@@ -405,9 +409,9 @@ def test_stray_grid_wrap_matches_exact_phases(case):
     # the 1e-10 gate against sums with phases from integer arithmetic, on
     # grids that stray from their progressions by an ulp or so
     comb, taper, ks = case
-    with mock.patch.object(spectrum, "_wrap", wraps=spectrum._wrap) as wrap:
+    with recorded(spectrum) as plans:
         values = ap.periodogram_values(comb, ks, taper)
-    assert wrap.called
+    assert [(p.path, p.wrap is not None) for p in plans] == [("nufft", True)]
     w, t_mean, _ = spectrum._taper_weights(comb, taper)
     exact = exact_power(comb, w, ks) / (comb.volume * t_mean ** 2)
     assert np.max(np.abs(values - exact)) <= 1e-10 * np.max(exact)
@@ -436,10 +440,9 @@ def test_scattered_k_far_from_0_match_exact_phases(kind, k_mid):
     # 2.5e-12 of max), where kc x formed in doubles was 4.2e-10 to 1.6e-9 off
     comb = scattered_k_comb(kind)
     ks = k_mid + np.random.default_rng(1).uniform(-1.0, 1.0, size=400)
-    with mock.patch.object(spectrum, "_wrap", side_effect=AssertionError), \
-            mock.patch.object(spectrum, "_nufft", wraps=spectrum._nufft) as nufft:
+    with recorded(spectrum) as plans:
         values = ap.periodogram_values(comb, ks) * comb.volume
-    assert nufft.call_count == 1
+    assert [(p.path, p.wrap) for p in plans] == [("nufft", None)]
     exact = exact_power(comb, comb.weights, ks)
     assert np.max(np.abs(values - exact)) <= 1e-10 * np.max(exact)
 
@@ -495,9 +498,10 @@ def test_lattice_path_matches_integer_phases(case):
     # never takes the lattice path
     scale_3 = ap.WeightedComb.from_integers(comb.coords.values, comb.weights,
                                             3.0 / comb.coords.scale * comb.radius, 3.0)
-    with mock.patch.object(spectrum, "_lattice_power", side_effect=AssertionError):
+    with recorded(spectrum) as plans:
         ap.periodogram_values(comb, 0.02 * np.arange(1, 64), taper)
         ap.periodogram_values(scale_3, ks[np.abs(ks) < 2.0 ** 30], taper)
+    assert [p.lattice for p in plans] == [0, 0] and "lattice" not in [p.path for p in plans]
     assert spectrum._lattice_length(scale_3.coords, ks) == 0
 
 
@@ -830,8 +834,7 @@ def test_pair_path_matches_loop(case):
     # identical keys, coefficients within 1e-12 of the largest
     comb, max_diff, block = case
     assume(len(comb) > 0)
-    with mock.patch.object(autocorr, "_PAIR_BLOCK", block), \
-            mock.patch.object(autocorr, "_NS_DENSE", math.inf):
+    with mock.patch.object(autocorr, "_PAIR_BLOCK", block), recorded(autocorr, path="pairs"):
         est = ap.estimate_autocorrelation(comb, max_diff)
     diffs, eta = loop_autocorrelation(comb, max_diff)
     assert np.array_equal(est.diffs, diffs)
@@ -865,14 +868,11 @@ def dense_integer_inputs(draw):
 @settings(max_examples=150, deadline=None)
 def test_dense_path_matches_loop(case):
     # identical lags, coefficients within 1e-12 of the largest; the FFTs
-    # round where the pair loop adds exactly.  A negative dense rate sends
-    # every comb to the dense sums, those with no pair (one point, max_diff
-    # below the least gap) too; small tiles put block and tile edges among
-    # the points
+    # round where the pair loop adds exactly.  Every comb is sent to the
+    # dense sums, those with no pair (one point, max_diff below the least
+    # gap) too; small tiles put block and tile edges among the points
     comb, max_diff, tile = case
-    with mock.patch.object(autocorr, "_DENSE_TILE", tile), \
-            mock.patch.object(autocorr, "_NS_DENSE", -1.0), \
-            mock.patch.object(autocorr, "_pairwise_sums", side_effect=AssertionError):
+    with mock.patch.object(autocorr, "_DENSE_TILE", tile), recorded(autocorr, path="dense"):
         est = ap.estimate_autocorrelation(comb, max_diff)
     diffs, eta = loop_autocorrelation(comb, max_diff)
     assert np.array_equal(est.diffs, diffs)

@@ -1,5 +1,4 @@
 import math
-import tracemalloc
 from fractions import Fraction
 from unittest import mock
 
@@ -9,6 +8,7 @@ from scipy.integrate import quad
 
 import aperiodica as ap
 from aperiodica.randomtiling import patch_heights
+from plans import traced
 
 FIB_DENSITY = 0.7236067977499790        # 1/(p*tau + q) at p = 1/tau
 FIB_G0 = 0.03416407864998738            # d*pq*(u-v)^2/(pu+qv)^2, 40-digit eval
@@ -147,12 +147,7 @@ class TestSample:
         # made of them used to take the peak to 2.3x that
         spec = ap.RandomTilingSpec(2, 1, 0.5)
         ap.sample(spec, 100_000, 7)
-        tracemalloc.start()
-        try:
-            comb = ap.sample(spec, 100_000, 7).comb
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        comb, peak = traced(lambda: ap.sample(spec, 100_000, 7).comb)
         held = comb.positions.nbytes + comb.weights.nbytes + comb.coords.values.nbytes
         assert held == 32 * 200_001
         assert peak <= 1.5 * held

