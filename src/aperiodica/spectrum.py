@@ -29,6 +29,10 @@ every decision and its inputs, which periodogram_values executes.
   tolerance of 1e-13, below the phase rounding of direct summation.  It
   serves integer, module and float positions at uniform or scattered k,
   when its cost estimate is the lowest and its fine grid fits _GRID_CAP.
+  A fine grid of nf > 2^17 cells is folded by residue class mod 7 (the
+  decimation step of Cooley-Tukey): G[j] = sum_r e^(-2 pi i r j/nf)
+  Y_r[j mod nf/7], Y_r the FFT of the cells r mod 7, so one column of
+  nf/7 cells is spread, transformed and added into the modes at a time.
   It forms no phase of k: the weights are multiplied by e^(-2 pi i kc x),
   kc x reduced mod 1 from the digit tables of the sums below, and it sums
   at the offsets k - kc, kc the middle of ks.
@@ -73,7 +77,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.polynomial.chebyshev import chebinterpolate, chebval
+from numpy.polynomial.chebyshev import chebinterpolate
 
 from .autocorr import estimate_autocorrelation
 from .core import (
@@ -421,13 +425,23 @@ def _wrap(turns, ws: np.ndarray, k0: float, dk: float, m: int):
 #
 # With positions centred to |x| <= X and k centred to |k| <= S, the sum
 # F(k) = sum_j c_j e^(-2 pi i k x_j) is computed in three steps:
-#   1. spread c_j / psi^(x_j) onto an x grid of spacing h with the kernel phi;
-#   2. one FFT of length nf gives the spread sums at the k grid j*dk,
+#   1. spread c_j / psi^(x_j) onto an x grid of nf cells g[n], spacing h,
+#      with the kernel phi;
+#   2. an FFT of length nf gives the spread sums G[j] at the k grid j*dk,
 #      dk = 1/(nf h); divide by phi^(j dk) only at the modes step 3 reads;
 #   3. interpolate those modes to each k with the kernel psi.
 # phi and psi are the same ES kernel, _WIDTH cells of their grid wide.  The
 # k grid oversamples the position span (dk = 1/(2 sigma X)) and the x grid
 # oversamples the padded k span (h <= 1/(2 sigma S')), both by _SIGMA.
+#
+# Steps 1 and 2 run on a grid folded by residue class r mod q, q the fold
+# (_FOLD, or 1 on short grids), as in the decimation step of Cooley-Tukey
+# (Bailey's four-step FFT, J. Supercomputing 4 (1990) 23), with P = nf/q:
+#   G[j] = sum_r e^(-2 pi i r j / nf) Y_r[j mod P],
+#   Y_r[m] = sum_n1 g[q n1 + r] e^(-2 pi i n1 m / P).
+# One column g[q n1 + r] is spread, transformed and added into the modes
+# at a time, so neither the whole grid nor an FFT of length nf is held.
+# q divides _WIDTH, so each point puts _WIDTH/q cells in each class.
 
 _NUFFT_TOL = 1e-13
 _SIGMA = 2.0
@@ -435,10 +449,25 @@ _WIDTH = int(math.ceil(-math.log10(_NUFFT_TOL / 10.0)))  # kernel cells: 14
 _BETA = 2.30 * _WIDTH                                     # ES shape at sigma 2
 _T_MAX = _WIDTH / (4.0 * _SIGMA)  # largest argument of the kernel transform
 _BLOCK = 2048                     # points spread, or k interpolated, per block
-# fine-grid cap: the NUFFT holds three complex arrays of nf modes (the grid,
-# the FFT's scratch copy and its twiddle factors), 48 bytes a mode, so
-# ~13 MiB at the cap
+# fine-grid cap: the NUFFT holds one column of nf/q modes with the FFT's
+# scratch copy and twiddle factors for it, 48 bytes a mode (~1.9 MiB at the
+# cap, 48 nf/7 bytes), plus 16 bytes per weight row of each mode the k read.
+# The cap stays where the unfolded grid put it: raising it would move path
+# choices, whose rates are still unchecked (ROADMAP item 3).
 _GRID_CAP = 283_989
+# the fold: q = 7 divides _WIDTH = 14, so a point has two cells per class,
+# at kernel arguments z and z + 1.  Grids above _FOLD_MIN are folded.  A
+# folded point costs ~15% more to spread (per class, the class's first cell
+# and index), and the short FFTs and the column in cache repay it on long
+# grids.  Measured q = 7 / q = 1 time of _nufft at 800 scattered k on a
+# 2-core Xeon VM: at nf 96,040, 0.90 (4,473 points), 1.10 and 1.04 (20,001
+# points, one and two weight rows) and 1.21 (200,001); at nf 144,060, 0.74,
+# 1.05, 0.67 and 1.03; at nf 224,532, 0.92, 0.94, 0.64 and 0.99.
+_FOLD = 7
+_FOLD_MIN = 1 << 17
+# points per block of a folded spread: (2, 8192) kernel values, within the
+# unfolded (14, 2048); blocks of 14,336 points ran up to 1.25x slower
+_FOLD_BLOCK = 8192
 # _nufft's sums are the kernel sums of step 3: the true sums divided by this
 _NUFFT_SCALE = 4.0 / _WIDTH ** 2
 
@@ -485,17 +514,45 @@ def _es_transform_series() -> np.ndarray:
 
 
 _ES_SERIES = _es_transform_series()
+# points per block of _es_transform: its four buffers (256 KiB) stay in
+# cache, where whole arrays of 200,001 points ran at ~45 ns a point
+_SERIES_BLOCK = 8192
 
 
 def _es_transform(t: np.ndarray) -> np.ndarray:
-    """E(|t|) for |t| <= _T_MAX, from its Chebyshev series."""
-    return chebval(2.0 * np.abs(t) / _T_MAX - 1.0, _ES_SERIES)
+    """E(|t|) for |t| <= _T_MAX, from its Chebyshev series by Clenshaw's
+    recurrence b_k = c_k + 2u b_(k+1) - b_(k+2), u = 2|t|/_T_MAX - 1, in
+    blocks of _SERIES_BLOCK points: 2u is formed in the output, and b_k is
+    written over b_(k+2), with the product 2u b_(k+1) in a third buffer."""
+    t = np.abs(t, dtype=float)
+    out = np.empty_like(t)
+    size = min(len(t), _SERIES_BLOCK)
+    buffers = np.empty((3, size))
+    for start in range(0, len(t), _SERIES_BLOCK):
+        y = np.multiply(t[start:start + _SERIES_BLOCK], 4.0 / _T_MAX,
+                        out=out[start:start + _SERIES_BLOCK])
+        y -= 2.0
+        b1, b2, product = buffers[:, :len(y)]
+        b1.fill(_ES_SERIES[-1])
+        b2.fill(0.0)
+        for c in _ES_SERIES[-2:0:-1]:
+            np.multiply(y, b1, out=product)
+            np.subtract(product, b2, out=b2)
+            b2 += c
+            b1, b2 = b2, b1
+        # c_0 + u b_1 - b_2
+        y *= 0.5
+        y *= b1
+        y -= b2
+        y += _ES_SERIES[0]
+    return out
 
 
-def _fine_grid(x_span: float, k_span: float) -> tuple[int, float]:
-    """Fine-grid length nf >= 4 sigma^2 X S', rounded up to a fast FFT
-    length when it fits the cap, and the k-grid spacing dk for the given
-    position and k spans."""
+def _fine_grid(x_span: float, k_span: float) -> tuple[int, float, int]:
+    """Fine-grid length nf >= 4 sigma^2 X S', the k-grid spacing dk for the
+    given position and k spans, and the fold q of _nufft.  When the length
+    fits the cap it is rounded up to q times a fast FFT length, q = _FOLD
+    above _FOLD_MIN and 1 below, so nf stays 11-smooth and divisible by q."""
     half_k = 0.5 * k_span
     # a degenerate position span only needs some dk that keeps nf finite
     half_x = max(0.5 * x_span, 1.0 / max(half_k, 1.0))
@@ -503,7 +560,10 @@ def _fine_grid(x_span: float, k_span: float) -> tuple[int, float]:
     padded = half_k + 0.5 * _WIDTH * dk
     # the spread support, nf / sigma cells plus a stencil, must not wrap
     nf = max(math.ceil(2.0 * _SIGMA * padded / dk), 2 * _WIDTH + 2)
-    return (next_fast_len(nf) if nf <= _GRID_CAP else nf), dk
+    if nf > _GRID_CAP:
+        return nf, dk, 1
+    fold = _FOLD if nf > _FOLD_MIN else 1
+    return fold * next_fast_len(-(-nf // fold)), dk, fold
 
 
 def _costs(n: int, count: int, nf: int, ns_other: float, lattice: int = 0) -> dict:
@@ -525,53 +585,100 @@ def _nufft(x: np.ndarray, ws: np.ndarray, ks: np.ndarray) -> np.ndarray:
     """sum_j ws[v, j] e^(-2 pi i k x_j) / _NUFFT_SCALE at every k, for each
     row v of ws, by the type-3 NUFFT; one row per weight vector in the
     result.  x must be ascending; the sums drop a unit-modulus factor per k.
-    The rows share the kernel values, the deconvolution and one FFT call.
+    The rows share the kernel values, the deconvolution and the FFT calls.
     It forms no phase of k: the caller centres ks, and the fine grid spans
     2 max|k|, so k that are not centred cost grid length, not accuracy."""
     x_center = 0.5 * (x[0] + x[-1])
-    nf, dk = _fine_grid(x[-1] - x[0], 2.0 * np.max(np.abs(ks)))
+    nf, dk, fold = _fine_grid(x[-1] - x[0], 2.0 * np.max(np.abs(ks)))
     h = 1.0 / (nf * dk)
     offsets = np.arange(_WIDTH)
     first = math.floor((x[0] - x_center) / h - 0.5 * _WIDTH)  # cell at index 0
 
-    # 1. spread, pre-weighted by the k kernel's transform, evaluated once
-    xs = x - x_center
-    es_x = _es_transform(0.5 * _WIDTH * dk * xs)
-    grid = np.zeros((len(ws), nf), dtype=complex)
-    for start in range(0, len(x), _BLOCK):
-        xb = xs[start:start + _BLOCK]
-        cb = ws[:, start:start + _BLOCK] / es_x[start:start + _BLOCK]
-        ub = xb / h
-        left = np.ceil(ub - 0.5 * _WIDTH).astype(np.int64)
-        cells = left[:, None] + offsets
-        phi = _es((cells - ub[:, None]) * (2.0 / _WIDTH))
-        idx = (cells - left[0]).ravel()
-        lo = int(left[0]) - first
-        size = int(left[-1]) - int(left[0]) + _WIDTH
-        for row, c in zip(grid, cb):
-            row.real[lo:lo + size] += np.bincount(idx, (phi * c.real[:, None]).ravel(), size)
-            row.imag[lo:lo + size] += np.bincount(idx, (phi * c.imag[:, None]).ravel(), size)
-
-    # 2. FFT; deconvolve only the modes under the interpolation stencils
-    np.fft.fft(grid, axis=1, out=grid)
+    # the modes j under the interpolation stencils, ascending
     left = np.ceil(ks / dk - 0.5 * _WIDTH).astype(np.int64)
     j_lo = int(left.min())
     touched = np.zeros(int(left.max()) - j_lo + _WIDTH, dtype=bool)
     for i in range(_WIDTH):
         touched[left - j_lo + i] = True
     j = np.flatnonzero(touched) + j_lo
-    modes = np.zeros((len(ws), len(touched)), dtype=complex)
-    # the grid starts at cell `first`: shift each mode's phase back
-    shift = np.exp(-2j * math.pi * ((j * first) % nf) / nf)
-    modes[:, j - j_lo] = grid[:, j % nf] * shift / _es_transform(0.5 * _WIDTH * h * dk * j)
+
+    # 1. and 2. spread, pre-weighted by the k kernel's transform, and FFT
+    # one column of residue class r at a time, the last first; its modes
+    # enter G[j] by Horner's rule in e^(-2 pi i j / nf)
+    xs = x - x_center
+    es_x = _es_transform(0.5 * _WIDTH * dk * xs)
+    step = _unit_phases(j, nf) if fold > 1 else 1.0
+    in_column = j % (nf // fold)
+    modes = np.zeros((len(ws), len(j)), dtype=complex)
+    for column in _class_columns(xs, h, first, ws, es_x, nf, fold):
+        modes *= step
+        modes += column[:, in_column]
+    # the grid starts at cell `first`: shift each mode's phase back, and
+    # deconvolve only the modes that step 3 reads
+    modes *= _unit_phases(j * first, nf)
+    modes /= _es_transform(0.5 * _WIDTH * h * dk * j)
 
     # 3. interpolate to each k
     out = np.empty((len(ws), len(ks)), dtype=complex)
+    at = np.searchsorted(j, left)  # each stencil's first mode in j
     for start in range(0, len(ks), _BLOCK):
         cells = left[start:start + _BLOCK, None] + offsets
         psi = _es((cells * dk - ks[start:start + _BLOCK, None]) * (2.0 / (_WIDTH * dk)))
+        stencils = at[start:start + _BLOCK, None] + offsets
         for row, m in zip(out, modes):
-            row[start:start + _BLOCK] = np.einsum("ij,ij->i", psi, m[cells - j_lo])
+            row[start:start + _BLOCK] = np.einsum("ij,ij->i", psi, m[stencils])
+    return out
+
+
+def _class_columns(xs: np.ndarray, h: float, first: int, ws: np.ndarray,
+                   es_x: np.ndarray, nf: int, fold: int):
+    """For r = fold - 1 down to 0, the FFT of column r of the fine grid of
+    spacing h: the weights ws / es_x at the ascending positions xs, spread
+    with the kernel onto the cells first + n with n = r mod fold, at
+    n // fold, one row per row of ws.  The columns share one buffer.
+
+    A point's left cell is first + fold*n0 + rem, so its _WIDTH // fold
+    cells of class r start at n1 = n0 + (rem > r) and lie fold cells apart,
+    2 fold/_WIDTH apart in the kernel's argument, which starts at
+    z0 + 2 r/_WIDTH + (rem > r), z0 its value at cell first + fold*n0."""
+    block = _BLOCK if fold == 1 else _FOLD_BLOCK
+
+    def points(start):
+        u = xs[start:start + block] / h
+        n0 = np.ceil(u - 0.5 * _WIDTH).astype(np.int64) - first
+        rem = n0.copy()
+        n0 //= fold
+        rem -= fold * n0
+        z0 = (fold * n0 + first - u) * (2.0 / _WIDTH)
+        return n0, rem, z0, ws[:, start:start + block] / es_x[start:start + block]
+
+    blocks = map(points, range(0, len(xs), block))
+    if fold > 1:
+        blocks = list(blocks)  # every class reads them
+    per_class = _WIDTH // fold
+    cells = np.arange(per_class)[:, None]
+    column = np.empty((len(ws), nf // fold), dtype=complex)
+    for r in range(fold - 1, -1, -1):
+        column.fill(0.0)
+        for n0, rem, z0, weights in blocks:
+            later = rem > r
+            n1 = n0 + later
+            lo, span = int(n1[0]), int(n1[-1] - n1[0]) + per_class
+            idx = (n1 - lo + cells).ravel()
+            phi = _es(z0 + r * (2.0 / _WIDTH) + later + (2.0 * fold / _WIDTH) * cells)
+            for row, c in zip(column, weights):
+                row.real[lo:lo + span] += np.bincount(idx, (phi * c.real).ravel(), span)
+                row.imag[lo:lo + span] += np.bincount(idx, (phi * c.imag).ravel(), span)
+        np.fft.fft(column, axis=1, out=column)
+        yield column
+
+
+def _unit_phases(numerators: np.ndarray, nf: int) -> np.ndarray:
+    """e^(-2 pi i m / nf) for the integers m, reduced mod nf first."""
+    angle = (numerators % nf) * (-2.0 * math.pi / nf)
+    out = np.empty(len(angle), dtype=complex)
+    np.cos(angle, out=out.real)
+    np.sin(angle, out=out.imag)
     return out
 
 

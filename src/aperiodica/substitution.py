@@ -381,21 +381,25 @@ def iterate_mfs(mfs: MfsRule, multiset, steps: int = 1) -> list[np.ndarray]:
         for i in range(mfs.size):
             parts = [q * current[j] + a
                      for j in range(mfs.size) for a in mfs.maps[i][j]]
-            merged = np.concatenate(parts) if parts else np.empty(0, dtype=np.int64)
-            if len(np.unique(merged)) != len(merged):
+            merged = np.sort(np.concatenate(parts)) if parts else np.empty(0, dtype=np.int64)
+            if _has_repeats(merged):
                 raise NotLatticeSubstitutionError(
                     f"overlapping union in component {i}")
-            new.append(np.sort(merged))
+            new.append(merged)
         _check_disjoint(new, "components overlap after substitution")
         current = new
     return current
 
 
+def _has_repeats(ascending: np.ndarray) -> bool:
+    """Whether an ascending array holds some value twice: neighbours are
+    compared, where len(np.unique(...)) would import numpy.ma on first use."""
+    return bool(np.any(ascending[1:] == ascending[:-1]))
+
+
 def _check_disjoint(arrays, message):
-    total = sum(len(a) for a in arrays)
-    if total:
-        merged = np.concatenate([np.asarray(a) for a in arrays])
-        if len(np.unique(merged)) != total:
+    if sum(len(a) for a in arrays):
+        if _has_repeats(np.sort(np.concatenate([np.asarray(a) for a in arrays]))):
             raise NotLatticeSubstitutionError(message)
 
 

@@ -471,6 +471,112 @@ def wide_band_comb():
     return ap.WeightedComb.from_module(mn, np.ones(len(mn)), 1e4)
 
 
+# the columns the fold can give: nf/7 odd with a factor 11 or a power of
+# two, both above _FOLD_MIN, and an unfolded grid below it
+FOLD_KINDS = {
+    "odd-with-11": lambda nf, fold: fold == 7 and (nf // 7) % 2 == 1 and (nf // 7) % 11 == 0,
+    "power-of-two": lambda nf, fold: fold == 7 and (nf // 7) & (nf // 7 - 1) == 0,
+    "unfolded": lambda nf, fold: fold == 1,
+}
+
+
+def grid_of_kind(kind, x_span, k_span, lengths):
+    """The first length l of lengths whose fine grid, at spans x_span(l) and
+    k_span(l) and one cell less or more, is of the kind."""
+    for length in lengths:
+        grids = [sp._fine_grid(x_span(length), k_span(length) * (1 + e)) for e in (-1e-9, 0, 1e-9)]
+        if len({g[0] for g in grids}) == 1 and FOLD_KINDS[kind](grids[0][0], grids[0][2]):
+            return length
+    raise AssertionError(f"no grid of kind {kind}")
+
+
+class TestFold:
+    def test_fine_grid_over_a_sweep(self):
+        # nf is divisible by the fold, 11-smooth and at least the unrounded
+        # length nf0 (what _fine_grid returns past the cap); it folds above
+        # _FOLD_MIN, and it fits the cap exactly when next_fast_len(nf0),
+        # the unfolded rounding, did, so no NUFFT drops out of the costs
+        count = 0
+        for x_span in np.geomspace(0.5, 2e6, 181):
+            for k_span in (0.0, 0.02, 1.0, 1.951, 3.0, 40.0):
+                nf, dk, fold = sp._fine_grid(x_span, k_span)
+                with mock.patch.object(sp, "_GRID_CAP", 0):
+                    nf0, dk0, _ = sp._fine_grid(x_span, k_span)
+                assert dk == dk0
+                if nf0 > sp._GRID_CAP:
+                    assert (nf, fold) == (nf0, 1)
+                    continue
+                count += 1
+                # 11-smooth: the smallest such length at or above nf is nf
+                assert nf >= nf0 and nf % fold == 0 and sp.next_fast_len(nf) == nf
+                assert fold == (7 if nf0 > sp._FOLD_MIN else 1)
+                assert (nf <= sp._GRID_CAP) == (sp.next_fast_len(nf0) <= sp._GRID_CAP)
+        assert count > 500
+
+    @pytest.mark.parametrize("kind", list(FOLD_KINDS))
+    def test_scattered_k_against_exact_phases(self, kind):
+        # one weight row: 2,000 random integers and 600 scattered k in
+        # [-0.25, 2.25] (centred on 1, both exact), the span chosen for the
+        # kind of grid
+        span = grid_of_kind(kind, float, lambda _: 2.5, range(8_000, 28_000, 3))
+        rng = np.random.default_rng(span)
+        values = np.unique(np.concatenate([[0, span], rng.integers(0, span, 2_000)]))
+        comb = ap.WeightedComb.from_integers(
+            values - span // 2, rng.normal(size=len(values)) + 1j * rng.normal(size=len(values)),
+            float(span))
+        ks = np.concatenate([[-0.25, 2.25], rng.uniform(-0.25, 2.25, 598)])
+        with recorded(sp) as plans:
+            values = ap.periodogram_values(comb, ks) * comb.volume
+        (plan,) = plans
+        assert plan.path == "nufft" and plan.wrap is None
+        assert FOLD_KINDS[kind](plan.nf, sp._fine_grid(plan.x_span, plan.k_span)[2])
+        exact = exact_power(comb, comb.weights, ks)
+        assert np.max(np.abs(values - exact)) <= 1e-10 * np.max(exact)
+
+    @pytest.mark.parametrize("kind", list(FOLD_KINDS))
+    def test_stray_wrapped_grid_against_exact_phases(self, kind):
+        # two weight rows: 60 integers over 1e4 at count k of the grid
+        # 0.3 + 0.001 l, which strays from its progression (delta != 0), so
+        # the comb is wrapped to one period of 1000.  Its least integer is
+        # -5000 and the others are r mod 1000 with r in [-498, 499], both
+        # ends taken: the wrapped positions x - x_min mod 1000 are the r,
+        # 997 wide, and nf follows count
+        count = grid_of_kind(kind, lambda _: 997.0, lambda n: (n - 1) * 0.001,
+                             range(15_001, 60_000, 2))
+        rng = np.random.default_rng(count)
+        residues = np.concatenate([[-498, 499], rng.integers(-498, 500, 58)])
+        values = np.unique(np.append(1000 * rng.integers(-4, 5, 60) + residues, -5000))
+        comb = ap.WeightedComb.from_integers(
+            values, rng.normal(size=len(values)) + 1j * rng.normal(size=len(values)), 5e3)
+        ks = np.linspace(0.3, 0.3 + (count - 1) * 0.001, count)
+        with recorded(sp) as plans:
+            values = ap.periodogram_values(comb, ks) * comb.volume
+        (plan,) = plans
+        assert plan.path == "nufft" and np.any(plan.wrap[2])
+        nf, _, fold = sp._fine_grid(997.0, (count - 1) * plan.wrap[1])
+        assert FOLD_KINDS[kind](nf, fold)
+        exact = exact_power(comb, comb.weights, ks[::16])
+        assert np.max(np.abs(values[::16] - exact)) <= 1e-10 * np.max(exact)
+
+    def test_tiling_call_memory(self):
+        # criterion 5's call on a tiling of 20,001 points at its 800 k: a
+        # fine grid of 216,832 cells, held as one column of 30,976 at a time
+        # (8.05 MiB peak with the whole grid).  pocketfft allocates its
+        # scratch copy and twiddle factors in C++, which tracemalloc does
+        # not see: this bounds the rest.
+        comb = ap.sample(ap.fibonacci_spec(), 10_000, seed=6_002_000).comb
+        kk = (np.linspace(0.05, 2.0, 100)[:, None] + (np.arange(8) - 3.5) * 2e-4).ravel()
+
+        def call():
+            return ap.periodogram_values(comb, kk, taper="hann", normalization="density")
+
+        call()
+        with recorded(sp) as plans:
+            _, peak = traced(call)
+        assert [(p.path, p.nf) for p in plans] == [("nufft", 216_832)]
+        assert peak <= 5 * 2 ** 20
+
+
 class TestTableRows:
     def test_criterion_7_comb_takes_the_band(self):
         comb, ks, w = criterion_7_case()
