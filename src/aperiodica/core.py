@@ -208,6 +208,10 @@ class WeightedComb:
     coords: IntegerCoords | ModuleCoords | None = None
 
     def __post_init__(self):
+        if self.coords is not None:
+            raise AperiodicaError(
+                "exact coordinates are given through WeightedComb.from_integers or "
+                "WeightedComb.from_module, which derive the positions from them")
         self._adopt(_own_copy(self.positions, float), _own_copy(self.weights, complex))
 
     @classmethod

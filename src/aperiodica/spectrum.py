@@ -51,24 +51,27 @@ every decision and its inputs, which periodogram_values executes.
   of modulus one.  A grid within a few ulps of its progression is wrapped
   while the second-order remainder stays within the NUFFT's tolerance
   (_wrap_grid); scattered k and combs within 1/dk are not wrapped.
-* otherwise summation over per-k twiddle tables e^(-2 pi i frac(k b a)),
-  reduced mod 1 in extended precision.  Each integer column (k of k*scale,
-  m and n of m*tau + n) splits into two base-Q digits (Q = isqrt(span) + 1,
+* otherwise summation over per-k twiddle tables e^(-2 pi i frac(k u v)),
+  u a column's unit and v a table entry, each phase formed in uint64 fixed
+  point to a few units of 2^-64 at any |k x| (_turn_tables) and rounded to
+  a double once, before the exponential.  Each integer column (k of k*scale, m and n of
+  m*tau + n) splits into two base-Q digits (Q = isqrt(span) + 1,
   baby-step/giant-step) or, when a digit would need more than N entries,
-  stays whole with its N values as the table, as float positions do.  A
-  point*k costs one gather per digit and a multiply at any span.  A module
-  comb whose points fill a band (a model set's: its star images n - m/tau
-  lie in the window, so each m has n in a run about the window's length)
-  is summed by rows: with one row per m anchored at (m, n0(m)) and
-  columns r = n - n0(m) < U,
+  stays whole with its N values as the table, as a float column of
+  mantissas does.  A point*k costs one gather per digit and a multiply at
+  any span.  A module comb whose points fill a band (a model set's: its
+  star images n - m/tau lie in the window, so each m has n in a run about
+  the window's length) is summed by rows: with one row per m anchored at
+  (m, n0(m)) and columns r = n - n0(m) < U,
   F(k) = sum_m e^(-2 pi i k (m tau + n0(m))) sum_r W[m, r] e^(-2 pi i k r),
   the row phases from the digit tables of the anchors and the column sums
   one small matrix product per block of k.
 
 Tests hold each path within 1e-10 of the largest value of direct sums
 whose phases frac(k x) come from the exact coordinates in integer
-arithmetic, exact to about 2e-16 turns (tests/oracles.py, which shares no
-arithmetic with this module), the lattice path within 1e-12.
+arithmetic, exact to about 2e-16 turns (tests/oracles.py, which shares the
+method of the tables but no code with this module), the lattice path
+within 1e-12.
 """
 
 from __future__ import annotations
@@ -86,9 +89,12 @@ from .core import (
     IntegerCoords,
     LatticeBasis,
     OutOfRangeError,
+    TAU,
     SpectralMeasure,
     WeightedComb,
     _own_copy,
+    _product,
+    _split,
     check_size,
     finite_range,
     next_fast_len,
@@ -99,7 +105,9 @@ from .core import (
 # cache; 2^14 to 2^16 time alike on a 2-core Xeon VM, and tiles of 2^18
 # were up to 3x slower
 _TILE = 1 << 15
-_TAU_EXT = (1 + np.sqrt(np.longdouble(5))) / 2  # tau in extended precision
+# the columns' units as dyadic rationals num / 2^shift: tau within 2^-201, 1
+_TAU = ((1 << 200) + math.isqrt(5 << 400), 201)
+_ONE = (1, 0)
 
 
 class GridMismatchError(AperiodicaError):
@@ -186,7 +194,7 @@ def periodogram_values(comb: WeightedComb, ks, taper: str = "boxcar",
         offsets = (np.arange(len(ks)) - m) * dk
     else:
         kc = 0.5 * (ks.max() + ks.min())
-        y, ws, offsets = x, w[None] * np.exp(-2j * math.pi * turns(kc)), ks - kc
+        y, ws, offsets = x, w[None] * _phases(turns(kc)), ks - kc
     f = _nufft(y, ws, offsets)
     sums = f[0] - 2j * math.pi * delta * f[1] if len(f) > 1 else f[0]
     return np.abs(sums) ** 2 * _NUFFT_SCALE ** 2 / norm
@@ -226,61 +234,108 @@ def _plan(comb: WeightedComb, ks: np.ndarray) -> _Plan:
 
 
 def _columns(comb: WeightedComb) -> list:
-    """The columns c_i of the comb's coordinates with their units u_i,
-    x_j = sum_i u_i c_i[j]: the integers k with the scale, m with tau and n
-    with 1 (in extended precision), or the float positions with 1."""
+    """The columns (c, units, unit_of) of the comb's coordinates, x_j the
+    sum over columns of c[j] units[unit_of[j]], each unit a dyadic rational
+    num / 2^shift: the integers k with the scale, m with tau and n with 1
+    (unit_of None: the one unit), or each float position's 53-bit mantissa
+    (uint64) with +-2^(E - 53), E its exponent and the sign its own."""
     if (coords := comb.coords) is None:
-        return [(comb.positions, 1)]
+        mantissas, exponents = np.frexp(comb.positions)
+        # (E, sign) as one int64 key: np.unique(axis=0) took 2.4 ms more
+        keys, unit_of = np.unique(2 * (53 - exponents) + (mantissas < 0), return_inverse=True)
+        units = [(-1 if key & 1 else 1, key >> 1) for key in keys.tolist()]
+        return [(np.abs(mantissas * 2.0 ** 53).astype(np.uint64), units, unit_of)]
     if isinstance(coords, IntegerCoords):
-        return [(coords.values, np.longdouble(coords.scale))]
-    return [(coords.mn[:, 0], _TAU_EXT), (coords.mn[:, 1], np.longdouble(1))]
+        num, den = coords.scale.as_integer_ratio()
+        return [(coords.values, [(num, den.bit_length() - 1)], None)]
+    return [(coords.mn[:, 0], [_TAU], None), (coords.mn[:, 1], [_ONE], None)]
 
 
-def _digit_split(columns: list, n: int) -> tuple[list, list, list]:
-    """The columns of _columns as digits of at most n values each:
-    x_j - x_ref = sum_d b_d r_d[a_d[j]], bases b_d, ranges r_d, indices a_d.
+def _digit_split(columns: list, n: int) -> tuple[list, np.ndarray, np.ndarray, list]:
+    """The columns of _columns as digits of at most n table entries each:
+    units, the entries v (uint64) of every digit in turn, the index of each
+    entry's unit, and per digit d the indices a_d of its points' entries, so
+    that x_j - x_ref = sum_d v[a_d[j]] units[unit_of[a_d[j]]].
     An integer column less its minimum, of span s, splits into two base-Q
-    digits, Q = isqrt(s) + 1, bases u*Q and u, ranges 0..s // Q and 0..Q - 1,
-    when both fit; otherwise (two points at +-1e9 would need 44,722) it stays
-    whole, its distinct values the range, as a float column, ascending, is.
-    OutOfRangeError when an integer column spans 2^63 or more."""
-    bases, digits, ranges = [], [], []
-    for c, unit in columns:
-        if c.dtype == float:
-            values, index = c, np.arange(len(c))
-        else:
-            lo = int(c.min())
-            span = int(c.max()) - lo  # in Python integers, which do not wrap
-            if span >= 2 ** 63:
-                raise OutOfRangeError("exact coordinates of this comb span 2^63 or more")
-            d = c - lo
-            q = math.isqrt(span) + 1
-            if span // q < n and q <= n:
-                bases += [unit * q, unit]
-                digits += list(np.divmod(d, q))
-                ranges += [np.arange(span // q + 1), np.arange(q)]
-                continue
-            values, index = np.unique(d, return_inverse=True)
-        bases.append(unit)
+    digits, Q = isqrt(s) + 1, units u*Q and u, entries 0..s // Q and
+    0..Q - 1, when both fit; otherwise (two points at +-1e9 would need
+    44,722) it stays whole, its distinct values the entries, as a float
+    column stays whole with its mantissas.  OutOfRangeError when an integer
+    column spans 2^63 or more."""
+    units, entries, unit_of, digits = [], [], [], []
+
+    def digit(values, unit, index):
+        index += sum(map(len, entries))  # in place: index is a fresh array
+        entries.append(values)
+        unit_of.append(np.broadcast_to(unit, len(values)))
         digits.append(index)
-        ranges.append(values)
-    return bases, digits, ranges
+
+    for c, column_units, of in columns:
+        first = len(units)
+        units += column_units
+        if of is not None:
+            digit(c, first + of, np.arange(len(c)))
+            continue
+        lo = int(c.min())
+        span = int(c.max()) - lo  # in Python integers, which do not wrap
+        if span >= 2 ** 63:
+            raise OutOfRangeError("exact coordinates of this comb span 2^63 or more")
+        d = c - lo
+        q = math.isqrt(span) + 1
+        if span // q < n and q <= n:
+            num, shift = column_units[0]
+            units.append((num * q, shift))
+            high, low = np.divmod(d, q)
+            digit(np.arange(span // q + 1), len(units) - 1, high)
+            digit(np.arange(q), first, low)
+        else:
+            values, index = np.unique(d, return_inverse=True)
+            digit(values, first, index)
+    values = np.concatenate(entries, dtype=np.uint64, casting="unsafe")
+    return units, values, np.concatenate(unit_of), digits
 
 
-def _turn_tables(bases: list, ranges: list, ks) -> list:
-    """Per digit, frac(k b r) over its range r (rows) for each k of the
-    doubles ks (columns; a scalar k gives one row each), formed and reduced
-    mod 1 in extended precision, as doubles: every phase the paths form."""
-    ks = np.asarray(ks, dtype=np.longdouble)
-    tables = []
-    for b, r in zip(bases, ranges):
-        phase = np.multiply.outer(r, ks * b)  # (table entries, k)
-        # phase - floor(phase), bit for bit: both differences are exact, and
-        # np.floor on extended precision took 5x as long as np.rint
-        turns = phase - np.rint(phase)
-        turns += turns < 0
-        tables.append(turns.astype(float))
-    return tables
+def _thetas(units: list, ks) -> np.ndarray:
+    """Theta = floor(frac(k u) 2^128) for each unit u = num / 2^shift (rows)
+    and double k of ks (columns), formed in Python integers, as its high
+    and low 64 bits: shape (2, units, k), uint64."""
+    ratios = [k.as_integer_ratio() for k in np.asarray(ks, dtype=float).tolist()]
+    thetas = []
+    for num, shift in units:
+        for p, q in ratios:  # k = p / q, q = 2^s
+            e = 128 - shift - q.bit_length() + 1
+            theta = (p * num << e if e >= 0 else p * num >> -e) % (1 << 128)
+            thetas.append(divmod(theta, 1 << 64))
+    return np.array(thetas, dtype=np.uint64).T.reshape(2, len(units), len(ratios))
+
+
+def _turn_tables(values: np.ndarray, unit_of: np.ndarray, theta: np.ndarray) -> np.ndarray:
+    """frac(k u v) in units of 2^-64 for each entry v of values (rows), u
+    its unit, and each k of theta (_thetas; columns): uint64, so that sums
+    of turns wrap mod 1.  It is the top 64 bits of v Theta mod 2^128, v hi
+    plus the high halves of the 32-bit limb products of v = v1 2^32 + v0
+    and lo = l1 2^32 + l0 (the low halves, and v0 l0, dropped): under 3
+    units short, and Theta's truncation adds under v 2^-128 turns."""
+    # in place on two fresh contiguous arrays: the expression's temporaries
+    # (and theta[:, unit_of], a strided view) took 2.5x as long
+    hi, lo = theta[0][unit_of], theta[1][unit_of]
+    v = values[:, None]
+    v1, l1 = v >> 32, lo >> 32
+    hi *= v
+    lo &= 0xFFFFFFFF
+    lo *= v1
+    lo >>= 32
+    hi += lo
+    hi += np.multiply(v1, l1, out=lo)
+    l1 *= v & 0xFFFFFFFF
+    l1 >>= 32
+    hi += l1
+    return hi
+
+
+def _phases(turns: np.ndarray) -> np.ndarray:
+    """e^(-2 pi i t) for turns t of _turn_tables, read in [-1/2, 1/2)."""
+    return _cis(turns.view(np.int64) * (-2.0 * math.pi * 2.0 ** -64))
 
 
 def _band(columns: list, w: np.ndarray) -> tuple[list, np.ndarray]:
@@ -301,7 +356,7 @@ def _band(columns: list, w: np.ndarray) -> tuple[list, np.ndarray]:
     chain, a random tiling, whose star images wander) has one row per point
     and U = 1, its columns and weights as given."""
     if len(columns) == 2:
-        (m, tau), (n, one) = columns
+        (m, tau, _), (n, one, _) = columns
         # spans in Python integers, which do not overflow; rows * (U + 1) is
         # at least 2 rows, so past N rows there is no band
         m0 = int(m.min())
@@ -309,14 +364,14 @@ def _band(columns: list, w: np.ndarray) -> tuple[list, np.ndarray]:
         if rows <= len(w):
             m = m - m0
             anchors = np.arange(rows)
-            n0 = np.floor(anchors / float(tau)).astype(np.int64)
+            n0 = np.floor(anchors / TAU).astype(np.int64)
             r = n - n0[m]
             r0 = int(r.min())
             u = int(r.max()) - r0 + 1
             if u <= rows and rows * (u + 1) <= 2 * len(w):
                 weights = np.zeros((rows, u), dtype=w.dtype)
                 weights[m, r - r0] = w
-                return [(anchors, tau), (n0, one)], weights
+                return [(anchors, tau, None), (n0, one, None)], weights
     return columns, w[:, None]
 
 
@@ -326,8 +381,9 @@ def _table_power(columns: list, w: np.ndarray, ks: np.ndarray) -> np.ndarray:
 
     The points are summed by the rows of _band: anchors a_i with weights
     W[i, r] at a_i + r, r = 0..U-1.  With the digits of _digit_split over
-    the anchors, digit d has per k the table e^(-2 pi i frac(k b_d r)) over
-    its range r, at most one entry per row.  Per block of k, sized so that
+    the anchors, digit d has per k the table e^(-2 pi i frac(k u v)) over
+    its entries v, at most one entry per row, all digits' and the columns'
+    tables one _turn_tables call per block of k.  Per block, sized so that
     the row phases (rows x k) and, as U <= rows, the column tables and sums
     (U x k) each hold at most _TILE entries, the row phases are the tables
     gathered at the digits and multiplied, and the sum per k is
@@ -339,7 +395,11 @@ def _table_power(columns: list, w: np.ndarray, ks: np.ndarray) -> np.ndarray:
     the unit-modulus factor e^(-2 pi i k x_ref) of each k."""
     columns, weights = _band(columns, w)
     n, u = weights.shape
-    bases, digits, ranges = _digit_split(columns, n)
+    units, values, unit_of, digits = _digit_split(columns, n)
+    # the column phases are the last U entries, of unit 1
+    values = np.concatenate([values, np.arange(u, dtype=np.uint64)])
+    unit_of = np.concatenate([unit_of, np.full(u, len(units))])
+    theta = _thetas(units + [_ONE], ks)
     block = max(1, _TILE // n)             # k per tile
     step = _TILE // block                  # rows per tile: all of them when block > 1
     chunk = max(1, _TILE // (block * u))   # rows per product
@@ -348,22 +408,20 @@ def _table_power(columns: list, w: np.ndarray, ks: np.ndarray) -> np.ndarray:
     # buffer; the digits are in range by construction
     bufs = np.empty((2, min(step, n) * min(block, len(ks))), dtype=complex)
     for start in range(0, len(ks), block):
-        kc = ks[start:start + block]
-        # the digits' tables, then e^(-2 pi i k r) over the columns r
-        *tables, spread = [np.exp(-2j * math.pi * t) for t in _turn_tables(
-            bases + [1], ranges + [np.arange(u)], kc)]
-        total = np.zeros((u, len(kc)), dtype=complex)
+        table = _phases(_turn_tables(values, unit_of, theta[:, :, start:start + block]))
+        kc = table.shape[1]
+        total = np.zeros((u, kc), dtype=complex)
         for p in range(0, n, step):
             m = min(step, n - p)
-            acc, rows = bufs[:, :m * len(kc)].reshape(2, m, len(kc))
-            for i, (table, a) in enumerate(zip(tables, digits)):
+            acc, rows = bufs[:, :m * kc].reshape(2, m, kc)
+            for i, a in enumerate(digits):
                 np.take(table, a[p:p + m], axis=0, out=rows if i else acc, mode="clip")
                 if i:
                     acc *= rows
             for q in range(0, m, chunk):
                 total += weights[p:p + m][q:q + chunk].T @ acc[q:q + chunk]
         # with U = 1: the one row of total times e^0 = 1, exact
-        total = np.sum(total * spread, axis=0)
+        total = np.sum(total * table[-u:], axis=0)
         out[start:start + block] = np.abs(total) ** 2
     return out
 
@@ -372,9 +430,10 @@ def _wrap_grid(ks: np.ndarray, span: float):
     """(k0, dk, delta) when a comb of this position span can be wrapped to
     one period 1/dk of ks: ks has two k or more, the comb spans more than
     1/dk, and ks is the progression k0 + l*dk through its end points to
-    within 4 ulps of its largest |k|; None otherwise.  k0 and dk are
-    doubles, dk > 0, and delta_l = ks[l] - (k0 + l*dk) is formed in
-    extended precision (in doubles k0 + l*dk rounds to ks[l]).
+    within 4 ulps of its largest |k|; None otherwise (also past 2^996).  k0
+    and dk are doubles, dk > 0, and delta_l = ks[l] - (k0 + l*dk), which
+    rounds to 0 in doubles, is (ks[l] - s) - (t + e) from TwoProduct
+    l*dk = p + e and TwoSum k0 + p = s + t.
 
     The wrapped sums are exact at the progression, and periodogram_values
     corrects them to first order in delta.  A dyadic grid such as criterion
@@ -388,8 +447,11 @@ def _wrap_grid(ks: np.ndarray, span: float):
     k0, dk = float(ks[0]), float((ks[-1] - ks[0]) / (len(ks) - 1))
     if not span * dk > 1:
         return None
-    delta = (ks.astype(np.longdouble) - (
-        np.longdouble(k0) + np.longdouble(dk) * np.arange(len(ks)))).astype(float)
+    with np.errstate(over="ignore", invalid="ignore"):  # past 2^996: nan, not wrapped
+        p, e = _product(np.arange(len(ks), dtype=float), dk, *_split(dk))
+        s = k0 + p
+        b = s - k0
+        delta = (ks - s) - ((k0 - (s - b)) + (p - b) + e)
     stray = float(np.max(np.abs(delta)))
     if not (stray <= 4 * np.spacing(np.max(np.abs(ks)))
             and math.pi * stray * span <= math.sqrt(2 * _NUFFT_TOL)):
@@ -399,26 +461,29 @@ def _wrap_grid(ks: np.ndarray, span: float):
 
 def _turns(columns: list, n: int):
     """turns(k): frac(k x_j) per point of the columns at the double k, less
-    x_ref (a unit-modulus factor per k), summed from the digit tables."""
-    bases, digits, ranges = _digit_split(columns, n)
+    x_ref (a unit-modulus factor per k), in units of 2^-64 (uint64): the
+    sum of its digits' table entries, reduced mod 1 by the wrap-around."""
+    units, values, unit_of, digits = _digit_split(columns, n)
 
     def turns(k):
-        return sum(np.take(t, a) for t, a in zip(_turn_tables(bases, ranges, k), digits))
+        table = _turn_tables(values, unit_of, _thetas(units, [k]))[:, 0]
+        return sum(np.take(table, a) for a in digits)
     return turns
 
 
 def _wrap(turns, ws: np.ndarray, k0: float, dk: float, m: int):
     """The comb of turns (_turns) wrapped to one period 1/dk of the grid
-    k0 + l*dk: positions y_j = (f_j - round(f_j))/dk, f_j = turns(dk)[j],
-    so |y_j| <= 1/(2 dk), ascending, with each row of weights ws[v, j]
-    e^(-2 pi i kc x_j) in the same order, kc = k0 + m dk and kc x_j mod 1
-    read as turns(k0)[j] + m dk y_j.  sum_j w_j e^(-2 pi i (k0 + l dk) x_j)
+    k0 + l*dk: positions y_j = f_j/dk, f_j = turns(dk)[j] centred to
+    [-1/2, 1/2) by its signed view, ascending, with each row of weights
+    ws[v, j] e^(-2 pi i kc x_j) in the same order, kc = k0 + m dk and
+    kc x_j mod 1 formed as turns(k0)[j] + m f_j in uint64, exact but for
+    the tables' few units of 2^-64.  sum_j w_j e^(-2 pi i (k0 + l dk) x_j)
     is then sum_j w'_j e^(-2 pi i (l - m) dk y_j)."""
     f = turns(dk)
-    f -= np.round(f)
-    ws = ws * np.exp(-2j * math.pi * (turns(k0) + m * f if k0 else m * f))
+    ws = ws * _phases(f * m + turns(k0) if k0 else f * m)
+    f = f.view(np.int64)
     order = np.argsort(f)
-    return f[order] / dk, np.take(ws, order, axis=1)
+    return f[order] * (2.0 ** -64 / dk), np.take(ws, order, axis=1)
 
 
 # -- type-3 NUFFT ---------------------------------------------------------------
@@ -472,9 +537,10 @@ _FOLD_BLOCK = 8192
 _NUFFT_SCALE = 4.0 / _WIDTH ** 2
 
 # cost model, in ns as measured on a 2-core Xeon VM: the table sums per
-# point*k of a float column (72-78 ns from 1,000 to 20,000 points, priced at
-# the 55 of the double-phase sums it replaced, which keeps every path
-# choice) and of exact coordinates (15-21 ns from 200,001 to 20,001 points);
+# point*k of a float column (43-60 ns from 1,000 to 20,000 points at 40-300
+# k with phases in uint64 fixed point, 72-114 in extended precision; priced
+# at the 55 of the double-phase sums it replaced, which keeps every path
+# choice) and of exact coordinates (9-19 ns from 200,001 to 20,001 points);
 # the fast path per point spread, per nf*log2(nf) of the FFT, per k
 # interpolated, plus a fixed set-up, priced at a corrected wrap's two weight
 # vectors on one set of kernel values (430 ns per point and 310-400 ns per
@@ -607,7 +673,7 @@ def _nufft(x: np.ndarray, ws: np.ndarray, ks: np.ndarray) -> np.ndarray:
     # enter G[j] by Horner's rule in e^(-2 pi i j / nf)
     xs = x - x_center
     es_x = _es_transform(0.5 * _WIDTH * dk * xs)
-    step = _unit_phases(j, nf) if fold > 1 else 1.0
+    step = _cis((j % nf) * (-2.0 * math.pi / nf)) if fold > 1 else 1.0
     in_column = j % (nf // fold)
     modes = np.zeros((len(ws), len(j)), dtype=complex)
     for column in _class_columns(xs, h, first, ws, es_x, nf, fold):
@@ -615,7 +681,7 @@ def _nufft(x: np.ndarray, ws: np.ndarray, ks: np.ndarray) -> np.ndarray:
         modes += column[:, in_column]
     # the grid starts at cell `first`: shift each mode's phase back, and
     # deconvolve only the modes that step 3 reads
-    modes *= _unit_phases(j * first, nf)
+    modes *= _cis((j * first % nf) * (-2.0 * math.pi / nf))
     modes /= _es_transform(0.5 * _WIDTH * h * dk * j)
 
     # 3. interpolate to each k
@@ -673,10 +739,10 @@ def _class_columns(xs: np.ndarray, h: float, first: int, ws: np.ndarray,
         yield column
 
 
-def _unit_phases(numerators: np.ndarray, nf: int) -> np.ndarray:
-    """e^(-2 pi i m / nf) for the integers m, reduced mod nf first."""
-    angle = (numerators % nf) * (-2.0 * math.pi / nf)
-    out = np.empty(len(angle), dtype=complex)
+def _cis(angle: np.ndarray) -> np.ndarray:
+    """e^(i angle), cos and sin filling the parts in place: bit for bit
+    np.exp's, which took 25% longer on the tables."""
+    out = np.empty(angle.shape, dtype=complex)
     np.cos(angle, out=out.real)
     np.sin(angle, out=out.imag)
     return out
@@ -728,7 +794,9 @@ def _lattice_power(c: np.ndarray, w: np.ndarray, u: np.ndarray, size: int) -> np
     Each term depends on c_j mod size alone, so the sums are the DFT of
     length size of the weights binned by c mod size, read at u*size mod
     size.  That index is formed as (u mod 1)*size, exact in doubles and
-    finite for any u."""
+    finite for any u.  At size 1 every sum is the weights' sum."""
+    if size == 1:
+        return np.full(len(u), abs(np.sum(w)) ** 2)
     residues = c & (size - 1)
     bins = np.bincount(residues, w.real, size)
     if np.any(w.imag):

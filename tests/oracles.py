@@ -1,9 +1,12 @@
 """Reference sums |sum_j w_j e^(-2 pi i k x_j)|^2 for the periodogram tests.
 
 They use numpy and the standard library only: nothing here comes from
-`aperiodica.spectrum`, and no phase is formed in np.longdouble, so the
-reference shares no arithmetic with the engine and keeps its value on
-platforms where longdouble is float64.
+`aperiodica.spectrum`.  The engine's tables form their phases by the same
+method as `exact_power` below (dyadic units, Theta in Python integers,
+limb products in np.uint64), so the two share a method but no code;
+`tests/test_oracles.py` holds this module against phases in `Fraction`,
+and the Thue-Morse Riesz product of `tests/test_properties.py` holds the
+engine against arithmetic that neither shares.
 
 `direct_power` forms each phase k x in doubles, an error of about
 |k x| 2^-53 a term.  `exact_power` takes each phase frac(k x_j) from the

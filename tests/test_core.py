@@ -16,7 +16,7 @@ from hypothesis import given, settings, strategies as st
 
 import aperiodica as ap
 from aperiodica import cli, core, cps
-from aperiodica.core import AperiodicaError
+from aperiodica.core import AperiodicaError, IntegerCoords, ModuleCoords
 from plans import traced
 from references import legal_clusters, paperfolding_total_intensity
 
@@ -139,6 +139,17 @@ class TestWeightedComb:
     def test_finite_weights(self):
         with pytest.raises(AperiodicaError):
             ap.WeightedComb(np.array([0.0]), np.array([np.inf]), 1.0)
+
+    def test_coordinates_only_through_the_factories(self):
+        # positions 0 and 1 with integer coordinates 0 and 3 contradict each
+        # other: the autocorrelation read the coordinates, diffs [-3, 0, 3]
+        with pytest.raises(AperiodicaError, match="from_integers"):
+            ap.WeightedComb([0.0, 1.0], [1, 1], 4.0, IntegerCoords(np.array([0, 3])))
+        with pytest.raises(AperiodicaError, match="from_module"):
+            ap.WeightedComb([0.0], [1], 4.0, ModuleCoords(np.array([[0, 0]])))
+        comb = ap.WeightedComb.from_integers([0, 3], [1, 1], 4.0)
+        assert comb.positions.tolist() == [0.0, 3.0]
+        assert ap.estimate_autocorrelation(comb, 4).diffs.tolist() == [-3, 0, 3]
 
     @pytest.mark.parametrize("radius", [0.0, -1.0, np.inf, np.nan])
     def test_radius_finite_and_positive(self, radius):

@@ -5,7 +5,8 @@ zero coefficient, triangle inequality of the pseudo-metric, nesting of the
 almost-period sets, scaling covariance, periodogram positivity, agreement of
 the NUFFT, the twiddle-table, the wrapped and the lattice-DFT periodograms
 with direct summation (the sums of tests/oracles.py, with phases in doubles
-or from integer arithmetic), agreement of the
+or from integer arithmetic) and of every path on the Thue-Morse block with
+its Riesz product, agreement of the
 array slab enumeration, pair sums and Theorem-10 atoms with the loops they
 replaced and of the dense integer sums with the pair loop, agreement of the
 paperfolding atoms with a scan of every m/2^r_max, agreement of the 2-adic
@@ -236,10 +237,9 @@ def seed_191_case():
     return comb, "hann", np.array([8.29647326047077])
 
 
-@pytest.mark.xfail(strict=True, reason=(
-    "phases rounded at |k x| 2^-64 in extended precision (ROADMAP item 2): "
-    "1.37e-10 of the one value off exact_power"))
 def test_seed_191_draw_table_path():
+    # measured 3.6e-15 of the one value, against 1.37e-10 with phases
+    # rounded at |k x| 2^-64
     comb, taper, ks = seed_191_case()
     w = spectrum._taper_weights(comb, taper)[0]
     columns = spectrum._columns(comb)
@@ -503,6 +503,61 @@ def test_lattice_path_matches_integer_phases(case):
         ap.periodogram_values(scale_3, ks[np.abs(ks) < 2.0 ** 30], taper)
     assert [p.lattice for p in plans] == [0, 0] and "lattice" not in [p.path for p in plans]
     assert spectrum._lattice_length(scale_3.coords, ks) == 0
+
+
+@st.composite
+def thue_morse_inputs(draw):
+    """The Thue-Morse block of THUE_MORSE.power(r), r <= 14, as weights +1
+    (a) and -1 (b) at 0..2^r - 1; 1 to 40 k, uniform or scattered, within
+    an interval of length up to 1 in [-50, 51]; and 1 to 40 dyadic k
+    m/2^s, s < r, at which 2^(r-1) k is an integer."""
+    r = draw(st.integers(min_value=1, max_value=14))
+    count = draw(st.integers(min_value=1, max_value=40))
+    uniform = draw(st.booleans())
+    rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2 ** 32 - 1)))
+    word = np.array(list(ap.THUE_MORSE.power(r).images["a"]))
+    weights = np.where(word == "a", 1.0, -1.0)
+    comb = ap.WeightedComb.from_integers(np.arange(len(word)), weights, float(len(word)))
+    k_lo, k_span = rng.uniform(-50.0, 50.0), rng.uniform(0.0, 1.0)
+    steps = np.arange(count) * (k_span / count) if uniform else rng.uniform(0.0, k_span, count)
+    dyadic = rng.integers(-2 ** 20, 2 ** 20, size=count) / 2.0 ** rng.integers(0, r, size=count)
+    return r, comb, k_lo + steps, dyadic
+
+
+def riesz_product(r: int, ks: np.ndarray) -> np.ndarray:
+    """|sum_n t_n e^(-2 pi i k n)|^2 over the Thue-Morse block of length
+    2^r: prod_(j<r) 4 sin^2(pi 2^j k).  Each 2^j k is exact in doubles and
+    reduced to [-1/2, 1/2] exactly (fmod, then less its nearest integer)
+    before the sine."""
+    x = np.fmod(np.ldexp(ks[:, None], np.arange(r)), 1.0)
+    x -= np.round(x)
+    return np.prod(4.0 * np.sin(math.pi * x) ** 2, axis=1)
+
+
+@given(thue_morse_inputs())
+@settings(max_examples=40, deadline=None)
+def test_thue_morse_every_path_matches_the_riesz_product(case):
+    # an oracle that shares no arithmetic with the library or oracles.py:
+    # every path the plan prices, each forced in turn, within 1e-10 of max.
+    # max is the product's largest value on ks, or its mean over a period,
+    # sum |w|^2 = 2^r (Parseval), when that is larger: the NUFFT's
+    # tolerance is relative to sum |w|, and a few k in a dip of the product
+    # (one k at |F|^2 = 2.6e-5 for r = 2) read 1e-13 of sum |w| off in F
+    r, comb, ks, dyadic = case
+    exact = riesz_product(r, ks)
+    top = max(np.max(exact), len(comb))
+    with recorded(spectrum) as plans:
+        ap.periodogram_values(comb, ks)
+    for path in plans[0].costs:
+        with recorded(spectrum, path=path):
+            values = ap.periodogram_values(comb, ks) * comb.volume
+        assert np.max(np.abs(values - exact)) <= 1e-10 * top, path
+    # at the dyadic k the product vanishes, and the lattice path reads 0
+    assert not np.any(riesz_product(r, dyadic))
+    with recorded(spectrum, path="lattice") as plans:
+        values = ap.periodogram_values(comb, dyadic) * comb.volume
+    assert "lattice" in plans[0].costs
+    assert np.max(values) <= 1e-12 * top
 
 
 def loop_slab_points(window, lo, hi):

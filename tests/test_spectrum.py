@@ -1,6 +1,7 @@
 import functools
 import math
 from fractions import Fraction
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -17,6 +18,7 @@ from aperiodica.spectrum import (
 from oracles import direct_power, exact_power
 from plans import cheapest, recorded, traced
 from references import paperfolding_total_intensity
+from test_oracles import exact_positions
 
 Z_BASIS = ap.LatticeBasis(np.array([[1.0]]))
 
@@ -139,8 +141,10 @@ class TestPeriodogram:
         dk = (ks[-1] - ks[0]) / (len(ks) - 1)
         k0, wrap_dk, delta = sp._wrap_grid(ks, 2.0 / dk)
         assert k0 == ks[0] and wrap_dk == dk
-        progression = np.longdouble(k0) + np.longdouble(dk) * np.arange(len(ks))
-        assert np.array_equal(delta, (ks.astype(np.longdouble) - progression).astype(float))
+        # delta is the stray in rational arithmetic, rounded once
+        exact = [float(Fraction(k) - Fraction(k0) - l * Fraction(dk))
+                 for l, k in enumerate(ks.tolist())]
+        assert np.array_equal(delta, exact)
 
     def test_other_k_sets_are_not_wrapped(self):
         # tiling-diffraction's 800 k: 100 clusters of 8 offsets 2e-4 apart
@@ -289,9 +293,9 @@ class TestPeriodogram:
         # entries: the column stays whole, its two values the table
         a = 10 ** 9
         sparse = ap.WeightedComb.from_integers([-a, a], [1.0, 1.0], float(a))
-        _, digits, ranges = sp._digit_split(sp._columns(sparse), 2)
-        assert [r.tolist() for r in ranges] == [[0, 2 * a]]
-        assert [d.tolist() for d in digits] == [[0, 1]]
+        units, values, unit_of, digits = sp._digit_split(sp._columns(sparse), 2)
+        assert units == [(1, 0)] and values.tolist() == [0, 2 * a]
+        assert unit_of.tolist() == [0, 0] and [d.tolist() for d in digits] == [[0, 1]]
         with recorded(sp) as plans:
             ap.periodogram_values(sparse, [0.3, 0.7, 1 / 3])
         assert [p.path for p in plans] == ["tables"]
@@ -300,17 +304,20 @@ class TestPeriodogram:
         crit7 = ap.density_weighted_comb(ap.fibonacci_scheme(), ap.GaussianProfile(0.5),
                                          (-10000, 10000))
         assert len(crit7) == 66_491
-        ranges = sp._digit_split(sp._columns(crit7), len(crit7))[2]
-        assert len(ranges) == 4
-        assert sum(len(r) for r in ranges) == 339
-        # float positions are one column, kept whole as it is: the table
-        # holds the positions themselves, one entry a point
+        _, values, _, digits = sp._digit_split(sp._columns(crit7), len(crit7))
+        assert len(digits) == 4
+        assert len(values) == 339
+        # float positions are one column of their 53-bit mantissas, kept
+        # whole: the table holds one entry a point, each with its unit
+        # +-2^(E - 53)
         floats = ap.WeightedComb.from_positions(crit7.positions, crit7.weights, crit7.radius)
-        [(column, unit)] = sp._columns(floats)
-        assert column is floats.positions and unit == 1
-        bases, digits, ranges = sp._digit_split(sp._columns(floats), len(floats))
-        assert bases == [1] and ranges[0] is floats.positions
-        assert np.array_equal(digits[0], np.arange(len(floats)))
+        [(column, units, unit_of)] = sp._columns(floats)
+        scales = np.array([sign * 2.0 ** -shift for sign, shift in units])
+        assert np.array_equal(column * scales[unit_of], floats.positions)
+        split = sp._digit_split(sp._columns(floats), len(floats))
+        assert split[0] == units and np.array_equal(split[1], column)
+        assert np.array_equal(split[2], unit_of)
+        assert np.array_equal(split[3][0], np.arange(len(floats)))
 
     def test_columns_past_int64_raise(self):
         # two unit points at +-(2^62 + 12345) span more than int64: their
@@ -335,8 +342,8 @@ class TestPeriodogram:
                 assert turns.call_count == 1
                 assert raised.traceback[-1].name == "_digit_split"
         # a span of 2^63 - 1 still fits
-        edge = sp._digit_split([(np.array([-2 ** 62, 2 ** 62 - 1]), np.longdouble(1))], 2)
-        assert [r.tolist() for r in edge[2]] == [[0, 2 ** 63 - 1]]
+        edge = sp._digit_split([(np.array([-2 ** 62, 2 ** 62 - 1]), [(1, 0)], None)], 2)
+        assert edge[1].tolist() == [0, 2 ** 63 - 1]
 
     def test_table_path_beats_direct_at_criterion_4_shape(self):
         # against phases from the exact coordinates in integer arithmetic
@@ -352,7 +359,7 @@ class TestPeriodogram:
         exact = exact_power(comb, comb.weights, ks)
         table_err = np.max(np.abs(table - exact)) / np.max(exact)
         direct_err = np.max(np.abs(direct - exact)) / np.max(exact)
-        # measured 4.9e-14 and 4.9e-11
+        # measured 3.6e-14 and 4.9e-11
         assert table_err <= 1e-12
         assert table_err <= direct_err
 
@@ -368,11 +375,11 @@ class TestPeriodogram:
         (200, sp.uniform_grid(0.5, 3.05, 0.01), "nufft", True),
     ])
     def test_float_comb_against_exact_phases(self, n, ks, path, wrapped):
-        # float positions are a column of the tables, their phases k x formed
-        # and reduced mod 1 in extended precision: against exact_power they
-        # measured 9.7e-12 (sums) and 1.0e-12 (wrap) of max, where phases
-        # k x in doubles were 6.8e-8 and 3.0e-9 off; direct summation is
-        # 6.8e-8 and 5.3e-9 off
+        # float positions are a column of the tables, each mantissa with
+        # its unit +-2^(E - 53): against exact_power they measured 7.4e-16
+        # (sums) and 3.9e-13 (wrap) of max, where phases k x in doubles
+        # were 6.8e-8 and 3.0e-9 off; direct summation is 6.8e-8 and 5.3e-9
+        # off
         comb = self.wide_float_comb(n, 0)
         with recorded(sp) as plans:
             values = ap.periodogram_values(comb, ks) * comb.volume
@@ -398,11 +405,10 @@ class TestPeriodogram:
             ap.periodogram_values(comb, ks)
         assert len(comb) == 100 and [p.path for p in plans] == ["tables"]
 
-    @pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
-        "phases k x rounded at |k x| 2^-64 in extended precision (ROADMAP item 2): "
-        "1.6e-9 (scale 1) and 3.3e-9 (scale 3) of max off exact_power"))
     @pytest.mark.parametrize("scale", [1.0, 3.0])
     def test_wide_integer_comb_against_exact_phases(self, scale):
+        # measured 1.4e-15 (scale 1) and 6.7e-16 (scale 3) of max, against
+        # 1.6e-9 and 3.3e-9 with phases rounded at |k x| 2^-64
         comb, ks = self.wide_integer_comb(scale)
         values = ap.periodogram_values(comb, ks) * comb.volume
         exact = exact_power(comb, comb.weights, ks)
@@ -434,21 +440,48 @@ class TestPeriodogram:
             ap.periodogram(integer_comb(10), k_min, k_max, dk)
 
 
+@pytest.mark.parametrize("kind", ["split", "whole", "module", "float"])
+def test_turns_within_a_few_units_of_2_to_the_minus_64(kind):
+    # each point's turns, the sum of at most 4 table entries each under 4
+    # units of 2^-64 short, against k x in Fraction relative to the first
+    # point (the tables drop x_ref): within 16 units at any |k x|, here up
+    # to 1e19
+    rng = np.random.default_rng(41)
+    if kind == "split":  # two base-Q digits at scale 3
+        values = rng.choice(10 ** 6, size=2000, replace=False) - 500_000
+        comb = ap.WeightedComb.from_integers(values, np.ones(2000), 1.5e6, 3.0)
+    elif kind == "whole":  # 50 values over 1e9 at scale 0.37
+        values = rng.choice(10 ** 9, size=50, replace=False) - 500_000_000
+        comb = ap.WeightedComb.from_integers(values, np.ones(50), 2e8, 0.37)
+    elif kind == "module":
+        comb = ap.sample(ap.fibonacci_spec(), 1000, seed=41).comb
+    else:
+        x = np.sort(rng.uniform(-1e7, 1e7, size=200))
+        comb = ap.WeightedComb.from_positions(x, np.ones(200), 1e7)
+    xs = exact_positions(comb)
+    turns = sp._turns(sp._columns(comb), len(comb))
+    for k in rng.uniform(-25.0, 25.0, size=4).tolist() + [1e3 + 0.1, -(2.0 ** 40) / 3]:
+        t = turns(k).tolist()
+        for tj, x in zip(t, xs):
+            d = (tj - t[0] - Fraction(k) * (x - xs[0]) * 2 ** 64) % 2 ** 64
+            assert min(d, 2 ** 64 - d) <= 16
+
+
 def per_point_power(columns, w, ks):
     """Reference: the table path with one row per point, tile for tile: per
     tile of _TILE point*k the digit tables gathered and multiplied in digit
     order, then dotted with w."""
     n = len(w)
-    bases, digits, ranges = sp._digit_split(columns, n)
+    units, values, unit_of, digits = sp._digit_split(columns, n)
+    theta = sp._thetas(units, ks)
     block = max(1, sp._TILE // n)
     step = sp._TILE // block
     out = np.empty(len(ks))
     for start in range(0, len(ks), block):
-        kc = ks[start:start + block]
-        tables = [np.exp(-2j * math.pi * t) for t in sp._turn_tables(bases, ranges, kc)]
-        total = np.zeros(len(kc), dtype=complex)
+        table = sp._phases(sp._turn_tables(values, unit_of, theta[:, :, start:start + block]))
+        total = np.zeros(table.shape[1], dtype=complex)
         for p in range(0, n, step):
-            factors = [np.take(t, a[p:p + step], axis=0) for t, a in zip(tables, digits)]
+            factors = [np.take(table, a[p:p + step], axis=0) for a in digits]
             total += w[p:p + step] @ functools.reduce(np.multiply, factors)
         out[start:start + block] = np.abs(total) ** 2
     return out
@@ -587,7 +620,7 @@ class TestTableRows:
         assert weights.shape[0] * (weights.shape[1] + 1) <= 2 * len(comb)
         # each cell (row, r) holds the weight of the point anchor + r, the
         # anchors being the points' (m, n) less one common translation
-        (m, _), (n, _) = anchors
+        (m, _, _), (n, _, _) = anchors
         row, col = np.nonzero(weights)
         mn = comb.coords.mn
         cells = np.stack([m[row], n[row] + col], axis=1)
@@ -669,6 +702,22 @@ class TestLatticePath:
             vals = ap.periodogram_values(comb, ks)
         assert [(p.path, p.lattice) for p in plans] == [("lattice", 1)]
         assert np.array_equal(vals, np.full(len(ks), weights.sum() ** 2 / comb.volume))
+
+    def test_integer_k_sum_the_weights(self):
+        # the rational tiling (2, 1, 0.5) of 200,001 points at k = 0, 1, 2:
+        # every k*scale is an integer, the DFT length is 1, and each sum is
+        # the weights' sum, with no array of the comb's length (c & 0 and a
+        # bincount into one bin peaked at 3.05 MiB)
+        spec = ap.RandomTilingSpec(Fraction(2), Fraction(1), 0.5)
+        comb = ap.sample(spec, 100_000, seed=31).comb
+        ks = np.array([0.0, 1.0, 2.0])
+        ap.bragg_amplitudes(comb, ks, taper="boxcar")
+        with recorded(sp) as plans:
+            values, peak = traced(lambda: ap.bragg_amplitudes(comb, ks, taper="boxcar"))
+        assert len(comb) == 200_001 and [(p.path, p.lattice) for p in plans] == [("lattice", 1)]
+        assert peak <= 2 ** 19
+        exact = exact_power(comb, comb.weights, ks)
+        assert np.max(np.abs(values * comb.volume ** 2 - exact)) <= 1e-12 * np.max(exact)
 
     def test_two_point_comb_at_dyadic_grid(self):
         # +-1e9 at 10,000 multiples of 2^-14: one FFT of length 2^14, exact,
@@ -1123,3 +1172,11 @@ PLANE = ap.LatticeBasis(np.eye(2))
 def test_invalid_input_rejected(call, error, match):
     with pytest.raises(error, match=match):
         call()
+
+
+def test_no_extended_precision_in_the_library():
+    # np.longdouble is the 80-bit x87 format on some platforms and float64
+    # on others (MSVC, Apple silicon): a result that used it would differ
+    # between them, so every phase is formed in integers
+    library = Path(sp.__file__).parent
+    assert [f.name for f in sorted(library.glob("*.py")) if "longdouble" in f.read_text()] == []
