@@ -276,8 +276,10 @@ class WeightedComb:
 
     @staticmethod
     def from_positions(positions, weights, radius) -> "WeightedComb":
-        pos, weights = _ascending(np.array(positions, dtype=float),
-                                  np.array(weights, dtype=complex))
+        pos = np.array(positions, dtype=float)
+        if not np.all(np.isfinite(pos)):
+            raise AperiodicaError("positions must be finite")
+        pos, weights = _ascending(pos, np.array(weights, dtype=complex))
         return WeightedComb._owning(pos, weights, float(radius))
 
     # the factories copy what a caller passes; library code that builds
@@ -374,21 +376,20 @@ _TABLE_BLOCK = 4096  # rows formatted and written at a time
 
 # -- '%.17g' text of doubles, in numpy ------------------------------------------
 #
-# A value x's text is gathered, through a template, from a 32-byte source
-# row: the digits d1..d16 of D = round(|x| * 10^(16 - X)), X its decimal
-# exponent, at bytes 0..15 (4-byte groups), d0 at 16, then NUL, the sign
-# ('-' or NUL), '.', '0', 'e', the exponent's sign, NUL, and |X| as 4
-# digits at 24..27.  The template is picked by the layout (fixed point at
-# X = -4..16, exponent notation with 2 or 3 exponent digits, or zero) and
-# by the count of significant digits left once trailing zeros go; the NUL
-# bytes of a cell are dropped when rows are written.
+# A value x's text is laid out in a cell of 24 bytes, three little-endian
+# uint64 words, whose NUL bytes are dropped when rows are written: the sign
+# ('-' or NUL) at byte 0, then the digits d0..d16 of D = round(|x| *
+# 10^(16 - X)), X its decimal exponent, as a string S shifted up by one
+# byte (U) for the digits before the point and by 2 + m bytes (V) for
+# those after it, m being the zeros that a fixed-point X = -m puts between
+# point and digits; in exponent notation, 'e', the exponent's sign and |X|
+# end at byte 23.  A template, picked by the layout (fixed point at X = -4..16,
+# exponent notation, or zero) and by the count k of significant digits
+# left once trailing zeros go, masks which bytes come from U and from V and
+# adds the point and the zeros of '0.000'; bytes past the last significant
+# digit stay NUL.
 
 _CELL = 24  # widest text: -2.2250738585072014e-308
-_SOURCE = 32
-_NUL, _SIGN, _POINT, _ZERO, _E, _EXP_SIGN = 17, 18, 19, 20, 21, 22
-_SOURCE_OF = {"-": _SIGN, "0": _ZERO, ".": _POINT, "e": _E, "+": _EXP_SIGN,
-              "h": 25, "t": 26, "o": 27, "\0": _NUL}
-_DIGIT_AT = np.array([16] + list(range(16)))  # source byte of digit d_j
 # |x| in [1e-290, 1e290), X in [-290, 289], is scaled here; other values,
 # zeros apart, are formatted by '%.17g' itself
 _FAST = (1e-290, 1e290)
@@ -432,12 +433,13 @@ def _powers_of_ten() -> tuple:
 
 
 def _digit_groups() -> np.ndarray:
-    """The 4 ASCII digits of each integer 0..9999, as one '<u4' word each."""
+    """The 4 ASCII digits of each integer 0..9999, as the low bytes of one
+    '<u8' word each."""
     g = np.empty((10, 10, 10, 10, 4), np.uint8)
     for i in range(4):
         g[..., i] = np.arange(48, 58, dtype=np.uint8).reshape(
             [10 if j == i else 1 for j in range(4)])
-    return g.reshape(-1).view("<u4")
+    return g.reshape(-1).view("<u4").astype("<u8")
 
 
 def _trailing_zeros() -> np.ndarray:
@@ -449,34 +451,43 @@ def _trailing_zeros() -> np.ndarray:
 
 
 def _templates() -> tuple:
-    """(templates, layout): templates[17*l + k - 1] holds the _CELL source
-    bytes of layout l with k significant digits, and layout[X + _X_OFF] is
-    17*l for the layout of exponent X (zero's at X = _X_OFF).
+    """(from_u, from_v, fixed, v_shift, layout, suffix): column 17*l + k - 1
+    of the first three, one cell of 3 words each, holds for layout l with k
+    significant digits the mask of the bytes taken from U, the mask of those
+    taken from V and the constant bytes; v_shift is V's shift past U in
+    bits, 8 * (1 + m).  layout[X + _X_OFF] is 17*l for the layout of
+    exponent X (zero's at X = _X_OFF), and suffix[X + _X_OFF] the third
+    word of its exponent text ('e', its sign and at least two digits of
+    |X| at bytes 19..23), 0 in fixed point.
 
-    Each layout is written as a pattern with all 17 digits: '-' the sign,
-    'd' the next digit, 'h', 't', 'o' the digits of |X|, other characters
-    themselves.  For k, the digits past both the k-th and the integer part,
-    and a point with no digit after it, become NUL."""
-    patterns = (["-0." + "0" * (-x - 1) + "d" * 17 for x in range(-4, 0)]
-                + ["-" + "d" * (x + 1) + "." + "d" * (16 - x) for x in range(17)]
-                + ["-d." + "d" * 16 + "e+" + exp for exp in ("to", "hto")] + ["-0"])
-    int_digits = np.array([0] * 4 + list(range(1, 18)) + [1, 1, 0])[:, None, None]
+    Each template is written as a pattern: 'u' a byte of U, 'v' a byte of
+    V, other characters themselves."""
+    patterns, gaps = [], []
+    for x in range(-4, 17):
+        p, m = max(x + 1, 1), max(-x, 0)  # digits before the point, zeros after it
+        for k in range(1, 18):
+            if m:
+                patterns.append("\0" + "0." + "0" * (m - 1) + "v" * k)
+            else:
+                patterns.append("\0" + "u" * p + ("." + "v" * (k - p) if k > p else ""))
+            gaps.append(m)
+    for k in range(1, 18):  # exponent notation, then zero
+        patterns.append("\0u" + ("." + "v" * (k - 1) if k > 1 else ""))
+    patterns += ["\0" + "0"] * 17
+    gaps += [0] * 34
     sym = np.frombuffer("".join(p.ljust(_CELL, "\0") for p in patterns).encode(),
-                        np.uint8).reshape(-1, 1, _CELL)
-    lookup = np.zeros(128, np.intp)
-    for c, at in _SOURCE_OF.items():
-        lookup[ord(c)] = at
-    digit = sym == ord("d")
-    nth = np.cumsum(digit, axis=2) - 1
-    k = np.arange(1, 18)[:, None]
-    drop = ((digit & (nth >= np.maximum(k, int_digits)))
-            | ((sym == ord(".")) & (k <= int_digits)))
-    source = np.where(digit, _DIGIT_AT[np.maximum(nth, 0)], lookup[sym])
-    templates = np.where(drop, _NUL, source).reshape(-1, _CELL)
+                        np.uint8).reshape(-1, _CELL)
+    from_u, from_v = (np.where(sym == ord(c), 255, 0).astype(np.uint8) for c in "uv")
+    fixed = np.where(from_u | from_v, 0, sym).astype(np.uint8)
+    v_shift = 8 * (1 + np.array(gaps, dtype=np.uint64))
     x = np.arange(-_X_OFF, _X_OFF + 1)
-    layout = np.where((x >= -4) & (x <= 16), x + 4, np.where(np.abs(x) < 100, 21, 22))
-    layout[-1] = 23
-    return templates, layout * 17
+    layout = np.where((x >= -4) & (x <= 16), x + 4, 21)
+    layout[-1] = 22
+    text = [f"e{v:+03d}".rjust(8, "\0") if layout[i] == 21 else "\0" * 8
+            for i, v in enumerate(x.tolist())]
+    suffix = np.frombuffer("".join(text).encode(), "<u8")
+    return (*(t.view("<u8").T.copy() for t in (from_u, from_v, fixed)), v_shift,
+            layout * 17, suffix)
 
 
 @functools.cache
@@ -498,11 +509,11 @@ def _scaled(a, e, powers):
     return whole.astype(np.int64), (p - whole) + err + a * lo[i]
 
 
-def _g17_cells(v: np.ndarray) -> np.ndarray:
-    """(len(v), _CELL) uint8: the '%.17g' text of each double of v,
-    NUL-padded; see write_table for why it is exact."""
-    powers, group_text, trailing_zeros, templates, layout = _tables()
-    n = len(v)
+def _decimal(v: np.ndarray, powers) -> tuple:
+    """(D, X, slow) for each double of v: its exponent X and its 17-digit
+    integer D = round(|x| * 10^(16 - X)), where slow is False; where slow
+    is True, '%.17g' itself is to format it, and D is 10^16.  Zeros take
+    X = _X_OFF, the zero layout."""
     a = np.abs(v)
     fast = (a >= _FAST[0]) & (a < _FAST[1])
     np.copyto(a, 1.0, where=~fast)
@@ -524,6 +535,12 @@ def _g17_cells(v: np.ndarray) -> np.ndarray:
     e[~fast] = _X_OFF
     slow &= v != 0
     d[slow] = 10 ** 16
+    return d, e, slow
+
+
+def _digit_words(d: np.ndarray, group_text, trailing_zeros) -> tuple:
+    """(U, k): the three words of U, the digits of each D as text at bytes
+    1..17, and the count k of its digits left once trailing zeros go."""
     head = d // 10 ** 8
     tail = d - head * 10 ** 8
     d0 = head // 10 ** 8
@@ -531,21 +548,41 @@ def _g17_cells(v: np.ndarray) -> np.ndarray:
     g1 = head // 10000
     g3 = tail // 10000
     groups = (g1, head - g1 * 10000, g3, tail - g3 * 10000)
-    src = np.empty((n, _SOURCE // 4), "<u4")
-    for j, g in enumerate(groups):
-        src[:, j] = group_text[g]
-    src[:, 4] = (d0 + (48 | 46 << 24)) | np.signbit(v) * np.uint32(45 << 16)
-    src[:, 5] = (e < 0) * np.uint32(2 << 16) + (48 | 101 << 8 | 43 << 16)
-    src[:, 6] = group_text[np.abs(e)]
-    src[:, 7] = 0
     zeros = trailing_zeros[groups[3]]
     below = groups[3] == 0  # every group after this one is 0000
     for g in groups[2::-1]:
         zeros += below * trailing_zeros[g]
         below &= g == 0
-    idx = templates[layout[e + _X_OFF] + (16 - zeros)]
-    idx += (np.arange(n) * _SOURCE)[:, None]
-    cells = src.view(np.uint8).ravel()[idx]
+    t1, t2, t3, t4 = (group_text[g] for g in groups)
+    u = ((t1 << np.uint64(16)) | (t2 << np.uint64(48))
+         | ((d0.astype(np.uint64) + np.uint64(48)) << np.uint64(8)),
+         (t2 >> np.uint64(16)) | (t3 << np.uint64(16)) | (t4 << np.uint64(48)),
+         t4 >> np.uint64(16))
+    return u, 17 - zeros
+
+
+def _g17_cells(v: np.ndarray) -> np.ndarray:
+    """(len(v), _CELL) uint8: the '%.17g' text of each double of v,
+    NUL-padded; see write_table for why it is exact."""
+    powers, group_text, trailing_zeros, from_u, from_v, fixed, v_shift, layout, suffix = (
+        _tables())
+    d, e, slow = _decimal(v, powers)
+    u, k = _digit_words(d, group_text, trailing_zeros)
+    t = layout[e + _X_OFF] + (k - 1)
+    shift = v_shift[t]
+    back = np.uint64(64) - shift
+    cells = np.empty((len(v), 3), "<u8")
+    for w in range(3):
+        word = u[w] << shift  # word w of V
+        if w:
+            word |= u[w - 1] >> back
+        word &= from_v[w][t]
+        word |= u[w] & from_u[w][t]
+        word |= fixed[w][t]
+        cells[:, w] = word
+    cells[:, 2] |= suffix[e + _X_OFF]
+    cells[:, 0] |= np.signbit(v) * np.uint64(ord("-"))
+    cells = cells.view(np.uint8)
     rows = np.flatnonzero(slow)
     if len(rows):
         texts = ["%.17g" % x for x in v[rows].tolist()]
@@ -636,6 +673,36 @@ def _comb_rows(lines) -> np.ndarray:
     return data
 
 
+def _malformed(line: str) -> bool:
+    """Whether _comb_rows rejects the line."""
+    try:
+        _comb_rows([line])
+    except ValueError:
+        return True
+    return False
+
+
+def _not_finite(line: str) -> bool:
+    """Whether a row of the line has a position that is not finite."""
+    return not np.all(np.isfinite(_comb_rows([line])[:, 0]))
+
+
+def _name_line(path, bad, what: str) -> None:
+    """AperiodicaError naming the first non-blank body line of the comb
+    file at path, read again one line at a time, for which bad(line)
+    holds; nothing if there is none.  The file is read to its end, so that
+    a later byte that is not UTF-8 raises UnicodeDecodeError instead."""
+    found = None
+    with open(path, encoding="utf-8") as f:
+        next(f)
+        for number, line in enumerate(f, start=2):
+            line = line.removesuffix("\n")
+            if found is None and line and bad(line):
+                found = AperiodicaError(f"{what} on line {number} of {path}: {line!r}")
+    if found is not None:
+        raise found
+
+
 def read_text(path) -> str:
     """The text of a UTF-8 file; AperiodicaError naming it if not UTF-8."""
     try:
@@ -646,27 +713,46 @@ def read_text(path) -> str:
 
 def read_comb_csv(path, radius: float | None = None) -> WeightedComb:
     """Read a comb written by write_comb_csv.  If radius is omitted, the
-    smallest ball containing all points is used."""
-    lines = read_text(path).split("\n")
-    if lines == [""]:
-        raise EmptyInputError(f"empty comb file: {path}")
-    header = [h.strip() for h in next(csv.reader(lines[:1]), [])]
-    if tuple(header) != COMB_COLUMNS:
-        raise AperiodicaError(f"unrecognized comb header {header!r} in {path}")
-    if not any(lines[1:]):
-        raise EmptyInputError(f"comb file has no points: {path}")
+    smallest ball containing all points is used.
+
+    The file is read as text with universal newlines and parsed as it
+    streams: the header from the first line, the body by one np.loadtxt
+    over the remaining lines, so that memory follows the comb and not the
+    file.  A body that fails to parse is read again line by line to name
+    the first malformed row, as is one with a position that is not finite."""
     try:
-        data = _comb_rows(lines[1:])
-    except ValueError:  # the same parser, line by line, names the first bad line
-        for line_num, line in enumerate(lines[1:], start=2):
+        with open(path, encoding="utf-8") as f:
+            first = f.readline()
+            if not first:
+                raise EmptyInputError(f"empty comb file: {path}")
+            header = [h.strip() for h in next(csv.reader([first.removesuffix("\n")]), [])]
+            if tuple(header) != COMB_COLUMNS:
+                raise AperiodicaError(f"unrecognized comb header {header!r} in {path}")
+            for line in f:
+                if line != "\n":
+                    break
+            else:
+                raise EmptyInputError(f"comb file has no points: {path}")
             try:
-                if line:
-                    _comb_rows([line])
+                data = _comb_rows(itertools.chain([line], f))
+            except UnicodeDecodeError:  # a ValueError too
+                raise
             except ValueError:
-                raise AperiodicaError(f"malformed comb row on line {line_num} "
-                                      f"of {path}: {line!r}") from None
+                _name_line(path, _malformed, "malformed comb row")
+                raise
+    except UnicodeDecodeError:
+        read_text(path)  # raises the error naming the file, at the byte's offset in it
         raise
+    if not np.all(np.isfinite(data[:, 0])):
+        _name_line(path, _not_finite, "non-finite comb position")
     # a view, not re + 1j*im, which turns a -0.0 part into +0.0
-    pos, w = data[:, 0], np.ascontiguousarray(data[:, 1:]).view(complex)[:, 0]
-    rmax = np.max(np.abs(pos)) if radius is None else radius
-    return WeightedComb.from_positions(pos, w, float(rmax))
+    pos = np.ascontiguousarray(data[:, 0])
+    w = np.ascontiguousarray(data[:, 1:]).view(complex)[:, 0]
+    del data  # before any sort
+    if radius is None:
+        radius = np.max(np.abs(pos))
+        if radius == 0:
+            raise OutOfRangeError(
+                f"the comb radius cannot be inferred from the points of {path}, which "
+                "all lie at 0; pass radius= (CLI: --radius)")
+    return WeightedComb._owning(*_ascending(pos, w), float(radius))

@@ -9,12 +9,17 @@ estimated ns of each candidate path.  Calls made by the workloads' set-up
 are not logged, and their checks are not read.
 
     PYTHONPATH=src python tests/path_log.py [--passes N] [--seed S] [workload ...]
-                                            [--against FILE]
+                                            [--against FILE] [--hwm]
 
 With --against, the calls are compared in order with a log saved from an
 earlier run of the same arguments, by workload, pass, engine and path (the
 first four fields of a line): the first difference, or the count of calls
 that agree, goes to standard error, and the exit code is 1 on a difference.
+
+With --hwm, a line `workload pass VmHWM <MB>` follows each pass: the
+process's peak resident memory so far, in MiB as `peak_rss_mb` counts it,
+read from /proc/self/status (`n/a` where that file is absent).  These lines
+take no part in the comparison of --against.
 """
 
 import argparse
@@ -44,6 +49,18 @@ def describe(plan) -> str:
             f"bound={plan.bound:.17g} costs: {costs}")
 
 
+def vm_hwm() -> str:
+    """The process's VmHWM in MiB, or "n/a" where /proc/self/status is absent."""
+    try:
+        with open("/proc/self/status", encoding="ascii") as status:
+            for line in status:
+                if line.startswith("VmHWM:"):
+                    return f"{int(line.split()[1]) / 1024:.2f}"
+    except OSError:
+        pass
+    return "n/a"
+
+
 def first_difference(saved: list[str], lines: list[str]) -> str | None:
     """The first call whose workload, pass, engine or path differs between
     the saved lines and these, or None."""
@@ -62,6 +79,8 @@ def main(argv=None) -> int:
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--against", metavar="FILE",
                         help="a saved log to compare each call's path with")
+    parser.add_argument("--hwm", action="store_true",
+                        help="print the process's VmHWM after each pass")
     args = parser.parse_args(argv)
     lines = []
     for name in args.names or workloads.WORKLOADS:
@@ -73,9 +92,13 @@ def main(argv=None) -> int:
                 for plan in plans:
                     lines.append(f"{name} {i} {describe(plan)}")
                     print(lines[-1])
+                if args.hwm:
+                    print(f"{name} {i} VmHWM {vm_hwm()}")
     if args.against is None:
         return 0
-    difference = first_difference(Path(args.against).read_text().splitlines(), lines)
+    saved = [line for line in Path(args.against).read_text().splitlines()
+             if line.split()[2:3] != ["VmHWM"]]
+    difference = first_difference(saved, lines)
     print(difference or f"the same workload, pass, engine and path on all {len(lines)} calls",
           file=sys.stderr)
     return 1 if difference else 0

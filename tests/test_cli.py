@@ -364,6 +364,18 @@ class TestMalformedInput:
         err = validation_error(capsys, argv[0], "--input", str(path), *argv[1:])
         assert "finite and positive" in err
 
+    @pytest.mark.parametrize("argv", [
+        ("autocorr", "--max-diff", "3"),
+        ("spectrum", "--kmax", "0.01", "--dk", "0.005"),
+    ], ids=["autocorr", "spectrum"])
+    def test_comb_radius_that_cannot_be_inferred_exits_2(self, capsys, tmp_path, argv):
+        # read as "comb radius must be finite and positive; got 0.0", a
+        # radius that no option gave
+        path = tmp_path / "c.csv"
+        path.write_text("x,re_weight,im_weight\n0,1,0\n")
+        err = validation_error(capsys, argv[0], "--input", str(path), *argv[1:])
+        assert "cannot be inferred" in err and "--radius" in err
+
     def test_autocorr_float_points_on_one_key_exits_2(self, capsys, tmp_path):
         path = tmp_path / "comb.csv"
         path.write_text("x,re_weight,im_weight\n0,1,0\n3e-10,2,0\n1,3,0\n")

@@ -7,6 +7,7 @@ import re
 import tempfile
 import time
 import tracemalloc
+import warnings
 from pathlib import Path
 from unittest import mock
 
@@ -441,6 +442,16 @@ class TestCombCsv:
                            match=f"malformed comb row on line 3 of .*: {re.escape(repr(row))}"):
             ap.read_comb_csv(path)
 
+    def test_bytes_not_utf8_come_before_a_malformed_row(self, tmp_path):
+        # the byte lies past the lines np.loadtxt reads before it meets the
+        # malformed row, so only a full read finds it
+        head = b"x,re_weight,im_weight\n1,1\n" + b"1,1,0\n" * 60_000
+        path = tmp_path / "comb.csv"
+        path.write_bytes(head + b"\xe9,1,0\n")
+        with pytest.raises(AperiodicaError,
+                           match=f"not UTF-8 text: .* byte 0xe9 in position {len(head)}:"):
+            ap.read_comb_csv(path)
+
     @pytest.mark.parametrize("text, error", [
         ("", ap.EmptyInputError),
         ("x,re_weight,im_weight\n", ap.EmptyInputError),
@@ -452,6 +463,40 @@ class TestCombCsv:
         path.write_text(text)
         with pytest.raises(error, match=re.escape(str(path))):
             ap.read_comb_csv(path)
+
+    @pytest.mark.parametrize("text", [
+        "x,re_weight,im_weight\n", "x,re_weight,im_weight\n\n\n",
+        "x,re_weight,im_weight\r\n\r\n\r\n", "x,re_weight,im_weight\r\r"],
+        ids=["header-only", "blank-body", "crlf-blank-body", "cr-blank-body"])
+    def test_no_points_warns_nothing(self, tmp_path, text):
+        path = tmp_path / "comb.csv"
+        path.write_bytes(text.encode())
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ap.EmptyInputError, match="has no points"):
+                ap.read_comb_csv(path)
+
+    @pytest.mark.parametrize("row", ["nan,1,0", "-inf,1,0", "1e400,1,0"])
+    @pytest.mark.parametrize("radius", [None, 5.0])
+    def test_non_finite_position_named(self, tmp_path, row, radius):
+        # a NaN read as "comb radius must be finite and positive; got nan"
+        # without a radius, and as "strictly ascending" with one
+        path = tmp_path / "comb.csv"
+        path.write_text(f"x,re_weight,im_weight\n0,1,0\n\n{row}\n1,1,0\n")
+        with pytest.raises(AperiodicaError,
+                           match=f"non-finite comb position on line 4 of .*: {re.escape(repr(row))}"):
+            ap.read_comb_csv(path, radius=radius)
+
+    def test_radius_that_cannot_be_inferred_named(self, tmp_path):
+        # read as "comb radius must be finite and positive; got 0.0", a
+        # radius the caller never gave
+        path = tmp_path / "comb.csv"
+        path.write_text("x,re_weight,im_weight\n0,1,0\n")
+        with pytest.raises(ap.OutOfRangeError,
+                           match=r"radius cannot be inferred from the points of .*comb\.csv.*"
+                                 r"pass radius= \(CLI: --radius\)"):
+            ap.read_comb_csv(path)
+        assert ap.read_comb_csv(path, radius=1.0).positions.tolist() == [0.0]
 
     def test_signed_zero_weights_survive(self, tmp_path):
         # re + 1j*im turned -0.0 parts into +0.0
@@ -475,6 +520,28 @@ class TestCombCsv:
     def test_missing_file(self, tmp_path):
         with pytest.raises(FileNotFoundError):
             ap.read_comb_csv(tmp_path / "absent.csv")
+
+    @pytest.fixture(scope="class")
+    def random_comb(self) -> ap.WeightedComb:
+        rng = np.random.default_rng(33)
+        n = 2 ** 17
+        return ap.WeightedComb.from_positions(np.sort(rng.uniform(-1e3, 1e3, n)),
+                                              rng.standard_normal((n, 2)) @ [1, 1j], 1e3)
+
+    def test_reader_memory_follows_the_comb(self, tmp_path, random_comb):
+        # the whole file as one str and a list of line strings came first:
+        # 7.6x the comb's arrays
+        path = tmp_path / "comb.csv"
+        ap.write_comb_csv(random_comb, path)
+        back, peak = traced(lambda: ap.read_comb_csv(path))
+        assert np.array_equal(back.positions, random_comb.positions)
+        assert np.array_equal(back.weights, random_comb.weights)
+        assert peak <= 3 * (random_comb.positions.nbytes + random_comb.weights.nbytes)
+
+    def test_writer_memory(self, tmp_path, random_comb):
+        # an (n, 24) int64 index gathered each value's text: 4.9 MiB
+        _, peak = traced(lambda: ap.write_comb_csv(random_comb, tmp_path / "comb.csv"))
+        assert peak < 3 * 2 ** 20
 
 
 class TestNextFastLen:
@@ -629,6 +696,12 @@ class TestSizeBudget:
     (lambda: ap.WeightedComb.from_integers([-math.inf], [1], 2.0), "got -inf"),
     (lambda: ap.WeightedComb.from_integers([2.0 ** 63], [1], 1e19), "within int64"),
     (lambda: ap.WeightedComb.from_integers([2 ** 70], [1], 2e21), "within int64"),
+    # a NaN read as "strictly ascending" or "outside the stated radius"
+    (lambda: ap.WeightedComb.from_positions([0.0, math.nan], [1, 1], 5.0),
+     "positions must be finite"),
+    (lambda: ap.WeightedComb.from_positions([math.nan], [1], 5.0), "positions must be finite"),
+    (lambda: ap.WeightedComb.from_positions([-math.inf, 0.0, math.inf], [1, 1, 1], 5.0),
+     "positions must be finite"),
 ], ids=["positions-2d", "weights-short", "basis-not-square", "integers-weight-0-d",
         "integers-descending-weight-0-d", "positions-weight-0-d",
         "positions-descending-weight-0-d", "module-weight-0-d",
@@ -637,7 +710,8 @@ class TestSizeBudget:
         "positions-descending-weights-long", "positions-descending-weights-short",
         "module-descending-weights-long", "module-descending-weights-short",
         "module-2-by-3", "module-3-vector", "module-half", "integers-half", "integers-nan",
-        "integers-inf", "integers-2-63", "integers-past-int64"])
+        "integers-inf", "integers-2-63", "integers-past-int64", "positions-nan",
+        "positions-nan-single", "positions-inf"])
 def test_invalid_shapes_rejected(call, match):
     with pytest.raises(AperiodicaError, match=match):
         call()
