@@ -727,6 +727,8 @@ def read_comb_csv(path, radius: float | None = None) -> WeightedComb:
                 raise EmptyInputError(f"empty comb file: {path}")
             header = [h.strip() for h in next(csv.reader([first.removesuffix("\n")]), [])]
             if tuple(header) != COMB_COLUMNS:
+                for _ in f:  # to the end: a later byte that is not UTF-8 comes first
+                    pass
                 raise AperiodicaError(f"unrecognized comb header {header!r} in {path}")
             for line in f:
                 if line != "\n":

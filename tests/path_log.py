@@ -6,20 +6,19 @@ pass from the plan records of spectrum._plan and autocorr._plan: workload,
 pass, engine, path, N, then K, L, nf and the wrap (k0, dk, max|delta|) of
 a periodogram or the pairs and lag bound of an autocorrelation, and the
 estimated ns of each candidate path.  Calls made by the workloads' set-up
-are not logged, and their checks are not read.
+are not logged, and their checks are not read.  A line
+`workload pass VmHWM <MiB>` follows each pass: the process's peak resident
+memory so far, as `peak_rss_mb` counts it, read from /proc/self/status
+(`n/a` where that file is absent).
 
     PYTHONPATH=src python tests/path_log.py [--passes N] [--seed S] [workload ...]
-                                            [--against FILE] [--hwm]
+                                            [--against FILE]
 
 With --against, the calls are compared in order with a log saved from an
 earlier run of the same arguments, by workload, pass, engine and path (the
 first four fields of a line): the first difference, or the count of calls
 that agree, goes to standard error, and the exit code is 1 on a difference.
-
-With --hwm, a line `workload pass VmHWM <MB>` follows each pass: the
-process's peak resident memory so far, in MiB as `peak_rss_mb` counts it,
-read from /proc/self/status (`n/a` where that file is absent).  These lines
-take no part in the comparison of --against.
+The VmHWM lines take no part in the comparison.
 """
 
 import argparse
@@ -79,8 +78,6 @@ def main(argv=None) -> int:
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--against", metavar="FILE",
                         help="a saved log to compare each call's path with")
-    parser.add_argument("--hwm", action="store_true",
-                        help="print the process's VmHWM after each pass")
     args = parser.parse_args(argv)
     lines = []
     for name in args.names or workloads.WORKLOADS:
@@ -92,8 +89,7 @@ def main(argv=None) -> int:
                 for plan in plans:
                     lines.append(f"{name} {i} {describe(plan)}")
                     print(lines[-1])
-                if args.hwm:
-                    print(f"{name} {i} VmHWM {vm_hwm()}")
+                print(f"{name} {i} VmHWM {vm_hwm()}")
     if args.against is None:
         return 0
     saved = [line for line in Path(args.against).read_text().splitlines()

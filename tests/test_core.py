@@ -452,6 +452,15 @@ class TestCombCsv:
                            match=f"not UTF-8 text: .* byte 0xe9 in position {len(head)}:"):
             ap.read_comb_csv(path)
 
+    def test_bytes_not_utf8_come_before_a_wrong_header(self, tmp_path):
+        # the byte lies past the first chunk that reading the header decodes
+        head = b"x,weight\n" + b"1,1,0\n" * 60_000
+        path = tmp_path / "comb.csv"
+        path.write_bytes(head + b"\xe9,1,0\n")
+        with pytest.raises(AperiodicaError,
+                           match=f"not UTF-8 text: .* byte 0xe9 in position {len(head)}:"):
+            ap.read_comb_csv(path)
+
     @pytest.mark.parametrize("text, error", [
         ("", ap.EmptyInputError),
         ("x,re_weight,im_weight\n", ap.EmptyInputError),
