@@ -239,7 +239,10 @@ class WeightedComb:
         if len(w) and not np.all(np.isfinite(w.view(float))):
             raise AperiodicaError("weights must be finite")
         if len(pos) > 1 and not np.all(pos[1:] > pos[:-1]):
-            raise AperiodicaError("positions must be strictly ascending")
+            values, counts = np.unique(pos, return_counts=True, equal_nan=False)
+            repeated = values[counts > 1]
+            raise AperiodicaError("positions must be strictly ascending" + (
+                f"; {float(repeated[0])!r} is repeated" if len(repeated) else ""))
         # ascending, so the farthest point is an end point
         if len(pos) and not max(-pos[0], pos[-1]) <= self.radius + _POSITION_TOL:
             raise AperiodicaError("points outside the stated radius")
@@ -673,34 +676,18 @@ def _comb_rows(lines) -> np.ndarray:
     return data
 
 
-def _malformed(line: str) -> bool:
-    """Whether _comb_rows rejects the line."""
-    try:
-        _comb_rows([line])
-    except ValueError:
-        return True
-    return False
+def _header(line: str) -> list:
+    """The fields of a comb file's first line, as csv reads them, stripped."""
+    return [h.strip() for h in next(csv.reader([line.rstrip("\r\n")]), [])]
 
 
-def _not_finite(line: str) -> bool:
-    """Whether a row of the line has a position that is not finite."""
-    return not np.all(np.isfinite(_comb_rows([line])[:, 0]))
-
-
-def _name_line(path, bad, what: str) -> None:
-    """AperiodicaError naming the first non-blank body line of the comb
-    file at path, read again one line at a time, for which bad(line)
-    holds; nothing if there is none.  The file is read to its end, so that
-    a later byte that is not UTF-8 raises UnicodeDecodeError instead."""
-    found = None
-    with open(path, encoding="utf-8") as f:
-        next(f)
-        for number, line in enumerate(f, start=2):
-            line = line.removesuffix("\n")
-            if found is None and line and bad(line):
-                found = AperiodicaError(f"{what} on line {number} of {path}: {line!r}")
-    if found is not None:
-        raise found
+def _not_utf8(path, exc: UnicodeDecodeError, offset: int = 0) -> AperiodicaError:
+    """The error naming the file at path for exc, raised offset bytes into it."""
+    start, end = offset + exc.start, offset + exc.end
+    where = (f"byte 0x{exc.object[exc.start]:02x} in position {start}" if end == start + 1
+             else f"bytes in position {start}-{end - 1}")
+    return AperiodicaError(
+        f"{path} is not UTF-8 text: '{exc.encoding}' codec can't decode {where}: {exc.reason}")
 
 
 def read_text(path) -> str:
@@ -708,45 +695,65 @@ def read_text(path) -> str:
     try:
         return Path(path).read_text(encoding="utf-8")
     except UnicodeDecodeError as exc:
-        raise AperiodicaError(f"{path} is not UTF-8 text: {exc}") from None
+        raise _not_utf8(path, exc) from None
+
+
+def _fault(path) -> AperiodicaError | None:
+    """The first fault of the comb file at path, opened once more: a byte not
+    UTF-8 (a first pass), else a wrong header, malformed row, non-finite position or weight."""
+    with open(path, encoding="latin-1", newline="") as f:  # a char per byte
+        offset = 0
+        for raw in f:
+            try:
+                raw.encode("latin-1").decode("utf-8")
+            except UnicodeDecodeError as exc:
+                return _not_utf8(path, exc, offset)
+            offset += len(raw)
+        f.seek(0)
+        f.reconfigure(encoding="utf-8")
+        header = _header(f.readline())
+        if tuple(header) != COMB_COLUMNS:
+            return AperiodicaError(f"unrecognized comb header {header!r} in {path}")
+        position = weight = None  # the first row with such a value not finite
+        for n, line in enumerate(f, start=2):
+            line = line.rstrip("\r\n")
+            if not line:
+                continue
+            try:
+                finite = np.isfinite(_comb_rows([line])[0])
+            except ValueError:
+                return AperiodicaError(f"malformed comb row on line {n} of {path}: {line!r}")
+            if position is None and not finite[0]:
+                position = f"non-finite comb position on line {n} of {path}: {line!r}"
+            if weight is None and not finite[1:].all():
+                weight = f"non-finite comb weight on line {n} of {path}: {line!r}"
+    message = position or weight
+    return AperiodicaError(message) if message else None
 
 
 def read_comb_csv(path, radius: float | None = None) -> WeightedComb:
     """Read a comb written by write_comb_csv.  If radius is omitted, the
-    smallest ball containing all points is used.
-
-    The file is read as text with universal newlines and parsed as it
-    streams: the header from the first line, the body by one np.loadtxt
-    over the remaining lines, so that memory follows the comb and not the
-    file.  A body that fails to parse is read again line by line to name
-    the first malformed row, as is one with a position that is not finite."""
+    smallest ball containing all points is used.  The file streams through
+    one np.loadtxt, so that memory follows the comb and not the file; one
+    that does not load is read once more, by _fault, to name its fault."""
     try:
         with open(path, encoding="utf-8") as f:
             first = f.readline()
             if not first:
                 raise EmptyInputError(f"empty comb file: {path}")
-            header = [h.strip() for h in next(csv.reader([first.removesuffix("\n")]), [])]
-            if tuple(header) != COMB_COLUMNS:
-                for _ in f:  # to the end: a later byte that is not UTF-8 comes first
-                    pass
-                raise AperiodicaError(f"unrecognized comb header {header!r} in {path}")
-            for line in f:
-                if line != "\n":
-                    break
-            else:
+            if tuple(_header(first)) != COMB_COLUMNS:
+                raise ValueError("unrecognized comb header")
+            line = next((line for line in f if line != "\n"), "")
+            if not line:
                 raise EmptyInputError(f"comb file has no points: {path}")
-            try:
-                data = _comb_rows(itertools.chain([line], f))
-            except UnicodeDecodeError:  # a ValueError too
-                raise
-            except ValueError:
-                _name_line(path, _malformed, "malformed comb row")
-                raise
-    except UnicodeDecodeError:
-        read_text(path)  # raises the error naming the file, at the byte's offset in it
+            data = _comb_rows(itertools.chain([line], f))
+        # NaN and ±inf reach the min or the max, with no (N, 3) array of flags
+        if not (np.isfinite(data.min()) and np.isfinite(data.max())):
+            raise ValueError("non-finite comb value")
+    except AperiodicaError:  # empty, or no points
         raise
-    if not np.all(np.isfinite(data[:, 0])):
-        _name_line(path, _not_finite, "non-finite comb position")
+    except ValueError as exc:  # a UnicodeDecodeError among them
+        raise _fault(path) or exc from None
     # a view, not re + 1j*im, which turns a -0.0 part into +0.0
     pos = np.ascontiguousarray(data[:, 0])
     w = np.ascontiguousarray(data[:, 1:]).view(complex)[:, 0]

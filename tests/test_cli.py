@@ -405,6 +405,14 @@ class TestMalformedInput:
         assert (code, out) == (2, "")
         assert err == f"error: malformed comb row on line 3 of {path}: {row!r}\n"
 
+    def test_non_finite_comb_weight_exits_2(self, capsys, tmp_path):
+        # read "error: weights must be finite", with no file or line
+        path = tmp_path / "c.csv"
+        path.write_text("x,re_weight,im_weight\n0,1,0\n1,nan,0\n")
+        code, out, err = run_cli(capsys, "autocorr", "--input", str(path), "--max-diff", "3")
+        assert (code, out) == (2, "")
+        assert err == f"error: non-finite comb weight on line 3 of {path}: '1,nan,0'\n"
+
     @pytest.mark.parametrize("threshold", ["nan", "inf"])
     def test_spectrum_bragg_not_finite_exits_2(self, capsys, tmp_path, threshold):
         # --bragg nan used to print an empty atom table with exit 0

@@ -417,6 +417,33 @@ def test_comb_csv_round_trip_is_bit_identical(positions, data):
     assert np.array_equal(_bits(back.weights.view(float)), _bits(comb.weights.view(float)))
 
 
+@pytest.mark.parametrize("call, repeat", [
+    (lambda: ap.WeightedComb.from_positions([1.0, 0.0, 1.0], [1, 1, 1], 2.0), "; 1.0 is repeated"),
+    (lambda: ap.WeightedComb([0.0, 0.0], [1.0, 1.0], 2.0), "; 0.0 is repeated"),
+    (lambda: ap.WeightedComb([2.0, 1.0, 0.5, 1.0], [1, 1, 1, 1], 2.0), "; 1.0 is repeated"),
+    (lambda: ap.WeightedComb([1.0, 0.0], [1.0, 1.0], 2.0), ""),
+], ids=["from-positions", "constructor", "constructor-apart", "descending"])
+def test_ascending_names_a_repeat(call, repeat):
+    # read only "positions must be strictly ascending", though from_positions
+    # sorts the points itself
+    with pytest.raises(AperiodicaError,
+                       match=f"^positions must be strictly ascending{re.escape(repeat)}$"):
+        call()
+
+
+@contextlib.contextmanager
+def opened():
+    """Yields the list of the files opened within the block, by open or io.open."""
+    files, real = [], io.open
+
+    def counted(file, *args, **kwargs):
+        files.append(file)
+        return real(file, *args, **kwargs)
+
+    with mock.patch("builtins.open", counted), mock.patch("io.open", counted):
+        yield files
+
+
 class TestCombCsv:
     @pytest.mark.parametrize("body", [
         "-1,1,0\n\n0,2,0.5\n\n",
@@ -460,6 +487,50 @@ class TestCombCsv:
         with pytest.raises(AperiodicaError,
                            match=f"not UTF-8 text: .* byte 0xe9 in position {len(head)}:"):
             ap.read_comb_csv(path)
+
+    @pytest.mark.parametrize("row", ["0.5,nan,0", "0.5,1,inf", "0.5,1,-inf", "0.5,1e400,0"])
+    def test_non_finite_weight_named(self, tmp_path, row):
+        # read "weights must be finite", with no file or line
+        path = tmp_path / "comb.csv"
+        path.write_text(f"x,re_weight,im_weight\n0,1,0\n\n{row}\n1,1,0\n")
+        with pytest.raises(AperiodicaError,
+                           match=f"non-finite comb weight on line 4 of .*: {re.escape(repr(row))}"):
+            ap.read_comb_csv(path)
+
+    def test_repeated_position_named(self, tmp_path):
+        path = tmp_path / "comb.csv"
+        path.write_text("x,re_weight,im_weight\n1,1,0\n0,1,0\n1,2,0\n")
+        with pytest.raises(AperiodicaError, match="strictly ascending; 1.0 is repeated"):
+            ap.read_comb_csv(path)
+
+    @pytest.mark.parametrize("body, tail, named", [
+        ("0,1,0\nnan,1,0\n1,1,0\n2,x,0\n", b"", "malformed comb row on line 5"),
+        ("0,nan,0\n0.5,1,0\n1,1,0\ninf,1,0\n", b"", "non-finite comb position on line 5"),
+        ("0,1,0\nnan,1,0\n1,1,0\n2,x,0\n", b"\xe9,1,0\n", "byte 0xe9 in position 48:"),
+    ], ids=["row-after-position", "position-after-weight", "byte-after-both"])
+    def test_faults_in_order(self, tmp_path, body, tail, named):
+        # the first fault of the gravest kind: a byte that is not UTF-8, a
+        # wrong header, a malformed row, a non-finite position, then weight
+        path = tmp_path / "comb.csv"
+        path.write_bytes(b"x,re_weight,im_weight\n" + body.encode() + tail)
+        with pytest.raises(AperiodicaError, match=re.escape(named)):
+            ap.read_comb_csv(path)
+
+    @pytest.mark.parametrize("data, opens", [
+        (b"x,re_weight,im_weight\n0,1,0\n1,1,0\n", 1),
+        (b"x,re_weight,im_weight\n1,1\n" + b"1,1,0\n" * 60_000 + b"\xe9,1,0\n", 2),
+        (b"x,weight\n" + b"1,1,0\n" * 60_000 + b"\xe9,1,0\n", 2),
+        (b"x,re_weight,im_weight\n0,1,0\nnan,1,0\n", 2),
+        (b"x,re_weight,im_weight\n0,1,0\n", 1),
+    ], ids=["loads", "malformed-then-byte", "header-then-byte", "non-finite",
+            "radius-not-inferred"])
+    def test_opens(self, tmp_path, data, opens):
+        # a malformed row before a byte that is not UTF-8 was read three times
+        path = tmp_path / "comb.csv"
+        path.write_bytes(data)
+        with opened() as files, contextlib.suppress(AperiodicaError):
+            ap.read_comb_csv(path)
+        assert files.count(path) == opens
 
     @pytest.mark.parametrize("text, error", [
         ("", ap.EmptyInputError),
@@ -545,6 +616,22 @@ class TestCombCsv:
         back, peak = traced(lambda: ap.read_comb_csv(path))
         assert np.array_equal(back.positions, random_comb.positions)
         assert np.array_equal(back.weights, random_comb.weights)
+        assert peak <= 3 * (random_comb.positions.nbytes + random_comb.weights.nbytes)
+
+    def test_reader_memory_on_a_byte_not_utf8(self, tmp_path, random_comb):
+        # the file was read whole once more to find the byte's offset: 7.5x
+        path = tmp_path / "comb.csv"
+        ap.write_comb_csv(random_comb, path)
+        size = path.stat().st_size
+        with path.open("ab") as f:
+            f.write(b"\xe9")
+
+        def read():
+            with pytest.raises(AperiodicaError,
+                               match=f"not UTF-8 text: .* byte 0xe9 in position {size}:"):
+                ap.read_comb_csv(path)
+
+        _, peak = traced(read)
         assert peak <= 3 * (random_comb.positions.nbytes + random_comb.weights.nbytes)
 
     def test_writer_memory(self, tmp_path, random_comb):
