@@ -24,6 +24,7 @@ from .core import (
     ModuleCoords,
     OutOfRangeError,
     SIZE_BUDGET,
+    SQRT5,
     TAU,
     WeightedComb,
     _own_copy,
@@ -33,8 +34,11 @@ from .core import (
 
 _LOOKUP_TOL = 1e-9
 _SUPPORT_TOL = 1e-12  # coefficients at most this large count as zero
-# pairs the pair path reduces at a time: a block's temporaries, under 1 MiB,
-# stay in cache (2^14 ran ~15% faster than 2^15 on Theorem 10's comb)
+# pairs the pair path lists at a time: a block's temporaries, under 1 MiB,
+# stay in cache.  On the binned sums 2^15 and 2^16 ran within 5-10% of 2^14
+# (criterion 10's comb at 500: 2.09, 2.19, 2.19 ms; 3.6e6 pairs of 20,000
+# random integers: 34, 38, 35 ms) and 2^12 35% slower on criterion 10; the
+# sorted grouping, whose sums follow the blocks, keeps 2^14
 _PAIR_BLOCK = 1 << 14
 _DENSE_TILE = 1 << 16  # positions _dense_sums transforms at a time
 # rates in ns of the path rule, on a 2-core Xeon VM, random integer combs:
@@ -46,6 +50,10 @@ _DENSE_TILE = 1 << 16  # positions _dense_sums transforms at a time
 # complex entries) a block position: a check_size step up to lag 2^23
 _NS_DENSE = 500.0
 _NS_PAIR = 80.0
+# the most partners a point, on average, that _plan scans for: a scan and a
+# searchsorted broke even near 6-8 a point over 5,000 random floats or
+# integers and near 12-16 over 66,000, as a needle costs more as N grows
+_SCAN_PARTNERS = 8.0
 _INT64_MAX = int(np.iinfo(np.int64).max)
 
 
@@ -133,14 +141,39 @@ def _group_sums(codes, values):
     return codes[starts], np.add.reduceat(values[order], starts)
 
 
-def _first_partners(cut, bound):
+def _first_partners(cut, bound, scan):
     """first[i], the least j with cut[i] - cut[j] <= bound, for ascending
     cut; point i pairs with first[i] .. i - 1.
 
-    searchsorted rounds cut[i] - bound where the rule rounds cut[i] - cut[j],
-    so its answer is corrected in both directions until the rule holds at
-    first[i] and fails at first[i] - 1 (the rounded difference is monotone in
-    j, so the pairs kept form a run).  Integer cuts are exact and need none."""
+    The rounded difference cut[i] - cut[j] is monotone in j, so the pairs
+    kept form a run.  A scan counts them by offset: point i has
+    cut[i] - cut[i - d] <= bound for d = 1 .. i - first[i] and no larger d,
+    one pass over the points a d while more than a quarter of them meet
+    it, then over those that met it at d - 1 only, O(N + pairs) in all.
+    Otherwise searchsorted rounds cut[i] - bound where the rule rounds
+    cut[i] - cut[j], so its answer is corrected in both directions until
+    the rule holds at first[i] and fails at first[i] - 1.  Integer cuts are
+    exact and need none."""
+    if scan:
+        first = np.arange(len(cut))
+        live = None  # the points that met the rule at the last d
+        gaps, hits = np.empty(len(cut), dtype=cut.dtype), np.empty(len(cut), dtype=bool)
+        for d in range(1, len(cut)):
+            if live is None:
+                gap = np.subtract(cut[d:], cut[:-d], out=gaps[d:])
+                hit = np.less_equal(gap, bound, out=hits[d:])
+                first[d:] -= hit
+                met = np.count_nonzero(hit)
+                if 4 * met < len(cut):
+                    live = np.flatnonzero(hit) + d
+            else:
+                live = live[live >= d]
+                live = live[cut[live] - cut[live - d] <= bound]
+                first[live] -= 1
+                met = len(live)
+            if not met:
+                break
+        return first
     first = np.searchsorted(cut, cut - bound, side="left")
     while True:
         # first[i] <= i always holds, and first[i] - 1 wraps only where
@@ -152,37 +185,101 @@ def _first_partners(cut, bound):
         first = first - grow + shrink
 
 
-def _pairwise_sums(first, keys, weights):
-    """Sums of v(x) conj(v(y)) over the pairs of points i > j >= first[i],
-    grouped by their code keys[i] - keys[j].
+def _pair_blocks(first, keys, weights):
+    """The pairs of points i > j >= first[i], _PAIR_BLOCK at a time, as
+    their codes keys[i] - keys[j] and products v(x) conj(v(y)).
 
-    first comes from _first_partners and is not empty.  Returns the
-    distinct codes, ascending, and their sums.  The pairs are listed by
-    point, so pair number p of the running count belongs to the point
-    whose count passes p.  The list is cut into blocks of _PAIR_BLOCK
-    pairs, one point's pairs possibly spanning several; each block's pairs
-    are built with np.repeat and reduced by _group_sums, and the reduced
-    blocks are merged into the result whenever they hold as many codes as
-    it does.  The cost is linear in N plus the number of pairs, and memory
-    is O(N + _PAIR_BLOCK + distinct codes).
-    """
-    codes, sums = np.empty(0, dtype=np.int64), np.empty(0, dtype=complex)
-    conj = np.conj(weights)
-    count = np.arange(len(first)) - first
-    ends = np.cumsum(count)  # point i's pairs are numbers starts[i] .. ends[i] - 1
-    starts = ends - count
-    shift = starts - first  # pair number p of point i has j = p - shift[i]
+    The pairs are listed by point, so pair number p belongs to the point i
+    whose running count ends[i] first passes p, and its partner is
+    j = p - ends[i] + i; one point's pairs may span several blocks.  Each
+    block's pairs are built with np.repeat, and ends is the one array a
+    point that this keeps."""
+    ends = np.arange(len(first))
+    ends -= first
+    np.cumsum(ends, out=ends)
     total = int(ends[-1])
-    parts, held = [], 0
     for lo in range(0, total, _PAIR_BLOCK):
         hi = min(lo + _PAIR_BLOCK, total)
         # the points whose pairs meet numbers lo .. hi - 1
         a = int(np.searchsorted(ends, lo, side="right"))
         b = int(np.searchsorted(ends, hi, side="left")) + 1
-        counts = np.minimum(ends[a:b], hi) - np.maximum(starts[a:b], lo)
-        j = np.arange(lo, hi) - np.repeat(shift[a:b], counts)
-        parts.append(_group_sums(np.repeat(keys[a:b], counts) - keys[j],
-                                 np.repeat(weights[a:b], counts) * conj[j]))
+        counts = np.diff(np.minimum(ends[a:b], hi), prepend=lo)
+        j = np.arange(lo, hi)
+        j -= np.repeat(ends[a:b] - np.arange(a, b), counts)
+        codes = np.repeat(keys[a:b], counts)
+        codes -= keys[j]
+        products = weights[j]
+        np.conj(products, out=products)
+        yield codes, np.multiply(np.repeat(weights[a:b], counts), products, out=products)
+
+
+def _offset_pairs(first, keys, weights):
+    """The pairs of _pair_blocks by offset, for combs of few partners a
+    point: for d = 1, 2, ... the pairs (i, i - d) of the points i with
+    first[i] <= i - d, as one block, from slices of the arrays while more
+    than a quarter of the points have such a pair, then from the points
+    that do.  O(N + pairs) in all."""
+    count = np.arange(len(first))
+    count -= first
+    live = None  # the points with a pair at the last d
+    for d in range(1, len(first)):
+        if live is None:
+            keep = count[d:] >= d
+            met = np.count_nonzero(keep)
+            codes = keys[d:] - keys[:-d]
+            products = np.conj(weights[:-d])
+            np.multiply(weights[d:], products, out=products)
+            if met < len(keep):
+                codes, products = codes[keep], products[keep]
+            if 4 * met < len(first):
+                live = np.flatnonzero(keep) + d
+        else:
+            live = live[count[live] >= d]
+            met = len(live)
+            codes = keys[live] - keys[live - d]
+            products = np.conj(weights[live - d])
+            np.multiply(weights[live], products, out=products)
+        if not met:
+            return
+        yield codes, products
+
+
+def _pairwise_sums(plan, weights):
+    """Sums of v(x) conj(v(y)) over the pairs of points i > j >= first[i],
+    grouped by their codes: the distinct codes, ascending, and their sums.
+
+    Binned (plan.codes = (lo, hi), each code of a pair within it): the
+    pairs come by offset (_offset_pairs) where _plan scanned for them, few
+    a point, and by point otherwise, and each block's products are added
+    in place into one array over the codes, beside one that marks the
+    codes met, so that a difference whose products sum to zero is kept.
+    Real weights are multiplied and summed in real arithmetic, and
+    positive ones, whose least square is not 0, need no marks, as every
+    product and sum of them is positive.  Memory is O(N + _PAIR_BLOCK +
+    hi - lo), or O(N + hi - lo) by offset.
+    Sorted: each block is reduced by _group_sums, and the reduced blocks
+    are merged into the result whenever they hold as many codes as it
+    does.  Memory is O(N + _PAIR_BLOCK + distinct codes).  Either way the
+    cost is linear in N plus the number of pairs."""
+    if plan.grouping == "binned":
+        lo, hi = plan.codes
+        if not np.any(weights.imag):
+            weights = weights.real
+        sums = np.zeros(hi - lo + 1, dtype=weights.dtype)
+        least = weights.min() if weights.dtype == float else 0.0
+        met = sums if least > 0 and least * least > 0 else np.zeros(len(sums), dtype=bool)
+        pairs = _offset_pairs if plan.partners == "scan" else _pair_blocks
+        for codes, products in pairs(plan.first, plan.keys, weights):
+            codes -= lo
+            if met is not sums:
+                met[codes] = True
+            np.add.at(sums, codes, products)
+        codes = np.flatnonzero(met)
+        return codes + lo, sums[codes]
+    codes, sums = np.empty(0, dtype=np.int64), np.empty(0, dtype=complex)
+    parts, held = [], 0
+    for block in _pair_blocks(plan.first, plan.keys, weights):
+        parts.append(_group_sums(*block))
         held += len(parts[-1][0])
         if held >= max(len(codes), _PAIR_BLOCK):
             parts.append((codes, sums))
@@ -242,14 +339,13 @@ def _float_keys(positions, max_diff):
 def _exact_keys(comb, max_diff):
     """int64 keys, one per point, whose differences keys[i] - keys[j] are
     exact codes of the position differences; the sorted coordinates pairs
-    are cut on, the cut bound, the decoder from codes to differences, and
-    the largest decoded difference kept.
+    are cut on, the cut bound, the decoder from codes to differences, the
+    largest decoded difference kept, and the range (lo, hi) that holds the
+    code of every pair within the cut, or None where it is not known.
 
     Integers: keys and cut are the integers less the least, the bound
-    max_diff / scale clipped to the span.
-    Module (m, n): (m - m_min) * w + (n - n_min), w = 2 * (n spread) + 1;
-    the float cut is widened past the rounding of positions and decoded
-    differences, and a code is kept when it decodes to at most max_diff.
+    max_diff / scale clipped to the span, the codes 1 .. the bound.
+    Module (m, n): a * (m - m_min) + (n - n_min); see _module_keys.
     Floats: the _LOOKUP_TOL grid, which must not put two points on one key.
     OutOfRangeError when the codes of the comb do not fit in int64."""
     coords = comb.coords
@@ -262,28 +358,61 @@ def _exact_keys(comb, max_diff):
         # keeps every pair; with keys from 0, keys - bound cannot wrap
         keys = values - values[0]
         max_lag = min(int(math.floor(max_diff / scale + 1e-12)), span)
-        return keys, keys, max_lag, lambda codes: codes * scale, math.inf
+        return keys, keys, max_lag, lambda codes: codes * scale, math.inf, (1, max_lag)
     if isinstance(coords, ModuleCoords):
-        m, n = coords.mn[:, 0], coords.mn[:, 1]
-        shift = int(n.max()) - int(n.min())
-        width = 2 * shift + 1
-        if (int(m.max()) - int(m.min()) + 1) * width > _INT64_MAX:
-            raise OutOfRangeError("module differences of this comb have no exact int64 code")
-
-        def decode(codes):
-            """Positions dm * tau + dn of the codes dm * width + dn."""
-            dm, dn = np.divmod(codes + shift, width)
-            return module_position(dm, dn - shift)
-        # each position and each decoded difference is a few roundings of
-        # numbers at most |m| tau + |n| in size away from the exact value
-        slack = 16 * np.spacing(float(np.max(np.abs(m))) * TAU + float(np.max(np.abs(n))))
-        return ((m - m.min()) * width + (n - n.min()), comb.positions, max_diff + slack,
-                decode, max_diff)
+        return _module_keys(coords.mn[:, 0], coords.mn[:, 1], comb.positions, max_diff)
     keys = _float_keys(comb.positions, max_diff)
     if np.any(np.diff(keys) == 0):
         raise OutOfRangeError(f"two float positions fall on one key of the "
                               f"{_LOOKUP_TOL:g} grid; use exact coordinates")
-    return keys, comb.positions, max_diff, lambda codes: codes * _LOOKUP_TOL, math.inf
+    return keys, comb.positions, max_diff, lambda codes: codes * _LOOKUP_TOL, math.inf, None
+
+
+def _module_keys(m, n, positions, max_diff):
+    """_exact_keys of a module comb: the keys a * (m - m_min) + (n - n_min),
+    a = floor(max_diff + 6 * slack) + 3, cut on the float positions.
+
+    Each position and each decoded difference is within slack of its exact
+    value (a few roundings of numbers at most |m| tau + |n| in size), so
+    the cut is widened to max_diff + slack, and a kept pair's exact
+    difference z = dm * tau + dn lies in [-slack, max_diff + 2 * slack].
+    Its code c = a * dm + dn = dm * (a - tau) + z, and a - tau exceeds that
+    window by 6 * slack and more than 1/3: the code is one-to-one on the
+    kept pairs, and dm is the integer nearest (c - max_diff / 2) / (a - tau)
+    even when that quotient is off by a difference within slack.  The
+    decoder takes that quotient in doubles, whose rounding grows with c,
+    then once more with the decoded difference in place of c - dm (a - tau),
+    which is exact.  dm sqrt 5 = z - z* for the star images z*, so the codes
+    lie in a range known from the spread of the comb's star images.  A code
+    is kept when it decodes to at most max_diff."""
+    (m0, m1), (n0, n1) = (int(m.min()), int(m.max())), (int(n.min()), int(n.max()))
+    slack = 16 * np.spacing(float(max(-m0, m1)) * TAU + float(max(-n0, n1)))
+    a = math.floor(max_diff + 6 * slack) + 3
+    # the codes of pairs, and a * dm for any dm of the range, differ by at
+    # most twice the keys' range, which must fit in int64
+    if (m1 - m0) * a + n1 - n0 >= 2 ** 62:
+        raise OutOfRangeError("module differences of this comb have no exact int64 code")
+    keys = m - m0
+    # the star images x - (m - m0) sqrt 5, up to one shift
+    stars = keys * SQRT5
+    np.subtract(positions, stars, out=stars)
+    spread = float(stars.max() - stars.min())
+    keys *= a
+    keys += n
+    keys -= n0
+    step = a - TAU
+
+    def decode(codes):
+        """Positions dm * tau + dn of the codes a * dm + dn."""
+        dm = np.rint((codes - 0.5 * max_diff) / step).astype(np.int64)
+        dm += np.rint((module_position(dm, codes - a * dm) - 0.5 * max_diff)
+                      / step).astype(np.int64)
+        return module_position(dm, codes - a * dm)
+    dm_lo = math.floor(-(spread + slack) / SQRT5) - 1
+    dm_hi = math.ceil((spread + max_diff + 2 * slack) / SQRT5) + 1
+    codes = (math.floor(dm_lo * step - slack) - 1,
+             math.ceil(dm_hi * step + max_diff + 2 * slack) + 1)
+    return keys, positions, max_diff + slack, decode, max_diff, codes
 
 
 @dataclass(frozen=True)
@@ -293,27 +422,39 @@ class _Plan:
 
     path: str          # "pairs" or "dense"
     keys: np.ndarray   # the keys, cut bound (an integer comb's lag bound),
-    bound: float       # decoder and largest kept difference of _exact_keys
-    decode: Callable
+    bound: float       # decoder, largest kept difference and code range
+    decode: Callable   # of _exact_keys
     limit: float
+    codes: tuple | None
+    partners: str      # "scan" or "search": how _first_partners ran
     first: np.ndarray  # each point's first partner (_first_partners)
+    grouping: str      # "binned" or "sorted": how _pairwise_sums groups
     costs: dict        # estimated ns of each candidate path, if priced
 
 
 def _plan(comb: WeightedComb, max_diff: float) -> _Plan:
-    """The one place a path is chosen.  Only an integer comb whose lag
+    """The one place a path is chosen.
+
+    The partners are scanned when the points average at most
+    _SCAN_PARTNERS partners within the cut, (N - 1) * bound over the span
+    of the cut, and searched otherwise.  Only an integer comb whose lag
     bound keeps _dense_sums within the size budget is priced, its pairs at
     _NS_PAIR each against its span at _NS_DENSE a position, and takes the
-    cheaper, the pairs on a tie; every other comb takes the pairs."""
-    keys, cut, bound, decode, limit = _exact_keys(comb, max_diff)
-    first = _first_partners(cut, bound)
+    cheaper, the pairs on a tie; every other comb takes the pairs.  The
+    pairs are binned when their code range is known and holds at most as
+    many codes as there are pairs, and sorted otherwise."""
+    keys, cut, bound, decode, limit, codes = _exact_keys(comb, max_diff)
+    scan = float(bound) * (len(cut) - 1) <= _SCAN_PARTNERS * float(cut[-1] - cut[0])
+    first = _first_partners(cut, bound, scan)
+    pairs = len(first) * (len(first) - 1) // 2 - int(first.sum())
+    binned = codes is not None and codes[1] - codes[0] + 1 <= pairs
     costs = {}
     # only integer combs are cut on their keys, from 0, with a lag bound
     if cut is keys and 8 * bound <= SIZE_BUDGET:
-        costs = {"pairs": float(_NS_PAIR * np.sum(np.arange(len(first)) - first)),
-                 "dense": float(_NS_DENSE * (keys[-1] + 1))}
+        costs = {"pairs": _NS_PAIR * pairs, "dense": float(_NS_DENSE * (keys[-1] + 1))}
     return _Plan(min(costs, key=costs.get, default="pairs"), keys, bound, decode, limit,
-                 first, costs)
+                 codes, "scan" if scan else "search", first,
+                 "binned" if binned else "sorted", costs)
 
 
 def estimate_autocorrelation(comb: WeightedComb, max_diff: float) -> AutocorrelationEstimate:
@@ -324,10 +465,10 @@ def estimate_autocorrelation(comb: WeightedComb, max_diff: float) -> Autocorrela
 
     with x, y running over the comb.  Requires max_diff <= 2 * radius.
     Differences are grouped exactly by the keys of _exact_keys, and one
-    _first_partners search finds the pairs within max_diff.  _plan is the
-    one place the path is chosen, pair lists (_pairwise_sums) or the dense
-    sums of an integer comb (_dense_sums), and the record it returns is
-    what this call executes."""
+    _first_partners scan or search finds the pairs within max_diff.  _plan
+    is the one place the path is chosen, pair lists (_pairwise_sums) or the
+    dense sums of an integer comb (_dense_sums), and the record it returns
+    is what this call executes."""
     if len(comb) == 0:
         raise EmptyInputError("cannot estimate the autocorrelation of an empty comb")
     if not 0.0 <= max_diff <= 2 * comb.radius:
@@ -337,7 +478,7 @@ def estimate_autocorrelation(comb: WeightedComb, max_diff: float) -> Autocorrela
     if plan.path == "dense":
         codes, sums = _dense_sums(plan.keys, w, plan.bound)
     else:
-        codes, sums = _pairwise_sums(plan.first, plan.keys, w)
+        codes, sums = _pairwise_sums(plan, w)
     pos_diffs = plan.decode(np.append(codes, 0))
     sums = np.append(sums, np.dot(w, np.conj(w)))
     order = np.argsort(pos_diffs, kind="stable")

@@ -238,6 +238,9 @@ class WeightedComb:
             raise AperiodicaError("positions and weights differ in length")
         if len(w) and not np.all(np.isfinite(w.view(float))):
             raise AperiodicaError("weights must be finite")
+        # NaN and ±inf reach the min or the max
+        if len(pos) and not (np.isfinite(pos.min()) and np.isfinite(pos.max())):
+            raise AperiodicaError("positions must be finite")
         if len(pos) > 1 and not np.all(pos[1:] > pos[:-1]):
             values, counts = np.unique(pos, return_counts=True, equal_nan=False)
             repeated = values[counts > 1]
@@ -376,6 +379,7 @@ COMB_COLUMNS = ("x", "re_weight", "im_weight")
 
 
 _TABLE_BLOCK = 4096  # rows formatted and written at a time
+_FAULT_BLOCK = 4096  # comb file rows _fault parses at a time
 
 # -- '%.17g' text of doubles, in numpy ------------------------------------------
 #
@@ -700,7 +704,9 @@ def read_text(path) -> str:
 
 def _fault(path) -> AperiodicaError | None:
     """The first fault of the comb file at path, opened once more: a byte not
-    UTF-8 (a first pass), else a wrong header, malformed row, non-finite position or weight."""
+    UTF-8 (a first pass), else a wrong header, malformed row, non-finite
+    position or weight.  The body is parsed _FAULT_BLOCK rows at a time, and
+    a block that does not parse row by row, to name its malformed row."""
     with open(path, encoding="latin-1", newline="") as f:  # a char per byte
         offset = 0
         for raw in f:
@@ -715,17 +721,30 @@ def _fault(path) -> AperiodicaError | None:
         if tuple(header) != COMB_COLUMNS:
             return AperiodicaError(f"unrecognized comb header {header!r} in {path}")
         position = weight = None  # the first row with such a value not finite
-        for n, line in enumerate(f, start=2):
-            line = line.rstrip("\r\n")
-            if not line:
+        numbered = enumerate(f, start=2)
+        while block := list(itertools.islice(numbered, _FAULT_BLOCK)):
+            rows = [(n, line) for n, line in ((n, line.rstrip("\r\n")) for n, line in block)
+                    if line]
+            if not rows:
                 continue
             try:
-                finite = np.isfinite(_comb_rows([line])[0])
+                finite = np.isfinite(_comb_rows([line for _, line in rows]))
+                if len(finite) != len(rows):
+                    raise ValueError("rows skipped")
             except ValueError:
-                return AperiodicaError(f"malformed comb row on line {n} of {path}: {line!r}")
-            if position is None and not finite[0]:
+                finite = []
+                for n, line in rows:
+                    try:
+                        finite.append(np.isfinite(_comb_rows([line])[0]))
+                    except ValueError:
+                        return AperiodicaError(
+                            f"malformed comb row on line {n} of {path}: {line!r}")
+                finite = np.array(finite)
+            if position is None and not finite[:, 0].all():
+                n, line = rows[int(np.argmin(finite[:, 0]))]
                 position = f"non-finite comb position on line {n} of {path}: {line!r}"
-            if weight is None and not finite[1:].all():
+            if weight is None and not finite[:, 1:].all():
+                n, line = rows[int(np.argmin(finite[:, 1:].all(axis=1)))]
                 weight = f"non-finite comb weight on line {n} of {path}: {line!r}"
     message = position or weight
     return AperiodicaError(message) if message else None

@@ -352,9 +352,10 @@ def _band(columns: list, w: np.ndarray) -> tuple[list, np.ndarray]:
     column phases a k cost no more than the row phases and fit in their
     tiles.  Any integer anchor keeps the phases exact; this one follows the
     star image n - m/tau, so a model set's rows span its window's length
-    plus 1 or 2 cells.  Every other comb (integers, float positions, the
-    chain, a random tiling, whose star images wander) has one row per point
-    and U = 1, its columns and weights as given."""
+    plus 1 or 2 cells; its W is real when the weights are.  Every other
+    comb (integers, float positions, the chain, a random tiling, whose star
+    images wander) has one row per point and U = 1, its columns and weights
+    as given."""
     if len(columns) == 2:
         (m, tau, _), (n, one, _) = columns
         # spans in Python integers, which do not overflow; rows * (U + 1) is
@@ -362,15 +363,23 @@ def _band(columns: list, w: np.ndarray) -> tuple[list, np.ndarray]:
         m0 = int(m.min())
         rows = int(m.max()) - m0 + 1
         if rows <= len(w):
-            m = m - m0
             anchors = np.arange(rows)
             n0 = np.floor(anchors / TAU).astype(np.int64)
-            r = n - n0[m]
+            # r = n - n0[m - m0] and then each point's flat cell
+            # (m - m0) * U + r - r0, in two arrays of N
+            m = m - m0
+            r = n0[m]
+            np.subtract(n, r, out=r)
             r0 = int(r.min())
             u = int(r.max()) - r0 + 1
             if u <= rows and rows * (u + 1) <= 2 * len(w):
-                weights = np.zeros((rows, u), dtype=w.dtype)
-                weights[m, r - r0] = w
+                r -= r0
+                m *= u
+                m += r
+                # real weights stay real, for _table_power's real products
+                real = not np.any(w.imag)
+                weights = np.zeros((rows, u), dtype=float if real else complex)
+                weights.reshape(-1)[m] = w.real if real else w
                 return [(anchors, tau, None), (n0, one, None)], weights
     return columns, w[:, None]
 
@@ -389,12 +398,15 @@ def _table_power(columns: list, w: np.ndarray, ks: np.ndarray) -> np.ndarray:
     gathered at the digits and multiplied, and the sum per k is
     sum_r e^(-2 pi i k r) sum_i W[i, r] e^(-2 pi i k a_i), the inner sums
     (U x rows) by (rows x k) products of at most _TILE cells*k each, which
-    OpenBLAS runs on one thread (threaded ones stalled).  With one point a
-    row (U = 1) the products are w . (row phases) tile by tile, and the
+    OpenBLAS runs on one thread (threaded ones stalled).  Real band weights
+    multiply the (re, im) doubles of the row phases in one real product.
+    With one point a row (U = 1) the products are w . (row phases) tile by
+    tile, and the
     sums are those of one product per point, bit for bit.  The result drops
     the unit-modulus factor e^(-2 pi i k x_ref) of each k."""
     columns, weights = _band(columns, w)
     n, u = weights.shape
+    real = weights.dtype == float
     units, values, unit_of, digits = _digit_split(columns, n)
     # the column phases are the last U entries, of unit 1
     values = np.concatenate([values, np.arange(u, dtype=np.uint64)])
@@ -419,7 +431,11 @@ def _table_power(columns: list, w: np.ndarray, ks: np.ndarray) -> np.ndarray:
                 if i:
                     acc *= rows
             for q in range(0, m, chunk):
-                total += weights[p:p + m][q:q + chunk].T @ acc[q:q + chunk]
+                if real:  # a real product on the (re, im) doubles of acc
+                    total.view(float)[:] += (weights[p:p + m][q:q + chunk].T
+                                             @ acc[q:q + chunk].view(float))
+                else:
+                    total += weights[p:p + m][q:q + chunk].T @ acc[q:q + chunk]
         # with U = 1: the one row of total times e^0 = 1, exact
         total = np.sum(total * table[-u:], axis=0)
         out[start:start + block] = np.abs(total) ** 2

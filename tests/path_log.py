@@ -4,8 +4,10 @@ Runs passes of each workload of perfbench/workloads.py in this process, at
 the benchmark's full sizes, and prints one line per estimator call of a
 pass from the plan records of spectrum._plan and autocorr._plan: workload,
 pass, engine, path, N, then K, L, nf and the wrap (k0, dk, max|delta|) of
-a periodogram or the pairs and lag bound of an autocorrelation, and the
-estimated ns of each candidate path.  Calls made by the workloads' set-up
+a periodogram or, of an autocorrelation, the pairs, the cut bound, how the
+partners were found (scan or search), how the pairs are grouped (binned or
+sorted) and the code range (lo..hi, `-` where unknown), and the estimated
+ns of each candidate path.  Calls made by the workloads' set-up
 are not logged, and their checks are not read.  A line
 `workload pass VmHWM <MiB>` follows each pass: the process's peak resident
 memory so far, as `peak_rss_mb` counts it, read from /proc/self/status
@@ -16,9 +18,10 @@ memory so far, as `peak_rss_mb` counts it, read from /proc/self/status
 
 With --against, the calls are compared in order with a log saved from an
 earlier run of the same arguments, by workload, pass, engine and path (the
-first four fields of a line): the first difference, or the count of calls
-that agree, goes to standard error, and the exit code is 1 on a difference.
-The VmHWM lines take no part in the comparison.
+first four fields of a line), so that a log from before a field was added
+still compares: every call that differs, or the count of calls that agree,
+goes to standard error, and the exit code is 1 on a difference.  The
+VmHWM lines take no part in the comparison.
 """
 
 import argparse
@@ -44,8 +47,10 @@ def describe(plan) -> str:
         return (f"periodogram {plan.path} N={plan.n} K={plan.count} L={plan.lattice} "
                 f"nf={plan.nf} wrap={wrap} costs: {costs}")
     pairs = int(np.sum(np.arange(len(plan.first)) - plan.first))
+    codes = "-" if plan.codes is None else "{}..{}".format(*plan.codes)
     return (f"autocorrelation {plan.path} N={len(plan.keys)} pairs={pairs} "
-            f"bound={plan.bound:.17g} costs: {costs}")
+            f"bound={plan.bound:.17g} partners={plan.partners} grouping={plan.grouping} "
+            f"codes={codes} costs: {costs}")
 
 
 def vm_hwm() -> str:
@@ -60,15 +65,16 @@ def vm_hwm() -> str:
     return "n/a"
 
 
-def first_difference(saved: list[str], lines: list[str]) -> str | None:
-    """The first call whose workload, pass, engine or path differs between
-    the saved lines and these, or None."""
+def differences(saved: list[str], lines: list[str]) -> list[str]:
+    """Every call whose workload, pass, engine or path differs between the
+    saved lines and these."""
+    found = []
     for call in range(max(len(saved), len(lines))):
         old = saved[call] if call < len(saved) else "(no call)"
         new = lines[call] if call < len(lines) else "(no call)"
         if old.split()[:4] != new.split()[:4]:
-            return f"call {call + 1} differs:\n  saved: {old}\n  now:   {new}"
-    return None
+            found.append(f"call {call + 1} differs:\n  saved: {old}\n  now:   {new}")
+    return found
 
 
 def main(argv=None) -> int:
@@ -94,10 +100,11 @@ def main(argv=None) -> int:
         return 0
     saved = [line for line in Path(args.against).read_text().splitlines()
              if line.split()[2:3] != ["VmHWM"]]
-    difference = first_difference(saved, lines)
-    print(difference or f"the same workload, pass, engine and path on all {len(lines)} calls",
+    found = differences(saved, lines)
+    print("\n".join(found)
+          or f"the same workload, pass, engine and path on all {len(lines)} calls",
           file=sys.stderr)
-    return 1 if difference else 0
+    return 1 if found else 0
 
 
 if __name__ == "__main__":

@@ -6,7 +6,8 @@ decision that `periodogram_values` or `estimate_autocorrelation` makes for
 one call, which the call then executes.  `recorded(module)` collects those
 records, in call order, for the calls made inside its block (several
 modules share one list); `recorded(module, path=...)` executes each call on
-the given path instead, the record's other decisions kept.  `cheapest` is
+the given path instead, the record's other decisions kept, and so for any
+field of the record (`grouping=...` of an autocorrelation).  `cheapest` is
 the periodogram's path rule at a shape alone, with no comb.  `traced`
 gives a call's result and the tracemalloc peak of its allocations.
 """
@@ -22,16 +23,16 @@ from aperiodica import spectrum
 
 
 @contextlib.contextmanager
-def recorded(*modules, path: str | None = None):
+def recorded(*modules, **fields):
     """The plans of each module's _plan made inside the block, as one list
-    that fills as the calls run; with a path, each plan as executed, its
-    path replaced."""
+    that fills as the calls run; with fields, each plan as executed, those
+    fields replaced."""
     plans = []
 
     def recorder(plan):
         def record(*args):
             made = plan(*args)
-            plans.append(made if path is None else dataclasses.replace(made, path=path))
+            plans.append(dataclasses.replace(made, **fields) if fields else made)
             return plans[-1]
         return record
 

@@ -296,12 +296,13 @@ class TestExactKeys:
             ap.estimate_autocorrelation(comb, 1.0)
 
     def test_module_keys_without_int64_code_rejected(self):
-        # (dm, dn) spread over 2^42 each: no int64 code holds every pair
+        # m spread over 2^41 and a cut of 1e7, so a = 10^7 + 3: the keys
+        # a * (m - m_min) + (n - n_min) span 2.2e19, past int64
         big = 2 ** 40
         mn = [(m, -round(m * ap.TAU) + k) for k, m in enumerate((0, big, -big))]
-        comb = ap.WeightedComb.from_module(mn, np.ones(3), 10.0)
-        with pytest.raises(ap.OutOfRangeError):
-            ap.estimate_autocorrelation(comb, 20.0)
+        comb = ap.WeightedComb.from_module(mn, np.ones(3), 1e7)
+        with pytest.raises(ap.OutOfRangeError, match="no exact int64 code"):
+            ap.estimate_autocorrelation(comb, 1e7)
 
     def test_eta_lookup_matches_scalar_rule(self):
         # reference: the per-z neighbour search that eta_lookup replaced
@@ -387,7 +388,38 @@ class TestPairPath:
         rule = [next(j for j in range(i + 1) if cut[i] - cut[j] <= bound)
                 for i in range(len(cut))]
         assert np.searchsorted(cut, cut - bound).tolist() != rule
-        assert autocorr._first_partners(cut, bound).tolist() == rule
+        for scan in (False, True):
+            assert autocorr._first_partners(cut, bound, scan).tolist() == rule
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_partner_scan_past_its_slices(self, seed):
+        # clusters of up to 200 points within the cut among sparse points:
+        # the scan leaves its passes over all points for the points still
+        # meeting the rule, and gives the search's answer
+        rng = np.random.default_rng(seed)
+        cut = np.unique(np.concatenate([rng.uniform(0, 1e4, 2000)]
+                                       + [c + rng.uniform(0, 1, rng.integers(1, 200))
+                                          for c in rng.uniform(0, 1e4, 5)]))
+        for bound in (0.5, 1.0, 3.0):
+            search = autocorr._first_partners(cut, bound, False)
+            assert np.array_equal(autocorr._first_partners(cut, bound, True), search)
+
+    def test_offset_pairs_past_their_slices(self):
+        # 2,000 sparse integers average ~1 partner within 50, so their
+        # pairs are listed by offset; a cluster of 300 within 600 has up
+        # to ~30 a point, listed from the points still paired at each offset
+        rng = np.random.default_rng(13)
+        values = np.unique(np.concatenate([rng.integers(-50_000, 50_000, 2000),
+                                           rng.integers(0, 600, 300)]))
+        w = rng.normal(size=len(values)) + 1j * rng.normal(size=len(values))
+        comb = ap.WeightedComb.from_integers(values, w, 50_000.0)
+        with recorded(autocorr) as plans:
+            est = ap.estimate_autocorrelation(comb, 50.0)
+        assert [(p.path, p.partners, p.grouping) for p in plans] == [("pairs", "scan", "binned")]
+        with recorded(autocorr, grouping="sorted"):
+            ref = ap.estimate_autocorrelation(comb, 50.0)
+        assert np.array_equal(est.diffs, ref.diffs) and len(est.diffs) == 101
+        assert np.max(np.abs(est.eta - ref.eta)) <= 1e-12 * ref.zero_coefficient
 
     def test_group_sums_order_does_not_depend_on_code_range(self):
         # narrow codes take the packed sort, codes over 2^60 apart the
@@ -401,6 +433,57 @@ class TestPairPath:
         assert np.array_equal(got[0][1], got[1][1])
         for code, total in zip(*got[0]):
             assert np.isclose(total, np.sum(values[narrow == code]), rtol=1e-14)
+
+    def test_codes_binned_up_to_the_pair_count(self):
+        # 12 integers 10 apart have 11 pairs within 10 .. 19; their codes
+        # are the lags 1 .. max_lag, binned while max_lag <= 11
+        values = 10 * np.arange(12)
+        rng = np.random.default_rng(11)
+        w = rng.normal(size=12) + 1j * rng.normal(size=12)
+        comb = ap.WeightedComb.from_integers(values, w, 120.0)
+        for max_diff, grouping in ((11.0, "binned"), (12.0, "sorted")):
+            with recorded(autocorr) as plans:
+                est = ap.estimate_autocorrelation(comb, max_diff)
+            [plan] = plans
+            pairs = int(np.sum(np.arange(len(plan.first)) - plan.first))
+            assert (plan.path, plan.grouping, plan.codes, pairs) == (
+                "pairs", grouping, (1, int(max_diff)), 11)
+            other = {"binned": "sorted", "sorted": "binned"}[grouping]
+            with recorded(autocorr, grouping=other):
+                forced = ap.estimate_autocorrelation(comb, max_diff)
+            assert np.array_equal(est.diffs, [-10.0, 0.0, 10.0])
+            assert np.array_equal(forced.diffs, est.diffs)
+            assert np.max(np.abs(forced.eta - est.eta)) <= 1e-15 * est.zero_coefficient
+
+    @pytest.mark.parametrize("comb, inside, outside, pairs", [
+        (ap.WeightedComb.from_integers(np.arange(101), np.ones(101), 101.0), 8.0, 9.0,
+         [772, 864]),
+        (ap.WeightedComb.from_positions(0.5 * np.arange(101), np.ones(101), 51.0), 4.0,
+         np.nextafter(4.0, 5.0), [772, 772])], ids=["integers", "floats"])
+    def test_partners_scanned_up_to_eight_a_point(self, comb, inside, outside, pairs):
+        # 101 points, evenly spread over a span of 100 steps, average 8
+        # partners within 8 steps: (N - 1) * bound = 8 * span, scanned; a
+        # lag or a double more is searched
+        with recorded(autocorr) as plans:
+            ap.estimate_autocorrelation(comb, inside)
+            ap.estimate_autocorrelation(comb, outside)
+        assert [p.partners for p in plans] == ["scan", "search"]
+        assert [int(np.sum(np.arange(101) - p.first)) for p in plans] == pairs
+
+    def test_workload_combs_plans(self):
+        # criterion 10's comb at 500 and Theorem 10's comb at 1 bin their
+        # pairs: 174,609 pairs over 114,819 codes, 220,211 over 28
+        scheme = ap.fibonacci_scheme()
+        crit10 = ap.generate_model_set(scheme, ap.EuclideanWindow(((-0.3, 0.7),)),
+                                       (-1000, 1000))
+        gauss = ap.density_weighted_comb(scheme, ap.GaussianProfile(0.5), (-1e4, 1e4))
+        with recorded(autocorr) as plans:
+            ap.estimate_autocorrelation(crit10, 500.0)
+            ap.estimate_autocorrelation(gauss, 1.0)
+        got = [(p.path, p.partners, p.grouping, p.codes[1] - p.codes[0] + 1,
+                int(np.sum(np.arange(len(p.first)) - p.first))) for p in plans]
+        assert got == [("pairs", "search", "binned", 114_819, 174_609),
+                       ("pairs", "scan", "binned", 28, 220_211)]
 
     @pytest.mark.parametrize("block, max_diff", [(1, 50.0), (7, 500.0), (1 << 15, 500.0)])
     def test_pair_lists_spanning_blocks(self, block, max_diff):

@@ -91,12 +91,17 @@ def _comb_arrays(comb) -> list:
 @pytest.mark.parametrize("positions, weights, radius, error, match", [
     ([1.0, 0.0], [1.0, 1.0], 2.0, AperiodicaError, "strictly ascending"),
     ([0.0, 0.0], [1.0, 1.0], 2.0, AperiodicaError, "strictly ascending"),
-    ([0.0, math.nan], [1.0, 1.0], 2.0, AperiodicaError, "strictly ascending"),
+    ([0.0, math.nan], [1.0, 1.0], 2.0, AperiodicaError, "positions must be finite"),
     ([0.0, 1.0], [1.0, math.nan], 2.0, AperiodicaError, "finite"),
     ([0.0, 1.0], [1.0, complex(0.0, math.inf)], 2.0, AperiodicaError, "finite"),
     ([0.0, 5.0], [1.0, 1.0], 2.0, AperiodicaError, "outside the stated radius"),
     ([-5.0, 0.0], [1.0, 1.0], 2.0, AperiodicaError, "outside the stated radius"),
-    ([math.nan], [1.0], 2.0, AperiodicaError, "outside the stated radius"),
+    ([math.nan], [1.0], 2.0, AperiodicaError, "positions must be finite"),
+    ([math.inf], [1.0], 2.0, AperiodicaError, "positions must be finite"),
+    ([0.0, math.inf], [1.0, 1.0], 2.0, AperiodicaError, "positions must be finite"),
+    ([-math.inf, 0.0], [1.0, 1.0], 2.0, AperiodicaError, "positions must be finite"),
+    ([math.nan, 0.0, 1.0], [1.0, 1.0, 1.0], 2.0, AperiodicaError,
+     "positions must be finite"),
     ([[0.0, 1.0]], [1.0, 1.0], 2.0, AperiodicaError, "1-d"),
     ([0.0, 1.0], [1.0], 2.0, AperiodicaError, "differ in length"),
     ([0.0], [1.0], 0.0, ap.OutOfRangeError, "finite and positive"),
@@ -104,7 +109,8 @@ def _comb_arrays(comb) -> list:
     ([0.0, 1.0], 1.0, 2.0, AperiodicaError, "weights must be 1-d"),
     ([0.0, 1.0], [[1.0], [1.0]], 2.0, AperiodicaError, "weights must be 1-d"),
 ], ids=["descending", "repeated", "nan-position", "nan-weight", "inf-weight",
-        "outside-right", "outside-left", "nan-single", "2-d", "lengths", "zero-radius",
+        "outside-right", "outside-left", "nan-single", "inf-single", "inf-last",
+        "minus-inf-first", "nan-first", "2-d", "lengths", "zero-radius",
         "nan-radius", "weights-0-d", "weights-2-d"])
 def test_owning_constructor_rejects_what_the_dataclass_rejects(positions, weights, radius,
                                                                  error, match):
@@ -531,6 +537,24 @@ class TestCombCsv:
         with opened() as files, contextlib.suppress(AperiodicaError):
             ap.read_comb_csv(path)
         assert files.count(path) == opens
+
+    @pytest.mark.parametrize("row, named, calls", [
+        (b"nan,1,0", "non-finite comb position on line 2", 1 + (1 << 17) // 4096),
+        (b"1,1", "malformed comb row on line 2", 3)], ids=["non-finite", "malformed"])
+    def test_fault_parses_blocks_of_rows(self, tmp_path, row, named, calls):
+        # the rescan parsed each row with its own np.loadtxt: 2^17 calls,
+        # 0.99 s, to name a NaN position on line 2 of a 2^17-row file.  Now
+        # the load and one call a block of 4,096 rows, to the end of the
+        # file, since a malformed row would outrank the NaN; a block that
+        # does not parse is parsed again row by row up to its malformed row
+        path = tmp_path / "comb.csv"
+        path.write_bytes(b"x,re_weight,im_weight\n" + row + b"\n"
+                         + b"".join(b"%d,1,0\n" % i for i in range(1, 1 << 17)))
+        with mock.patch.object(core, "_FAULT_BLOCK", 4096), \
+                mock.patch.object(np, "loadtxt", wraps=np.loadtxt) as loadtxt, \
+                pytest.raises(AperiodicaError, match=named):
+            ap.read_comb_csv(path)
+        assert loadtxt.call_count == calls
 
     @pytest.mark.parametrize("text, error", [
         ("", ap.EmptyInputError),

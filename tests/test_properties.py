@@ -16,6 +16,7 @@ idempotence, dual-lattice involution, model-set Delone behaviour and gap
 bookkeeping.
 """
 
+import itertools
 import math
 from unittest import mock
 
@@ -886,13 +887,38 @@ def pair_path_inputs(draw):
 @given(pair_path_inputs())
 @settings(max_examples=150, deadline=None)
 def test_pair_path_matches_loop(case):
-    # identical keys, coefficients within 1e-12 of the largest
+    # identical keys, coefficients within 1e-12 of the largest, with the
+    # partners scanned and searched, and the pairs binned (where their code
+    # range is known and small enough to hold here) and sorted
     comb, max_diff, block = case
     assume(len(comb) > 0)
-    with mock.patch.object(autocorr, "_PAIR_BLOCK", block), recorded(autocorr, path="pairs"):
-        est = ap.estimate_autocorrelation(comb, max_diff)
     diffs, eta = loop_autocorrelation(comb, max_diff)
-    assert np.array_equal(est.diffs, diffs)
+    with recorded(autocorr) as plans:
+        ap.estimate_autocorrelation(comb, max_diff)
+    codes = plans[0].codes
+    groupings = ["sorted"] + (["binned"] if codes and codes[1] - codes[0] < 1 << 16 else [])
+    for scan, grouping in itertools.product((-math.inf, math.inf), groupings):
+        with mock.patch.object(autocorr, "_PAIR_BLOCK", block), \
+                mock.patch.object(autocorr, "_SCAN_PARTNERS", scan), \
+                recorded(autocorr, path="pairs", grouping=grouping) as plans:
+            est = ap.estimate_autocorrelation(comb, max_diff)
+        if len(comb) > 1:
+            assert plans[0].partners == ("scan" if scan > 0 else "search")
+        assert np.array_equal(est.diffs, diffs)
+        assert np.max(np.abs(est.eta - eta)) <= 1e-12 * np.max(np.abs(eta))
+
+
+def test_module_keys_of_a_wide_comb_match_loop():
+    # m spread over 2^41: the key (m - m_min) * (2 * (n spread) + 1) had no
+    # int64 code, a * (m - m_min) + (n - n_min), a = 23 at max_diff 20, has
+    big = 2 ** 40
+    mn = [(m, -round(m * ap.TAU) + k) for k, m in enumerate((0, big, -big))]
+    comb = ap.WeightedComb.from_module(mn, [1.0, 2.0 - 1j, 0.5j], 10.0)
+    with recorded(autocorr) as plans:
+        est = ap.estimate_autocorrelation(comb, 20.0)
+    assert plans[0].grouping == "sorted"
+    diffs, eta = loop_autocorrelation(comb, 20.0)
+    assert len(diffs) == 7 and np.array_equal(est.diffs, diffs)
     assert np.max(np.abs(est.eta - eta)) <= 1e-12 * np.max(np.abs(eta))
 
 
