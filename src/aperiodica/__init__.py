@@ -38,11 +38,9 @@ from .substitution import (
     SubstitutionRule,
     dekking_coincidence,
     fixed_point,
-    iterate_mfs,
     mfs_from_substitution,
     modular_coincidence,
     primitive,
-    symmetric_difference_density,
     two_sided_seeds,
 )
 from .cps import (
@@ -51,12 +49,10 @@ from .cps import (
     GaussianProfile,
     IndicatorProfile,
     QAdicWindow,
-    binary_reduction,
     density_weighted_comb,
     fibonacci_scheme,
     generate_model_set,
     paperfolding_windows,
-    point_density,
     qadic_scheme,
     star,
     theorem10_autocorrelation,
@@ -65,13 +61,10 @@ from .cps import (
 from .randomtiling import (
     RandomTilingSpec,
     TilingSample,
-    ac_density,
     ac_density_grid,
     density,
     empirical_height_histogram,
-    endpoint_distribution,
     fibonacci_spec,
-    gaussian_endpoint_density,
     internal_distribution,
     mean_ac_periodogram,
     mean_bragg_amplitudes,

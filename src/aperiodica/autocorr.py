@@ -493,24 +493,22 @@ def estimate_autocorrelation(comb: WeightedComb, max_diff: float) -> Autocorrela
     return AutocorrelationEstimate(diffs, eta, comb.radius, comb.volume, float(max_diff))
 
 
-def _rho_from_zero(est: AutocorrelationEstimate, zs) -> np.ndarray:
-    """rho(z, 0) for every difference z of zs, with pseudo_metric's checks."""
-    eta0 = est.eta_at(0.0).real
-    if not eta0 > 0.0:
-        raise DegenerateAutocorrelationError("eta(0) must be positive")
-    zs = np.asarray(zs, dtype=float)
-    if not np.all(np.abs(zs) <= est.max_diff + _LOOKUP_TOL):
-        raise OutOfRangeError("difference s - t outside the estimated range or NaN")
-    eta = est.eta_lookup(zs)
-    return np.sqrt(np.hypot(1.0 - eta.real / eta0, eta.imag / eta0))
-
-
-def pseudo_metric(est: AutocorrelationEstimate, s: float, t: float) -> float:
-    """Autocorrelation pseudo-metric rho(s, t) = |1 - eta(s-t)/eta(0)|^(1/2).
+def pseudo_metric(est: AutocorrelationEstimate, s, t):
+    """Autocorrelation pseudo-metric rho(s, t) = |1 - eta(s-t)/eta(0)|^(1/2),
+    element by element over arrays s and t, which broadcast; a float when
+    both are scalars.
 
     Differences never observed have eta = 0, hence rho = 1 off the support.
     """
-    return float(_rho_from_zero(est, [s - t])[0])
+    eta0 = est.eta_at(0.0).real
+    if not eta0 > 0.0:
+        raise DegenerateAutocorrelationError("eta(0) must be positive")
+    zs = np.asarray(s, dtype=float) - np.asarray(t, dtype=float)
+    if not np.all(np.abs(zs) <= est.max_diff + _LOOKUP_TOL):
+        raise OutOfRangeError("difference s - t outside the estimated range or NaN")
+    eta = est.eta_lookup(zs)
+    rho = np.sqrt(np.hypot(1.0 - eta.real / eta0, eta.imag / eta0))
+    return float(rho) if rho.ndim == 0 else rho
 
 
 def epsilon_almost_periods(est: AutocorrelationEstimate, epsilon: float,
@@ -519,7 +517,7 @@ def epsilon_almost_periods(est: AutocorrelationEstimate, epsilon: float,
     if not 0.0 < epsilon <= math.sqrt(2.0) + 1e-12:
         raise OutOfRangeError("epsilon must lie in (0, sqrt(2)]")
     ts = np.fromiter(candidates, dtype=float)
-    return sorted(ts[_rho_from_zero(est, ts) < epsilon].tolist())
+    return sorted(ts[pseudo_metric(est, ts, 0.0) < epsilon].tolist())
 
 
 def max_gap(points, window: tuple[float, float]) -> float:

@@ -341,22 +341,6 @@ def paperfolding_windows(fixed_point_choice: str = "w1", m_max: int = 24) -> dic
     }
 
 
-def binary_reduction(windows: dict) -> tuple[QAdicWindow, QAdicWindow]:
-    """Windows of the binary paperfolding reduction: letter 1 collects a and
-    b, letter 0 collects c and d.  The unions coincide with the closed-form
-    classes 2^m - 1 and 3*2^m - 1 mod 2^(m+2) taken from m = 0."""
-    one = windows["a"].union(windows["b"])
-    zero = windows["c"].union(windows["d"])
-    m_max = max(mod for _, mod in one.classes).bit_length() - 3
-    closed_one = tuple((2 ** m - 1, 2 ** (m + 2)) for m in range(0, m_max + 1))
-    closed_zero = tuple((3 * 2 ** m - 1, 2 ** (m + 2)) for m in range(0, m_max + 1))
-    if set(one.classes) != set((r % mod, mod) for r, mod in closed_one):
-        raise AperiodicaError("binary reduction does not match its closed form")
-    if set(zero.classes) != set((r % mod, mod) for r, mod in closed_zero):
-        raise AperiodicaError("binary reduction does not match its closed form")
-    return one, zero
-
-
 # -- density-weighted combs and their closed-form diffraction ----------------
 
 @dataclass(frozen=True)
@@ -415,12 +399,6 @@ def density_weighted_comb(scheme: CutProjectScheme, profile, region) -> Weighted
     return WeightedComb._module(mn, weights, radius)
 
 
-def point_density(scheme: CutProjectScheme, profile: GaussianProfile) -> float:
-    """Density of the weighted comb: integral of the profile over internal
-    space divided by the fundamental-domain volume."""
-    return profile.integral() / scheme.fd_volume
-
-
 def theorem10_autocorrelation(scheme: CutProjectScheme, profile,
                               z: ModuleElement) -> complex:
     """Closed-form autocorrelation coefficient of a Gaussian-weighted comb:
@@ -461,7 +439,7 @@ def theorem10_spectrum(scheme: CutProjectScheme, profile,
     k_lo, k_hi = finite_range(k_range, "k range")
     vol = scheme.fd_volume
     # |phi_hat(y*)|^2 / vol^2 >= _PRUNE bounds the internal part
-    amp0 = profile.sigma * math.sqrt(2.0 * math.pi)
+    amp0 = profile.integral()
     bound = _PRUNE * vol * vol
     if amp0 ** 2 <= bound:
         return SpectralMeasure(np.empty((0, 2)))

@@ -10,9 +10,9 @@ import numpy as np
 
 from .core import AperiodicaError, WeightedComb
 from .cps import paperfolding_windows, qadic_points
-from .substitution import PAPERFOLDING, fixed_point
+from .substitution import PAPERFOLDING, fixed_point, two_sided_seeds
 
-_SEEDS = {"w1": ("b", "a"), "w2": ("d", "a")}
+_SEEDS = dict(zip(("w1", "w2"), two_sided_seeds(PAPERFOLDING)))
 
 
 def letter_positions_substitution(choice: str, lo: int, hi: int) -> dict:

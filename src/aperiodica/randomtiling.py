@@ -250,12 +250,6 @@ def _singular_value(spec: RandomTilingSpec) -> float:
                                             spec.q * spec.v_value) ** 2
 
 
-def ac_density(spec: RandomTilingSpec, k: float) -> float:
-    """Absolutely continuous diffraction density g(k) at one k; see
-    ac_density_grid."""
-    return float(ac_density_grid(spec, [float(k)])[0])
-
-
 def ac_density_grid(spec: RandomTilingSpec, ks) -> np.ndarray:
     """Absolutely continuous diffraction density g(k) at every k, total by
     smooth continuation at the excluded points.
@@ -340,35 +334,6 @@ def needle_free(spec: RandomTilingSpec, ks) -> np.ndarray:
     for needle in fine[ac_density_grid(spec, fine) > _NEEDLE_CUT]:
         keep &= np.abs(ks - needle) > _NEEDLE_MARGIN
     return keep
-
-
-def endpoint_distribution(m_intervals: int, m: int, p: float = 1.0 / TAU) -> float:
-    """Probability that a patch of M intervals contains exactly m u-intervals,
-    i.e. ends at x = m*u + (M-m)*v: the binomial mass C(M, m) p^m q^(M-m)."""
-    big_m = int(m_intervals)
-    if not 0 <= m <= big_m:
-        raise OutOfRangeError(f"m = {m} outside 0..{big_m}")
-    return math.comb(big_m, m) * p ** m * (1.0 - p) ** (big_m - m)
-
-
-def gaussian_endpoint_density(m_intervals: int, x_star: float,
-                              normalization: str = "unit-mass") -> float:
-    """De Moivre-Laplace limit of the rightmost-endpoint height density for
-    a golden-ratio patch of M intervals:
-
-        rho(M, x*) = sqrt(tau / (2 pi M)) * exp(-tau x*^2 / (2 M)).
-
-    The printed prefactor sqrt((1/pi) * tau/(2M)) equals this constant and
-    already gives unit mass; quadrature in the test suite pins it.  The
-    "point-density" normalization rescales the unit-mass density by the
-    endpoint density times the fundamental-domain volume, d * sqrt(5).
-    """
-    big_m = int(m_intervals)
-    if big_m < 1:
-        raise OutOfRangeError("M must be at least 1")
-    value = math.sqrt(TAU / (2.0 * math.pi * big_m)) * math.exp(
-        -TAU * x_star * x_star / (2.0 * big_m))
-    return value * _normalization_factor(normalization)
 
 
 def _normalization_factor(normalization: str) -> float:

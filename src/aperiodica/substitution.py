@@ -27,10 +27,6 @@ class SeedError(AperiodicaError):
     """Seed pair is not regenerated by the substitution at the seam."""
 
 
-class NotLatticeSubstitutionError(AperiodicaError):
-    """Unions in the MFS action overlap: not a lattice substitution system."""
-
-
 class UnsupportedMfsError(AperiodicaError):
     """MFS does not arise from a constant-length substitution on Z."""
 
@@ -361,63 +357,3 @@ def modular_coincidence(mfs: MfsRule, max_power: int = 20) -> CoincidenceVerdict
         raise AperiodicaError("modular coincidence requires a primitive MFS")
     status, k = _column_search(rule, max_power)
     return CoincidenceVerdict(status, k)
-
-
-# -- MFS action on multisets --------------------------------------------------
-
-def iterate_mfs(mfs: MfsRule, multiset, steps: int = 1) -> list[np.ndarray]:
-    """Apply the MFS action to a multiset (one integer array per component),
-    `steps` times.  Components must be pairwise disjoint and every union in
-    the action must be disjoint, otherwise NotLatticeSubstitutionError."""
-    current = [np.asarray(u, dtype=np.int64) for u in multiset]
-    if len(current) != mfs.size:
-        raise AperiodicaError("multiset has the wrong number of components")
-    _check_disjoint(current, "input components overlap")
-    q = mfs.inflation
-    counts = mfs.substitution_matrix()
-    for _ in range(steps):
-        check_size(int(np.sum(counts @ [len(u) for u in current])), "the multiset after a step")
-        new = []
-        for i in range(mfs.size):
-            parts = [q * current[j] + a
-                     for j in range(mfs.size) for a in mfs.maps[i][j]]
-            merged = np.sort(np.concatenate(parts)) if parts else np.empty(0, dtype=np.int64)
-            if _has_repeats(merged):
-                raise NotLatticeSubstitutionError(
-                    f"overlapping union in component {i}")
-            new.append(merged)
-        _check_disjoint(new, "components overlap after substitution")
-        current = new
-    return current
-
-
-def _has_repeats(ascending: np.ndarray) -> bool:
-    """Whether an ascending array holds some value twice: neighbours are
-    compared, where len(np.unique(...)) would import numpy.ma on first use."""
-    return bool(np.any(ascending[1:] == ascending[:-1]))
-
-
-def _check_disjoint(arrays, message):
-    if sum(len(a) for a in arrays):
-        if _has_repeats(np.sort(np.concatenate([np.asarray(a) for a in arrays]))):
-            raise NotLatticeSubstitutionError(message)
-
-
-def symmetric_difference_density(mfs: MfsRule, word: FixedPointWord,
-                                 alpha: int, n: int, window: int) -> np.ndarray:
-    """Per-component density within [-window, window] of U_i symmetric-
-    difference (Q^n * alpha + U_i), computed by direct enumeration."""
-    if window <= 0:
-        raise AperiodicaError("window must be positive")
-    shift = mfs.inflation ** n * alpha
-    lo, hi = -window, window + 1
-    out = np.empty(mfs.size)
-    positions = word.letter_positions(min(lo, lo - shift), max(hi, hi - shift))
-    for i, a in enumerate(word.rule.alphabet):
-        u = positions[a]
-        u_win = u[(u >= lo) & (u < hi)]
-        shifted = u + shift
-        s_win = shifted[(shifted >= lo) & (shifted < hi)]
-        sym = np.setxor1d(u_win, s_win)
-        out[i] = len(sym) / (2.0 * window)
-    return out

@@ -246,22 +246,31 @@ def test_criterion_9_property_suites():
 
 
 def test_criterion_10_almost_period_evidence():
-    """P_epsilon gaps of the Fibonacci model set, recorded as fixtures."""
+    """The theorem's hypotheses on the Fibonacci model set, and its P_epsilon
+    gaps recorded as fixtures.
+
+    A nonzero y in Z[tau] has |y| * |y*| = |N(y)| >= 1.  Two model-set
+    points differ by a y with |y*| < 1, so they lie more than 1 apart and a
+    unit window holds at most one; two essential differences differ by a y
+    with |y*| < 2, so they lie more than 1/2 apart."""
     scheme = ap.fibonacci_scheme()
     window = ap.EuclideanWindow(((-0.3, 0.7),))
     comb = ap.generate_model_set(scheme, window, (-1000, 1000))
     est = ap.estimate_autocorrelation(comb, 500.0)
+    hypotheses = ap.check_A1_A3(comb, est, 0.25)
+    ok = hypotheses.window_sup == 1.0 and hypotheses.uniformly_discrete
     cands = est.support()
     cands = cands[np.abs(cands) <= 500]
     fixtures = {0.25: 423.9868443825, 0.5: 55.0112362388, 0.75: 4.2360679775}
     gaps = {}
-    ok = True
     for eps, frozen in fixtures.items():
         p_eps = ap.epsilon_almost_periods(est, eps, cands)
         gap = ap.max_gap(p_eps, (-500.0, 500.0))
         gaps[eps] = gap
         ok = ok and math.isfinite(gap) and math.isclose(gap, frozen, abs_tol=1e-6)
     report(10, ok,
+           f"unit-window sup {hypotheses.window_sup:g} == 1 and essential "
+           f"differences >= 0.5 apart (least gap {hypotheses.min_ess_gap:.4f}); "
            "P_eps max gaps finite and equal to the recorded fixtures "
            + ", ".join(f"eps={e}: {g:.4f}" for e, g in gaps.items())
            + " (evidence for relative denseness, not proof)")

@@ -455,6 +455,25 @@ class TestPairPath:
             assert np.array_equal(forced.diffs, est.diffs)
             assert np.max(np.abs(forced.eta - est.eta)) <= 1e-15 * est.zero_coefficient
 
+    def test_costs_of_a_hand_counted_comb(self):
+        # -3, -2, 0, 4 within 3: the pairs (-3, -2), (-3, 0) and (-2, 0),
+        # keys 0, 1, 3, 7 from the least point, so 8 positions dense
+        comb = ap.WeightedComb.from_integers([-3, -2, 0, 4], np.ones(4), 4.0)
+        with recorded(autocorr) as plans:
+            ap.estimate_autocorrelation(comb, 3.0)
+        [plan] = plans
+        assert plan.keys.tolist() == [0, 1, 3, 7]
+        assert plan.costs == {"pairs": autocorr._NS_PAIR * 3, "dense": autocorr._NS_DENSE * 8}
+        assert plan.path == "pairs"
+        # priced level, the pairs are taken; a dense position a little
+        # cheaper, the dense sums
+        tie = autocorr._NS_PAIR * 3 / 8
+        for ns_dense, path in ((tie, "pairs"), (np.nextafter(tie, 0.0), "dense")):
+            with mock.patch.object(autocorr, "_NS_DENSE", ns_dense), \
+                    recorded(autocorr) as plans:
+                ap.estimate_autocorrelation(comb, 3.0)
+            assert [p.path for p in plans] == [path]
+
     @pytest.mark.parametrize("comb, inside, outside, pairs", [
         (ap.WeightedComb.from_integers(np.arange(101), np.ones(101), 101.0), 8.0, 9.0,
          [772, 864]),
@@ -550,6 +569,46 @@ class TestPseudoMetric:
                                          1.0, 2.0, 1.0)
         with pytest.raises(DegenerateAutocorrelationError):
             ap.pseudo_metric(bad, 0.0, 0.0)
+
+    def test_arrays_match_scalar_calls(self):
+        # s and t broadcast; each entry is the scalar call's float, bit for bit
+        rng = np.random.default_rng(11)
+        w = rng.normal(size=201) + 1j * rng.normal(size=201)
+        est = ap.estimate_autocorrelation(integer_comb(100, w), 50.0)
+        s = rng.integers(-25, 26, size=(40, 1)) + np.array([0.0, 0.5])
+        t = rng.integers(-25, 26, size=40).astype(float)
+        rho = ap.pseudo_metric(est, s[:, :, None], t)
+        assert rho.shape == (40, 2, 40)
+        scalar = [[[ap.pseudo_metric(est, float(a), float(b)) for b in t] for a in row]
+                  for row in s]
+        assert np.array_equal(rho, scalar)
+        assert type(ap.pseudo_metric(est, 3.0, 1.0)) is float
+        assert ap.pseudo_metric(est, [], 0.0).shape == (0,)
+
+    @pytest.mark.parametrize("bad", [math.nan, 50.5, -math.inf])
+    def test_array_entry_out_of_range_rejected(self, bad):
+        # one NaN or out-of-range entry raises, as the scalar call does
+        est = ap.estimate_autocorrelation(integer_comb(100), 50.0)
+        with pytest.raises(ap.OutOfRangeError):
+            ap.pseudo_metric(est, bad, 0.0)
+        with pytest.raises(ap.OutOfRangeError):
+            ap.pseudo_metric(est, np.array([0.0, 1.0, bad, 2.0]), 0.0)
+        with pytest.raises(ap.OutOfRangeError):
+            ap.pseudo_metric(est, 0.0, np.array([[1.0], [-bad]]))
+
+    def test_criterion_10_almost_periods_follow_the_scalar_metric(self):
+        # criterion 10's three P_eps sets, taken with one array call, are
+        # the candidates whose scalar rho(t, 0) is below eps
+        comb = ap.generate_model_set(ap.fibonacci_scheme(),
+                                     ap.EuclideanWindow(((-0.3, 0.7),)), (-1000, 1000))
+        est = ap.estimate_autocorrelation(comb, 500.0)
+        cands = est.support()
+        cands = cands[np.abs(cands) <= 500]
+        for eps, size in ((0.25, 7), (0.5, 125), (0.75, 445)):
+            p_eps = ap.epsilon_almost_periods(est, eps, cands)
+            scalar = sorted(float(t) for t in cands if ap.pseudo_metric(est, float(t), 0.0) < eps)
+            assert len(p_eps) == size
+            assert np.array_equal(np.array(p_eps), np.array(scalar))
 
 
 class TestAlmostPeriods:

@@ -83,17 +83,6 @@ def test_complement_check_leaves_out_numpy_ma():
     assert result.stdout.strip() == "False"
 
 
-def test_iterate_mfs_leaves_out_numpy_ma():
-    # len(np.unique(...)) tested for repeats, and np.unique imported
-    # numpy.ma on first use (16 ms)
-    code = ("import sys, aperiodica as ap; "
-            "ap.iterate_mfs(ap.mfs_from_substitution(ap.PAPERFOLDING), [[0], [], [], []], steps=3); "
-            "print('numpy.ma' in sys.modules)")
-    result = fresh_python("-c", code)
-    assert result.returncode == 0, result.stderr
-    assert result.stdout.strip() == "False"
-
-
 class TestParsersOncePerProcess:
     """The subcommand parsers are built once per process and reused: each
     call prints what the same call prints in a fresh process."""

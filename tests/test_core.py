@@ -19,7 +19,7 @@ import aperiodica as ap
 from aperiodica import cli, core, cps
 from aperiodica.core import AperiodicaError, IntegerCoords, ModuleCoords
 from plans import traced
-from references import legal_clusters, paperfolding_total_intensity
+from references import iterate_mfs, legal_clusters, paperfolding_total_intensity
 
 
 CONSTRUCTORS = pytest.mark.parametrize("make, args", [
@@ -739,8 +739,8 @@ class TestSizeBudget:
             ap.PAPERFOLDING, ap.fixed_point(ap.PAPERFOLDING, ("b", "a")), n_max=16),
          "iterates of the rule", 10_000),
         # one point doubles at each of 16 steps
-        (lambda: ap.iterate_mfs(ap.mfs_from_substitution(ap.PAPERFOLDING),
-                                [[0], [], [], []], steps=16), "multiset", 10_000),
+        (lambda: iterate_mfs(ap.mfs_from_substitution(ap.PAPERFOLDING),
+                             [[0], [], [], []], steps=16), "multiset", 10_000),
         # 10 patches of 2,001 heights
         (lambda: ap.empirical_height_histogram(ap.fibonacci_spec(), 1_000, 10), "pooled heights",
          10_000),

@@ -9,6 +9,7 @@ from scipy.integrate import quad
 import aperiodica as ap
 from aperiodica.randomtiling import patch_heights
 from plans import traced
+from references import endpoint_distribution, gaussian_endpoint_density
 
 FIB_DENSITY = 0.7236067977499790        # 1/(p*tau + q) at p = 1/tau
 FIB_G0 = 0.03416407864998738            # d*pq*(u-v)^2/(pu+qv)^2, 40-digit eval
@@ -235,25 +236,25 @@ class TestAcDensity:
     def test_equal_lengths_vanish(self):
         spec = ap.RandomTilingSpec(Fraction(1), Fraction(1), 0.3)
         for k in np.linspace(0, 3, 50):
-            assert ap.ac_density(spec, k) == 0.0
+            assert ap.ac_density_grid(spec, [k])[0] == 0.0
 
     def test_fibonacci_g0_fixture(self):
         spec = ap.fibonacci_spec()
-        assert math.isclose(ap.ac_density(spec, 0.0), FIB_G0, rel_tol=1e-10)
-        assert math.isclose(ap.ac_density(spec, 0.0), 0.034164, abs_tol=5e-7)
+        assert math.isclose(ap.ac_density_grid(spec, [0.0])[0], FIB_G0, rel_tol=1e-10)
+        assert math.isclose(ap.ac_density_grid(spec, [0.0])[0], 0.034164, abs_tol=5e-7)
 
     def test_rational_bragg_position_value(self):
         spec = rational_spec()
         # d * pq * (a-b)^2 / (pa+qb)^2 = (2/3)(1/4)(1)/(9/4) = 2/27
-        assert math.isclose(ap.ac_density(spec, 1.0), 2.0 / 27.0, rel_tol=1e-12)
-        assert math.isclose(ap.ac_density(spec, 0.0), 2.0 / 27.0, rel_tol=1e-12)
+        assert math.isclose(ap.ac_density_grid(spec, [1.0])[0], 2.0 / 27.0, rel_tol=1e-12)
+        assert math.isclose(ap.ac_density_grid(spec, [0.0])[0], 2.0 / 27.0, rel_tol=1e-12)
 
     @pytest.mark.parametrize("k", [1e-12, -1e-12, 1e-10, -1e-10])
     def test_fibonacci_continuous_near_zero(self, k):
         # k(u - v) rounds to 0 within the singular tolerance: the removable
         # value g(0), not the zero of the excluded points k(u - v) = j != 0
         spec = ap.fibonacci_spec()
-        assert math.isclose(ap.ac_density(spec, k), FIB_G0, rel_tol=1e-10)
+        assert math.isclose(ap.ac_density_grid(spec, [k])[0], FIB_G0, rel_tol=1e-10)
 
     def test_grid_matches_scalar_loop(self):
         # the per-k loop that ac_density_grid replaced, with its k -> 0 fix,
@@ -264,12 +265,12 @@ class TestAcDensity:
             if spec.rational:
                 kxi = k * float(spec.xi)
                 if abs(kxi - round(kxi)) <= 1e-9:
-                    return ap.ac_density(spec, 0.0)
+                    return ap.ac_density_grid(spec, [0.0])[0]
                 kuv = k * float(spec.u - spec.v)
             else:
                 kuv = k * (u - v)
                 if abs(kuv) <= 1e-9:
-                    return ap.ac_density(spec, 0.0)
+                    return ap.ac_density_grid(spec, [0.0])[0]
             if abs(kuv - round(kuv)) <= 1e-9:
                 return 0.0
             num = p * q * math.sin(math.pi * k * (u - v)) ** 2
@@ -287,7 +288,7 @@ class TestAcDensity:
     def test_irrational_excluded_point_is_zero(self):
         spec = ap.fibonacci_spec()
         # k = tau has k(u - v) = 1: removable zero of the numerator
-        assert ap.ac_density(spec, ap.TAU) == 0.0
+        assert ap.ac_density_grid(spec, [ap.TAU])[0] == 0.0
 
     def test_nonnegative_everywhere_sampled(self):
         spec = ap.fibonacci_spec()
@@ -307,8 +308,8 @@ class TestAcDensity:
         # g compared against d (evidence level, 3 percent)
         spec = rational_spec()
         d = ap.density(spec)
-        integral = quad(lambda k: ap.ac_density(spec, k), 0.0, 1.0, limit=400,
-                        points=[0.0, 1.0])[0]
+        integral = quad(lambda k: ap.ac_density_grid(spec, [k])[0], 0.0, 1.0,
+                        limit=400, points=[0.0, 1.0])[0]
         assert abs((d * d + integral) - d) <= 0.03 * d
         # empirical corroboration: the grid-mean periodogram over one period
         # is the total intensity eta(0) = d (needs grid finer than the span)
@@ -323,34 +324,34 @@ class TestAcDensity:
 class TestEndpointDistribution:
     def test_single_interval(self):
         spec = ap.fibonacci_spec()
-        assert math.isclose(ap.endpoint_distribution(1, 1, spec.p), spec.p)
-        assert math.isclose(ap.endpoint_distribution(1, 0, spec.p), spec.q)
+        assert math.isclose(endpoint_distribution(1, 1, spec.p), spec.p)
+        assert math.isclose(endpoint_distribution(1, 0, spec.p), spec.q)
 
     def test_normalization_up_to_sixty(self):
         p = 1.0 / ap.TAU
         for m in (1, 7, 23, 60):
-            total = sum(ap.endpoint_distribution(m, j, p) for j in range(m + 1))
+            total = sum(endpoint_distribution(m, j, p) for j in range(m + 1))
             assert abs(total - 1.0) <= 1e-12
 
     def test_mode_at_rounded_mean(self):
         p = 1.0 / ap.TAU
-        masses = [ap.endpoint_distribution(20, m, p) for m in range(21)]
+        masses = [endpoint_distribution(20, m, p) for m in range(21)]
         assert int(np.argmax(masses)) == round(20 * p) == 12
 
     def test_out_of_range_rejected(self):
         with pytest.raises(ap.OutOfRangeError):
-            ap.endpoint_distribution(5, 6)
+            endpoint_distribution(5, 6)
 
 
 class TestGaussianEndpointDensity:
     def test_symmetric(self):
         for x in (0.3, 1.7, 9.0):
-            assert math.isclose(ap.gaussian_endpoint_density(50, x),
-                                ap.gaussian_endpoint_density(50, -x))
+            assert math.isclose(gaussian_endpoint_density(50, x),
+                                gaussian_endpoint_density(50, -x))
 
     def test_unit_mass_by_quadrature(self):
         for m in (10, 100, 1000):
-            val = quad(lambda x: ap.gaussian_endpoint_density(m, x),
+            val = quad(lambda x: gaussian_endpoint_density(m, x),
                        -40 * math.sqrt(m), 40 * math.sqrt(m), limit=200)[0]
             assert abs(val - 1.0) <= 1e-6
 
@@ -366,14 +367,14 @@ class TestGaussianEndpointDensity:
                       for m in ms]
         masses = np.exp(log_masses)
         heights = m_total - ms * ap.TAU  # x* = M - m*tau
-        densities = np.array([ap.gaussian_endpoint_density(m_total, x)
+        densities = np.array([gaussian_endpoint_density(m_total, x)
                               for x in heights])
         sup = np.max(np.abs(masses / ap.TAU - densities))
         assert sup <= 0.01
 
     def test_point_density_normalization_switch(self):
-        unit = ap.gaussian_endpoint_density(100, 0.5)
-        pd = ap.gaussian_endpoint_density(100, 0.5, normalization="point-density")
+        unit = gaussian_endpoint_density(100, 0.5)
+        pd = gaussian_endpoint_density(100, 0.5, normalization="point-density")
         assert math.isclose(pd, unit * FIB_DENSITY * math.sqrt(5.0), rel_tol=1e-12)
 
 
@@ -454,8 +455,8 @@ class TestHeightHistogram:
      "unsupported interval length '2'"),
     (lambda: ap.sample(ap.fibonacci_spec(), 0, 0), ap.OutOfRangeError,
      "at least one interval per side"),
-    (lambda: ap.gaussian_endpoint_density(0, 0.0), ap.OutOfRangeError, "M must be at least 1"),
-    (lambda: ap.gaussian_endpoint_density(10, 0.0, "other"), ap.AperiodicaError,
+    (lambda: gaussian_endpoint_density(0, 0.0), ap.OutOfRangeError, "M must be at least 1"),
+    (lambda: gaussian_endpoint_density(10, 0.0, "other"), ap.AperiodicaError,
      "unknown normalization 'other'"),
     (lambda: ap.internal_distribution(0, 0.0), ap.OutOfRangeError, "N must be at least 1"),
     (lambda: patch_heights(ap.RandomTilingSpec(2, 1, 0.5), 10, 0), ap.AperiodicaError,

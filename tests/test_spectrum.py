@@ -610,6 +610,20 @@ class TestFold:
         assert peak <= 5 * 2 ** 20
 
 
+class TestCostRuleEdges:
+    def test_nufft_priced_up_to_the_grid_cap(self):
+        # a fine grid of exactly _GRID_CAP modes is priced, one more is not
+        assert "nufft" in sp._costs(1000, 100, sp._GRID_CAP, sp._NS_TABLE)
+        assert "nufft" not in sp._costs(1000, 100, sp._GRID_CAP + 1, sp._NS_TABLE)
+
+    @pytest.mark.parametrize("x_span, k_span", [(0.0, 0.0), (0.0, 1e-3), (1e-9, 0.0)])
+    def test_fine_grid_minimum_length(self, x_span, k_span):
+        # a degenerate span gets the least grid, a stencil on each side
+        # and one cell more each: 2 * _WIDTH + 2 = 30 modes, unfolded
+        nf, _, fold = sp._fine_grid(x_span, k_span)
+        assert (nf, fold) == (2 * sp._WIDTH + 2, 1) == (30, 1)
+
+
 class TestTableRows:
     def test_criterion_7_comb_takes_the_band(self):
         comb, ks, w = criterion_7_case()

