@@ -47,7 +47,6 @@ from .cps import (
     CutProjectScheme,
     EuclideanWindow,
     GaussianProfile,
-    IndicatorProfile,
     QAdicWindow,
     density_weighted_comb,
     fibonacci_scheme,

@@ -192,9 +192,6 @@ class ModuleCoords:
 
     mn: np.ndarray  # int64, shape (N, 2)
 
-    def stars(self) -> np.ndarray:
-        return module_star(self.mn[:, 0], self.mn[:, 1])
-
 
 @dataclass(frozen=True)
 class WeightedComb:
@@ -331,6 +328,8 @@ class LatticeBasis:
         m = _own_copy(self.matrix, float)
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise AperiodicaError("basis matrix must be square")
+        if not np.all(np.isfinite(m)):
+            raise AperiodicaError("basis matrix entries must be finite")
         if abs(np.linalg.det(m)) < 1e-300:
             raise DegenerateLatticeError("basis matrix is singular")
         object.__setattr__(self, "matrix", m)
@@ -338,9 +337,6 @@ class LatticeBasis:
     @property
     def dim(self) -> int:
         return self.matrix.shape[0]
-
-    def covolume(self) -> float:
-        return abs(np.linalg.det(self.matrix))
 
 
 def dual_lattice(basis: LatticeBasis) -> LatticeBasis:
@@ -356,6 +352,8 @@ class SpectralMeasure:
 
     def __post_init__(self):
         pp = _own_copy(self.pp_atoms, float).reshape(-1, 2)
+        if not np.all(np.isfinite(pp)):
+            raise AperiodicaError("atom positions and intensities must be finite")
         if np.any(pp[:, 1] < 0):
             raise AperiodicaError("atom intensities must be non-negative")
         if np.any(np.diff(np.sort(pp[:, 0])) == 0):

@@ -27,7 +27,6 @@ from .core import (
     TAU,
     TAU_CONJ,
     AperiodicaError,
-    LatticeBasis,
     ModuleElement,
     OutOfRangeError,
     SpectralMeasure,
@@ -53,6 +52,9 @@ _PRUNE = 1e-14         # closed-form atoms below this intensity are left out
 # the candidates exist
 _SLAB_PER_M = 9
 _SLAB_PER_CANDIDATE = 7
+# the paperfolding letter windows are truncated at classes mod 2^(m+2),
+# m <= _PAPERFOLDING_M_MAX, and are exact for |x| < 2^_PAPERFOLDING_M_MAX
+_PAPERFOLDING_M_MAX = 24
 
 
 # -- schemes -----------------------------------------------------------------
@@ -64,12 +66,6 @@ class CutProjectScheme:
     the 2-adic integers otherwise."""
 
     euclidean: bool
-
-    @property
-    def embedding_basis(self) -> LatticeBasis:
-        if not self.euclidean:
-            raise AperiodicaError("embedding basis exists for Euclidean internal space")
-        return LatticeBasis(np.array([[TAU, 1.0], [TAU_CONJ, 1.0]]))
 
     @property
     def fd_volume(self) -> float:
@@ -315,16 +311,17 @@ def _slab_points(window: EuclideanWindow, lo: float, hi: float) -> np.ndarray:
 
 # -- paperfolding windows ---------------------------------------------------
 
-def paperfolding_windows(fixed_point_choice: str = "w1", m_max: int = 24) -> dict:
+def paperfolding_windows(fixed_point_choice: str = "w1") -> dict:
     """The four 2-adic letter windows of the paperfolding fixed points.
 
-    a: 4Z, c: 4Z + 2; b and d are unions over m = 1..m_max of the classes
-    2^m - 1 and 3*2^m - 1 mod 2^(m+2).  The 2-adic limit point -1 belongs to
-    b for the first fixed point and to d for the second; with it, the
-    truncated unions are exact for |x| < 2^m_max.
+    a: 4Z, c: 4Z + 2; b and d are unions over m = 1.._PAPERFOLDING_M_MAX of
+    the classes 2^m - 1 and 3*2^m - 1 mod 2^(m+2).  The 2-adic limit point -1
+    belongs to b for the first fixed point and to d for the second; with it,
+    the truncated unions are exact for |x| < 2^_PAPERFOLDING_M_MAX.
     """
     if fixed_point_choice not in ("w1", "w2"):
         raise AperiodicaError("fixed_point_choice must be 'w1' or 'w2'")
+    m_max = _PAPERFOLDING_M_MAX
     bound = 2 ** m_max
     b_classes = tuple((2 ** m - 1, 2 ** (m + 2)) for m in range(1, m_max + 1))
     d_classes = tuple((3 * 2 ** m - 1, 2 ** (m + 2)) for m in range(1, m_max + 1))
@@ -366,31 +363,17 @@ class GaussianProfile:
             -2.0 * math.pi ** 2 * self.sigma ** 2 * np.square(k))
 
 
-@dataclass(frozen=True)
-class IndicatorProfile:
-    """Indicator of a Euclidean window; admissible for model sets but lacks
-    the decay needed by the closed-form diffraction of weighted combs."""
-
-    window: EuclideanWindow
-
-    def __call__(self, u):
-        return self.window.contains(u).astype(float)
-
-
 def density_weighted_comb(scheme: CutProjectScheme, profile, region) -> WeightedComb:
     """Comb sum of phi(x*) delta_x over module points x in the region.
 
-    For a Gaussian profile, points with phi below _GAUSS_CUTOFF are dropped
-    (the enumeration slab in internal space is finite); an indicator profile
-    reproduces the model set of its window with unit weights.
+    The profile is Gaussian; points with phi below _GAUSS_CUTOFF are
+    dropped (the enumeration slab in internal space is finite).
     """
     if not scheme.euclidean:
         raise AperiodicaError("density-weighted combs need a Euclidean scheme")
     lo, hi = finite_range(region, "region")
-    if isinstance(profile, IndicatorProfile):
-        return generate_model_set(scheme, profile.window, region)
     if not isinstance(profile, GaussianProfile):
-        raise ProfileError("profile must be Gaussian or an indicator")
+        raise ProfileError("profile must be Gaussian")
     y_max = profile.sigma * math.sqrt(2.0 * math.log(1.0 / _GAUSS_CUTOFF))
     window = EuclideanWindow(((-y_max, y_max + 1e-12),))
     mn = _slab_points(window, lo, hi)

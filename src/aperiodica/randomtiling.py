@@ -25,7 +25,6 @@ from fractions import Fraction
 import numpy as np
 
 from .core import (
-    SQRT5,
     TAU,
     AperiodicaError,
     ModuleElement,
@@ -336,14 +335,6 @@ def needle_free(spec: RandomTilingSpec, ks) -> np.ndarray:
     return keep
 
 
-def _normalization_factor(normalization: str) -> float:
-    if normalization == "unit-mass":
-        return 1.0
-    if normalization == "point-density":
-        return density(fibonacci_spec()) * SQRT5
-    raise AperiodicaError(f"unknown normalization {normalization!r}")
-
-
 def scaling_profile(z) -> np.ndarray | float:
     """Universal height profile f(z) = 2 (exp(-z^2)/sqrt(pi) - |z| erfc|z|);
     unit mass, peak 2/sqrt(pi) at 0."""
@@ -353,36 +344,29 @@ def scaling_profile(z) -> np.ndarray | float:
     return float(value) if value.ndim == 0 else value
 
 
-def internal_distribution(n_intervals: int, x_star,
-                          normalization: str = "unit-mass"):
-    """Height distribution pooled over patches of up to N intervals:
-    rho(x*) = sqrt(tau/(2N)) * f(sqrt(tau/(2N)) * x*)."""
+def internal_distribution(n_intervals: int, x_star):
+    """Unit-mass height distribution pooled over patches of up to N
+    intervals: rho(x*) = sqrt(tau/(2N)) * f(sqrt(tau/(2N)) * x*)."""
     n = int(n_intervals)
     if n < 1:
         raise OutOfRangeError("N must be at least 1")
     s = math.sqrt(TAU / (2.0 * n))
-    return s * scaling_profile(s * np.asarray(x_star, dtype=float)) * \
-        _normalization_factor(normalization)
+    return s * scaling_profile(s * np.asarray(x_star, dtype=float))
 
 
-def patch_heights(spec: RandomTilingSpec, n_intervals: int, seed: int,
-                  both_sides: bool = False) -> np.ndarray:
-    """Heights of the endpoints after 1..N intervals of a sampled patch
-    (positive side; optionally pooled with the negative side)."""
+def patch_heights(spec: RandomTilingSpec, n_intervals: int, seed: int) -> np.ndarray:
+    """Heights of the endpoints after 1..N intervals on each side of a
+    sampled patch, both sides pooled (the origin left out)."""
     if spec.rational:
         raise AperiodicaError("heights need a module spec")
     s = sample(spec, n_intervals, seed)
     n = len(s.heights)
     origin = (n - 1) // 2
-    right = s.heights[origin + 1:]
-    if not both_sides:
-        return right
-    return np.concatenate([s.heights[:origin], right])
+    return np.concatenate([s.heights[:origin], s.heights[origin + 1:]])
 
 
 def empirical_height_histogram(spec: RandomTilingSpec, n_intervals: int,
-                               seeds: int, seed0: int = 0,
-                               both_sides: bool = False):
+                               seeds: int, seed0: int = 0):
     """Pooled histogram of endpoint heights over independent patches.
 
     Returns (bin_edges, counts); the bin width is one twentieth of the
@@ -395,7 +379,7 @@ def empirical_height_histogram(spec: RandomTilingSpec, n_intervals: int,
         raise OutOfRangeError(f"at least one seed is required; got {seeds}")
     check_size(int(seeds) * (2 * n + 1), "the pooled heights")
     bin_width = math.sqrt(2.0 * n / TAU) / 20.0
-    all_heights = [patch_heights(spec, n, seed0 + i, both_sides)
+    all_heights = [patch_heights(spec, n, seed0 + i)
                    for i in range(int(seeds))]
     heights = np.concatenate(all_heights)
     lo = math.floor(np.min(heights) / bin_width) * bin_width

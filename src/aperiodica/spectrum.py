@@ -871,11 +871,11 @@ def bragg_amplitudes(comb: WeightedComb, ks, taper: str = "hann") -> np.ndarray:
     return periodogram_values(comb, ks, taper) / comb.volume
 
 
-def bragg_scaling_ratio(comb: WeightedComb, ks, taper: str = "boxcar") -> np.ndarray:
-    """Two-point volume-scaling probe: periodogram value at full radius over
-    the value at half radius.  Bragg peaks grow linearly with volume (ratio
-    near 2); an absolutely continuous background stays put (ratio near 1).
-    A ratio of at least 1.7 classifies a peak as Bragg.
+def bragg_scaling_ratio(comb: WeightedComb, ks) -> np.ndarray:
+    """Two-point volume-scaling probe: boxcar periodogram value at full
+    radius over the value at half radius.  Bragg peaks grow linearly with
+    volume (ratio near 2); an absolutely continuous background stays put
+    (ratio near 1).  A ratio of at least 1.7 classifies a peak as Bragg.
 
     Two radii cannot tell an atom from a peak that grows with another power
     of the volume, or one that swings with the patch: on the Thue-Morse
@@ -884,12 +884,9 @@ def bragg_scaling_ratio(comb: WeightedComb, ks, taper: str = "boxcar") -> np.nda
     although that singular continuous spectrum has no atom there (ROADMAP
     item 11)."""
     half = restrict(comb, comb.radius / 2.0)
-    full_v = periodogram_values(comb, ks, taper)
-    half_v = periodogram_values(half, ks, taper)
+    full_v = periodogram_values(comb, ks)
+    half_v = periodogram_values(half, ks)
     return full_v / np.maximum(half_v, 1e-300)
-
-
-BRAGG_RATIO_THRESHOLD = 1.7
 
 
 # -- paperfolding closed form -------------------------------------------------

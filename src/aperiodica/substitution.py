@@ -298,8 +298,9 @@ def mfs_from_substitution(rule: SubstitutionRule) -> MfsRule:
     return MfsRule(m, rule.length, tuple(tuple(tuple(c) for c in row) for row in cells))
 
 
-def substitution_from_mfs(mfs: MfsRule, alphabet=None) -> SubstitutionRule:
-    """Reconstruct the constant-length rule from a substitution-like MFS.
+def substitution_from_mfs(mfs: MfsRule) -> SubstitutionRule:
+    """Reconstruct the constant-length rule from a substitution-like MFS,
+    over the letters a, b, c, ... in row order.
 
     The MFS must be total and unambiguous on residues: for every source
     column j, each offset r in 0..Q-1 appears in exactly one row.  Offsets
@@ -308,8 +309,7 @@ def substitution_from_mfs(mfs: MfsRule, alphabet=None) -> SubstitutionRule:
     q = mfs.inflation
     if q < 2:
         raise UnsupportedMfsError("only positive inflation arises from substitutions")
-    if alphabet is None:
-        alphabet = tuple(chr(ord("a") + i) for i in range(mfs.size))
+    alphabet = tuple(chr(ord("a") + i) for i in range(mfs.size))
     images = {}
     for j in range(mfs.size):
         slots = [None] * q

@@ -11,8 +11,8 @@ import math
 
 import numpy as np
 
-from aperiodica.core import TAU, AperiodicaError, OutOfRangeError, check_size
-from aperiodica.randomtiling import _normalization_factor
+from aperiodica.core import SQRT5, TAU, AperiodicaError, OutOfRangeError, check_size
+from aperiodica.randomtiling import density, fibonacci_spec
 from aperiodica.spectrum import _DYADIC_R_CAP, _level_intensities
 
 
@@ -155,6 +155,12 @@ def gaussian_endpoint_density(m_intervals: int, x_star: float,
     big_m = int(m_intervals)
     if big_m < 1:
         raise OutOfRangeError("M must be at least 1")
+    if normalization == "unit-mass":
+        factor = 1.0
+    elif normalization == "point-density":
+        factor = density(fibonacci_spec()) * SQRT5
+    else:
+        raise AperiodicaError(f"unknown normalization {normalization!r}")
     value = math.sqrt(TAU / (2.0 * math.pi * big_m)) * math.exp(
         -TAU * x_star * x_star / (2.0 * big_m))
-    return value * _normalization_factor(normalization)
+    return value * factor

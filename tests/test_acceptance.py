@@ -159,10 +159,10 @@ def test_criterion_6_theorem9_profile_and_scaling():
     spec = ap.fibonacci_spec()
     n = 10000
     std_n = np.concatenate(
-        [patch_heights(spec, n, seed=5000 + i, both_sides=True)
+        [patch_heights(spec, n, seed=5000 + i)
          for i in range(100)]).std()
     std_4n = np.concatenate(
-        [patch_heights(spec, 4 * n, seed=7000 + i, both_sides=True)
+        [patch_heights(spec, 4 * n, seed=7000 + i)
          for i in range(100)]).std()
     ratio = std_4n / std_n
     ok = f0_dev <= 1e-10 and int_dev <= 1e-8 and abs(ratio - 2.0) <= 0.1
@@ -180,8 +180,7 @@ def test_criterion_6_theorem9_histogram_sup_norm():
     """Theorem 9 histogram clause, exactly as stated (expected to fail)."""
     spec = ap.fibonacci_spec()
     n, seeds = 10000, 100
-    edges, counts = ap.empirical_height_histogram(spec, n, seeds, seed0=0,
-                                                  both_sides=True)
+    edges, counts = ap.empirical_height_histogram(spec, n, seeds, seed0=0)
     centers = 0.5 * (edges[:-1] + edges[1:])
     bw = edges[1] - edges[0]
     expected = ap.internal_distribution(n, centers) * bw * 2 * n * seeds

@@ -789,6 +789,16 @@ class TestSizeBudget:
     (lambda: ap.WeightedComb(np.zeros((1, 1)), [1.0], 1.0), "positions must be 1-d"),
     (lambda: ap.WeightedComb([0.0, 0.5], [1.0], 1.0), "positions and weights differ in length"),
     (lambda: ap.LatticeBasis([[1.0, 0.0]]), "basis matrix must be square"),
+    # a NaN basis passed with a RuntimeWarning from det, and
+    # lattice_periodicity_check on it raised a bare ValueError
+    (lambda: ap.LatticeBasis([[math.nan]]), "basis matrix entries must be finite"),
+    (lambda: ap.LatticeBasis([[1.0, 0.0], [0.0, math.inf]]), "basis matrix entries must be finite"),
+    # a NaN position made atom_at's argmin land on its row and miss the atom
+    # at 0.5; a NaN intensity passed the negativity check
+    (lambda: ap.SpectralMeasure([[math.nan, 1.0], [0.5, 2.0]]),
+     "atom positions and intensities must be finite"),
+    (lambda: ap.SpectralMeasure([[0.0, math.nan]]), "atom positions and intensities must be finite"),
+    (lambda: ap.SpectralMeasure([[0.0, math.inf]]), "atom positions and intensities must be finite"),
     # a scalar weight is named as such, whatever the order of the positions
     (lambda: ap.WeightedComb.from_integers([0, 1, 2], 1, 2.0), "weights must be 1-d"),
     (lambda: ap.WeightedComb.from_integers([2, 1, 0], 1, 2.0), "weights must be 1-d"),
@@ -822,7 +832,9 @@ class TestSizeBudget:
     (lambda: ap.WeightedComb.from_positions([math.nan], [1], 5.0), "positions must be finite"),
     (lambda: ap.WeightedComb.from_positions([-math.inf, 0.0, math.inf], [1, 1, 1], 5.0),
      "positions must be finite"),
-], ids=["positions-2d", "weights-short", "basis-not-square", "integers-weight-0-d",
+], ids=["positions-2d", "weights-short", "basis-not-square", "basis-nan", "basis-inf",
+        "measure-nan-position", "measure-nan-intensity", "measure-inf-intensity",
+        "integers-weight-0-d",
         "integers-descending-weight-0-d", "positions-weight-0-d",
         "positions-descending-weight-0-d", "module-weight-0-d",
         "module-descending-weight-0-d", "integers-0-d", "positions-0-d",

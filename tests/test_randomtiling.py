@@ -416,19 +416,24 @@ class TestHeightHistogram:
     def test_mass_totals(self):
         spec = ap.fibonacci_spec()
         _, counts = ap.empirical_height_histogram(spec, 200, 10, seed0=3)
-        assert counts.sum() == 200 * 10
+        # both sides pooled: 2N heights a patch
+        assert counts.sum() == 2 * 200 * 10
 
     def test_both_sides_doubles_mass(self):
         spec = ap.fibonacci_spec()
-        _, counts = ap.empirical_height_histogram(spec, 200, 10, seed0=3,
-                                                  both_sides=True)
-        assert counts.sum() == 2 * 200 * 10
+        n = 200
+        s = ap.sample(spec, n, 3)
+        origin = (len(s.heights) - 1) // 2
+        heights = patch_heights(spec, n, 3)
+        # N heights left of the origin and N right of it, the origin left out
+        assert origin == n and len(heights) == 2 * n
+        assert np.array_equal(heights[:n], s.heights[:n])
+        assert np.array_equal(heights[n:], s.heights[n + 1:])
 
     def test_shape_against_profile_smoke(self):
         spec = ap.fibonacci_spec()
         n, seeds = 2000, 150
-        edges, counts = ap.empirical_height_histogram(spec, n, seeds, seed0=20,
-                                                      both_sides=True)
+        edges, counts = ap.empirical_height_histogram(spec, n, seeds, seed0=20)
         centers = 0.5 * (edges[:-1] + edges[1:])
         bw = edges[1] - edges[0]
         expected = ap.internal_distribution(n, centers) * bw * 2 * n * seeds
@@ -440,10 +445,10 @@ class TestHeightHistogram:
         spec = ap.fibonacci_spec()
         n = 2000
         std_n = np.concatenate(
-            [patch_heights(spec, n, seed=100 + i, both_sides=True)
+            [patch_heights(spec, n, seed=100 + i)
              for i in range(200)]).std()
         std_4n = np.concatenate(
-            [patch_heights(spec, 4 * n, seed=700 + i, both_sides=True)
+            [patch_heights(spec, 4 * n, seed=700 + i)
              for i in range(200)]).std()
         assert abs(std_4n / std_n - 2.0) <= 0.2
 
